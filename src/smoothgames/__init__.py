@@ -3,8 +3,8 @@ for finite normal-form games."""
 
 from .dynamics import (DynamicsConfig, StabilityVerdict, SweepCell,
                        Trajectory, eta_threshold, measure_response_lipschitz,
-                       run, stability_verdict, step, sweep, sweep_to_csv,
-                       trajectory_to_csv)
+                       run, run_many, stability_verdict, step, sweep,
+                       sweep_to_csv, trajectory_to_csv)
 from .errors import (ArgumentError, ConvergenceError, CyclingError,
                      DimensionError, DomainError, GameError, ParseError,
                      ResourceError)

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .dynamics import (DynamicsConfig, eta_threshold, run, stability_verdict,
-                       sweep)
+                       sweep, sweep_to_csv, trajectory_to_csv)
 from .errors import ConvergenceError, GameError, ParseError, ResourceError
 from .games import (JointStrategy, epsilon_nash_gap, load_game, pure_strategy,
                     uniform_strategy, utility)
@@ -248,32 +248,11 @@ def cmd_simulate(args) -> int:
     trajectory = run(game, cfg, x0, reference=reference)
     handle, owned = _open_output(args.output)
     try:
-        _write_trajectory(handle, trajectory, verdict)
+        trajectory_to_csv(trajectory, handle, verdict)
     finally:
         if owned:
             handle.close()
     return 0
-
-
-def _write_trajectory(handle, trajectory, verdict):
-    import csv as _csv
-
-    shape = trajectory.points[0].shape
-    writer = _csv.writer(handle)
-    writer.writerow(["t"] + [f"p{n}_{i}" for n, k in enumerate(shape)
-                             for i in range(k)]
-                    + ["distance", "spectral_radius", "classification"])
-    rec = trajectory.config.record_every
-    for idx, point in enumerate(trajectory.points):
-        t = idx * rec
-        dist = (trajectory.distances[t]
-                if trajectory.distances is not None else None)
-        writer.writerow(
-            [str(t)] + [format(p, ".17g") for p in point.concatenated()]
-            + ["" if dist is None else format(dist, ".17g"),
-               format(verdict.jacobian_spectral_radius, ".17g")
-               if verdict else "",
-               verdict.classification if verdict else ""])
 
 
 def cmd_sweep(args) -> int:
@@ -287,39 +266,11 @@ def cmd_sweep(args) -> int:
                   jobs=args.jobs)
     handle, owned = _open_output(args.output)
     try:
-        _write_sweep(handle, cells)
+        sweep_to_csv(cells, handle)
     finally:
         if owned:
             handle.close()
     return 0
-
-
-def _write_sweep(handle, cells):
-    import csv as _csv
-
-    shape = None
-    for cell in cells:
-        if cell.equilibrium is not None:
-            shape = cell.equilibrium.point.shape
-            break
-    headers = ([f"p{n}_{i}" for n, k in enumerate(shape) for i in range(k)]
-               if shape is not None else [])
-    writer = _csv.writer(handle)
-    writer.writerow(["beta", "eta"] + headers
-                    + ["distance", "spectral_radius", "classification",
-                       "error"])
-    for cell in cells:
-        probs = ([format(p, ".17g")
-                  for p in cell.equilibrium.point.concatenated()]
-                 if cell.equilibrium is not None else [""] * len(headers))
-        writer.writerow(
-            [format(cell.beta, ".17g"), format(cell.eta, ".17g")] + probs
-            + ["" if cell.final_distance is None
-               else format(cell.final_distance, ".17g"),
-               format(cell.verdict.jacobian_spectral_radius, ".17g")
-               if cell.verdict else "",
-               cell.verdict.classification if cell.verdict else "",
-               cell.error or ""])
 
 
 def cmd_probe_steepness(args) -> int:

@@ -8,21 +8,24 @@ sweeps (beta, eta) grids the way the stability phase diagrams are produced.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError, GameError
+from .errors import ArgumentError, GameError
 from .games import JointStrategy, NormalFormGame, uniform_strategy
-from .response import (SmoothedEquilibrium, SmoothedResponseConfig,
-                       find_smoothed_equilibrium, response_jacobian,
-                       smoothed_best_response)
+from .response import (FlatKernel, SmoothedEquilibrium,
+                       SmoothedResponseConfig, find_smoothed_equilibrium,
+                       response_jacobian)
 from .stability import perturb_strategy
 
 SAMPLE_BALL_RADIUS = 0.05  # inf-norm radius for Lipschitz sampling
 CLASSIFICATION_TOL = 1e-9
+DISTANCE_CHUNK = 64  # states held back before their distances are taken
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,10 @@ class DynamicsConfig:
     def __post_init__(self):
         if not 0 < self.eta < 1:
             raise ArgumentError(f"eta must lie in (0, 1), got {self.eta}")
+        for name in ("horizon", "record_every"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ArgumentError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.horizon < 1:
             raise ArgumentError("horizon must be at least 1")
         if self.record_every < 1:
@@ -71,35 +78,72 @@ class Trajectory:
 def step(game: NormalFormGame, cfg: DynamicsConfig,
          x: JointStrategy) -> JointStrategy:
     """One averaging update, renormalized defensively against drift."""
-    y = smoothed_best_response(game, cfg.response, x)
-    blocks = []
-    for bx, by in zip(x.blocks, y.blocks):
-        mixed = (1.0 - cfg.eta) * bx + cfg.eta * by
-        blocks.append(mixed / mixed.sum())
-    return JointStrategy(tuple(blocks))
+    kernel = FlatKernel(game, cfg.response)
+    x_flat = kernel.flatten(x)[None, :]
+    return kernel.strategy(kernel.advance(x_flat, np.full((1, 1), cfg.eta))[0])
 
 
 def run(game: NormalFormGame, cfg: DynamicsConfig, x0: JointStrategy,
         reference: SmoothedEquilibrium = None) -> Trajectory:
-    """Iterate the dynamics for the configured horizon."""
-    if x0.shape != game.shape:
-        raise DimensionError(
-            f"x0 shape {x0.shape} does not match game shape {game.shape}")
-    ref_vec = (reference.point.concatenated()
-               if reference is not None else None)
-    x = x0
-    points = [x]
-    distances = None
-    if ref_vec is not None:
-        distances = [float(np.linalg.norm(x.concatenated() - ref_vec))]
-    for t in range(1, cfg.horizon + 1):
-        x = step(game, cfg, x)
-        if t % cfg.record_every == 0:
-            points.append(x)
-        if ref_vec is not None:
-            distances.append(float(np.linalg.norm(x.concatenated() - ref_vec)))
-    return Trajectory(config=cfg, points=tuple(points), final_point=x,
-                      distances=tuple(distances) if distances else None)
+    """Iterate the dynamics for the configured horizon.
+
+    The game, config and start are validated once; the steps run on flat
+    vectors, and only recorded points become JointStrategy objects.
+    """
+    return run_many(game, cfg, (x0,), reference)[0]
+
+
+def run_many(game: NormalFormGame, cfg: DynamicsConfig, X0,
+             reference: SmoothedEquilibrium = None) -> tuple:
+    """Iterate the dynamics from each JointStrategy in ``X0`` as one batch.
+
+    Returns one Trajectory per start, in order.  Rows agree with separate
+    :func:`run` calls up to rounding (matrix products round differently
+    for different row counts).
+    """
+    kernel = FlatKernel(game, cfg.response)
+    starts = [kernel.flatten(x, "x0") for x in X0]
+    if not starts:
+        raise ArgumentError("at least one start is required")
+    return _orbits(kernel, [cfg] * len(starts), np.stack(starts), reference)
+
+
+def _orbits(kernel, configs, X, reference):
+    """Run row i of X under configs[i]; all share horizon and cadence.
+
+    Points become JointStrategy objects only where they are recorded.
+    Distances are taken DISTANCE_CHUNK states at a time.
+    """
+    horizon, every = configs[0].horizon, configs[0].record_every
+    eta = np.array([[c.eta] for c in configs])
+    ref = (kernel.flatten(reference.point, "reference")
+           if reference is not None else None)
+    recorded = [X]
+    pending = [X]
+    distances = []
+
+    def take_distances():
+        distances.append(np.linalg.norm(np.stack(pending) - ref, axis=2))
+        pending.clear()
+
+    for t in range(1, horizon + 1):
+        X = kernel.advance(X, eta)
+        if t % every == 0:
+            recorded.append(X)
+        if ref is not None:
+            pending.append(X)
+            if len(pending) == DISTANCE_CHUNK:
+                take_distances()
+    if ref is not None:
+        if pending:
+            take_distances()
+        distances = np.concatenate(distances).T.tolist()
+    return tuple(
+        Trajectory(config=cfg,
+                   points=tuple(kernel.strategy(R[i]) for R in recorded),
+                   final_point=kernel.strategy(X[i]),
+                   distances=tuple(distances[i]) if ref is not None else None)
+        for i, cfg in enumerate(configs))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +166,12 @@ def stability_verdict(game: NormalFormGame, cfg: DynamicsConfig,
     the simplex normals that would pollute both the radius and the norm.
     """
     grad_phi = response_jacobian(game, cfg.response, eq.point, as_tangent=True)
-    m = (1.0 - cfg.eta) * np.eye(grad_phi.shape[0]) + cfg.eta * grad_phi
+    return _verdict(grad_phi, cfg.eta, eq)
+
+
+def _verdict(grad_phi, eta, eq) -> StabilityVerdict:
+    """Classify from the tangent response Jacobian at the equilibrium."""
+    m = (1.0 - eta) * np.eye(grad_phi.shape[0]) + eta * grad_phi
     radius = float(np.abs(np.linalg.eigvals(m)).max(initial=0.0))
     op_norm = float(np.linalg.norm(m, 2)) if m.size else 0.0
     if radius < 1.0 - CLASSIFICATION_TOL:
@@ -178,20 +227,57 @@ class SweepCell:
     error: str = None
 
 
-def _sweep_cell(args):
-    game, beta, eta, regularizers, x0, horizon, eq = args
-    try:
-        response_cfg = SmoothedResponseConfig(beta=beta,
-                                              regularizers=regularizers)
-        cfg = DynamicsConfig(eta=eta, response=response_cfg, horizon=horizon,
-                             record_every=max(1, horizon))
-        verdict = stability_verdict(game, cfg, eq)
-        trajectory = run(game, cfg, x0, reference=eq)
-        return SweepCell(beta=beta, eta=eta, equilibrium=eq, verdict=verdict,
-                         final_distance=trajectory.distances[-1])
-    except GameError as err:
-        return SweepCell(beta=beta, eta=eta, equilibrium=eq,
+def _sweep_beta(task):
+    """Every eta cell of one beta; their runs go through the kernel as one
+    batch, so a cell's result does not depend on how betas are scheduled."""
+    game, response_cfg, etas, x0, horizon, eq = task
+
+    def failed(eta, err):
+        return SweepCell(beta=response_cfg.beta, eta=eta, equilibrium=eq,
                          error=f"{type(err).__name__}: {err}")
+
+    cells = [None] * len(etas)
+    live = []
+    for i, eta in enumerate(etas):
+        try:
+            live.append((i, DynamicsConfig(eta=eta, response=response_cfg,
+                                           horizon=horizon,
+                                           record_every=max(1, horizon))))
+        except GameError as err:
+            cells[i] = failed(eta, err)
+    if not live:
+        return cells
+    try:
+        grad_phi = response_jacobian(game, response_cfg, eq.point,
+                                     as_tangent=True)
+    except GameError as err:
+        for i, cfg in live:
+            cells[i] = failed(cfg.eta, err)
+        return cells
+    # the equilibrium solve has already checked the config and x0
+    kernel = FlatKernel(game, response_cfg)
+    start = kernel.flatten(x0)
+    configs = [cfg for _, cfg in live]
+    try:
+        outcomes = _orbits(kernel, configs,
+                           np.tile(start, (len(configs), 1)), eq)
+    except GameError:
+        # one failing row must not fail the others: rerun rows alone
+        outcomes = []
+        for cfg in configs:
+            try:
+                outcomes.append(_orbits(kernel, [cfg], start[None, :], eq)[0])
+            except GameError as err:
+                outcomes.append(err)
+    for (i, cfg), outcome in zip(live, outcomes):
+        if isinstance(outcome, GameError):
+            cells[i] = failed(cfg.eta, outcome)
+        else:
+            cells[i] = SweepCell(beta=cfg.response.beta, eta=cfg.eta,
+                                 equilibrium=eq,
+                                 verdict=_verdict(grad_phi, cfg.eta, eq),
+                                 final_distance=outcome.distances[-1])
+    return cells
 
 
 def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
@@ -199,10 +285,12 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
     """Equilibrium, verdict, and a finite run for every (beta, eta) cell.
 
     Equilibria are located once per beta by warm-started continuation from
-    the largest beta downward; cells then run independently (in parallel
-    when ``jobs`` > 1).  Cell errors are recorded in the cell, and the
-    sweep continues.  The returned grid is row-major in (betas, etas) as
-    given, independent of scheduling.
+    the largest beta downward.  The runs of all eta cells of one beta then
+    go through the dynamics kernel as one batch; with ``jobs`` > 1 whole
+    betas are spread over worker processes, so results do not depend on
+    ``jobs``.  Cell errors are recorded in the cell, and the sweep
+    continues.  The returned grid is row-major in (betas, etas) as given,
+    independent of scheduling.
     """
     betas = [float(b) for b in betas]
     etas = [float(e) for e in etas]
@@ -211,7 +299,7 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
     if x0 is None:
         x0 = uniform_strategy(game.shape)
 
-    equilibria = {}
+    solved = {}
     errors = {}
     warm = x0
     for beta in sorted(set(betas), reverse=True):
@@ -219,37 +307,26 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
             cfg = SmoothedResponseConfig(beta=beta, regularizers=regularizers)
             eq = find_smoothed_equilibrium(game, cfg, warm,
                                            outer_tol=outer_tol)
-            equilibria[beta] = eq
+            solved[beta] = (cfg, eq)
             warm = eq.point
         except GameError as err:
             errors[beta] = f"{type(err).__name__}: {err}"
 
-    tasks = []
-    layout = []
-    for beta in betas:
-        for eta in etas:
-            if beta in errors:
-                layout.append(SweepCell(beta=beta, eta=eta,
-                                        error=errors[beta]))
-            else:
-                layout.append(None)
-                tasks.append((game, beta, eta, tuple(regularizers), x0,
-                              horizon, equilibria[beta]))
-
+    tasks = [(game, solved[beta][0], etas, x0, horizon, solved[beta][1])
+             for beta in betas if beta not in errors]
     if jobs > 1 and tasks:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            computed = list(pool.map(_sweep_cell, tasks))
+            computed = iter(list(pool.map(_sweep_beta, tasks)))
     else:
-        computed = [_sweep_cell(t) for t in tasks]
+        computed = map(_sweep_beta, tasks)
 
     cells = []
-    cursor = 0
-    for cell in layout:
-        if cell is None:
-            cells.append(computed[cursor])
-            cursor += 1
+    for beta in betas:
+        if beta in errors:
+            cells.extend(SweepCell(beta=beta, eta=eta, error=errors[beta])
+                         for eta in etas)
         else:
-            cells.append(cell)
+            cells.extend(next(computed))
     return tuple(cells)
 
 
@@ -266,12 +343,25 @@ def _block_headers(shape) -> list:
     return [f"p{n}_{i}" for n, k in enumerate(shape) for i in range(k)]
 
 
-def trajectory_to_csv(trajectory: Trajectory, path,
+@contextlib.contextmanager
+def _text_output(target):
+    """An open text handle as is, or a path opened for CSV writing."""
+    if hasattr(target, "write"):
+        yield target
+    else:
+        with open(target, "w", newline="") as handle:
+            yield handle
+
+
+def trajectory_to_csv(trajectory: Trajectory, target,
                       verdict: StabilityVerdict = None):
-    """Write recorded points with distances and the verdict, if available."""
+    """Write recorded points with distances and the verdict, if available.
+
+    ``target`` is a path or an open text handle (left open).
+    """
     shape = trajectory.points[0].shape
     rec = trajectory.config.record_every
-    with open(path, "w", newline="") as handle:
+    with _text_output(target) as handle:
         writer = csv.writer(handle)
         writer.writerow(["t"] + _block_headers(shape)
                         + ["distance", "spectral_radius", "classification"])
@@ -286,15 +376,18 @@ def trajectory_to_csv(trajectory: Trajectory, path,
                    verdict.classification if verdict else ""])
 
 
-def sweep_to_csv(cells, path):
-    """Write one row per sweep cell; failed cells carry their error text."""
+def sweep_to_csv(cells, target):
+    """Write one row per sweep cell; failed cells carry their error text.
+
+    ``target`` is a path or an open text handle (left open).
+    """
     shape = None
     for cell in cells:
         if cell.equilibrium is not None:
             shape = cell.equilibrium.point.shape
             break
     headers = _block_headers(shape) if shape is not None else []
-    with open(path, "w", newline="") as handle:
+    with _text_output(target) as handle:
         writer = csv.writer(handle)
         writer.writerow(["beta", "eta"] + headers
                         + ["distance", "spectral_radius", "classification",

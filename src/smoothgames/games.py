@@ -130,6 +130,8 @@ class JointStrategy:
         for n, b in enumerate(blocks):
             if b.ndim != 1:
                 raise DimensionError(f"block {n} is not a vector")
+            if not np.all(np.isfinite(b)):
+                raise DomainError(f"block {n} has non-finite entries")
             if np.any(b < 0):
                 raise DomainError(f"block {n} has negative entries")
             if abs(b.sum() - 1.0) > SIMPLEX_SUM_TOL:

@@ -7,6 +7,10 @@ concave program with a damped Newton method on the tangent space.  Smoothed
 equilibria (fixed points of the joint response map) are located by damped
 fixed-point iteration with an adaptive damping factor, optionally continued
 along a decreasing beta schedule with warm starts.
+
+Hot loops (the solver here, the dynamics in ``dynamics``) run on
+:class:`FlatKernel`, which evaluates the response map and the averaging
+update for a batch of flat strategy vectors after validating once.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .errors import (ArgumentError, ConvergenceError, CyclingError,
                      DimensionError)
-from .games import (JointStrategy, NormalFormGame, epsilon_nash_gap, gradient,
+from .games import (JointStrategy, NormalFormGame, epsilon_nash_gap,
                     tangent_basis, uniform_strategy)
 from .regularizers import Regularizer, entropy, face_hessian, reg_value
 from .stability import game_jacobian
@@ -38,8 +42,9 @@ class SmoothedResponseConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "regularizers", tuple(self.regularizers))
-        if not self.beta > 0:
-            raise ArgumentError(f"beta must be positive, got {self.beta}")
+        if not 0 < self.beta < np.inf:
+            raise ArgumentError(
+                f"beta must be positive and finite, got {self.beta}")
         if not self.inner_tol > 0:
             raise ArgumentError("inner_tol must be positive")
         if not self.regularizers:
@@ -135,9 +140,16 @@ def _newton_argmax(v, reg, beta, inner_tol, inner_max_iter):
     for iteration in range(inner_max_iter):
         grad_amb = v - beta * _reg_gradient_ambient(reg, y)
         centered = grad_amb - grad_amb.mean()
+        last_finite = residual
         residual = float(np.abs(centered).max(initial=0.0))
         if residual <= inner_tol:
             return y
+        if not np.isfinite(residual):
+            # no later iterate can recover from a non-finite one
+            raise ConvergenceError(
+                f"inner solver went non-finite at iteration {iteration}; "
+                f"last finite residual {last_finite:.3e}",
+                residual=last_finite, iterations=iteration, beta=beta)
         active = np.flatnonzero(y > ACTIVE_FLOOR)
         if len(active) < k:
             # lam*beta*(log y_i + 1) = v_i - beta*(A^T A (y-w))_i - nu
@@ -192,16 +204,105 @@ def _reg_gradient_ambient(reg, y):
     return grad
 
 
+# ---------------------------------------------------------------------------
+# flat batched kernel
+
+class FlatKernel:
+    """Response map and averaging update on stacked flat joint strategies.
+
+    A batch is a ``(B, sum k)`` array whose rows are concatenated joint
+    strategies, player n's block in columns ``slices[n]``.  The game and
+    config are checked once, when the kernel is built, and starting points
+    once, by :meth:`flatten`; the per-step methods check nothing.
+    """
+
+    def __init__(self, game: NormalFormGame, cfg: SmoothedResponseConfig):
+        _check_config(game, cfg)
+        self.game = game
+        self.cfg = cfg
+        shape = game.shape
+        starts = np.concatenate([[0], np.cumsum(shape)[:-1]]).astype(int)
+        self.slices = tuple(slice(int(a), int(a) + k)
+                            for a, k in zip(starts, shape))
+        # block-wise reductions over all players at once: reduceat per
+        # block, then broadcast back to the block's columns
+        self._starts = starts
+        self._owner = np.repeat(np.arange(len(shape)), shape)
+        self._newton = tuple(n for n, r in enumerate(cfg.regularizers)
+                             if r.kind != "entropy")
+        if game.num_players == 2:
+            self._p0t = np.ascontiguousarray(game.payoffs[0].T)
+        else:
+            # einsum re-plans its contraction on every call when asked to
+            # optimize, which costs more than the contraction at these sizes
+            axes = "".join(chr(ord("a") + n) for n in range(len(shape)))
+            self._specs = tuple(
+                axes + "," + ",".join("..." + axes[m] for m in range(len(axes))
+                                      if m != n) + "->..." + axes[n]
+                for n in range(len(axes)))
+
+    def flatten(self, x: JointStrategy, what="strategy") -> np.ndarray:
+        """The concatenated vector of a strategy of this game's shape."""
+        if x.shape != self.game.shape:
+            raise DimensionError(
+                f"{what} shape {x.shape} does not match game shape "
+                f"{self.game.shape}")
+        return x.concatenated()
+
+    def strategy(self, row: np.ndarray) -> JointStrategy:
+        """One row as a (validated) joint strategy."""
+        return JointStrategy(tuple(row[s] for s in self.slices))
+
+    def gradients(self, X: np.ndarray) -> np.ndarray:
+        """Payoff of each pure action against the other blocks of each row."""
+        blocks = [X[:, s] for s in self.slices]
+        if len(blocks) == 2:
+            parts = [blocks[1] @ self._p0t, blocks[0] @ self.game.payoffs[1]]
+        else:
+            parts = [np.einsum(spec, tensor,
+                               *(b for m, b in enumerate(blocks) if m != n),
+                               optimize=False)
+                     for n, (spec, tensor) in enumerate(zip(
+                         self._specs, self.game.payoffs))]
+        return np.concatenate(parts, axis=1)
+
+    def _block_totals(self, ufunc, X):
+        return ufunc.reduceat(X, self._starts, axis=1)[:, self._owner]
+
+    def respond(self, X: np.ndarray) -> np.ndarray:
+        """The smoothed best response of every row: a block-wise softmax
+        for entropy, the per-block argmax solver for other regularizers."""
+        cfg = self.cfg
+        G = self.gradients(X)
+        Y = G / cfg.beta
+        Y -= self._block_totals(np.maximum, Y)
+        np.exp(Y, out=Y)
+        Y /= self._block_totals(np.add, Y)
+        # blocks of other regularizers replace their softmax columns
+        for n in self._newton:
+            s = self.slices[n]
+            Y[:, s] = [smoothed_argmax(v, cfg.regularizers[n], cfg.beta,
+                                       cfg.inner_tol, cfg.inner_max_iter)
+                       for v in G[:, s]]
+        return Y
+
+    def mix(self, X: np.ndarray, Y: np.ndarray, eta) -> np.ndarray:
+        """Averaging update (1 - eta) X + eta Y; eta is a scalar or a
+        ``(B, 1)`` column.  Blocks are renormalized against drift."""
+        out = (1.0 - eta) * X + eta * Y
+        out /= self._block_totals(np.add, out)
+        return out
+
+    def advance(self, X: np.ndarray, eta) -> np.ndarray:
+        """One step of the averaging dynamics for every row."""
+        return self.mix(X, self.respond(X), eta)
+
+
 def smoothed_best_response(game: NormalFormGame, cfg: SmoothedResponseConfig,
                            x: JointStrategy) -> JointStrategy:
     """Apply the smoothed response map to every player simultaneously."""
-    _check_config(game, cfg)
-    blocks = []
-    for n in range(game.num_players):
-        v = gradient(game, x, n)
-        blocks.append(smoothed_argmax(v, cfg.regularizers[n], cfg.beta,
-                                      cfg.inner_tol, cfg.inner_max_iter))
-    return JointStrategy(tuple(blocks))
+    kernel = FlatKernel(game, cfg)
+    return kernel.strategy(kernel.respond(kernel.flatten(x)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +359,11 @@ def find_smoothed_equilibrium(game: NormalFormGame, cfg: SmoothedResponseConfig,
     cycling error — near instability the iteration orbits instead of
     converging, and smaller beta only sharpens that.
     """
-    _check_config(game, cfg)
+    kernel = FlatKernel(game, cfg)
     if not outer_tol > 0:
         raise ArgumentError("outer_tol must be positive")
-    x = x0 if x0 is not None else uniform_strategy(game.shape)
-    if x.shape != game.shape:
-        raise DimensionError(
-            f"x0 shape {x.shape} does not match game shape {game.shape}")
+    x = kernel.flatten(x0 if x0 is not None else uniform_strategy(game.shape),
+                       "x0")[None, :]
 
     eta = 1.0
     prev_residual = np.inf
@@ -273,12 +372,13 @@ def find_smoothed_equilibrium(game: NormalFormGame, cfg: SmoothedResponseConfig,
     marker = np.inf
     stall = 0
     for iteration in range(max_iter):
-        y = smoothed_best_response(game, cfg, x)
-        residual = float(np.abs(y.concatenated() - x.concatenated()).max())
+        y = kernel.respond(x)
+        residual = float(np.abs(y - x).max())
         if residual <= outer_tol:
+            point = kernel.strategy(x[0])
             return SmoothedEquilibrium(
-                point=x, beta=cfg.beta, residual=residual,
-                nash_gap=epsilon_nash_gap(game, x))
+                point=point, beta=cfg.beta, residual=residual,
+                nash_gap=epsilon_nash_gap(game, point))
         if residual < best_residual:
             best_residual = residual
             best_point = x
@@ -294,7 +394,7 @@ def find_smoothed_equilibrium(game: NormalFormGame, cfg: SmoothedResponseConfig,
                     f"iteration appears to be orbiting rather than "
                     f"converging", residual=best_residual,
                     iterations=iteration, beta=cfg.beta,
-                    last_point=best_point)
+                    last_point=kernel.strategy(best_point[0]))
         # the relative band keeps ulp-level jitter at tiny eta from biasing
         # the halve/grow walk into collapse
         if residual <= prev_residual * (1.0 + 1e-12):
@@ -302,15 +402,11 @@ def find_smoothed_equilibrium(game: NormalFormGame, cfg: SmoothedResponseConfig,
         else:
             eta = eta / 2
         prev_residual = residual
-        blocks = []
-        for bx, by in zip(x.blocks, y.blocks):
-            mixed = (1.0 - eta) * bx + eta * by
-            blocks.append(mixed / mixed.sum())
-        x = JointStrategy(tuple(blocks))
+        x = kernel.mix(x, y, eta)
     raise ConvergenceError(
         f"no fixed point within {max_iter} iterations; best residual "
         f"{best_residual:.3e}", residual=best_residual, iterations=max_iter,
-        beta=cfg.beta, last_point=best_point)
+        beta=cfg.beta, last_point=kernel.strategy(best_point[0]))
 
 
 def homotopy_trace(game: NormalFormGame, cfg: SmoothedResponseConfig,

@@ -256,7 +256,7 @@ def solve_skew_certificate(jac: GameJacobian) -> SkewCertificate:
             defect = np.linalg.norm(
                 lambdas[n] * blocks[n][m] + lambdas[m] * blocks[m][n].T)
             residual = max(residual, defect / (1.0 + norms[n, m]))
-    feasible = (not rejected) and residual <= SKEW_RESIDUAL_TOL
+    feasible = bool(not rejected and residual <= SKEW_RESIDUAL_TOL)
     return SkewCertificate(lambdas=lambdas, residual=float(residual),
                            feasible=feasible)
 

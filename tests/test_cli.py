@@ -10,6 +10,8 @@ import pytest
 
 from smoothgames.cli import main
 
+from conftest import polymatrix_game
+
 
 def run_cli(capsys, argv):
     code = main(argv)
@@ -100,6 +102,22 @@ def test_analyze_large_grid_skips_oracles(capsys):
     data = json.loads(out)
     assert "skipped" in data["weak_pareto"]
     assert "strong_nash" not in data
+
+
+def test_analyze_certificate_json_on_skew_polymatrix(capsys, tmp_path):
+    # a connected lambda-skew game has a feasible certificate with a tiny
+    # nonzero residual, which must serialize as a plain JSON boolean
+    rng = np.random.default_rng(5)
+    game, _ = polymatrix_game(rng, (2, 3, 2), lam=(1.0, 2.0, 0.5))
+    path = write_game(tmp_path, "skew", game.payoffs)
+    target = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, ["analyze", path, "--at", "uniform",
+                                  "--grid-resolution", "5",
+                                  "--output", str(target)])
+    assert code == 0
+    data = json.loads(target.read_text())
+    assert data["stability"]["certificate"]["feasible"] is True
+    assert data["stability"]["pointwise"] == "stable"
 
 
 def test_analyze_accepts_json_regularizer_spec(capsys):

@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import smoothgames as sg
 from smoothgames.errors import ArgumentError, DimensionError
@@ -35,6 +36,12 @@ def test_dynamics_config_validation():
         sg.DynamicsConfig(eta=0.1, response=cfg, horizon=0)
     with pytest.raises(ArgumentError):
         sg.DynamicsConfig(eta=0.1, response=cfg, horizon=10, record_every=0)
+
+
+def test_dynamics_config_rejects_fractional_horizon():
+    cfg = sg.entropy_config((2, 2), 0.1)
+    with pytest.raises(ArgumentError):
+        sg.DynamicsConfig(eta=0.1, response=cfg, horizon=2.5)
 
 
 def test_step_is_averaging_update():
@@ -117,6 +124,76 @@ def test_long_run_stays_on_simplex():
         for block in point.blocks:
             assert abs(block.sum() - 1.0) <= 1e-12
             assert np.all(block >= 0.0)
+
+
+def reference_step(game, cfg, x):
+    """The averaging update block by block, as it was first written."""
+    blocks = []
+    for n, reg in enumerate(cfg.response.regularizers):
+        y = sg.smoothed_argmax(sg.gradient(game, x, n), reg, cfg.response.beta)
+        mixed = (1.0 - cfg.eta) * x.blocks[n] + cfg.eta * y
+        blocks.append(mixed / mixed.sum())
+    return sg.JointStrategy(tuple(blocks))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), players=st.sampled_from([2, 3]),
+       kind=st.sampled_from(["entropy", "quadratic_entropy"]))
+def test_run_matches_per_block_reference(seed, players, kind):
+    # weak payoffs and large beta keep the map contractive, so rounding
+    # differences between the two paths cannot grow along the orbit
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(k) for k in rng.integers(2, 5, players))
+    game = random_game(rng, shape, scale=0.2)
+    if kind == "entropy":
+        regs = tuple(sg.entropy(k) for k in shape)
+    else:
+        regs = tuple(sg.quadratic_entropy(rng.uniform(0.5, 1.0),
+                                          np.diag(rng.uniform(1.0, 2.0, k)),
+                                          rng.dirichlet(np.ones(k)))
+                     for k in shape)
+    response = sg.SmoothedResponseConfig(beta=rng.uniform(1.0, 2.0),
+                                         regularizers=regs)
+    cfg = sg.DynamicsConfig(eta=rng.uniform(0.05, 0.2), response=response,
+                            horizon=200, record_every=50)
+    x0 = random_interior(rng, shape)
+    traj = sg.run(game, cfg, x0)
+    x, expected = x0, [x0]
+    for t in range(1, cfg.horizon + 1):
+        x = reference_step(game, cfg, x)
+        if t % cfg.record_every == 0:
+            expected.append(x)
+    assert len(traj.points) == len(expected)
+    for got, want in zip(traj.points + (traj.final_point,),
+                         tuple(expected) + (x,)):
+        np.testing.assert_allclose(got.concatenated(), want.concatenated(),
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 2, 3)])
+def test_run_many_rows_match_single_runs(shape):
+    rng = np.random.default_rng(11)
+    g = random_game(rng, shape, scale=0.5)
+    cfg = sg.entropy_config(g, 1.0)
+    eq = sg.find_smoothed_equilibrium(g, cfg)
+    dyn_cfg = sg.DynamicsConfig(eta=0.1, response=cfg, horizon=300,
+                                record_every=100)
+    starts = [random_interior(rng, shape) for _ in range(5)]
+    batch = sg.run_many(g, dyn_cfg, starts, reference=eq)
+    assert len(batch) == len(starts)
+    for x0, traj in zip(starts, batch):
+        single = sg.run(g, dyn_cfg, x0, reference=eq)
+        np.testing.assert_allclose(traj.distances, single.distances,
+                                   rtol=0, atol=1e-12)
+        assert len(traj.points) == len(single.points) == 4
+        for a, b in zip(traj.points + (traj.final_point,),
+                        single.points + (single.final_point,)):
+            np.testing.assert_allclose(a.concatenated(), b.concatenated(),
+                                       rtol=0, atol=1e-12)
+    with pytest.raises(ArgumentError):
+        sg.run_many(g, dyn_cfg, [])
+    with pytest.raises(DimensionError):
+        sg.run_many(g, dyn_cfg, [starts[0], sg.uniform_strategy((2, 2))])
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +376,47 @@ def test_sweep_parallel_matches_serial():
         assert a.final_distance == b.final_distance
         assert a.verdict.jacobian_spectral_radius == \
             b.verdict.jacobian_spectral_radius
+
+
+def test_sweep_batches_do_not_depend_on_jobs():
+    # each beta's eta cells run as one batch in both modes, so even the
+    # row-count-dependent rounding of matrix products is the same
+    rng = np.random.default_rng(4)
+    g = random_game(rng, (4, 3), scale=0.5)
+    kwargs = dict(betas=(1.0, 0.5, 0.3), etas=(0.05, 0.2, 0.5),
+                  regularizers=(sg.entropy(4), sg.entropy(3)), horizon=100)
+    serial = sg.sweep(g, jobs=1, **kwargs)
+    parallel = sg.sweep(g, jobs=2, **kwargs)
+    assert len(serial) == len(parallel) == 9
+    for a, b in zip(serial, parallel):
+        assert a.error is None and b.error is None
+        assert (a.beta, a.eta) == (b.beta, b.eta)
+        assert a.final_distance == b.final_distance
+        assert (a.verdict.jacobian_spectral_radius,
+                a.verdict.jacobian_operator_norm,
+                a.verdict.classification) == \
+            (b.verdict.jacobian_spectral_radius,
+             b.verdict.jacobian_operator_norm, b.verdict.classification)
+        np.testing.assert_array_equal(a.equilibrium.point.concatenated(),
+                                      b.equilibrium.point.concatenated())
+
+
+def test_sweep_failing_run_fails_only_its_cell(monkeypatch):
+    # a run that raises inside its beta's batch must not take the other
+    # cells of the batch down with it
+    advance = sg.response.FlatKernel.advance
+
+    def failing_at_half(self, X, eta):
+        if np.any(eta == 0.5):
+            raise sg.ConvergenceError("inner solver went non-finite")
+        return advance(self, X, eta)
+
+    monkeypatch.setattr(sg.response.FlatKernel, "advance", failing_at_half)
+    cells = sg.sweep(pennies(), betas=(0.3,), etas=(0.01, 0.5, 0.1),
+                     regularizers=(sg.entropy(2), sg.entropy(2)), horizon=10)
+    assert [c.error is None for c in cells] == [True, False, True]
+    assert cells[1].error.startswith("ConvergenceError: inner solver")
+    assert cells[1].equilibrium is not None
 
 
 def test_sweep_rejects_empty_grid():

@@ -60,6 +60,13 @@ def test_strategy_rejects_bad_sum():
         sg.JointStrategy((np.array([0.6, 0.6]), np.array([0.5, 0.5])))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_strategy_rejects_nonfinite_mass(bad):
+    # NaN slips past both the sign and the sum test
+    with pytest.raises(DomainError):
+        sg.JointStrategy((np.array([bad, 0.5]), np.array([0.5, 0.5])))
+
+
 def test_pure_strategy_index_range():
     x = sg.pure_strategy((2, 3), (1, 2))
     assert x.blocks[0].tolist() == [0.0, 1.0]

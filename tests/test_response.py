@@ -33,6 +33,11 @@ def test_config_validation():
                                   inner_tol=0.0)
 
 
+def test_config_rejects_infinite_beta():
+    with pytest.raises(ArgumentError):
+        sg.SmoothedResponseConfig(beta=np.inf, regularizers=(sg.entropy(2),))
+
+
 def test_entropy_config_accepts_game_or_shape():
     g = pennies()
     a = sg.entropy_config(g, 0.1)
@@ -117,6 +122,19 @@ def test_argmax_handles_stiff_steepness():
     assert y[1] < 1e-40
     assert abs(y[0] - y[2]) <= 1e-9
     assert abs(y.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_argmax_fails_fast_when_iterates_go_nonfinite():
+    # at small beta fewer than two coordinates stay active and 1/y overflows;
+    # the solver stops there instead of spending its whole budget
+    r = sg.quadratic_entropy(0.5, 2.0 * np.eye(3), np.full(3, 1 / 3))
+    with pytest.raises(ConvergenceError, match="inner solver") as info:
+        sg.smoothed_argmax(np.array([1.0, 0.0, -1.0]), r, 1e-3)
+    assert info.value.iterations < 100
+    assert info.value.beta == 1e-3
+    assert np.isfinite(info.value.residual)
 
 
 # ---------------------------------------------------------------------------
