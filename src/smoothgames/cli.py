@@ -14,18 +14,18 @@ import sys
 
 import numpy as np
 
-from .dynamics import (DynamicsConfig, eta_threshold, run, stability_verdict,
-                       sweep, sweep_to_csv, trajectory_to_csv)
+from .dynamics import (DynamicsConfig, _block_headers, _fmt, _text_output,
+                       eta_threshold, run, stability_verdict, sweep,
+                       sweep_to_csv, trajectory_to_csv)
 from .errors import ConvergenceError, GameError, ParseError, ResourceError
-from .games import (JointStrategy, epsilon_nash_gap, load_game, pure_strategy,
-                    uniform_strategy, utility)
+from .games import (JointStrategy, epsilon_nash_gap, game_jacobian, load_game,
+                    pure_strategy, uniform_strategy, utility)
 from .regularizers import entropy, regularizer_from_dict
-from .response import SmoothedResponseConfig, homotopy_trace
-from .stability import (game_jacobian, lattice_size, quasi_strict_check,
+from .response import (SmoothedResponseConfig, homotopy_trace,
+                       linear_steepness_probe)
+from .stability import (GRID_CAP, lattice_size, quasi_strict_check,
                         report_to_dict, strong_nash_oracle,
                         uniform_stability_check, weak_pareto_oracle)
-
-ORACLE_GRID_CAP = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -100,19 +100,14 @@ def _beta_schedule(target: float, start=1.0, factor=0.3) -> list:
     return schedule
 
 
-def _open_output(path):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+def _output(path):
+    """Context manager: stdout for a missing path or '-', else the file."""
+    return _text_output(sys.stdout if path in (None, "-") else path)
 
 
 def _emit_json(payload: dict, path):
-    handle, owned = _open_output(path)
-    try:
+    with _output(path) as handle:
         handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    finally:
-        if owned:
-            handle.close()
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +152,7 @@ def cmd_analyze(args) -> int:
     grid_total = 1
     for k in game.shape:
         grid_total *= lattice_size(k, args.grid_resolution)
-    if grid_total <= ORACLE_GRID_CAP:
+    if grid_total <= GRID_CAP:
         pareto = weak_pareto_oracle(game, point, args.grid_resolution)
         payload["weak_pareto"] = {
             "optimal": pareto.optimal,
@@ -181,7 +176,7 @@ def cmd_analyze(args) -> int:
     else:
         payload["weak_pareto"] = {
             "skipped": f"grid of {grid_total} points exceeds the "
-                       f"{ORACLE_GRID_CAP} cap"}
+                       f"{GRID_CAP} cap"}
     _emit_json(payload, args.output)
     return 0
 
@@ -193,21 +188,13 @@ def cmd_equilibrium(args) -> int:
     x0 = _parse_point(args.x0, game.shape) if args.x0 else None
     cfg = SmoothedResponseConfig(beta=schedule[0], regularizers=regs)
     trace = homotopy_trace(game, cfg, schedule, x0, outer_tol=args.tol)
-    handle, owned = _open_output(args.output)
-    try:
-        headers = [f"p{n}_{i}" for n, k in enumerate(game.shape)
-                   for i in range(k)]
-        handle.write(",".join(["beta"] + headers
+    with _output(args.output) as handle:
+        handle.write(",".join(["beta"] + _block_headers(game.shape)
                               + ["residual", "nash_gap"]) + "\n")
         for eq in trace:
-            row = [format(eq.beta, ".17g")]
-            row += [format(v, ".17g") for v in eq.point.concatenated()]
-            row += [format(eq.residual, ".17g"),
-                    format(eq.nash_gap, ".17g")]
-            handle.write(",".join(row) + "\n")
-    finally:
-        if owned:
-            handle.close()
+            row = ([eq.beta] + list(eq.point.concatenated())
+                   + [eq.residual, eq.nash_gap])
+            handle.write(",".join(_fmt(v) for v in row) + "\n")
     return 0
 
 
@@ -246,12 +233,8 @@ def cmd_simulate(args) -> int:
     if reference is not None:
         verdict = stability_verdict(game, cfg, reference)
     trajectory = run(game, cfg, x0, reference=reference)
-    handle, owned = _open_output(args.output)
-    try:
+    with _output(args.output) as handle:
         trajectory_to_csv(trajectory, handle, verdict)
-    finally:
-        if owned:
-            handle.close()
     return 0
 
 
@@ -264,18 +247,12 @@ def cmd_sweep(args) -> int:
           else uniform_strategy(game.shape))
     cells = sweep(game, betas, etas, regs, x0=x0, horizon=args.horizon,
                   jobs=args.jobs)
-    handle, owned = _open_output(args.output)
-    try:
+    with _output(args.output) as handle:
         sweep_to_csv(cells, handle)
-    finally:
-        if owned:
-            handle.close()
     return 0
 
 
 def cmd_probe_steepness(args) -> int:
-    from .regularizers import linear_steepness_probe
-
     if args.spec == "entropy":
         reg = entropy(args.dim)
     else:
@@ -288,18 +265,12 @@ def cmd_probe_steepness(args) -> int:
     betas = _parse_float_list(args.betas)
     rng = np.random.default_rng(args.seed) if args.random_probe else None
     ratios = linear_steepness_probe(reg, args.index, args.eps, betas, rng=rng)
-    handle, owned = _open_output(args.output)
-    try:
+    with _output(args.output) as handle:
         handle.write("beta,ratio,entropy_envelope\n")
         for beta, ratio in zip(betas, ratios):
-            envelope = ""
-            if reg.kind == "entropy":
-                envelope = format(np.exp(-args.eps / beta) / beta, ".17g")
-            handle.write(f"{format(beta, '.17g')},"
-                         f"{format(ratio, '.17g')},{envelope}\n")
-    finally:
-        if owned:
-            handle.close()
+            envelope = (np.exp(-args.eps / beta) / beta
+                        if reg.kind == "entropy" else None)
+            handle.write(f"{_fmt(beta)},{_fmt(ratio)},{_fmt(envelope)}\n")
     return 0
 
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, GameError
-from .games import JointStrategy, NormalFormGame, uniform_strategy
+from .games import (JointStrategy, NormalFormGame, perturb_strategy,
+                    uniform_strategy)
 from .response import (FlatKernel, SmoothedEquilibrium,
                        SmoothedResponseConfig, find_smoothed_equilibrium,
                        response_jacobian)
-from .stability import perturb_strategy
 
 SAMPLE_BALL_RADIUS = 0.05  # inf-norm radius for Lipschitz sampling
 CLASSIFICATION_TOL = 1e-9
@@ -189,10 +189,15 @@ def measure_response_lipschitz(game: NormalFormGame,
                                cfg: SmoothedResponseConfig,
                                x: JointStrategy) -> float:
     """Operator norm of H^+ J at one point (beta times the response slope)."""
-    grad_phi = response_jacobian(game, cfg, x, as_tangent=True)
+    return _lipschitz(response_jacobian(game, cfg, x, as_tangent=True),
+                      cfg.beta)
+
+
+def _lipschitz(grad_phi, beta) -> float:
+    """Operator norm of H^+ J from the tangent response Jacobian."""
     if grad_phi.size == 0:
         return 0.0
-    return float(cfg.beta * np.linalg.norm(grad_phi, 2))
+    return float(beta * np.linalg.norm(grad_phi, 2))
 
 
 def eta_threshold(game: NormalFormGame, cfg: SmoothedResponseConfig,

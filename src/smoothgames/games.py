@@ -2,9 +2,11 @@
 
 Utilities are multilinear contractions of per-player payoff tensors against
 the joint mixed strategy.  All derivative objects (gradients, cross second
-derivatives) are kept in ambient coordinates; tangent-space versions are
-obtained by composing with the centering projection ``I - (1/k) 11^T``, so
-that one coordinate convention is shared across the whole package.
+derivatives, the game Jacobian) are kept in ambient coordinates; tangent-
+space versions are obtained by composing with the centering projection
+``I - (1/k) 11^T``, so that one coordinate convention is shared across the
+whole package.  Per-player blocks of concatenated vectors and matrices are
+laid out by :func:`block_slices` and :func:`block_diag`.
 """
 
 from __future__ import annotations
@@ -24,17 +26,11 @@ MAX_TENSOR_ENTRIES = 10 ** 7
 
 
 # ---------------------------------------------------------------------------
-# simplex calculus helpers
+# simplex calculus and block layout helpers
 
 def centering_projection(k: int) -> np.ndarray:
     """Orthogonal projection of R^k onto the zero-sum tangent space."""
     return np.eye(k) - np.ones((k, k)) / k
-
-
-def project_tangent(v: np.ndarray) -> np.ndarray:
-    """Center a vector: subtract its mean (the action of the projection)."""
-    v = np.asarray(v, dtype=float)
-    return v - v.mean()
 
 
 def face_projection(k: int, support) -> np.ndarray:
@@ -69,6 +65,25 @@ def tangent_basis(k: int, support=None) -> np.ndarray:
     basis = np.zeros((k, s - 1))
     basis[support, :] = q[:, 1:]
     return basis
+
+
+def block_slices(dims) -> tuple:
+    """Slices of consecutive blocks of the given sizes in a concatenation."""
+    slices, start = [], 0
+    for d in dims:
+        slices.append(slice(start, start + int(d)))
+        start += int(d)
+    return tuple(slices)
+
+
+def block_diag(blocks) -> np.ndarray:
+    """Block-diagonal matrix of (possibly rectangular, possibly empty) blocks."""
+    rows = block_slices(b.shape[0] for b in blocks)
+    cols = block_slices(b.shape[1] for b in blocks)
+    out = np.zeros((rows[-1].stop, cols[-1].stop))
+    for r, c, b in zip(rows, cols, blocks):
+        out[r, c] = b
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +192,17 @@ def replace_block(x: JointStrategy, n: int, block) -> JointStrategy:
     return JointStrategy(tuple(blocks))
 
 
+def perturb_strategy(x: JointStrategy, radius: float, rng,
+                     floor=1e-9) -> JointStrategy:
+    """Sample a nearby interior point in the inf-ball, clipped to the simplex."""
+    blocks = []
+    for b in x.blocks:
+        cand = b + rng.uniform(-radius, radius, size=len(b))
+        cand = np.maximum(cand, floor)
+        blocks.append(cand / cand.sum())
+    return JointStrategy(tuple(blocks))
+
+
 @dataclass(frozen=True)
 class TangentVector:
     """One zero-sum direction per player (a joint tangent vector)."""
@@ -237,8 +263,8 @@ def utility(game: NormalFormGame, x: JointStrategy, n: int) -> float:
 def gradient(game: NormalFormGame, x: JointStrategy, n: int) -> np.ndarray:
     """Ambient gradient of f_n in block n.
 
-    Entry i is the payoff of the pure action i against ``x_{-n}``; compose
-    with :func:`project_tangent` for the tangent representation.
+    Entry i is the payoff of the pure action i against ``x_{-n}``; subtract
+    its mean for the tangent representation.
     """
     _check_match(game, x)
     return np.asarray(_contract_except(game.payoffs[n], x.blocks, keep=(n,)))
@@ -254,11 +280,15 @@ def cross_hessian(game: NormalFormGame, x: JointStrategy, n: int, m: int) -> np.
     _check_match(game, x)
     if n == m:
         raise ArgumentError("diagonal blocks are zero; use n != m")
-    raw = _contract_except(game.payoffs[n], x.blocks, keep=(n, m))
-    if n > m:
-        raw = raw.T  # axes come out in ascending order
     k_n, k_m = game.shape[n], game.shape[m]
-    return centering_projection(k_n) @ raw @ centering_projection(k_m)
+    return (centering_projection(k_n) @ _raw_cross(game, x, n, m)
+            @ centering_projection(k_m))
+
+
+def _raw_cross(game: NormalFormGame, x: JointStrategy, n: int, m: int):
+    """``M[i, j] = f_n`` with ``x_n := e_i`` and ``x_m := e_j`` (n != m)."""
+    raw = _contract_except(game.payoffs[n], x.blocks, keep=(n, m))
+    return raw.T if n > m else raw  # axes come out in ascending order
 
 
 def strategic_decompose(game: NormalFormGame, n: int) -> StrategicDecomposition:
@@ -330,6 +360,84 @@ def epsilon_nash_gap(game: NormalFormGame, x: JointStrategy) -> float:
         current = float(np.dot(values, x.blocks[n]))
         gap = max(gap, float(values.max()) - current)
     return gap
+
+
+# ---------------------------------------------------------------------------
+# game Jacobian
+
+@dataclass(frozen=True)
+class GameJacobian:
+    """Blocks (n, m) = Pi_n D^2_{nm} f_n(x) Pi_m with zero diagonal.
+
+    On boundary points the centering projections are those of the faces of
+    supp(x), so the Jacobian acts on the joint tangent space of the face.
+    """
+
+    point: JointStrategy
+    blocks: tuple
+    supports: tuple
+
+    @property
+    def num_players(self) -> int:
+        return len(self.blocks)
+
+    @property
+    def shape(self) -> tuple:
+        return tuple(b.shape[0] for b in (row[0] for row in self.blocks))
+
+    def dense(self) -> np.ndarray:
+        return np.block([[self.blocks[n][m] for m in range(self.num_players)]
+                         for n in range(self.num_players)])
+
+    def tangent_bases(self) -> list:
+        """Per player, an orthonormal basis of its face's tangent space."""
+        return [tangent_basis(k, s)
+                for k, s in zip(self.point.shape, self.supports)]
+
+    def tangent(self):
+        """Reduce to face-tangent coordinates.
+
+        Returns (J_t, bases, dims): J_t acts on the concatenation of
+        per-player tangent coordinate blocks of sizes dims, and bases[n]
+        maps block n's tangent coordinates back to ambient coordinates.
+        """
+        bases = self.tangent_bases()
+        dims = [b.shape[1] for b in bases]
+        slices = block_slices(dims)
+        j_t = np.zeros((sum(dims), sum(dims)))
+        for n in range(self.num_players):
+            for m in range(self.num_players):
+                if n != m:
+                    j_t[slices[n], slices[m]] = (
+                        bases[n].T @ self.blocks[n][m] @ bases[m])
+        return j_t, bases, dims
+
+
+def game_jacobian(game: NormalFormGame, x: JointStrategy,
+                  supports=None) -> GameJacobian:
+    """Assemble the game Jacobian at x on the faces of its supports.
+
+    ``supports`` overrides the faces the blocks are projected onto (the
+    smoothed-response Jacobian evaluates cross-derivatives at x but on the
+    supports of the response point).
+    """
+    _check_match(game, x)
+    if supports is None:
+        supports = x.supports()
+    else:
+        supports = tuple(np.asarray(s, dtype=int) for s in supports)
+    projections = [face_projection(k, s) for k, s in zip(game.shape, supports)]
+    rows = []
+    for n in range(game.num_players):
+        row = []
+        for m in range(game.num_players):
+            if n == m:
+                row.append(np.zeros((game.shape[n], game.shape[n])))
+            else:
+                row.append(projections[n] @ _raw_cross(game, x, n, m)
+                           @ projections[m])
+        rows.append(tuple(row))
+    return GameJacobian(point=x, blocks=tuple(rows), supports=supports)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError
-from .games import centering_projection, face_projection, tangent_basis
+from .errors import ArgumentError, DomainError, ParseError
+from .games import face_projection, tangent_basis
 
 PINV_CUTOFF = 1e-12  # relative eigenvalue cutoff for pseudoinverses
 
@@ -217,35 +217,6 @@ def make_regularizer_with_hessian(x, M) -> Regularizer:
                        A=a, w=w)
 
 
-def linear_steepness_probe(r: Regularizer, i: int, eps: float, betas,
-                           rng=None):
-    """Measure how fast suboptimal mass vanishes relative to beta.
-
-    Solves the smoothed argmax against a payoff vector v whose coordinate i
-    trails the best coordinate by exactly eps (the boundary case of the
-    suboptimality set), and reports ``x^beta_i / beta`` per beta.  For
-    entropy the ratio is bounded by ``exp(-eps/beta) / beta``.
-    """
-    from .response import smoothed_argmax
-
-    if eps < 0:
-        raise ArgumentError("eps must be nonnegative")
-    if not 0 <= i < r.dimension:
-        raise ArgumentError("probe index out of range")
-    k = r.dimension
-    if rng is None:
-        v = np.zeros(k)
-    else:
-        v = rng.standard_normal(k)
-    others = np.delete(np.arange(k), i)
-    v[i] = v[others].max() - eps
-    ratios = []
-    for beta in betas:
-        point = smoothed_argmax(v, r, float(beta))
-        ratios.append(float(point[i]) / float(beta))
-    return ratios
-
-
 # ---------------------------------------------------------------------------
 # config-JSON interface
 
@@ -261,8 +232,6 @@ def regularizer_from_dict(data: dict, dimension=None) -> Regularizer:
 
     Entropy specs carry no dimension of their own, so one must be supplied.
     """
-    from .errors import ParseError
-
     try:
         kind = data["kind"]
         if kind == "entropy":

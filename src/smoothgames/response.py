@@ -22,10 +22,10 @@ import numpy as np
 
 from .errors import (ArgumentError, ConvergenceError, CyclingError,
                      DimensionError)
-from .games import (JointStrategy, NormalFormGame, epsilon_nash_gap,
-                    tangent_basis, uniform_strategy)
+from .games import (JointStrategy, NormalFormGame, block_diag, block_slices,
+                    epsilon_nash_gap, game_jacobian, tangent_basis,
+                    uniform_strategy)
 from .regularizers import Regularizer, entropy, face_hessian, reg_value
-from .stability import game_jacobian
 
 STAGNATION_WINDOW = 500
 STAGNATION_FACTOR = 0.99
@@ -204,6 +204,33 @@ def _reg_gradient_ambient(reg, y):
     return grad
 
 
+def linear_steepness_probe(r: Regularizer, i: int, eps: float, betas,
+                           rng=None):
+    """Measure how fast suboptimal mass vanishes relative to beta.
+
+    Solves the smoothed argmax against a payoff vector v whose coordinate i
+    trails the best coordinate by exactly eps (the boundary case of the
+    suboptimality set), and reports ``x^beta_i / beta`` per beta.  For
+    entropy the ratio is bounded by ``exp(-eps/beta) / beta``.
+    """
+    if eps < 0:
+        raise ArgumentError("eps must be nonnegative")
+    if not 0 <= i < r.dimension:
+        raise ArgumentError("probe index out of range")
+    k = r.dimension
+    if rng is None:
+        v = np.zeros(k)
+    else:
+        v = rng.standard_normal(k)
+    others = np.delete(np.arange(k), i)
+    v[i] = v[others].max() - eps
+    ratios = []
+    for beta in betas:
+        point = smoothed_argmax(v, r, float(beta))
+        ratios.append(float(point[i]) / float(beta))
+    return ratios
+
+
 # ---------------------------------------------------------------------------
 # flat batched kernel
 
@@ -221,12 +248,10 @@ class FlatKernel:
         self.game = game
         self.cfg = cfg
         shape = game.shape
-        starts = np.concatenate([[0], np.cumsum(shape)[:-1]]).astype(int)
-        self.slices = tuple(slice(int(a), int(a) + k)
-                            for a, k in zip(starts, shape))
+        self.slices = block_slices(shape)
         # block-wise reductions over all players at once: reduceat per
         # block, then broadcast back to the block's columns
-        self._starts = starts
+        self._starts = np.array([s.start for s in self.slices])
         self._owner = np.repeat(np.arange(len(shape)), shape)
         self._newton = tuple(n for n, r in enumerate(cfg.regularizers)
                              if r.kind != "entropy")
@@ -320,10 +345,8 @@ def response_jacobian(game: NormalFormGame, cfg: SmoothedResponseConfig,
     """
     _check_config(game, cfg)
     y = smoothed_best_response(game, cfg, x)
-    supports = y.supports()
-    jac = game_jacobian(game, x, supports=supports)
+    jac = game_jacobian(game, x, supports=y.supports())
     n_players = game.num_players
-    shape = game.shape
     pinvs = [face_hessian(cfg.regularizers[n], y.blocks[n]).pseudoinverse
              for n in range(n_players)]
     rows = []
@@ -334,13 +357,7 @@ def response_jacobian(game: NormalFormGame, cfg: SmoothedResponseConfig,
     dense = np.block(rows)
     if not as_tangent:
         return dense
-    bases = [tangent_basis(k, s) for k, s in zip(shape, supports)]
-    big_q = np.zeros((sum(shape), sum(b.shape[1] for b in bases)))
-    row0, col0 = 0, 0
-    for b in bases:
-        big_q[row0:row0 + b.shape[0], col0:col0 + b.shape[1]] = b
-        row0 += b.shape[0]
-        col0 += b.shape[1]
+    big_q = block_diag(jac.tangent_bases())
     return big_q.T @ dense @ big_q
 
 

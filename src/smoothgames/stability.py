@@ -1,7 +1,7 @@
 """Uniform-stability certificates and refutations for game Jacobians.
 
-The central object is the game Jacobian J(x): the block matrix of tangent-
-projected cross-derivatives with zero diagonal blocks.  An equilibrium is
+The central object is the game Jacobian J(x) built in ``games``: the block
+matrix of tangent-projected cross-derivatives with zero diagonal blocks.  An equilibrium is
 uniformly stable when H^{-1} J has purely imaginary spectrum for every
 positive-definite block-diagonal conditioner H.  That quantifier is not
 directly decidable, so the verdict rests on a lambda-skew certificate
@@ -12,102 +12,26 @@ constructed counterexample witnesses on the refutation side.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
+from .dynamics import _lipschitz, _verdict
 from .errors import ArgumentError, DimensionError, DomainError, ResourceError
-from .games import (JointStrategy, NormalFormGame, TangentVector,
-                    _contract_except, epsilon_nash_gap, face_projection,
-                    pure_strategy, tangent_basis, utility)
+from .games import (GameJacobian, JointStrategy, NormalFormGame,
+                    TangentVector, best_response_values, block_diag,
+                    block_slices, epsilon_nash_gap, game_jacobian,
+                    perturb_strategy, pure_strategy, utility)
+from .response import (SmoothedResponseConfig, find_smoothed_equilibrium,
+                       response_jacobian, smoothed_best_response)
 
 EDGE_TOL = 1e-10          # Frobenius threshold for interaction-graph edges
 SKEW_RESIDUAL_TOL = 1e-8  # certificate feasibility threshold
 KERNEL_ANGLE_TOL = 1e-8   # principal-angle threshold for bi-directionality
 WITNESS_REAL_TOL = 1e-6   # |Re eig| needed to refute stability
 PD_STRETCH_GUARD = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# game Jacobian
-
-@dataclass(frozen=True)
-class GameJacobian:
-    """Blocks (n, m) = Pi_n D^2_{nm} f_n(x) Pi_m with zero diagonal.
-
-    On boundary points the centering projections are those of the faces of
-    supp(x), so the Jacobian acts on the joint tangent space of the face.
-    """
-
-    point: JointStrategy
-    blocks: tuple
-    supports: tuple
-
-    @property
-    def num_players(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def shape(self) -> tuple:
-        return tuple(b.shape[0] for b in (row[0] for row in self.blocks))
-
-    def dense(self) -> np.ndarray:
-        return np.block([[self.blocks[n][m] for m in range(self.num_players)]
-                         for n in range(self.num_players)])
-
-    def tangent(self):
-        """Reduce to face-tangent coordinates.
-
-        Returns (J_t, bases, dims): J_t acts on the concatenation of
-        per-player tangent coordinate blocks of sizes dims, and bases[n]
-        maps block n's tangent coordinates back to ambient coordinates.
-        """
-        shape = self.point.shape
-        bases = [tangent_basis(k, s) for k, s in zip(shape, self.supports)]
-        dims = [b.shape[1] for b in bases]
-        total = sum(dims)
-        j_t = np.zeros((total, total))
-        offs = np.concatenate([[0], np.cumsum(dims)])
-        for n in range(self.num_players):
-            for m in range(self.num_players):
-                if n == m:
-                    continue
-                j_t[offs[n]:offs[n + 1], offs[m]:offs[m + 1]] = (
-                    bases[n].T @ self.blocks[n][m] @ bases[m])
-        return j_t, bases, dims
-
-
-def game_jacobian(game: NormalFormGame, x: JointStrategy,
-                  supports=None) -> GameJacobian:
-    """Assemble the game Jacobian at x on the faces of its supports.
-
-    ``supports`` overrides the faces the blocks are projected onto (the
-    smoothed-response Jacobian evaluates cross-derivatives at x but on the
-    supports of the response point).
-    """
-    if x.shape != game.shape:
-        raise DimensionError(
-            f"strategy shape {x.shape} does not match game shape {game.shape}")
-    n_players = game.num_players
-    if supports is None:
-        supports = x.supports()
-    else:
-        supports = tuple(np.asarray(s, dtype=int) for s in supports)
-    projections = [face_projection(k, s) for k, s in zip(game.shape, supports)]
-    rows = []
-    for n in range(n_players):
-        row = []
-        for m in range(n_players):
-            if n == m:
-                row.append(np.zeros((game.shape[n], game.shape[n])))
-                continue
-            raw = _contract_except(game.payoffs[n], x.blocks, keep=(n, m))
-            if n > m:
-                raw = raw.T
-            row.append(projections[n] @ raw @ projections[m])
-        rows.append(tuple(row))
-    return GameJacobian(point=x, blocks=tuple(rows), supports=supports)
+GRID_CAP = 10 ** 6        # most lattice profiles an oracle will enumerate
 
 
 # ---------------------------------------------------------------------------
@@ -147,19 +71,28 @@ def _max_principal_angle(b1: np.ndarray, b2: np.ndarray) -> float:
     return float(np.arcsin(min(1.0, max(s1, s2))))
 
 
-def interaction_graph(jac: GameJacobian) -> InteractionGraph:
+def _block_graph(jac: GameJacobian):
+    """Block Frobenius norms, and per player the set of players joined to
+    it by a block above EDGE_TOL in either direction."""
     n_players = jac.num_players
     norms = np.array([[np.linalg.norm(jac.blocks[n][m])
                        for m in range(n_players)] for n in range(n_players)])
+    adjacency = [set() for _ in range(n_players)]
+    for n in range(n_players):
+        for m in range(n_players):
+            if n != m and (norms[n, m] > EDGE_TOL or norms[m, n] > EDGE_TOL):
+                adjacency[n].add(m)
+    return norms, adjacency
+
+
+def interaction_graph(jac: GameJacobian) -> InteractionGraph:
+    n_players = jac.num_players
+    norms, adjacency = _block_graph(jac)
     edges = frozenset((n, m) for n in range(n_players)
                       for m in range(n_players)
                       if n != m and norms[n, m] > EDGE_TOL)
 
     # undirected connectivity over all players
-    adjacency = [set() for _ in range(n_players)]
-    for n, m in edges:
-        adjacency[n].add(m)
-        adjacency[m].add(n)
     seen = {0}
     frontier = [0]
     while frontier:
@@ -206,14 +139,7 @@ def solve_skew_certificate(jac: GameJacobian) -> SkewCertificate:
     """
     n_players = jac.num_players
     blocks = jac.blocks
-    norms = np.array([[np.linalg.norm(blocks[n][m]) for m in range(n_players)]
-                      for n in range(n_players)])
-
-    adjacency = [set() for _ in range(n_players)]
-    for n in range(n_players):
-        for m in range(n_players):
-            if n != m and (norms[n, m] > EDGE_TOL or norms[m, n] > EDGE_TOL):
-                adjacency[n].add(m)
+    norms, adjacency = _block_graph(jac)
 
     lambdas = np.ones(n_players)
     rejected = False
@@ -437,8 +363,7 @@ def pareto_improvement_search(jac: GameJacobian, num_restarts=20, rng_seed=0,
     n_players = jac.num_players
     if j_t.size == 0 or min(dims) == 0:
         return None
-    offs = np.concatenate([[0], np.cumsum(dims)])
-    slices = [slice(offs[n], offs[n + 1]) for n in range(n_players)]
+    slices = block_slices(dims)
     # a player whose row block vanishes can never strictly improve
     for n in range(n_players):
         if np.linalg.norm(j_t[slices[n], :]) <= EDGE_TOL:
@@ -470,8 +395,7 @@ def pareto_improvement_search(jac: GameJacobian, num_restarts=20, rng_seed=0,
             tau = max(0.01, 1.0 * (0.01 ** (it / max(iters - 1, 1))))
             weights = np.exp(-(scores - scores.min()) / tau)
             weights /= weights.sum()
-            w_diag = np.concatenate([np.full(dims[n], weights[n])
-                                     for n in range(n_players)])
+            w_diag = np.repeat(weights, dims)
             grad = w_diag * (j_t @ z) + j_t.T @ (w_diag * z)
             step = 0.5 / (1.0 + it / 50.0)
             z = normalize(z + step * grad)
@@ -514,13 +438,23 @@ def _random_pd(dim, rng):
     return (q * vals) @ q.T
 
 
-def _max_real_eig(h_blocks, j_t, dims):
-    offs = np.concatenate([[0], np.cumsum(dims)])
-    h = np.zeros_like(j_t)
-    for n, blk in enumerate(h_blocks):
-        h[offs[n]:offs[n + 1], offs[n]:offs[n + 1]] = blk
-    eigs = np.linalg.eigvals(np.linalg.solve(h, j_t))
+def _max_real_eig(h_blocks, j_t):
+    eigs = np.linalg.eigvals(np.linalg.solve(block_diag(h_blocks), j_t))
     return float(np.abs(eigs.real).max(initial=0.0))
+
+
+def _stretch_conditioner(jac: GameJacobian, j_t, bases, dims, rng_seed):
+    """Per-block pd_stretch conditioners mapping a joint improvement
+    direction z to J z, or None when there is no such direction."""
+    direction = pareto_improvement_search(jac, rng_seed=rng_seed)
+    if direction is None:
+        return None
+    z = np.concatenate([b.T @ d for b, d in zip(bases, direction.blocks)])
+    jz = j_t @ z
+    try:
+        return [pd_stretch(jz[sl], z[sl]) for sl in block_slices(dims)]
+    except DomainError:
+        return None
 
 
 def uniform_stability_check(jac: GameJacobian, num_conditioners=100,
@@ -543,60 +477,59 @@ def uniform_stability_check(jac: GameJacobian, num_conditioners=100,
     j_t, bases, dims = jac.tangent()
     rng = np.random.default_rng(rng_seed)
     max_real = 0.0
+    found = None
     if j_t.size > 0 and np.linalg.norm(j_t) > 0:
         for _ in range(num_conditioners):
             h_blocks = [_random_pd(d, rng) for d in dims]
-            real = _max_real_eig(h_blocks, j_t, dims)
+            real = _max_real_eig(h_blocks, j_t)
             max_real = max(max_real, real)
             if real > WITNESS_REAL_TOL:
-                witness = tuple(bases[n] @ h_blocks[n] @ bases[n].T
-                                for n in range(len(dims)))
-                return UniformStabilityReport(
-                    pointwise="unstable_with_witness", certificate=cert,
-                    graph=graph, witness=witness, witness_real_part=real,
-                    max_sampled_real=max_real)
-
-    direction = pareto_improvement_search(jac, rng_seed=rng_seed)
-    if direction is not None:
-        offs = np.concatenate([[0], np.cumsum(dims)])
-        z = np.concatenate([bases[n].T @ direction.blocks[n]
-                            for n in range(len(dims))])
-        jz = j_t @ z
-        h_blocks = []
-        try:
-            for n in range(len(dims)):
-                sl = slice(offs[n], offs[n + 1])
-                h_blocks.append(pd_stretch(jz[sl], z[sl]))
-        except DomainError:
-            h_blocks = None
+                found = h_blocks, real
+                break
+    if found is None:
+        h_blocks = _stretch_conditioner(jac, j_t, bases, dims, rng_seed)
         if h_blocks is not None:
-            real = _max_real_eig(h_blocks, j_t, dims)
+            real = _max_real_eig(h_blocks, j_t)
             if real > WITNESS_REAL_TOL:
-                witness = tuple(bases[n] @ h_blocks[n] @ bases[n].T
-                                for n in range(len(dims)))
-                return UniformStabilityReport(
-                    pointwise="unstable_with_witness", certificate=cert,
-                    graph=graph, witness=witness, witness_real_part=real,
-                    max_sampled_real=max(max_real, real))
-
-    return UniformStabilityReport(pointwise="indeterminate", certificate=cert,
-                                  graph=graph, max_sampled_real=max_real)
+                found = h_blocks, real
+    if found is None:
+        return UniformStabilityReport(pointwise="indeterminate",
+                                      certificate=cert, graph=graph,
+                                      max_sampled_real=max_real)
+    h_blocks, real = found
+    return UniformStabilityReport(
+        pointwise="unstable_with_witness", certificate=cert, graph=graph,
+        witness=tuple(b @ h @ b.T for b, h in zip(bases, h_blocks)),
+        witness_real_part=real, max_sampled_real=max(max_real, real))
 
 
 def verify_witness(jac: GameJacobian, witness) -> float:
     """Independent soundness check of an instability witness.
 
     Returns the largest |Re| eigenvalue of H^{-1} J for the block-diagonal
-    conditioner; raises if any block is not PD on its tangent space.
+    conditioner.  Raises DimensionError unless there is one k x k block per
+    player, and ArgumentError if a block has non-finite entries or is not
+    PD on its tangent space.
     """
+    witness = [np.asarray(blk, dtype=float) for blk in witness]
+    shape = jac.point.shape
+    if len(witness) != len(shape):
+        raise DimensionError(
+            f"witness has {len(witness)} blocks for {len(shape)} players")
+    for n, (blk, k) in enumerate(zip(witness, shape)):
+        if blk.shape != (k, k):
+            raise DimensionError(
+                f"witness block {n} has shape {blk.shape}, expected {(k, k)}")
+        if not np.all(np.isfinite(blk)):
+            raise ArgumentError(f"witness block {n} has non-finite entries")
     j_t, bases, dims = jac.tangent()
     h_blocks = []
     for n, blk in enumerate(witness):
-        reduced = bases[n].T @ np.asarray(blk, dtype=float) @ bases[n]
+        reduced = bases[n].T @ blk @ bases[n]
         if dims[n] and np.linalg.eigvalsh((reduced + reduced.T) / 2).min() <= 0:
             raise ArgumentError(f"witness block {n} is not positive definite")
         h_blocks.append(reduced)
-    return _max_real_eig(h_blocks, j_t, dims)
+    return _max_real_eig(h_blocks, j_t)
 
 
 @dataclass(frozen=True)
@@ -630,17 +563,6 @@ def local_uniform_stability(game: NormalFormGame, x: JointStrategy,
                                  radius=radius, all_stable=all_stable)
 
 
-def perturb_strategy(x: JointStrategy, radius: float, rng,
-                     floor=1e-9) -> JointStrategy:
-    """Sample a nearby interior point in the inf-ball, clipped to the simplex."""
-    blocks = []
-    for b in x.blocks:
-        cand = b + rng.uniform(-radius, radius, size=len(b))
-        cand = np.maximum(cand, floor)
-        blocks.append(cand / cand.sum())
-    return JointStrategy(tuple(blocks))
-
-
 # ---------------------------------------------------------------------------
 # quasi-strictness and reduction
 
@@ -658,7 +580,6 @@ def quasi_strict_check(game: NormalFormGame, x_star: JointStrategy,
     gap = epsilon_nash_gap(game, x_star)
     if gap > gap_tol:
         return QuasiStrictResult(status="not_nash", gap=gap)
-    from .games import TIE_TOL, best_response_values
     for n in range(game.num_players):
         best, ties = best_response_values(game, x_star, n)
         support = set(np.flatnonzero(x_star.blocks[n] > 0).tolist())
@@ -754,10 +675,6 @@ def boundary_convergence_check(game: NormalFormGame, regs, x_star: JointStrategy
     norm of the dynamics Jacobian is checked against exp(-eta/2) with
     eta = beta^2 / (1 + 4 L^2) unless an eta_rule overrides it.
     """
-    from .dynamics import measure_response_lipschitz
-    from .response import (SmoothedResponseConfig, find_smoothed_equilibrium,
-                           response_jacobian, smoothed_best_response)
-
     check = quasi_strict_check(game, x_star)
     if check.status != "quasi_strict":
         raise DomainError(f"boundary check needs a quasi-strict point: "
@@ -784,12 +701,11 @@ def boundary_convergence_check(game: NormalFormGame, regs, x_star: JointStrategy
         if ratio > prev_ratio:
             decreasing = False
         prev_ratio = ratio
-        lip = measure_response_lipschitz(game, cfg, eq.point)
+        grad_phi = response_jacobian(game, cfg, eq.point, as_tangent=True)
+        lip = _lipschitz(grad_phi, cfg.beta)
         eta = (beta ** 2 / (1.0 + 4.0 * lip ** 2) if eta_rule is None
                else float(eta_rule(beta, lip)))
-        grad_phi = response_jacobian(game, cfg, eq.point, as_tangent=True)
-        m = (1.0 - eta) * np.eye(grad_phi.shape[0]) + eta * grad_phi
-        op_norm = float(np.linalg.norm(m, 2))
+        op_norm = _verdict(grad_phi, eta, eq).jacobian_operator_norm
         bound = float(np.exp(-eta / 2.0))
         holds = op_norm <= bound
         all_hold = all_hold and holds
@@ -858,6 +774,18 @@ def _grid_values(game, lattices, fixed=None):
     return out
 
 
+def _first_improving_cell(values, base, members):
+    """Index of the first cell, in C order, where every member's utility in
+    ``values`` beats its ``base`` by more than 1e-12; None if there is none."""
+    better = np.ones(values[0].shape, dtype=bool)
+    for n in members:
+        better &= values[n] > base[n] + 1e-12
+    if not better.any():
+        return None
+    return np.unravel_index(int(np.argmax(better.ravel(order="C"))),
+                            better.shape)
+
+
 def weak_pareto_oracle(game: NormalFormGame, x_star: JointStrategy,
                        grid_resolution=21) -> ParetoOracleResult:
     """Exhaustively search pure profiles and a simplex grid for a joint
@@ -865,31 +793,22 @@ def weak_pareto_oracle(game: NormalFormGame, x_star: JointStrategy,
     base = [utility(game, x_star, n) for n in range(game.num_players)]
     lattices = [simplex_lattice(k, grid_resolution) for k in game.shape]
     total = int(np.prod([len(l) for l in lattices]))
-    if total > 10 ** 6:
+    if total > GRID_CAP:
         raise ResourceError(
             f"grid of {total} points exceeds the 10^6 cap; lower the "
             f"resolution")
+    players = range(game.num_players)
     # pure profiles first: when a dominating cell exists the reported witness
     # stays a vertex (exact, integer-friendly) instead of a lattice point
-    better_pure = np.ones(game.shape, dtype=bool)
-    for n in range(game.num_players):
-        better_pure &= game.payoffs[n] > base[n] + 1e-12
-    if better_pure.any():
-        flat_index = int(np.argmax(better_pure.ravel(order="C")))
-        indices = np.unravel_index(flat_index, game.shape)
+    indices = _first_improving_cell(game.payoffs, base, players)
+    if indices is not None:
         witness = pure_strategy(game.shape, indices)
         return ParetoOracleResult(optimal=False, witness=witness,
                                   resolution=grid_resolution)
-    values = _grid_values(game, lattices)
-    better = np.ones(values[0].shape, dtype=bool)
-    for n in range(game.num_players):
-        better &= values[n] > base[n] + 1e-12
-    if not better.any():
+    multi = _first_improving_cell(_grid_values(game, lattices), base, players)
+    if multi is None:
         return ParetoOracleResult(optimal=True, resolution=grid_resolution)
-    flat_index = int(np.argmax(better.ravel(order="C")))
-    multi = np.unravel_index(flat_index, better.shape)
-    witness = JointStrategy(tuple(lattices[n][multi[n]]
-                                  for n in range(game.num_players)))
+    witness = JointStrategy(tuple(lattices[n][multi[n]] for n in players))
     return ParetoOracleResult(optimal=False, witness=witness,
                               resolution=grid_resolution)
 
@@ -922,7 +841,7 @@ def strong_nash_oracle(game: NormalFormGame, x_star: JointStrategy,
             lattices = {n: simplex_lattice(game.shape[n], grid_resolution)
                         for n in coalition}
             total = int(np.prod([len(lattices[n]) for n in coalition]))
-            if total > 10 ** 6:
+            if total > GRID_CAP:
                 raise ResourceError(
                     f"coalition {coalition} grid of {total} points exceeds "
                     f"the 10^6 cap")
@@ -930,12 +849,8 @@ def strong_nash_oracle(game: NormalFormGame, x_star: JointStrategy,
                      if n not in coalition}
             values = _grid_values(game, [lattices.get(n) for n in players],
                                   fixed=fixed)
-            better = np.ones(values[0].shape, dtype=bool)
-            for pos, n in enumerate(coalition):
-                better &= values[n] > base[n] + 1e-12
-            if better.any():
-                flat_index = int(np.argmax(better.ravel(order="C")))
-                multi = np.unravel_index(flat_index, better.shape)
+            multi = _first_improving_cell(values, base, coalition)
+            if multi is not None:
                 blocks = list(x_star.blocks)
                 for pos, n in enumerate(sorted(coalition)):
                     blocks[n] = lattices[n][multi[pos]]

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,3 +351,32 @@ def test_game_json_is_plain_data(tmp_path):
     data = json.loads(path.read_text())
     assert data["players"] == 2
     assert data["shape"] == [2, 2]
+
+
+# ---------------------------------------------------------------------------
+# package structure
+
+# each module may import only modules listed before it; the package
+# namespace re-exports everything, so it comes last
+MODULE_ORDER = ("errors", "games", "regularizers", "response", "dynamics",
+                "stability", "cli", "__init__")
+
+
+def test_intra_package_imports_follow_module_order():
+    package = Path(sg.__file__).parent
+    modules = sorted(p.stem for p in package.glob("*.py"))
+    assert sorted(MODULE_ORDER) == modules
+    violations = []
+    for name in modules:
+        tree = ast.parse((package / f"{name}.py").read_text())
+        # ast.walk reaches imports inside function bodies too
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.level == 0:
+                continue
+            targets = ([node.module.split(".")[0]] if node.module
+                       else [alias.name for alias in node.names])
+            for target in targets:
+                if (MODULE_ORDER.index(target)
+                        >= MODULE_ORDER.index(name)):
+                    violations.append(f"{name}:{node.lineno} -> {target}")
+    assert violations == []

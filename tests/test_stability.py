@@ -277,6 +277,19 @@ def test_verify_witness_rejects_indefinite_blocks():
         verify_witness(jac, (-np.eye(2), np.eye(2)))
 
 
+@pytest.mark.parametrize("witness, error", [
+    ((np.eye(2),), DimensionError),
+    ((np.eye(2), np.eye(2), np.eye(2)), DimensionError),
+    ((np.full((2, 2), np.nan), np.eye(2)), ArgumentError),
+    ((np.eye(3), np.eye(2)), DimensionError),
+], ids=["one_block", "three_blocks", "nan_block", "oversized_block"])
+def test_verify_witness_rejects_malformed_witnesses(witness, error):
+    jac = game_jacobian(sg.bundled_game("matching_pennies"),
+                        uniform_point((2, 2)))
+    with pytest.raises(error):
+        verify_witness(jac, witness)
+
+
 def test_report_serializes_to_json():
     g = sg.bundled_game("coordination_2x2")
     report = uniform_stability_check(game_jacobian(g, uniform_point((2, 2))))
