@@ -1,15 +1,17 @@
 """Steep regularizers on probability simplices.
 
-Two kinds are shipped: negative entropy and the parametric family
-``h(x) = lam * sum_i x_i log x_i + 0.5 * ||A (x - w)||^2``.  The family is
-rich enough to realize any positive-definite tangent Hessian at any interior
+One family: ``h(x) = lam * sum_i x_i log x_i + 0.5 * ||A (x - w)||^2``, with
+negative entropy as its member without a quadratic term.  The family is rich
+enough to realize any positive-definite tangent Hessian at any interior
 point, which is all the surrounding theory needs.  Gradients and Hessians
-are tangent objects obtained with the shared centering projection.
+are tangent objects; every curvature solve is :func:`face_solve`, in log
+coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,66 +23,97 @@ PINV_CUTOFF = 1e-12  # relative eigenvalue cutoff for pseudoinverses
 
 @dataclass(frozen=True)
 class Regularizer:
-    """A steep convex regularizer on the k-simplex."""
+    """``lam * sum x log x + 0.5 ||A (x - w)||^2`` on the k-simplex.
 
-    kind: str
+    Without ``A`` and ``w`` it is negative entropy, with ``lam = 1`` (the
+    JSON form of entropy carries no weight).  ``curvature`` is ``A^T A``,
+    zero without a quadratic term.
+    """
+
     dimension: int
-    lam: float = None
+    lam: float = 1.0
     A: np.ndarray = None
     w: np.ndarray = None
+    curvature: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("entropy", "quadratic_entropy"):
-            raise ArgumentError(f"unknown regularizer kind {self.kind!r}")
-        if self.dimension < 1:
+        k = self.dimension
+        if k < 1:
             raise ArgumentError("dimension must be at least 1")
-        if self.kind == "quadratic_entropy":
-            if self.lam is None or self.A is None or self.w is None:
-                raise ArgumentError(
-                    "quadratic_entropy needs lam, A and w")
-            if self.lam <= 0:
-                raise ArgumentError("lam must be positive")
-            a = np.asarray(self.A, dtype=float)
-            w = np.asarray(self.w, dtype=float)
-            if a.shape != (self.dimension, self.dimension):
-                raise ArgumentError("A must be a square k x k matrix")
-            if w.shape != (self.dimension,):
-                raise ArgumentError("w must be a length-k vector")
-            if abs(np.linalg.det(a)) == 0.0:
-                raise ArgumentError("A must be invertible")
-            object.__setattr__(self, "A", a)
-            object.__setattr__(self, "w", w)
+        if not 0 < self.lam < np.inf:
+            raise ArgumentError(
+                f"lam must be positive and finite, got {self.lam}")
+        if (self.A is None) != (self.w is None):
+            raise ArgumentError("A and w are given together or not at all")
+        if self.A is None:
+            if self.lam != 1.0:
+                raise ArgumentError("entropy (no A and w) has lam = 1")
+            object.__setattr__(self, "curvature", np.zeros((k, k)))
+            return
+        a = np.asarray(self.A, dtype=float)
+        w = np.asarray(self.w, dtype=float)
+        if a.shape != (k, k):
+            raise ArgumentError("A must be a square k x k matrix")
+        if w.shape != (k,):
+            raise ArgumentError("w must be a length-k vector")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(w))):
+            raise ArgumentError("A and w must be finite")
+        if abs(np.linalg.det(a)) == 0.0:
+            raise ArgumentError("A must be invertible")
+        object.__setattr__(self, "A", a)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "curvature", a.T @ a)
+
+    @property
+    def kind(self) -> str:
+        """'entropy' without a quadratic term, else 'quadratic_entropy'."""
+        return "entropy" if self.A is None else "quadratic_entropy"
+
+    def quadratic(self, x):
+        """Gradient ``C (x - w)`` and value of the quadratic term at x;
+        both zero without one."""
+        if self.A is None:
+            return np.zeros(self.dimension), 0.0
+        force = self.curvature @ (x - self.w)
+        return force, 0.5 * float((x - self.w) @ force)
 
 
 def entropy(k: int) -> Regularizer:
-    return Regularizer(kind="entropy", dimension=k)
+    return Regularizer(k)
 
 
 def quadratic_entropy(lam: float, A, w) -> Regularizer:
     A = np.asarray(A, dtype=float)
-    return Regularizer(kind="quadratic_entropy", dimension=A.shape[0],
-                       lam=float(lam), A=A, w=np.asarray(w, dtype=float))
+    return Regularizer(A.shape[0] if A.ndim else 0, lam=float(lam), A=A,
+                       w=np.asarray(w, dtype=float))
 
 
 @dataclass(frozen=True)
 class FaceHessian:
-    """Tangent Hessian on a face, with its Moore-Penrose pseudoinverse.
+    """Tangent Hessian of a regularizer on the face of a point, with its
+    Moore-Penrose pseudoinverse.
 
     Both matrices are ambient k x k, vanish outside the support, and are
-    mutually pseudoinverse on the face's tangent space.
+    mutually pseudoinverse on the face's tangent space.  The Hessian
+    ``Pi_S (lam diag(1/x) + A^T A) Pi_S`` is built on first access: it
+    overflows where coordinates of x are denormal, and the pseudoinverse
+    does not need it.
     """
 
+    regularizer: Regularizer
+    point: np.ndarray
     support: tuple
-    hessian: np.ndarray
     pseudoinverse: np.ndarray
 
-
-def _entropy_terms(x):
-    # 0 * log 0 := 0
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = x[pos] * np.log(x[pos])
-    return out
+    @cached_property
+    def hessian(self) -> np.ndarray:
+        r, k, s = self.regularizer, self.regularizer.dimension, self.support
+        if len(s) <= 1:
+            return np.zeros((k, k))
+        pi = face_projection(k, s)
+        diag = np.zeros((k, k))
+        diag[s, s] = 1.0 / self.point[list(s)]
+        return pi @ (r.lam * diag + r.curvature) @ pi
 
 
 def reg_value(r: Regularizer, x) -> float:
@@ -89,11 +122,8 @@ def reg_value(r: Regularizer, x) -> float:
         raise ArgumentError(f"expected a length-{r.dimension} vector")
     if np.any(x < 0):
         raise DomainError("regularizers are defined on the simplex only")
-    val = float(_entropy_terms(x).sum())
-    if r.kind == "entropy":
-        return val
-    diff = r.A @ (x - r.w)
-    return r.lam * val + 0.5 * float(diff @ diff)
+    pos = x[x > 0]  # 0 log 0 := 0
+    return r.lam * float((pos * np.log(pos)).sum()) + r.quadratic(x)[1]
 
 
 def _infer_support(x, support):
@@ -114,22 +144,43 @@ def reg_tangent_gradient(r: Regularizer, x, support=None) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     support = _infer_support(x, support)
-    grad = np.zeros_like(x)
-    lam = 1.0 if r.kind == "entropy" else r.lam
-    grad[support] = lam * np.log(x[support])
-    if r.kind == "quadratic_entropy":
-        grad += r.A.T @ (r.A @ (x - r.w))
+    grad = r.quadratic(x)[0]
+    grad[support] += r.lam * np.log(x[support])
     out = np.zeros_like(x)
     out[support] = grad[support] - grad[support].mean()
     return out
 
 
+def face_solve(r: Regularizer, y, rhs, support=None) -> np.ndarray:
+    """Solve ``[lam I + C_SS diag(y_S), 1; y_S^T, 0] [e; mu] = [rhs; 0]``.
+
+    C is ``A^T A`` and S the support (default: all coordinates); rhs has
+    one row per support coordinate.  ``diag(y_S) e`` is the tangent vector
+    the face Hessian ``lam diag(1/y_S) + C_SS`` maps to rhs up to a multiple
+    of 1: e is a Newton step for ``log y``, and ``diag(y_S) e`` for
+    ``rhs = I`` the Hessian's pseudoinverse.  No ``1/y`` is formed, so the
+    solve stays exact where coordinates of y underflow.
+    """
+    c = r.curvature
+    if support is not None:
+        c = c[np.ix_(support, support)]
+        y = y[support]
+    s = len(y)
+    kkt = np.zeros((s + 1, s + 1))
+    kkt[:s, :s] = c * y + r.lam * np.eye(s)
+    kkt[:s, s] = 1.0
+    kkt[s, :s] = y
+    padded = np.zeros((s + 1,) + np.shape(rhs)[1:])
+    padded[:s] = rhs
+    return np.linalg.solve(kkt, padded)[:s]
+
+
 def face_hessian(r: Regularizer, x, support=None) -> FaceHessian:
     """Tangent Hessian of the regularizer restricted to a face.
 
-    For entropy this is ``Pi_S diag(1/x) Pi_S`` whose pseudoinverse has the
-    closed form ``diag(x) - x x^T`` on the face (verified by the projector
-    identity), which stays accurate even when the face Hessian is stiff.
+    The pseudoinverse comes from :func:`face_solve` and stays accurate when
+    the face Hessian is stiff; without a quadratic term it is the closed
+    form ``(diag(x) - x x^T) / lam`` on the face.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (r.dimension,):
@@ -140,29 +191,17 @@ def face_hessian(r: Regularizer, x, support=None) -> FaceHessian:
     outside = np.setdiff1d(np.arange(r.dimension), support)
     if np.any(x[outside] > 0):
         raise DomainError("x is not on the face of the claimed support")
-    k = r.dimension
-    if len(support) <= 1:
-        zero = np.zeros((k, k))
-        return FaceHessian(support=tuple(support), hessian=zero,
-                           pseudoinverse=zero.copy())
-    pi = face_projection(k, support)
-    diag = np.zeros((k, k))
-    diag[support, support] = 1.0 / x[support]
-    lam = 1.0 if r.kind == "entropy" else r.lam
-    hess = pi @ (lam * diag) @ pi
-    if r.kind == "quadratic_entropy":
-        hess += pi @ (r.A.T @ r.A) @ pi
-        pinv = _eig_pseudoinverse(hess, support, k)
-    else:
-        # closed form: (Pi_S diag(1/x) Pi_S)^+ = diag(x) - x x^T on the face
-        xs = x[support] / x[support].sum()
-        pinv = np.zeros((k, k))
-        pinv[np.ix_(support, support)] = (np.diag(xs) - np.outer(xs, xs)) / lam
-    return FaceHessian(support=tuple(support), hessian=hess, pseudoinverse=pinv)
+    pinv = np.zeros((r.dimension, r.dimension))
+    if len(support) > 1:
+        pinv[np.ix_(support, support)] = x[support, None] * face_solve(
+            r, x, np.eye(len(support)), support)
+    return FaceHessian(regularizer=r, point=x.copy(), support=tuple(support),
+                       pseudoinverse=pinv)
 
 
 def _eig_pseudoinverse(hess, support, k):
-    """Pseudoinverse by eigendecomposition with a relative cutoff."""
+    """Pseudoinverse by eigendecomposition with a relative cutoff (the
+    reference route the face solve is tested against)."""
     q = tangent_basis(k, support)
     reduced = q.T @ hess @ q
     vals, vecs = np.linalg.eigh(reduced)
@@ -213,18 +252,17 @@ def make_regularizer_with_hessian(x, M) -> Regularizer:
     vals, vecs = np.linalg.eigh(ata)
     a = (vecs * np.sqrt(vals)) @ vecs.T
     w = x + lam * np.linalg.solve(ata, np.log(x))
-    return Regularizer(kind="quadratic_entropy", dimension=k, lam=lam,
-                       A=a, w=w)
+    return Regularizer(k, lam=lam, A=a, w=w)
 
 
 # ---------------------------------------------------------------------------
 # config-JSON interface
 
 def regularizer_to_dict(r: Regularizer) -> dict:
-    if r.kind == "entropy":
-        return {"kind": "entropy"}
-    return {"kind": "quadratic_entropy", "lambda": r.lam,
-            "A": r.A.tolist(), "w": r.w.tolist()}
+    data = {"kind": r.kind}
+    if r.A is not None:
+        data.update({"lambda": r.lam, "A": r.A.tolist(), "w": r.w.tolist()})
+    return data
 
 
 def regularizer_from_dict(data: dict, dimension=None) -> Regularizer:

@@ -2,11 +2,12 @@
 
 The smoothed best response of player n maximizes f_n(y; x_{-n}) - beta h_n(y)
 over the simplex.  For the entropic regularizer this is the softmax of the
-payoff gradient divided by beta; the general regularizer solves the strictly
-concave program with a damped Newton method on the tangent space.  Smoothed
-equilibria (fixed points of the joint response map) are located by damped
-fixed-point iteration with an adaptive damping factor, optionally continued
-along a decreasing beta schedule with warm starts.
+payoff gradient divided by beta; with a quadratic term the strictly concave
+program is solved by damped Newton in log coordinates on the regularizer's
+face system.  Smoothed equilibria (fixed points of the joint response map)
+are located by damped fixed-point iteration with an adaptive damping
+factor, optionally continued along a decreasing beta schedule with warm
+starts.
 
 Hot loops (the solver here, the dynamics in ``dynamics``) run on
 :class:`FlatKernel`, which evaluates the response map and the averaging
@@ -23,9 +24,8 @@ import numpy as np
 from .errors import (ArgumentError, ConvergenceError, CyclingError,
                      DimensionError)
 from .games import (JointStrategy, NormalFormGame, block_diag, block_slices,
-                    epsilon_nash_gap, game_jacobian, tangent_basis,
-                    uniform_strategy)
-from .regularizers import Regularizer, entropy, face_hessian, reg_value
+                    epsilon_nash_gap, game_jacobian, uniform_strategy)
+from .regularizers import Regularizer, entropy, face_hessian, face_solve
 
 STAGNATION_WINDOW = 500
 STAGNATION_FACTOR = 0.99
@@ -91,9 +91,9 @@ def smoothed_argmax(values, reg: Regularizer, beta: float, inner_tol=1e-12,
                     inner_max_iter=10_000) -> np.ndarray:
     """Maximize values . y - beta * h(y) over the simplex.
 
-    Entropy admits the closed-form softmax (max-subtracted before
-    exponentiation).  The quadratic-entropy kind runs a damped Newton
-    iteration on the tangent space until the projected-gradient residual
+    Without a quadratic term this is the closed-form softmax
+    (max-subtracted before exponentiation); otherwise a damped Newton
+    iteration in log coordinates runs until the projected-gradient residual
     drops to inner_tol.
     """
     v = np.asarray(values, dtype=float)
@@ -102,9 +102,11 @@ def smoothed_argmax(values, reg: Regularizer, beta: float, inner_tol=1e-12,
             f"expected {reg.dimension} values, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ArgumentError("values must be finite")
+    if not 0 < beta < np.inf:
+        raise ArgumentError(f"beta must be positive and finite, got {beta}")
     if reg.dimension == 1:
         return np.ones(1)
-    if reg.kind == "entropy":
+    if reg.A is None:
         z = v / beta
         z = z - z.max()
         p = np.exp(z)
@@ -112,36 +114,27 @@ def smoothed_argmax(values, reg: Regularizer, beta: float, inner_tol=1e-12,
     return _newton_argmax(v, reg, beta, inner_tol, inner_max_iter)
 
 
-ACTIVE_FLOOR = 1e-12  # coordinates below this follow the steep closed form
-
-
 def _newton_argmax(v, reg, beta, inner_tol, inner_max_iter):
-    """Damped projected Newton with an active-set split.
+    """Damped Newton on u = log y.
 
-    Coordinates whose mass falls below ACTIVE_FLOOR are steep-dominated:
-    their curvature 1/y would make the face Hessian float-singular, so they
-    are refreshed through their own stationarity condition instead while
-    Newton runs on the remaining (well-conditioned) face.
+    The step du is the regularizer's ``face_solve`` of the ambient gradient
+    over beta, the update ``y <- normalise(y exp(t du))``, and t backtracks
+    on the objective computed from u.  Iterates stay on the simplex, and a
+    coordinate whose mass underflows keeps a finite log and an exact
+    stationarity condition.
     """
-    k = reg.dimension
-    lam = 1.0 if reg.kind == "entropy" else reg.lam
-    ata = None if reg.kind == "entropy" else reg.A.T @ reg.A
-    y = np.full(k, 1.0 / k)
+    u = np.full(reg.dimension, -np.log(reg.dimension))
+    y = np.exp(u)
 
-    def quad_force(point):
-        if ata is None:
-            return np.zeros(k)
-        return ata @ (point - reg.w)
-
-    def objective(point):
-        return float(v @ point) - beta * reg_value(reg, point)
+    def objective(u, y, quad_value):
+        return float(v @ y) - beta * (reg.lam * float(y @ u) + quad_value)
 
     residual = np.inf
     for iteration in range(inner_max_iter):
-        grad_amb = v - beta * _reg_gradient_ambient(reg, y)
-        centered = grad_amb - grad_amb.mean()
+        force, quad_value = reg.quadratic(y)
+        grad = v - beta * (reg.lam * u + force)
         last_finite = residual
-        residual = float(np.abs(centered).max(initial=0.0))
+        residual = float(np.abs(grad - grad.mean()).max(initial=0.0))
         if residual <= inner_tol:
             return y
         if not np.isfinite(residual):
@@ -150,58 +143,24 @@ def _newton_argmax(v, reg, beta, inner_tol, inner_max_iter):
                 f"inner solver went non-finite at iteration {iteration}; "
                 f"last finite residual {last_finite:.3e}",
                 residual=last_finite, iterations=iteration, beta=beta)
-        active = np.flatnonzero(y > ACTIVE_FLOOR)
-        if len(active) < k:
-            # lam*beta*(log y_i + 1) = v_i - beta*(A^T A (y-w))_i - nu
-            nu = float(grad_amb[active].mean())
-            frozen = np.setdiff1d(np.arange(k), active)
-            log_y = (v[frozen] - beta * quad_force(y)[frozen] - nu) \
-                / (lam * beta) - 1.0
-            y = y.copy()
-            y[frozen] = np.exp(np.clip(log_y, -745.0, 0.0))
-            y = y / y.sum()
-            active = np.flatnonzero(y > ACTIVE_FLOOR)
-            grad_amb = v - beta * _reg_gradient_ambient(reg, y)
-        if len(active) >= 2:
-            q = tangent_basis(k, active if len(active) < k else None)
-            g_t = q.T @ grad_amb
-            h_t = beta * lam * (q.T * (1.0 / y)) @ q
-            if ata is not None:
-                h_t = h_t + beta * (q.T @ ata @ q)
-            try:
-                step_t = np.linalg.solve(h_t, g_t)
-            except np.linalg.LinAlgError:
-                ridge = 1e-12 * float(np.trace(h_t)) / h_t.shape[0]
-                step_t = np.linalg.solve(h_t + ridge * np.eye(h_t.shape[0]), g_t)
-            direction = q @ step_t
-            negative = direction < 0
-            t_max = np.inf
-            if negative.any():
-                t_max = float((y[negative] / -direction[negative]).min())
-            t = min(1.0, 0.9 * t_max)
-            current = objective(y)
-            slack = 1e-12 * (1.0 + abs(current))  # float plateau near optimum
-            for _ in range(60):
-                cand = y + t * direction
-                if np.all(cand > 0) and objective(cand) >= current - slack:
-                    break
-                t /= 2
-            y = np.maximum(y + t * direction, 1e-300)
-            y = y / y.sum()
+        du = face_solve(reg, y, grad / beta)
+        current = objective(u, y, quad_value)
+        slack = 1e-12 * (1.0 + abs(current))  # float plateau near optimum
+        t = 1.0
+        for _ in range(60):
+            cand = u + t * du
+            cand -= cand.max()
+            cand -= np.log(np.exp(cand).sum())
+            cand_y = np.exp(cand)
+            if objective(cand, cand_y, reg.quadratic(cand_y)[1]) \
+                    >= current - slack:
+                break
+            t /= 2
+        u, y = cand, cand_y
     raise ConvergenceError(
         f"inner solver hit {inner_max_iter} iterations at residual "
         f"{residual:.3e}", residual=residual, iterations=inner_max_iter,
         beta=beta)
-
-
-def _reg_gradient_ambient(reg, y):
-    # ambient representative of the regularizer gradient; the tangent
-    # projection downstream removes the constant ambiguity
-    lam = 1.0 if reg.kind == "entropy" else reg.lam
-    grad = lam * (np.log(y) + 1.0)
-    if reg.kind == "quadratic_entropy":
-        grad = grad + reg.A.T @ (reg.A @ (y - reg.w))
-    return grad
 
 
 def linear_steepness_probe(r: Regularizer, i: int, eps: float, betas,
@@ -215,6 +174,8 @@ def linear_steepness_probe(r: Regularizer, i: int, eps: float, betas,
     """
     if eps < 0:
         raise ArgumentError("eps must be nonnegative")
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise ArgumentError(f"probe index must be an integer, got {i!r}")
     if not 0 <= i < r.dimension:
         raise ArgumentError("probe index out of range")
     k = r.dimension
@@ -254,7 +215,7 @@ class FlatKernel:
         self._starts = np.array([s.start for s in self.slices])
         self._owner = np.repeat(np.arange(len(shape)), shape)
         self._newton = tuple(n for n, r in enumerate(cfg.regularizers)
-                             if r.kind != "entropy")
+                             if r.A is not None)
         if game.num_players == 2:
             self._p0t = np.ascontiguousarray(game.payoffs[0].T)
         else:
@@ -296,7 +257,8 @@ class FlatKernel:
 
     def respond(self, X: np.ndarray) -> np.ndarray:
         """The smoothed best response of every row: a block-wise softmax
-        for entropy, the per-block argmax solver for other regularizers."""
+        for blocks without a quadratic term, the per-block Newton argmax
+        for the others."""
         cfg = self.cfg
         G = self.gradients(X)
         Y = G / cfg.beta

@@ -421,7 +421,6 @@ class UniformStabilityReport:
     witness: tuple = None          # per-player ambient conditioner blocks
     witness_real_part: float = None
     max_sampled_real: float = 0.0
-    local: object = None
 
     @property
     def assumptions(self) -> dict:
@@ -888,6 +887,4 @@ def report_to_dict(report: UniformStabilityReport) -> dict:
                                  for b in report.witness],
             "real_part": report.witness_real_part,
         }
-    if report.local is not None:
-        data["local"] = report.local
     return data

@@ -250,6 +250,21 @@ def test_malformed_point_spec_exits_2(capsys):
     assert "pure spec names 1 actions for 2 players" in err
 
 
+def test_probe_zero_beta_exits_2(capsys):
+    code, _, err = run_cli(capsys, ["probe-steepness", "--betas", "0"])
+    assert code == 2
+    assert "beta must be positive and finite" in err
+
+
+def test_non_finite_regularizer_spec_exits_2(capsys):
+    spec = ('{"kind": "quadratic_entropy", "lambda": NaN, '
+            '"A": [[1, 0], [0, 1]], "w": [0.5, 0.5]}')
+    code, _, err = run_cli(capsys, ["simulate", "matching_pennies",
+                                    "--beta", "0.1", "--reg", spec])
+    assert code == 2
+    assert "lam must be positive and finite" in err
+
+
 def test_oversized_game_exits_4(capsys, tmp_path):
     data = {"players": 2, "shape": [4000, 4000], "payoffs": [[], []]}
     path = tmp_path / "big.json"

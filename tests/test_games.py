@@ -380,3 +380,16 @@ def test_intra_package_imports_follow_module_order():
                         >= MODULE_ORDER.index(name)):
                     violations.append(f"{name}:{node.lineno} -> {target}")
     assert violations == []
+
+
+def test_regularizer_kind_is_read_only_by_the_json_form_and_cli():
+    # every other module keys on "no quadratic term" (A is None) instead of
+    # re-dispatching on the kind string
+    package = Path(sg.__file__).parent
+    readers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "kind":
+                readers.add(f"{path.stem}:{node.lineno}")
+    assert {r.split(":")[0] for r in readers} <= {"regularizers", "cli"}, \
+        sorted(readers)

@@ -44,6 +44,32 @@ def test_quadratic_entropy_validation():
         sg.quadratic_entropy(1.0, np.ones((2, 3)), np.full(3, 1 / 3))
 
 
+def test_regularizer_rejects_non_finite_parameters():
+    eye, w = np.eye(2), np.full(2, 0.5)
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ArgumentError):
+            sg.quadratic_entropy(lam, eye, w)
+    with pytest.raises(ArgumentError):
+        sg.quadratic_entropy(1.0, [[1.0, np.nan], [0.0, 1.0]], w)
+    with pytest.raises(ArgumentError):
+        sg.quadratic_entropy(1.0, eye, [np.nan, 0.5])
+    with pytest.raises(ParseError):
+        sg.regularizer_from_dict({"kind": "quadratic_entropy",
+                                  "lambda": float("nan"), "A": eye.tolist(),
+                                  "w": w.tolist()})
+
+
+def test_entropy_is_the_family_member_without_a_quadratic_term():
+    assert sg.Regularizer(3) == sg.entropy(3)
+    assert sg.entropy(3).kind == "entropy"
+    assert sg.quadratic_entropy(1.0, np.eye(3), np.full(3, 1 / 3)).kind \
+        == "quadratic_entropy"
+    with pytest.raises(ArgumentError):
+        sg.Regularizer(3, A=np.eye(3))  # w missing
+    with pytest.raises(ArgumentError):
+        sg.Regularizer(3, lam=0.5)  # the JSON form of entropy has no weight
+
+
 # ---------------------------------------------------------------------------
 # values and gradients
 
@@ -147,7 +173,8 @@ def test_pseudoinverse_identities(seed, k, quad, face):
 
 
 def test_entropy_pseudoinverse_agrees_with_eig_route():
-    # the closed form diag(x) - x x^T against the generic eigendecomposition
+    # the face solve (for entropy, diag(x) - x x^T) against the generic
+    # eigendecomposition
     rng = np.random.default_rng(0)
     for k in (2, 3, 5):
         for _ in range(10):
@@ -302,3 +329,6 @@ def test_regularizer_from_dict_errors():
                                  dimension=3)
     with pytest.raises(ParseError):
         sg.regularizer_from_dict({"kind": "quadratic_entropy", "lambda": 1.0})
+    with pytest.raises(ParseError):  # a scalar A
+        sg.regularizer_from_dict({"kind": "quadratic_entropy", "lambda": 1.0,
+                                  "A": 5, "w": [0.5, 0.5]})

@@ -85,6 +85,22 @@ def test_argmax_input_validation():
         sg.smoothed_argmax(np.array([np.inf, 0.0]), sg.entropy(2), 0.1)
 
 
+@pytest.mark.parametrize("beta", [0.0, -0.1, np.nan, np.inf])
+def test_argmax_rejects_bad_beta(beta):
+    for reg in (sg.entropy(3),
+                sg.quadratic_entropy(1.0, np.eye(3), np.full(3, 1 / 3))):
+        with pytest.raises(ArgumentError):
+            sg.smoothed_argmax(np.array([1.0, 0.0, -1.0]), reg, beta)
+
+
+def test_probe_rejects_non_integer_index():
+    with pytest.raises(ArgumentError):
+        sg.linear_steepness_probe(sg.entropy(3), 1.5, 0.5, (0.1,))
+    assert sg.linear_steepness_probe(sg.entropy(3), np.int64(1), 0.5,
+                                     (0.1,)) \
+        == sg.linear_steepness_probe(sg.entropy(3), 1, 0.5, (0.1,))
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=seeds)
 def test_generic_solver_matches_softmax(seed):
@@ -124,17 +140,20 @@ def test_argmax_handles_stiff_steepness():
     assert abs(y.sum() - 1.0) <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
-def test_argmax_fails_fast_when_iterates_go_nonfinite():
-    # at small beta fewer than two coordinates stay active and 1/y overflows;
-    # the solver stops there instead of spending its whole budget
+@pytest.mark.parametrize("beta", [1e-2, 1e-3, 1e-6])
+def test_argmax_solves_where_coordinates_underflow(beta):
+    # at small beta the losing coordinates underflow; in log coordinates
+    # they keep an exact stationarity condition and the solve stays finite
     r = sg.quadratic_entropy(0.5, 2.0 * np.eye(3), np.full(3, 1 / 3))
-    with pytest.raises(ConvergenceError, match="inner solver") as info:
-        sg.smoothed_argmax(np.array([1.0, 0.0, -1.0]), r, 1e-3)
-    assert info.value.iterations < 100
-    assert info.value.beta == 1e-3
-    assert np.isfinite(info.value.residual)
+    v = np.array([1.0, 0.0, -1.0])
+    y = sg.smoothed_argmax(v, r, beta, inner_max_iter=100)
+    assert np.all(np.isfinite(y)) and np.all(y >= 0)
+    assert abs(y.sum() - 1.0) <= 1e-12
+    # lam (log y + 1) = (v - beta A^T A (y - w)) / beta - nu, i.e. y is the
+    # softmax of (v - beta A^T A (y - w)) / (beta lam)
+    u = (v - beta * r.A.T @ r.A @ (y - r.w)) / (beta * r.lam)
+    z = np.exp(u - u.max())
+    np.testing.assert_allclose(y, z / z.sum(), rtol=1e-9, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +229,33 @@ def test_response_jacobian_zero_for_constant_game():
     cfg = sg.entropy_config(g, 0.5)
     dense = sg.response_jacobian(g, cfg, sg.uniform_strategy((2, 2)))
     np.testing.assert_allclose(dense, 0.0, atol=1e-14)
+
+
+def test_response_jacobian_finite_where_coordinates_underflow():
+    # the third action trails by 0.36, so at beta = 1e-3 its response mass
+    # is about exp(-720): denormal, inside the support, with 1/y = inf
+    a = np.array([1.0, 1.0, 0.64])
+    m = np.array([[0.0, 0.01, 0.0], [0.01, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    g = sg.NormalFormGame((a[:, None] + m, (a[:, None] + m).T))
+    r = sg.quadratic_entropy(0.5, 2.0 * np.eye(3), np.full(3, 1 / 3))
+    cfg = sg.SmoothedResponseConfig(beta=1e-3, regularizers=(r, r))
+    eq = sg.find_smoothed_equilibrium(g, cfg)
+    y = sg.smoothed_best_response(g, cfg, eq.point).concatenated()
+    assert 0.0 < y.min() < np.finfo(float).tiny
+    dense = sg.response_jacobian(g, cfg, eq.point)
+    assert np.all(np.isfinite(dense))
+    # the denormal coordinate carries no curvature weight: player 0's block
+    # is the {0, 1}-face pseudoinverse, padded, times the game Jacobian
+    hess = r.lam * np.diag(1.0 / y[:2]) + (r.A.T @ r.A)[:2, :2]
+    q = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    pinv = np.zeros((3, 3))
+    pinv[:2, :2] = np.outer(q, q) / (q @ hess @ q)
+    centre = np.eye(3) - 1.0 / 3.0
+    np.testing.assert_allclose(dense[:3, 3:],
+                               pinv @ g.payoffs[0] @ centre / cfg.beta,
+                               rtol=1e-9, atol=1e-12)
+    eta = sg.eta_threshold(g, cfg, eq)
+    assert np.isfinite(eta) and 0.0 < eta <= 1e-3 ** 2
 
 
 # ---------------------------------------------------------------------------
