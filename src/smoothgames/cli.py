@@ -260,6 +260,8 @@ def cmd_probe_steepness(args) -> int:
             data = json.loads(args.spec)
         except json.JSONDecodeError as err:
             raise ParseError(f"regularizer spec is not JSON: {err}") from err
+        if not isinstance(data, dict):
+            raise ParseError("regularizer spec must be a JSON object")
         reg = regularizer_from_dict(data, dimension=args.dim
                                     if data.get("kind") == "entropy" else None)
     betas = _parse_float_list(args.betas)

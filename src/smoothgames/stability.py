@@ -6,12 +6,15 @@ uniformly stable when H^{-1} J has purely imaginary spectrum for every
 positive-definite block-diagonal conditioner H.  That quantifier is not
 directly decidable, so the verdict rests on a lambda-skew certificate
 (sufficient under connectivity and bi-directionality), with sampled and
-constructed counterexample witnesses on the refutation side.
+constructed counterexample witnesses on the refutation side.  The constructed
+witness needs a joint improvement direction; its ascent is skipped when the
+certificate's weights prove, by a dual bound, that none exists.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from math import comb
 
@@ -31,6 +34,7 @@ SKEW_RESIDUAL_TOL = 1e-8  # certificate feasibility threshold
 KERNEL_ANGLE_TOL = 1e-8   # principal-angle threshold for bi-directionality
 WITNESS_REAL_TOL = 1e-6   # |Re eig| needed to refute stability
 PD_STRETCH_GUARD = 1e-12
+IMPROVEMENT_TOL = 1e-8    # least min_n z_n^T (J z)_n that counts as improving
 GRID_CAP = 10 ** 6        # most lattice profiles an oracle will enumerate
 
 
@@ -349,26 +353,77 @@ def _sign_witness_search(A, B, rng_seed):
 # ---------------------------------------------------------------------------
 # improvement search
 
+def _check_budget(**counts):
+    """Reject a search budget that is not a non-negative integer."""
+    for name, value in counts.items():
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or value < 0):
+            raise ArgumentError(
+                f"{name} must be a non-negative integer, got {value!r}")
+
+
 def pareto_improvement_search(jac: GameJacobian, num_restarts=20, rng_seed=0,
                               iters=400):
     """Search for a joint tangent direction improving every player at once.
 
     Maximizes min_n x_n^T (J x)_n over unit-norm tangent blocks by ascent
     on a softmin surrogate with annealed temperature and random restarts.
-    A witness (objective > 1e-8) combined with pd_stretch per block yields
-    a conditioner under which H^{-1} J has the real eigenvalue 1.  Absence
-    of a witness proves nothing.
+    A witness (objective > IMPROVEMENT_TOL) combined with pd_stretch per
+    block yields a conditioner under which H^{-1} J has the real eigenvalue
+    1.  The ascent runs only when the skew certificate's weights do not
+    already prove, by the dual bound of ``_no_joint_improvement``, that no
+    witness exists; there ``None`` is a proof.  Otherwise ``None`` means
+    only that the ascent found nothing.  ``num_restarts`` and ``iters``
+    must be non-negative integers.
     """
+    _check_budget(num_restarts=num_restarts, iters=iters)
     j_t, bases, dims = jac.tangent()
-    n_players = jac.num_players
+    return _improvement_direction(j_t, bases, dims,
+                                  solve_skew_certificate(jac).lambdas,
+                                  num_restarts, rng_seed, iters)
+
+
+def _improvement_direction(j_t, bases, dims, lambdas, num_restarts=20,
+                           rng_seed=0, iters=400):
+    """Joint improvement direction of the tangent Jacobian ``j_t``, or None.
+
+    Runs the ascent only when ``_no_joint_improvement`` cannot rule a
+    direction out with the weights ``lambdas``.
+    """
     if j_t.size == 0 or min(dims) == 0:
         return None
-    slices = block_slices(dims)
     # a player whose row block vanishes can never strictly improve
-    for n in range(n_players):
-        if np.linalg.norm(j_t[slices[n], :]) <= EDGE_TOL:
+    for sl in block_slices(dims):
+        if np.linalg.norm(j_t[sl, :]) <= EDGE_TOL:
             return None
+    if _no_joint_improvement(j_t, dims, lambdas):
+        return None
+    return _pareto_ascent(j_t, bases, dims, num_restarts, rng_seed, iters)
 
+
+def _no_joint_improvement(j_t, dims, lambdas) -> bool:
+    """Dual bound: True proves no z with unit blocks has every
+    z_n^T (J z)_n > IMPROVEMENT_TOL.
+
+    With positive weights lambda, Lambda = diag(lambda_n I) and
+    S = Lambda J + J^T Lambda, such a z has
+    sum_n lambda_n z_n^T (J z)_n = z^T S z / 2 <= N ||S||_2 / 2, so no z
+    improves every player by more than IMPROVEMENT_TOL once that bound is
+    at most IMPROVEMENT_TOL * sum_n lambda_n.  A lambda-skew certificate
+    makes S vanish.
+    """
+    lambdas = np.asarray(lambdas, dtype=float)
+    if not (np.all(lambdas > 0) and np.all(np.isfinite(lambdas))):
+        return False
+    weighted = np.repeat(lambdas, dims)[:, None] * j_t
+    bound = 0.5 * len(dims) * np.linalg.norm(weighted + weighted.T, 2)
+    return bool(bound <= IMPROVEMENT_TOL * lambdas.sum())
+
+
+def _pareto_ascent(j_t, bases, dims, num_restarts, rng_seed, iters):
+    """Softmin ascent on min_n z_n^T (J z)_n over unit tangent blocks; the
+    best direction in ambient coordinates if it beats IMPROVEMENT_TOL."""
+    slices = block_slices(dims)
     rng = np.random.default_rng(rng_seed)
 
     def normalize(z):
@@ -402,10 +457,10 @@ def pareto_improvement_search(jac: GameJacobian, num_restarts=20, rng_seed=0,
         scores = objective(z)
         if scores.min() > best_val:
             best_val, best_z = scores.min(), z.copy()
-    if best_val <= 1e-8 or best_z is None:
+    if best_val <= IMPROVEMENT_TOL or best_z is None:
         return None
-    blocks = tuple(bases[n] @ best_z[slices[n]] for n in range(n_players))
-    return TangentVector(blocks=blocks)
+    return TangentVector(blocks=tuple(b @ best_z[sl]
+                                      for b, sl in zip(bases, slices)))
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +497,11 @@ def _max_real_eig(h_blocks, j_t):
     return float(np.abs(eigs.real).max(initial=0.0))
 
 
-def _stretch_conditioner(jac: GameJacobian, j_t, bases, dims, rng_seed):
+def _stretch_conditioner(j_t, bases, dims, lambdas, rng_seed):
     """Per-block pd_stretch conditioners mapping a joint improvement
     direction z to J z, or None when there is no such direction."""
-    direction = pareto_improvement_search(jac, rng_seed=rng_seed)
+    direction = _improvement_direction(j_t, bases, dims, lambdas,
+                                       rng_seed=rng_seed)
     if direction is None:
         return None
     z = np.concatenate([b.T @ d for b, d in zip(bases, direction.blocks)])
@@ -465,8 +521,9 @@ def uniform_stability_check(jac: GameJacobian, num_conditioners=100,
     conditioners and a constructed improvement witness look for an
     eigenvalue with nonzero real part; failing both, the status is
     indeterminate (sampling cannot prove a universally quantified spectrum
-    condition).
+    condition).  ``num_conditioners`` must be a non-negative integer.
     """
+    _check_budget(num_conditioners=num_conditioners)
     cert = solve_skew_certificate(jac)
     graph = interaction_graph(jac)
     if cert.feasible and graph.connected and graph.bidirectional:
@@ -486,7 +543,8 @@ def uniform_stability_check(jac: GameJacobian, num_conditioners=100,
                 found = h_blocks, real
                 break
     if found is None:
-        h_blocks = _stretch_conditioner(jac, j_t, bases, dims, rng_seed)
+        h_blocks = _stretch_conditioner(j_t, bases, dims, cert.lambdas,
+                                        rng_seed)
         if h_blocks is not None:
             real = _max_real_eig(h_blocks, j_t)
             if real > WITNESS_REAL_TOL:

@@ -256,6 +256,19 @@ def test_probe_zero_beta_exits_2(capsys):
     assert "beta must be positive and finite" in err
 
 
+def test_probe_non_object_spec_exits_2(capsys):
+    code, _, err = run_cli(capsys, ["probe-steepness", "--spec", "[1]"])
+    assert code == 2
+    assert "regularizer spec must be a JSON object" in err
+
+
+def test_negative_conditioner_budget_exits_2(capsys):
+    code, _, err = run_cli(capsys, ["analyze", "coordination_2x2",
+                                    "--conditioners", "-5"])
+    assert code == 2
+    assert "num_conditioners must be a non-negative integer" in err
+
+
 def test_non_finite_regularizer_spec_exits_2(capsys):
     spec = ('{"kind": "quadratic_entropy", "lambda": NaN, '
             '"A": [[1, 0], [0, 1]], "w": [0.5, 0.5]}')

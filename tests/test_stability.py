@@ -4,11 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import smoothgames as sg
+from smoothgames import stability
 from smoothgames import ArgumentError, DimensionError, DomainError, ResourceError
-from smoothgames.games import cross_hessian
+from smoothgames.games import block_slices, cross_hessian
 from smoothgames.stability import (
+    IMPROVEMENT_TOL,
     bilinear_scale_recovery,
     boundary_convergence_check,
     embed_strategy,
@@ -244,6 +247,35 @@ def test_coordination_mixed_center_unstable_with_witness():
     assert replay == pytest.approx(report.witness_real_part, rel=1e-9)
 
 
+def test_disconnected_skew_game_indeterminate_without_ascent(monkeypatch):
+    # the certificate's weights prove that no joint improvement exists, so
+    # the check never enters the ascent; the report is the one the ascent
+    # (which found nothing here) used to give
+    def ascent(*args, **kwargs):
+        raise AssertionError("ascent entered")
+
+    monkeypatch.setattr(stability, "_pareto_ascent", ascent)
+    rng = np.random.default_rng(13)
+    shape = (3, 2, 3, 2)
+    g, _ = polymatrix_game(rng, shape, lam=np.array([1.0, 0.5, 1.0, 2.0]),
+                           edges=[(0, 1), (2, 3)])
+    report = uniform_stability_check(game_jacobian(g, random_interior(rng, shape)))
+    assert report.certificate.feasible and not report.graph.connected
+    assert report.pointwise == "indeterminate"
+    assert report.max_sampled_real == pytest.approx(3.533323531151876e-15,
+                                                    rel=1e-9)
+
+
+@pytest.mark.parametrize("kwargs", [{"num_conditioners": -5},
+                                    {"num_conditioners": 2.5},
+                                    {"num_conditioners": True}])
+def test_check_rejects_bad_conditioner_budget(kwargs):
+    jac = game_jacobian(sg.bundled_game("coordination_2x2"),
+                        uniform_point((2, 2)))
+    with pytest.raises(ArgumentError, match="num_conditioners"):
+        uniform_stability_check(jac, **kwargs)
+
+
 def test_symmetric_perturbation_yields_sampled_witness():
     rng = np.random.default_rng(5)
     rng.normal(size=(3, 4))  # keep the stream aligned with the fixture above
@@ -393,12 +425,58 @@ def test_pareto_search_empty_handed_on_pennies():
 
 def test_pareto_search_finds_joint_direction_on_coordination():
     g = sg.bundled_game("coordination_2x2")
-    direction = pareto_improvement_search(game_jacobian(g, uniform_point((2, 2))))
+    jac = game_jacobian(g, uniform_point((2, 2)))
+    j_t, _, dims = jac.tangent()
+    # no positive weights make this Jacobian skew, so the bound cannot fire
+    assert not stability._no_joint_improvement(
+        j_t, dims, solve_skew_certificate(jac).lambdas)
+    direction = pareto_improvement_search(jac)
     assert direction is not None
     for blk in direction.blocks:
         assert abs(blk.sum()) < 1e-9  # tangent to the simplex
     # both players move the same way, which raises both payoffs
     assert np.sign(direction.blocks[0][1]) == np.sign(direction.blocks[1][1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_players=st.integers(2, 6),
+       noise=st.sampled_from([0.0, 1e-10, 1e-8]))
+def test_dual_bound_never_skips_an_improvement(seed, n_players, noise):
+    # lambda-skew polymatrix games, nudged off skewness by up to 1e-8, on a
+    # random (possibly disconnected) interaction graph
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(k) for k in rng.integers(2, 5, n_players))
+    lam = 10.0 ** rng.uniform(-1.0, 1.0, n_players)
+    edges = [(a, b) for a in range(n_players) for b in range(a + 1, n_players)
+             if rng.random() < 0.5] or [(0, 1)]
+    g, _ = polymatrix_game(rng, shape, lam=lam, edges=edges)
+    g = sg.NormalFormGame(tuple(t + noise * rng.standard_normal(shape)
+                                for t in g.payoffs))
+    jac = game_jacobian(g, random_interior(rng, shape))
+    j_t, bases, dims = jac.tangent()
+    if not stability._no_joint_improvement(
+            j_t, dims, solve_skew_certificate(jac).lambdas):
+        return
+    slices = block_slices(dims)
+    for _ in range(200):
+        z = rng.standard_normal(j_t.shape[0])
+        for sl in slices:
+            z[sl] /= np.linalg.norm(z[sl])
+        jz = j_t @ z
+        assert min(z[sl] @ jz[sl] for sl in slices) <= IMPROVEMENT_TOL
+    assert stability._pareto_ascent(j_t, bases, dims, num_restarts=3,
+                                    rng_seed=seed, iters=200) is None
+
+
+@pytest.mark.parametrize("kwargs", [{"num_restarts": -1},
+                                    {"num_restarts": 1.5},
+                                    {"iters": -3},
+                                    {"iters": "400"}])
+def test_pareto_search_rejects_bad_budgets(kwargs):
+    jac = game_jacobian(sg.bundled_game("coordination_2x2"),
+                        uniform_point((2, 2)))
+    with pytest.raises(ArgumentError, match=next(iter(kwargs))):
+        pareto_improvement_search(jac, **kwargs)
 
 
 # ---------------------------------------------------------------------------
