@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, GameError
+from .errors import ArgumentError, GameError, check_count
 from .games import (JointStrategy, NormalFormGame, perturb_strategy,
                     uniform_strategy)
 from .response import (FlatKernel, SmoothedEquilibrium,
@@ -207,15 +207,21 @@ def eta_threshold(game: NormalFormGame, cfg: SmoothedResponseConfig,
 
     L is the largest measured norm of H^+ J over the equilibrium and
     ``num_samples`` random points from the inf-norm ball of the given
-    radius (clipped to the simplex).  The radius is an artifact of the
-    measurement, not of the theory, so callers reporting the threshold
-    should report the radius with it.
+    radius (clipped to the simplex), all evaluated as one kernel batch.
+    The radius is an artifact of the measurement, not of the theory, so
+    callers reporting the threshold should report the radius with it.
     """
+    check_count("num_samples", num_samples)
+    if not 0 < radius < np.inf:
+        raise ArgumentError(
+            f"radius must be positive and finite, got {radius!r}")
     rng = np.random.default_rng(rng_seed)
-    lipschitz = measure_response_lipschitz(game, cfg, eq.point)
-    for _ in range(num_samples):
-        point = perturb_strategy(eq.point, radius, rng)
-        lipschitz = max(lipschitz, measure_response_lipschitz(game, cfg, point))
+    kernel = FlatKernel(game, cfg)
+    points = [eq.point] + [perturb_strategy(eq.point, radius, rng)
+                           for _ in range(num_samples)]
+    X = np.stack([kernel.flatten(p) for p in points])
+    lipschitz = max(_lipschitz(grad_phi, cfg.beta)
+                    for grad_phi in kernel.tangent_jacobians(X))
     return float(cfg.beta ** 2 / (1.0 + lipschitz ** 2))
 
 
@@ -252,15 +258,15 @@ def _sweep_beta(task):
             cells[i] = failed(eta, err)
     if not live:
         return cells
+    # the equilibrium solve has already checked the config and x0
+    kernel = FlatKernel(game, response_cfg)
     try:
-        grad_phi = response_jacobian(game, response_cfg, eq.point,
-                                     as_tangent=True)
+        grad_phi = kernel.tangent_jacobians(
+            kernel.flatten(eq.point)[None, :])[0]
     except GameError as err:
         for i, cfg in live:
             cells[i] = failed(cfg.eta, err)
         return cells
-    # the equilibrium solve has already checked the config and x0
-    kernel = FlatKernel(game, response_cfg)
     start = kernel.flatten(x0)
     configs = [cfg for _, cfg in live]
     try:

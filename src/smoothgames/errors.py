@@ -1,5 +1,7 @@
 """Exception hierarchy for the smoothgames package."""
 
+import numbers
+
 
 class GameError(Exception):
     """Base class for all errors raised by this package."""
@@ -44,3 +46,13 @@ class ConvergenceError(GameError, RuntimeError):
 
 class CyclingError(ConvergenceError):
     """The solver residual stagnated, suggesting a non-contractive regime."""
+
+
+def check_count(name, value, positive=False):
+    """Raise ArgumentError unless value is a non-negative (or, with
+    ``positive``, a positive) integer other than a bool: a budget, sample
+    count or iteration cap."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < int(positive)):
+        kind = "positive" if positive else "non-negative"
+        raise ArgumentError(f"{name} must be a {kind} integer, got {value!r}")

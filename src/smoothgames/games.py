@@ -12,6 +12,7 @@ laid out by :func:`block_slices` and :func:`block_diag`.
 from __future__ import annotations
 
 import json
+import string
 from dataclasses import dataclass
 from importlib import resources
 
@@ -38,13 +39,17 @@ def face_projection(k: int, support) -> np.ndarray:
 
     Rows and columns outside the support are zero.
     """
-    support = np.asarray(support, dtype=int)
-    s = len(support)
-    p = np.zeros((k, k))
-    if s == 0:
-        return p
-    p[np.ix_(support, support)] = np.eye(s) - np.ones((s, s)) / s
-    return p
+    mask = np.zeros((1, k), dtype=bool)
+    mask[0, np.asarray(support, dtype=int)] = True
+    return _face_projections(mask)[0]
+
+
+def _face_projections(masks) -> np.ndarray:
+    """Stacked face projections for a ``(B, k)`` boolean stack of faces;
+    an empty face projects to zero."""
+    f = masks.astype(float)
+    size = np.maximum(f.sum(axis=1), 1.0)[:, None, None]
+    return f[:, :, None] * (np.eye(f.shape[1]) - f[:, None, :] / size)
 
 
 def tangent_basis(k: int, support=None) -> np.ndarray:
@@ -281,14 +286,23 @@ def cross_hessian(game: NormalFormGame, x: JointStrategy, n: int, m: int) -> np.
     if n == m:
         raise ArgumentError("diagonal blocks are zero; use n != m")
     k_n, k_m = game.shape[n], game.shape[m]
-    return (centering_projection(k_n) @ _raw_cross(game, x, n, m)
-            @ centering_projection(k_m))
+    raw = _raw_cross(game, [b[None] for b in x.blocks], n, m)[0]
+    return centering_projection(k_n) @ raw @ centering_projection(k_m)
 
 
-def _raw_cross(game: NormalFormGame, x: JointStrategy, n: int, m: int):
-    """``M[i, j] = f_n`` with ``x_n := e_i`` and ``x_m := e_j`` (n != m)."""
-    raw = _contract_except(game.payoffs[n], x.blocks, keep=(n, m))
-    return raw.T if n > m else raw  # axes come out in ascending order
+def _raw_cross(game: NormalFormGame, blocks, n: int, m: int) -> np.ndarray:
+    """Stacked ``M[b, i, j] = f_n`` with ``x_n := e_i``, ``x_m := e_j`` and
+    the other players' blocks from row b of ``blocks``, a ``(B, k)`` stack
+    per player (n != m); with no other players, one ``(1, k_n, k_m)``
+    matrix for every row."""
+    others = [p for p in range(game.num_players) if p not in (n, m)]
+    if not others:  # constant in x: one matrix that broadcasts over rows
+        return (game.payoffs[n] if n < m else game.payoffs[n].T)[None]
+    axes = string.ascii_letters[:game.num_players]
+    spec = (axes + "," + ",".join("..." + axes[p] for p in others)
+            + "->..." + axes[n] + axes[m])
+    return np.einsum(spec, game.payoffs[n], *(blocks[p] for p in others),
+                     optimize=False)
 
 
 def strategic_decompose(game: NormalFormGame, n: int) -> StrategicDecomposition:
@@ -426,18 +440,32 @@ def game_jacobian(game: NormalFormGame, x: JointStrategy,
         supports = x.supports()
     else:
         supports = tuple(np.asarray(s, dtype=int) for s in supports)
-    projections = [face_projection(k, s) for k, s in zip(game.shape, supports)]
+    masks = [np.zeros((1, k), dtype=bool) for k in game.shape]
+    for mask, s in zip(masks, supports):
+        mask[0, s] = True
+    blocks = jacobian_blocks(game, [b[None] for b in x.blocks], masks)
+    return GameJacobian(point=x,
+                        blocks=tuple(tuple(b[0] for b in row)
+                                     for row in blocks),
+                        supports=supports)
+
+
+def jacobian_blocks(game: NormalFormGame, blocks, masks) -> tuple:
+    """Game Jacobian blocks at a stack of points, on stacked faces.
+
+    ``blocks[n]`` is a ``(B, k_n)`` stack of player n's strategies and
+    ``masks[n]`` a boolean ``(B, k_n)`` stack of the faces to project onto.
+    Returns rows of ``(B, k_n, k_m)`` stacks ``Pi_n D^2_{nm} f_n Pi_m``,
+    zero for n == m.
+    """
+    projections = [_face_projections(mask) for mask in masks]
     rows = []
-    for n in range(game.num_players):
-        row = []
-        for m in range(game.num_players):
-            if n == m:
-                row.append(np.zeros((game.shape[n], game.shape[n])))
-            else:
-                row.append(projections[n] @ _raw_cross(game, x, n, m)
-                           @ projections[m])
-        rows.append(tuple(row))
-    return GameJacobian(point=x, blocks=tuple(rows), supports=supports)
+    for n, p_n in enumerate(projections):
+        rows.append(tuple(
+            np.zeros(p_n.shape) if n == m
+            else p_n @ _raw_cross(game, blocks, n, m) @ p_m
+            for m, p_m in enumerate(projections)))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

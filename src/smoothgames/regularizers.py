@@ -18,8 +18,6 @@ import numpy as np
 from .errors import ArgumentError, DomainError, ParseError
 from .games import face_projection, tangent_basis
 
-PINV_CUTOFF = 1e-12  # relative eigenvalue cutoff for pseudoinverses
-
 
 @dataclass(frozen=True)
 class Regularizer:
@@ -151,28 +149,32 @@ def reg_tangent_gradient(r: Regularizer, x, support=None) -> np.ndarray:
     return out
 
 
-def face_solve(r: Regularizer, y, rhs, support=None) -> np.ndarray:
-    """Solve ``[lam I + C_SS diag(y_S), 1; y_S^T, 0] [e; mu] = [rhs; 0]``.
+def face_solve(lam, curvature, y, rhs) -> np.ndarray:
+    """Solve ``[lam I + C diag(y), 1; y^T, 0] [E; mu] = [rhs; 0]`` for stacks.
 
-    C is ``A^T A`` and S the support (default: all coordinates); rhs has
-    one row per support coordinate.  ``diag(y_S) e`` is the tangent vector
-    the face Hessian ``lam diag(1/y_S) + C_SS`` maps to rhs up to a multiple
-    of 1: e is a Newton step for ``log y``, and ``diag(y_S) e`` for
-    ``rhs = I`` the Hessian's pseudoinverse.  No ``1/y`` is formed, so the
-    solve stays exact where coordinates of y underflow.
+    C is a curvature ``A^T A`` (restricted to a face, if y is), rhs a
+    ``(..., s, m)`` stack of right-hand sides; the leading axes of lam,
+    C ``(..., s, s)``, y ``(..., s)`` and rhs broadcast, and every system
+    of the stack is solved by one ``np.linalg.solve``.  ``diag(y) E`` is the
+    tangent vector the face Hessian ``lam diag(1/y) + C`` maps to rhs up to
+    a multiple of 1: E is a Newton step for ``log y``, and ``diag(y) E``
+    for ``rhs = I`` the Hessian's pseudoinverse.  No ``1/y`` is formed, so
+    the solve stays exact where coordinates of y underflow; a coordinate
+    with ``y = 0`` drops out of the other rows, which then solve the system
+    of the face of the positive coordinates.
     """
-    c = r.curvature
-    if support is not None:
-        c = c[np.ix_(support, support)]
-        y = y[support]
-    s = len(y)
-    kkt = np.zeros((s + 1, s + 1))
-    kkt[:s, :s] = c * y + r.lam * np.eye(s)
-    kkt[:s, s] = 1.0
-    kkt[s, :s] = y
-    padded = np.zeros((s + 1,) + np.shape(rhs)[1:])
-    padded[:s] = rhs
-    return np.linalg.solve(kkt, padded)[:s]
+    lam = np.asarray(lam, dtype=float)
+    s = y.shape[-1]
+    lead = np.broadcast_shapes(lam.shape, curvature.shape[:-2],
+                               y.shape[:-1], rhs.shape[:-2])
+    kkt = np.zeros(lead + (s + 1, s + 1))
+    kkt[..., :s, :s] = (curvature * y[..., None, :]
+                        + lam[..., None, None] * np.eye(s))
+    kkt[..., :s, s] = 1.0
+    kkt[..., s, :s] = y
+    padded = np.zeros(lead + (s + 1, rhs.shape[-1]))
+    padded[..., :s, :] = rhs
+    return np.linalg.solve(kkt, padded)[..., :s, :]
 
 
 def face_hessian(r: Regularizer, x, support=None) -> FaceHessian:
@@ -193,23 +195,11 @@ def face_hessian(r: Regularizer, x, support=None) -> FaceHessian:
         raise DomainError("x is not on the face of the claimed support")
     pinv = np.zeros((r.dimension, r.dimension))
     if len(support) > 1:
-        pinv[np.ix_(support, support)] = x[support, None] * face_solve(
-            r, x, np.eye(len(support)), support)
+        face = np.ix_(support, support)
+        pinv[face] = x[support, None] * face_solve(
+            r.lam, r.curvature[face], x[support], np.eye(len(support)))
     return FaceHessian(regularizer=r, point=x.copy(), support=tuple(support),
                        pseudoinverse=pinv)
-
-
-def _eig_pseudoinverse(hess, support, k):
-    """Pseudoinverse by eigendecomposition with a relative cutoff (the
-    reference route the face solve is tested against)."""
-    q = tangent_basis(k, support)
-    reduced = q.T @ hess @ q
-    vals, vecs = np.linalg.eigh(reduced)
-    cutoff = PINV_CUTOFF * max(np.abs(vals).max(initial=0.0), 1e-300)
-    keep = np.abs(vals) > cutoff
-    inv = np.zeros_like(vals)
-    inv[keep] = 1.0 / vals[keep]
-    return q @ (vecs * inv) @ vecs.T @ q.T
 
 
 def make_regularizer_with_hessian(x, M) -> Regularizer:

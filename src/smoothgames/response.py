@@ -10,8 +10,15 @@ factor, optionally continued along a decreasing beta schedule with warm
 starts.
 
 Hot loops (the solver here, the dynamics in ``dynamics``) run on
-:class:`FlatKernel`, which evaluates the response map and the averaging
-update for a batch of flat strategy vectors after validating once.
+:class:`FlatKernel`, which evaluates the response map, its Jacobian and the
+averaging update for a batch of flat strategy vectors after validating
+once.  The kernel groups the quadratic-entropy blocks by dimension, so each
+Newton iteration makes one stacked face solve for every row and player of a
+group, and it starts each Newton solve from its previous log-response when
+the batch has the same number of rows (a dynamics or solver step moves the
+point by O(eta), so one or two iterations then suffice).  Every public
+function builds its own kernel, so its results depend on its arguments
+only.
 """
 
 from __future__ import annotations
@@ -22,10 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ArgumentError, ConvergenceError, CyclingError,
-                     DimensionError)
+                     DimensionError, check_count)
 from .games import (JointStrategy, NormalFormGame, block_diag, block_slices,
-                    epsilon_nash_gap, game_jacobian, uniform_strategy)
-from .regularizers import Regularizer, entropy, face_hessian, face_solve
+                    epsilon_nash_gap, jacobian_blocks, tangent_basis,
+                    uniform_strategy)
+from .regularizers import Regularizer, entropy, face_solve
 
 STAGNATION_WINDOW = 500
 STAGNATION_FACTOR = 0.99
@@ -45,13 +53,19 @@ class SmoothedResponseConfig:
         if not 0 < self.beta < np.inf:
             raise ArgumentError(
                 f"beta must be positive and finite, got {self.beta}")
-        if not self.inner_tol > 0:
-            raise ArgumentError("inner_tol must be positive")
+        _check_inner(self.inner_tol, self.inner_max_iter)
         if not self.regularizers:
             raise ArgumentError("at least one regularizer is required")
         for n, r in enumerate(self.regularizers):
             if not isinstance(r, Regularizer):
                 raise ArgumentError(f"entry {n} is not a Regularizer")
+
+
+def _check_inner(inner_tol, inner_max_iter):
+    if not 0 < inner_tol < np.inf:
+        raise ArgumentError(
+            f"inner_tol must be positive and finite, got {inner_tol!r}")
+    check_count("inner_max_iter", inner_max_iter, positive=True)
 
 
 def entropy_config(shape, beta, **kwargs) -> SmoothedResponseConfig:
@@ -104,6 +118,7 @@ def smoothed_argmax(values, reg: Regularizer, beta: float, inner_tol=1e-12,
         raise ArgumentError("values must be finite")
     if not 0 < beta < np.inf:
         raise ArgumentError(f"beta must be positive and finite, got {beta}")
+    _check_inner(inner_tol, inner_max_iter)
     if reg.dimension == 1:
         return np.ones(1)
     if reg.A is None:
@@ -115,52 +130,82 @@ def smoothed_argmax(values, reg: Regularizer, beta: float, inner_tol=1e-12,
 
 
 def _newton_argmax(v, reg, beta, inner_tol, inner_max_iter):
-    """Damped Newton on u = log y.
+    """The Newton argmax of one block, from the uniform point."""
+    k = reg.dimension
+    w = np.zeros(k) if reg.w is None else reg.w
+    u = _newton_log(v[None], np.array([reg.lam]), reg.curvature[None],
+                    w[None], beta, inner_tol, inner_max_iter,
+                    np.full((1, k), -np.log(k)))
+    return np.exp(u[0])
 
-    The step du is the regularizer's ``face_solve`` of the ambient gradient
-    over beta, the update ``y <- normalise(y exp(t du))``, and t backtracks
-    on the objective computed from u.  Iterates stay on the simplex, and a
+
+def _newton_log(V, lam, C, w, beta, inner_tol, inner_max_iter, U):
+    """Damped Newton on u = log y for a stack of argmax problems.
+
+    Row r (over any leading axes) maximizes ``V[r] . y - beta h_r(y)`` with
+    ``h_r(y) = lam[r] y . log y + 0.5 (y - w[r])^T C[r] (y - w[r])``; the
+    leading axes of lam, C ``(..., k, k)`` and w ``(..., k)`` broadcast
+    against those of V, and U holds the starting log-responses.  The step
+    du is the :func:`face_solve` of the ambient gradient over beta, one
+    stacked solve for all rows per iteration; the update is
+    ``y <- normalise(y exp(t du))``, and each row's t backtracks on its
+    objective computed from u.  A row whose projected-gradient residual
+    reaches inner_tol is frozen.  Iterates stay on the simplex, and a
     coordinate whose mass underflows keeps a finite log and an exact
-    stationarity condition.
+    stationarity condition.  Returns the log-responses.
     """
-    u = np.full(reg.dimension, -np.log(reg.dimension))
-    y = np.exp(u)
+    def quadratic(Y):
+        gap = Y - w
+        force = np.einsum("...ij,...j->...i", C, gap)
+        return force, 0.5 * np.einsum("...i,...i->...", gap, force)
 
-    def objective(u, y, quad_value):
-        return float(v @ y) - beta * (reg.lam * float(y @ u) + quad_value)
+    def objective(U, Y, quad_value):
+        return (np.einsum("...i,...i->...", V, Y)
+                - beta * (lam * np.einsum("...i,...i->...", Y, U)
+                          + quad_value))
 
-    residual = np.inf
+    Y = np.exp(U)
+    active = np.ones(V.shape[:-1], dtype=bool)
+    residual = np.full(active.shape, np.inf)
     for iteration in range(inner_max_iter):
-        force, quad_value = reg.quadratic(y)
-        grad = v - beta * (reg.lam * u + force)
+        force, quad_value = quadratic(Y)
+        grad = V - beta * (lam[..., None] * U + force)
         last_finite = residual
-        residual = float(np.abs(grad - grad.mean()).max(initial=0.0))
-        if residual <= inner_tol:
-            return y
-        if not np.isfinite(residual):
+        residual = np.abs(grad - grad.mean(axis=-1, keepdims=True)).max(-1)
+        active &= ~(residual <= inner_tol)
+        if not active.any():
+            return U
+        broken = active & ~np.isfinite(residual)
+        if broken.any():
             # no later iterate can recover from a non-finite one
+            last = float(last_finite[broken][0])
             raise ConvergenceError(
                 f"inner solver went non-finite at iteration {iteration}; "
-                f"last finite residual {last_finite:.3e}",
-                residual=last_finite, iterations=iteration, beta=beta)
-        du = face_solve(reg, y, grad / beta)
-        current = objective(u, y, quad_value)
-        slack = 1e-12 * (1.0 + abs(current))  # float plateau near optimum
-        t = 1.0
+                f"last finite residual {last:.3e}",
+                residual=last, iterations=iteration, beta=beta)
+        du = face_solve(lam, C, Y, grad[..., None] / beta)[..., 0]
+        current = objective(U, Y, quad_value)
+        slack = 1e-12 * (1.0 + np.abs(current))  # float plateau near optimum
+        t = np.ones(active.shape)
+        searching = active.copy()
+        next_U, next_Y = U, Y
         for _ in range(60):
-            cand = u + t * du
-            cand -= cand.max()
-            cand -= np.log(np.exp(cand).sum())
+            cand = U + t[..., None] * du
+            cand -= cand.max(axis=-1, keepdims=True)
+            cand -= np.log(np.exp(cand).sum(axis=-1, keepdims=True))
             cand_y = np.exp(cand)
-            if objective(cand, cand_y, reg.quadratic(cand_y)[1]) \
-                    >= current - slack:
+            next_U = np.where(searching[..., None], cand, next_U)
+            next_Y = np.where(searching[..., None], cand_y, next_Y)
+            searching &= ~(objective(cand, cand_y, quadratic(cand_y)[1])
+                           >= current - slack)
+            if not searching.any():
                 break
-            t /= 2
-        u, y = cand, cand_y
+            t[searching] /= 2
+        U, Y = next_U, next_Y
+    worst = float(residual[active].max())
     raise ConvergenceError(
         f"inner solver hit {inner_max_iter} iterations at residual "
-        f"{residual:.3e}", residual=residual, iterations=inner_max_iter,
-        beta=beta)
+        f"{worst:.3e}", residual=worst, iterations=inner_max_iter, beta=beta)
 
 
 def linear_steepness_probe(r: Regularizer, i: int, eps: float, betas,
@@ -196,12 +241,17 @@ def linear_steepness_probe(r: Regularizer, i: int, eps: float, betas,
 # flat batched kernel
 
 class FlatKernel:
-    """Response map and averaging update on stacked flat joint strategies.
+    """Response map, its Jacobian and the averaging update on stacked flat
+    joint strategies.
 
     A batch is a ``(B, sum k)`` array whose rows are concatenated joint
     strategies, player n's block in columns ``slices[n]``.  The game and
     config are checked once, when the kernel is built, and starting points
     once, by :meth:`flatten`; the per-step methods check nothing.
+
+    Quadratic-entropy blocks are grouped by dimension, each group's ``lam``,
+    ``A^T A`` and ``w`` stacked once, and each group's last log-response is
+    kept to warm-start the next Newton solve of a batch with as many rows.
     """
 
     def __init__(self, game: NormalFormGame, cfg: SmoothedResponseConfig):
@@ -214,8 +264,21 @@ class FlatKernel:
         # block, then broadcast back to the block's columns
         self._starts = np.array([s.start for s in self.slices])
         self._owner = np.repeat(np.arange(len(shape)), shape)
-        self._newton = tuple(n for n, r in enumerate(cfg.regularizers)
-                             if r.A is not None)
+        by_dimension = {}
+        for n, r in enumerate(cfg.regularizers):
+            if r.A is not None and r.dimension > 1:
+                by_dimension.setdefault(r.dimension, []).append(n)
+        # (players, their columns player by player, lam, A^T A, w)
+        self._groups = tuple(
+            (tuple(players),
+             np.concatenate([np.arange(self.slices[n].start,
+                                       self.slices[n].stop)
+                             for n in players]),
+             np.array([cfg.regularizers[n].lam for n in players]),
+             np.stack([cfg.regularizers[n].curvature for n in players]),
+             np.stack([cfg.regularizers[n].w for n in players]))
+            for players in by_dimension.values())
+        self._warm = [None] * len(self._groups)
         if game.num_players == 2:
             self._p0t = np.ascontiguousarray(game.payoffs[0].T)
         else:
@@ -257,8 +320,8 @@ class FlatKernel:
 
     def respond(self, X: np.ndarray) -> np.ndarray:
         """The smoothed best response of every row: a block-wise softmax
-        for blocks without a quadratic term, the per-block Newton argmax
-        for the others."""
+        for blocks without a quadratic term, the Newton argmax, one stacked
+        solve per group and iteration, for the others."""
         cfg = self.cfg
         G = self.gradients(X)
         Y = G / cfg.beta
@@ -266,12 +329,66 @@ class FlatKernel:
         np.exp(Y, out=Y)
         Y /= self._block_totals(np.add, Y)
         # blocks of other regularizers replace their softmax columns
-        for n in self._newton:
-            s = self.slices[n]
-            Y[:, s] = [smoothed_argmax(v, cfg.regularizers[n], cfg.beta,
-                                       cfg.inner_tol, cfg.inner_max_iter)
-                       for v in G[:, s]]
+        for g, (players, columns, lam, curvature, w) in enumerate(
+                self._groups):
+            k = curvature.shape[-1]
+            V = G[:, columns].reshape(len(X), len(players), k)
+            U = self._warm[g]
+            if U is None or U.shape != V.shape:
+                U = np.full(V.shape, -np.log(k))
+            self._warm[g] = None  # a failed solve leaves no warm start
+            U = _newton_log(V, lam, curvature, w, cfg.beta, cfg.inner_tol,
+                            cfg.inner_max_iter, U)
+            self._warm[g] = U
+            Y[:, columns] = np.exp(U).reshape(len(X), -1)
         return Y
+
+    def jacobian(self, X: np.ndarray) -> np.ndarray:
+        """The response Jacobian at every row, a ``(B, K, K)`` stack over
+        the concatenated ambient coordinates (see :func:`response_jacobian`).
+        """
+        return self._linearize(X)[1]
+
+    def tangent_jacobians(self, X: np.ndarray) -> tuple:
+        """The response Jacobian at every row in per-player tangent
+        coordinates of the faces of the row's response supports."""
+        Y, J = self._linearize(X)
+        out = []
+        for y, j in zip(Y, J):
+            q = block_diag([tangent_basis(s.stop - s.start,
+                                          np.flatnonzero(y[s] > 0))
+                            for s in self.slices])
+            out.append(q.T @ j @ q)
+        return tuple(out)
+
+    def _linearize(self, X):
+        """Responses and ambient Jacobians: one :meth:`respond` call, then
+        stacked face pseudoinverses times the stacked game Jacobian
+        blocks projected on the response supports, over beta."""
+        Y = self.respond(X)
+        slices = self.slices
+        cross = jacobian_blocks(self.game, [X[:, s] for s in slices],
+                                [Y[:, s] > 0 for s in slices])
+        pinvs = []
+        for s in slices:
+            # entropy: diag(y) - y y^T, with the diagonal y_i sum_{j != i} y_j
+            # summed directly, since y_i - y_i^2 cancels near a pure response
+            y, k = Y[:, s], s.stop - s.start
+            pinv = -y[:, :, None] * y[:, None, :]
+            pinv[:, range(k), range(k)] = y * (y @ (1.0 - np.eye(k)))
+            pinvs.append(pinv)
+        for players, columns, lam, curvature, _ in self._groups:
+            k = curvature.shape[-1]
+            y = Y[:, columns].reshape(len(X), len(players), k)
+            pinv = y[..., None] * face_solve(lam, curvature, y, np.eye(k))
+            for p, n in enumerate(players):
+                pinvs[n] = pinv[:, p]
+        J = np.zeros((len(X), X.shape[1], X.shape[1]))
+        for n, s_n in enumerate(slices):
+            for m, s_m in enumerate(slices):
+                if n != m:
+                    J[:, s_n, s_m] = pinvs[n] @ cross[n][m] / self.cfg.beta
+        return Y, J
 
     def mix(self, X: np.ndarray, Y: np.ndarray, eta) -> np.ndarray:
         """Averaging update (1 - eta) X + eta Y; eta is a scalar or a
@@ -303,24 +420,14 @@ def response_jacobian(game: NormalFormGame, cfg: SmoothedResponseConfig,
     Hessians at the response point and J the game Jacobian at x projected
     onto the response point's supports.  Returned as a dense matrix over
     the concatenated ambient coordinates, or over per-player tangent
-    coordinates with ``as_tangent``.
+    coordinates with ``as_tangent``.  One row of
+    :meth:`FlatKernel.jacobian`.
     """
-    _check_config(game, cfg)
-    y = smoothed_best_response(game, cfg, x)
-    jac = game_jacobian(game, x, supports=y.supports())
-    n_players = game.num_players
-    pinvs = [face_hessian(cfg.regularizers[n], y.blocks[n]).pseudoinverse
-             for n in range(n_players)]
-    rows = []
-    for n in range(n_players):
-        row = [(pinvs[n] @ jac.blocks[n][m]) / cfg.beta
-               for m in range(n_players)]
-        rows.append(row)
-    dense = np.block(rows)
-    if not as_tangent:
-        return dense
-    big_q = block_diag(jac.tangent_bases())
-    return big_q.T @ dense @ big_q
+    kernel = FlatKernel(game, cfg)
+    X = kernel.flatten(x)[None, :]
+    if as_tangent:
+        return kernel.tangent_jacobians(X)[0]
+    return kernel.jacobian(X)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +448,7 @@ def find_smoothed_equilibrium(game: NormalFormGame, cfg: SmoothedResponseConfig,
     kernel = FlatKernel(game, cfg)
     if not outer_tol > 0:
         raise ArgumentError("outer_tol must be positive")
+    check_count("max_iter", max_iter, positive=True)
     x = kernel.flatten(x0 if x0 is not None else uniform_strategy(game.shape),
                        "x0")[None, :]
 
@@ -403,6 +511,7 @@ def homotopy_trace(game: NormalFormGame, cfg: SmoothedResponseConfig,
         raise ArgumentError("beta_schedule entries must be positive")
     if any(b2 >= b1 for b1, b2 in zip(schedule, schedule[1:])):
         raise ArgumentError("beta_schedule must be strictly decreasing")
+    check_count("max_iter", max_iter, positive=True)
     trace = []
     x = x0
     for beta in schedule:

@@ -14,20 +14,20 @@ certificate's weights prove, by a dual bound, that none exists.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from .dynamics import _lipschitz, _verdict
-from .errors import ArgumentError, DimensionError, DomainError, ResourceError
+from .errors import (ArgumentError, DimensionError, DomainError,
+                     ResourceError, check_count)
 from .games import (GameJacobian, JointStrategy, NormalFormGame,
                     TangentVector, best_response_values, block_diag,
                     block_slices, epsilon_nash_gap, game_jacobian,
                     perturb_strategy, pure_strategy, utility)
-from .response import (SmoothedResponseConfig, find_smoothed_equilibrium,
-                       response_jacobian, smoothed_best_response)
+from .response import (FlatKernel, SmoothedResponseConfig,
+                       find_smoothed_equilibrium)
 
 EDGE_TOL = 1e-10          # Frobenius threshold for interaction-graph edges
 SKEW_RESIDUAL_TOL = 1e-8  # certificate feasibility threshold
@@ -353,15 +353,6 @@ def _sign_witness_search(A, B, rng_seed):
 # ---------------------------------------------------------------------------
 # improvement search
 
-def _check_budget(**counts):
-    """Reject a search budget that is not a non-negative integer."""
-    for name, value in counts.items():
-        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                or value < 0):
-            raise ArgumentError(
-                f"{name} must be a non-negative integer, got {value!r}")
-
-
 def pareto_improvement_search(jac: GameJacobian, num_restarts=20, rng_seed=0,
                               iters=400):
     """Search for a joint tangent direction improving every player at once.
@@ -376,7 +367,8 @@ def pareto_improvement_search(jac: GameJacobian, num_restarts=20, rng_seed=0,
     only that the ascent found nothing.  ``num_restarts`` and ``iters``
     must be non-negative integers.
     """
-    _check_budget(num_restarts=num_restarts, iters=iters)
+    check_count("num_restarts", num_restarts)
+    check_count("iters", iters)
     j_t, bases, dims = jac.tangent()
     return _improvement_direction(j_t, bases, dims,
                                   solve_skew_certificate(jac).lambdas,
@@ -523,7 +515,7 @@ def uniform_stability_check(jac: GameJacobian, num_conditioners=100,
     indeterminate (sampling cannot prove a universally quantified spectrum
     condition).  ``num_conditioners`` must be a non-negative integer.
     """
-    _check_budget(num_conditioners=num_conditioners)
+    check_count("num_conditioners", num_conditioners)
     cert = solve_skew_certificate(jac)
     graph = interaction_graph(jac)
     if cert.feasible and graph.connected and graph.bidirectional:
@@ -753,12 +745,16 @@ def boundary_convergence_check(game: NormalFormGame, regs, x_star: JointStrategy
         # measure at the response image of the solved point: the fixed-point
         # iterate cannot resolve off-face mass below the solver tolerance,
         # while the response map's closed form carries the true asymptotics
-        refined = smoothed_best_response(game, cfg, eq.point)
+        kernel = FlatKernel(game, cfg)
+        x = kernel.flatten(eq.point)[None, :]
+        grad_phi = kernel.tangent_jacobians(x)[0]
+        # a Newton solve here starts from the Jacobian's response to the
+        # same point, so it stops at its first residual check
+        refined = kernel.strategy(kernel.respond(x)[0])
         ratio = _face_distance(refined, supports) / beta
         if ratio > prev_ratio:
             decreasing = False
         prev_ratio = ratio
-        grad_phi = response_jacobian(game, cfg, eq.point, as_tangent=True)
         lip = _lipschitz(grad_phi, cfg.beta)
         eta = (beta ** 2 / (1.0 + 4.0 * lip ** 2) if eta_rule is None
                else float(eta_rule(beta, lip)))

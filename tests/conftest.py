@@ -14,6 +14,14 @@ def random_game(rng, shape, scale=1.0):
         tuple(scale * rng.standard_normal(shape) for _ in range(len(shape))))
 
 
+def quadratic_regularizers(rng, shape):
+    """One random quadratic-entropy regularizer per player."""
+    return tuple(sg.quadratic_entropy(rng.uniform(0.25, 1.0),
+                                      np.diag(rng.uniform(1.0, 3.0, k)),
+                                      rng.dirichlet(np.ones(k)))
+                 for k in shape)
+
+
 def random_interior(rng, shape):
     # entries bounded away from zero so finite differences stay on the face
     blocks = []

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 import smoothgames as sg
 from smoothgames.errors import ArgumentError, DimensionError
 
-from conftest import nonstrategic_offsets, random_game, random_interior
+from conftest import (nonstrategic_offsets, quadratic_regularizers,
+                      random_game, random_interior)
 
 PENNIES_ETA_STAR = 0.005000000000000001  # beta^2/(1+L^2) at beta=0.1, L=1
 
@@ -196,6 +197,50 @@ def test_run_many_rows_match_single_runs(shape):
         sg.run_many(g, dyn_cfg, [starts[0], sg.uniform_strategy((2, 2))])
 
 
+def test_identical_runs_are_bitwise_equal():
+    # each run builds its own kernel, so warm starts never leak between calls
+    rng = np.random.default_rng(23)
+    shape = (3, 2, 3)
+    g = random_game(rng, shape)
+    response = sg.SmoothedResponseConfig(
+        beta=0.1, regularizers=quadratic_regularizers(rng, shape))
+    cfg = sg.DynamicsConfig(eta=0.05, response=response, horizon=60,
+                            record_every=7)
+    eq = sg.find_smoothed_equilibrium(g, response)
+    x0 = random_interior(rng, shape)
+    a = sg.run(g, cfg, x0, reference=eq)
+    sg.run(g, cfg, random_interior(rng, shape))
+    b = sg.run(g, cfg, x0, reference=eq)
+    assert a.distances == b.distances
+    for p, q in zip(a.points + (a.final_point,), b.points + (b.final_point,)):
+        np.testing.assert_array_equal(p.concatenated(), q.concatenated())
+
+
+def test_warm_start_bounds_newton_solves(monkeypatch):
+    # a step moves x by O(eta), so the Newton argmax started from the last
+    # log-response needs at most 3 stacked solves where a cold start needs 4+
+    rng = np.random.default_rng(0)
+    shape = (3, 3)
+    g = random_game(rng, shape)
+    response = sg.SmoothedResponseConfig(
+        beta=0.3, regularizers=quadratic_regularizers(rng, shape))
+    x0 = random_interior(rng, shape)
+    solves = []
+    face_solve = sg.response.face_solve
+
+    def counting(*args):
+        solves.append(1)
+        return face_solve(*args)
+
+    monkeypatch.setattr(sg.response, "face_solve", counting)
+    sg.run(g, sg.DynamicsConfig(eta=0.001, response=response, horizon=1), x0)
+    first = len(solves)
+    sg.run(g, sg.DynamicsConfig(eta=0.001, response=response, horizon=50),
+           x0)
+    assert first >= 4
+    assert len(solves) - 2 * first <= 3 * 49
+
+
 # ---------------------------------------------------------------------------
 # linearized classification
 
@@ -314,6 +359,18 @@ def test_eta_threshold_deterministic_in_seed():
     a = sg.eta_threshold(g, cfg, eq, rng_seed=5)
     b = sg.eta_threshold(g, cfg, eq, rng_seed=5)
     assert a == b
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"num_samples": 2.5}, {"num_samples": -1}, {"num_samples": True},
+    {"radius": np.nan}, {"radius": np.inf}, {"radius": -0.1},
+    {"radius": 0.0}])
+def test_eta_threshold_rejects_bad_sampling(kwargs):
+    g = pennies()
+    cfg = sg.entropy_config(g, 0.1)
+    eq = sg.find_smoothed_equilibrium(g, cfg)
+    with pytest.raises(ArgumentError, match=next(iter(kwargs))):
+        sg.eta_threshold(g, cfg, eq, **kwargs)
 
 
 # ---------------------------------------------------------------------------

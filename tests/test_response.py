@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 import smoothgames as sg
 from smoothgames.errors import (ArgumentError, ConvergenceError, CyclingError,
                                 DimensionError)
-from smoothgames.response import _newton_argmax
+from smoothgames.response import FlatKernel, _newton_argmax
 
-from conftest import polymatrix_game, random_game, random_interior
+from conftest import (polymatrix_game, quadratic_regularizers, random_game,
+                      random_interior)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -36,6 +37,26 @@ def test_config_validation():
 def test_config_rejects_infinite_beta():
     with pytest.raises(ArgumentError):
         sg.SmoothedResponseConfig(beta=np.inf, regularizers=(sg.entropy(2),))
+
+
+BAD_INNER = [{"inner_max_iter": 2.5}, {"inner_max_iter": 0},
+             {"inner_max_iter": -3}, {"inner_max_iter": True},
+             {"inner_tol": np.inf}, {"inner_tol": np.nan},
+             {"inner_tol": -1e-12}]
+
+
+@pytest.mark.parametrize("kwargs", BAD_INNER)
+def test_config_rejects_bad_inner_settings(kwargs):
+    with pytest.raises(ArgumentError, match=next(iter(kwargs))):
+        sg.SmoothedResponseConfig(beta=0.1, regularizers=(sg.entropy(2),),
+                                  **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", BAD_INNER)
+def test_argmax_rejects_bad_inner_settings(kwargs):
+    r = sg.quadratic_entropy(0.5, 2.0 * np.eye(3), np.full(3, 1 / 3))
+    with pytest.raises(ArgumentError, match=next(iter(kwargs))):
+        sg.smoothed_argmax(np.array([1.0, 0.0, -1.0]), r, 0.1, **kwargs)
 
 
 def test_entropy_config_accepts_game_or_shape():
@@ -185,6 +206,104 @@ def test_response_is_interior(seed, shape):
     assert np.all(y.concatenated() > 0)
 
 
+def random_regularizers(rng, shape, kind):
+    if kind == "entropy":
+        return tuple(sg.entropy(k) for k in shape)
+    return quadratic_regularizers(rng, shape)
+
+
+def dominated_game(rng, shape):
+    # action 0 of player 0 trails by at least 2, so at beta = 1e-3 its
+    # response mass underflows
+    payoffs = [rng.uniform(-0.5, 0.5, shape) for _ in shape]
+    payoffs[0][0] -= 2.0
+    return sg.NormalFormGame(tuple(payoffs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, players=st.sampled_from([2, 3]),
+       kind=st.sampled_from(["entropy", "quadratic_entropy"]),
+       rows=st.sampled_from([1, 5]),
+       beta=st.sampled_from([1.0, 0.1, 1e-2, 1e-3]))
+def test_kernel_respond_matches_cold_per_block_solve(seed, players, kind, rows,
+                                                     beta):
+    # the second batch starts from the first batch's log-responses.  Both
+    # solves stop at a projected gradient of at most inner_tol, and the
+    # objective is beta lam strongly concave on the face, so two stopped
+    # iterates lie within 2 sqrt(k) inner_tol / (beta lam) of each other:
+    # below 1e-10 at beta >= 0.1, about 1e-8 at beta = 1e-3
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(k) for k in rng.integers(2, 5, players))
+    g = dominated_game(rng, shape)
+    cfg = sg.SmoothedResponseConfig(
+        beta=beta, regularizers=random_regularizers(rng, shape, kind))
+    kernel = FlatKernel(g, cfg)
+    for _ in range(2):
+        X = np.stack([random_interior(rng, shape).concatenated()
+                      for _ in range(rows)])
+        Y = kernel.respond(X)
+        G = kernel.gradients(X)
+        for n, (r, s) in enumerate(zip(cfg.regularizers, kernel.slices)):
+            for b in range(rows):
+                cold = sg.smoothed_argmax(G[b, s], r, beta)
+                bound = (2 * np.sqrt(r.dimension) * cfg.inner_tol
+                         / (beta * r.lam))
+                np.testing.assert_allclose(Y[b, s], cold, rtol=0,
+                                           atol=1e-12 + bound)
+        if beta == 1e-3:
+            assert Y[:, 0].max() < np.finfo(float).tiny
+
+
+def reference_jacobian(game, cfg, x):
+    """(1/beta) H^+ J at one point from the face Hessians of the response
+    point and the game Jacobian on its supports, as first written.
+
+    Also returns the face tangent basis and the size of the formula's terms,
+    entry by entry: ``diag(y) - y y^T`` and its quadratic-entropy analogue
+    cancel where a response is near pure, so the rounding error of either
+    route is a small multiple of eps times the terms, not of the result.
+    """
+    y = sg.smoothed_best_response(game, cfg, x)
+    jac = sg.game_jacobian(game, x, supports=y.supports())
+    pinvs = [sg.face_hessian(r, b).pseudoinverse
+             for r, b in zip(cfg.regularizers, y.blocks)]
+    players = range(game.num_players)
+    dense = np.block([[pinvs[n] @ jac.blocks[n][m] / cfg.beta
+                       for m in players] for n in players])
+    terms = np.block([[(np.diag(b) + np.outer(b, b)) / r.lam
+                       @ np.abs(jac.blocks[n][m]) / cfg.beta
+                       for m in players]
+                      for n, (r, b) in enumerate(zip(cfg.regularizers,
+                                                     y.blocks))])
+    return dense, sg.games.block_diag(jac.tangent_bases()), terms
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, players=st.sampled_from([2, 3]),
+       kind=st.sampled_from(["entropy", "quadratic_entropy"]),
+       beta=st.sampled_from([1.0, 0.1, 1e-3]))
+def test_kernel_jacobian_matches_per_point_formula(seed, players, kind, beta):
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(k) for k in rng.integers(2, 5, players))
+    g = dominated_game(rng, shape)
+    cfg = sg.SmoothedResponseConfig(
+        beta=beta, regularizers=random_regularizers(rng, shape, kind))
+    kernel = FlatKernel(g, cfg)
+    points = [random_interior(rng, shape) for _ in range(4)]
+    X = np.stack([x.concatenated() for x in points])
+    dense = kernel.jacobian(X)
+    tangent = kernel.tangent_jacobians(X)
+    assert dense.shape == (4, sum(shape), sum(shape))
+    for b, x in enumerate(points):
+        want, q, terms = reference_jacobian(g, cfg, x)
+        assert np.all(np.abs(dense[b] - want) <= 1e-12 * terms)
+        assert np.all(np.abs(tangent[b] - q.T @ want @ q)
+                      <= 1e-12 * np.abs(q.T) @ terms @ np.abs(q))
+        np.testing.assert_array_equal(
+            sg.response_jacobian(g, cfg, x),
+            FlatKernel(g, cfg).jacobian(X[b:b + 1])[0])
+
+
 # ---------------------------------------------------------------------------
 # response Jacobian
 
@@ -320,6 +439,16 @@ def test_solver_rejects_bad_arguments():
         sg.find_smoothed_equilibrium(g, cfg, outer_tol=0.0)
     with pytest.raises(DimensionError):
         sg.find_smoothed_equilibrium(g, cfg, sg.uniform_strategy((2, 3)))
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 0, -1, True])
+def test_solver_rejects_bad_max_iter(max_iter):
+    g = pennies()
+    cfg = sg.entropy_config(g, 0.1)
+    with pytest.raises(ArgumentError, match="max_iter"):
+        sg.find_smoothed_equilibrium(g, cfg, max_iter=max_iter)
+    with pytest.raises(ArgumentError, match="max_iter"):
+        sg.homotopy_trace(g, cfg, [0.5, 0.1], max_iter=max_iter)
 
 
 def test_solver_convergence_error_carries_state():
