@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success (indeterminate verdicts included), 2 on parse or
 validation failure, 3 on solver failure, 4 on resource exhaustion.  All
-randomness flows through --seed, and identical (inputs, seed) produce
-byte-identical output.
+randomness flows through --seed (a non-negative integer, checked before any
+work), and identical (inputs, seed) produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import numpy as np
 from .dynamics import (DynamicsConfig, _block_headers, _fmt, _text_output,
                        eta_threshold, run, stability_verdict, sweep,
                        sweep_to_csv, trajectory_to_csv)
-from .errors import ConvergenceError, GameError, ParseError, ResourceError
+from .errors import (ConvergenceError, GameError, ParseError, ResourceError,
+                     check_count)
 from .games import (JointStrategy, epsilon_nash_gap, game_jacobian, load_game,
                     pure_strategy, uniform_strategy, utility)
 from .regularizers import entropy, regularizer_from_dict
@@ -375,6 +376,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_count("--seed", args.seed)
         return args.func(args)
     except ResourceError as err:
         print(f"error: {err}", file=sys.stderr)

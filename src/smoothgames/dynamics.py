@@ -212,6 +212,7 @@ def eta_threshold(game: NormalFormGame, cfg: SmoothedResponseConfig,
     callers reporting the threshold should report the radius with it.
     """
     check_count("num_samples", num_samples)
+    check_count("rng_seed", rng_seed)
     if not 0 < radius < np.inf:
         raise ArgumentError(
             f"radius must be positive and finite, got {radius!r}")

@@ -82,12 +82,17 @@ def block_slices(dims) -> tuple:
 
 
 def block_diag(blocks) -> np.ndarray:
-    """Block-diagonal matrix of (possibly rectangular, possibly empty) blocks."""
-    rows = block_slices(b.shape[0] for b in blocks)
-    cols = block_slices(b.shape[1] for b in blocks)
-    out = np.zeros((rows[-1].stop, cols[-1].stop))
+    """Block-diagonal matrix of (possibly rectangular, possibly empty) blocks.
+
+    Blocks may carry leading stack axes, which broadcast against each
+    other; the result is then one block-diagonal matrix per stack entry.
+    """
+    rows = block_slices(b.shape[-2] for b in blocks)
+    cols = block_slices(b.shape[-1] for b in blocks)
+    lead = np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
+    out = np.zeros(lead + (rows[-1].stop, cols[-1].stop))
     for r, c, b in zip(rows, cols, blocks):
-        out[r, c] = b
+        out[..., r, c] = b
     return out
 
 

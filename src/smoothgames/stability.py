@@ -36,6 +36,7 @@ WITNESS_REAL_TOL = 1e-6   # |Re eig| needed to refute stability
 PD_STRETCH_GUARD = 1e-12
 IMPROVEMENT_TOL = 1e-8    # least min_n z_n^T (J z)_n that counts as improving
 GRID_CAP = 10 ** 6        # most lattice profiles an oracle will enumerate
+CONDITIONER_CHUNK_CAP = 64  # most sampled conditioners tested in one stack
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +244,9 @@ def bilinear_scale_recovery(A, B, tol=1e-9, rng_seed=0) -> BilinearScaleResult:
     off the top singular pair, and probe proportionality of the remaining
     singular values with the combinations (u_i + a_i u_1, v_i - a_i v_1),
     a_i = sqrt(sigma_i / sigma_1), whose A-form vanishes identically.
+    ``rng_seed`` must be a non-negative integer.
     """
+    check_count("rng_seed", rng_seed)
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
@@ -364,11 +367,12 @@ def pareto_improvement_search(jac: GameJacobian, num_restarts=20, rng_seed=0,
     1.  The ascent runs only when the skew certificate's weights do not
     already prove, by the dual bound of ``_no_joint_improvement``, that no
     witness exists; there ``None`` is a proof.  Otherwise ``None`` means
-    only that the ascent found nothing.  ``num_restarts`` and ``iters``
-    must be non-negative integers.
+    only that the ascent found nothing.  ``num_restarts``, ``iters`` and
+    ``rng_seed`` must be non-negative integers.
     """
     check_count("num_restarts", num_restarts)
     check_count("iters", iters)
+    check_count("rng_seed", rng_seed)
     j_t, bases, dims = jac.tangent()
     return _improvement_direction(j_t, bases, dims,
                                   solve_skew_certificate(jac).lambdas,
@@ -475,18 +479,58 @@ class UniformStabilityReport:
                 "bidirectional": self.graph.bidirectional}
 
 
-def _random_pd(dim, rng):
-    """Random PD matrix, eigenvalues log-uniform in [1e-2, 1e2]."""
-    vals = 10.0 ** rng.uniform(-2.0, 2.0, size=dim)
-    gauss = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(gauss)
-    q = q * np.sign(np.diag(r))
-    return (q * vals) @ q.T
+def _chunk_sizes(total):
+    """Conditioner chunk sizes 1, 4, 16, 64, 64, ... summing to ``total``,
+    so a witness at the first draw costs one evaluation."""
+    size = 1
+    while total > 0:
+        yield min(size, total)
+        total -= size
+        size = min(4 * size, CONDITIONER_CHUNK_CAP)
+
+
+def _random_pd_stacks(dims, count, rng):
+    """``count`` random PD conditioners as one ``(count, d, d)`` stack per
+    block, eigenvalues log-uniform in [1e-2, 1e2].
+
+    The draws run per conditioner, then per block, so a chunk consumes the
+    stream exactly as ``count`` single conditioners drawn in turn.
+    """
+    logs = [np.empty((count, d)) for d in dims]
+    gauss = [np.empty((count, d, d)) for d in dims]
+    blocks = list(zip(dims, logs, gauss))
+    uniform, normal = rng.uniform, rng.standard_normal
+    for i in range(count):
+        for d, log, g in blocks:
+            log[i] = uniform(-2.0, 2.0, size=d)
+            g[i] = normal((d, d))
+    stacks = []
+    for log, g in zip(logs, gauss):
+        q, r = np.linalg.qr(g)
+        q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+        stacks.append((q * 10.0 ** log[:, None, :]) @ np.swapaxes(q, -1, -2))
+    return stacks
+
+
+def _max_real_eigs(h_stacks, j_t):
+    """Largest |Re| eigenvalue of H^{-1} J for each conditioner H in the
+    per-block stacks."""
+    eigs = np.linalg.eigvals(np.linalg.solve(block_diag(h_stacks), j_t))
+    return np.abs(eigs.real).max(axis=-1, initial=0.0)
 
 
 def _max_real_eig(h_blocks, j_t):
-    eigs = np.linalg.eigvals(np.linalg.solve(block_diag(h_blocks), j_t))
-    return float(np.abs(eigs.real).max(initial=0.0))
+    return float(_max_real_eigs([h[None] for h in h_blocks], j_t)[0])
+
+
+def _sampled_conditioners(dims, num_conditioners, j_t, rng):
+    """Yield (per-block conditioner, largest |Re| eigenvalue of H^{-1} J)
+    for each of ``num_conditioners`` random conditioners, in draw order;
+    they are drawn and tested as stacks, one chunk at a time."""
+    for count in _chunk_sizes(num_conditioners):
+        stacks = _random_pd_stacks(dims, count, rng)
+        for i, real in enumerate(_max_real_eigs(stacks, j_t).tolist()):
+            yield [s[i] for s in stacks], real
 
 
 def _stretch_conditioner(j_t, bases, dims, lambdas, rng_seed):
@@ -513,9 +557,14 @@ def uniform_stability_check(jac: GameJacobian, num_conditioners=100,
     conditioners and a constructed improvement witness look for an
     eigenvalue with nonzero real part; failing both, the status is
     indeterminate (sampling cannot prove a universally quantified spectrum
-    condition).  ``num_conditioners`` must be a non-negative integer.
+    condition).  The conditioners are drawn and tested as stacks, in chunks
+    of 1, 4, 16, 64, 64, ..., with the same draws and results as testing
+    them one at a time: the witness is the first sampled conditioner that
+    refutes, and ``max_sampled_real`` covers the samples up to it.
+    ``num_conditioners`` and ``rng_seed`` must be non-negative integers.
     """
     check_count("num_conditioners", num_conditioners)
+    check_count("rng_seed", rng_seed)
     cert = solve_skew_certificate(jac)
     graph = interaction_graph(jac)
     if cert.feasible and graph.connected and graph.bidirectional:
@@ -527,9 +576,8 @@ def uniform_stability_check(jac: GameJacobian, num_conditioners=100,
     max_real = 0.0
     found = None
     if j_t.size > 0 and np.linalg.norm(j_t) > 0:
-        for _ in range(num_conditioners):
-            h_blocks = [_random_pd(d, rng) for d in dims]
-            real = _max_real_eig(h_blocks, j_t)
+        for h_blocks, real in _sampled_conditioners(dims, num_conditioners,
+                                                    j_t, rng):
             max_real = max(max_real, real)
             if real > WITNESS_REAL_TOL:
                 found = h_blocks, real
@@ -594,7 +642,11 @@ class LocalStabilityVerdict:
 def local_uniform_stability(game: NormalFormGame, x: JointStrategy,
                             radius=0.05, num_samples=8,
                             rng_seed=0) -> LocalStabilityVerdict:
-    """Check uniform stability at x and at sampled nearby interior points."""
+    """Check uniform stability at x and at sampled nearby interior points.
+
+    ``rng_seed`` must be a non-negative integer.
+    """
+    check_count("rng_seed", rng_seed)
     if not x.is_interior:
         raise DomainError("local check needs an interior center point")
     rng = np.random.default_rng(rng_seed)
@@ -779,8 +831,7 @@ def simplex_lattice(k: int, resolution: int) -> np.ndarray:
     ``resolution`` counts the points along each edge, so resolution 21 steps
     in increments of 0.05.  Vertices are always included.
     """
-    if resolution < 2:
-        raise ArgumentError("resolution must be at least 2")
+    _check_resolution(resolution)
     steps = resolution - 1
     combos = itertools.combinations(range(steps + k - 1), k - 1)
     points = np.empty((comb(steps + k - 1, k - 1), k))
@@ -793,7 +844,15 @@ def simplex_lattice(k: int, resolution: int) -> np.ndarray:
 
 
 def lattice_size(k: int, resolution: int) -> int:
+    """Number of points of ``simplex_lattice(k, resolution)``."""
+    _check_resolution(resolution)
     return comb(resolution - 1 + k - 1, k - 1)
+
+
+def _check_resolution(resolution):
+    check_count("resolution", resolution)
+    if resolution < 2:
+        raise ArgumentError(f"resolution must be at least 2, got {resolution}")
 
 
 @dataclass(frozen=True)

@@ -269,6 +269,26 @@ def test_negative_conditioner_budget_exits_2(capsys):
     assert "num_conditioners must be a non-negative integer" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "coordination_2x2", "--seed", "-1"],
+    ["simulate", "matching_pennies", "--beta", "0.1", "--horizon", "5",
+     "--seed", "-3"],
+    ["probe-steepness", "--random-probe", "--seed", "-1"],
+    ["sweep", "matching_pennies", "--seed", "-1"],
+], ids=["analyze", "simulate", "probe_steepness", "sweep"])
+def test_negative_seed_exits_2(capsys, argv):
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert "seed must be a non-negative integer" in err
+
+
+def test_negative_grid_resolution_exits_2(capsys):
+    code, _, err = run_cli(capsys, ["analyze", "coordination_2x2",
+                                    "--grid-resolution", "-1"])
+    assert code == 2
+    assert "resolution must be a non-negative integer" in err
+
+
 def test_non_finite_regularizer_spec_exits_2(capsys):
     spec = ('{"kind": "quadratic_entropy", "lambda": NaN, '
             '"A": [[1, 0], [0, 1]], "w": [0.5, 0.5]}')

@@ -133,6 +133,21 @@ def test_tangent_basis_orthonormal():
             assert np.all(b[off] == 0.0)
 
 
+def test_block_diag_builds_one_matrix_per_stack_entry():
+    rng = np.random.default_rng(3)
+    blocks = [rng.standard_normal((5, 2, 3)), np.zeros((5, 0, 0)),
+              rng.standard_normal((1, 4, 1))]  # the last one broadcasts
+    stacked = sg.games.block_diag(blocks)
+    assert stacked.shape == (5, 6, 4)
+    for i in range(5):
+        single = sg.games.block_diag([blocks[0][i], blocks[1][i],
+                                      blocks[2][0]])
+        assert np.array_equal(stacked[i], single)
+    np.testing.assert_array_equal(single[:2, :3], blocks[0][4])
+    np.testing.assert_array_equal(single[2:, 3:], blocks[2][0])
+    assert np.all(single[:2, 3:] == 0.0) and np.all(single[2:, :3] == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # utilities and derivatives
 

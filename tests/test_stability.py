@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import smoothgames as sg
 from smoothgames import stability
@@ -274,6 +274,184 @@ def test_check_rejects_bad_conditioner_budget(kwargs):
                         uniform_point((2, 2)))
     with pytest.raises(ArgumentError, match="num_conditioners"):
         uniform_stability_check(jac, **kwargs)
+
+
+# The per-conditioner loop the stacked sampling replaced: one conditioner
+# drawn, assembled and tested at a time.
+
+def _one_random_pd(dim, rng):
+    vals = 10.0 ** rng.uniform(-2.0, 2.0, size=dim)
+    gauss = rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(gauss)
+    q = q * np.sign(np.diag(r))
+    return (q * vals) @ q.T
+
+
+def _one_max_real_eig(h_blocks, j_t):
+    eigs = np.linalg.eigvals(np.linalg.solve(block_diag(h_blocks), j_t))
+    return float(np.abs(eigs.real).max(initial=0.0))
+
+
+def _per_conditioner_check(jac, num_conditioners, rng_seed):
+    """(pointwise, witness, witness_real_part, max_sampled_real)."""
+    cert = solve_skew_certificate(jac)
+    graph = interaction_graph(jac)
+    if cert.feasible and graph.connected and graph.bidirectional:
+        return "stable", None, None, 0.0
+    j_t, bases, dims = jac.tangent()
+    rng = np.random.default_rng(rng_seed)
+    max_real, found = 0.0, None
+    if j_t.size > 0 and np.linalg.norm(j_t) > 0:
+        for _ in range(num_conditioners):
+            h_blocks = [_one_random_pd(d, rng) for d in dims]
+            real = _one_max_real_eig(h_blocks, j_t)
+            max_real = max(max_real, real)
+            if real > stability.WITNESS_REAL_TOL:
+                found = h_blocks, real
+                break
+    if found is None:
+        h_blocks = stability._stretch_conditioner(j_t, bases, dims,
+                                                  cert.lambdas, rng_seed)
+        if h_blocks is not None:
+            real = _one_max_real_eig(h_blocks, j_t)
+            if real > stability.WITNESS_REAL_TOL:
+                found = h_blocks, real
+    if found is None:
+        return "indeterminate", None, None, max_real
+    h_blocks, real = found
+    witness = tuple(b @ h @ b.T for b, h in zip(bases, h_blocks))
+    return "unstable_with_witness", witness, real, max(max_real, real)
+
+
+def _sampling_game(rng, shape, kind):
+    n = len(shape)
+    if kind == "general":
+        return random_game(rng, shape)
+    lam = 10.0 ** rng.uniform(-1.0, 1.0, n)
+    if kind == "disconnected":
+        edges = [(a, a + 1) for a in range(0, n - 1, 2)]
+        return polymatrix_game(rng, shape, lam=lam, edges=edges)[0]
+    # near a lambda-skew game, where a refuting draw can come late
+    g, _ = polymatrix_game(rng, shape, lam=lam, edges=graph_edges("path", n))
+    noise = random_game(rng, shape, scale=10.0 ** rng.uniform(-9.0, -5.0))
+    return sg.NormalFormGame(tuple(a + b for a, b in
+                                   zip(g.payoffs, noise.payoffs)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.lists(st.integers(1, 4), min_size=2, max_size=5),
+       kind=st.sampled_from(["general", "disconnected", "near_skew"]),
+       num_conditioners=st.sampled_from([0, 1, 2, 7, 100]),
+       rng_seed=st.integers(0, 2 ** 32 - 1))
+# first refuting draw inside the chunks of 4, 16, 64 and the last 15, each
+# with a larger real part later in the same chunk
+@example(seed=105, shape=[3, 4, 4], kind="near_skew", num_conditioners=100,
+         rng_seed=0)
+@example(seed=61, shape=[2, 4, 4], kind="near_skew", num_conditioners=100,
+         rng_seed=0)
+@example(seed=1, shape=[3, 4, 4], kind="near_skew", num_conditioners=100,
+         rng_seed=0)
+@example(seed=1, shape=[3, 4, 4], kind="near_skew", num_conditioners=100,
+         rng_seed=5)
+def test_stacked_sampling_matches_per_conditioner_loop(
+        seed, shape, kind, num_conditioners, rng_seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(shape)
+    game = _sampling_game(rng, shape, kind)
+    jac = game_jacobian(game, random_interior(rng, shape))
+    report = uniform_stability_check(jac, num_conditioners=num_conditioners,
+                                     rng_seed=rng_seed)
+    pointwise, witness, real, max_real = _per_conditioner_check(
+        jac, num_conditioners, rng_seed)
+    assert report.pointwise == pointwise
+    assert report.max_sampled_real == max_real
+    assert report.witness_real_part == real
+    if witness is None:
+        assert report.witness is None
+    else:
+        assert len(report.witness) == len(witness)
+        for got, want in zip(report.witness, witness):
+            assert np.array_equal(got, want)
+
+
+def test_witness_at_first_draw_evaluates_one_conditioner(monkeypatch):
+    counts = []
+    draw = stability._random_pd_stacks
+
+    def counting(dims, count, rng):
+        counts.append(count)
+        return draw(dims, count, rng)
+
+    monkeypatch.setattr(stability, "_random_pd_stacks", counting)
+    jac = game_jacobian(sg.bundled_game("coordination_2x2"),
+                        uniform_point((2, 2)))
+    report = uniform_stability_check(jac)
+    assert report.pointwise == "unstable_with_witness"
+    assert counts == [1]
+
+
+def test_chunks_cover_the_budget_in_growing_stacks():
+    assert list(stability._chunk_sizes(0)) == []
+    assert list(stability._chunk_sizes(7)) == [1, 4, 2]
+    assert list(stability._chunk_sizes(100)) == [1, 4, 16, 64, 15]
+    assert list(stability._chunk_sizes(200)) == [1, 4, 16, 64, 64, 51]
+
+
+def test_witness_values_are_pinned():
+    # values of the per-conditioner implementation, bit for bit
+    jac = game_jacobian(sg.bundled_game("coordination_2x2"),
+                        uniform_point((2, 2)))
+    stretched = uniform_stability_check(jac, num_conditioners=0)
+    assert stretched.witness_real_part == 1.0
+    assert verify_witness(jac, stretched.witness) == 1.0
+    sampled = uniform_stability_check(jac)
+    assert sampled.witness_real_part == 4.406863284698249
+    assert verify_witness(jac, sampled.witness) == 4.40686328469825
+
+    rng = np.random.default_rng(21)
+    shape = (3, 2, 4)
+    g = random_game(rng, shape)
+    jac = game_jacobian(g, random_interior(rng, shape))
+    stretched = uniform_stability_check(jac, num_conditioners=0, rng_seed=3)
+    assert stretched.witness_real_part == 1.3935327130470092
+    assert verify_witness(jac, stretched.witness) == 1.393532713047009
+    sampled = uniform_stability_check(jac, rng_seed=3)
+    assert sampled.witness_real_part == 7.644976136545052
+    assert verify_witness(jac, sampled.witness) == 7.644976136545041
+
+
+def _seeded_calls():
+    jac = game_jacobian(sg.bundled_game("coordination_2x2"),
+                        uniform_point((2, 2)))
+    pennies = sg.bundled_game("matching_pennies")
+    cfg = sg.entropy_config(pennies, 0.1)
+    return {
+        "uniform_stability_check":
+            lambda seed: uniform_stability_check(jac, rng_seed=seed),
+        "pareto_improvement_search":
+            lambda seed: pareto_improvement_search(jac, rng_seed=seed),
+        "local_uniform_stability":
+            lambda seed: local_uniform_stability(
+                pennies, uniform_point((2, 2)), rng_seed=seed),
+        "bilinear_scale_recovery":
+            lambda seed: bilinear_scale_recovery(np.eye(2), -np.eye(2),
+                                                 rng_seed=seed),
+        "eta_threshold":
+            lambda seed: sg.eta_threshold(
+                pennies, cfg, sg.find_smoothed_equilibrium(pennies, cfg),
+                rng_seed=seed),
+    }
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, None],
+                         ids=["negative", "fractional", "bool", "none"])
+@pytest.mark.parametrize("name", sorted(_seeded_calls()))
+def test_seeded_calls_reject_bad_seeds(name, seed):
+    call = _seeded_calls()[name]
+    with pytest.raises(ArgumentError, match="rng_seed"):
+        call(seed)
+    call(np.int64(3))  # numpy integers are fine
 
 
 def test_symmetric_perturbation_yields_sampled_witness():
@@ -600,6 +778,12 @@ def test_simplex_lattice_invariants():
 def test_simplex_lattice_rejects_degenerate_resolution():
     with pytest.raises(ArgumentError):
         simplex_lattice(3, 1)
+
+
+@pytest.mark.parametrize("resolution", [1, 0, -1, 2.5, True])
+def test_lattice_size_rejects_degenerate_resolution(resolution):
+    with pytest.raises(ArgumentError, match="resolution"):
+        lattice_size(3, resolution)
 
 
 def test_pareto_oracle_grid_cap():
