@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 import smoothgames as sg
-from smoothgames.stability import boundary_convergence_check
+from smoothgames.dynamics import boundary_convergence_check
 
 
 def default_game():

@@ -9,24 +9,26 @@ work), and identical (inputs, seed) produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 import numpy as np
 
-from .dynamics import (DynamicsConfig, _block_headers, _fmt, _text_output,
-                       eta_threshold, run, stability_verdict, sweep,
-                       sweep_to_csv, trajectory_to_csv)
+from .dynamics import (DynamicsConfig, eta_threshold, run, stability_verdict,
+                       sweep, sweep_to_csv, trace_to_csv, trajectory_to_csv,
+                       write_csv)
 from .errors import (ConvergenceError, GameError, ParseError, ResourceError,
                      check_count)
 from .games import (JointStrategy, epsilon_nash_gap, game_jacobian, load_game,
-                    pure_strategy, uniform_strategy, utility)
+                    pure_strategy, quasi_strict_check, uniform_strategy,
+                    utility)
 from .regularizers import entropy, regularizer_from_dict
 from .response import (SmoothedResponseConfig, homotopy_trace,
                        linear_steepness_probe)
-from .stability import (GRID_CAP, lattice_size, quasi_strict_check,
-                        report_to_dict, strong_nash_oracle,
-                        uniform_stability_check, weak_pareto_oracle)
+from .stability import (GRID_CAP, lattice_size, report_to_dict,
+                        strong_nash_oracle, uniform_stability_check,
+                        weak_pareto_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -101,14 +103,18 @@ def _beta_schedule(target: float, start=1.0, factor=0.3) -> list:
     return schedule
 
 
-def _output(path):
-    """Context manager: stdout for a missing path or '-', else the file."""
-    return _text_output(sys.stdout if path in (None, "-") else path)
+def _target(path):
+    """stdout for a missing path or '-', else the path."""
+    return sys.stdout if path in (None, "-") else path
 
 
 def _emit_json(payload: dict, path):
-    with _output(path) as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +195,7 @@ def cmd_equilibrium(args) -> int:
     x0 = _parse_point(args.x0, game.shape) if args.x0 else None
     cfg = SmoothedResponseConfig(beta=schedule[0], regularizers=regs)
     trace = homotopy_trace(game, cfg, schedule, x0, outer_tol=args.tol)
-    with _output(args.output) as handle:
-        handle.write(",".join(["beta"] + _block_headers(game.shape)
-                              + ["residual", "nash_gap"]) + "\n")
-        for eq in trace:
-            row = ([eq.beta] + list(eq.point.concatenated())
-                   + [eq.residual, eq.nash_gap])
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+    trace_to_csv(trace, _target(args.output))
     return 0
 
 
@@ -234,8 +234,7 @@ def cmd_simulate(args) -> int:
     if reference is not None:
         verdict = stability_verdict(game, cfg, reference)
     trajectory = run(game, cfg, x0, reference=reference)
-    with _output(args.output) as handle:
-        trajectory_to_csv(trajectory, handle, verdict)
+    trajectory_to_csv(trajectory, _target(args.output), verdict)
     return 0
 
 
@@ -248,8 +247,7 @@ def cmd_sweep(args) -> int:
           else uniform_strategy(game.shape))
     cells = sweep(game, betas, etas, regs, x0=x0, horizon=args.horizon,
                   jobs=args.jobs)
-    with _output(args.output) as handle:
-        sweep_to_csv(cells, handle)
+    sweep_to_csv(cells, _target(args.output))
     return 0
 
 
@@ -268,12 +266,10 @@ def cmd_probe_steepness(args) -> int:
     betas = _parse_float_list(args.betas)
     rng = np.random.default_rng(args.seed) if args.random_probe else None
     ratios = linear_steepness_probe(reg, args.index, args.eps, betas, rng=rng)
-    with _output(args.output) as handle:
-        handle.write("beta,ratio,entropy_envelope\n")
-        for beta, ratio in zip(betas, ratios):
-            envelope = (np.exp(-args.eps / beta) / beta
-                        if reg.kind == "entropy" else None)
-            handle.write(f"{_fmt(beta)},{_fmt(ratio)},{_fmt(envelope)}\n")
+    write_csv(_target(args.output), ["beta", "ratio", "entropy_envelope"],
+              ([beta, ratio, np.exp(-args.eps / beta) / beta
+                if reg.kind == "entropy" else None]
+               for beta, ratio in zip(betas, ratios)))
     return 0
 
 
@@ -372,9 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing does not change the parser, so one serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         check_count("--seed", args.seed)
         return args.func(args)

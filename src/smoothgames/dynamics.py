@@ -2,13 +2,14 @@
 
 One step moves x to (1 - eta) x + eta Phi(x).  The module records
 trajectories and contraction ratios against a reference equilibrium,
-classifies fixed points by the linearized map (1 - eta) I + eta dPhi, and
-sweeps (beta, eta) grids the way the stability phase diagrams are produced.
+classifies fixed points by the linearized map (1 - eta) I + eta dPhi,
+checks the boundary predictions at a quasi-strict equilibrium as beta
+shrinks, and sweeps (beta, eta) grids the way the stability phase diagrams
+are produced.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import numbers
 from concurrent.futures import ProcessPoolExecutor
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, GameError, check_count
+from .errors import ArgumentError, DomainError, GameError, check_count
 from .games import (JointStrategy, NormalFormGame, perturb_strategy,
-                    uniform_strategy)
+                    quasi_strict_check, uniform_strategy)
 from .response import (FlatKernel, SmoothedEquilibrium,
                        SmoothedResponseConfig, find_smoothed_equilibrium,
                        response_jacobian)
@@ -227,6 +228,94 @@ def eta_threshold(game: NormalFormGame, cfg: SmoothedResponseConfig,
 
 
 # ---------------------------------------------------------------------------
+# boundary convergence
+
+@dataclass(frozen=True)
+class BoundaryRow:
+    beta: float
+    suppressed_ratio: float
+    response_norm_bound: float
+    operator_norm: float
+    eta: float
+    norm_bound_holds: bool
+    residual: float
+
+
+@dataclass(frozen=True)
+class BoundaryReport:
+    rows: tuple
+    ratios_decreasing: bool
+    all_norm_bounds_hold: bool
+
+
+def _face_distance(x: JointStrategy, supports) -> float:
+    """Euclidean distance from x to the affine span of the support faces."""
+    total = 0.0
+    for b, s in zip(x.blocks, supports):
+        s = np.asarray(s, dtype=int)
+        outside = np.setdiff1d(np.arange(len(b)), s)
+        mass = b[outside]
+        total += float(mass @ mass) + mass.sum() ** 2 / len(s)
+    return float(np.sqrt(total))
+
+
+def boundary_convergence_check(game: NormalFormGame, regs, x_star: JointStrategy,
+                               beta_schedule, eta_rule=None,
+                               outer_tol=1e-12) -> BoundaryReport:
+    """Test the boundary predictions at a quasi-strict equilibrium.
+
+    For each beta the smoothed equilibrium is found by warm start, the
+    off-support mass is compared to beta (it must shrink), and the operator
+    norm of the dynamics Jacobian is checked against exp(-eta/2) with
+    eta = beta^2 / (1 + 4 L^2) unless an eta_rule overrides it.
+    """
+    check = quasi_strict_check(game, x_star)
+    if check.status != "quasi_strict":
+        raise DomainError(f"boundary check needs a quasi-strict point: "
+                          f"{check.status}")
+    supports = x_star.supports()
+    blend = JointStrategy(tuple(
+        0.9 * b + 0.1 * np.full(len(b), 1.0 / len(b)) for b in x_star.blocks))
+
+    rows = []
+    warm = blend
+    prev_ratio = np.inf
+    decreasing = True
+    all_hold = True
+    for beta in beta_schedule:
+        cfg = SmoothedResponseConfig(beta=float(beta), regularizers=tuple(regs))
+        eq = find_smoothed_equilibrium(game, cfg, warm, outer_tol=outer_tol,
+                                       max_iter=200_000)
+        warm = eq.point
+        # measure at the response image of the solved point: the fixed-point
+        # iterate cannot resolve off-face mass below the solver tolerance,
+        # while the response map's closed form carries the true asymptotics
+        kernel = FlatKernel(game, cfg)
+        x = kernel.flatten(eq.point)[None, :]
+        grad_phi = kernel.tangent_jacobians(x)[0]
+        # a Newton solve here starts from the Jacobian's response to the
+        # same point, so it stops at its first residual check
+        refined = kernel.strategy(kernel.respond(x)[0])
+        ratio = _face_distance(refined, supports) / beta
+        if ratio > prev_ratio:
+            decreasing = False
+        prev_ratio = ratio
+        lip = _lipschitz(grad_phi, cfg.beta)
+        eta = (beta ** 2 / (1.0 + 4.0 * lip ** 2) if eta_rule is None
+               else float(eta_rule(beta, lip)))
+        op_norm = _verdict(grad_phi, eta, eq).jacobian_operator_norm
+        bound = float(np.exp(-eta / 2.0))
+        holds = op_norm <= bound
+        all_hold = all_hold and holds
+        rows.append(BoundaryRow(beta=float(beta), suppressed_ratio=ratio,
+                                response_norm_bound=bound,
+                                operator_norm=op_norm, eta=eta,
+                                norm_bound_holds=holds, residual=eq.residual))
+    return BoundaryReport(rows=tuple(rows), ratios_decreasing=decreasing,
+                          all_norm_bounds_hold=all_hold)
+
+
+# ---------------------------------------------------------------------------
 # parameter sweeps
 
 @dataclass(frozen=True)
@@ -345,9 +434,13 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
 # ---------------------------------------------------------------------------
 # CSV export
 
-def _fmt(value) -> str:
+def _cell(value) -> str:
+    """CSV text of one cell: a number to 17 significant digits, None as an
+    empty cell, text as it is."""
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     return format(float(value), ".17g")
 
 
@@ -355,14 +448,21 @@ def _block_headers(shape) -> list:
     return [f"p{n}_{i}" for n, k in enumerate(shape) for i in range(k)]
 
 
-@contextlib.contextmanager
-def _text_output(target):
-    """An open text handle as is, or a path opened for CSV writing."""
+def write_csv(target, header, rows):
+    """Write a header and rows of cells through one ``csv.writer``, lines
+    ending in CRLF; numbers get 17 significant digits and None an empty
+    cell.  ``target`` is a path or an open text handle (left open)."""
     if hasattr(target, "write"):
-        yield target
+        _write_rows(target, header, rows)
     else:
         with open(target, "w", newline="") as handle:
-            yield handle
+            _write_rows(handle, header, rows)
+
+
+def _write_rows(handle, header, rows):
+    writer = csv.writer(handle)
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def trajectory_to_csv(trajectory: Trajectory, target,
@@ -371,21 +471,16 @@ def trajectory_to_csv(trajectory: Trajectory, target,
 
     ``target`` is a path or an open text handle (left open).
     """
-    shape = trajectory.points[0].shape
     rec = trajectory.config.record_every
-    with _text_output(target) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t"] + _block_headers(shape)
-                        + ["distance", "spectral_radius", "classification"])
-        for idx, point in enumerate(trajectory.points):
-            t = idx * rec
-            dist = (trajectory.distances[t]
-                    if trajectory.distances is not None else None)
-            writer.writerow(
-                [str(t)] + [_fmt(p) for p in point.concatenated()]
-                + [_fmt(dist),
-                   _fmt(verdict.jacobian_spectral_radius) if verdict else "",
-                   verdict.classification if verdict else ""])
+    dists = trajectory.distances
+    radius = verdict.jacobian_spectral_radius if verdict else None
+    label = verdict.classification if verdict else None
+    write_csv(target,
+              ["t"] + _block_headers(trajectory.points[0].shape)
+              + ["distance", "spectral_radius", "classification"],
+              ([str(idx * rec), *point.concatenated(),
+                dists[idx * rec] if dists is not None else None, radius, label]
+               for idx, point in enumerate(trajectory.points)))
 
 
 def sweep_to_csv(cells, target):
@@ -399,18 +494,28 @@ def sweep_to_csv(cells, target):
             shape = cell.equilibrium.point.shape
             break
     headers = _block_headers(shape) if shape is not None else []
-    with _text_output(target) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["beta", "eta"] + headers
-                        + ["distance", "spectral_radius", "classification",
-                           "error"])
-        for cell in cells:
-            probs = ([_fmt(p) for p in cell.equilibrium.point.concatenated()]
-                     if cell.equilibrium is not None else [""] * len(headers))
-            writer.writerow(
-                [_fmt(cell.beta), _fmt(cell.eta)] + probs
-                + [_fmt(cell.final_distance),
-                   _fmt(cell.verdict.jacobian_spectral_radius)
-                   if cell.verdict else "",
-                   cell.verdict.classification if cell.verdict else "",
-                   cell.error or ""])
+    write_csv(target,
+              ["beta", "eta"] + headers
+              + ["distance", "spectral_radius", "classification", "error"],
+              ([cell.beta, cell.eta]
+               + (list(cell.equilibrium.point.concatenated())
+                  if cell.equilibrium is not None else [None] * len(headers))
+               + [cell.final_distance,
+                  cell.verdict.jacobian_spectral_radius
+                  if cell.verdict else None,
+                  cell.verdict.classification if cell.verdict else None,
+                  cell.error]
+               for cell in cells))
+
+
+def trace_to_csv(trace, target):
+    """Write one row per equilibrium of a homotopy trace: beta, the point,
+    its residual and Nash gap.
+
+    ``target`` is a path or an open text handle (left open).
+    """
+    write_csv(target,
+              ["beta"] + _block_headers(trace[0].point.shape)
+              + ["residual", "nash_gap"],
+              ([eq.beta, *eq.point.concatenated(), eq.residual, eq.nash_gap]
+               for eq in trace))

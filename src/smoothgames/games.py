@@ -6,7 +6,9 @@ derivatives, the game Jacobian) are kept in ambient coordinates; tangent-
 space versions are obtained by composing with the centering projection
 ``I - (1/k) 11^T``, so that one coordinate convention is shared across the
 whole package.  Per-player blocks of concatenated vectors and matrices are
-laid out by :func:`block_slices` and :func:`block_diag`.
+laid out by :func:`block_slices` and :func:`block_diag`.  Quasi-strictness
+and the reduction of a game to the supports of a quasi-strict equilibrium
+are operations on the Nash gap and best responses, so they live here too.
 """
 
 from __future__ import annotations
@@ -379,6 +381,76 @@ def epsilon_nash_gap(game: NormalFormGame, x: JointStrategy) -> float:
         current = float(np.dot(values, x.blocks[n]))
         gap = max(gap, float(values.max()) - current)
     return gap
+
+
+# ---------------------------------------------------------------------------
+# quasi-strictness and reduction
+
+@dataclass(frozen=True)
+class QuasiStrictResult:
+    status: str  # "quasi_strict" | "not_quasi_strict" | "not_nash"
+    gap: float
+    player: int = None
+    index: int = None
+
+
+def quasi_strict_check(game: NormalFormGame, x_star: JointStrategy,
+                       gap_tol=1e-9) -> QuasiStrictResult:
+    """Check that the support equals the best-response set for every player."""
+    gap = epsilon_nash_gap(game, x_star)
+    if gap > gap_tol:
+        return QuasiStrictResult(status="not_nash", gap=gap)
+    for n in range(game.num_players):
+        best, ties = best_response_values(game, x_star, n)
+        support = set(np.flatnonzero(x_star.blocks[n] > 0).tolist())
+        tie_set = set(ties.tolist())
+        missing = sorted(tie_set - support)
+        if missing:
+            return QuasiStrictResult(status="not_quasi_strict", gap=gap,
+                                     player=n, index=missing[0])
+    return QuasiStrictResult(status="quasi_strict", gap=gap)
+
+
+def reduce_game(game: NormalFormGame, x_star: JointStrategy):
+    """Restrict the game to the supports of a quasi-strict equilibrium.
+
+    Returns (reduced game, index maps); the image of x_star is verified to
+    be an interior equilibrium of the reduced game.
+    """
+    check = quasi_strict_check(game, x_star)
+    if check.status != "quasi_strict":
+        detail = check.status
+        if check.player is not None:
+            detail += f" (player {check.player}, action {check.index})"
+        raise DomainError(f"reduce_game needs a quasi-strict point: {detail}")
+    supports = x_star.supports()
+    reduced_tensors = tuple(t[np.ix_(*supports)] for t in game.payoffs)
+    name = f"{game.name}:reduced" if game.name else "reduced"
+    reduced = NormalFormGame(reduced_tensors, name=name)
+    image = restrict_strategy(x_star, supports)
+    if not image.is_interior:
+        raise DomainError("image of x_star is not interior after reduction")
+    if epsilon_nash_gap(reduced, image) > 1e-9:
+        raise DomainError("image of x_star is not an equilibrium of the "
+                          "reduced game")
+    return reduced, supports
+
+
+def restrict_strategy(x: JointStrategy, supports) -> JointStrategy:
+    blocks = []
+    for b, s in zip(x.blocks, supports):
+        restricted = b[np.asarray(s, dtype=int)]
+        blocks.append(restricted / restricted.sum())
+    return JointStrategy(tuple(blocks))
+
+
+def embed_strategy(x: JointStrategy, supports, shape) -> JointStrategy:
+    blocks = []
+    for b, s, k in zip(x.blocks, supports, shape):
+        full = np.zeros(k)
+        full[np.asarray(s, dtype=int)] = b
+        blocks.append(full)
+    return JointStrategy(tuple(blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ negative entropy as its member without a quadratic term.  The family is rich
 enough to realize any positive-definite tangent Hessian at any interior
 point, which is all the surrounding theory needs.  Gradients and Hessians
 are tangent objects; every curvature solve is :func:`face_solve`, in log
-coordinates.
+coordinates, and entropy's face pseudoinverse is the closed form of
+:func:`entropy_pseudoinverse`.
 """
 
 from __future__ import annotations
@@ -177,12 +178,26 @@ def face_solve(lam, curvature, y, rhs) -> np.ndarray:
     return np.linalg.solve(kkt, padded)[..., :s, :]
 
 
+def entropy_pseudoinverse(y) -> np.ndarray:
+    """``diag(y) - y y^T`` for a ``(..., k)`` stack of simplex points: the
+    face pseudoinverse of negative entropy at each.
+
+    The diagonal ``y_i sum_{j != i} y_j`` is summed directly, since
+    ``y_i - y_i^2`` cancels near a pure point; coordinates with ``y = 0``
+    get zero rows and columns.
+    """
+    k = y.shape[-1]
+    pinv = -y[..., :, None] * y[..., None, :]
+    pinv[..., range(k), range(k)] = y * (y @ (1.0 - np.eye(k)))
+    return pinv
+
+
 def face_hessian(r: Regularizer, x, support=None) -> FaceHessian:
     """Tangent Hessian of the regularizer restricted to a face.
 
     The pseudoinverse comes from :func:`face_solve` and stays accurate when
     the face Hessian is stiff; without a quadratic term it is the closed
-    form ``(diag(x) - x x^T) / lam`` on the face.
+    form of :func:`entropy_pseudoinverse` on the face.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (r.dimension,):
@@ -196,8 +211,11 @@ def face_hessian(r: Regularizer, x, support=None) -> FaceHessian:
     pinv = np.zeros((r.dimension, r.dimension))
     if len(support) > 1:
         face = np.ix_(support, support)
-        pinv[face] = x[support, None] * face_solve(
-            r.lam, r.curvature[face], x[support], np.eye(len(support)))
+        if r.A is None:
+            pinv[face] = entropy_pseudoinverse(x[support])
+        else:
+            pinv[face] = x[support, None] * face_solve(
+                r.lam, r.curvature[face], x[support], np.eye(len(support)))
     return FaceHessian(regularizer=r, point=x.copy(), support=tuple(support),
                        pseudoinverse=pinv)
 

@@ -33,7 +33,8 @@ from .errors import (ArgumentError, ConvergenceError, CyclingError,
 from .games import (JointStrategy, NormalFormGame, block_diag, block_slices,
                     epsilon_nash_gap, jacobian_blocks, tangent_basis,
                     uniform_strategy)
-from .regularizers import Regularizer, entropy, face_solve
+from .regularizers import (Regularizer, entropy, entropy_pseudoinverse,
+                           face_solve)
 
 STAGNATION_WINDOW = 500
 STAGNATION_FACTOR = 0.99
@@ -369,14 +370,7 @@ class FlatKernel:
         slices = self.slices
         cross = jacobian_blocks(self.game, [X[:, s] for s in slices],
                                 [Y[:, s] > 0 for s in slices])
-        pinvs = []
-        for s in slices:
-            # entropy: diag(y) - y y^T, with the diagonal y_i sum_{j != i} y_j
-            # summed directly, since y_i - y_i^2 cancels near a pure response
-            y, k = Y[:, s], s.stop - s.start
-            pinv = -y[:, :, None] * y[:, None, :]
-            pinv[:, range(k), range(k)] = y * (y @ (1.0 - np.eye(k)))
-            pinvs.append(pinv)
+        pinvs = [entropy_pseudoinverse(Y[:, s]) for s in slices]
         for players, columns, lam, curvature, _ in self._groups:
             k = curvature.shape[-1]
             y = Y[:, columns].reshape(len(X), len(players), k)

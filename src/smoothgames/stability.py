@@ -1,14 +1,16 @@
 """Uniform-stability certificates and refutations for game Jacobians.
 
 The central object is the game Jacobian J(x) built in ``games``: the block
-matrix of tangent-projected cross-derivatives with zero diagonal blocks.  An equilibrium is
-uniformly stable when H^{-1} J has purely imaginary spectrum for every
-positive-definite block-diagonal conditioner H.  That quantifier is not
-directly decidable, so the verdict rests on a lambda-skew certificate
-(sufficient under connectivity and bi-directionality), with sampled and
-constructed counterexample witnesses on the refutation side.  The constructed
-witness needs a joint improvement direction; its ascent is skipped when the
-certificate's weights prove, by a dual bound, that none exists.
+matrix of tangent-projected cross-derivatives with zero diagonal blocks.
+The module depends on it and on the game alone (``errors`` and ``games``
+are its only imports).  An equilibrium is uniformly stable when H^{-1} J
+has purely imaginary spectrum for every positive-definite block-diagonal
+conditioner H.  That quantifier is not directly decidable, so the verdict
+rests on a lambda-skew certificate (sufficient under connectivity and
+bi-directionality), with sampled and constructed counterexample witnesses
+on the refutation side.  The constructed witness needs a joint improvement
+direction; its ascent is skipped when the certificate's weights prove, by a
+dual bound, that none exists.
 """
 
 from __future__ import annotations
@@ -19,15 +21,11 @@ from math import comb
 
 import numpy as np
 
-from .dynamics import _lipschitz, _verdict
 from .errors import (ArgumentError, DimensionError, DomainError,
                      ResourceError, check_count)
 from .games import (GameJacobian, JointStrategy, NormalFormGame,
-                    TangentVector, best_response_values, block_diag,
-                    block_slices, epsilon_nash_gap, game_jacobian,
+                    TangentVector, block_diag, block_slices, game_jacobian,
                     perturb_strategy, pure_strategy, utility)
-from .response import (FlatKernel, SmoothedResponseConfig,
-                       find_smoothed_equilibrium)
 
 EDGE_TOL = 1e-10          # Frobenius threshold for interaction-graph edges
 SKEW_RESIDUAL_TOL = 1e-8  # certificate feasibility threshold
@@ -76,37 +74,41 @@ def _max_principal_angle(b1: np.ndarray, b2: np.ndarray) -> float:
     return float(np.arcsin(min(1.0, max(s1, s2))))
 
 
-def _block_graph(jac: GameJacobian):
-    """Block Frobenius norms, and per player the set of players joined to
-    it by a block above EDGE_TOL in either direction."""
+def _spanning_forest(jac: GameJacobian):
+    """Block Frobenius norms, and the (parent, child) edges of a spanning
+    forest of the undirected interaction graph (players joined by a block
+    above EDGE_TOL in either direction), in depth-first visit order from
+    each unvisited player in turn.  The graph is connected exactly when the
+    forest is one tree, with one edge fewer than there are players."""
     n_players = jac.num_players
     norms = np.array([[np.linalg.norm(jac.blocks[n][m])
                        for m in range(n_players)] for n in range(n_players)])
-    adjacency = [set() for _ in range(n_players)]
-    for n in range(n_players):
-        for m in range(n_players):
-            if n != m and (norms[n, m] > EDGE_TOL or norms[m, n] > EDGE_TOL):
-                adjacency[n].add(m)
-    return norms, adjacency
+    joined = (norms > EDGE_TOL) | (norms.T > EDGE_TOL)
+    np.fill_diagonal(joined, False)
+    visited = [False] * n_players
+    tree = []
+    for root in range(n_players):
+        if visited[root]:
+            continue
+        visited[root] = True
+        frontier = [root]
+        while frontier:
+            parent = frontier.pop()
+            for child in np.flatnonzero(joined[parent]).tolist():
+                if not visited[child]:
+                    visited[child] = True
+                    tree.append((parent, child))
+                    frontier.append(child)
+    return norms, tree
 
 
 def interaction_graph(jac: GameJacobian) -> InteractionGraph:
     n_players = jac.num_players
-    norms, adjacency = _block_graph(jac)
+    norms, tree = _spanning_forest(jac)
     edges = frozenset((n, m) for n in range(n_players)
                       for m in range(n_players)
                       if n != m and norms[n, m] > EDGE_TOL)
-
-    # undirected connectivity over all players
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        node = frontier.pop()
-        for other in adjacency[node]:
-            if other not in seen:
-                seen.add(other)
-                frontier.append(other)
-    connected = len(seen) == n_players
+    connected = len(tree) == n_players - 1
 
     bidirectional = True
     for n in range(n_players):
@@ -144,39 +146,26 @@ def solve_skew_certificate(jac: GameJacobian) -> SkewCertificate:
     """
     n_players = jac.num_players
     blocks = jac.blocks
-    norms, adjacency = _block_graph(jac)
+    norms, tree = _spanning_forest(jac)
 
     lambdas = np.ones(n_players)
     rejected = False
-    assigned = [False] * n_players
-    for root in range(n_players):
-        if assigned[root]:
-            continue
-        assigned[root] = True
-        lambdas[root] = 1.0
-        frontier = [root]
-        while frontier:
-            parent = frontier.pop()
-            for child in sorted(adjacency[parent]):
-                if assigned[child]:
-                    continue
-                assigned[child] = True
-                # least-squares a with J_{parent,child} ~ -a J_{child,parent}^T
-                num = -np.tensordot(blocks[parent][child],
-                                    blocks[child][parent].T, axes=2)
-                den = norms[child, parent] ** 2
-                if den <= EDGE_TOL ** 2 or norms[parent, child] <= EDGE_TOL:
-                    # one-sided edge: no finite ratio exists
-                    rejected = True
-                    lambdas[child] = lambdas[parent]
-                else:
-                    a = num / den
-                    if a <= 0:
-                        rejected = True
-                        lambdas[child] = lambdas[parent] * max(abs(a), 1e-12)
-                    else:
-                        lambdas[child] = lambdas[parent] * a
-                frontier.append(child)
+    for parent, child in tree:
+        # least-squares a with J_{parent,child} ~ -a J_{child,parent}^T
+        num = -np.tensordot(blocks[parent][child], blocks[child][parent].T,
+                            axes=2)
+        den = norms[child, parent] ** 2
+        if den <= EDGE_TOL ** 2 or norms[parent, child] <= EDGE_TOL:
+            # one-sided edge: no finite ratio exists
+            rejected = True
+            lambdas[child] = lambdas[parent]
+        else:
+            a = num / den
+            if a <= 0:
+                rejected = True
+                lambdas[child] = lambdas[parent] * max(abs(a), 1e-12)
+            else:
+                lambdas[child] = lambdas[parent] * a
 
     lambdas = lambdas / lambdas[0]
     residual = 0.0
@@ -240,11 +229,12 @@ class BilinearScaleResult:
 def bilinear_scale_recovery(A, B, tol=1e-9, rng_seed=0) -> BilinearScaleResult:
     """Recover lam > 0 with A = lam * B, or refute by a sign disagreement.
 
-    Follows the constructive argument: diagonalize A by SVD, read the scale
-    off the top singular pair, and probe proportionality of the remaining
-    singular values with the combinations (u_i + a_i u_1, v_i - a_i v_1),
-    a_i = sqrt(sigma_i / sigma_1), whose A-form vanishes identically.
-    ``rng_seed`` must be a non-negative integer.
+    Follows the constructive argument: diagonalize A by SVD and read the
+    scale off the top singular pair.  A refutation's witness has
+    x^T A y > 0 > x^T B y (see ``_sign_witness``), except where A or B is
+    zero: then a top singular pair of the other one gives the forms 0 and a
+    positive value.  ``rng_seed``, a non-negative integer, draws the generic
+    vector of the witness construction.
     """
     check_count("rng_seed", rng_seed)
     A = np.asarray(A, dtype=float)
@@ -256,99 +246,49 @@ def bilinear_scale_recovery(A, B, tol=1e-9, rng_seed=0) -> BilinearScaleResult:
         if norm_a == 0.0:
             raise ArgumentError("B must be nonzero")
         u, s, vh = np.linalg.svd(A)
-        witness = (u[:, 0], vh[0], float(s[0]), 0.0)
-        return BilinearScaleResult(refuted=True, witness=witness)
+        return BilinearScaleResult(
+            refuted=True, witness=(u[:, 0], vh[0], float(s[0]), 0.0))
     if norm_a == 0.0:
-        # zero A against nonzero B: the B-form changes sign or is nonzero
-        witness = _sign_witness_search(A, B, rng_seed)
-        return BilinearScaleResult(refuted=True, witness=witness)
+        u, s, vh = np.linalg.svd(B)
+        return BilinearScaleResult(
+            refuted=True, witness=(u[:, 0], vh[0], 0.0, float(s[0])))
 
     u, s, vh = np.linalg.svd(A)
-    v = vh.T
-    b_top = float(u[:, 0] @ B @ v[:, 0])
-    if b_top > 0:
-        lam = float(s[0] / b_top)
+    top = (u[:, 0], vh[0], float(s[0]), float(u[:, 0] @ B @ vh[0]))
+    if top[3] > 0:
+        lam = top[2] / top[3]
         if np.linalg.norm(A - lam * B) <= tol * norm_a and lam > 0:
             return BilinearScaleResult(lam=lam)
-    witness = _sign_witness_search(A, B, rng_seed)
-    return BilinearScaleResult(refuted=True, witness=witness)
+    return BilinearScaleResult(refuted=True,
+                               witness=_sign_witness(A, B, top, rng_seed))
 
 
-def _strictify(A, B, x, y):
-    """Push a (0, nonzero) sign pair into a strict disagreement."""
-    a_val, b_val = float(x @ A @ y), float(x @ B @ y)
-    target = -np.sign(b_val)
-    for vec, side in ((A @ y, "x"), (A.T @ x, "y")):
-        gain = float(vec @ vec)
-        if gain <= 0:
-            continue
-        # walk until the A-form has sign opposite to the B-form while the
-        # B-form keeps its sign
-        if side == "x":
-            b_slope = float(vec @ B @ y)
-        else:
-            b_slope = float(x @ B @ vec)
-        t_limit = abs(b_val) / (2 * abs(b_slope)) if b_slope != 0 else np.inf
-        t = target * min(t_limit, (abs(b_val) + 1.0)) / max(gain, 1.0)
-        if t == 0 or not np.isfinite(t):
-            t = target * 1e-3
-        cand_x = x + t * vec if side == "x" else x
-        cand_y = y + t * vec if side == "y" else y
-        ca, cb = float(cand_x @ A @ cand_y), float(cand_x @ B @ cand_y)
-        if ca * cb < 0:
-            return cand_x, cand_y, ca, cb
-    return x, y, a_val, b_val
+def _sign_witness(A, B, top, rng_seed):
+    """(x, y, x^T A y, x^T B y) with x^T A y > 0 > x^T B y for nonzero A, B;
+    ``top`` is that tuple for the top singular pair of A.
 
-
-def _sign_witness_search(A, B, rng_seed):
-    """Find (x, y) on which the two bilinear forms disagree in sign."""
-    scale_a = max(np.linalg.norm(A), 1e-300)
-    scale_b = max(np.linalg.norm(B), 1e-300)
-
-    def disagrees(a_val, b_val):
-        sa = 0 if abs(a_val) <= 1e-12 * scale_a else np.sign(a_val)
-        sb = 0 if abs(b_val) <= 1e-12 * scale_b else np.sign(b_val)
-        return sa != sb
-
-    u, s, vh = np.linalg.svd(A)
-    v = vh.T
-    d = min(A.shape)
-    candidates = []
-    # diagonal pairs (negative B-value against nonnegative singular value)
-    for i in range(d):
-        candidates.append((u[:, i], v[:, i]))
-    # proportionality probes with vanishing A-form
-    if s[0] > 0:
-        for i in range(1, d):
-            alpha = np.sqrt(s[i] / s[0])
-            for sign in (1.0, -1.0):
-                candidates.append((u[:, i] + sign * alpha * u[:, 0],
-                                   v[:, i] - sign * alpha * v[:, 0]))
-    # off-diagonal singular frame pairs
-    for i in range(A.shape[0]):
-        for j in range(A.shape[1]):
-            if i != j:
-                candidates.append((u[:, i], v[:, j]))
-
-    best = None
-    for x, y in candidates:
-        a_val, b_val = float(x @ A @ y), float(x @ B @ y)
-        if disagrees(a_val, b_val):
-            if a_val * b_val < 0:
-                return x, y, a_val, b_val
-            x2, y2, a2, b2 = _strictify(A, B, x, y)
-            if disagrees(a2, b2):
-                return x2, y2, a2, b2
-            best = best or (x, y, a_val, b_val)
+    For a generic x the linear forms A^T x and B^T x are independent unless
+    B^T x is parallel to A^T x for every x; then one least-squares solve
+    gives y with forms 1 and -1.  The same holds with the roles of x and y
+    swapped.  Forms parallel on both sides mean B = c A, which a top
+    singular pair of A refutes when c < 0; otherwise the matrices are
+    proportional and ArgumentError is raised.
+    """
     rng = np.random.default_rng(rng_seed)
-    for _ in range(10000):
-        x = rng.standard_normal(A.shape[0])
-        y = rng.standard_normal(A.shape[1])
-        a_val, b_val = float(x @ A @ y), float(x @ B @ y)
-        if a_val * b_val < 0:
-            return x, y, a_val, b_val
-    if best is not None:
-        return best
+    target = np.array([1.0, -1.0])
+    for left in (True, False):
+        a, b = (A, B) if left else (A.T, B.T)
+        g = rng.standard_normal(a.shape[0])
+        # forms independent only to rounding count as dependent (rcond):
+        # the solve then projects the target, and the check below rejects
+        # a projection that does not refute clearly
+        h = np.linalg.lstsq(np.stack([g @ a, g @ b]), target, rcond=1e-12)[0]
+        x, y = (g, h) if left else (h, g)
+        forms = np.array([x @ A @ y, x @ B @ y])
+        if np.all(np.abs(forms - target) < 0.5):
+            return (x, y) + tuple(forms.tolist())
+    if top[3] < 0:
+        return top
     raise ArgumentError("no sign disagreement found; matrices look "
                         "proportional within tolerance")
 
@@ -644,9 +584,14 @@ def local_uniform_stability(game: NormalFormGame, x: JointStrategy,
                             rng_seed=0) -> LocalStabilityVerdict:
     """Check uniform stability at x and at sampled nearby interior points.
 
-    ``rng_seed`` must be a non-negative integer.
+    ``num_samples`` and ``rng_seed`` must be non-negative integers and
+    ``radius`` positive and finite.
     """
+    check_count("num_samples", num_samples)
     check_count("rng_seed", rng_seed)
+    if not 0 < radius < np.inf:
+        raise ArgumentError(
+            f"radius must be positive and finite, got {radius!r}")
     if not x.is_interior:
         raise DomainError("local check needs an interior center point")
     rng = np.random.default_rng(rng_seed)
@@ -662,164 +607,6 @@ def local_uniform_stability(game: NormalFormGame, x: JointStrategy,
     return LocalStabilityVerdict(center=center,
                                  sample_verdicts=tuple(verdicts),
                                  radius=radius, all_stable=all_stable)
-
-
-# ---------------------------------------------------------------------------
-# quasi-strictness and reduction
-
-@dataclass(frozen=True)
-class QuasiStrictResult:
-    status: str  # "quasi_strict" | "not_quasi_strict" | "not_nash"
-    gap: float
-    player: int = None
-    index: int = None
-
-
-def quasi_strict_check(game: NormalFormGame, x_star: JointStrategy,
-                       gap_tol=1e-9) -> QuasiStrictResult:
-    """Check that the support equals the best-response set for every player."""
-    gap = epsilon_nash_gap(game, x_star)
-    if gap > gap_tol:
-        return QuasiStrictResult(status="not_nash", gap=gap)
-    for n in range(game.num_players):
-        best, ties = best_response_values(game, x_star, n)
-        support = set(np.flatnonzero(x_star.blocks[n] > 0).tolist())
-        tie_set = set(ties.tolist())
-        missing = sorted(tie_set - support)
-        if missing:
-            return QuasiStrictResult(status="not_quasi_strict", gap=gap,
-                                     player=n, index=missing[0])
-    return QuasiStrictResult(status="quasi_strict", gap=gap)
-
-
-def reduce_game(game: NormalFormGame, x_star: JointStrategy):
-    """Restrict the game to the supports of a quasi-strict equilibrium.
-
-    Returns (reduced game, index maps); the image of x_star is verified to
-    be an interior equilibrium of the reduced game.
-    """
-    check = quasi_strict_check(game, x_star)
-    if check.status != "quasi_strict":
-        detail = check.status
-        if check.player is not None:
-            detail += f" (player {check.player}, action {check.index})"
-        raise DomainError(f"reduce_game needs a quasi-strict point: {detail}")
-    supports = x_star.supports()
-    reduced_tensors = tuple(t[np.ix_(*supports)] for t in game.payoffs)
-    name = f"{game.name}:reduced" if game.name else "reduced"
-    reduced = NormalFormGame(reduced_tensors, name=name)
-    image = restrict_strategy(x_star, supports)
-    if not image.is_interior:
-        raise DomainError("image of x_star is not interior after reduction")
-    if epsilon_nash_gap(reduced, image) > 1e-9:
-        raise DomainError("image of x_star is not an equilibrium of the "
-                          "reduced game")
-    return reduced, supports
-
-
-def restrict_strategy(x: JointStrategy, supports) -> JointStrategy:
-    blocks = []
-    for b, s in zip(x.blocks, supports):
-        restricted = b[np.asarray(s, dtype=int)]
-        blocks.append(restricted / restricted.sum())
-    return JointStrategy(tuple(blocks))
-
-
-def embed_strategy(x: JointStrategy, supports, shape) -> JointStrategy:
-    blocks = []
-    for b, s, k in zip(x.blocks, supports, shape):
-        full = np.zeros(k)
-        full[np.asarray(s, dtype=int)] = b
-        blocks.append(full)
-    return JointStrategy(tuple(blocks))
-
-
-# ---------------------------------------------------------------------------
-# boundary convergence
-
-@dataclass(frozen=True)
-class BoundaryRow:
-    beta: float
-    suppressed_ratio: float
-    response_norm_bound: float
-    operator_norm: float
-    eta: float
-    norm_bound_holds: bool
-    residual: float
-
-
-@dataclass(frozen=True)
-class BoundaryReport:
-    rows: tuple
-    ratios_decreasing: bool
-    all_norm_bounds_hold: bool
-
-
-def _face_distance(x: JointStrategy, supports) -> float:
-    """Euclidean distance from x to the affine span of the support faces."""
-    total = 0.0
-    for b, s in zip(x.blocks, supports):
-        s = np.asarray(s, dtype=int)
-        outside = np.setdiff1d(np.arange(len(b)), s)
-        mass = b[outside]
-        total += float(mass @ mass) + mass.sum() ** 2 / len(s)
-    return float(np.sqrt(total))
-
-
-def boundary_convergence_check(game: NormalFormGame, regs, x_star: JointStrategy,
-                               beta_schedule, eta_rule=None,
-                               outer_tol=1e-12) -> BoundaryReport:
-    """Test the boundary predictions at a quasi-strict equilibrium.
-
-    For each beta the smoothed equilibrium is found by warm start, the
-    off-support mass is compared to beta (it must shrink), and the operator
-    norm of the dynamics Jacobian is checked against exp(-eta/2) with
-    eta = beta^2 / (1 + 4 L^2) unless an eta_rule overrides it.
-    """
-    check = quasi_strict_check(game, x_star)
-    if check.status != "quasi_strict":
-        raise DomainError(f"boundary check needs a quasi-strict point: "
-                          f"{check.status}")
-    supports = x_star.supports()
-    blend = JointStrategy(tuple(
-        0.9 * b + 0.1 * np.full(len(b), 1.0 / len(b)) for b in x_star.blocks))
-
-    rows = []
-    warm = blend
-    prev_ratio = np.inf
-    decreasing = True
-    all_hold = True
-    for beta in beta_schedule:
-        cfg = SmoothedResponseConfig(beta=float(beta), regularizers=tuple(regs))
-        eq = find_smoothed_equilibrium(game, cfg, warm, outer_tol=outer_tol,
-                                       max_iter=200_000)
-        warm = eq.point
-        # measure at the response image of the solved point: the fixed-point
-        # iterate cannot resolve off-face mass below the solver tolerance,
-        # while the response map's closed form carries the true asymptotics
-        kernel = FlatKernel(game, cfg)
-        x = kernel.flatten(eq.point)[None, :]
-        grad_phi = kernel.tangent_jacobians(x)[0]
-        # a Newton solve here starts from the Jacobian's response to the
-        # same point, so it stops at its first residual check
-        refined = kernel.strategy(kernel.respond(x)[0])
-        ratio = _face_distance(refined, supports) / beta
-        if ratio > prev_ratio:
-            decreasing = False
-        prev_ratio = ratio
-        lip = _lipschitz(grad_phi, cfg.beta)
-        eta = (beta ** 2 / (1.0 + 4.0 * lip ** 2) if eta_rule is None
-               else float(eta_rule(beta, lip)))
-        op_norm = _verdict(grad_phi, eta, eq).jacobian_operator_norm
-        bound = float(np.exp(-eta / 2.0))
-        holds = op_norm <= bound
-        all_hold = all_hold and holds
-        rows.append(BoundaryRow(beta=float(beta), suppressed_ratio=ratio,
-                                response_norm_bound=bound,
-                                operator_norm=op_norm, eta=eta,
-                                norm_bound_holds=holds, residual=eq.residual))
-    return BoundaryReport(rows=tuple(rows), ratios_decreasing=decreasing,
-                          all_norm_bounds_hold=all_hold)
 
 
 # ---------------------------------------------------------------------------

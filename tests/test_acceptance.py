@@ -14,13 +14,12 @@ import pytest
 
 import smoothgames as sg
 from smoothgames import DomainError
-from smoothgames.dynamics import stability_verdict
+from smoothgames.dynamics import boundary_convergence_check, stability_verdict
 from smoothgames.games import cross_hessian, gradient, utility
 from smoothgames.regularizers import face_hessian, reg_tangent_gradient, reg_value
 from smoothgames.response import (SmoothedResponseConfig, homotopy_trace,
                                   response_jacobian, smoothed_best_response)
-from smoothgames.stability import (bilinear_scale_recovery,
-                                   boundary_convergence_check, game_jacobian,
+from smoothgames.stability import (bilinear_scale_recovery, game_jacobian,
                                    pd_stretch, perturb_strategy,
                                    solve_skew_certificate, weak_pareto_oracle)
 

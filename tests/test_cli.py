@@ -305,3 +305,33 @@ def test_oversized_game_exits_4(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["analyze", str(path)])
     assert code == 4
     assert "exceeds" in err
+
+
+# ---------------------------------------------------------------------------
+# output and parsing plumbing
+
+@pytest.mark.parametrize("argv", [
+    ["equilibrium", "matching_pennies", "--betas", "1,0.3"],
+    ["simulate", "matching_pennies", "--beta", "0.3", "--eta", "0.1",
+     "--horizon", "3"],
+    ["sweep", "matching_pennies", "--betas", "0.3", "--etas", "0.1",
+     "--horizon", "3"],
+    ["probe-steepness", "--betas", "0.2,0.1"],
+], ids=["equilibrium", "simulate", "sweep", "probe_steepness"])
+def test_csv_outputs_share_one_writer(capsys, tmp_path, argv):
+    path = tmp_path / "out.csv"
+    code, _, _ = run_cli(capsys, argv + ["--output", str(path)])
+    assert code == 0
+    lines = path.read_bytes().split(b"\n")
+    assert lines[-1] == b"" and len(lines) > 2
+    assert all(line.endswith(b"\r") for line in lines[:-1])
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls():
+    from smoothgames import cli
+    assert cli._parser() is cli._parser()
+    cli._parser().parse_args(["analyze", "g.json", "--seed", "3",
+                              "--at", "pure:0,0", "--solve"])
+    again = cli._parser().parse_args(["analyze", "g.json"])
+    fresh = cli.build_parser().parse_args(["analyze", "g.json"])
+    assert vars(again) == vars(fresh)

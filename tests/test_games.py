@@ -397,6 +397,22 @@ def test_intra_package_imports_follow_module_order():
     assert violations == []
 
 
+def test_stability_imports_only_the_game_and_no_module_imports_private_names():
+    # uniform stability is a property of the game Jacobian alone
+    package = Path(sg.__file__).parent
+    stability_imports, private = set(), []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom) or node.level == 0:
+                continue
+            if path.stem == "stability":
+                stability_imports.add(node.module)
+            private += [f"{path.stem}:{node.lineno} {alias.name}"
+                        for alias in node.names if alias.name.startswith("_")]
+    assert stability_imports == {"errors", "games"}
+    assert private == []
+
+
 def test_regularizer_kind_is_read_only_by_the_json_form_and_cli():
     # every other module keys on "no quadratic term" (A is None) instead of
     # re-dispatching on the kind string

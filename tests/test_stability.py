@@ -9,21 +9,19 @@ from hypothesis import example, given, settings, strategies as st
 import smoothgames as sg
 from smoothgames import stability
 from smoothgames import ArgumentError, DimensionError, DomainError, ResourceError
-from smoothgames.games import block_slices, cross_hessian
+from smoothgames.dynamics import boundary_convergence_check
+from smoothgames.games import (block_slices, cross_hessian, embed_strategy,
+                               quasi_strict_check, reduce_game,
+                               restrict_strategy)
 from smoothgames.stability import (
     IMPROVEMENT_TOL,
     bilinear_scale_recovery,
-    boundary_convergence_check,
-    embed_strategy,
     game_jacobian,
     interaction_graph,
     local_uniform_stability,
     pareto_improvement_search,
     pd_stretch,
-    quasi_strict_check,
-    reduce_game,
     report_to_dict,
-    restrict_strategy,
     simplex_lattice,
     lattice_size,
     solve_skew_certificate,
@@ -529,6 +527,20 @@ def test_local_stability_needs_interior_center():
         local_uniform_stability(g, pure_point((2, 2), (0, 0)))
 
 
+@pytest.mark.parametrize("name,value", [
+    ("num_samples", -3), ("num_samples", 2.5), ("num_samples", True),
+    ("radius", float("nan")), ("radius", float("inf")), ("radius", -1.0),
+    ("radius", 0.0)])
+def test_local_stability_rejects_bad_sampling(name, value, monkeypatch):
+    checked = []
+    monkeypatch.setattr(stability, "uniform_stability_check",
+                        lambda *args, **kw: checked.append(args))
+    with pytest.raises(ArgumentError, match=name):
+        local_uniform_stability(sg.bundled_game("matching_pennies"),
+                                uniform_point((2, 2)), **{name: value})
+    assert checked == []  # rejected before any point is checked
+
+
 # ---------------------------------------------------------------------------
 # pd-stretch and bilinear scale
 
@@ -590,6 +602,51 @@ def test_bilinear_zero_matrix_edge_cases():
         bilinear_scale_recovery(np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises(DimensionError):
         bilinear_scale_recovery(np.zeros((2, 3)), np.zeros((2, 2)))
+
+
+def _bilinear_pair(rng, m, n, kind):
+    if kind == "pinned":
+        # a sign search over singular frames returned x^T A y = 4.3e-31 here
+        a = np.outer([1.0, 2.0], [1.0, -1.0, 0.5])
+        return a, 2.0 * a + 1e-3 * np.outer([1.0, -1.0], [0.0, 1.0, 1.0])
+    if kind == "random":
+        return rng.standard_normal((m, n)), rng.standard_normal((m, n))
+    if kind == "negative_multiple":
+        a = rng.standard_normal((m, n))
+        return a, -rng.uniform(0.1, 10.0) * a
+    v = rng.standard_normal(n)
+    a = np.outer(rng.standard_normal(m), v)
+    if kind == "shared_factor":  # B^T x is parallel to A^T x for every x
+        return a, np.outer(rng.standard_normal(m), v)
+    # near rank one: a positive multiple of A plus a small rank-one defect
+    defect = np.outer(rng.standard_normal(m), rng.standard_normal(n))
+    return a, rng.uniform(0.5, 3.0) * a + 10.0 ** rng.uniform(-6, -2) * defect
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 6),
+       n=st.integers(1, 6),
+       kind=st.sampled_from(["random", "near_rank_one", "shared_factor",
+                             "negative_multiple"]))
+@example(seed=0, m=2, n=3, kind="pinned")
+def test_bilinear_refutations_are_strict(seed, m, n, kind):
+    a, b = _bilinear_pair(np.random.default_rng(seed), m, n, kind)
+    result = bilinear_scale_recovery(a, b, rng_seed=seed % 1000)
+    if not result.refuted:
+        assert kind in ("random", "shared_factor", "near_rank_one")
+        assert result.lam > 0
+        assert np.linalg.norm(a - result.lam * b) <= 1e-9 * np.linalg.norm(a)
+        return
+    x, y, a_val, b_val = result.witness
+    assert a_val * b_val < 0
+    for mat, reported in ((a, a_val), (b, b_val)):
+        value = float(x @ mat @ y)
+        # a bound on the rounding of x^T M y in dimensions up to 6 (at most
+        # (m + n) eps |x|^T |M| |y|): a form above it has the sign computed
+        rounding = (100 * np.finfo(float).eps * np.linalg.norm(x)
+                    * np.linalg.norm(mat) * np.linalg.norm(y))
+        assert abs(value) > rounding
+        assert abs(value - reported) <= rounding
 
 
 # ---------------------------------------------------------------------------
