@@ -20,15 +20,13 @@ from .dynamics import (DynamicsConfig, eta_threshold, run, stability_verdict,
                        write_csv)
 from .errors import (ConvergenceError, GameError, ParseError, ResourceError,
                      check_count)
-from .games import (JointStrategy, epsilon_nash_gap, game_jacobian, load_game,
-                    pure_strategy, quasi_strict_check, uniform_strategy,
-                    utility)
+from .games import (JointStrategy, game_jacobian, load_game, pure_strategy,
+                    quasi_strict_check, uniform_strategy, utility)
 from .regularizers import entropy, regularizer_from_dict
 from .response import (SmoothedResponseConfig, homotopy_trace,
                        linear_steepness_probe)
-from .stability import (GRID_CAP, lattice_size, report_to_dict,
-                        strong_nash_oracle, uniform_stability_check,
-                        weak_pareto_oracle)
+from .stability import (report_to_dict, strong_nash_oracle,
+                        uniform_stability_check, weak_pareto_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -90,15 +88,16 @@ def _parse_regularizers(spec: str, shape):
     raise ParseError("regularizer spec must be a JSON object or list")
 
 
-def _beta_schedule(target: float, start=1.0, factor=0.3) -> list:
-    """Geometric continuation schedule from ``start`` down to ``target``."""
-    if target >= start:
+def _beta_schedule(target: float) -> list:
+    """Geometric continuation schedule from 1 down to ``target``, shrinking
+    by a factor 0.3 per step."""
+    if target >= 1.0:
         return [target]
     schedule = []
-    b = start
+    b = 1.0
     while b > target * 1.000001:
         schedule.append(b)
-        b *= factor
+        b *= 0.3
     schedule.append(target)
     return schedule
 
@@ -144,7 +143,7 @@ def cmd_analyze(args) -> int:
         "point": [b.tolist() for b in point.blocks],
         "utilities": [utility(game, point, n)
                       for n in range(game.num_players)],
-        "nash_gap": epsilon_nash_gap(game, point),
+        "nash_gap": quasi.gap,
         "quasi_strict": {
             "status": quasi.status,
             "gap": quasi.gap,
@@ -156,11 +155,11 @@ def cmd_analyze(args) -> int:
     if solve_info is not None:
         payload["solved"] = solve_info
 
-    grid_total = 1
-    for k in game.shape:
-        grid_total *= lattice_size(k, args.grid_resolution)
-    if grid_total <= GRID_CAP:
+    try:
         pareto = weak_pareto_oracle(game, point, args.grid_resolution)
+    except ResourceError as err:
+        payload["weak_pareto"] = {"skipped": str(err)}
+    else:
         payload["weak_pareto"] = {
             "optimal": pareto.optimal,
             "resolution": pareto.resolution,
@@ -180,10 +179,6 @@ def cmd_analyze(args) -> int:
                     list(v.coalition) for v in strong.verdicts
                     if v.improvable],
             }
-    else:
-        payload["weak_pareto"] = {
-            "skipped": f"grid of {grid_total} points exceeds the "
-                       f"{GRID_CAP} cap"}
     _emit_json(payload, args.output)
     return 0
 

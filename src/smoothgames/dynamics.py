@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .games import (JointStrategy, NormalFormGame, perturb_strategy,
                     quasi_strict_check, uniform_strategy)
 from .response import (FlatKernel, SmoothedEquilibrium,
                        SmoothedResponseConfig, find_smoothed_equilibrium,
-                       response_jacobian)
+                       homotopy_trace, response_jacobian)
 
 SAMPLE_BALL_RADIUS = 0.05  # inf-norm radius for Lipschitz sampling
 CLASSIFICATION_TOL = 1e-9
@@ -260,14 +260,14 @@ def _face_distance(x: JointStrategy, supports) -> float:
 
 
 def boundary_convergence_check(game: NormalFormGame, regs, x_star: JointStrategy,
-                               beta_schedule, eta_rule=None,
-                               outer_tol=1e-12) -> BoundaryReport:
+                               beta_schedule, outer_tol=1e-12) -> BoundaryReport:
     """Test the boundary predictions at a quasi-strict equilibrium.
 
-    For each beta the smoothed equilibrium is found by warm start, the
+    ``homotopy_trace`` solves the strictly decreasing ``beta_schedule`` from
+    a 0.9/0.1 blend of x_star and the uniform point.  At each beta the
     off-support mass is compared to beta (it must shrink), and the operator
     norm of the dynamics Jacobian is checked against exp(-eta/2) with
-    eta = beta^2 / (1 + 4 L^2) unless an eta_rule overrides it.
+    eta = beta^2 / (1 + 4 L^2).
     """
     check = quasi_strict_check(game, x_star)
     if check.status != "quasi_strict":
@@ -276,21 +276,22 @@ def boundary_convergence_check(game: NormalFormGame, regs, x_star: JointStrategy
     supports = x_star.supports()
     blend = JointStrategy(tuple(
         0.9 * b + 0.1 * np.full(len(b), 1.0 / len(b)) for b in x_star.blocks))
+    # a placeholder beta: the trace validates the schedule and solves at
+    # each of its betas in turn
+    cfg = SmoothedResponseConfig(beta=1.0, regularizers=regs)
+    trace = homotopy_trace(game, cfg, beta_schedule, blend,
+                           outer_tol=outer_tol, max_iter=200_000)
 
     rows = []
-    warm = blend
     prev_ratio = np.inf
     decreasing = True
     all_hold = True
-    for beta in beta_schedule:
-        cfg = SmoothedResponseConfig(beta=float(beta), regularizers=tuple(regs))
-        eq = find_smoothed_equilibrium(game, cfg, warm, outer_tol=outer_tol,
-                                       max_iter=200_000)
-        warm = eq.point
+    for eq in trace:
+        beta = eq.beta
         # measure at the response image of the solved point: the fixed-point
         # iterate cannot resolve off-face mass below the solver tolerance,
         # while the response map's closed form carries the true asymptotics
-        kernel = FlatKernel(game, cfg)
+        kernel = FlatKernel(game, replace(cfg, beta=beta))
         x = kernel.flatten(eq.point)[None, :]
         grad_phi = kernel.tangent_jacobians(x)[0]
         # a Newton solve here starts from the Jacobian's response to the
@@ -300,14 +301,13 @@ def boundary_convergence_check(game: NormalFormGame, regs, x_star: JointStrategy
         if ratio > prev_ratio:
             decreasing = False
         prev_ratio = ratio
-        lip = _lipschitz(grad_phi, cfg.beta)
-        eta = (beta ** 2 / (1.0 + 4.0 * lip ** 2) if eta_rule is None
-               else float(eta_rule(beta, lip)))
+        lip = _lipschitz(grad_phi, beta)
+        eta = beta ** 2 / (1.0 + 4.0 * lip ** 2)
         op_norm = _verdict(grad_phi, eta, eq).jacobian_operator_norm
         bound = float(np.exp(-eta / 2.0))
         holds = op_norm <= bound
         all_hold = all_hold and holds
-        rows.append(BoundaryRow(beta=float(beta), suppressed_ratio=ratio,
+        rows.append(BoundaryRow(beta=beta, suppressed_ratio=ratio,
                                 response_norm_bound=bound,
                                 operator_norm=op_norm, eta=eta,
                                 norm_bound_holds=holds, residual=eq.residual))

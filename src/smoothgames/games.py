@@ -204,13 +204,13 @@ def replace_block(x: JointStrategy, n: int, block) -> JointStrategy:
     return JointStrategy(tuple(blocks))
 
 
-def perturb_strategy(x: JointStrategy, radius: float, rng,
-                     floor=1e-9) -> JointStrategy:
-    """Sample a nearby interior point in the inf-ball, clipped to the simplex."""
+def perturb_strategy(x: JointStrategy, radius: float, rng) -> JointStrategy:
+    """Sample a nearby interior point in the inf-ball, clipped to the simplex
+    (every coordinate at least 1e-9 before renormalizing)."""
     blocks = []
     for b in x.blocks:
         cand = b + rng.uniform(-radius, radius, size=len(b))
-        cand = np.maximum(cand, floor)
+        cand = np.maximum(cand, 1e-9)
         blocks.append(cand / cand.sum())
     return JointStrategy(tuple(blocks))
 

@@ -25,7 +25,7 @@ from .errors import (ArgumentError, DimensionError, DomainError,
                      ResourceError, check_count)
 from .games import (GameJacobian, JointStrategy, NormalFormGame,
                     TangentVector, block_diag, block_slices, game_jacobian,
-                    perturb_strategy, pure_strategy, utility)
+                    perturb_strategy, utility)
 
 EDGE_TOL = 1e-10          # Frobenius threshold for interaction-graph edges
 SKEW_RESIDUAL_TOL = 1e-8  # certificate feasibility threshold
@@ -241,6 +241,8 @@ def bilinear_scale_recovery(A, B, tol=1e-9, rng_seed=0) -> BilinearScaleResult:
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise DimensionError("A and B must have equal shapes")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ArgumentError("A and B must have finite entries")
     norm_a, norm_b = np.linalg.norm(A), np.linalg.norm(B)
     if norm_b == 0.0:
         if norm_a == 0.0:
@@ -618,11 +620,9 @@ def simplex_lattice(k: int, resolution: int) -> np.ndarray:
     ``resolution`` counts the points along each edge, so resolution 21 steps
     in increments of 0.05.  Vertices are always included.
     """
-    _check_resolution(resolution)
+    points = np.empty((lattice_size(k, resolution), k))
     steps = resolution - 1
     combos = itertools.combinations(range(steps + k - 1), k - 1)
-    points = np.empty((comb(steps + k - 1, k - 1), k))
-    prev = -1
     for row, cut in enumerate(combos):
         bounds = (-1,) + cut + (steps + k - 1,)
         counts = [bounds[i + 1] - bounds[i] - 1 for i in range(k)]
@@ -632,14 +632,11 @@ def simplex_lattice(k: int, resolution: int) -> np.ndarray:
 
 def lattice_size(k: int, resolution: int) -> int:
     """Number of points of ``simplex_lattice(k, resolution)``."""
-    _check_resolution(resolution)
-    return comb(resolution - 1 + k - 1, k - 1)
-
-
-def _check_resolution(resolution):
+    check_count("k", k, positive=True)
     check_count("resolution", resolution)
     if resolution < 2:
         raise ArgumentError(f"resolution must be at least 2, got {resolution}")
+    return comb(resolution - 1 + k - 1, k - 1)
 
 
 @dataclass(frozen=True)
@@ -649,40 +646,47 @@ class ParetoOracleResult:
     resolution: int = 21
 
 
-def _grid_values(game, lattices, fixed=None):
-    """Utilities of every lattice profile, one array per player.
+def _capped_lattices(game, resolution):
+    """Each player's lattice, once the full grid is known to fit GRID_CAP.
 
-    ``fixed`` maps player index -> probability vector, removing that axis
-    from the grid.
+    Every coalition's grid is a factor of the full grid, so this one check
+    bounds every search an oracle makes, and it runs before any lattice is
+    built.
     """
-    fixed = fixed or {}
-    out = []
-    for n in range(game.num_players):
-        t = game.payoffs[n]
-        # contract fixed players first (from the back, axes stay valid)
-        for axis in reversed(range(game.num_players)):
-            if axis in fixed:
-                t = np.tensordot(t, fixed[axis], axes=([axis], [0]))
-        # now contract each free axis against its lattice: each tensordot
-        # consumes the leading axis and appends a lattice index at the end,
-        # so the result is indexed by free players in ascending order
-        free = [n2 for n2 in range(game.num_players) if n2 not in fixed]
-        for n2 in free:
-            t = np.tensordot(t, lattices[n2].T, axes=([0], [0]))
-        out.append(t)
-    return out
+    total = 1
+    for k in game.shape:
+        total *= lattice_size(k, resolution)
+    if total > GRID_CAP:
+        raise ResourceError(f"grid of {total} points exceeds the {GRID_CAP} "
+                            f"cap")
+    return [simplex_lattice(k, resolution) for k in game.shape]
 
 
-def _first_improving_cell(values, base, members):
-    """Index of the first cell, in C order, where every member's utility in
-    ``values`` beats its ``base`` by more than 1e-12; None if there is none."""
-    better = np.ones(values[0].shape, dtype=bool)
+def _improving_profile(game, x_star, base, members, lattices):
+    """First profile, in C order over the members' lattices (``members``
+    ascending), at which every member's utility beats its ``base`` by more
+    than 1e-12; the other players stay at ``x_star``.  None if there is none.
+    """
+    better = True
     for n in members:
-        better &= values[n] > base[n] + 1e-12
+        t = game.payoffs[n]
+        # contract the players held at x_star first (from the back, axes
+        # stay valid)
+        for axis in reversed(range(game.num_players)):
+            if axis not in members:
+                t = np.tensordot(t, x_star.blocks[axis], axes=([axis], [0]))
+        # each tensordot consumes the leading axis and appends a lattice
+        # index at the end, so the result is indexed by members in order
+        for m in members:
+            t = np.tensordot(t, lattices[m].T, axes=([0], [0]))
+        better = better & (t > base[n] + 1e-12)
     if not better.any():
         return None
-    return np.unravel_index(int(np.argmax(better.ravel(order="C"))),
-                            better.shape)
+    cell = np.unravel_index(int(np.argmax(better.ravel())), better.shape)
+    blocks = list(x_star.blocks)
+    for m, i in zip(members, cell):
+        blocks[m] = lattices[m][i]
+    return JointStrategy(tuple(blocks))
 
 
 def weak_pareto_oracle(game: NormalFormGame, x_star: JointStrategy,
@@ -690,25 +694,15 @@ def weak_pareto_oracle(game: NormalFormGame, x_star: JointStrategy,
     """Exhaustively search pure profiles and a simplex grid for a joint
     strict improvement."""
     base = [utility(game, x_star, n) for n in range(game.num_players)]
-    lattices = [simplex_lattice(k, grid_resolution) for k in game.shape]
-    total = int(np.prod([len(l) for l in lattices]))
-    if total > GRID_CAP:
-        raise ResourceError(
-            f"grid of {total} points exceeds the 10^6 cap; lower the "
-            f"resolution")
+    lattices = _capped_lattices(game, grid_resolution)
     players = range(game.num_players)
     # pure profiles first: when a dominating cell exists the reported witness
     # stays a vertex (exact, integer-friendly) instead of a lattice point
-    indices = _first_improving_cell(game.payoffs, base, players)
-    if indices is not None:
-        witness = pure_strategy(game.shape, indices)
-        return ParetoOracleResult(optimal=False, witness=witness,
-                                  resolution=grid_resolution)
-    multi = _first_improving_cell(_grid_values(game, lattices), base, players)
-    if multi is None:
-        return ParetoOracleResult(optimal=True, resolution=grid_resolution)
-    witness = JointStrategy(tuple(lattices[n][multi[n]] for n in players))
-    return ParetoOracleResult(optimal=False, witness=witness,
+    witness = _improving_profile(game, x_star, base, players,
+                                 [np.eye(k) for k in game.shape])
+    if witness is None:
+        witness = _improving_profile(game, x_star, base, players, lattices)
+    return ParetoOracleResult(optimal=witness is None, witness=witness,
                               resolution=grid_resolution)
 
 
@@ -732,37 +726,18 @@ def strong_nash_oracle(game: NormalFormGame, x_star: JointStrategy,
     if game.num_players > 4:
         raise ArgumentError("strong Nash oracle supports at most 4 players")
     base = [utility(game, x_star, n) for n in range(game.num_players)]
-    players = range(game.num_players)
+    lattices = _capped_lattices(game, grid_resolution)
     verdicts = []
-    strong = True
     for size in range(1, game.num_players + 1):
-        for coalition in itertools.combinations(players, size):
-            lattices = {n: simplex_lattice(game.shape[n], grid_resolution)
-                        for n in coalition}
-            total = int(np.prod([len(lattices[n]) for n in coalition]))
-            if total > GRID_CAP:
-                raise ResourceError(
-                    f"coalition {coalition} grid of {total} points exceeds "
-                    f"the 10^6 cap")
-            fixed = {n: x_star.blocks[n] for n in players
-                     if n not in coalition}
-            values = _grid_values(game, [lattices.get(n) for n in players],
-                                  fixed=fixed)
-            multi = _first_improving_cell(values, base, coalition)
-            if multi is not None:
-                blocks = list(x_star.blocks)
-                for pos, n in enumerate(sorted(coalition)):
-                    blocks[n] = lattices[n][multi[pos]]
-                witness = JointStrategy(tuple(blocks))
-                verdicts.append(CoalitionVerdict(coalition=coalition,
-                                                 improvable=True,
-                                                 witness=witness))
-                strong = False
-            else:
-                verdicts.append(CoalitionVerdict(coalition=coalition,
-                                                 improvable=False))
-    return StrongNashResult(strong_nash=strong, verdicts=tuple(verdicts),
-                            resolution=grid_resolution)
+        for coalition in itertools.combinations(range(game.num_players), size):
+            witness = _improving_profile(game, x_star, base, coalition,
+                                         lattices)
+            verdicts.append(CoalitionVerdict(coalition=coalition,
+                                             improvable=witness is not None,
+                                             witness=witness))
+    return StrongNashResult(
+        strong_nash=not any(v.improvable for v in verdicts),
+        verdicts=tuple(verdicts), resolution=grid_resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,8 @@ def test_analyze_large_grid_skips_oracles(capsys):
                                     "--grid-resolution", "1001"])
     assert code == 0
     data = json.loads(out)
-    assert "skipped" in data["weak_pareto"]
+    assert data["weak_pareto"] == {
+        "skipped": "grid of 1002001 points exceeds the 1000000 cap"}
     assert "strong_nash" not in data
 
 

@@ -1,6 +1,9 @@
 """Certificates, witnesses, and brute-force oracles around game Jacobians."""
 
+import itertools
 import json
+import math
+import time
 
 import numpy as np
 import pytest
@@ -10,11 +13,16 @@ import smoothgames as sg
 from smoothgames import stability
 from smoothgames import ArgumentError, DimensionError, DomainError, ResourceError
 from smoothgames.dynamics import boundary_convergence_check
-from smoothgames.games import (block_slices, cross_hessian, embed_strategy,
+from smoothgames.games import (JointStrategy, block_slices, cross_hessian,
+                               embed_strategy, pure_strategy,
                                quasi_strict_check, reduce_game,
-                               restrict_strategy)
+                               restrict_strategy, utility)
 from smoothgames.stability import (
+    GRID_CAP,
     IMPROVEMENT_TOL,
+    CoalitionVerdict,
+    ParetoOracleResult,
+    StrongNashResult,
     bilinear_scale_recovery,
     game_jacobian,
     interaction_graph,
@@ -604,6 +612,16 @@ def test_bilinear_zero_matrix_edge_cases():
         bilinear_scale_recovery(np.zeros((2, 3)), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_bilinear_rejects_non_finite_matrices(bad, side):
+    finite = np.array([[1.0, 2.0]])
+    broken = np.array([[bad, 1.0]])
+    pair = (broken, finite) if side == "A" else (finite, broken)
+    with pytest.raises(ArgumentError, match="finite"):
+        bilinear_scale_recovery(*pair)
+
+
 def _bilinear_pair(rng, m, n, kind):
     if kind == "pinned":
         # a sign search over singular frames returned x^T A y = 4.3e-31 here
@@ -812,6 +830,18 @@ def test_boundary_check_requires_quasi_strict_point():
                                    pure_point((3, 3), (0, 0)), (0.1,))
 
 
+@pytest.mark.parametrize("schedule", [[], (0.1, 0.3), (0.1, 0.1), (0.1, 0.0)],
+                         ids=["empty", "increasing", "repeated", "zero"])
+def test_boundary_check_rejects_bad_schedules(schedule):
+    t1 = np.array([[1.0, -1.0, 3.0], [-1.0, 1.0, 3.0]])
+    g = sg.NormalFormGame((t1, -t1.copy()))
+    x_star = sg.JointStrategy((np.array([0.5, 0.5]),
+                               np.array([0.5, 0.5, 0.0])))
+    with pytest.raises(ArgumentError, match="beta_schedule"):
+        boundary_convergence_check(g, (sg.entropy(2), sg.entropy(3)),
+                                   x_star, schedule)
+
+
 # ---------------------------------------------------------------------------
 # lattice oracles
 
@@ -837,6 +867,13 @@ def test_simplex_lattice_rejects_degenerate_resolution():
         simplex_lattice(3, 1)
 
 
+@pytest.mark.parametrize("k", [0, -1, 2.5, True])
+@pytest.mark.parametrize("fn", [simplex_lattice, lattice_size])
+def test_lattice_rejects_bad_dimension(fn, k):
+    with pytest.raises(ArgumentError, match="k must be a positive integer"):
+        fn(k, 3)
+
+
 @pytest.mark.parametrize("resolution", [1, 0, -1, 2.5, True])
 def test_lattice_size_rejects_degenerate_resolution(resolution):
     with pytest.raises(ArgumentError, match="resolution"):
@@ -847,6 +884,177 @@ def test_pareto_oracle_grid_cap():
     g = sg.bundled_game("matching_pennies")
     with pytest.raises(ResourceError):
         weak_pareto_oracle(g, uniform_point((2, 2)), grid_resolution=1001)
+
+
+@pytest.mark.parametrize("oracle", [weak_pareto_oracle, strong_nash_oracle])
+def test_oracles_refuse_an_oversized_grid_before_building_it(oracle):
+    # one 30-action lattice at resolution 21 alone would need petabytes
+    g = sg.NormalFormGame((np.zeros((30, 30)), np.zeros((30, 30))))
+    total = math.comb(49, 29) ** 2
+    start = time.perf_counter()
+    with pytest.raises(ResourceError) as err:
+        oracle(g, uniform_point((30, 30)), grid_resolution=21)
+    assert str(err.value) == (f"grid of {total} points exceeds the "
+                              f"1000000 cap")
+    assert time.perf_counter() - start < 1.0
+
+
+# the grid oracles as they were before one coalition search served both,
+# kept verbatim as the reference the search must reproduce
+
+def _grid_values(game, lattices, fixed=None):
+    """Utilities of every lattice profile, one array per player.
+
+    ``fixed`` maps player index -> probability vector, removing that axis
+    from the grid.
+    """
+    fixed = fixed or {}
+    out = []
+    for n in range(game.num_players):
+        t = game.payoffs[n]
+        # contract fixed players first (from the back, axes stay valid)
+        for axis in reversed(range(game.num_players)):
+            if axis in fixed:
+                t = np.tensordot(t, fixed[axis], axes=([axis], [0]))
+        # now contract each free axis against its lattice: each tensordot
+        # consumes the leading axis and appends a lattice index at the end,
+        # so the result is indexed by free players in ascending order
+        free = [n2 for n2 in range(game.num_players) if n2 not in fixed]
+        for n2 in free:
+            t = np.tensordot(t, lattices[n2].T, axes=([0], [0]))
+        out.append(t)
+    return out
+
+
+def _first_improving_cell(values, base, members):
+    """Index of the first cell, in C order, where every member's utility in
+    ``values`` beats its ``base`` by more than 1e-12; None if there is none."""
+    better = np.ones(values[0].shape, dtype=bool)
+    for n in members:
+        better &= values[n] > base[n] + 1e-12
+    if not better.any():
+        return None
+    return np.unravel_index(int(np.argmax(better.ravel(order="C"))),
+                            better.shape)
+
+
+def _reference_weak_pareto_oracle(game, x_star, grid_resolution=21):
+    """Exhaustively search pure profiles and a simplex grid for a joint
+    strict improvement."""
+    base = [utility(game, x_star, n) for n in range(game.num_players)]
+    lattices = [simplex_lattice(k, grid_resolution) for k in game.shape]
+    total = int(np.prod([len(l) for l in lattices]))
+    if total > GRID_CAP:
+        raise ResourceError(
+            f"grid of {total} points exceeds the 10^6 cap; lower the "
+            f"resolution")
+    players = range(game.num_players)
+    # pure profiles first: when a dominating cell exists the reported witness
+    # stays a vertex (exact, integer-friendly) instead of a lattice point
+    indices = _first_improving_cell(game.payoffs, base, players)
+    if indices is not None:
+        witness = pure_strategy(game.shape, indices)
+        return ParetoOracleResult(optimal=False, witness=witness,
+                                  resolution=grid_resolution)
+    multi = _first_improving_cell(_grid_values(game, lattices), base, players)
+    if multi is None:
+        return ParetoOracleResult(optimal=True, resolution=grid_resolution)
+    witness = JointStrategy(tuple(lattices[n][multi[n]] for n in players))
+    return ParetoOracleResult(optimal=False, witness=witness,
+                              resolution=grid_resolution)
+
+
+def _reference_strong_nash_oracle(game, x_star, grid_resolution=21):
+    """Grid search for coalition deviations that improve every member."""
+    if game.num_players > 4:
+        raise ArgumentError("strong Nash oracle supports at most 4 players")
+    base = [utility(game, x_star, n) for n in range(game.num_players)]
+    players = range(game.num_players)
+    verdicts = []
+    strong = True
+    for size in range(1, game.num_players + 1):
+        for coalition in itertools.combinations(players, size):
+            lattices = {n: simplex_lattice(game.shape[n], grid_resolution)
+                        for n in coalition}
+            total = int(np.prod([len(lattices[n]) for n in coalition]))
+            if total > GRID_CAP:
+                raise ResourceError(
+                    f"coalition {coalition} grid of {total} points exceeds "
+                    f"the 10^6 cap")
+            fixed = {n: x_star.blocks[n] for n in players
+                     if n not in coalition}
+            values = _grid_values(game, [lattices.get(n) for n in players],
+                                  fixed=fixed)
+            multi = _first_improving_cell(values, base, coalition)
+            if multi is not None:
+                blocks = list(x_star.blocks)
+                for pos, n in enumerate(sorted(coalition)):
+                    blocks[n] = lattices[n][multi[pos]]
+                witness = JointStrategy(tuple(blocks))
+                verdicts.append(CoalitionVerdict(coalition=coalition,
+                                                 improvable=True,
+                                                 witness=witness))
+                strong = False
+            else:
+                verdicts.append(CoalitionVerdict(coalition=coalition,
+                                                 improvable=False))
+    return StrongNashResult(strong_nash=strong, verdicts=tuple(verdicts),
+                            resolution=grid_resolution)
+
+
+def _same_strategy(got, want):
+    if want is None:
+        return got is None
+    return got is not None and all(
+        np.array_equal(a, b) for a, b in zip(got.blocks, want.blocks, strict=True))
+
+
+@st.composite
+def _oracle_cases(draw):
+    """A 2-4 player game, a point in it and a resolution whose full grid
+    stays at most 10^5 profiles, so the reference runs quickly."""
+    num_players = draw(st.integers(2, 4))
+    shape = tuple(draw(st.lists(st.integers(2, 4), min_size=num_players,
+                                max_size=num_players)))
+    fits = [r for r in range(2, 12)
+            if math.prod(lattice_size(k, r) for k in shape) <= 10 ** 5]
+    resolution = draw(st.sampled_from(fits))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        # small integers tie often, which pins the C-order tie-break
+        game = sg.NormalFormGame(tuple(
+            rng.integers(-2, 3, shape).astype(float) for _ in shape))
+    else:
+        game = random_game(rng, shape)
+    kind = draw(st.sampled_from(["uniform", "pure", "interior"]))
+    if kind == "uniform":
+        point = uniform_point(shape)
+    elif kind == "pure":
+        point = pure_point(shape, [int(rng.integers(k)) for k in shape])
+    else:
+        point = random_interior(rng, shape)
+    return game, point, resolution
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_oracle_cases())
+def test_grid_oracles_match_the_reference(case):
+    game, point, resolution = case
+    pareto = weak_pareto_oracle(game, point, resolution)
+    want = _reference_weak_pareto_oracle(game, point, resolution)
+    assert pareto.optimal == want.optimal
+    assert pareto.resolution == want.resolution
+    assert _same_strategy(pareto.witness, want.witness)
+
+    strong = strong_nash_oracle(game, point, resolution)
+    want = _reference_strong_nash_oracle(game, point, resolution)
+    assert strong.strong_nash == want.strong_nash
+    assert strong.resolution == want.resolution
+    assert len(strong.verdicts) == len(want.verdicts)
+    for got, ref in zip(strong.verdicts, want.verdicts):
+        assert got.coalition == ref.coalition
+        assert got.improvable == ref.improvable
+        assert _same_strategy(got.witness, ref.witness)
 
 
 def test_weak_pareto_ledger_for_example_A():
