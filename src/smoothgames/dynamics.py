@@ -13,7 +13,9 @@ from __future__ import annotations
 import csv
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .response import (FlatKernel, SmoothedEquilibrium,
 SAMPLE_BALL_RADIUS = 0.05  # inf-norm radius for Lipschitz sampling
 CLASSIFICATION_TOL = 1e-9
 DISTANCE_CHUNK = 64  # states held back before their distances are taken
+SWEEP_CHUNK = 64  # grid rows per dynamics batch of a sweep, for every jobs
 
 
 @dataclass(frozen=True)
@@ -106,19 +109,20 @@ def run_many(game: NormalFormGame, cfg: DynamicsConfig, X0,
     starts = [kernel.flatten(x, "x0") for x in X0]
     if not starts:
         raise ArgumentError("at least one start is required")
-    return _orbits(kernel, [cfg] * len(starts), np.stack(starts), reference)
+    ref = (kernel.flatten(reference.point, "reference")
+           if reference is not None else None)
+    return _orbits(kernel, [cfg] * len(starts), np.stack(starts), ref)
 
 
-def _orbits(kernel, configs, X, reference):
+def _orbits(kernel, configs, X, ref):
     """Run row i of X under configs[i]; all share horizon and cadence.
 
-    Points become JointStrategy objects only where they are recorded.
-    Distances are taken DISTANCE_CHUNK states at a time.
+    ``ref`` is None, a flat reference point or one per row.  Points become
+    JointStrategy objects only where they are recorded.  Distances are
+    taken DISTANCE_CHUNK states at a time.
     """
     horizon, every = configs[0].horizon, configs[0].record_every
     eta = np.array([[c.eta] for c in configs])
-    ref = (kernel.flatten(reference.point, "reference")
-           if reference is not None else None)
     recorded = [X]
     pending = [X]
     distances = []
@@ -212,6 +216,9 @@ def eta_threshold(game: NormalFormGame, cfg: SmoothedResponseConfig,
     The radius is an artifact of the measurement, not of the theory, so
     callers reporting the threshold should report the radius with it.
     """
+    if not isinstance(eq, SmoothedEquilibrium):
+        raise ArgumentError(
+            f"eq must be a SmoothedEquilibrium, got {type(eq).__name__}")
     check_count("num_samples", num_samples)
     check_count("rng_seed", rng_seed)
     if not 0 < radius < np.inf:
@@ -282,37 +289,30 @@ def boundary_convergence_check(game: NormalFormGame, regs, x_star: JointStrategy
     trace = homotopy_trace(game, cfg, beta_schedule, blend,
                            outer_tol=outer_tol, max_iter=200_000)
 
+    # measure at the response images of the solved points: the fixed-point
+    # iterate cannot resolve off-face mass below the solver tolerance,
+    # while the response map's closed form carries the true asymptotics
+    kernel = FlatKernel(game, cfg, beta=np.array([[eq.beta] for eq in trace]))
+    X = np.stack([eq.point.concatenated() for eq in trace])
+    jacobians = kernel.tangent_jacobians(X)
+    # a Newton solve here starts from the Jacobians' responses to the same
+    # points, so it stops at its first residual check
+    refined = kernel.respond(X)
     rows = []
-    prev_ratio = np.inf
-    decreasing = True
-    all_hold = True
-    for eq in trace:
-        beta = eq.beta
-        # measure at the response image of the solved point: the fixed-point
-        # iterate cannot resolve off-face mass below the solver tolerance,
-        # while the response map's closed form carries the true asymptotics
-        kernel = FlatKernel(game, replace(cfg, beta=beta))
-        x = kernel.flatten(eq.point)[None, :]
-        grad_phi = kernel.tangent_jacobians(x)[0]
-        # a Newton solve here starts from the Jacobian's response to the
-        # same point, so it stops at its first residual check
-        refined = kernel.strategy(kernel.respond(x)[0])
-        ratio = _face_distance(refined, supports) / beta
-        if ratio > prev_ratio:
-            decreasing = False
-        prev_ratio = ratio
-        lip = _lipschitz(grad_phi, beta)
-        eta = beta ** 2 / (1.0 + 4.0 * lip ** 2)
+    for eq, grad_phi, y in zip(trace, jacobians, refined):
+        eta = eq.beta ** 2 / (1.0 + 4.0 * _lipschitz(grad_phi, eq.beta) ** 2)
         op_norm = _verdict(grad_phi, eta, eq).jacobian_operator_norm
         bound = float(np.exp(-eta / 2.0))
-        holds = op_norm <= bound
-        all_hold = all_hold and holds
-        rows.append(BoundaryRow(beta=beta, suppressed_ratio=ratio,
-                                response_norm_bound=bound,
-                                operator_norm=op_norm, eta=eta,
-                                norm_bound_holds=holds, residual=eq.residual))
-    return BoundaryReport(rows=tuple(rows), ratios_decreasing=decreasing,
-                          all_norm_bounds_hold=all_hold)
+        rows.append(BoundaryRow(
+            beta=eq.beta, response_norm_bound=bound, operator_norm=op_norm,
+            suppressed_ratio=_face_distance(kernel.strategy(y), supports)
+            / eq.beta, eta=eta, norm_bound_holds=op_norm <= bound,
+            residual=eq.residual))
+    ratios = [row.suppressed_ratio for row in rows]
+    return BoundaryReport(
+        rows=tuple(rows),
+        ratios_decreasing=not any(b > a for a, b in zip(ratios, ratios[1:])),
+        all_norm_bounds_hold=all(row.norm_bound_holds for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -328,56 +328,43 @@ class SweepCell:
     error: str = None
 
 
-def _sweep_beta(task):
-    """Every eta cell of one beta; their runs go through the kernel as one
-    batch, so a cell's result does not depend on how betas are scheduled."""
-    game, response_cfg, etas, x0, horizon, eq = task
-
-    def failed(eta, err):
-        return SweepCell(beta=response_cfg.beta, eta=eta, equilibrium=eq,
-                         error=f"{type(err).__name__}: {err}")
-
-    cells = [None] * len(etas)
-    live = []
-    for i, eta in enumerate(etas):
-        try:
-            live.append((i, DynamicsConfig(eta=eta, response=response_cfg,
-                                           horizon=horizon,
-                                           record_every=max(1, horizon))))
-        except GameError as err:
-            cells[i] = failed(eta, err)
-    if not live:
-        return cells
-    # the equilibrium solve has already checked the config and x0
-    kernel = FlatKernel(game, response_cfg)
+def _by_rows(batch, rows):
+    """``batch(rows)`` or, if that raises, the outcomes of each row alone;
+    a row that fails alone gives its error text instead."""
     try:
-        grad_phi = kernel.tangent_jacobians(
-            kernel.flatten(eq.point)[None, :])[0]
+        return list(batch(rows))
     except GameError as err:
-        for i, cfg in live:
-            cells[i] = failed(cfg.eta, err)
-        return cells
-    start = kernel.flatten(x0)
-    configs = [cfg for _, cfg in live]
-    try:
-        outcomes = _orbits(kernel, configs,
-                           np.tile(start, (len(configs), 1)), eq)
-    except GameError:
-        # one failing row must not fail the others: rerun rows alone
-        outcomes = []
-        for cfg in configs:
-            try:
-                outcomes.append(_orbits(kernel, [cfg], start[None, :], eq)[0])
-            except GameError as err:
-                outcomes.append(err)
-    for (i, cfg), outcome in zip(live, outcomes):
-        if isinstance(outcome, GameError):
-            cells[i] = failed(cfg.eta, outcome)
-        else:
-            cells[i] = SweepCell(beta=cfg.response.beta, eta=cfg.eta,
-                                 equilibrium=eq,
-                                 verdict=_verdict(grad_phi, cfg.eta, eq),
-                                 final_distance=outcome.distances[-1])
+        if len(rows) == 1:
+            return [_error_text(err)]
+        # one failing row must not fail the others
+        return [out for row in rows for out in _by_rows(batch, [row])]
+
+
+def _error_text(err) -> str:
+    return f"{type(err).__name__}: {err}"
+
+
+def _sweep_chunk(task):
+    """The cells of a chunk of sweep rows (dynamics config, equilibrium,
+    tangent response Jacobian), run from one start as one batch at a beta
+    column.  Each batch has its own kernel, so no Newton warm start
+    crosses batches."""
+    game, start, rows = task
+
+    def batch(part):
+        configs = [cfg for cfg, _, _ in part]
+        kernel = FlatKernel(game, configs[0].response, beta=np.array(
+            [[cfg.response.beta] for cfg in configs]))
+        refs = np.stack([eq.point.concatenated() for _, eq, _ in part])
+        return _orbits(kernel, configs, np.tile(start, (len(part), 1)), refs)
+    cells = []
+    for (cfg, eq, grad_phi), out in zip(rows, _by_rows(batch, rows)):
+        ok = not isinstance(out, str)
+        cells.append(SweepCell(
+            beta=cfg.response.beta, eta=cfg.eta, equilibrium=eq,
+            verdict=_verdict(grad_phi, cfg.eta, eq) if ok else None,
+            final_distance=out.distances[-1] if ok else None,
+            error=None if ok else out))
     return cells
 
 
@@ -386,10 +373,13 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
     """Equilibrium, verdict, and a finite run for every (beta, eta) cell.
 
     Equilibria are located once per beta by warm-started continuation from
-    the largest beta downward.  The runs of all eta cells of one beta then
-    go through the dynamics kernel as one batch; with ``jobs`` > 1 whole
-    betas are spread over worker processes, so results do not depend on
-    ``jobs``.  Cell errors are recorded in the cell, and the sweep
+    the largest beta downward, and one kernel call at a beta column takes
+    the tangent response Jacobians at all of them for the verdicts.  The
+    runs of all cells then go through the dynamics kernel in batches of
+    ``SWEEP_CHUNK`` cells, each row at its own beta and eta; with ``jobs``
+    > 1 and more than one batch, the batches are spread over worker
+    processes.  The batches are the same for every ``jobs``, so results do
+    not depend on it.  Cell errors are recorded in the cell, and the sweep
     continues.  The returned grid is row-major in (betas, etas) as given,
     independent of scheduling.
     """
@@ -411,24 +401,42 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
             solved[beta] = (cfg, eq)
             warm = eq.point
         except GameError as err:
-            errors[beta] = f"{type(err).__name__}: {err}"
+            errors[beta] = _error_text(err)
 
-    tasks = [(game, solved[beta][0], etas, x0, horizon, solved[beta][1])
-             for beta in betas if beta not in errors]
-    if jobs > 1 and tasks:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            computed = iter(list(pool.map(_sweep_beta, tasks)))
-    else:
-        computed = map(_sweep_beta, tasks)
+    def jacobians(ladder):
+        kernel = FlatKernel(game, solved[ladder[0]][0],
+                            beta=np.array(ladder)[:, None])
+        return kernel.tangent_jacobians(np.stack(
+            [solved[b][1].point.concatenated() for b in ladder]))
+    grad_phi = dict(zip(solved, _by_rows(jacobians, list(solved))
+                        if solved else ()))
+    errors.update((b, g) for b, g in grad_phi.items() if isinstance(g, str))
 
     cells = []
+    rows = []  # (dynamics config, equilibrium, grad_phi) of each cell to run
     for beta in betas:
-        if beta in errors:
-            cells.extend(SweepCell(beta=beta, eta=eta, error=errors[beta])
-                         for eta in etas)
-        else:
-            cells.extend(next(computed))
-    return tuple(cells)
+        cfg, eq = solved.get(beta, (None, None))
+        for eta in etas:
+            error = errors.get(beta)
+            if error is None:
+                try:
+                    rows.append((DynamicsConfig(
+                        eta=eta, response=cfg, horizon=horizon,
+                        record_every=max(1, horizon)), eq, grad_phi[beta]))
+                except GameError as err:
+                    error = _error_text(err)
+            cells.append(SweepCell(beta=beta, eta=eta, equilibrium=eq,
+                                   error=error) if error else None)
+
+    tasks = [(game, x0.concatenated(), rows[i:i + SWEEP_CHUNK])
+             for i in range(0, len(rows), SWEEP_CHUNK)]
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            computed = list(pool.map(_sweep_chunk, tasks))
+    else:
+        computed = map(_sweep_chunk, tasks)
+    ran = chain.from_iterable(computed)
+    return tuple(cell if cell is not None else next(ran) for cell in cells)
 
 
 # ---------------------------------------------------------------------------
@@ -452,17 +460,11 @@ def write_csv(target, header, rows):
     """Write a header and rows of cells through one ``csv.writer``, lines
     ending in CRLF; numbers get 17 significant digits and None an empty
     cell.  ``target`` is a path or an open text handle (left open)."""
-    if hasattr(target, "write"):
-        _write_rows(target, header, rows)
-    else:
-        with open(target, "w", newline="") as handle:
-            _write_rows(handle, header, rows)
-
-
-def _write_rows(handle, header, rows):
-    writer = csv.writer(handle)
-    writer.writerow(header)
-    writer.writerows([_cell(v) for v in row] for row in rows)
+    with (nullcontext(target) if hasattr(target, "write")
+          else open(target, "w", newline="")) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def trajectory_to_csv(trajectory: Trajectory, target,
@@ -488,12 +490,8 @@ def sweep_to_csv(cells, target):
 
     ``target`` is a path or an open text handle (left open).
     """
-    shape = None
-    for cell in cells:
-        if cell.equilibrium is not None:
-            shape = cell.equilibrium.point.shape
-            break
-    headers = _block_headers(shape) if shape is not None else []
+    headers = _block_headers(next((c.equilibrium.point.shape for c in cells
+                                   if c.equilibrium is not None), ()))
     write_csv(target,
               ["beta", "eta"] + headers
               + ["distance", "spectral_radius", "classification", "error"],

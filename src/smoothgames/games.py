@@ -21,7 +21,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import (ArgumentError, DimensionError, DomainError, ParseError,
-                     ResourceError)
+                     ResourceError, check_count)
 
 SIMPLEX_SUM_TOL = 1e-12
 TIE_TOL = 1e-9
@@ -182,6 +182,8 @@ class JointStrategy:
 
 
 def uniform_strategy(shape) -> JointStrategy:
+    for k in shape:
+        check_count("action count", k, positive=True)
     return JointStrategy(tuple(np.full(k, 1.0 / k) for k in shape))
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError, ParseError
+from .errors import ArgumentError, DomainError, ParseError, check_count
 from .games import face_projection, tangent_basis
 
 
@@ -37,8 +37,7 @@ class Regularizer:
 
     def __post_init__(self):
         k = self.dimension
-        if k < 1:
-            raise ArgumentError("dimension must be at least 1")
+        check_count("dimension", k, positive=True)
         if not 0 < self.lam < np.inf:
             raise ArgumentError(
                 f"lam must be positive and finite, got {self.lam}")
@@ -119,6 +118,8 @@ def reg_value(r: Regularizer, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (r.dimension,):
         raise ArgumentError(f"expected a length-{r.dimension} vector")
+    if not np.all(np.isfinite(x)):
+        raise ArgumentError("x must be finite")
     if np.any(x < 0):
         raise DomainError("regularizers are defined on the simplex only")
     pos = x[x > 0]  # 0 log 0 := 0

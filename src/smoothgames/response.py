@@ -145,10 +145,10 @@ def _newton_log(V, lam, C, w, beta, inner_tol, inner_max_iter, U):
 
     Row r (over any leading axes) maximizes ``V[r] . y - beta h_r(y)`` with
     ``h_r(y) = lam[r] y . log y + 0.5 (y - w[r])^T C[r] (y - w[r])``; the
-    leading axes of lam, C ``(..., k, k)`` and w ``(..., k)`` broadcast
-    against those of V, and U holds the starting log-responses.  The step
-    du is the :func:`face_solve` of the ambient gradient over beta, one
-    stacked solve for all rows per iteration; the update is
+    leading axes of beta and lam, C ``(..., k, k)`` and w ``(..., k)``
+    broadcast against those of V, and U holds the starting log-responses.
+    The step du is the :func:`face_solve` of the ambient gradient over
+    beta, one stacked solve for all rows per iteration; the update is
     ``y <- normalise(y exp(t du))``, and each row's t backtracks on its
     objective computed from u.  A row whose projected-gradient residual
     reaches inner_tol is frozen.  Iterates stay on the simplex, and a
@@ -165,12 +165,13 @@ def _newton_log(V, lam, C, w, beta, inner_tol, inner_max_iter, U):
                 - beta * (lam * np.einsum("...i,...i->...", Y, U)
                           + quad_value))
 
+    beta = np.asarray(beta, dtype=float)
     Y = np.exp(U)
     active = np.ones(V.shape[:-1], dtype=bool)
     residual = np.full(active.shape, np.inf)
     for iteration in range(inner_max_iter):
         force, quad_value = quadratic(Y)
-        grad = V - beta * (lam[..., None] * U + force)
+        grad = V - beta[..., None] * (lam[..., None] * U + force)
         last_finite = residual
         residual = np.abs(grad - grad.mean(axis=-1, keepdims=True)).max(-1)
         active &= ~(residual <= inner_tol)
@@ -183,8 +184,10 @@ def _newton_log(V, lam, C, w, beta, inner_tol, inner_max_iter, U):
             raise ConvergenceError(
                 f"inner solver went non-finite at iteration {iteration}; "
                 f"last finite residual {last:.3e}",
-                residual=last, iterations=iteration, beta=beta)
-        du = face_solve(lam, C, Y, grad[..., None] / beta)[..., 0]
+                residual=last, iterations=iteration,
+                beta=float(np.broadcast_to(beta, broken.shape)[broken][0]))
+        du = face_solve(lam, C, Y, grad[..., None] / beta[..., None, None])
+        du = du[..., 0]
         current = objective(U, Y, quad_value)
         slack = 1e-12 * (1.0 + np.abs(current))  # float plateau near optimum
         t = np.ones(active.shape)
@@ -203,10 +206,12 @@ def _newton_log(V, lam, C, w, beta, inner_tol, inner_max_iter, U):
                 break
             t[searching] /= 2
         U, Y = next_U, next_Y
-    worst = float(residual[active].max())
+    worst = residual[active].argmax()
     raise ConvergenceError(
         f"inner solver hit {inner_max_iter} iterations at residual "
-        f"{worst:.3e}", residual=worst, iterations=inner_max_iter, beta=beta)
+        f"{residual[active][worst]:.3e}",
+        residual=float(residual[active][worst]), iterations=inner_max_iter,
+        beta=float(np.broadcast_to(beta, active.shape)[active][worst]))
 
 
 def linear_steepness_probe(r: Regularizer, i: int, eps: float, betas,
@@ -250,15 +255,27 @@ class FlatKernel:
     config are checked once, when the kernel is built, and starting points
     once, by :meth:`flatten`; the per-step methods check nothing.
 
+    ``beta`` is ``cfg.beta`` unless given: a scalar, or a ``(B, 1)``
+    column holding each row's smoothing level, which :meth:`respond`, the
+    Newton argmax and the Jacobians divide by row by row, as :meth:`mix`
+    takes an eta column.  A batch of rows at different betas thus agrees
+    with per-beta batches of as many rows.
+
     Quadratic-entropy blocks are grouped by dimension, each group's ``lam``,
     ``A^T A`` and ``w`` stacked once, and each group's last log-response is
     kept to warm-start the next Newton solve of a batch with as many rows.
     """
 
-    def __init__(self, game: NormalFormGame, cfg: SmoothedResponseConfig):
+    def __init__(self, game: NormalFormGame, cfg: SmoothedResponseConfig,
+                 beta=None):
         _check_config(game, cfg)
+        if beta is None:
+            beta = cfg.beta
+        elif not np.all((np.asarray(beta) > 0) & (np.asarray(beta) < np.inf)):
+            raise ArgumentError("beta must be positive and finite")
         self.game = game
         self.cfg = cfg
+        self.beta = beta
         shape = game.shape
         self.slices = block_slices(shape)
         # block-wise reductions over all players at once: reduceat per
@@ -325,7 +342,7 @@ class FlatKernel:
         solve per group and iteration, for the others."""
         cfg = self.cfg
         G = self.gradients(X)
-        Y = G / cfg.beta
+        Y = G / self.beta
         Y -= self._block_totals(np.maximum, Y)
         np.exp(Y, out=Y)
         Y /= self._block_totals(np.add, Y)
@@ -338,7 +355,7 @@ class FlatKernel:
             if U is None or U.shape != V.shape:
                 U = np.full(V.shape, -np.log(k))
             self._warm[g] = None  # a failed solve leaves no warm start
-            U = _newton_log(V, lam, curvature, w, cfg.beta, cfg.inner_tol,
+            U = _newton_log(V, lam, curvature, w, self.beta, cfg.inner_tol,
                             cfg.inner_max_iter, U)
             self._warm[g] = U
             Y[:, columns] = np.exp(U).reshape(len(X), -1)
@@ -365,7 +382,7 @@ class FlatKernel:
     def _linearize(self, X):
         """Responses and ambient Jacobians: one :meth:`respond` call, then
         stacked face pseudoinverses times the stacked game Jacobian
-        blocks projected on the response supports, over beta."""
+        blocks projected on the response supports, over each row's beta."""
         Y = self.respond(X)
         slices = self.slices
         cross = jacobian_blocks(self.game, [X[:, s] for s in slices],
@@ -377,11 +394,12 @@ class FlatKernel:
             pinv = y[..., None] * face_solve(lam, curvature, y, np.eye(k))
             for p, n in enumerate(players):
                 pinvs[n] = pinv[:, p]
+        beta = np.asarray(self.beta)[..., None]
         J = np.zeros((len(X), X.shape[1], X.shape[1]))
         for n, s_n in enumerate(slices):
             for m, s_m in enumerate(slices):
                 if n != m:
-                    J[:, s_n, s_m] = pinvs[n] @ cross[n][m] / self.cfg.beta
+                    J[:, s_n, s_m] = pinvs[n] @ cross[n][m] / beta
         return Y, J
 
     def mix(self, X: np.ndarray, Y: np.ndarray, eta) -> np.ndarray:

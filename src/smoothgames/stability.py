@@ -196,6 +196,8 @@ def pd_stretch(u, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape or u.ndim != 1:
         raise DimensionError("u and v must be vectors of equal length")
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ArgumentError("u and v must have finite entries")
     if float(u @ v) <= PD_STRETCH_GUARD:
         raise DomainError("pd-stretch requires u^T v > 0")
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
@@ -237,6 +239,8 @@ def bilinear_scale_recovery(A, B, tol=1e-9, rng_seed=0) -> BilinearScaleResult:
     vector of the witness construction.
     """
     check_count("rng_seed", rng_seed)
+    if not 0 < tol < np.inf:
+        raise ArgumentError(f"tol must be positive and finite, got {tol!r}")
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:

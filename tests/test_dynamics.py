@@ -373,6 +373,12 @@ def test_eta_threshold_rejects_bad_sampling(kwargs):
         sg.eta_threshold(g, cfg, eq, **kwargs)
 
 
+def test_eta_threshold_requires_an_equilibrium():
+    g = pennies()
+    with pytest.raises(ArgumentError, match="SmoothedEquilibrium"):
+        sg.eta_threshold(g, sg.entropy_config(g, 0.1), None)
+
+
 # ---------------------------------------------------------------------------
 # strategic equivalence
 
@@ -481,6 +487,125 @@ def test_sweep_rejects_empty_grid():
     with pytest.raises(ArgumentError):
         sg.sweep(g, betas=(), etas=(0.1,),
                  regularizers=(sg.entropy(2), sg.entropy(2)))
+
+
+def assert_cells_match_runs(g, cells, regs, x0, horizon):
+    # every cell that ran agrees with its own run and verdict
+    for cell in cells:
+        if cell.error is not None:
+            continue
+        dyn_cfg = sg.DynamicsConfig(
+            eta=cell.eta, horizon=horizon, record_every=horizon,
+            response=sg.SmoothedResponseConfig(beta=cell.beta,
+                                               regularizers=regs))
+        traj = sg.run_many(g, dyn_cfg, [x0], reference=cell.equilibrium)[0]
+        assert cell.final_distance == pytest.approx(traj.distances[-1],
+                                                    rel=0, abs=1e-12)
+        verdict = sg.stability_verdict(g, dyn_cfg, cell.equilibrium)
+        assert cell.verdict.classification == verdict.classification
+        assert cell.verdict.jacobian_spectral_radius == pytest.approx(
+            verdict.jacobian_spectral_radius, rel=0, abs=1e-12)
+
+
+def test_sweep_grid_with_failed_beta_row_matches_per_beta_runs():
+    # the drop to beta = 0.003 starts orbiting; the other rows share the
+    # grid's dynamics batch and must agree with runs of their own
+    rng = np.random.default_rng(0)
+    t1 = rng.normal(size=(3, 3))
+    g = sg.NormalFormGame((t1, -t1.copy()))
+    regs = (sg.entropy(3), sg.entropy(3))
+    betas, etas = (0.5, 0.003, 1.0, 0.3), (0.01, 0.1, 0.3)
+    cells = sg.sweep(g, betas, etas, regs, horizon=200)
+    assert [(c.beta, c.eta) for c in cells] == \
+        [(b, e) for b in betas for e in etas]
+    for cell in cells:
+        if cell.beta == 0.003:
+            assert cell.error.startswith("CyclingError: ")
+            assert cell.equilibrium is None and cell.verdict is None
+        else:
+            assert cell.error is None
+    assert_cells_match_runs(g, cells, regs, sg.uniform_strategy(g.shape),
+                            200)
+
+
+def test_sweep_failing_jacobian_fails_only_its_beta(monkeypatch):
+    # the verdicts' Jacobians are taken in one batch over the solved betas;
+    # one failing beta must not take the others down with it
+    tangent_jacobians = sg.response.FlatKernel.tangent_jacobians
+
+    def failing_at_tenth(self, X):
+        if np.any(np.asarray(self.beta) == 0.1):
+            raise sg.ConvergenceError("inner solver went non-finite")
+        return tangent_jacobians(self, X)
+
+    monkeypatch.setattr(sg.response.FlatKernel, "tangent_jacobians",
+                        failing_at_tenth)
+    cells = sg.sweep(pennies(), betas=(0.3, 0.1), etas=(0.01, 0.1),
+                     regularizers=(sg.entropy(2), sg.entropy(2)), horizon=10)
+    assert [c.error is None for c in cells] == [True, True, False, False]
+    for cell in cells[2:]:
+        assert cell.error.startswith("ConvergenceError: inner solver")
+        assert cell.equilibrium is not None and cell.verdict is None
+
+
+def test_sweep_quadratic_entropy_rows_match_per_beta_runs():
+    # rows at two betas share one Newton argmax batch through the beta
+    # column
+    rng = np.random.default_rng(5)
+    g = random_game(rng, (3, 2), scale=0.5)
+    regs = quadratic_regularizers(rng, (3, 2))
+    x0 = random_interior(rng, (3, 2))
+    cells = sg.sweep(g, (0.5, 0.2), (0.05, 0.3), regs, x0=x0, horizon=100)
+    assert all(c.error is None for c in cells)
+    assert_cells_match_runs(g, cells, regs, x0, 100)
+
+
+def test_sweep_grid_larger_than_a_batch_does_not_depend_on_jobs():
+    # 5 x 4 payoffs: matrix products of one row round differently from
+    # those of several
+    rng = np.random.default_rng(8)
+    g = random_game(rng, (5, 4), scale=0.5)
+    betas = (1.0, 0.8, 0.6, 0.5, 0.4)
+    etas = tuple(np.linspace(0.02, 0.6, 14))
+    assert len(betas) * len(etas) > sg.dynamics.SWEEP_CHUNK
+    kwargs = dict(regularizers=(sg.entropy(5), sg.entropy(4)), horizon=30)
+    serial = sg.sweep(g, betas, etas, jobs=1, **kwargs)
+    parallel = sg.sweep(g, betas, etas, jobs=2, **kwargs)
+    for a, b in zip(serial, parallel):
+        assert a.error is None and b.error is None
+        assert (a.beta, a.eta, a.final_distance) == \
+            (b.beta, b.eta, b.final_distance)
+        assert (a.verdict.jacobian_spectral_radius,
+                a.verdict.jacobian_operator_norm,
+                a.verdict.classification) == \
+            (b.verdict.jacobian_spectral_radius,
+             b.verdict.jacobian_operator_norm, b.verdict.classification)
+        np.testing.assert_array_equal(a.equilibrium.point.concatenated(),
+                                      b.equilibrium.point.concatenated())
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 2, 3)])
+@pytest.mark.parametrize("kind", ["entropy", "quadratic"])
+def test_kernel_beta_column_matches_scalar_beta(shape, kind):
+    # row i of a batch at a beta column is row i of the same batch at the
+    # scalar beta[i], to the last bit
+    rng = np.random.default_rng(3)
+    g = random_game(rng, shape)
+    regs = (quadratic_regularizers(rng, shape) if kind == "quadratic"
+            else tuple(sg.entropy(k) for k in shape))
+    cfg = sg.SmoothedResponseConfig(beta=1.0, regularizers=regs)
+    betas = np.array([[0.7], [0.05], [0.3], [2.0]])
+    X = np.stack([random_interior(rng, shape).concatenated()
+                  for _ in betas])
+    column = sg.response.FlatKernel(g, cfg, beta=betas)
+    Y, J = column.respond(X), column.jacobian(X)
+    for i, beta in enumerate(betas[:, 0]):
+        scalar = sg.response.FlatKernel(g, cfg, beta=beta)
+        np.testing.assert_array_equal(Y[i], scalar.respond(X)[i])
+        np.testing.assert_array_equal(J[i], scalar.jacobian(X)[i])
+    assert sg.response.FlatKernel(g, cfg).beta == 1.0
+    with pytest.raises(ArgumentError):
+        sg.response.FlatKernel(g, cfg, beta=np.array([[0.5], [0.0]]))
 
 
 # ---------------------------------------------------------------------------

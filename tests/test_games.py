@@ -87,6 +87,12 @@ def test_supports_and_interiority():
     assert sg.uniform_strategy((3, 2)).is_interior
 
 
+@pytest.mark.parametrize("shape", [(0, 2), (2, 2.0), (2, -1)])
+def test_uniform_strategy_rejects_bad_action_counts(shape):
+    with pytest.raises(ArgumentError, match="action count"):
+        sg.uniform_strategy(shape)
+
+
 def test_replace_block_validates():
     x = sg.uniform_strategy((2, 2))
     y = sg.replace_block(x, 1, np.array([0.9, 0.1]))

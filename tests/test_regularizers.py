@@ -46,6 +46,12 @@ def test_entropy_dimension_validation():
         sg.entropy(0)
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, "3", True, -1])
+def test_entropy_rejects_non_integer_dimension(k):
+    with pytest.raises(ArgumentError, match="dimension"):
+        sg.entropy(k)
+
+
 def test_quadratic_entropy_validation():
     with pytest.raises(ArgumentError):
         sg.quadratic_entropy(0.0, np.eye(2), np.full(2, 0.5))
@@ -109,6 +115,12 @@ def test_reg_value_domain():
         sg.reg_value(r, np.full(3, 1 / 3))
     with pytest.raises(DomainError):
         sg.reg_value(r, np.array([1.2, -0.2]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_reg_value_rejects_non_finite_points(bad):
+    with pytest.raises(ArgumentError, match="finite"):
+        sg.reg_value(sg.entropy(2), [bad, 1.0])
 
 
 def test_entropy_gradient_closed_forms():

@@ -572,6 +572,14 @@ def test_pd_stretch_rejects_obtuse_pairs():
         pd_stretch(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["u", "v"])
+def test_pd_stretch_rejects_non_finite_vectors(bad, side):
+    pair = ([bad, 1.0], [1.0, 1.0])
+    with pytest.raises(ArgumentError, match="finite"):
+        pd_stretch(*(pair if side == "u" else pair[::-1]))
+
+
 def test_pd_stretch_parallel_case_is_scaled_identity():
     h = pd_stretch(2.0 * np.array([3.0, 4.0]), np.array([3.0, 4.0]))
     np.testing.assert_allclose(h, 2.0 * np.eye(2), atol=1e-12)
@@ -620,6 +628,12 @@ def test_bilinear_rejects_non_finite_matrices(bad, side):
     pair = (broken, finite) if side == "A" else (finite, broken)
     with pytest.raises(ArgumentError, match="finite"):
         bilinear_scale_recovery(*pair)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+def test_bilinear_rejects_bad_tolerance(tol):
+    with pytest.raises(ArgumentError, match="tol must be positive"):
+        bilinear_scale_recovery(np.eye(2), 2.0 * np.eye(2), tol=tol)
 
 
 def _bilinear_pair(rng, m, n, kind):
