@@ -383,6 +383,7 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
     continues.  The returned grid is row-major in (betas, etas) as given,
     independent of scheduling.
     """
+    check_count("jobs", jobs, positive=True)
     betas = [float(b) for b in betas]
     etas = [float(e) for e in etas]
     if not betas or not etas:

@@ -114,12 +114,18 @@ class FaceHessian:
         return pi @ (r.lam * diag + r.curvature) @ pi
 
 
-def reg_value(r: Regularizer, x) -> float:
+def _finite_point(r: Regularizer, x) -> np.ndarray:
+    """x as a float array, if it is a finite vector of r's length."""
     x = np.asarray(x, dtype=float)
     if x.shape != (r.dimension,):
         raise ArgumentError(f"expected a length-{r.dimension} vector")
     if not np.all(np.isfinite(x)):
         raise ArgumentError("x must be finite")
+    return x
+
+
+def reg_value(r: Regularizer, x) -> float:
+    x = _finite_point(r, x)
     if np.any(x < 0):
         raise DomainError("regularizers are defined on the simplex only")
     pos = x[x > 0]  # 0 log 0 := 0
@@ -142,7 +148,7 @@ def reg_tangent_gradient(r: Regularizer, x, support=None) -> np.ndarray:
     explicit support containing a zero coordinate is a domain error
     (the steep gradient diverges there).
     """
-    x = np.asarray(x, dtype=float)
+    x = _finite_point(r, x)
     support = _infer_support(x, support)
     grad = r.quadratic(x)[0]
     grad[support] += r.lam * np.log(x[support])
@@ -200,9 +206,7 @@ def face_hessian(r: Regularizer, x, support=None) -> FaceHessian:
     the face Hessian is stiff; without a quadratic term it is the closed
     form of :func:`entropy_pseudoinverse` on the face.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (r.dimension,):
-        raise ArgumentError(f"expected a length-{r.dimension} vector")
+    x = _finite_point(r, x)
     if np.any(x < 0):
         raise DomainError("x must lie on the simplex")
     support = _infer_support(x, support)

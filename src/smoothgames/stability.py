@@ -8,9 +8,8 @@ has purely imaginary spectrum for every positive-definite block-diagonal
 conditioner H.  That quantifier is not directly decidable, so the verdict
 rests on a lambda-skew certificate (sufficient under connectivity and
 bi-directionality), with sampled and constructed counterexample witnesses
-on the refutation side.  The constructed witness needs a joint improvement
-direction; its ascent is skipped when the certificate's weights prove, by a
-dual bound, that none exists.
+on the refutation side.  The sampling, and the constructed witness's ascent,
+are skipped where bounds from the certificate's weights prove them futile.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ PD_STRETCH_GUARD = 1e-12
 IMPROVEMENT_TOL = 1e-8    # least min_n z_n^T (J z)_n that counts as improving
 GRID_CAP = 10 ** 6        # most lattice profiles an oracle will enumerate
 CONDITIONER_CHUNK_CAP = 64  # most sampled conditioners tested in one stack
+PD_EIG_FLOOR = 1e-2       # least eigenvalue of a sampled conditioner
 
 
 # ---------------------------------------------------------------------------
@@ -347,19 +347,28 @@ def _no_joint_improvement(j_t, dims, lambdas) -> bool:
     """Dual bound: True proves no z with unit blocks has every
     z_n^T (J z)_n > IMPROVEMENT_TOL.
 
-    With positive weights lambda, Lambda = diag(lambda_n I) and
-    S = Lambda J + J^T Lambda, such a z has
+    With positive weights lambda and S from ``_weighted_symmetric_part``,
+    such a z has
     sum_n lambda_n z_n^T (J z)_n = z^T S z / 2 <= N ||S||_2 / 2, so no z
     improves every player by more than IMPROVEMENT_TOL once that bound is
     at most IMPROVEMENT_TOL * sum_n lambda_n.  A lambda-skew certificate
     makes S vanish.
     """
+    sym = _weighted_symmetric_part(j_t, dims, lambdas)
+    if sym is None:
+        return False
+    bound = 0.5 * len(dims) * np.linalg.norm(sym, 2)
+    return bool(bound <= IMPROVEMENT_TOL * np.sum(lambdas))
+
+
+def _weighted_symmetric_part(j_t, dims, lambdas):
+    """S = Lambda J + J^T Lambda, Lambda = diag(lambda_n I); None unless
+    every weight is positive and finite, as the bounds on S need."""
     lambdas = np.asarray(lambdas, dtype=float)
     if not (np.all(lambdas > 0) and np.all(np.isfinite(lambdas))):
-        return False
+        return None
     weighted = np.repeat(lambdas, dims)[:, None] * j_t
-    bound = 0.5 * len(dims) * np.linalg.norm(weighted + weighted.T, 2)
-    return bool(bound <= IMPROVEMENT_TOL * lambdas.sum())
+    return weighted + weighted.T
 
 
 def _pareto_ascent(j_t, bases, dims, num_restarts, rng_seed, iters):
@@ -418,6 +427,7 @@ class UniformStabilityReport:
     witness: tuple = None          # per-player ambient conditioner blocks
     witness_real_part: float = None
     max_sampled_real: float = 0.0
+    real_part_bound: float = None  # see _real_part_bound; None if certified
 
     @property
     def assumptions(self) -> dict:
@@ -437,7 +447,7 @@ def _chunk_sizes(total):
 
 def _random_pd_stacks(dims, count, rng):
     """``count`` random PD conditioners as one ``(count, d, d)`` stack per
-    block, eigenvalues log-uniform in [1e-2, 1e2].
+    block, eigenvalues log-uniform in [PD_EIG_FLOOR, 1 / PD_EIG_FLOOR].
 
     The draws run per conditioner, then per block, so a chunk consumes the
     stream exactly as ``count`` single conditioners drawn in turn.
@@ -446,9 +456,10 @@ def _random_pd_stacks(dims, count, rng):
     gauss = [np.empty((count, d, d)) for d in dims]
     blocks = list(zip(dims, logs, gauss))
     uniform, normal = rng.uniform, rng.standard_normal
+    top = -np.log10(PD_EIG_FLOOR)
     for i in range(count):
         for d, log, g in blocks:
-            log[i] = uniform(-2.0, 2.0, size=d)
+            log[i] = uniform(-top, top, size=d)
             g[i] = normal((d, d))
     stacks = []
     for log, g in zip(logs, gauss):
@@ -463,6 +474,22 @@ def _max_real_eigs(h_stacks, j_t):
     per-block stacks."""
     eigs = np.linalg.eigvals(np.linalg.solve(block_diag(h_stacks), j_t))
     return np.abs(eigs.real).max(axis=-1, initial=0.0)
+
+
+def _real_part_bound(j_t, dims, lambdas) -> float:
+    """Bound on |Re mu| for the eigenvalues mu of H^{-1} J over every
+    block-diagonal PD H with eigenvalues >= h = PD_EIG_FLOOR.  With M =
+    Lambda H and S from ``_weighted_symmetric_part``, H^{-1} J is similar to
+    M^{-1/2} (Lambda J) M^{-1/2}, so |Re mu| <= ||S||_2 / (2 h min lambda)
+    <= ||S||_F / (2 h min lambda).  The added n eps ||J||_F / h, for J of
+    order n, covers the rounding of a draw's test; inf unless the weights
+    are positive and finite."""
+    sym = _weighted_symmetric_part(j_t, dims, lambdas)
+    if sym is None:
+        return np.inf
+    exact = np.linalg.norm(sym) / (2.0 * np.min(lambdas))
+    rounding = len(j_t) * np.finfo(float).eps * np.linalg.norm(j_t)
+    return float((exact + rounding) / PD_EIG_FLOOR)
 
 
 def _max_real_eig(h_blocks, j_t):
@@ -503,10 +530,13 @@ def uniform_stability_check(jac: GameJacobian, num_conditioners=100,
     conditioners and a constructed improvement witness look for an
     eigenvalue with nonzero real part; failing both, the status is
     indeterminate (sampling cannot prove a universally quantified spectrum
-    condition).  The conditioners are drawn and tested as stacks, in chunks
-    of 1, 4, 16, 64, 64, ..., with the same draws and results as testing
-    them one at a time: the witness is the first sampled conditioner that
-    refutes, and ``max_sampled_real`` covers the samples up to it.
+    condition).  Where ``real_part_bound`` (``_real_part_bound``) is at most
+    WITNESS_REAL_TOL no conditioner can refute, so none is drawn and
+    ``max_sampled_real`` reads 0.0.  Otherwise they are drawn and tested as
+    stacks, in chunks of 1, 4, 16, 64, 64, ..., with the same draws and
+    results as testing them one at a time: the witness is the first sampled
+    conditioner that refutes, and ``max_sampled_real`` covers the samples up
+    to it.
     ``num_conditioners`` and ``rng_seed`` must be non-negative integers.
     """
     check_count("num_conditioners", num_conditioners)
@@ -518,10 +548,11 @@ def uniform_stability_check(jac: GameJacobian, num_conditioners=100,
                                       graph=graph)
 
     j_t, bases, dims = jac.tangent()
+    bound = _real_part_bound(j_t, dims, cert.lambdas)
     rng = np.random.default_rng(rng_seed)
     max_real = 0.0
     found = None
-    if j_t.size > 0 and np.linalg.norm(j_t) > 0:
+    if bound > WITNESS_REAL_TOL:
         for h_blocks, real in _sampled_conditioners(dims, num_conditioners,
                                                     j_t, rng):
             max_real = max(max_real, real)
@@ -538,12 +569,14 @@ def uniform_stability_check(jac: GameJacobian, num_conditioners=100,
     if found is None:
         return UniformStabilityReport(pointwise="indeterminate",
                                       certificate=cert, graph=graph,
-                                      max_sampled_real=max_real)
+                                      max_sampled_real=max_real,
+                                      real_part_bound=bound)
     h_blocks, real = found
     return UniformStabilityReport(
         pointwise="unstable_with_witness", certificate=cert, graph=graph,
         witness=tuple(b @ h @ b.T for b, h in zip(bases, h_blocks)),
-        witness_real_part=real, max_sampled_real=max(max_real, real))
+        witness_real_part=real, max_sampled_real=max(max_real, real),
+        real_part_bound=bound)
 
 
 def verify_witness(jac: GameJacobian, witness) -> float:
@@ -759,6 +792,7 @@ def report_to_dict(report: UniformStabilityReport) -> dict:
         "assumptions": report.assumptions,
         "interaction_edges": sorted(list(e) for e in report.graph.edges),
         "max_sampled_real_part": report.max_sampled_real,
+        "real_part_bound": report.real_part_bound,
     }
     if report.witness is not None:
         data["witness"] = {

@@ -283,6 +283,12 @@ def test_negative_seed_exits_2(capsys, argv):
     assert "seed must be a non-negative integer" in err
 
 
+def test_zero_jobs_exits_2(capsys):
+    code, _, err = run_cli(capsys, ["sweep", "matching_pennies", "--jobs", "0"])
+    assert code == 2
+    assert "jobs must be a positive integer" in err
+
+
 def test_negative_grid_resolution_exits_2(capsys):
     code, _, err = run_cli(capsys, ["analyze", "coordination_2x2",
                                     "--grid-resolution", "-1"])

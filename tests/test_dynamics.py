@@ -489,6 +489,17 @@ def test_sweep_rejects_empty_grid():
                  regularizers=(sg.entropy(2), sg.entropy(2)))
 
 
+@pytest.mark.parametrize("jobs", ["2", None, 0, -1, 1.5, True])
+def test_sweep_rejects_bad_jobs_before_any_solve(monkeypatch, jobs):
+    def solve(*args, **kwargs):
+        raise AssertionError("solve entered")
+
+    monkeypatch.setattr(sg.dynamics, "find_smoothed_equilibrium", solve)
+    with pytest.raises(ArgumentError, match="jobs"):
+        sg.sweep(pennies(), betas=(0.3,), etas=(0.1,),
+                 regularizers=(sg.entropy(2), sg.entropy(2)), jobs=jobs)
+
+
 def assert_cells_match_runs(g, cells, regs, x0, horizon):
     # every cell that ran agrees with its own run and verdict
     for cell in cells:

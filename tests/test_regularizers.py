@@ -267,6 +267,14 @@ def test_face_hessian_domain_errors():
         sg.face_hessian(r, np.full(4, 0.25))
 
 
+@pytest.mark.parametrize("x", [[np.nan, 1.0], [0.5, np.inf],
+                               [0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [1.0]])
+@pytest.mark.parametrize("fn", [sg.face_hessian, sg.reg_tangent_gradient])
+def test_face_functions_reject_bad_points(fn, x):
+    with pytest.raises(ArgumentError):
+        fn(sg.entropy(2), x)
+
+
 # ---------------------------------------------------------------------------
 # prescribed-curvature construction
 

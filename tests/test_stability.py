@@ -254,13 +254,14 @@ def test_coordination_mixed_center_unstable_with_witness():
 
 
 def test_disconnected_skew_game_indeterminate_without_ascent(monkeypatch):
-    # the certificate's weights prove that no joint improvement exists, so
-    # the check never enters the ascent; the report is the one the ascent
-    # (which found nothing here) used to give
-    def ascent(*args, **kwargs):
-        raise AssertionError("ascent entered")
+    # the certificate's weights prove that no joint improvement exists and
+    # that no sampled conditioner can refute, so the check neither enters
+    # the ascent nor draws a conditioner
+    def fail(*args, **kwargs):
+        raise AssertionError("futile search entered")
 
-    monkeypatch.setattr(stability, "_pareto_ascent", ascent)
+    monkeypatch.setattr(stability, "_pareto_ascent", fail)
+    monkeypatch.setattr(stability, "_random_pd_stacks", fail)
     rng = np.random.default_rng(13)
     shape = (3, 2, 3, 2)
     g, _ = polymatrix_game(rng, shape, lam=np.array([1.0, 0.5, 1.0, 2.0]),
@@ -268,8 +269,10 @@ def test_disconnected_skew_game_indeterminate_without_ascent(monkeypatch):
     report = uniform_stability_check(game_jacobian(g, random_interior(rng, shape)))
     assert report.certificate.feasible and not report.graph.connected
     assert report.pointwise == "indeterminate"
-    assert report.max_sampled_real == pytest.approx(3.533323531151876e-15,
-                                                    rel=1e-9)
+    assert report.max_sampled_real == 0.0
+    assert report.real_part_bound <= stability.WITNESS_REAL_TOL
+    # the largest real part the 100 draws gave when they were still made
+    assert 3.533323531151876e-15 < report.real_part_bound
 
 
 @pytest.mark.parametrize("kwargs", [{"num_conditioners": -5},
@@ -329,6 +332,28 @@ def _per_conditioner_check(jac, num_conditioners, rng_seed):
     return "unstable_with_witness", witness, real, max(max_real, real)
 
 
+def _assert_matches_reference(report, jac, num_conditioners, rng_seed):
+    """The report is the per-conditioner loop's, except that no draw is
+    made where the real-part bound rules out a refuting one."""
+    pointwise, witness, real, max_real = _per_conditioner_check(
+        jac, num_conditioners, rng_seed)
+    assert report.pointwise == pointwise
+    bound = report.real_part_bound
+    if bound is not None and bound <= stability.WITNESS_REAL_TOL:
+        # no draw was made, and the bound holds on every reference draw
+        assert report.max_sampled_real == 0.0
+        assert max_real <= bound
+    else:
+        assert report.max_sampled_real == max_real
+    assert report.witness_real_part == real
+    if witness is None:
+        assert report.witness is None
+    else:
+        assert len(report.witness) == len(witness)
+        for got, want in zip(report.witness, witness):
+            assert np.array_equal(got, want)
+
+
 def _sampling_game(rng, shape, kind):
     n = len(shape)
     if kind == "general":
@@ -368,17 +393,48 @@ def test_stacked_sampling_matches_per_conditioner_loop(
     jac = game_jacobian(game, random_interior(rng, shape))
     report = uniform_stability_check(jac, num_conditioners=num_conditioners,
                                      rng_seed=rng_seed)
-    pointwise, witness, real, max_real = _per_conditioner_check(
-        jac, num_conditioners, rng_seed)
-    assert report.pointwise == pointwise
-    assert report.max_sampled_real == max_real
-    assert report.witness_real_part == real
-    if witness is None:
-        assert report.witness is None
-    else:
-        assert len(report.witness) == len(witness)
-        for got, want in zip(report.witness, witness):
-            assert np.array_equal(got, want)
+    _assert_matches_reference(report, jac, num_conditioners, rng_seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.lists(st.integers(2, 4), min_size=3, max_size=5),
+       unit_weights=st.booleans(),
+       noise=st.none() | st.floats(-12.0, -6.0))
+# bounds of about 6e-10 and 7e-4, on either side of WITNESS_REAL_TOL
+@example(seed=0, shape=[3, 3, 3], unit_weights=False, noise=-12.0)
+@example(seed=0, shape=[3, 3, 3], unit_weights=False, noise=-6.0)
+# S zero to rounding: the exact term alone falls below a computed real part
+@example(seed=2, shape=[3, 2, 2], unit_weights=True, noise=None)
+def test_real_part_bound_holds_on_every_draw(seed, shape, unit_weights,
+                                             noise):
+    # disconnected lambda-skew games plus payoff noise of 10**noise, so the
+    # bound lands on both sides of WITNESS_REAL_TOL; without noise and with
+    # unit weights, S can be zero to rounding, so only the rounding
+    # allowance keeps the bound above the computed real parts
+    rng = np.random.default_rng(seed)
+    shape = tuple(shape)
+    n = len(shape)
+    lam = np.ones(n) if unit_weights else 10.0 ** rng.uniform(-1.0, 1.0, n)
+    g, _ = polymatrix_game(rng, shape, lam=lam,
+                           edges=[(a, a + 1) for a in range(0, n - 1, 2)])
+    scale = 0.0 if noise is None else 10.0 ** noise
+    extra = random_game(rng, shape, scale=scale)
+    game = sg.NormalFormGame(tuple(a + b for a, b in
+                                   zip(g.payoffs, extra.payoffs)))
+    jac = game_jacobian(game, random_interior(rng, shape))
+    # the report and the reference share the constructed witness, which the
+    # bound does not touch; its ascent would take most of the time here
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stability, "_pareto_ascent", lambda *args: None)
+        report = uniform_stability_check(jac)
+        _assert_matches_reference(report, jac, 100, 0)
+    if report.real_part_bound is not None:
+        j_t, _, dims = jac.tangent()
+        stacks = stability._random_pd_stacks(dims, 100, rng)
+        for i in range(100):
+            real = _one_max_real_eig([s[i] for s in stacks], j_t)
+            assert real <= report.real_part_bound
 
 
 def test_witness_at_first_draw_evaluates_one_conditioner(monkeypatch):
@@ -517,6 +573,20 @@ def test_report_serializes_to_json():
     assert parsed["interaction_edges"] == [[0, 1], [1, 0]]
     assert len(parsed["witness"]["blocks_row_major"]) == 2
     assert parsed["witness"]["real_part"] == pytest.approx(4.406863284698249)
+
+
+def test_report_json_carries_the_real_part_bound():
+    # null where the certificate decides; above the refutation threshold
+    # where a sampled conditioner refutes
+    stable, refuted = (
+        uniform_stability_check(game_jacobian(sg.bundled_game(name),
+                                              uniform_point((2, 2))))
+        for name in ("matching_pennies", "coordination_2x2"))
+    assert json.loads(json.dumps(report_to_dict(stable)))[
+        "real_part_bound"] is None
+    data = json.loads(json.dumps(report_to_dict(refuted)))
+    assert data["real_part_bound"] == refuted.real_part_bound
+    assert refuted.real_part_bound > stability.WITNESS_REAL_TOL
 
 
 def test_local_stability_around_pennies_center():
