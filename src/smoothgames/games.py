@@ -182,6 +182,9 @@ class JointStrategy:
 
 
 def uniform_strategy(shape) -> JointStrategy:
+    shape = tuple(shape)
+    if not shape:
+        raise DimensionError("a strategy needs at least one player")
     for k in shape:
         check_count("action count", k, positive=True)
     return JointStrategy(tuple(np.full(k, 1.0 / k) for k in shape))

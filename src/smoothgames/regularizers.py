@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ArgumentError, DomainError, ParseError, check_count
-from .games import face_projection, tangent_basis
+from .games import SIMPLEX_SUM_TOL, face_projection, tangent_basis
 
 
 @dataclass(frozen=True)
@@ -114,20 +114,27 @@ class FaceHessian:
         return pi @ (r.lam * diag + r.curvature) @ pi
 
 
-def _finite_point(r: Regularizer, x) -> np.ndarray:
-    """x as a float array, if it is a finite vector of r's length."""
+def _simplex_point(r: Regularizer, x) -> np.ndarray:
+    """x as a float array, if it is a point of r's simplex.
+
+    A vector of the wrong length or with non-finite entries is an argument
+    error; one with a negative entry, or whose sum misses 1 by more than
+    ``SIMPLEX_SUM_TOL``, a domain error.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (r.dimension,):
         raise ArgumentError(f"expected a length-{r.dimension} vector")
     if not np.all(np.isfinite(x)):
         raise ArgumentError("x must be finite")
+    if np.any(x < 0):
+        raise DomainError("regularizers are defined on the simplex only")
+    if abs(x.sum() - 1.0) > SIMPLEX_SUM_TOL:
+        raise DomainError(f"x sums to {x.sum():.17g}, not 1")
     return x
 
 
 def reg_value(r: Regularizer, x) -> float:
-    x = _finite_point(r, x)
-    if np.any(x < 0):
-        raise DomainError("regularizers are defined on the simplex only")
+    x = _simplex_point(r, x)
     pos = x[x > 0]  # 0 log 0 := 0
     return r.lam * float((pos * np.log(pos)).sum()) + r.quadratic(x)[1]
 
@@ -148,7 +155,7 @@ def reg_tangent_gradient(r: Regularizer, x, support=None) -> np.ndarray:
     explicit support containing a zero coordinate is a domain error
     (the steep gradient diverges there).
     """
-    x = _finite_point(r, x)
+    x = _simplex_point(r, x)
     support = _infer_support(x, support)
     grad = r.quadratic(x)[0]
     grad[support] += r.lam * np.log(x[support])
@@ -175,13 +182,16 @@ def face_solve(lam, curvature, y, rhs) -> np.ndarray:
     s = y.shape[-1]
     lead = np.broadcast_shapes(lam.shape, curvature.shape[:-2],
                                y.shape[:-1], rhs.shape[:-2])
-    kkt = np.zeros(lead + (s + 1, s + 1))
-    kkt[..., :s, :s] = (curvature * y[..., None, :]
-                        + lam[..., None, None] * np.eye(s))
+    kkt = np.empty(lead + (s + 1, s + 1))
+    np.multiply(curvature, y[..., None, :], out=kkt[..., :s, :s])
+    # the first s diagonal entries of each flattened (s+1) x (s+1) matrix
+    kkt.reshape(lead + (-1,))[..., :s * (s + 2):s + 2] += lam[..., None]
     kkt[..., :s, s] = 1.0
     kkt[..., s, :s] = y
-    padded = np.zeros(lead + (s + 1, rhs.shape[-1]))
+    kkt[..., s, s] = 0.0
+    padded = np.empty(lead + (s + 1, rhs.shape[-1]))
     padded[..., :s, :] = rhs
+    padded[..., s, :] = 0.0
     return np.linalg.solve(kkt, padded)[..., :s, :]
 
 
@@ -206,9 +216,7 @@ def face_hessian(r: Regularizer, x, support=None) -> FaceHessian:
     the face Hessian is stiff; without a quadratic term it is the closed
     form of :func:`entropy_pseudoinverse` on the face.
     """
-    x = _finite_point(r, x)
-    if np.any(x < 0):
-        raise DomainError("x must lie on the simplex")
+    x = _simplex_point(r, x)
     support = _infer_support(x, support)
     outside = np.setdiff1d(np.arange(r.dimension), support)
     if np.any(x[outside] > 0):

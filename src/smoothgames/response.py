@@ -150,30 +150,34 @@ def _newton_log(V, lam, C, w, beta, inner_tol, inner_max_iter, U):
     The step du is the :func:`face_solve` of the ambient gradient over
     beta, one stacked solve for all rows per iteration; the update is
     ``y <- normalise(y exp(t du))``, and each row's t backtracks on its
-    objective computed from u.  A row whose projected-gradient residual
-    reaches inner_tol is frozen.  Iterates stay on the simplex, and a
-    coordinate whose mass underflows keeps a finite log and an exact
+    objective computed from u.  The accepted candidate's quadratic force
+    and objective carry over to the next iteration, so every iterate is
+    evaluated once; while every row is still searching, the whole
+    candidate is taken without merging.  A row whose projected-gradient
+    residual reaches inner_tol is frozen.  Iterates stay on the simplex,
+    and a coordinate whose mass underflows keeps a finite log and an exact
     stationarity condition.  Returns the log-responses.
     """
-    def quadratic(Y):
+    def evaluate(U, Y):
+        """The quadratic term's force ``C (y - w)`` and the objective."""
         gap = Y - w
         force = np.einsum("...ij,...j->...i", C, gap)
-        return force, 0.5 * np.einsum("...i,...i->...", gap, force)
-
-    def objective(U, Y, quad_value):
-        return (np.einsum("...i,...i->...", V, Y)
-                - beta * (lam * np.einsum("...i,...i->...", Y, U)
-                          + quad_value))
+        quad_value = 0.5 * np.einsum("...i,...i->...", gap, force)
+        value = (np.einsum("...i,...i->...", V, Y)
+                 - beta * (lam * np.einsum("...i,...i->...", Y, U)
+                           + quad_value))
+        return force, value
 
     beta = np.asarray(beta, dtype=float)
+    k = V.shape[-1]
     Y = np.exp(U)
+    force, current = evaluate(U, Y)
     active = np.ones(V.shape[:-1], dtype=bool)
     residual = np.full(active.shape, np.inf)
     for iteration in range(inner_max_iter):
-        force, quad_value = quadratic(Y)
         grad = V - beta[..., None] * (lam[..., None] * U + force)
         last_finite = residual
-        residual = np.abs(grad - grad.mean(axis=-1, keepdims=True)).max(-1)
+        residual = np.abs(grad - grad.sum(-1, keepdims=True) / k).max(-1)
         active &= ~(residual <= inner_tol)
         if not active.any():
             return U
@@ -188,24 +192,29 @@ def _newton_log(V, lam, C, w, beta, inner_tol, inner_max_iter, U):
                 beta=float(np.broadcast_to(beta, broken.shape)[broken][0]))
         du = face_solve(lam, C, Y, grad[..., None] / beta[..., None, None])
         du = du[..., 0]
-        current = objective(U, Y, quad_value)
         slack = 1e-12 * (1.0 + np.abs(current))  # float plateau near optimum
         t = np.ones(active.shape)
         searching = active.copy()
-        next_U, next_Y = U, Y
+        accepted = U, Y, force, current
         for _ in range(60):
             cand = U + t[..., None] * du
             cand -= cand.max(axis=-1, keepdims=True)
             cand -= np.log(np.exp(cand).sum(axis=-1, keepdims=True))
             cand_y = np.exp(cand)
-            next_U = np.where(searching[..., None], cand, next_U)
-            next_Y = np.where(searching[..., None], cand_y, next_Y)
-            searching &= ~(objective(cand, cand_y, quadratic(cand_y)[1])
-                           >= current - slack)
+            cand_force, cand_value = evaluate(cand, cand_y)
+            if searching.all():
+                accepted = cand, cand_y, cand_force, cand_value
+            else:
+                rows = searching[..., None]
+                accepted = (np.where(rows, cand, accepted[0]),
+                            np.where(rows, cand_y, accepted[1]),
+                            np.where(rows, cand_force, accepted[2]),
+                            np.where(searching, cand_value, accepted[3]))
+            searching &= ~(cand_value >= current - slack)
             if not searching.any():
                 break
             t[searching] /= 2
-        U, Y = next_U, next_Y
+        U, Y, force, current = accepted
     worst = residual[active].argmax()
     raise ConvergenceError(
         f"inner solver hit {inner_max_iter} iterations at residual "
@@ -246,6 +255,28 @@ def linear_steepness_probe(r: Regularizer, i: int, eps: float, betas,
 # ---------------------------------------------------------------------------
 # flat batched kernel
 
+def _contraction_plan(tensor, n):
+    """How :meth:`FlatKernel.gradients` contracts player n's payoff tensor
+    against the other players' blocks, for three or more players.
+
+    Returns ``(first, matrix, back, front)``.  Block ``first`` times
+    ``matrix`` is one BLAS product: ``matrix`` is the tensor viewed as a
+    matrix (no copy for a C-contiguous tensor) whose rows run over the
+    last axis, or over the first for the last player.  The other players'
+    remaining axes follow as row-wise products, the ``back`` ones from the
+    last axis inward and then the ``front`` ones from the first axis on,
+    each a ``(player, action count)`` pair.
+    """
+    shape = tensor.shape
+    last = len(shape) - 1
+    if n == last:
+        return (0, tensor.reshape(shape[0], -1), (),
+                tuple((m, shape[m]) for m in range(1, last)))
+    return (last, tensor.reshape(-1, shape[last]).T,
+            tuple((m, shape[m]) for m in range(last - 1, n, -1)),
+            tuple((m, shape[m]) for m in range(n)))
+
+
 class FlatKernel:
     """Response map, its Jacobian and the averaging update on stacked flat
     joint strategies.
@@ -260,6 +291,15 @@ class FlatKernel:
     Newton argmax and the Jacobians divide by row by row, as :meth:`mix`
     takes an eta column.  A batch of rows at different betas thus agrees
     with per-beta batches of as many rows.
+
+    Gradients of two players are two matrix products.  With more players,
+    each player's payoff tensor is contracted by one BLAS product against
+    the last player's block (the first player's, for the last player),
+    with the tensor viewed as a matrix rather than copied, and then by
+    row-wise products over the remaining axes; the order is fixed when
+    the kernel is built.  Block-wise totals (the softmax's maxima and
+    sums, the renormalisation in :meth:`mix`) are one ``reduceat`` and one
+    ``take`` back to the block's columns.
 
     Quadratic-entropy blocks are grouped by dimension, each group's ``lam``,
     ``A^T A`` and ``w`` stacked once, and each group's last log-response is
@@ -279,7 +319,7 @@ class FlatKernel:
         shape = game.shape
         self.slices = block_slices(shape)
         # block-wise reductions over all players at once: reduceat per
-        # block, then broadcast back to the block's columns
+        # block, then gathered back to the block's columns
         self._starts = np.array([s.start for s in self.slices])
         self._owner = np.repeat(np.arange(len(shape)), shape)
         by_dimension = {}
@@ -300,13 +340,8 @@ class FlatKernel:
         if game.num_players == 2:
             self._p0t = np.ascontiguousarray(game.payoffs[0].T)
         else:
-            # einsum re-plans its contraction on every call when asked to
-            # optimize, which costs more than the contraction at these sizes
-            axes = "".join(chr(ord("a") + n) for n in range(len(shape)))
-            self._specs = tuple(
-                axes + "," + ",".join("..." + axes[m] for m in range(len(axes))
-                                      if m != n) + "->..." + axes[n]
-                for n in range(len(axes)))
+            self._plans = tuple(_contraction_plan(tensor, n)
+                                for n, tensor in enumerate(game.payoffs))
 
     def flatten(self, x: JointStrategy, what="strategy") -> np.ndarray:
         """The concatenated vector of a strategy of this game's shape."""
@@ -326,15 +361,21 @@ class FlatKernel:
         if len(blocks) == 2:
             parts = [blocks[1] @ self._p0t, blocks[0] @ self.game.payoffs[1]]
         else:
-            parts = [np.einsum(spec, tensor,
-                               *(b for m, b in enumerate(blocks) if m != n),
-                               optimize=False)
-                     for n, (spec, tensor) in enumerate(zip(
-                         self._specs, self.game.payoffs))]
+            rows = len(X)
+            parts = []
+            for first, matrix, back, front in self._plans:
+                part = blocks[first] @ matrix
+                for m, k in back:
+                    part = np.matmul(part.reshape(rows, -1, k),
+                                     blocks[m][:, :, None])
+                for m, k in front:
+                    part = np.matmul(blocks[m][:, None, :],
+                                     part.reshape(rows, k, -1))
+                parts.append(part.reshape(rows, -1))
         return np.concatenate(parts, axis=1)
 
     def _block_totals(self, ufunc, X):
-        return ufunc.reduceat(X, self._starts, axis=1)[:, self._owner]
+        return ufunc.reduceat(X, self._starts, axis=1).take(self._owner, 1)
 
     def respond(self, X: np.ndarray) -> np.ndarray:
         """The smoothed best response of every row: a block-wise softmax
@@ -369,13 +410,19 @@ class FlatKernel:
 
     def tangent_jacobians(self, X: np.ndarray) -> tuple:
         """The response Jacobian at every row in per-player tangent
-        coordinates of the faces of the row's response supports."""
+        coordinates of the faces of the row's response supports.  Rows
+        with the same supports share one basis."""
         Y, J = self._linearize(X)
+        bases = {}
         out = []
-        for y, j in zip(Y, J):
-            q = block_diag([tangent_basis(s.stop - s.start,
-                                          np.flatnonzero(y[s] > 0))
-                            for s in self.slices])
+        for support, j in zip(Y > 0, J):
+            key = support.tobytes()
+            q = bases.get(key)
+            if q is None:
+                q = bases[key] = block_diag([
+                    tangent_basis(s.stop - s.start,
+                                  np.flatnonzero(support[s]))
+                    for s in self.slices])
             out.append(q.T @ j @ q)
         return tuple(out)
 

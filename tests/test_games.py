@@ -93,6 +93,11 @@ def test_uniform_strategy_rejects_bad_action_counts(shape):
         sg.uniform_strategy(shape)
 
 
+def test_uniform_strategy_rejects_zero_players():
+    with pytest.raises(DimensionError, match="at least one player"):
+        sg.uniform_strategy(())
+
+
 def test_replace_block_validates():
     x = sg.uniform_strategy((2, 2))
     y = sg.replace_block(x, 1, np.array([0.9, 0.1]))

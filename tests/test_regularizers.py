@@ -275,6 +275,16 @@ def test_face_functions_reject_bad_points(fn, x):
         fn(sg.entropy(2), x)
 
 
+@pytest.mark.parametrize("r, x", [(sg.entropy(2), [-0.5, 1.5]),
+                                  (sg.entropy(3), [0.7, 0.7, 0.7])])
+@pytest.mark.parametrize("fn", [sg.reg_value, sg.reg_tangent_gradient,
+                                sg.face_hessian])
+def test_point_functions_reject_points_off_the_simplex(fn, r, x):
+    # a negative entry, or entries that do not sum to 1
+    with pytest.raises(DomainError):
+        fn(r, x)
+
+
 # ---------------------------------------------------------------------------
 # prescribed-curvature construction
 

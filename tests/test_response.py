@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,64 @@ def test_kernel_respond_matches_cold_per_block_solve(seed, players, kind, rows,
                                            atol=1e-12 + bound)
         if beta == 1e-3:
             assert Y[:, 0].max() < np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3, 4), (3, 1, 2),
+                                   (2, 3, 1, 2), (1, 2, 3, 2)])
+@pytest.mark.parametrize("rows", [1, 7])
+def test_kernel_gradients_match_per_player_gradient(shape, rows):
+    rng = np.random.default_rng(rows * 100 + len(shape))
+    g = random_game(rng, shape)
+    beta = np.linspace(0.1, 1.0, rows)[:, None]
+    kernel = FlatKernel(g, sg.entropy_config(g, 0.5), beta=beta)
+    points = [random_interior(rng, shape) for _ in range(rows)]
+    G = kernel.gradients(np.stack([x.concatenated() for x in points]))
+    for b, x in enumerate(points):
+        for n, s in enumerate(kernel.slices):
+            expected = sg.gradient(g, x, n)
+            np.testing.assert_allclose(G[b, s], expected, rtol=0,
+                                       atol=1e-12 * np.abs(expected).max())
+
+
+def test_kernel_views_payoff_tensors_without_copying():
+    rng = np.random.default_rng(0)
+    g = random_game(rng, (60, 60, 60))
+    cfg = sg.entropy_config(g, 0.5)
+    tracemalloc.start()
+    try:
+        FlatKernel(g, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.payoffs[0].nbytes
+
+
+def test_newton_argmax_pinned_bits():
+    # recorded from the solver that re-evaluated every accepted iterate;
+    # carrying those evaluations over must leave the path bit for bit
+    rng = np.random.default_rng(13)
+    k = 4
+    a = rng.standard_normal((k, k)) + 2.0 * np.eye(k)
+    r = sg.quadratic_entropy(0.4, a, rng.dirichlet(np.ones(k)))
+    y = sg.smoothed_argmax(rng.standard_normal(k), r, 0.3)
+    assert [v.hex() for v in y.tolist()] == [
+        "0x1.5602ce07e1837p-2", "0x1.35e605bca7ca0p-13",
+        "0x1.541759eefb17dp-1", "0x1.a7c15970b7fd7p-10"]
+
+
+def test_newton_dynamics_pinned_bits():
+    rng = np.random.default_rng(13)
+    g = random_game(rng, (3, 3))
+    response = sg.SmoothedResponseConfig(
+        beta=0.5, regularizers=quadratic_regularizers(rng, (3, 3)))
+    traj = sg.run(g, sg.DynamicsConfig(eta=0.3, response=response, horizon=5),
+                  sg.uniform_strategy((3, 3)))
+    assert [[v.hex() for v in b.tolist()]
+            for b in traj.final_point.blocks] == [
+        ["0x1.cbb3d5848adadp-3", "0x1.0b2d506d2e051p-1",
+         "0x1.03cb74635e88ap-2"],
+        ["0x1.230796bf66876p-2", "0x1.da628a67ab066p-2",
+         "0x1.0295ded8ee726p-2"]]
 
 
 def reference_jacobian(game, cfg, x):
