@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .dynamics import (DynamicsConfig, eta_threshold, run, stability_verdict,
                        sweep, sweep_to_csv, trace_to_csv, trajectory_to_csv,
                        write_csv)
 from .errors import (ConvergenceError, GameError, ParseError, ResourceError,
-                     check_count)
+                     check_count, check_real)
 from .games import (JointStrategy, game_jacobian, load_game, pure_strategy,
                     quasi_strict_check, uniform_strategy, utility)
 from .regularizers import entropy, regularizer_from_dict
@@ -61,37 +62,41 @@ def _parse_point(spec: str, shape) -> JointStrategy:
     if len(parts) != len(shape):
         raise ParseError(
             f"point spec has {len(parts)} blocks for {len(shape)} players")
+    # each block's numbers are read, and checked, by JointStrategy
+    return JointStrategy(tuple(part.split(",") for part in parts))
+
+
+def _spec_json(spec: str, lists=True):
+    """The decoded JSON of a regularizer spec: an object or, with
+    ``lists``, a list of them (one per player)."""
     try:
-        blocks = tuple(np.array([float(v) for v in part.split(",")])
-                       for part in parts)
-    except ValueError as err:
-        raise ParseError(f"bad point spec {spec!r}: {err}") from err
-    return JointStrategy(blocks)
+        data = json.loads(spec)
+    except json.JSONDecodeError as err:
+        raise ParseError(f"regularizer spec is not JSON: {err}") from err
+    if not isinstance(data, (dict, list) if lists else dict):
+        raise ParseError("regularizer spec must be a JSON object"
+                         + (" or list" if lists else ""))
+    return data
 
 
 def _parse_regularizers(spec: str, shape):
     """'entropy', a JSON spec applied to all players, or a JSON list."""
     if spec == "entropy":
         return tuple(entropy(k) for k in shape)
-    try:
-        data = json.loads(spec)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"regularizer spec is not JSON: {err}") from err
+    data = _spec_json(spec)
     if isinstance(data, dict):
         return tuple(regularizer_from_dict(data, dimension=k) for k in shape)
-    if isinstance(data, list):
-        if len(data) != len(shape):
-            raise ParseError(
-                f"{len(data)} regularizer specs for {len(shape)} players")
-        return tuple(regularizer_from_dict(d, dimension=k)
-                     for d, k in zip(data, shape))
-    raise ParseError("regularizer spec must be a JSON object or list")
+    if len(data) != len(shape):
+        raise ParseError(
+            f"{len(data)} regularizer specs for {len(shape)} players")
+    return tuple(regularizer_from_dict(d, dimension=k)
+                 for d, k in zip(data, shape))
 
 
 def _beta_schedule(target: float) -> list:
-    """Geometric continuation schedule from 1 down to ``target``, shrinking
-    by a factor 0.3 per step."""
-    if target >= 1.0:
+    """Geometric continuation schedule from 1 down to a positive, finite
+    ``target`` (checked first), shrinking by a factor 0.3 per step."""
+    if check_real("--beta", target) >= 1.0:
         return [target]
     schedule = []
     b = 1.0
@@ -109,11 +114,9 @@ def _target(path):
 
 def _emit_json(payload: dict, path):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as handle:
-            handle.write(text)
+    with (nullcontext(sys.stdout) if path in (None, "-")
+          else open(path, "w", newline="")) as handle:
+        handle.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +241,7 @@ def cmd_sweep(args) -> int:
     regs = _parse_regularizers(args.reg, game.shape)
     betas = _parse_float_list(args.betas)
     etas = _parse_float_list(args.etas)
-    x0 = (_parse_point(args.x0, game.shape) if args.x0
-          else uniform_strategy(game.shape))
+    x0 = _parse_point(args.x0, game.shape) if args.x0 else None
     cells = sweep(game, betas, etas, regs, x0=x0, horizon=args.horizon,
                   jobs=args.jobs)
     sweep_to_csv(cells, _target(args.output))
@@ -250,12 +252,7 @@ def cmd_probe_steepness(args) -> int:
     if args.spec == "entropy":
         reg = entropy(args.dim)
     else:
-        try:
-            data = json.loads(args.spec)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"regularizer spec is not JSON: {err}") from err
-        if not isinstance(data, dict):
-            raise ParseError("regularizer spec must be a JSON object")
+        data = _spec_json(args.spec, lists=False)
         reg = regularizer_from_dict(data, dimension=args.dim
                                     if data.get("kind") == "entropy" else None)
     betas = _parse_float_list(args.betas)

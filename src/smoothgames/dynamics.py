@@ -11,7 +11,6 @@ are produced.
 from __future__ import annotations
 
 import csv
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -19,7 +18,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError, GameError, check_count
+from .errors import (ArgumentError, DomainError, GameError, check_array,
+                     check_count, check_path, check_real, check_sequence)
 from .games import (JointStrategy, NormalFormGame, perturb_strategy,
                     quasi_strict_check, uniform_strategy)
 from .response import (FlatKernel, SmoothedEquilibrium,
@@ -42,16 +42,10 @@ class DynamicsConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if not 0 < self.eta < 1:
+        if check_real("eta", self.eta) >= 1:
             raise ArgumentError(f"eta must lie in (0, 1), got {self.eta}")
-        for name in ("horizon", "record_every"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ArgumentError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.horizon < 1:
-            raise ArgumentError("horizon must be at least 1")
-        if self.record_every < 1:
-            raise ArgumentError("record_every must be at least 1")
+        check_count("horizon", self.horizon, positive=True)
+        check_count("record_every", self.record_every, positive=True)
 
 
 @dataclass(frozen=True)
@@ -106,7 +100,7 @@ def run_many(game: NormalFormGame, cfg: DynamicsConfig, X0,
     for different row counts).
     """
     kernel = FlatKernel(game, cfg.response)
-    starts = [kernel.flatten(x, "x0") for x in X0]
+    starts = [kernel.flatten(x, "x0") for x in check_sequence("X0", X0)]
     if not starts:
         raise ArgumentError("at least one start is required")
     ref = (kernel.flatten(reference.point, "reference")
@@ -221,9 +215,7 @@ def eta_threshold(game: NormalFormGame, cfg: SmoothedResponseConfig,
             f"eq must be a SmoothedEquilibrium, got {type(eq).__name__}")
     check_count("num_samples", num_samples)
     check_count("rng_seed", rng_seed)
-    if not 0 < radius < np.inf:
-        raise ArgumentError(
-            f"radius must be positive and finite, got {radius!r}")
+    check_real("radius", radius)
     rng = np.random.default_rng(rng_seed)
     kernel = FlatKernel(game, cfg)
     points = [eq.point] + [perturb_strategy(eq.point, radius, rng)
@@ -379,17 +371,23 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
     ``SWEEP_CHUNK`` cells, each row at its own beta and eta; with ``jobs``
     > 1 and more than one batch, the batches are spread over worker
     processes.  The batches are the same for every ``jobs``, so results do
-    not depend on it.  Cell errors are recorded in the cell, and the sweep
+    not depend on it.  ``jobs``, ``horizon``, ``outer_tol``, the
+    regularizers and ``x0`` are checked before any solve; a bad beta or eta,
+    like any other cell error, is recorded in its cells, and the sweep
     continues.  The returned grid is row-major in (betas, etas) as given,
     independent of scheduling.
     """
     check_count("jobs", jobs, positive=True)
-    betas = [float(b) for b in betas]
-    etas = [float(e) for e in etas]
+    check_count("horizon", horizon, positive=True)
+    check_real("outer_tol", outer_tol)
+    betas = check_array("betas", betas, (None,), finite=False).tolist()
+    etas = check_array("etas", etas, (None,), finite=False).tolist()
     if not betas or not etas:
         raise ArgumentError("betas and etas must be non-empty")
     if x0 is None:
         x0 = uniform_strategy(game.shape)
+    start = FlatKernel(game, SmoothedResponseConfig(
+        beta=1.0, regularizers=regularizers)).flatten(x0, "x0")
 
     solved = {}
     errors = {}
@@ -429,7 +427,7 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
             cells.append(SweepCell(beta=beta, eta=eta, equilibrium=eq,
                                    error=error) if error else None)
 
-    tasks = [(game, x0.concatenated(), rows[i:i + SWEEP_CHUNK])
+    tasks = [(game, start, rows[i:i + SWEEP_CHUNK])
              for i in range(0, len(rows), SWEEP_CHUNK)]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -462,7 +460,7 @@ def write_csv(target, header, rows):
     ending in CRLF; numbers get 17 significant digits and None an empty
     cell.  ``target`` is a path or an open text handle (left open)."""
     with (nullcontext(target) if hasattr(target, "write")
-          else open(target, "w", newline="")) as handle:
+          else open(check_path("target", target), "w", newline="")) as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows([_cell(v) for v in row] for row in rows)

@@ -1,6 +1,10 @@
-"""Exception hierarchy for the smoothgames package."""
+"""Exception hierarchy for the smoothgames package, and the validators
+that every public function checks its inputs with."""
 
 import numbers
+import os
+
+import numpy as np
 
 
 class GameError(Exception):
@@ -49,10 +53,75 @@ class CyclingError(ConvergenceError):
 
 
 def check_count(name, value, positive=False):
-    """Raise ArgumentError unless value is a non-negative (or, with
-    ``positive``, a positive) integer other than a bool: a budget, sample
-    count or iteration cap."""
+    """value, if it is a non-negative (or, with ``positive``, a positive)
+    integer other than a bool: a budget, sample count or iteration cap;
+    else ArgumentError."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or value < int(positive)):
         kind = "positive" if positive else "non-negative"
         raise ArgumentError(f"{name} must be a {kind} integer, got {value!r}")
+    return value
+
+
+def check_index(name, value, size):
+    """value, if it is an integer other than a bool in ``[0, size)``: a
+    player, action or support index; else ArgumentError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not 0 <= value < size):
+        raise ArgumentError(
+            f"{name} must be an integer in [0, {size}), got {value!r}")
+    return value
+
+
+def check_real(name, value, positive=True, array=False):
+    """value, if it is a finite real other than a bool that is positive
+    (without ``positive``, non-negative): a smoothing level, tolerance or
+    radius; else ArgumentError.  With ``array``, a float numpy array passes
+    when every entry does (a column of smoothing levels)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if array and isinstance(value, np.ndarray) and value.dtype == float:
+        entries = value.ravel().tolist()
+    else:
+        entries = [value if real else np.nan]
+    if not all((x > 0 if positive else x >= 0) and x < np.inf
+               for x in entries):
+        kind = "positive" if positive else "non-negative"
+        raise ArgumentError(f"{name} must be {kind} and finite, got {value!r}")
+    return value
+
+
+def check_array(name, value, shape=None, finite=True):
+    """value as a float array: ArgumentError unless it converts, and (with
+    ``finite``) unless its entries are finite; DimensionError unless it has
+    ``shape``, if given, where a None entry matches any length."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ArgumentError(f"{name} is not a real array: {err}") from None
+    if shape is not None and (array.ndim != len(shape) or any(
+            k is not None and k != n for k, n in zip(shape, array.shape))):
+        raise DimensionError(
+            f"{name} has shape {array.shape}, expected {shape}")
+    if finite and not np.all(np.isfinite(array)):
+        raise ArgumentError(f"{name} must be finite")
+    return array
+
+
+def check_sequence(name, value) -> tuple:
+    """value as a tuple, if it is iterable (one entry per player, say);
+    else ArgumentError."""
+    return _converted(name, value, tuple, "a sequence")
+
+
+def check_path(name, value):
+    """value as a file-system path (str or bytes), if it is one; else
+    ArgumentError.  Integers are refused: ``open`` would take them for
+    file descriptors."""
+    return _converted(name, value, os.fspath, "a path")
+
+
+def _converted(name, value, convert, what):
+    try:
+        return convert(value)
+    except TypeError:
+        raise ArgumentError(f"{name} must be {what}, got {value!r}") from None

@@ -21,7 +21,8 @@ from importlib import resources
 import numpy as np
 
 from .errors import (ArgumentError, DimensionError, DomainError, ParseError,
-                     ResourceError, check_count)
+                     ResourceError, check_array, check_count, check_index,
+                     check_path, check_real, check_sequence)
 
 SIMPLEX_SUM_TOL = 1e-12
 TIE_TOL = 1e-9
@@ -31,19 +32,39 @@ MAX_TENSOR_ENTRIES = 10 ** 7
 # ---------------------------------------------------------------------------
 # simplex calculus and block layout helpers
 
+def simplex_point(x, name="x") -> np.ndarray:
+    """x as a float vector on the probability simplex: see ``check_array``
+    for conversion and shape errors; a NaN or negative entry, or a sum more
+    than ``SIMPLEX_SUM_TOL`` from 1 (an infinite one too), is a DomainError.
+    """
+    x = check_array(name, x, (None,), finite=False)
+    if not x.min(initial=0.0) >= 0:  # NaN fails this test too
+        raise DomainError(f"{name} has negative or NaN entries")
+    if abs(x.sum() - 1.0) > SIMPLEX_SUM_TOL:
+        raise DomainError(f"{name} sums to {x.sum():.17g}, not 1")
+    return x
+
+
+def support_indices(k, support=None) -> np.ndarray:
+    """The actions of a support of a k-action player as an index array
+    (all k actions if None); each must lie in ``[0, k)``."""
+    check_count("action count", k, positive=True)
+    if support is None:
+        return np.arange(k)
+    return np.array([check_index("support entry", i, k)
+                     for i in check_sequence("support", support)], dtype=int)
+
+
 def centering_projection(k: int) -> np.ndarray:
     """Orthogonal projection of R^k onto the zero-sum tangent space."""
-    return np.eye(k) - np.ones((k, k)) / k
+    return face_projection(k, None)
 
 
 def face_projection(k: int, support) -> np.ndarray:
-    """Centering projection onto the tangent space of the face Delta_S.
-
-    Rows and columns outside the support are zero.
-    """
-    mask = np.zeros((1, k), dtype=bool)
-    mask[0, np.asarray(support, dtype=int)] = True
-    return _face_projections(mask)[0]
+    """Centering projection onto the tangent space of the face Delta_S (S
+    all actions if None); rows and columns outside S are zero."""
+    support = support_indices(k, support)
+    return _face_projections(np.isin(np.arange(k), support)[None])[0]
 
 
 def _face_projections(masks) -> np.ndarray:
@@ -61,9 +82,7 @@ def tangent_basis(k: int, support=None) -> np.ndarray:
     1^T Q = 0.  For a face it spans vectors supported on the face that sum
     to zero; a singleton face has an empty basis.
     """
-    if support is None:
-        support = np.arange(k)
-    support = np.asarray(support, dtype=int)
+    support = support_indices(k, support)
     s = len(support)
     if s <= 1:
         return np.zeros((k, 0))
@@ -113,8 +132,11 @@ class NormalFormGame:
     name: str = ""
 
     def __post_init__(self):
-        tensors = tuple(np.asarray(t, dtype=float) for t in self.payoffs)
+        tensors = tuple(check_array(f"tensor {n}", t) for n, t in
+                        enumerate(check_sequence("payoffs", self.payoffs)))
         object.__setattr__(self, "payoffs", tensors)
+        if not isinstance(self.name, str):
+            raise ArgumentError(f"name must be a string, got {self.name!r}")
         if len(tensors) < 2:
             raise DimensionError("a game needs at least two players")
         shape = tensors[0].shape
@@ -129,8 +151,6 @@ class NormalFormGame:
             if t.shape != shape:
                 raise DimensionError(
                     f"tensor {n} has shape {t.shape}, expected {shape}")
-            if not np.all(np.isfinite(t)):
-                raise ArgumentError(f"tensor {n} has non-finite entries")
         if int(np.prod(shape)) > MAX_TENSOR_ENTRIES:
             raise ResourceError(
                 f"tensor shape {tuple(shape)} exceeds "
@@ -152,18 +172,11 @@ class JointStrategy:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple(np.asarray(b, dtype=float) for b in self.blocks)
+        blocks = tuple(simplex_point(b, f"block {n}") for n, b in
+                       enumerate(check_sequence("blocks", self.blocks)))
+        if not blocks:
+            raise DimensionError("a strategy needs at least one player")
         object.__setattr__(self, "blocks", blocks)
-        for n, b in enumerate(blocks):
-            if b.ndim != 1:
-                raise DimensionError(f"block {n} is not a vector")
-            if not np.all(np.isfinite(b)):
-                raise DomainError(f"block {n} has non-finite entries")
-            if np.any(b < 0):
-                raise DomainError(f"block {n} has negative entries")
-            if abs(b.sum() - 1.0) > SIMPLEX_SUM_TOL:
-                raise DomainError(
-                    f"block {n} sums to {b.sum():.17g}, not 1")
 
     @property
     def shape(self) -> tuple:
@@ -182,28 +195,24 @@ class JointStrategy:
 
 
 def uniform_strategy(shape) -> JointStrategy:
-    shape = tuple(shape)
-    if not shape:
-        raise DimensionError("a strategy needs at least one player")
-    for k in shape:
-        check_count("action count", k, positive=True)
-    return JointStrategy(tuple(np.full(k, 1.0 / k) for k in shape))
+    return JointStrategy(tuple(
+        np.full(check_count("action count", k, positive=True), 1.0 / k)
+        for k in check_sequence("shape", shape)))
 
 
 def pure_strategy(shape, indices) -> JointStrategy:
+    shape = check_sequence("shape", shape)
+    indices = check_sequence("indices", indices)
     if len(indices) != len(shape):
         raise DimensionError("one pure action index per player required")
-    blocks = []
-    for k, i in zip(shape, indices):
-        if not 0 <= i < k:
-            raise ArgumentError(f"action index {i} out of range for {k}")
-        b = np.zeros(k)
-        b[i] = 1.0
-        blocks.append(b)
-    return JointStrategy(tuple(blocks))
+    return JointStrategy(tuple(
+        np.eye(check_count("action count", k, positive=True))[
+            check_index("action index", i, k)]
+        for k, i in zip(shape, indices)))
 
 
 def replace_block(x: JointStrategy, n: int, block) -> JointStrategy:
+    check_index("player", n, len(x.blocks))
     blocks = list(x.blocks)
     blocks[n] = block
     return JointStrategy(tuple(blocks))
@@ -227,10 +236,16 @@ class TangentVector:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple(np.asarray(b, dtype=float) for b in self.blocks)
+        blocks = tuple(check_array(f"block {n}", b, (None,), finite=False)
+                       for n, b in enumerate(check_sequence("blocks",
+                                                            self.blocks)))
+        if not blocks:
+            raise DimensionError("a tangent vector needs at least one player")
         object.__setattr__(self, "blocks", blocks)
         for n, b in enumerate(blocks):
-            if abs(b.sum()) > SIMPLEX_SUM_TOL * max(1.0, np.abs(b).max(initial=0.0)):
+            # relative to the largest entry; a non-finite block gives NaN
+            scale = max(1.0, float(np.abs(b).max(initial=0.0)))
+            if not abs(float(b.sum())) / scale <= SIMPLEX_SUM_TOL:
                 raise DomainError(f"block {n} is not centered (sum {b.sum():.3e})")
 
     def concatenated(self) -> np.ndarray:
@@ -254,10 +269,13 @@ class StrategicDecomposition:
 # ---------------------------------------------------------------------------
 # operations
 
-def _check_match(game: NormalFormGame, x: JointStrategy):
+def _check_match(game: NormalFormGame, x: JointStrategy, *players):
+    """x fits the game, and each player is an index of one of its players."""
     if x.shape != game.shape:
         raise DimensionError(
             f"strategy shape {x.shape} does not match game shape {game.shape}")
+    for n in players:
+        check_index("player", n, game.num_players)
 
 
 def _contract_except(tensor: np.ndarray, blocks, keep) -> np.ndarray:
@@ -273,7 +291,7 @@ def _contract_except(tensor: np.ndarray, blocks, keep) -> np.ndarray:
 
 def utility(game: NormalFormGame, x: JointStrategy, n: int) -> float:
     """Expected payoff of player n: the full multilinear contraction."""
-    _check_match(game, x)
+    _check_match(game, x, n)
     return float(_contract_except(game.payoffs[n], x.blocks, keep=()))
 
 
@@ -283,7 +301,7 @@ def gradient(game: NormalFormGame, x: JointStrategy, n: int) -> np.ndarray:
     Entry i is the payoff of the pure action i against ``x_{-n}``; subtract
     its mean for the tangent representation.
     """
-    _check_match(game, x)
+    _check_match(game, x, n)
     return np.asarray(_contract_except(game.payoffs[n], x.blocks, keep=(n,)))
 
 
@@ -294,7 +312,7 @@ def cross_hessian(game: NormalFormGame, x: JointStrategy, n: int, m: int) -> np.
     ``x_m := e_j``.  The (n, n) block of the game Jacobian is zero by
     multilinearity, so ``n == m`` is rejected.
     """
-    _check_match(game, x)
+    _check_match(game, x, n, m)
     if n == m:
         raise ArgumentError("diagonal blocks are zero; use n != m")
     k_n, k_m = game.shape[n], game.shape[m]
@@ -319,6 +337,7 @@ def _raw_cross(game: NormalFormGame, blocks, n: int, m: int) -> np.ndarray:
 
 def strategic_decompose(game: NormalFormGame, n: int) -> StrategicDecomposition:
     """Decompose f_n into centered linear part and scalar offset."""
+    check_index("player", n, game.num_players)
 
     def linear_part(x: JointStrategy) -> np.ndarray:
         g = gradient(game, x, n)
@@ -402,6 +421,7 @@ class QuasiStrictResult:
 def quasi_strict_check(game: NormalFormGame, x_star: JointStrategy,
                        gap_tol=1e-9) -> QuasiStrictResult:
     """Check that the support equals the best-response set for every player."""
+    check_real("gap_tol", gap_tol, positive=False)
     gap = epsilon_nash_gap(game, x_star)
     if gap > gap_tol:
         return QuasiStrictResult(status="not_nash", gap=gap)
@@ -441,21 +461,26 @@ def reduce_game(game: NormalFormGame, x_star: JointStrategy):
     return reduced, supports
 
 
+def _supports(shape, supports) -> tuple:
+    """One index array per player of a game of this shape."""
+    supports = check_sequence("supports", supports)
+    if len(supports) != len(shape):
+        raise DimensionError(
+            f"{len(supports)} supports for {len(shape)} players")
+    return tuple(support_indices(k, s) for k, s in zip(shape, supports))
+
+
 def restrict_strategy(x: JointStrategy, supports) -> JointStrategy:
-    blocks = []
-    for b, s in zip(x.blocks, supports):
-        restricted = b[np.asarray(s, dtype=int)]
-        blocks.append(restricted / restricted.sum())
-    return JointStrategy(tuple(blocks))
+    supports = _supports(x.shape, supports)
+    return JointStrategy(tuple(b[s] / b[s].sum()
+                               for b, s in zip(x.blocks, supports)))
 
 
 def embed_strategy(x: JointStrategy, supports, shape) -> JointStrategy:
-    blocks = []
-    for b, s, k in zip(x.blocks, supports, shape):
-        full = np.zeros(k)
-        full[np.asarray(s, dtype=int)] = b
-        blocks.append(full)
-    return JointStrategy(tuple(blocks))
+    shape = check_sequence("shape", shape)
+    return JointStrategy(tuple(
+        np.bincount(s, weights=b, minlength=k)
+        for b, s, k in zip(x.blocks, _supports(shape, supports), shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +546,7 @@ def game_jacobian(game: NormalFormGame, x: JointStrategy,
     if supports is None:
         supports = x.supports()
     else:
-        supports = tuple(np.asarray(s, dtype=int) for s in supports)
+        supports = _supports(game.shape, supports)
     masks = [np.zeros((1, k), dtype=bool) for k in game.shape]
     for mask, s in zip(masks, supports):
         mask[0, s] = True
@@ -564,9 +589,10 @@ def game_to_dict(game: NormalFormGame) -> dict:
 
 def game_from_dict(data: dict) -> NormalFormGame:
     try:
-        players = int(data["players"])
-        shape = tuple(int(k) for k in data["shape"])
-        flat = data["payoffs"]
+        players = check_count("players", data["players"], positive=True)
+        shape = tuple(check_count("action count", k, positive=True)
+                      for k in check_sequence("shape", data["shape"]))
+        flat = check_sequence("payoffs", data["payoffs"])
         name = str(data.get("name", ""))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed game description: {exc}") from exc
@@ -578,24 +604,16 @@ def game_from_dict(data: dict) -> NormalFormGame:
     if size > MAX_TENSOR_ENTRIES:
         raise ResourceError(
             f"tensor shape {shape} exceeds {MAX_TENSOR_ENTRIES} entries")
-    tensors = []
-    for n, entries in enumerate(flat):
-        try:
-            arr = np.asarray(entries, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"payoff array {n} is not numeric: {exc}") from exc
-        if arr.size != size:
-            raise ParseError(
-                f"payoff array {n} has {arr.size} entries, expected {size}")
-        tensors.append(arr.reshape(shape, order="C"))
-    try:
-        return NormalFormGame(tuple(tensors), name=name)
-    except (DimensionError, ArgumentError) as exc:
+    try:  # a bad array, or one of the wrong size
+        return NormalFormGame(tuple(
+            check_array(f"payoff array {n}", entries).reshape(shape)
+            for n, entries in enumerate(flat)), name=name)
+    except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def save_game(game: NormalFormGame, path):
-    with open(path, "w") as fh:
+    with open(check_path("path", path), "w") as fh:
         json.dump(game_to_dict(game), fh, indent=2)
         fh.write("\n")
 
@@ -603,12 +621,11 @@ def save_game(game: NormalFormGame, path):
 def load_game(path) -> NormalFormGame:
     """Load a game from a JSON file or from the bundled set by name."""
     try:
-        with open(path) as fh:
+        with open(check_path("path", path)) as fh:
             data = json.load(fh)
     except FileNotFoundError:
-        bundled = bundled_game_names()
         stem = str(path).removesuffix(".json")
-        if stem in bundled:
+        if stem in bundled_game_names():
             return bundled_game(stem)
         raise
     except json.JSONDecodeError as exc:

@@ -16,8 +16,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError, ParseError, check_count
-from .games import SIMPLEX_SUM_TOL, face_projection, tangent_basis
+from .errors import (ArgumentError, DomainError, ParseError, check_array,
+                     check_count, check_real)
+from .games import (face_projection, simplex_point, support_indices,
+                    tangent_basis)
 
 
 @dataclass(frozen=True)
@@ -38,9 +40,7 @@ class Regularizer:
     def __post_init__(self):
         k = self.dimension
         check_count("dimension", k, positive=True)
-        if not 0 < self.lam < np.inf:
-            raise ArgumentError(
-                f"lam must be positive and finite, got {self.lam}")
+        object.__setattr__(self, "lam", float(check_real("lam", self.lam)))
         if (self.A is None) != (self.w is None):
             raise ArgumentError("A and w are given together or not at all")
         if self.A is None:
@@ -48,14 +48,8 @@ class Regularizer:
                 raise ArgumentError("entropy (no A and w) has lam = 1")
             object.__setattr__(self, "curvature", np.zeros((k, k)))
             return
-        a = np.asarray(self.A, dtype=float)
-        w = np.asarray(self.w, dtype=float)
-        if a.shape != (k, k):
-            raise ArgumentError("A must be a square k x k matrix")
-        if w.shape != (k,):
-            raise ArgumentError("w must be a length-k vector")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(w))):
-            raise ArgumentError("A and w must be finite")
+        a = check_array("A", self.A, (k, k))
+        w = check_array("w", self.w, (k,))
         if abs(np.linalg.det(a)) == 0.0:
             raise ArgumentError("A must be invertible")
         object.__setattr__(self, "A", a)
@@ -81,9 +75,8 @@ def entropy(k: int) -> Regularizer:
 
 
 def quadratic_entropy(lam: float, A, w) -> Regularizer:
-    A = np.asarray(A, dtype=float)
-    return Regularizer(A.shape[0] if A.ndim else 0, lam=float(lam), A=A,
-                       w=np.asarray(w, dtype=float))
+    A = check_array("A", A)
+    return Regularizer(A.shape[0] if A.ndim else 0, lam=lam, A=A, w=w)
 
 
 @dataclass(frozen=True)
@@ -114,37 +107,21 @@ class FaceHessian:
         return pi @ (r.lam * diag + r.curvature) @ pi
 
 
-def _simplex_point(r: Regularizer, x) -> np.ndarray:
-    """x as a float array, if it is a point of r's simplex.
-
-    A vector of the wrong length or with non-finite entries is an argument
-    error; one with a negative entry, or whose sum misses 1 by more than
-    ``SIMPLEX_SUM_TOL``, a domain error.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (r.dimension,):
-        raise ArgumentError(f"expected a length-{r.dimension} vector")
-    if not np.all(np.isfinite(x)):
-        raise ArgumentError("x must be finite")
-    if np.any(x < 0):
-        raise DomainError("regularizers are defined on the simplex only")
-    if abs(x.sum() - 1.0) > SIMPLEX_SUM_TOL:
-        raise DomainError(f"x sums to {x.sum():.17g}, not 1")
-    return x
-
-
 def reg_value(r: Regularizer, x) -> float:
-    x = _simplex_point(r, x)
+    x = simplex_point(check_array("x", x, (r.dimension,)))
     pos = x[x > 0]  # 0 log 0 := 0
     return r.lam * float((pos * np.log(pos)).sum()) + r.quadratic(x)[1]
 
 
 def _infer_support(x, support):
+    """The positive coordinates of x, which a given support must name."""
     if support is None:
         return np.flatnonzero(x > 0)
-    support = np.asarray(support, dtype=int)
+    support = support_indices(len(x), support)
     if np.any(x[support] == 0):
         raise DomainError("support claims coordinates where x is exactly 0")
+    if np.any(np.delete(x, support) > 0):
+        raise DomainError("x is not on the face of the claimed support")
     return support
 
 
@@ -155,7 +132,7 @@ def reg_tangent_gradient(r: Regularizer, x, support=None) -> np.ndarray:
     explicit support containing a zero coordinate is a domain error
     (the steep gradient diverges there).
     """
-    x = _simplex_point(r, x)
+    x = simplex_point(check_array("x", x, (r.dimension,)))
     support = _infer_support(x, support)
     grad = r.quadratic(x)[0]
     grad[support] += r.lam * np.log(x[support])
@@ -216,11 +193,8 @@ def face_hessian(r: Regularizer, x, support=None) -> FaceHessian:
     the face Hessian is stiff; without a quadratic term it is the closed
     form of :func:`entropy_pseudoinverse` on the face.
     """
-    x = _simplex_point(r, x)
+    x = simplex_point(check_array("x", x, (r.dimension,)))
     support = _infer_support(x, support)
-    outside = np.setdiff1d(np.arange(r.dimension), support)
-    if np.any(x[outside] > 0):
-        raise DomainError("x is not on the face of the claimed support")
     pinv = np.zeros((r.dimension, r.dimension))
     if len(support) > 1:
         face = np.ix_(support, support)
@@ -241,21 +215,18 @@ def make_regularizer_with_hessian(x, M) -> Regularizer:
     with lam halved from 1 until that matrix is positive definite, and
     ``w = x + lam * (A^T A)^{-1} log x`` so the centered gradient cancels.
     """
-    x = np.asarray(x, dtype=float)
-    M = np.asarray(M, dtype=float)
+    x = simplex_point(check_array("x", x, (None,)))
     k = len(x)
-    if np.any(x <= 0) or abs(x.sum() - 1.0) > 1e-9:
+    M = check_array("M", M, (k, k))
+    if np.any(x == 0):
         raise DomainError("x must be an interior simplex point")
-    if M.shape != (k, k):
-        raise ArgumentError("M must be k x k")
     if not np.allclose(M, M.T, atol=1e-10):
         raise ArgumentError("M must be symmetric")
     ones = np.ones(k)
     if np.abs(M @ ones).max() > 1e-8 * max(1.0, np.abs(M).max()):
         raise ArgumentError("M must be supported on the tangent space")
     q = tangent_basis(k)
-    tangent_eigs = np.linalg.eigvalsh(q.T @ M @ q)
-    if tangent_eigs.min() <= 0:
+    if np.linalg.eigvalsh(q.T @ M @ q).min() <= 0:
         raise ArgumentError("M must be positive definite on the tangent space")
 
     base = M + np.outer(ones, ones)
@@ -296,7 +267,7 @@ def regularizer_from_dict(data: dict, dimension=None) -> Regularizer:
         if kind == "entropy":
             if dimension is None:
                 raise ParseError("entropy spec needs an explicit dimension")
-            return entropy(int(dimension))
+            return entropy(dimension)
         if kind == "quadratic_entropy":
             reg = quadratic_entropy(data["lambda"], data["A"], data["w"])
             if dimension is not None and reg.dimension != dimension:

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ArgumentError, ConvergenceError, CyclingError,
-                     DimensionError, check_count)
+                     DimensionError, check_array, check_count, check_index,
+                     check_real, check_sequence)
 from .games import (JointStrategy, NormalFormGame, block_diag, block_slices,
                     epsilon_nash_gap, jacobian_blocks, tangent_basis,
                     uniform_strategy)
@@ -50,43 +51,23 @@ class SmoothedResponseConfig:
     inner_max_iter: int = 10_000
 
     def __post_init__(self):
-        object.__setattr__(self, "regularizers", tuple(self.regularizers))
-        if not 0 < self.beta < np.inf:
-            raise ArgumentError(
-                f"beta must be positive and finite, got {self.beta}")
-        _check_inner(self.inner_tol, self.inner_max_iter)
-        if not self.regularizers:
-            raise ArgumentError("at least one regularizer is required")
-        for n, r in enumerate(self.regularizers):
-            if not isinstance(r, Regularizer):
-                raise ArgumentError(f"entry {n} is not a Regularizer")
-
-
-def _check_inner(inner_tol, inner_max_iter):
-    if not 0 < inner_tol < np.inf:
-        raise ArgumentError(
-            f"inner_tol must be positive and finite, got {inner_tol!r}")
-    check_count("inner_max_iter", inner_max_iter, positive=True)
+        object.__setattr__(self, "regularizers",
+                           check_sequence("regularizers", self.regularizers))
+        check_real("beta", self.beta)
+        check_real("inner_tol", self.inner_tol)
+        check_count("inner_max_iter", self.inner_max_iter, positive=True)
+        if not self.regularizers or not all(
+                isinstance(r, Regularizer) for r in self.regularizers):
+            raise ArgumentError("regularizers must be a nonempty sequence "
+                                "of Regularizer objects")
 
 
 def entropy_config(shape, beta, **kwargs) -> SmoothedResponseConfig:
     """Entropic-response config for a game or an action-count tuple."""
     if isinstance(shape, NormalFormGame):
         shape = shape.shape
-    regs = tuple(entropy(k) for k in shape)
+    regs = tuple(entropy(k) for k in check_sequence("shape", shape))
     return SmoothedResponseConfig(beta=beta, regularizers=regs, **kwargs)
-
-
-def _check_config(game: NormalFormGame, cfg: SmoothedResponseConfig):
-    if len(cfg.regularizers) != game.num_players:
-        raise DimensionError(
-            f"{len(cfg.regularizers)} regularizers for "
-            f"{game.num_players} players")
-    for n, (r, k) in enumerate(zip(cfg.regularizers, game.shape)):
-        if r.dimension != k:
-            raise DimensionError(
-                f"regularizer {n} has dimension {r.dimension}, "
-                f"player has {k} actions")
 
 
 @dataclass(frozen=True)
@@ -111,15 +92,10 @@ def smoothed_argmax(values, reg: Regularizer, beta: float, inner_tol=1e-12,
     iteration in log coordinates runs until the projected-gradient residual
     drops to inner_tol.
     """
-    v = np.asarray(values, dtype=float)
-    if v.shape != (reg.dimension,):
-        raise DimensionError(
-            f"expected {reg.dimension} values, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ArgumentError("values must be finite")
-    if not 0 < beta < np.inf:
-        raise ArgumentError(f"beta must be positive and finite, got {beta}")
-    _check_inner(inner_tol, inner_max_iter)
+    v = check_array("values", values, (reg.dimension,))
+    check_real("beta", beta)
+    check_real("inner_tol", inner_tol)
+    check_count("inner_max_iter", inner_max_iter, positive=True)
     if reg.dimension == 1:
         return np.ones(1)
     if reg.A is None:
@@ -232,24 +208,14 @@ def linear_steepness_probe(r: Regularizer, i: int, eps: float, betas,
     suboptimality set), and reports ``x^beta_i / beta`` per beta.  For
     entropy the ratio is bounded by ``exp(-eps/beta) / beta``.
     """
-    if eps < 0:
-        raise ArgumentError("eps must be nonnegative")
-    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-        raise ArgumentError(f"probe index must be an integer, got {i!r}")
-    if not 0 <= i < r.dimension:
-        raise ArgumentError("probe index out of range")
+    check_index("probe index", i, r.dimension)
+    check_real("eps", eps, positive=False)
     k = r.dimension
-    if rng is None:
-        v = np.zeros(k)
-    else:
-        v = rng.standard_normal(k)
+    v = np.zeros(k) if rng is None else rng.standard_normal(k)
     others = np.delete(np.arange(k), i)
     v[i] = v[others].max() - eps
-    ratios = []
-    for beta in betas:
-        point = smoothed_argmax(v, r, float(beta))
-        ratios.append(float(point[i]) / float(beta))
-    return ratios
+    return [float(smoothed_argmax(v, r, beta)[i]) / float(beta)
+            for beta in check_sequence("betas", betas)]
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +274,14 @@ class FlatKernel:
 
     def __init__(self, game: NormalFormGame, cfg: SmoothedResponseConfig,
                  beta=None):
-        _check_config(game, cfg)
-        if beta is None:
-            beta = cfg.beta
-        elif not np.all((np.asarray(beta) > 0) & (np.asarray(beta) < np.inf)):
-            raise ArgumentError("beta must be positive and finite")
+        dims = tuple(r.dimension for r in cfg.regularizers)
+        if dims != game.shape:
+            raise DimensionError(f"regularizer dimensions {dims} do not "
+                                 f"match the game's shape {game.shape}")
         self.game = game
         self.cfg = cfg
-        self.beta = beta
+        self.beta = check_real("beta", cfg.beta if beta is None else beta,
+                               array=True)
         shape = game.shape
         self.slices = block_slices(shape)
         # block-wise reductions over all players at once: reduceat per
@@ -345,9 +311,9 @@ class FlatKernel:
 
     def flatten(self, x: JointStrategy, what="strategy") -> np.ndarray:
         """The concatenated vector of a strategy of this game's shape."""
-        if x.shape != self.game.shape:
+        if not isinstance(x, JointStrategy) or x.shape != self.game.shape:
             raise DimensionError(
-                f"{what} shape {x.shape} does not match game shape "
+                f"{what} is not a strategy of the game's shape "
                 f"{self.game.shape}")
         return x.concatenated()
 
@@ -505,8 +471,7 @@ def find_smoothed_equilibrium(game: NormalFormGame, cfg: SmoothedResponseConfig,
     converging, and smaller beta only sharpens that.
     """
     kernel = FlatKernel(game, cfg)
-    if not outer_tol > 0:
-        raise ArgumentError("outer_tol must be positive")
+    check_real("outer_tol", outer_tol)
     check_count("max_iter", max_iter, positive=True)
     x = kernel.flatten(x0 if x0 is not None else uniform_strategy(game.shape),
                        "x0")[None, :]
@@ -563,17 +528,15 @@ def homotopy_trace(game: NormalFormGame, cfg: SmoothedResponseConfig,
     Returns one SmoothedEquilibrium per beta.  Which equilibrium the trace
     approaches in multi-equilibrium games is recorded, never asserted.
     """
-    schedule = [float(b) for b in beta_schedule]
-    if not schedule:
-        raise ArgumentError("beta_schedule must be nonempty")
-    if any(b <= 0 for b in schedule):
-        raise ArgumentError("beta_schedule entries must be positive")
-    if any(b2 >= b1 for b1, b2 in zip(schedule, schedule[1:])):
-        raise ArgumentError("beta_schedule must be strictly decreasing")
+    schedule = check_array("beta_schedule", beta_schedule, (None,))
+    check_real("beta_schedule", schedule, array=True)
+    if not schedule.size or np.any(np.diff(schedule) >= 0):
+        raise ArgumentError(
+            "beta_schedule must be nonempty and strictly decreasing")
     check_count("max_iter", max_iter, positive=True)
     trace = []
     x = x0
-    for beta in schedule:
+    for beta in schedule.tolist():
         cfg_b = dataclasses.replace(cfg, beta=beta)
         try:
             eq = find_smoothed_equilibrium(game, cfg_b, x, outer_tol=outer_tol,

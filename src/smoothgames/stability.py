@@ -21,7 +21,8 @@ from math import comb
 import numpy as np
 
 from .errors import (ArgumentError, DimensionError, DomainError,
-                     ResourceError, check_count)
+                     ResourceError, check_array, check_count, check_real,
+                     check_sequence)
 from .games import (GameJacobian, JointStrategy, NormalFormGame,
                     TangentVector, block_diag, block_slices, game_jacobian,
                     perturb_strategy, utility)
@@ -192,12 +193,8 @@ def pd_stretch(u, v) -> np.ndarray:
     and H stretches one into the other on that plane, acting as the
     identity on the complement.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1:
-        raise DimensionError("u and v must be vectors of equal length")
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise ArgumentError("u and v must have finite entries")
+    u = check_array("u", u, (None,))
+    v = check_array("v", v, u.shape)
     if float(u @ v) <= PD_STRETCH_GUARD:
         raise DomainError("pd-stretch requires u^T v > 0")
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
@@ -239,14 +236,9 @@ def bilinear_scale_recovery(A, B, tol=1e-9, rng_seed=0) -> BilinearScaleResult:
     vector of the witness construction.
     """
     check_count("rng_seed", rng_seed)
-    if not 0 < tol < np.inf:
-        raise ArgumentError(f"tol must be positive and finite, got {tol!r}")
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape:
-        raise DimensionError("A and B must have equal shapes")
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        raise ArgumentError("A and B must have finite entries")
+    check_real("tol", tol)
+    A = check_array("A", A, (None, None))
+    B = check_array("B", B, A.shape)
     norm_a, norm_b = np.linalg.norm(A), np.linalg.norm(B)
     if norm_b == 0.0:
         if norm_a == 0.0:
@@ -587,17 +579,13 @@ def verify_witness(jac: GameJacobian, witness) -> float:
     player, and ArgumentError if a block has non-finite entries or is not
     PD on its tangent space.
     """
-    witness = [np.asarray(blk, dtype=float) for blk in witness]
+    witness = check_sequence("witness", witness)
     shape = jac.point.shape
     if len(witness) != len(shape):
         raise DimensionError(
             f"witness has {len(witness)} blocks for {len(shape)} players")
-    for n, (blk, k) in enumerate(zip(witness, shape)):
-        if blk.shape != (k, k):
-            raise DimensionError(
-                f"witness block {n} has shape {blk.shape}, expected {(k, k)}")
-        if not np.all(np.isfinite(blk)):
-            raise ArgumentError(f"witness block {n} has non-finite entries")
+    witness = [check_array(f"witness block {n}", blk, (k, k))
+               for n, (blk, k) in enumerate(zip(witness, shape))]
     j_t, bases, dims = jac.tangent()
     h_blocks = []
     for n, blk in enumerate(witness):
@@ -628,9 +616,7 @@ def local_uniform_stability(game: NormalFormGame, x: JointStrategy,
     """
     check_count("num_samples", num_samples)
     check_count("rng_seed", rng_seed)
-    if not 0 < radius < np.inf:
-        raise ArgumentError(
-            f"radius must be positive and finite, got {radius!r}")
+    check_real("radius", radius)
     if not x.is_interior:
         raise DomainError("local check needs an interior center point")
     rng = np.random.default_rng(rng_seed)
@@ -670,8 +656,7 @@ def simplex_lattice(k: int, resolution: int) -> np.ndarray:
 def lattice_size(k: int, resolution: int) -> int:
     """Number of points of ``simplex_lattice(k, resolution)``."""
     check_count("k", k, positive=True)
-    check_count("resolution", resolution)
-    if resolution < 2:
+    if check_count("resolution", resolution) < 2:
         raise ArgumentError(f"resolution must be at least 2, got {resolution}")
     return comb(resolution - 1 + k - 1, k - 1)
 

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -287,6 +289,52 @@ def test_zero_jobs_exits_2(capsys):
     code, _, err = run_cli(capsys, ["sweep", "matching_pennies", "--jobs", "0"])
     assert code == 2
     assert "jobs must be a positive integer" in err
+
+
+class Hung(Exception):
+    """Raised by the alarm of a CLI call that overruns its time limit."""
+
+
+def run_cli_within(capsys, argv, seconds):
+    """run_cli, failing the test if the call runs longer than ``seconds``."""
+    def overrun(*_):
+        raise Hung(f"{argv} ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return run_cli(capsys, argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("beta", ["-1", "0", "nan", "inf"])
+def test_analyze_solve_rejects_a_bad_beta_at_once(capsys, beta):
+    # the continuation schedule towards a target at or below 0 never ends
+    start = time.perf_counter()
+    code, _, err = run_cli_within(
+        capsys, ["analyze", "matching_pennies", "--solve", "--beta", beta],
+        1.0)
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
+    assert "--beta must be positive and finite" in err
+
+
+def test_sweep_zero_horizon_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["sweep", "matching_pennies",
+                                      "--horizon", "0"])
+    assert code == 2
+    assert out == ""
+    assert "horizon must be a positive integer" in err
+
+
+def test_equilibrium_infinite_tolerance_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["equilibrium", "matching_pennies",
+                                      "--tol", "inf"])
+    assert code == 2
+    assert out == ""
+    assert "outer_tol must be positive and finite" in err
 
 
 def test_negative_grid_resolution_exits_2(capsys):

@@ -500,6 +500,30 @@ def test_sweep_rejects_bad_jobs_before_any_solve(monkeypatch, jobs):
                  regularizers=(sg.entropy(2), sg.entropy(2)), jobs=jobs)
 
 
+@pytest.mark.parametrize("kwargs, error", [
+    ({"horizon": 0}, ArgumentError), ({"horizon": True}, ArgumentError),
+    ({"horizon": 2.5}, ArgumentError), ({"outer_tol": np.inf}, ArgumentError),
+    ({"outer_tol": True}, ArgumentError), ({"outer_tol": 0.0}, ArgumentError),
+    ({"regularizers": (sg.entropy(2), sg.entropy(3))}, DimensionError),
+    ({"x0": sg.uniform_strategy((2, 3))}, DimensionError)])
+def test_sweep_rejects_bad_grid_wide_arguments_before_any_solve(
+        monkeypatch, kwargs, error):
+    def solve(*args, **kw):
+        raise AssertionError("solve entered")
+
+    monkeypatch.setattr(sg.dynamics, "find_smoothed_equilibrium", solve)
+    arguments = {"regularizers": (sg.entropy(2), sg.entropy(2)), **kwargs}
+    with pytest.raises(error):
+        sg.sweep(pennies(), betas=(0.3,), etas=(0.1,), **arguments)
+
+
+def test_sweep_keeps_a_bad_beta_or_eta_as_a_cell_error():
+    cells = sg.sweep(pennies(), betas=(0.3, -1.0), etas=(0.1, 2.0),
+                     regularizers=(sg.entropy(2), sg.entropy(2)), horizon=5)
+    errors = [(cell.beta, cell.eta) for cell in cells if cell.error]
+    assert errors == [(0.3, 2.0), (-1.0, 0.1), (-1.0, 2.0)]
+
+
 def assert_cells_match_runs(g, cells, regs, x0, horizon):
     # every cell that ran agrees with its own run and verdict
     for cell in cells:

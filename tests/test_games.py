@@ -98,6 +98,33 @@ def test_uniform_strategy_rejects_zero_players():
         sg.uniform_strategy(())
 
 
+def test_joint_strategy_rejects_zero_players():
+    with pytest.raises(DimensionError, match="at least one player"):
+        sg.JointStrategy(())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tangent_vector_rejects_non_finite_blocks(bad):
+    with pytest.raises(DomainError, match="block 0"):
+        sg.TangentVector((np.array([bad, 0.5]), np.zeros(2)))
+
+
+@pytest.mark.parametrize("n", [-1, 2, 1.5, True, None])
+@pytest.mark.parametrize("fn", [sg.utility, sg.gradient,
+                                sg.best_response_values])
+def test_player_indices_are_checked(fn, n):
+    g = pennies()
+    with pytest.raises(ArgumentError, match="player"):
+        fn(g, sg.uniform_strategy((2, 2)), n)
+
+
+@pytest.mark.parametrize("gap_tol", [np.nan, -1e-9, np.inf, True, "1e-9"])
+def test_quasi_strict_check_rejects_bad_gap_tolerance(gap_tol):
+    with pytest.raises(ArgumentError, match="gap_tol"):
+        sg.quasi_strict_check(pennies(), sg.uniform_strategy((2, 2)),
+                              gap_tol=gap_tol)
+
+
 def test_replace_block_validates():
     x = sg.uniform_strategy((2, 2))
     y = sg.replace_block(x, 1, np.array([0.9, 0.1]))
@@ -371,6 +398,17 @@ def test_game_from_dict_errors():
                            "payoffs": [[0.0], [0.0]], "name": "big"})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("shape", [2.5, 2]), ("shape", [2, True]), ("shape", 4), ("players", 2.5),
+    ("players", True)])
+def test_game_from_dict_rejects_counts_that_are_not_integers(field, value):
+    # int() would truncate 2.5 to 2 and read True as 1
+    data = {"players": 2, "shape": [2, 2], "payoffs": [[0.0] * 4] * 2}
+    with pytest.raises(ParseError, match=field if field == "players"
+                       else "action count|shape"):
+        sg.game_from_dict({**data, field: value})
+
+
 def test_game_json_is_plain_data(tmp_path):
     path = tmp_path / "g.json"
     sg.save_game(pennies(), path)
@@ -435,3 +473,19 @@ def test_regularizer_kind_is_read_only_by_the_json_form_and_cli():
                 readers.add(f"{path.stem}:{node.lineno}")
     assert {r.split(":")[0] for r in readers} <= {"regularizers", "cli"}, \
         sorted(readers)
+
+
+def test_no_chained_comparison_against_inf_outside_the_validators():
+    # "0 < x < np.inf" is the positive-finite rule, which only
+    # errors.check_real implements
+    package = Path(sg.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "errors":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and len(node.ops) > 1 and any(
+                    isinstance(side, ast.Attribute) and side.attr == "inf"
+                    for side in [node.left, *node.comparators]):
+                found.append(f"{path.stem}:{node.lineno}")
+    assert found == []

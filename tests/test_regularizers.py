@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import smoothgames as sg
-from smoothgames.errors import ArgumentError, DomainError, ParseError
+from smoothgames.errors import (ArgumentError, DimensionError, DomainError,
+                                ParseError)
 
 seeds = st.integers(0, 2**32 - 1)
 PINV_CUTOFF = 1e-12  # relative eigenvalue cutoff for the reference route
@@ -57,9 +58,10 @@ def test_quadratic_entropy_validation():
         sg.quadratic_entropy(0.0, np.eye(2), np.full(2, 0.5))
     with pytest.raises(ArgumentError):
         sg.quadratic_entropy(1.0, np.zeros((2, 2)), np.full(2, 0.5))  # singular A
-    with pytest.raises(ArgumentError):
+    # a misshapen A or w is a DimensionError
+    with pytest.raises(DimensionError):
         sg.quadratic_entropy(1.0, np.eye(2), np.full(3, 1 / 3))
-    with pytest.raises(ArgumentError):
+    with pytest.raises(DimensionError):
         sg.quadratic_entropy(1.0, np.ones((2, 3)), np.full(3, 1 / 3))
 
 
@@ -111,7 +113,7 @@ def test_quadratic_entropy_value_hand_check():
 
 def test_reg_value_domain():
     r = sg.entropy(2)
-    with pytest.raises(ArgumentError):
+    with pytest.raises(DimensionError):
         sg.reg_value(r, np.full(3, 1 / 3))
     with pytest.raises(DomainError):
         sg.reg_value(r, np.array([1.2, -0.2]))
@@ -263,7 +265,7 @@ def test_face_hessian_domain_errors():
         sg.face_hessian(r, np.array([0.5, 0.5, 0.0]), support=[0, 2])
     with pytest.raises(DomainError):
         sg.face_hessian(r, np.array([-0.1, 0.6, 0.5]))
-    with pytest.raises(ArgumentError):
+    with pytest.raises(DimensionError):
         sg.face_hessian(r, np.full(4, 0.25))
 
 
@@ -271,7 +273,9 @@ def test_face_hessian_domain_errors():
                                [0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [1.0]])
 @pytest.mark.parametrize("fn", [sg.face_hessian, sg.reg_tangent_gradient])
 def test_face_functions_reject_bad_points(fn, x):
-    with pytest.raises(ArgumentError):
+    # non-finite entries are an ArgumentError, a wrong length a
+    # DimensionError
+    with pytest.raises(ArgumentError if len(x) == 2 else DimensionError):
         fn(sg.entropy(2), x)
 
 
@@ -324,7 +328,7 @@ def test_make_regularizer_with_hessian_rejections():
     good = 2.0 * pi
     with pytest.raises(DomainError):
         sg.make_regularizer_with_hessian(np.array([0.5, 0.5, 0.0]), good)
-    with pytest.raises(ArgumentError):
+    with pytest.raises(DimensionError):
         sg.make_regularizer_with_hessian(x, np.eye(2))
     bad_sym = good.copy()
     bad_sym[0, 1] += 1.0

@@ -500,6 +500,22 @@ def test_solver_rejects_bad_arguments():
         sg.find_smoothed_equilibrium(g, cfg, sg.uniform_strategy((2, 3)))
 
 
+@pytest.mark.parametrize("outer_tol", [np.inf, np.nan, 0.0, -1.0, True, "a",
+                                       None])
+def test_solvers_reject_bad_outer_tolerance(outer_tol):
+    # an infinite tolerance would accept any start as the equilibrium
+    g = pennies()
+    cfg = sg.entropy_config(g, 0.1)
+    with pytest.raises(ArgumentError, match="outer_tol"):
+        sg.find_smoothed_equilibrium(g, cfg, outer_tol=outer_tol)
+    with pytest.raises(ArgumentError, match="outer_tol"):
+        sg.homotopy_trace(g, cfg, [0.5, 0.1], outer_tol=outer_tol)
+    with pytest.raises(ArgumentError, match="outer_tol"):
+        sg.boundary_convergence_check(g, cfg.regularizers,
+                                      sg.uniform_strategy((2, 2)),
+                                      [0.5, 0.1], outer_tol=outer_tol)
+
+
 @pytest.mark.parametrize("max_iter", [2.5, 0, -1, True])
 def test_solver_rejects_bad_max_iter(max_iter):
     g = pennies()
