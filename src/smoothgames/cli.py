@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -66,17 +65,12 @@ def _parse_point(spec: str, shape) -> JointStrategy:
     return JointStrategy(tuple(part.split(",") for part in parts))
 
 
-def _spec_json(spec: str, lists=True):
-    """The decoded JSON of a regularizer spec: an object or, with
-    ``lists``, a list of them (one per player)."""
+def _spec_json(spec: str):
+    """The decoded JSON of a regularizer spec."""
     try:
-        data = json.loads(spec)
+        return json.loads(spec)
     except json.JSONDecodeError as err:
         raise ParseError(f"regularizer spec is not JSON: {err}") from err
-    if not isinstance(data, (dict, list) if lists else dict):
-        raise ParseError("regularizer spec must be a JSON object"
-                         + (" or list" if lists else ""))
-    return data
 
 
 def _parse_regularizers(spec: str, shape):
@@ -86,11 +80,13 @@ def _parse_regularizers(spec: str, shape):
     data = _spec_json(spec)
     if isinstance(data, dict):
         return tuple(regularizer_from_dict(data, dimension=k) for k in shape)
-    if len(data) != len(shape):
-        raise ParseError(
-            f"{len(data)} regularizer specs for {len(shape)} players")
-    return tuple(regularizer_from_dict(d, dimension=k)
-                 for d, k in zip(data, shape))
+    if isinstance(data, list):
+        if len(data) != len(shape):
+            raise ParseError(
+                f"{len(data)} regularizer specs for {len(shape)} players")
+        return tuple(regularizer_from_dict(d, dimension=k)
+                     for d, k in zip(data, shape))
+    raise ParseError("regularizer spec must be a JSON object or list")
 
 
 def _beta_schedule(target: float) -> list:
@@ -114,9 +110,11 @@ def _target(path):
 
 def _emit_json(payload: dict, path):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    with (nullcontext(sys.stdout) if path in (None, "-")
-          else open(path, "w", newline="")) as handle:
-        handle.write(text)
+    if path in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +239,8 @@ def cmd_sweep(args) -> int:
     regs = _parse_regularizers(args.reg, game.shape)
     betas = _parse_float_list(args.betas)
     etas = _parse_float_list(args.etas)
-    x0 = _parse_point(args.x0, game.shape) if args.x0 else None
+    x0 = (_parse_point(args.x0, game.shape) if args.x0
+          else uniform_strategy(game.shape))
     cells = sweep(game, betas, etas, regs, x0=x0, horizon=args.horizon,
                   jobs=args.jobs)
     sweep_to_csv(cells, _target(args.output))
@@ -252,7 +251,9 @@ def cmd_probe_steepness(args) -> int:
     if args.spec == "entropy":
         reg = entropy(args.dim)
     else:
-        data = _spec_json(args.spec, lists=False)
+        data = _spec_json(args.spec)
+        if not isinstance(data, dict):
+            raise ParseError("regularizer spec must be a JSON object")
         reg = regularizer_from_dict(data, dimension=args.dim
                                     if data.get("kind") == "entropy" else None)
     betas = _parse_float_list(args.betas)

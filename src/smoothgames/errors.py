@@ -52,12 +52,16 @@ class CyclingError(ConvergenceError):
     """The solver residual stagnated, suggesting a non-contractive regime."""
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an integer other than a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_count(name, value, positive=False):
     """value, if it is a non-negative (or, with ``positive``, a positive)
     integer other than a bool: a budget, sample count or iteration cap;
     else ArgumentError."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < int(positive)):
+    if not _is_integer(value) or value < int(positive):
         kind = "positive" if positive else "non-negative"
         raise ArgumentError(f"{name} must be a {kind} integer, got {value!r}")
     return value
@@ -66,25 +70,19 @@ def check_count(name, value, positive=False):
 def check_index(name, value, size):
     """value, if it is an integer other than a bool in ``[0, size)``: a
     player, action or support index; else ArgumentError."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or not 0 <= value < size):
+    if not _is_integer(value) or not 0 <= value < size:
         raise ArgumentError(
             f"{name} must be an integer in [0, {size}), got {value!r}")
     return value
 
 
-def check_real(name, value, positive=True, array=False):
+def check_real(name, value, positive=True):
     """value, if it is a finite real other than a bool that is positive
     (without ``positive``, non-negative): a smoothing level, tolerance or
-    radius; else ArgumentError.  With ``array``, a float numpy array passes
-    when every entry does (a column of smoothing levels)."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if array and isinstance(value, np.ndarray) and value.dtype == float:
-        entries = value.ravel().tolist()
-    else:
-        entries = [value if real else np.nan]
-    if not all((x > 0 if positive else x >= 0) and x < np.inf
-               for x in entries):
+    radius; else ArgumentError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (value > 0 if positive else value >= 0)
+            or not value < np.inf):
         kind = "positive" if positive else "non-negative"
         raise ArgumentError(f"{name} must be {kind} and finite, got {value!r}")
     return value

@@ -205,10 +205,12 @@ def pure_strategy(shape, indices) -> JointStrategy:
     indices = check_sequence("indices", indices)
     if len(indices) != len(shape):
         raise DimensionError("one pure action index per player required")
-    return JointStrategy(tuple(
-        np.eye(check_count("action count", k, positive=True))[
-            check_index("action index", i, k)]
-        for k, i in zip(shape, indices)))
+    blocks = []
+    for k, i in zip(shape, indices):
+        b = np.zeros(check_count("action count", k, positive=True))
+        b[check_index("action index", i, k)] = 1.0
+        blocks.append(b)
+    return JointStrategy(tuple(blocks))
 
 
 def replace_block(x: JointStrategy, n: int, block) -> JointStrategy:
@@ -471,16 +473,25 @@ def _supports(shape, supports) -> tuple:
 
 
 def restrict_strategy(x: JointStrategy, supports) -> JointStrategy:
-    supports = _supports(x.shape, supports)
-    return JointStrategy(tuple(b[s] / b[s].sum()
-                               for b, s in zip(x.blocks, supports)))
+    blocks = []
+    for b, s in zip(x.blocks, _supports(x.shape, supports)):
+        restricted = b[s]
+        blocks.append(restricted / restricted.sum())
+    return JointStrategy(tuple(blocks))
 
 
 def embed_strategy(x: JointStrategy, supports, shape) -> JointStrategy:
     shape = check_sequence("shape", shape)
-    return JointStrategy(tuple(
-        np.bincount(s, weights=b, minlength=k)
-        for b, s, k in zip(x.blocks, _supports(shape, supports), shape)))
+    supports = _supports(shape, supports)
+    if x.shape != tuple(len(s) for s in supports):
+        raise DimensionError(
+            f"strategy shape {x.shape} does not match the support sizes")
+    blocks = []
+    for b, s, k in zip(x.blocks, supports, shape):
+        full = np.zeros(k)
+        full[s] = b
+        blocks.append(full)
+    return JointStrategy(tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +635,9 @@ def load_game(path) -> NormalFormGame:
         with open(check_path("path", path)) as fh:
             data = json.load(fh)
     except FileNotFoundError:
+        bundled = bundled_game_names()
         stem = str(path).removesuffix(".json")
-        if stem in bundled_game_names():
+        if stem in bundled:
             return bundled_game(stem)
         raise
     except json.JSONDecodeError as exc:

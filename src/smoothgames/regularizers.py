@@ -226,7 +226,8 @@ def make_regularizer_with_hessian(x, M) -> Regularizer:
     if np.abs(M @ ones).max() > 1e-8 * max(1.0, np.abs(M).max()):
         raise ArgumentError("M must be supported on the tangent space")
     q = tangent_basis(k)
-    if np.linalg.eigvalsh(q.T @ M @ q).min() <= 0:
+    tangent_eigs = np.linalg.eigvalsh(q.T @ M @ q)
+    if tangent_eigs.min() <= 0:
         raise ArgumentError("M must be positive definite on the tangent space")
 
     base = M + np.outer(ones, ones)

@@ -211,11 +211,17 @@ def linear_steepness_probe(r: Regularizer, i: int, eps: float, betas,
     check_index("probe index", i, r.dimension)
     check_real("eps", eps, positive=False)
     k = r.dimension
-    v = np.zeros(k) if rng is None else rng.standard_normal(k)
+    if rng is None:
+        v = np.zeros(k)
+    else:
+        v = rng.standard_normal(k)
     others = np.delete(np.arange(k), i)
     v[i] = v[others].max() - eps
-    return [float(smoothed_argmax(v, r, beta)[i]) / float(beta)
-            for beta in check_sequence("betas", betas)]
+    ratios = []
+    for beta in check_sequence("betas", betas):
+        point = smoothed_argmax(v, r, beta)
+        ratios.append(float(point[i]) / float(beta))
+    return ratios
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +286,12 @@ class FlatKernel:
                                  f"match the game's shape {game.shape}")
         self.game = game
         self.cfg = cfg
-        self.beta = check_real("beta", cfg.beta if beta is None else beta,
-                               array=True)
+        if beta is None:
+            beta = cfg.beta
+        else:  # a scalar or a column of smoothing levels, one per row
+            check_real("beta", float(np.min(check_array("beta", beta),
+                                            initial=np.inf)))
+        self.beta = beta
         shape = game.shape
         self.slices = block_slices(shape)
         # block-wise reductions over all players at once: reduceat per
@@ -529,10 +539,10 @@ def homotopy_trace(game: NormalFormGame, cfg: SmoothedResponseConfig,
     approaches in multi-equilibrium games is recorded, never asserted.
     """
     schedule = check_array("beta_schedule", beta_schedule, (None,))
-    check_real("beta_schedule", schedule, array=True)
     if not schedule.size or np.any(np.diff(schedule) >= 0):
         raise ArgumentError(
             "beta_schedule must be nonempty and strictly decreasing")
+    check_real("last beta_schedule entry", float(schedule[-1]))
     check_count("max_iter", max_iter, positive=True)
     trace = []
     x = x0

@@ -656,7 +656,8 @@ def simplex_lattice(k: int, resolution: int) -> np.ndarray:
 def lattice_size(k: int, resolution: int) -> int:
     """Number of points of ``simplex_lattice(k, resolution)``."""
     check_count("k", k, positive=True)
-    if check_count("resolution", resolution) < 2:
+    check_count("resolution", resolution)
+    if resolution < 2:
         raise ArgumentError(f"resolution must be at least 2, got {resolution}")
     return comb(resolution - 1 + k - 1, k - 1)
 

@@ -1,5 +1,6 @@
 import ast
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,29 @@ def test_pure_strategy_index_range():
         sg.pure_strategy((2, 3), (1, 3))
     with pytest.raises(DimensionError):
         sg.pure_strategy((2, 3), (1,))
+
+
+def test_pure_strategy_allocates_only_its_blocks():
+    # a block of k floats per player, not a k x k identity to take a row of
+    k = 10 ** 6
+    tracemalloc.start()
+    try:
+        x = sg.pure_strategy((k, 2), (k - 1, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.blocks[0][k - 1] == 1.0 and x.blocks[0].sum() == 1.0
+    assert peak < 4 * 8 * k
+
+
+def test_embed_strategy_needs_one_support_entry_per_action():
+    x = sg.uniform_strategy((2, 2))
+    assert sg.embed_strategy(x, ((0, 2), (0, 1)), (3, 2)).blocks[0].tolist() \
+        == [0.5, 0.0, 0.5]
+    with pytest.raises(DimensionError, match="support sizes"):
+        sg.embed_strategy(x, ((0,), (0, 1)), (2, 2))
+    with pytest.raises(DimensionError, match="support sizes"):
+        sg.embed_strategy(x, ((0, 1), (0, 1), (0,)), (2, 2, 2))
 
 
 def test_supports_and_interiority():

@@ -272,6 +272,15 @@ def test_kernel_gradients_match_per_player_gradient(shape, rows):
                                        atol=1e-12 * np.abs(expected).max())
 
 
+def test_kernel_beta_column_is_checked_entrywise():
+    g = random_game(np.random.default_rng(0), (2, 2))
+    cfg = sg.entropy_config(g, 0.5)
+    FlatKernel(g, cfg, beta=np.array([[1], [2]]))  # any positive numbers
+    for bad in ([[0.5], [0.0]], [[0.5], [np.nan]], [[np.inf]], "a"):
+        with pytest.raises(ArgumentError, match="beta"):
+            FlatKernel(g, cfg, beta=np.array(bad))
+
+
 def test_kernel_views_payoff_tensors_without_copying():
     rng = np.random.default_rng(0)
     g = random_game(rng, (60, 60, 60))
