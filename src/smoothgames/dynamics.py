@@ -19,7 +19,8 @@ from itertools import chain
 import numpy as np
 
 from .errors import (ArgumentError, DomainError, GameError, check_array,
-                     check_count, check_path, check_real, check_sequence)
+                     check_count, check_path, check_real, check_sequence,
+                     check_type)
 from .games import (JointStrategy, NormalFormGame, perturb_strategy,
                     quasi_strict_check, uniform_strategy)
 from .response import (FlatKernel, SmoothedEquilibrium,
@@ -42,6 +43,7 @@ class DynamicsConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        check_type("response", self.response, SmoothedResponseConfig)
         if check_real("eta", self.eta) >= 1:
             raise ArgumentError(f"eta must lie in (0, 1), got {self.eta}")
         check_count("horizon", self.horizon, positive=True)
@@ -76,7 +78,7 @@ class Trajectory:
 def step(game: NormalFormGame, cfg: DynamicsConfig,
          x: JointStrategy) -> JointStrategy:
     """One averaging update, renormalized defensively against drift."""
-    kernel = FlatKernel(game, cfg.response)
+    kernel = FlatKernel(game, check_type("cfg", cfg, DynamicsConfig).response)
     x_flat = kernel.flatten(x)[None, :]
     return kernel.strategy(kernel.advance(x_flat, np.full((1, 1), cfg.eta))[0])
 
@@ -99,11 +101,12 @@ def run_many(game: NormalFormGame, cfg: DynamicsConfig, X0,
     :func:`run` calls up to rounding (matrix products round differently
     for different row counts).
     """
-    kernel = FlatKernel(game, cfg.response)
+    kernel = FlatKernel(game, check_type("cfg", cfg, DynamicsConfig).response)
     starts = [kernel.flatten(x, "x0") for x in check_sequence("X0", X0)]
     if not starts:
         raise ArgumentError("at least one start is required")
-    ref = (kernel.flatten(reference.point, "reference")
+    ref = (kernel.flatten(check_type("reference", reference,
+                                     SmoothedEquilibrium).point, "reference")
            if reference is not None else None)
     return _orbits(kernel, [cfg] * len(starts), np.stack(starts), ref)
 
@@ -164,6 +167,8 @@ def stability_verdict(game: NormalFormGame, cfg: DynamicsConfig,
     first; the ambient matrix carries spurious (1 - eta) directions along
     the simplex normals that would pollute both the radius and the norm.
     """
+    check_type("cfg", cfg, DynamicsConfig)
+    check_type("eq", eq, SmoothedEquilibrium)
     grad_phi = response_jacobian(game, cfg.response, eq.point, as_tangent=True)
     return _verdict(grad_phi, cfg.eta, eq)
 
@@ -210,9 +215,7 @@ def eta_threshold(game: NormalFormGame, cfg: SmoothedResponseConfig,
     The radius is an artifact of the measurement, not of the theory, so
     callers reporting the threshold should report the radius with it.
     """
-    if not isinstance(eq, SmoothedEquilibrium):
-        raise ArgumentError(
-            f"eq must be a SmoothedEquilibrium, got {type(eq).__name__}")
+    check_type("eq", eq, SmoothedEquilibrium)
     check_count("num_samples", num_samples)
     check_count("rng_seed", rng_seed)
     check_real("radius", radius)
@@ -384,10 +387,11 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
     etas = check_array("etas", etas, (None,), finite=False).tolist()
     if not betas or not etas:
         raise ArgumentError("betas and etas must be non-empty")
+    kernel = FlatKernel(game, SmoothedResponseConfig(
+        beta=1.0, regularizers=regularizers))
     if x0 is None:
         x0 = uniform_strategy(game.shape)
-    start = FlatKernel(game, SmoothedResponseConfig(
-        beta=1.0, regularizers=regularizers)).flatten(x0, "x0")
+    start = kernel.flatten(x0, "x0")
 
     solved = {}
     errors = {}
@@ -472,7 +476,9 @@ def trajectory_to_csv(trajectory: Trajectory, target,
 
     ``target`` is a path or an open text handle (left open).
     """
-    rec = trajectory.config.record_every
+    rec = check_type("trajectory", trajectory, Trajectory).config.record_every
+    if verdict is not None:
+        check_type("verdict", verdict, StabilityVerdict)
     dists = trajectory.distances
     radius = verdict.jacobian_spectral_radius if verdict else None
     label = verdict.classification if verdict else None
@@ -489,6 +495,8 @@ def sweep_to_csv(cells, target):
 
     ``target`` is a path or an open text handle (left open).
     """
+    cells = [check_type("cells entry", cell, SweepCell)
+             for cell in check_sequence("cells", cells)]
     headers = _block_headers(next((c.equilibrium.point.shape for c in cells
                                    if c.equilibrium is not None), ()))
     write_csv(target,

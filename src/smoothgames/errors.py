@@ -49,7 +49,11 @@ class ConvergenceError(GameError, RuntimeError):
 
 
 class CyclingError(ConvergenceError):
-    """The solver residual stagnated, suggesting a non-contractive regime."""
+    """The solver residual stagnated, suggesting a non-contractive regime:
+    it failed to improve over a full stagnation window, or the step size
+    collapsed below the residual band first.  ``residual`` and
+    ``last_point`` are the best residual and iterate seen, and
+    ``iterations`` counts the damped steps taken."""
 
 
 def _is_integer(value) -> bool:
@@ -103,6 +107,15 @@ def check_array(name, value, shape=None, finite=True):
     if finite and not np.all(np.isfinite(array)):
         raise ArgumentError(f"{name} must be finite")
     return array
+
+
+def check_type(name, value, cls):
+    """value, if it is an instance of ``cls`` (a game, a strategy, a
+    config); else ArgumentError."""
+    if not isinstance(value, cls):
+        raise ArgumentError(
+            f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def check_sequence(name, value) -> tuple:

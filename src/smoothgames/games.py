@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (ArgumentError, DimensionError, DomainError, ParseError,
                      ResourceError, check_array, check_count, check_index,
-                     check_path, check_real, check_sequence)
+                     check_path, check_real, check_sequence, check_type)
 
 SIMPLEX_SUM_TOL = 1e-12
 TIE_TOL = 1e-9
@@ -214,7 +214,7 @@ def pure_strategy(shape, indices) -> JointStrategy:
 
 
 def replace_block(x: JointStrategy, n: int, block) -> JointStrategy:
-    check_index("player", n, len(x.blocks))
+    check_index("player", n, len(check_type("x", x, JointStrategy).blocks))
     blocks = list(x.blocks)
     blocks[n] = block
     return JointStrategy(tuple(blocks))
@@ -271,9 +271,11 @@ class StrategicDecomposition:
 # ---------------------------------------------------------------------------
 # operations
 
-def _check_match(game: NormalFormGame, x: JointStrategy, *players):
-    """x fits the game, and each player is an index of one of its players."""
-    if x.shape != game.shape:
+def check_match(game: NormalFormGame, x: JointStrategy, *players, name="x"):
+    """game is a game, x (the parameter ``name``) a strategy that fits it,
+    and each player an index of one of its players."""
+    check_type("game", game, NormalFormGame)
+    if check_type(name, x, JointStrategy).shape != game.shape:
         raise DimensionError(
             f"strategy shape {x.shape} does not match game shape {game.shape}")
     for n in players:
@@ -293,7 +295,7 @@ def _contract_except(tensor: np.ndarray, blocks, keep) -> np.ndarray:
 
 def utility(game: NormalFormGame, x: JointStrategy, n: int) -> float:
     """Expected payoff of player n: the full multilinear contraction."""
-    _check_match(game, x, n)
+    check_match(game, x, n)
     return float(_contract_except(game.payoffs[n], x.blocks, keep=()))
 
 
@@ -303,7 +305,7 @@ def gradient(game: NormalFormGame, x: JointStrategy, n: int) -> np.ndarray:
     Entry i is the payoff of the pure action i against ``x_{-n}``; subtract
     its mean for the tangent representation.
     """
-    _check_match(game, x, n)
+    check_match(game, x, n)
     return np.asarray(_contract_except(game.payoffs[n], x.blocks, keep=(n,)))
 
 
@@ -314,7 +316,7 @@ def cross_hessian(game: NormalFormGame, x: JointStrategy, n: int, m: int) -> np.
     ``x_m := e_j``.  The (n, n) block of the game Jacobian is zero by
     multilinearity, so ``n == m`` is rejected.
     """
-    _check_match(game, x, n, m)
+    check_match(game, x, n, m)
     if n == m:
         raise ArgumentError("diagonal blocks are zero; use n != m")
     k_n, k_m = game.shape[n], game.shape[m]
@@ -339,7 +341,8 @@ def _raw_cross(game: NormalFormGame, blocks, n: int, m: int) -> np.ndarray:
 
 def strategic_decompose(game: NormalFormGame, n: int) -> StrategicDecomposition:
     """Decompose f_n into centered linear part and scalar offset."""
-    check_index("player", n, game.num_players)
+    check_index("player", n, check_type("game", game,
+                                        NormalFormGame).num_players)
 
     def linear_part(x: JointStrategy) -> np.ndarray:
         g = gradient(game, x, n)
@@ -377,7 +380,7 @@ def to_canonical(game: NormalFormGame, x_star: JointStrategy) -> CanonicalForm:
     Centering tensor n along its own axis removes exactly the offset
     b_n(x_{-n}); cross derivatives and projected gradients are unchanged.
     """
-    _check_match(game, x_star)
+    check_match(game, x_star, name="x_star")
     if not x_star.is_interior:
         raise DomainError("canonical form needs an interior base point")
     centered = tuple(t - t.mean(axis=n, keepdims=True)
@@ -401,6 +404,7 @@ def epsilon_nash_gap(game: NormalFormGame, x: JointStrategy) -> float:
     The inner maximum over deviations is attained at a vertex by
     multilinearity, so only pure deviations are scanned.
     """
+    check_match(game, x)
     gap = 0.0
     for n in range(game.num_players):
         values = gradient(game, x, n)
@@ -423,6 +427,7 @@ class QuasiStrictResult:
 def quasi_strict_check(game: NormalFormGame, x_star: JointStrategy,
                        gap_tol=1e-9) -> QuasiStrictResult:
     """Check that the support equals the best-response set for every player."""
+    check_match(game, x_star, name="x_star")
     check_real("gap_tol", gap_tol, positive=False)
     gap = epsilon_nash_gap(game, x_star)
     if gap > gap_tol:
@@ -473,6 +478,7 @@ def _supports(shape, supports) -> tuple:
 
 
 def restrict_strategy(x: JointStrategy, supports) -> JointStrategy:
+    check_type("x", x, JointStrategy)
     blocks = []
     for b, s in zip(x.blocks, _supports(x.shape, supports)):
         restricted = b[s]
@@ -481,6 +487,7 @@ def restrict_strategy(x: JointStrategy, supports) -> JointStrategy:
 
 
 def embed_strategy(x: JointStrategy, supports, shape) -> JointStrategy:
+    check_type("x", x, JointStrategy)
     shape = check_sequence("shape", shape)
     supports = _supports(shape, supports)
     if x.shape != tuple(len(s) for s in supports):
@@ -553,7 +560,7 @@ def game_jacobian(game: NormalFormGame, x: JointStrategy,
     smoothed-response Jacobian evaluates cross-derivatives at x but on the
     supports of the response point).
     """
-    _check_match(game, x)
+    check_match(game, x)
     if supports is None:
         supports = x.supports()
     else:
@@ -590,6 +597,7 @@ def jacobian_blocks(game: NormalFormGame, blocks, masks) -> tuple:
 # game file format
 
 def game_to_dict(game: NormalFormGame) -> dict:
+    check_type("game", game, NormalFormGame)
     return {
         "players": game.num_players,
         "shape": list(game.shape),
@@ -624,8 +632,9 @@ def game_from_dict(data: dict) -> NormalFormGame:
 
 
 def save_game(game: NormalFormGame, path):
+    data = game_to_dict(game)
     with open(check_path("path", path), "w") as fh:
-        json.dump(game_to_dict(game), fh, indent=2)
+        json.dump(data, fh, indent=2)
         fh.write("\n")
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (ArgumentError, DomainError, ParseError, check_array,
-                     check_count, check_real)
+                     check_count, check_real, check_type)
 from .games import (face_projection, simplex_point, support_indices,
                     tangent_basis)
 
@@ -107,8 +107,14 @@ class FaceHessian:
         return pi @ (r.lam * diag + r.curvature) @ pi
 
 
+def _point(r, x) -> np.ndarray:
+    """x as a point of the simplex of the regularizer r."""
+    return simplex_point(check_array(
+        "x", x, (check_type("r", r, Regularizer).dimension,)))
+
+
 def reg_value(r: Regularizer, x) -> float:
-    x = simplex_point(check_array("x", x, (r.dimension,)))
+    x = _point(r, x)
     pos = x[x > 0]  # 0 log 0 := 0
     return r.lam * float((pos * np.log(pos)).sum()) + r.quadratic(x)[1]
 
@@ -132,7 +138,7 @@ def reg_tangent_gradient(r: Regularizer, x, support=None) -> np.ndarray:
     explicit support containing a zero coordinate is a domain error
     (the steep gradient diverges there).
     """
-    x = simplex_point(check_array("x", x, (r.dimension,)))
+    x = _point(r, x)
     support = _infer_support(x, support)
     grad = r.quadratic(x)[0]
     grad[support] += r.lam * np.log(x[support])
@@ -193,7 +199,7 @@ def face_hessian(r: Regularizer, x, support=None) -> FaceHessian:
     the face Hessian is stiff; without a quadratic term it is the closed
     form of :func:`entropy_pseudoinverse` on the face.
     """
-    x = simplex_point(check_array("x", x, (r.dimension,)))
+    x = _point(r, x)
     support = _infer_support(x, support)
     pinv = np.zeros((r.dimension, r.dimension))
     if len(support) > 1:
@@ -252,7 +258,7 @@ def make_regularizer_with_hessian(x, M) -> Regularizer:
 # config-JSON interface
 
 def regularizer_to_dict(r: Regularizer) -> dict:
-    data = {"kind": r.kind}
+    data = {"kind": check_type("r", r, Regularizer).kind}
     if r.A is not None:
         data.update({"lambda": r.lam, "A": r.A.tolist(), "w": r.w.tolist()})
     return data

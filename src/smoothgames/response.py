@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (ArgumentError, ConvergenceError, CyclingError,
                      DimensionError, check_array, check_count, check_index,
-                     check_real, check_sequence)
+                     check_real, check_sequence, check_type)
 from .games import (JointStrategy, NormalFormGame, block_diag, block_slices,
                     epsilon_nash_gap, jacobian_blocks, tangent_basis,
                     uniform_strategy)
@@ -39,6 +39,9 @@ from .regularizers import (Regularizer, entropy, entropy_pseudoinverse,
 
 STAGNATION_WINDOW = 500
 STAGNATION_FACTOR = 0.99
+# relative band within which the solver's residual counts as not grown; a
+# step of relative size below it changes the residual by less than that
+RESIDUAL_BAND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,8 @@ def smoothed_argmax(values, reg: Regularizer, beta: float, inner_tol=1e-12,
     iteration in log coordinates runs until the projected-gradient residual
     drops to inner_tol.
     """
-    v = check_array("values", values, (reg.dimension,))
+    v = check_array("values", values,
+                    (check_type("reg", reg, Regularizer).dimension,))
     check_real("beta", beta)
     check_real("inner_tol", inner_tol)
     check_count("inner_max_iter", inner_max_iter, positive=True)
@@ -208,13 +212,13 @@ def linear_steepness_probe(r: Regularizer, i: int, eps: float, betas,
     suboptimality set), and reports ``x^beta_i / beta`` per beta.  For
     entropy the ratio is bounded by ``exp(-eps/beta) / beta``.
     """
-    check_index("probe index", i, r.dimension)
+    check_index("probe index", i, check_type("r", r, Regularizer).dimension)
     check_real("eps", eps, positive=False)
     k = r.dimension
     if rng is None:
         v = np.zeros(k)
     else:
-        v = rng.standard_normal(k)
+        v = check_type("rng", rng, np.random.Generator).standard_normal(k)
     others = np.delete(np.arange(k), i)
     v[i] = v[others].max() - eps
     ratios = []
@@ -280,7 +284,9 @@ class FlatKernel:
 
     def __init__(self, game: NormalFormGame, cfg: SmoothedResponseConfig,
                  beta=None):
-        dims = tuple(r.dimension for r in cfg.regularizers)
+        check_type("game", game, NormalFormGame)
+        dims = tuple(r.dimension for r in check_type(
+            "cfg", cfg, SmoothedResponseConfig).regularizers)
         if dims != game.shape:
             raise DimensionError(f"regularizer dimensions {dims} do not "
                                  f"match the game's shape {game.shape}")
@@ -319,9 +325,10 @@ class FlatKernel:
             self._plans = tuple(_contraction_plan(tensor, n)
                                 for n, tensor in enumerate(game.payoffs))
 
-    def flatten(self, x: JointStrategy, what="strategy") -> np.ndarray:
-        """The concatenated vector of a strategy of this game's shape."""
-        if not isinstance(x, JointStrategy) or x.shape != self.game.shape:
+    def flatten(self, x: JointStrategy, what="x") -> np.ndarray:
+        """The concatenated vector of ``what``, a strategy of this game's
+        shape."""
+        if check_type(what, x, JointStrategy).shape != self.game.shape:
             raise DimensionError(
                 f"{what} is not a strategy of the game's shape "
                 f"{self.game.shape}")
@@ -474,11 +481,14 @@ def find_smoothed_equilibrium(game: NormalFormGame, cfg: SmoothedResponseConfig,
     """Locate a fixed point of the smoothed response map.
 
     Runs x <- (1 - eta) x + eta Phi(x) with adaptive damping: eta halves
-    when the residual grows, grows by 1.2x (capped at 1) when it shrinks.
-    Stops when the sup-norm residual reaches outer_tol.  A residual that
-    fails to improve by the stagnation factor over a full window raises a
-    cycling error — near instability the iteration orbits instead of
-    converging, and smaller beta only sharpens that.
+    when the residual grows by more than ``RESIDUAL_BAND``, grows by 1.2x
+    (capped at 1) otherwise.  Stops when the sup-norm residual reaches
+    outer_tol.  A residual that fails to improve by the stagnation factor
+    over a full window raises a cycling error — near instability the
+    iteration orbits instead of converging, and smaller beta only sharpens
+    that.  So does a halving that takes eta below ``RESIDUAL_BAND``: such a
+    step moves the residual by less than the band resolves, so the walk
+    would only idle out its window.
     """
     kernel = FlatKernel(game, cfg)
     check_real("outer_tol", outer_tol)
@@ -492,6 +502,12 @@ def find_smoothed_equilibrium(game: NormalFormGame, cfg: SmoothedResponseConfig,
     best_point = x
     marker = np.inf
     stall = 0
+
+    def cycling(message, iterations):
+        return CyclingError(message, residual=best_residual,
+                            iterations=iterations, beta=cfg.beta,
+                            last_point=kernel.strategy(best_point[0]))
+
     for iteration in range(max_iter):
         y = kernel.respond(x)
         residual = float(np.abs(y - x).max())
@@ -509,19 +525,23 @@ def find_smoothed_equilibrium(game: NormalFormGame, cfg: SmoothedResponseConfig,
         else:
             stall += 1
             if stall >= STAGNATION_WINDOW:
-                raise CyclingError(
+                raise cycling(
                     f"residual stagnated near {best_residual:.3e} for "
                     f"{STAGNATION_WINDOW} steps at beta={cfg.beta:g}; the "
                     f"iteration appears to be orbiting rather than "
-                    f"converging", residual=best_residual,
-                    iterations=iteration, beta=cfg.beta,
-                    last_point=kernel.strategy(best_point[0]))
+                    f"converging", iteration)
         # the relative band keeps ulp-level jitter at tiny eta from biasing
         # the halve/grow walk into collapse
-        if residual <= prev_residual * (1.0 + 1e-12):
+        if residual <= prev_residual * (1.0 + RESIDUAL_BAND):
             eta = min(1.0, eta * 1.2)
         else:
             eta = eta / 2
+            if eta < RESIDUAL_BAND:
+                raise cycling(
+                    f"step size collapsed to eta={eta:.3e}, below the "
+                    f"residual band {RESIDUAL_BAND:g}, after {iteration} "
+                    f"steps at beta={cfg.beta:g}; residual stagnated near "
+                    f"{best_residual:.3e}", iteration)
         prev_residual = residual
         x = kernel.mix(x, y, eta)
     raise ConvergenceError(
@@ -544,6 +564,7 @@ def homotopy_trace(game: NormalFormGame, cfg: SmoothedResponseConfig,
             "beta_schedule must be nonempty and strictly decreasing")
     check_real("last beta_schedule entry", float(schedule[-1]))
     check_count("max_iter", max_iter, positive=True)
+    check_type("cfg", cfg, SmoothedResponseConfig)
     trace = []
     x = x0
     for beta in schedule.tolist():

@@ -22,10 +22,10 @@ import numpy as np
 
 from .errors import (ArgumentError, DimensionError, DomainError,
                      ResourceError, check_array, check_count, check_real,
-                     check_sequence)
+                     check_sequence, check_type)
 from .games import (GameJacobian, JointStrategy, NormalFormGame,
-                    TangentVector, block_diag, block_slices, game_jacobian,
-                    perturb_strategy, utility)
+                    TangentVector, block_diag, block_slices, check_match,
+                    game_jacobian, perturb_strategy, utility)
 
 EDGE_TOL = 1e-10          # Frobenius threshold for interaction-graph edges
 SKEW_RESIDUAL_TOL = 1e-8  # certificate feasibility threshold
@@ -104,7 +104,7 @@ def _spanning_forest(jac: GameJacobian):
 
 
 def interaction_graph(jac: GameJacobian) -> InteractionGraph:
-    n_players = jac.num_players
+    n_players = check_type("jac", jac, GameJacobian).num_players
     norms, tree = _spanning_forest(jac)
     edges = frozenset((n, m) for n in range(n_players)
                       for m in range(n_players)
@@ -145,7 +145,7 @@ def solve_skew_certificate(jac: GameJacobian) -> SkewCertificate:
     The residual is evaluated over all ordered pairs, so non-tree (cycle)
     edges are checked for consistency as well.
     """
-    n_players = jac.num_players
+    n_players = check_type("jac", jac, GameJacobian).num_players
     blocks = jac.blocks
     norms, tree = _spanning_forest(jac)
 
@@ -311,7 +311,7 @@ def pareto_improvement_search(jac: GameJacobian, num_restarts=20, rng_seed=0,
     check_count("num_restarts", num_restarts)
     check_count("iters", iters)
     check_count("rng_seed", rng_seed)
-    j_t, bases, dims = jac.tangent()
+    j_t, bases, dims = check_type("jac", jac, GameJacobian).tangent()
     return _improvement_direction(j_t, bases, dims,
                                   solve_skew_certificate(jac).lambdas,
                                   num_restarts, rng_seed, iters)
@@ -580,7 +580,7 @@ def verify_witness(jac: GameJacobian, witness) -> float:
     PD on its tangent space.
     """
     witness = check_sequence("witness", witness)
-    shape = jac.point.shape
+    shape = check_type("jac", jac, GameJacobian).point.shape
     if len(witness) != len(shape):
         raise DimensionError(
             f"witness has {len(witness)} blocks for {len(shape)} players")
@@ -617,6 +617,7 @@ def local_uniform_stability(game: NormalFormGame, x: JointStrategy,
     check_count("num_samples", num_samples)
     check_count("rng_seed", rng_seed)
     check_real("radius", radius)
+    check_match(game, x)
     if not x.is_interior:
         raise DomainError("local check needs an interior center point")
     rng = np.random.default_rng(rng_seed)
@@ -716,6 +717,7 @@ def weak_pareto_oracle(game: NormalFormGame, x_star: JointStrategy,
                        grid_resolution=21) -> ParetoOracleResult:
     """Exhaustively search pure profiles and a simplex grid for a joint
     strict improvement."""
+    check_match(game, x_star, name="x_star")
     base = [utility(game, x_star, n) for n in range(game.num_players)]
     lattices = _capped_lattices(game, grid_resolution)
     players = range(game.num_players)
@@ -746,6 +748,7 @@ class StrongNashResult:
 def strong_nash_oracle(game: NormalFormGame, x_star: JointStrategy,
                        grid_resolution=21) -> StrongNashResult:
     """Grid search for coalition deviations that improve every member."""
+    check_match(game, x_star, name="x_star")
     if game.num_players > 4:
         raise ArgumentError("strong Nash oracle supports at most 4 players")
     base = [utility(game, x_star, n) for n in range(game.num_players)]
@@ -767,7 +770,7 @@ def strong_nash_oracle(game: NormalFormGame, x_star: JointStrategy,
 # serialization
 
 def report_to_dict(report: UniformStabilityReport) -> dict:
-    cert = report.certificate
+    cert = check_type("report", report, UniformStabilityReport).certificate
     data = {
         "pointwise": report.pointwise,
         "certificate": {

@@ -12,9 +12,10 @@ which of them may be handled; the others must be rejected by an error
 whose message names the parameter (the kind's ``label``, by default the
 parameter's name).  Hypothesis draws the parameter and the bad value; the
 other arguments stay valid.  Parameters typed by a package class (a game,
-a strategy, a config) are given one of the wrong shape, where another
-argument fixes the shape; passing an object of another type is a
-programming error that Python reports itself.
+a strategy, a config) are given None, a string, an instance of another
+package class and, where another argument fixes the shape, one of the
+wrong shape; the rejection of a value of the wrong type names the
+parameter itself.
 Callables without a row need an entry in ``EXEMPT`` with a reason.
 """
 
@@ -38,13 +39,15 @@ NAN, INF = math.nan, math.inf
 class Kind:
     """Bad values of one parameter: ``bad`` maps a name to a value, and
     the names in ``accept`` may be handled instead of rejected.  A
-    rejection's message must match ``label``.  ``files`` marks a path: the
-    file system's own OSError may then escape too."""
+    rejection's message must match ``label``, or name the parameter for
+    the names in ``named``.  ``files`` marks a path: the file system's own
+    OSError may then escape too."""
 
     bad: dict
     accept: frozenset = frozenset()
     label: str = None
     files: bool = False
+    named: frozenset = frozenset()
 
 
 def _kind(bad, accept=(), **options):
@@ -179,17 +182,26 @@ def path(valid, accept=("string", "empty"), **options):
     return text(valid, accept, files=True, **options)
 
 
-def typed(wrong_shape, **options):
-    """A parameter typed by a package class: one of the wrong shape."""
-    return _kind({"wrong shape": wrong_shape}, **options)
+def own(other=None, accept=(), **options):
+    """A package object that sets the shape of the call (the one game or
+    strategy of a call, a Jacobian, an equilibrium, a report, sweep cells,
+    a trajectory, a random generator): no instance of it has the wrong
+    shape, but None, a string and ``other``, an instance of another package
+    class (by default a game), are of the wrong type."""
+    wrong_type = {"None": None, "string": "a",
+                  "other class": PENNIES if other is None else other}
+    return _kind({**wrong_type, **options.pop("bad", {})}, accept,
+                 named=frozenset(wrong_type), **options)
+
+
+def typed(wrong_shape, other=None, accept=(), **options):
+    """A parameter typed by a package class: the wrong types of ``own``,
+    and one of the wrong shape."""
+    return own(other, accept, bad={"wrong shape": wrong_shape}, **options)
 
 
 # a flag: any value is read for its truth only
 FLAG = _kind({})
-# a package object that sets the shape of the call (the one game or strategy
-# of a call, a Jacobian, an equilibrium, a report, sweep cells, a
-# trajectory, a random generator): no instance of it has the wrong shape
-OWN = _kind({})
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +224,14 @@ PI3 = sg.centering_projection(3)
 CELLS = sg.sweep(PENNIES, [0.5], [0.5], (R2, R2), horizon=3)
 TRAJECTORY = sg.run(PENNIES, DYN, X)
 
-GAME = typed(WIDE, label="shape|dimension")
+GAME = typed(WIDE, X, label="shape|dimension")
 STRATEGY = typed(X_WIDE, label="shape")
-CONFIG = typed(CFG_WIDE, label="regularizer|shape")
+START = typed(X_WIDE, accept=("None",), label="shape")  # None: the default
+CONFIG = typed(CFG_WIDE, DYN, label="regularizer|shape")
+DYNAMICS = typed(DYN_WIDE, CFG, label="regularizer|shape")
 REGS = sequence((R2, R2), label="regulari[sz]er")
 ACTIONS = count(2, label="action count")
-REGULARIZER = typed(sg.entropy(3), label="shape")
+REGULARIZER = typed(sg.entropy(3), CFG, label="shape")
 
 P = np.array([0.5, 0.5])
 SEED = count(0, positive=False)
@@ -253,7 +267,7 @@ ROWS = {
         shape=((2, 2), integers((2, 2), label="action count|shape|player")),
         indices=((0, 1), integers((0, 1), ("0",),
                                   label="index|indices|player"))),
-    "replace_block": row(sg.replace_block, x=(X, OWN),
+    "replace_block": row(sg.replace_block, x=(X, own()),
                          n=(1, index(2, label="player")),
                          block=(P, simplex(P, label="block"))),
     "centering_projection": row(sg.centering_projection, k=(2, ACTIONS)),
@@ -271,7 +285,7 @@ ROWS = {
     "cross_hessian": row(sg.cross_hessian, game=(PENNIES, GAME),
                          x=(X, STRATEGY), n=(0, index(2, label="player")),
                          m=(1, index(2, label="player"))),
-    "strategic_decompose": row(sg.strategic_decompose, game=(PENNIES, OWN),
+    "strategic_decompose": row(sg.strategic_decompose, game=(PENNIES, own(X)),
                                n=(0, index(2, label="player"))),
     "epsilon_nash_gap": row(sg.epsilon_nash_gap, game=(PENNIES, GAME),
                             x=(X, STRATEGY)),
@@ -282,25 +296,25 @@ ROWS = {
                        x_star=(X, STRATEGY)),
     "to_canonical": row(sg.to_canonical, game=(PENNIES, GAME),
                         x_star=(X, STRATEGY)),
-    "restrict_strategy": row(sg.restrict_strategy, x=(X, OWN),
+    "restrict_strategy": row(sg.restrict_strategy, x=(X, own()),
                              supports=(((0, 1), (0, 1)),
                                        supports(((0, 1), (0, 1)), ("0",)))),
     "embed_strategy": row(
-        sg.embed_strategy, x=(X, OWN),
+        sg.embed_strategy, x=(X, own()),
         supports=(((0, 1), (0, 1)), supports(((0, 1), (0, 1)), ("0",))),
         shape=((2, 2), integers((2, 2), label="shape|action count|player"))),
     "game_jacobian": row(sg.game_jacobian, game=(PENNIES, GAME),
                          x=(X, STRATEGY),
                          supports=(None, supports(((0, 1), (0, 1)),
                                                   ("0", "None")))),
-    "game_to_dict": row(sg.game_to_dict, game=(PENNIES, OWN)),
+    "game_to_dict": row(sg.game_to_dict, game=(PENNIES, own(X))),
     "game_from_dict": row(
         sg.game_from_dict,
         data=(sg.game_to_dict(PENNIES),
               mapping(sg.game_to_dict(PENNIES),
                       {**sg.game_to_dict(PENNIES), "payoffs": 5},
                       label="game|payoff|players|shape"))),
-    "save_game": row(sg.save_game, game=(PENNIES, OWN),
+    "save_game": row(sg.save_game, game=(PENNIES, own(X)),
                      path=("out.json", path("out.json"))),
     "load_game": row(sg.load_game, path=("matching_pennies",
                                          path("matching_pennies"))),
@@ -333,7 +347,7 @@ ROWS = {
         sg.make_regularizer_with_hessian, x=(np.full(3, 1 / 3),
                                              simplex(np.full(3, 1 / 3))),
         M=(2.0 * PI3, array(2.0 * PI3, ("fraction",)))),
-    "regularizer_to_dict": row(sg.regularizer_to_dict, r=(Q2, OWN)),
+    "regularizer_to_dict": row(sg.regularizer_to_dict, r=(Q2, own(CFG))),
     "regularizer_from_dict": row(
         sg.regularizer_from_dict,
         data=(sg.regularizer_to_dict(Q2),
@@ -352,7 +366,7 @@ ROWS = {
         shape=((2, 2), integers((2, 2), label="dimension|shape|regularizer")),
         beta=(0.5, positive(0.5))),
     "smoothed_argmax": row(sg.smoothed_argmax, values=(P, array(P)),
-                           reg=(Q2, typed(sg.entropy(3), label="values")),
+                           reg=(Q2, typed(sg.entropy(3), CFG, label="values")),
                            beta=(0.5, positive(0.5)),
                            inner_tol=(1e-12, positive(1e-12)),
                            inner_max_iter=(100, count(100))),
@@ -364,46 +378,45 @@ ROWS = {
                              as_tangent=(False, FLAG)),
     "find_smoothed_equilibrium": row(
         sg.find_smoothed_equilibrium, game=(PENNIES, GAME), cfg=(CFG, CONFIG),
-        x0=(None, STRATEGY), outer_tol=(1e-8, positive(1e-8)),
+        x0=(None, START), outer_tol=(1e-8, positive(1e-8)),
         max_iter=(1000, count(1000))),
     "homotopy_trace": row(
         sg.homotopy_trace, game=(PENNIES, GAME), cfg=(CFG, CONFIG),
         beta_schedule=([1.0, 0.5], grid([1.0, 0.5], ("fraction",),
                                         label="beta_schedule")),
-        x0=(None, STRATEGY), outer_tol=(1e-8, positive(1e-8)),
+        x0=(None, START), outer_tol=(1e-8, positive(1e-8)),
         max_iter=(1000, count(1000))),
     "linear_steepness_probe": row(
-        sg.linear_steepness_probe, r=(Q2, OWN),
+        sg.linear_steepness_probe, r=(Q2, own(CFG)),
         i=(0, index(2, label="index")), eps=(0.5, non_negative(0.5)),
         betas=([0.2, 0.1], grid([0.2, 0.1], ("fraction", "empty"),
                                 label="beta")),
-        rng=(None, OWN)),
+        rng=(None, own(accept=("None",)))),
     # dynamics
     "DynamicsConfig": row(sg.DynamicsConfig,
                           eta=(0.5, positive(0.5, fraction=0.25,
                                              bad={"one": 1.0})),
-                          response=(CFG, OWN), horizon=(3, count(3)),
+                          response=(CFG, own(DYN)), horizon=(3, count(3)),
                           record_every=(1, count(1))),
     "step": row(sg.step, game=(PENNIES, GAME),
-                cfg=(DYN, typed(DYN_WIDE, label="regularizer|shape")),
+                cfg=(DYN, DYNAMICS),
                 x=(X, STRATEGY)),
     "run": row(sg.run, game=(PENNIES, GAME),
-               cfg=(DYN, typed(DYN_WIDE, label="regularizer|shape")),
+               cfg=(DYN, DYNAMICS),
                x0=(X, typed(X_WIDE, label="x0")),
-               reference=(EQ, OWN)),
+               reference=(EQ, own(accept=("None",)))),
     "run_many": row(sg.run_many, game=(PENNIES, GAME),
-                    cfg=(DYN, typed(DYN_WIDE, label="regularizer|shape")),
+                    cfg=(DYN, DYNAMICS),
                     X0=((X, X), sequence((X, X), label="x0|start")),
-                    reference=(None, OWN)),
+                    reference=(None, own(accept=("None",)))),
     "stability_verdict": row(sg.stability_verdict, game=(PENNIES, GAME),
-                             cfg=(DYN, typed(DYN_WIDE,
-                                             label="regularizer|shape")),
-                             eq=(EQ, OWN)),
+                             cfg=(DYN, DYNAMICS),
+                             eq=(EQ, own())),
     "measure_response_lipschitz": row(sg.measure_response_lipschitz,
                                       game=(PENNIES, GAME), cfg=(CFG, CONFIG),
                                       x=(X, STRATEGY)),
     "eta_threshold": row(sg.eta_threshold, game=(PENNIES, GAME),
-                         cfg=(CFG, CONFIG), eq=(EQ, OWN),
+                         cfg=(CFG, CONFIG), eq=(EQ, own()),
                          num_samples=(2, count(2, positive=False)),
                          rng_seed=(0, SEED), radius=(0.05, positive(0.05))),
     "boundary_convergence_check": row(
@@ -412,24 +425,24 @@ ROWS = {
         beta_schedule=([0.5, 0.25], grid([0.5, 0.25], ("fraction",),
                                          label="beta_schedule")),
         outer_tol=(1e-10, positive(1e-10))),
-    "sweep": row(sg.sweep, game=(PENNIES, OWN),
+    "sweep": row(sg.sweep, game=(PENNIES, own(X)),
                  betas=([0.5], grid([0.5], ("nan", "inf", "-1", "0",
                                             "fraction"), label="betas")),
                  etas=([0.5], grid([0.5], ("nan", "inf", "-1", "0",
                                            "fraction"), label="etas")),
-                 regularizers=((R2, R2), REGS), x0=(None, STRATEGY),
+                 regularizers=((R2, R2), REGS), x0=(None, START),
                  horizon=(3, count(3)), jobs=(1, count(1)),
                  outer_tol=(1e-10, positive(1e-10))),
-    "sweep_to_csv": row(sg.sweep_to_csv, cells=(CELLS, OWN),
+    "sweep_to_csv": row(sg.sweep_to_csv, cells=(CELLS, own()),
                         target=("out.csv", path("out.csv", label="target"))),
     "trajectory_to_csv": row(sg.trajectory_to_csv,
-                             trajectory=(TRAJECTORY, OWN),
+                             trajectory=(TRAJECTORY, own(EQ)),
                              target=("out.csv", path("out.csv",
                                                      label="target")),
-                             verdict=(None, OWN)),
+                             verdict=(None, own(accept=("None",)))),
     # stability
-    "interaction_graph": row(sg.interaction_graph, jac=(JAC, OWN)),
-    "solve_skew_certificate": row(sg.solve_skew_certificate, jac=(JAC, OWN)),
+    "interaction_graph": row(sg.interaction_graph, jac=(JAC, own())),
+    "solve_skew_certificate": row(sg.solve_skew_certificate, jac=(JAC, own())),
     "pd_stretch": row(sg.pd_stretch,
                       u=(P, array(P, ("fraction",), label=r"\bu\b|shape")),
                       v=(np.array([0.25, 0.75]),
@@ -440,13 +453,13 @@ ROWS = {
         B=(np.eye(2), array(np.eye(2))),
         tol=(1e-9, positive(1e-9)), rng_seed=(0, SEED)),
     "pareto_improvement_search": row(
-        sg.pareto_improvement_search, jac=(JAC, OWN),
+        sg.pareto_improvement_search, jac=(JAC, own()),
         num_restarts=(2, count(2, positive=False)), rng_seed=(0, SEED),
         iters=(10, count(10, positive=False))),
     "uniform_stability_check": row(
-        sg.uniform_stability_check, jac=(JAC, OWN),
+        sg.uniform_stability_check, jac=(JAC, own()),
         num_conditioners=(4, count(4, positive=False)), rng_seed=(0, SEED)),
-    "verify_witness": row(sg.verify_witness, jac=(JAC, OWN),
+    "verify_witness": row(sg.verify_witness, jac=(JAC, own()),
                           witness=((np.eye(2), np.eye(2)),
                                    blocks((np.eye(2), np.eye(2)),
                                           ("fraction",), label="witness"))),
@@ -463,7 +476,7 @@ ROWS = {
                               x_star=(X, STRATEGY),
                               grid_resolution=(3, RESOLUTION)),
     "report_to_dict": row(sg.report_to_dict,
-                          report=(sg.uniform_stability_check(JAC), OWN)),
+                          report=(sg.uniform_stability_check(JAC), own(JAC))),
 }
 
 _RECORD = ("a result record the package builds from checked inputs; its "
@@ -553,7 +566,8 @@ def test_exported_callable_handles_or_rejects_every_bad_value(
         except GameError as err:
             assert kind is not None, f"{name} rejects valid arguments: {err}"
             if bad not in kind.accept:
-                label = kind.label or rf"\b{re.escape(param)}\b"
+                label = (kind.label if bad not in kind.named else None
+                         ) or rf"\b{re.escape(param)}\b"
                 assert re.search(label, str(err), re.IGNORECASE), (
                     f"{name}({param}={bad}) blames: {err}")
             return

@@ -561,6 +561,45 @@ def test_solver_cycling_detection():
     assert err.last_point is not None
 
 
+# best residual and best point of each solve, as recorded when the walk
+# still ran out its stagnation window (573 and 520 responses)
+COLLAPSED = {
+    0.1: (110, "0x1.a27847b5c5898p-3",
+          (("0x1.75eb048e04287p-4", "0x1.d1eb7d735ffd6p-3",
+            "0x1.5cc7c011677bbp-1"),
+           ("0x1.708c4a5a37cd6p-11", "0x1.d369974751410p-3",
+            "0x1.8ac9771b9521dp-1"))),
+    0.03: (89, "0x1.eb62f1b2a46e4p-3",
+           (("0x1.b8e39241a757ap-3", "0x1.8cc804128979cp-1",
+             "0x1.3fc5d7432c135p-7"),
+            ("0x1.4a6916d553636p-3", "0x1.41f3b5baa2162p-4",
+             "0x1.8527439356e47p-1"))),
+}
+
+
+@pytest.mark.parametrize("beta", sorted(COLLAPSED))
+def test_solver_stops_when_the_step_size_collapses(beta, monkeypatch):
+    # halving eta below the residual band freezes the iterate: the solve
+    # stops there, with the state the full stagnation window would carry
+    bound, residual, point = COLLAPSED[beta]
+    calls = []
+    respond = FlatKernel.respond
+    monkeypatch.setattr(FlatKernel, "respond",
+                        lambda self, X: calls.append(1) or respond(self, X))
+    rng = np.random.default_rng(21)
+    g = sg.NormalFormGame((rng.standard_normal((3, 3)),
+                           rng.standard_normal((3, 3))))
+    with pytest.raises(CyclingError, match="collapsed.*stagnated") as info:
+        sg.find_smoothed_equilibrium(g, sg.entropy_config(g, beta))
+    err = info.value
+    assert len(calls) <= bound
+    assert err.iterations == len(calls) - 1  # steps taken between responses
+    assert err.beta == beta
+    assert err.residual.hex() == residual
+    assert tuple(tuple(v.hex() for v in b)
+                 for b in err.last_point.blocks) == point
+
+
 # ---------------------------------------------------------------------------
 # homotopy
 
