@@ -1,11 +1,12 @@
 """Averaging dynamics driven by the smoothed response map.
 
-One step moves x to (1 - eta) x + eta Phi(x).  The module records
-trajectories and contraction ratios against a reference equilibrium,
-classifies fixed points by the linearized map (1 - eta) I + eta dPhi,
-checks the boundary predictions at a quasi-strict equilibrium as beta
-shrinks, and sweeps (beta, eta) grids the way the stability phase diagrams
-are produced.
+One step moves x to (1 - eta) x + eta Phi(x); a batch of runs that a
+step leaves unchanged bit for bit takes no further steps, since every
+later step would return it too.  The module records trajectories and
+contraction ratios against a reference equilibrium, classifies fixed
+points by the linearized map (1 - eta) I + eta dPhi, checks the boundary
+predictions at a quasi-strict equilibrium as beta shrinks, and sweeps
+(beta, eta) grids the way the stability phase diagrams are produced.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import csv
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -31,6 +32,7 @@ SAMPLE_BALL_RADIUS = 0.05  # inf-norm radius for Lipschitz sampling
 CLASSIFICATION_TOL = 1e-9
 DISTANCE_CHUNK = 64  # states held back before their distances are taken
 SWEEP_CHUNK = 64  # grid rows per dynamics batch of a sweep, for every jobs
+FIXED_CHECK_STRIDE = 8  # steps between tests for an unchanged batch
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,9 @@ def run_many(game: NormalFormGame, cfg: DynamicsConfig, X0,
 
     Returns one Trajectory per start, in order.  Rows agree with separate
     :func:`run` calls up to rounding (matrix products round differently
-    for different row counts).
+    for different row counts).  Once a step returns the whole batch bit
+    for bit, no further steps are taken; the fixed state is recorded for
+    the rest of the horizon, so the result is the same as stepping on.
     """
     kernel = FlatKernel(game, check_type("cfg", cfg, DynamicsConfig).response)
     starts = [kernel.flatten(x, "x0") for x in check_sequence("X0", X0)]
@@ -111,6 +115,29 @@ def run_many(game: NormalFormGame, cfg: DynamicsConfig, X0,
     return _orbits(kernel, [cfg] * len(starts), np.stack(starts), ref)
 
 
+def _states(kernel, configs, X):
+    """Yield the batch X after each of the horizon's steps, row i under
+    configs[i]; all share the horizon.
+
+    Every FIXED_CHECK_STRIDE-th step compares its result with its input
+    bit for bit.  Once they agree, the batch is a fixed point of
+    ``kernel.advance``: the step is deterministic in X, and a Newton
+    argmax warm-started at its own solution returns it at its first
+    residual check.  The same array is then yielded for the remaining
+    steps without stepping.  Comparing bytes, not values, keeps -0.0
+    against 0.0 from counting as fixed.
+    """
+    horizon = configs[0].horizon
+    eta = np.array([[c.eta] for c in configs])
+    for t in range(1, horizon + 1):
+        new = kernel.advance(X, eta)
+        if t % FIXED_CHECK_STRIDE == 0 and new.tobytes() == X.tobytes():
+            yield from repeat(X, horizon - t + 1)
+            return
+        X = new
+        yield X
+
+
 def _orbits(kernel, configs, X, ref):
     """Run row i of X under configs[i]; all share horizon and cadence.
 
@@ -118,8 +145,7 @@ def _orbits(kernel, configs, X, ref):
     JointStrategy objects only where they are recorded.  Distances are
     taken DISTANCE_CHUNK states at a time.
     """
-    horizon, every = configs[0].horizon, configs[0].record_every
-    eta = np.array([[c.eta] for c in configs])
+    every = configs[0].record_every
     recorded = [X]
     pending = [X]
     distances = []
@@ -128,8 +154,7 @@ def _orbits(kernel, configs, X, ref):
         distances.append(np.linalg.norm(np.stack(pending) - ref, axis=2))
         pending.clear()
 
-    for t in range(1, horizon + 1):
-        X = kernel.advance(X, eta)
+    for t, X in enumerate(_states(kernel, configs, X), 1):
         if t % every == 0:
             recorded.append(X)
         if ref is not None:
@@ -342,7 +367,8 @@ def _error_text(err) -> str:
 def _sweep_chunk(task):
     """The cells of a chunk of sweep rows (dynamics config, equilibrium,
     tangent response Jacobian), run from one start as one batch at a beta
-    column.  Each batch has its own kernel, so no Newton warm start
+    column.  Only the final state is kept, for each cell's distance to its
+    equilibrium.  Each batch has its own kernel, so no Newton warm start
     crosses batches."""
     game, start, rows = task
 
@@ -351,14 +377,16 @@ def _sweep_chunk(task):
         kernel = FlatKernel(game, configs[0].response, beta=np.array(
             [[cfg.response.beta] for cfg in configs]))
         refs = np.stack([eq.point.concatenated() for _, eq, _ in part])
-        return _orbits(kernel, configs, np.tile(start, (len(part), 1)), refs)
+        for X in _states(kernel, configs, np.tile(start, (len(part), 1))):
+            pass
+        return np.linalg.norm(X - refs, axis=1).tolist()
     cells = []
     for (cfg, eq, grad_phi), out in zip(rows, _by_rows(batch, rows)):
         ok = not isinstance(out, str)
         cells.append(SweepCell(
             beta=cfg.response.beta, eta=cfg.eta, equilibrium=eq,
             verdict=_verdict(grad_phi, cfg.eta, eq) if ok else None,
-            final_distance=out.distances[-1] if ok else None,
+            final_distance=out if ok else None,
             error=None if ok else out))
     return cells
 
@@ -371,14 +399,16 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
     the largest beta downward, and one kernel call at a beta column takes
     the tangent response Jacobians at all of them for the verdicts.  The
     runs of all cells then go through the dynamics kernel in batches of
-    ``SWEEP_CHUNK`` cells, each row at its own beta and eta; with ``jobs``
-    > 1 and more than one batch, the batches are spread over worker
-    processes.  The batches are the same for every ``jobs``, so results do
-    not depend on it.  ``jobs``, ``horizon``, ``outer_tol``, the
-    regularizers and ``x0`` are checked before any solve; a bad beta or eta,
-    like any other cell error, is recorded in its cells, and the sweep
-    continues.  The returned grid is row-major in (betas, etas) as given,
-    independent of scheduling.
+    ``SWEEP_CHUNK`` cells, each row at its own beta and eta, and only each
+    batch's final state is kept: a cell's ``final_distance`` is its row's
+    distance to the cell's equilibrium.  With ``jobs`` > 1 and more than
+    one batch, the batches are spread over worker processes.  The batches
+    are the same for every ``jobs``, so results do not depend on it.
+    ``jobs``, ``horizon``, ``outer_tol``, the regularizers and ``x0`` are
+    checked before any solve; a bad beta or eta, like any other cell
+    error, is recorded in its cells, and the sweep continues.  The
+    returned grid is row-major in (betas, etas) as given, independent of
+    scheduling.
     """
     check_count("jobs", jobs, positive=True)
     check_count("horizon", horizon, positive=True)
@@ -424,8 +454,8 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
             if error is None:
                 try:
                     rows.append((DynamicsConfig(
-                        eta=eta, response=cfg, horizon=horizon,
-                        record_every=max(1, horizon)), eq, grad_phi[beta]))
+                        eta=eta, response=cfg, horizon=horizon), eq,
+                        grad_phi[beta]))
                 except GameError as err:
                     error = _error_text(err)
             cells.append(SweepCell(beta=beta, eta=eta, equilibrium=eq,

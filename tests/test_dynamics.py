@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import smoothgames as sg
+from smoothgames.dynamics import DISTANCE_CHUNK, Trajectory
 from smoothgames.errors import ArgumentError, DimensionError
 
 from conftest import (nonstrategic_offsets, quadratic_regularizers,
@@ -214,6 +215,124 @@ def test_identical_runs_are_bitwise_equal():
     assert a.distances == b.distances
     for p, q in zip(a.points + (a.final_point,), b.points + (b.final_point,)):
         np.testing.assert_array_equal(p.concatenated(), q.concatenated())
+
+
+def reference_orbits(kernel, configs, X, ref):
+    """The orbits of ``dynamics._orbits``, with ``kernel.advance`` called at
+    every step of the horizon and no stop at a fixed batch."""
+    horizon, every = configs[0].horizon, configs[0].record_every
+    eta = np.array([[c.eta] for c in configs])
+    recorded = [X]
+    pending = [X]
+    distances = []
+
+    def take_distances():
+        distances.append(np.linalg.norm(np.stack(pending) - ref, axis=2))
+        pending.clear()
+
+    for t in range(1, horizon + 1):
+        X = kernel.advance(X, eta)
+        if t % every == 0:
+            recorded.append(X)
+        if ref is not None:
+            pending.append(X)
+            if len(pending) == DISTANCE_CHUNK:
+                take_distances()
+    if ref is not None:
+        if pending:
+            take_distances()
+        distances = np.concatenate(distances).T.tolist()
+    return tuple(
+        Trajectory(config=cfg,
+                   points=tuple(kernel.strategy(R[i]) for R in recorded),
+                   final_point=kernel.strategy(X[i]),
+                   distances=tuple(distances[i]) if ref is not None else None)
+        for i, cfg in enumerate(configs))
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       case=st.sampled_from(["matching_pennies", "coordination_2x2",
+                             "entropy2", "entropy3", "quadratic_entropy"]),
+       horizon=st.integers(1, 150), record_every=st.integers(1, 9),
+       with_reference=st.booleans(), negative_zero=st.booleans())
+def test_run_many_matches_stepping_every_step(seed, case, horizon,
+                                              record_every, with_reference,
+                                              negative_zero):
+    # batches fixed from the first step (the bundled games from the uniform
+    # point), fixed mid-run (a contractive random game), or never fixed
+    # (short horizons, small eta) give what stepping every step gives
+    rng = np.random.default_rng(seed)
+    if case in ("matching_pennies", "coordination_2x2"):
+        g = sg.bundled_game(case)
+        starts = [sg.uniform_strategy(g.shape)] * int(rng.integers(1, 4))
+        response = sg.entropy_config(g, rng.uniform(0.05, 1.0))
+    else:
+        shape = tuple(int(k) for k in rng.integers(
+            2, 4, 3 if case == "entropy3" else 2))
+        g = random_game(rng, shape, scale=0.2)
+        starts = [random_interior(rng, shape)
+                  for _ in range(int(rng.integers(1, 4)))]
+        regs = (quadratic_regularizers(rng, shape)
+                if case == "quadratic_entropy"
+                else tuple(sg.entropy(k) for k in shape))
+        response = sg.SmoothedResponseConfig(beta=rng.uniform(1.0, 2.0),
+                                             regularizers=regs)
+    if negative_zero:
+        k = g.shape[0]
+        starts[0] = sg.JointStrategy((np.array([1.0] + [-0.0] * (k - 1)),)
+                                     + starts[0].blocks[1:])
+        assert np.signbit(starts[0].concatenated()).any()
+    cfg = sg.DynamicsConfig(eta=rng.choice([0.01, rng.uniform(0.3, 0.7)]),
+                            response=response, horizon=horizon,
+                            record_every=record_every)
+    reference = (sg.SmoothedEquilibrium(point=random_interior(rng, g.shape),
+                                        beta=response.beta, residual=0.0,
+                                        nash_gap=0.0)
+                 if with_reference else None)
+    got = sg.run_many(g, cfg, starts, reference=reference)
+    want = reference_orbits(
+        sg.response.FlatKernel(g, response), [cfg] * len(starts),
+        np.stack([x.concatenated() for x in starts]),
+        reference.point.concatenated() if with_reference else None)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert len(a.points) == len(b.points)
+        for p, q in zip(a.points + (a.final_point,),
+                        b.points + (b.final_point,)):
+            assert bits(p.concatenated()) == bits(q.concatenated())
+        if with_reference:
+            assert bits(a.distances) == bits(b.distances)
+        else:
+            assert a.distances is None and b.distances is None
+
+
+def test_fixed_batch_stops_stepping(monkeypatch):
+    # the uniform point is a fixed point of the pennies dynamics at every
+    # beta and eta, so the one batch of the grid stops at its first check
+    calls = []  # the row count of every step
+    advance = sg.response.FlatKernel.advance
+
+    def counting(self, X, eta):
+        calls.append(len(X))
+        return advance(self, X, eta)
+
+    monkeypatch.setattr(sg.response.FlatKernel, "advance", counting)
+    cells = sg.sweep(pennies(), betas=(0.3, 0.1), etas=(0.01, 0.1),
+                     regularizers=(sg.entropy(2), sg.entropy(2)),
+                     horizon=2000)
+    assert [c.final_distance for c in cells] == [0.0] * 4
+    assert calls == [4] * sg.dynamics.FIXED_CHECK_STRIDE
+    # a batch that never arrives takes every step of its horizon
+    calls.clear()
+    g, cfg = dyn(0.1, 0.005, 301)
+    x0 = sg.JointStrategy((np.array([0.9, 0.1]), np.array([0.2, 0.8])))
+    sg.run_many(g, cfg, [x0, sg.uniform_strategy(g.shape)])
+    assert calls == [2] * 301
 
 
 def test_warm_start_bounds_newton_solves(monkeypatch):
@@ -524,8 +643,9 @@ def test_sweep_keeps_a_bad_beta_or_eta_as_a_cell_error():
     assert errors == [(0.3, 2.0), (-1.0, 0.1), (-1.0, 2.0)]
 
 
-def assert_cells_match_runs(g, cells, regs, x0, horizon):
-    # every cell that ran agrees with its own run and verdict
+def assert_cells_match_runs(g, cells, regs, x0, horizon, exact=False):
+    # every cell that ran agrees with its own run and verdict; exact asks
+    # for the run's last distance bit for bit
     for cell in cells:
         if cell.error is not None:
             continue
@@ -534,8 +654,9 @@ def assert_cells_match_runs(g, cells, regs, x0, horizon):
             response=sg.SmoothedResponseConfig(beta=cell.beta,
                                                regularizers=regs))
         traj = sg.run_many(g, dyn_cfg, [x0], reference=cell.equilibrium)[0]
-        assert cell.final_distance == pytest.approx(traj.distances[-1],
-                                                    rel=0, abs=1e-12)
+        assert cell.final_distance == (
+            traj.distances[-1] if exact
+            else pytest.approx(traj.distances[-1], rel=0, abs=1e-12))
         verdict = sg.stability_verdict(g, dyn_cfg, cell.equilibrium)
         assert cell.verdict.classification == verdict.classification
         assert cell.verdict.jacobian_spectral_radius == pytest.approx(
@@ -560,7 +681,17 @@ def test_sweep_grid_with_failed_beta_row_matches_per_beta_runs():
         else:
             assert cell.error is None
     assert_cells_match_runs(g, cells, regs, sg.uniform_strategy(g.shape),
-                            200)
+                            200, exact=True)
+    # from the uniform point, six of example_A's rows are fixed from the
+    # first step and three move away, so their shared batch never stops
+    g = sg.bundled_game("example_A")
+    cells = sg.sweep(g, (0.3, 0.1, 0.03), (0.001, 0.01, 0.1), regs,
+                     horizon=500)
+    distances = [cell.final_distance for cell in cells]
+    assert distances.count(0.0) == 6 and all(d > 0.5 for d in distances
+                                             if d != 0.0)
+    assert_cells_match_runs(g, cells, regs, sg.uniform_strategy(g.shape),
+                            500, exact=True)
 
 
 def test_sweep_failing_jacobian_fails_only_its_beta(monkeypatch):
