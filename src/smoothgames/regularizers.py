@@ -147,7 +147,31 @@ def reg_tangent_gradient(r: Regularizer, x, support=None) -> np.ndarray:
     return out
 
 
-def face_solve(lam, curvature, y, rhs) -> np.ndarray:
+def kkt_frame(lam, curvature, y, rhs) -> tuple:
+    """The part of :func:`face_solve`'s systems that does not depend on y.
+
+    For stacks shaped like ``curvature``, ``y`` and ``rhs`` (only their
+    shapes are read), it holds the KKT matrices with their ones column and
+    zero corner set, the right-hand sides with their zero row set, a view
+    of the matrices' first s diagonal entries and lam as a column to add
+    there.  A solve that repeats with the same shapes, as a Newton
+    iteration does, builds it once and passes it to every call.
+    """
+    lam = np.asarray(lam, dtype=float)
+    s = y.shape[-1]
+    lead = np.broadcast_shapes(lam.shape, curvature.shape[:-2],
+                               y.shape[:-1], rhs.shape[:-2])
+    kkt = np.empty(lead + (s + 1, s + 1))
+    kkt[..., :s, s] = 1.0
+    kkt[..., s, s] = 0.0
+    padded = np.empty(lead + (s + 1, rhs.shape[-1]))
+    padded[..., s, :] = 0.0
+    # the first s diagonal entries of each flattened (s+1) x (s+1) matrix
+    diagonal = kkt.reshape(lead + (-1,))[..., :s * (s + 2):s + 2]
+    return kkt, padded, diagonal, lam[..., None]
+
+
+def face_solve(lam, curvature, y, rhs, frame=None) -> np.ndarray:
     """Solve ``[lam I + C diag(y), 1; y^T, 0] [E; mu] = [rhs; 0]`` for stacks.
 
     C is a curvature ``A^T A`` (restricted to a face, if y is), rhs a
@@ -160,21 +184,19 @@ def face_solve(lam, curvature, y, rhs) -> np.ndarray:
     the solve stays exact where coordinates of y underflow; a coordinate
     with ``y = 0`` drops out of the other rows, which then solve the system
     of the face of the positive coordinates.
+
+    ``frame`` is a :func:`kkt_frame` of the same lam and shapes, built here
+    when not given; each call then writes only ``C diag(y)``, lam on its
+    diagonal, the y row and rhs into it.
     """
-    lam = np.asarray(lam, dtype=float)
+    if frame is None:
+        frame = kkt_frame(lam, curvature, y, rhs)
+    kkt, padded, diagonal, lam_column = frame
     s = y.shape[-1]
-    lead = np.broadcast_shapes(lam.shape, curvature.shape[:-2],
-                               y.shape[:-1], rhs.shape[:-2])
-    kkt = np.empty(lead + (s + 1, s + 1))
     np.multiply(curvature, y[..., None, :], out=kkt[..., :s, :s])
-    # the first s diagonal entries of each flattened (s+1) x (s+1) matrix
-    kkt.reshape(lead + (-1,))[..., :s * (s + 2):s + 2] += lam[..., None]
-    kkt[..., :s, s] = 1.0
+    diagonal += lam_column
     kkt[..., s, :s] = y
-    kkt[..., s, s] = 0.0
-    padded = np.empty(lead + (s + 1, rhs.shape[-1]))
     padded[..., :s, :] = rhs
-    padded[..., s, :] = 0.0
     return np.linalg.solve(kkt, padded)[..., :s, :]
 
 

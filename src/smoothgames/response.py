@@ -24,9 +24,15 @@ only.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+try:  # what np.einsum calls without optimize, minus its dispatch layers
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy 1.x: the public function, the same results
+    _einsum = np.einsum
 
 from .errors import (ArgumentError, ConvergenceError, CyclingError,
                      DimensionError, check_array, check_count, check_index,
@@ -35,7 +41,7 @@ from .games import (JointStrategy, NormalFormGame, block_diag, block_slices,
                     epsilon_nash_gap, jacobian_blocks, tangent_basis,
                     uniform_strategy)
 from .regularizers import (Regularizer, entropy, entropy_pseudoinverse,
-                           face_solve)
+                           face_solve, kkt_frame)
 
 STAGNATION_WINDOW = 500
 STAGNATION_FACTOR = 0.99
@@ -128,61 +134,72 @@ def _newton_log(V, lam, C, w, beta, inner_tol, inner_max_iter, U):
     leading axes of beta and lam, C ``(..., k, k)`` and w ``(..., k)``
     broadcast against those of V, and U holds the starting log-responses.
     The step du is the :func:`face_solve` of the ambient gradient over
-    beta, one stacked solve for all rows per iteration; the update is
+    beta, one stacked solve for all rows per iteration, into a
+    :func:`kkt_frame` built once per call; the update is
     ``y <- normalise(y exp(t du))``, and each row's t backtracks on its
     objective computed from u.  The accepted candidate's quadratic force
     and objective carry over to the next iteration, so every iterate is
     evaluated once; while every row is still searching, the whole
     candidate is taken without merging.  A row whose projected-gradient
-    residual reaches inner_tol is frozen.  Iterates stay on the simplex,
-    and a coordinate whose mass underflows keeps a finite log and an exact
-    stationarity condition.  Returns the log-responses.
+    residual reaches inner_tol is frozen.  An accepted step that leaves
+    every log-response bit for bit unchanged raises
+    :class:`ConvergenceError` at once: each later iteration would repeat
+    it.  Iterates stay on the simplex, and a coordinate whose mass
+    underflows keeps a finite log and an exact stationarity condition.
+    Returns the log-responses.
     """
     def evaluate(U, Y):
         """The quadratic term's force ``C (y - w)`` and the objective."""
         gap = Y - w
-        force = np.einsum("...ij,...j->...i", C, gap)
-        quad_value = 0.5 * np.einsum("...i,...i->...", gap, force)
-        value = (np.einsum("...i,...i->...", V, Y)
-                 - beta * (lam * np.einsum("...i,...i->...", Y, U)
+        force = _einsum("...ij,...j->...i", C, gap)
+        quad_value = 0.5 * _einsum("...i,...i->...", gap, force)
+        value = (_einsum("...i,...i->...", V, Y)
+                 - beta * (lam * _einsum("...i,...i->...", Y, U)
                            + quad_value))
         return force, value
 
     beta = np.asarray(beta, dtype=float)
+    beta_column, beta_rhs = beta[..., None], beta[..., None, None]
+    lam_column = lam[..., None]
     k = V.shape[-1]
     Y = np.exp(U)
     force, current = evaluate(U, Y)
+    frame = kkt_frame(lam, C, U, V[..., None])
     active = np.ones(V.shape[:-1], dtype=bool)
     residual = np.full(active.shape, np.inf)
     for iteration in range(inner_max_iter):
-        grad = V - beta[..., None] * (lam[..., None] * U + force)
+        grad = V - beta_column * (lam_column * U + force)
         last_finite = residual
-        residual = np.abs(grad - grad.sum(-1, keepdims=True) / k).max(-1)
+        residual = grad - np.add.reduce(grad, -1, keepdims=True) / k
+        residual = np.maximum.reduce(np.abs(residual, out=residual), -1)
         active &= ~(residual <= inner_tol)
-        if not active.any():
+        # count_nonzero is the cheapest any() or all() of a small mask
+        left = np.count_nonzero(active)
+        if not left:
             return U
-        broken = active & ~np.isfinite(residual)
-        if broken.any():
+        # frozen rows keep their finite residuals, so one maximum tells
+        if not math.isfinite(np.maximum.reduce(residual, None)):
             # no later iterate can recover from a non-finite one
+            broken = active & ~np.isfinite(residual)
             last = float(last_finite[broken][0])
             raise ConvergenceError(
                 f"inner solver went non-finite at iteration {iteration}; "
                 f"last finite residual {last:.3e}",
                 residual=last, iterations=iteration,
                 beta=float(np.broadcast_to(beta, broken.shape)[broken][0]))
-        du = face_solve(lam, C, Y, grad[..., None] / beta[..., None, None])
-        du = du[..., 0]
-        slack = 1e-12 * (1.0 + np.abs(current))  # float plateau near optimum
-        t = np.ones(active.shape)
-        searching = active.copy()
+        du = face_solve(lam, C, Y, grad[..., None] / beta_rhs, frame)[..., 0]
+        # float plateau near the optimum
+        floor = current - 1e-12 * (1.0 + np.abs(current))
+        t = None
+        searching = active.copy()  # with ``left`` rows
         accepted = U, Y, force, current
+        cand = U + du  # t = 1 on the first trial
         for _ in range(60):
-            cand = U + t[..., None] * du
-            cand -= cand.max(axis=-1, keepdims=True)
-            cand -= np.log(np.exp(cand).sum(axis=-1, keepdims=True))
+            cand -= np.maximum.reduce(cand, -1, keepdims=True)
+            cand -= np.log(np.add.reduce(np.exp(cand), -1, keepdims=True))
             cand_y = np.exp(cand)
             cand_force, cand_value = evaluate(cand, cand_y)
-            if searching.all():
+            if left == searching.size:
                 accepted = cand, cand_y, cand_force, cand_value
             else:
                 rows = searching[..., None]
@@ -190,16 +207,31 @@ def _newton_log(V, lam, C, w, beta, inner_tol, inner_max_iter, U):
                             np.where(rows, cand_y, accepted[1]),
                             np.where(rows, cand_force, accepted[2]),
                             np.where(searching, cand_value, accepted[3]))
-            searching &= ~(cand_value >= current - slack)
-            if not searching.any():
+            searching &= ~(cand_value >= floor)
+            left = np.count_nonzero(searching)
+            if not left:
                 break
+            if t is None:
+                t = np.ones(active.shape)
             t[searching] /= 2
+            cand = U + t[..., None] * du
+        if accepted[0].tobytes() == U.tobytes():
+            raise _inner_error(
+                f"stalled after {iteration + 1} iterations (the last step "
+                f"left every log-response unchanged bit for bit)", residual,
+                active, beta, iteration + 1)
         U, Y, force, current = accepted
+    raise _inner_error(f"hit {inner_max_iter} iterations", residual, active,
+                       beta, inner_max_iter)
+
+
+def _inner_error(what, residual, active, beta, iterations):
+    """The Newton argmax's error at the worst active row's residual."""
     worst = residual[active].argmax()
-    raise ConvergenceError(
-        f"inner solver hit {inner_max_iter} iterations at residual "
-        f"{residual[active][worst]:.3e}",
-        residual=float(residual[active][worst]), iterations=inner_max_iter,
+    value = float(residual[active][worst])
+    return ConvergenceError(
+        f"inner solver {what} at residual {value:.3e}", residual=value,
+        iterations=iterations,
         beta=float(np.broadcast_to(beta, active.shape)[active][worst]))
 
 
@@ -319,6 +351,9 @@ class FlatKernel:
              np.stack([cfg.regularizers[n].w for n in players]))
             for players in by_dimension.values())
         self._warm = [None] * len(self._groups)
+        # whether some block (entropy, or of one action) is not in a group
+        self._needs_softmax = sum(len(columns) for _, columns, *_ in
+                                  self._groups) < sum(shape)
         if game.num_players == 2:
             self._p0t = np.ascontiguousarray(game.payoffs[0].T)
         else:
@@ -363,13 +398,17 @@ class FlatKernel:
     def respond(self, X: np.ndarray) -> np.ndarray:
         """The smoothed best response of every row: a block-wise softmax
         for blocks without a quadratic term, the Newton argmax, one stacked
-        solve per group and iteration, for the others."""
+        solve per group and iteration, for the others.  A kernel whose
+        groups cover every column computes no softmax."""
         cfg = self.cfg
         G = self.gradients(X)
-        Y = G / self.beta
-        Y -= self._block_totals(np.maximum, Y)
-        np.exp(Y, out=Y)
-        Y /= self._block_totals(np.add, Y)
+        if self._needs_softmax:
+            Y = G / self.beta
+            Y -= self._block_totals(np.maximum, Y)
+            np.exp(Y, out=Y)
+            Y /= self._block_totals(np.add, Y)
+        else:
+            Y = np.empty_like(G)
         # blocks of other regularizers replace their softmax columns
         for g, (players, columns, lam, curvature, w) in enumerate(
                 self._groups):

@@ -255,6 +255,45 @@ def test_kernel_respond_matches_cold_per_block_solve(seed, players, kind, rows,
             assert Y[:, 0].max() < np.finfo(float).tiny
 
 
+@pytest.mark.parametrize("kinds, softmax", [
+    (("entropy", "quadratic_entropy", "quadratic_entropy", "entropy"), True),
+    (("quadratic_entropy",) * 3, True),   # with its one-action block
+    (("quadratic_entropy",) * 2, False),  # every column in a Newton group
+])
+@pytest.mark.parametrize("rows", [1, 4])
+def test_kernel_softmax_only_where_a_block_needs_it(monkeypatch, kinds,
+                                                    softmax, rows):
+    # the block softmax runs only for blocks outside the Newton groups (an
+    # entropy block, or one of one action), and every block gets what
+    # smoothed_argmax gives for it (a softmax summed by reduceat may
+    # differ from it in the last bit)
+    rng = np.random.default_rng(rows)
+    shape = (3, 2, 1, 2)[:len(kinds)] if softmax else (3, 2)
+    regs = tuple(quadratic_regularizers(rng, (k,))[0]
+                 if kind == "quadratic_entropy" else sg.entropy(k)
+                 for kind, k in zip(kinds, shape))
+    cfg = sg.SmoothedResponseConfig(beta=0.2, regularizers=regs)
+    kernel = FlatKernel(random_game(rng, shape), cfg)
+    totals = []
+    block_totals = FlatKernel._block_totals
+
+    def counting(self, ufunc, X):
+        totals.append(ufunc)
+        return block_totals(self, ufunc, X)
+
+    monkeypatch.setattr(FlatKernel, "_block_totals", counting)
+    X = np.stack([random_interior(rng, shape).concatenated()
+                  for _ in range(rows)])
+    Y = kernel.respond(X)
+    assert bool(totals) == softmax
+    G = kernel.gradients(X)
+    for r, s in zip(regs, kernel.slices):
+        for b in range(rows):
+            np.testing.assert_allclose(
+                Y[b, s], sg.smoothed_argmax(G[b, s], r, cfg.beta), rtol=0,
+                atol=1e-15)
+
+
 @pytest.mark.parametrize("shape", [(3, 2), (2, 3, 4), (3, 1, 2),
                                    (2, 3, 1, 2), (1, 2, 3, 2)])
 @pytest.mark.parametrize("rows", [1, 7])
