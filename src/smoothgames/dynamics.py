@@ -143,18 +143,25 @@ def _orbits(kernel, configs, X, ref):
 
     ``ref`` is None, a flat reference point or one per row.  Points become
     JointStrategy objects only where they are recorded.  Distances are
-    taken DISTANCE_CHUNK states at a time.
+    taken DISTANCE_CHUNK states at a time.  Once ``_states`` repeats a
+    fixed batch, no more per-step work is done: its strategies and its
+    distances are those of the step that reached it, repeated.
     """
-    every = configs[0].record_every
+    horizon, every = configs[0].horizon, configs[0].record_every
     recorded = [X]
     pending = [X]
     distances = []
+    fixed = 0  # the last steps of the horizon, which repeat X
 
     def take_distances():
         distances.append(np.linalg.norm(np.stack(pending) - ref, axis=2))
         pending.clear()
 
-    for t, X in enumerate(_states(kernel, configs, X), 1):
+    for t, state in enumerate(_states(kernel, configs, X), 1):
+        if state is X:
+            fixed = horizon - t + 1
+            break
+        X = state
         if t % every == 0:
             recorded.append(X)
         if ref is not None:
@@ -164,11 +171,16 @@ def _orbits(kernel, configs, X, ref):
     if ref is not None:
         if pending:
             take_distances()
-        distances = np.concatenate(distances).T.tolist()
+        distances = [row + row[-1:] * fixed
+                     for row in np.concatenate(distances).T.tolist()]
+    # recorded steps among the fixed ones
+    tail = horizon // every - (horizon - fixed) // every
+    finals = [kernel.strategy(row) for row in X]
     return tuple(
         Trajectory(config=cfg,
-                   points=tuple(kernel.strategy(R[i]) for R in recorded),
-                   final_point=kernel.strategy(X[i]),
+                   points=tuple(finals[i] if R is X else kernel.strategy(R[i])
+                                for R in recorded) + (finals[i],) * tail,
+                   final_point=finals[i],
                    distances=tuple(distances[i]) if ref is not None else None)
         for i, cfg in enumerate(configs))
 

@@ -21,6 +21,23 @@ from .errors import (ArgumentError, DomainError, ParseError, check_array,
 from .games import (face_projection, simplex_point, support_indices,
                     tangent_basis)
 
+try:  # the LAPACK gufunc np.linalg.solve calls, minus its Python wrapper
+    from numpy.linalg._umath_linalg import solve as _gesv
+except ImportError:  # another numpy: the public function, the same results
+    _solve = np.linalg.solve
+else:
+    def _singular(err, flag):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    # the error state np.linalg.solve enters; an errstate instance cannot be
+    # entered twice, but as a decorator it makes a fresh state per call
+    @np.errstate(call=_singular, invalid="call", over="ignore",
+                 divide="ignore", under="ignore")
+    def _solve(a, b):
+        """``np.linalg.solve(a, b)``, bit for bit and with its singular
+        matrix error, for float stacks of matrix right-hand sides."""
+        return _gesv(a, b, signature="dd->d")
+
 
 @dataclass(frozen=True)
 class Regularizer:
@@ -154,8 +171,9 @@ def kkt_frame(lam, curvature, y, rhs) -> tuple:
     shapes are read), it holds the KKT matrices with their ones column and
     zero corner set, the right-hand sides with their zero row set, a view
     of the matrices' first s diagonal entries and lam as a column to add
-    there.  A solve that repeats with the same shapes, as a Newton
-    iteration does, builds it once and passes it to every call.
+    there.  Solves that repeat with the same lam and shapes build it once
+    and pass it to every call: the Newton argmax keeps one per group of
+    blocks of a :class:`~smoothgames.response.FlatKernel` and batch size.
     """
     lam = np.asarray(lam, dtype=float)
     s = y.shape[-1]
@@ -177,7 +195,9 @@ def face_solve(lam, curvature, y, rhs, frame=None) -> np.ndarray:
     C is a curvature ``A^T A`` (restricted to a face, if y is), rhs a
     ``(..., s, m)`` stack of right-hand sides; the leading axes of lam,
     C ``(..., s, s)``, y ``(..., s)`` and rhs broadcast, and every system
-    of the stack is solved by one ``np.linalg.solve``.  ``diag(y) E`` is the
+    of the stack is solved by one call of the LAPACK routine behind
+    ``np.linalg.solve``, without its Python wrapper but with its results
+    and its ``LinAlgError`` on a singular system.  ``diag(y) E`` is the
     tangent vector the face Hessian ``lam diag(1/y) + C`` maps to rhs up to
     a multiple of 1: E is a Newton step for ``log y``, and ``diag(y) E``
     for ``rhs = I`` the Hessian's pseudoinverse.  No ``1/y`` is formed, so
@@ -197,7 +217,7 @@ def face_solve(lam, curvature, y, rhs, frame=None) -> np.ndarray:
     diagonal += lam_column
     kkt[..., s, :s] = y
     padded[..., :s, :] = rhs
-    return np.linalg.solve(kkt, padded)[..., :s, :]
+    return _solve(kkt, padded)[..., :s, :]
 
 
 def entropy_pseudoinverse(y) -> np.ndarray:

@@ -133,40 +133,74 @@ def _newton_log(V, lam, C, w, beta, inner_tol, inner_max_iter, U):
     ``h_r(y) = lam[r] y . log y + 0.5 (y - w[r])^T C[r] (y - w[r])``; the
     leading axes of beta and lam, C ``(..., k, k)`` and w ``(..., k)``
     broadcast against those of V, and U holds the starting log-responses.
-    The step du is the :func:`face_solve` of the ambient gradient over
-    beta, one stacked solve for all rows per iteration, into a
-    :func:`kkt_frame` built once per call; the update is
-    ``y <- normalise(y exp(t du))``, and each row's t backtracks on its
-    objective computed from u.  The accepted candidate's quadratic force
-    and objective carry over to the next iteration, so every iterate is
-    evaluated once; while every row is still searching, the whole
-    candidate is taken without merging.  A row whose projected-gradient
-    residual reaches inner_tol is frozen.  An accepted step that leaves
-    every log-response bit for bit unchanged raises
-    :class:`ConvergenceError` at once: each later iteration would repeat
-    it.  Iterates stay on the simplex, and a coordinate whose mass
-    underflows keeps a finite log and an exact stationarity condition.
-    Returns the log-responses.
+    Returns the log-responses.  This is :func:`_newton_solve` from a
+    :func:`_newton_frame` and a :func:`_newton_start` built for this call;
+    a :class:`FlatKernel` keeps both from one call to the next.
     """
-    def evaluate(U, Y):
-        """The quadratic term's force ``C (y - w)`` and the objective."""
-        gap = Y - w
-        force = _einsum("...ij,...j->...i", C, gap)
-        quad_value = 0.5 * _einsum("...i,...i->...", gap, force)
-        value = (_einsum("...i,...i->...", V, Y)
-                 - beta * (lam * _einsum("...i,...i->...", Y, U)
-                           + quad_value))
-        return force, value
+    return _newton_solve(V, lam, C, w, _newton_frame(V, lam, C, beta),
+                         _newton_start(U, lam, C, w), inner_tol,
+                         inner_max_iter)[0]
 
+
+def _newton_frame(V, lam, C, beta) -> tuple:
+    """What a Newton argmax over stacks shaped like V sets up before its
+    first iteration and no iterate changes: beta as an array, as a column
+    for the gradient and as one for the right-hand sides, and the
+    :func:`kkt_frame` whose buffers its face solves fill."""
     beta = np.asarray(beta, dtype=float)
-    beta_column, beta_rhs = beta[..., None], beta[..., None, None]
-    lam_column = lam[..., None]
-    k = V.shape[-1]
+    return (beta, beta[..., None], beta[..., None, None],
+            kkt_frame(lam, C, V, V[..., None]))
+
+
+def _regularizer_terms(U, Y, lam, C, w):
+    """The quadratic force ``C (y - w)`` and the regularizer value h(y) at
+    the points ``Y = exp(U)``."""
+    gap = Y - w
+    force = _einsum("...ij,...j->...i", C, gap)
+    quad_value = 0.5 * _einsum("...i,...i->...", gap, force)
+    return force, lam * _einsum("...i,...i->...", Y, U) + quad_value
+
+
+def _newton_start(U, lam, C, w) -> tuple:
+    """The log-responses U evaluated for :func:`_newton_solve`: ``(U, Y,
+    force, h)`` with ``Y = exp(U)`` and :func:`_regularizer_terms` there."""
     Y = np.exp(U)
-    force, current = evaluate(U, Y)
-    frame = kkt_frame(lam, C, U, V[..., None])
+    return (U, Y) + _regularizer_terms(U, Y, lam, C, w)
+
+
+def _newton_solve(V, lam, C, w, frame, start, inner_tol, inner_max_iter):
+    """The damped Newton of :func:`_newton_log`, from an evaluated start.
+
+    ``frame`` is a :func:`_newton_frame` of V's shape and ``start`` a
+    :func:`_newton_start`; neither depends on V, so a kernel keeps both
+    and only the objective ``V . y - beta h(y)`` is evaluated at the
+    start.  The step du is the :func:`face_solve` of the ambient gradient
+    over beta, one stacked solve for all rows per iteration, into the
+    frame's KKT buffers; the update is ``y <- normalise(y exp(t du))``,
+    and each row's t backtracks on its objective computed from u.  The
+    accepted candidate's force, regularizer value and objective carry
+    over to the next iteration, so every iterate is evaluated once; while
+    every row is still searching, the whole candidate is taken without
+    merging.  A row whose projected-gradient residual reaches inner_tol is
+    frozen.  An accepted step that leaves every log-response bit for bit
+    unchanged, or returns them and the frozen rows to where they stood two
+    iterations earlier, raises :class:`ConvergenceError` at once: every
+    later iteration would repeat that step or that pair of steps, so the
+    error carries the residual the iteration cap would have ended on.
+    Iterates stay on the simplex, and a coordinate whose mass underflows
+    keeps a finite log and an exact stationarity condition.  Returns the
+    accepted iterate as a start, ``(U, Y, force, h)``.
+    """
+    beta, beta_column, beta_rhs, buffers = frame
+    lam_column = buffers[3]
+    U, Y, force, h = start
+    current = _einsum("...i,...i->...", V, Y) - beta * h
+    k = V.shape[-1]
     active = np.ones(V.shape[:-1], dtype=bool)
     residual = np.full(active.shape, np.inf)
+    # the bytes of the log-responses two and one iterations back
+    two_back, one_back = None, U.tobytes()
+    live = None
     for iteration in range(inner_max_iter):
         grad = V - beta_column * (lam_column * U + force)
         last_finite = residual
@@ -174,9 +208,9 @@ def _newton_log(V, lam, C, w, beta, inner_tol, inner_max_iter, U):
         residual = np.maximum.reduce(np.abs(residual, out=residual), -1)
         active &= ~(residual <= inner_tol)
         # count_nonzero is the cheapest any() or all() of a small mask
-        left = np.count_nonzero(active)
-        if not left:
-            return U
+        was_live, live = live, np.count_nonzero(active)
+        if not live:
+            return U, Y, force, h
         # frozen rows keep their finite residuals, so one maximum tells
         if not math.isfinite(np.maximum.reduce(residual, None)):
             # no later iterate can recover from a non-finite one
@@ -187,26 +221,30 @@ def _newton_log(V, lam, C, w, beta, inner_tol, inner_max_iter, U):
                 f"last finite residual {last:.3e}",
                 residual=last, iterations=iteration,
                 beta=float(np.broadcast_to(beta, broken.shape)[broken][0]))
-        du = face_solve(lam, C, Y, grad[..., None] / beta_rhs, frame)[..., 0]
+        du = face_solve(lam, C, Y, grad[..., None] / beta_rhs,
+                        buffers)[..., 0]
         # float plateau near the optimum
         floor = current - 1e-12 * (1.0 + np.abs(current))
         t = None
-        searching = active.copy()  # with ``left`` rows
-        accepted = U, Y, force, current
+        searching = active.copy()
+        left = live  # rows still searching
+        accepted = U, Y, force, h, current
         cand = U + du  # t = 1 on the first trial
         for _ in range(60):
             cand -= np.maximum.reduce(cand, -1, keepdims=True)
             cand -= np.log(np.add.reduce(np.exp(cand), -1, keepdims=True))
             cand_y = np.exp(cand)
-            cand_force, cand_value = evaluate(cand, cand_y)
+            cand_force, cand_h = _regularizer_terms(cand, cand_y, lam, C, w)
+            cand_value = _einsum("...i,...i->...", V, cand_y) - beta * cand_h
             if left == searching.size:
-                accepted = cand, cand_y, cand_force, cand_value
+                accepted = cand, cand_y, cand_force, cand_h, cand_value
             else:
                 rows = searching[..., None]
                 accepted = (np.where(rows, cand, accepted[0]),
                             np.where(rows, cand_y, accepted[1]),
                             np.where(rows, cand_force, accepted[2]),
-                            np.where(searching, cand_value, accepted[3]))
+                            np.where(searching, cand_h, accepted[3]),
+                            np.where(searching, cand_value, accepted[4]))
             searching &= ~(cand_value >= floor)
             left = np.count_nonzero(searching)
             if not left:
@@ -215,12 +253,22 @@ def _newton_log(V, lam, C, w, beta, inner_tol, inner_max_iter, U):
                 t = np.ones(active.shape)
             t[searching] /= 2
             cand = U + t[..., None] * du
-        if accepted[0].tobytes() == U.tobytes():
+        moved = accepted[0].tobytes()
+        if moved == one_back:
             raise _inner_error(
                 f"stalled after {iteration + 1} iterations (the last step "
                 f"left every log-response unchanged bit for bit)", residual,
                 active, beta, iteration + 1)
-        U, Y, force, current = accepted
+        if moved == two_back and live == was_live:
+            # from here on each iteration repeats the one two back, so the
+            # capped run would end on the residual of the cap's parity
+            raise _inner_error(
+                f"stalled after {iteration + 1} iterations (the iterates "
+                f"alternate between two log-responses bit for bit)",
+                residual if (inner_max_iter - iteration) % 2 else last_finite,
+                active, beta, iteration + 1)
+        two_back, one_back = one_back, moved
+        U, Y, force, h, current = accepted
     raise _inner_error(f"hit {inner_max_iter} iterations", residual, active,
                        beta, inner_max_iter)
 
@@ -285,6 +333,50 @@ def _contraction_plan(tensor, n):
             tuple((m, shape[m]) for m in range(n)))
 
 
+class _NewtonGroup:
+    """The quadratic-entropy blocks of one dimension in a
+    :class:`FlatKernel`, and what their Newton argmax keeps between
+    responses.
+
+    ``lam``, ``curvature`` (``A^T A``) and ``w`` are stacked over
+    ``players``, and ``columns`` is a slice where the players' columns
+    are contiguous (in a square game, say), else an index array.  The
+    solve's :func:`_newton_frame` and its last accepted iterate, evaluated
+    (a :func:`_newton_start`), are kept for a batch of as many rows: the
+    next response warm-starts from that iterate and evaluates only the
+    objective there.  A batch of another size, or a response after a
+    failed solve, starts both afresh from the uniform point.
+    """
+
+    def __init__(self, players, slices, regularizers):
+        self.players = tuple(players)
+        columns = np.concatenate([np.arange(slices[n].start, slices[n].stop)
+                                  for n in players])
+        if np.all(np.diff(columns) == 1):
+            columns = slice(int(columns[0]), int(columns[-1]) + 1)
+        self.columns = columns
+        self.lam = np.array([regularizers[n].lam for n in players])
+        self.curvature = np.stack([regularizers[n].curvature
+                                   for n in players])
+        self.w = np.stack([regularizers[n].w for n in players])
+        self.frame = self.start = None
+
+    def respond(self, G, beta, cfg) -> np.ndarray:
+        """The Newton argmax of the group's blocks against the gradient
+        rows G, as ``(B, columns)`` responses."""
+        k = self.curvature.shape[-1]
+        V = G[:, self.columns].reshape(len(G), len(self.players), k)
+        start, self.start = self.start, None  # none after a failed solve
+        if start is None or start[0].shape != V.shape:
+            self.frame = _newton_frame(V, self.lam, self.curvature, beta)
+            start = _newton_start(np.full(V.shape, -np.log(k)), self.lam,
+                                  self.curvature, self.w)
+        self.start = _newton_solve(V, self.lam, self.curvature, self.w,
+                                   self.frame, start, cfg.inner_tol,
+                                   cfg.inner_max_iter)
+        return self.start[1].reshape(len(G), -1)
+
+
 class FlatKernel:
     """Response map, its Jacobian and the averaging update on stacked flat
     joint strategies.
@@ -309,9 +401,9 @@ class FlatKernel:
     sums, the renormalisation in :meth:`mix`) are one ``reduceat`` and one
     ``take`` back to the block's columns.
 
-    Quadratic-entropy blocks are grouped by dimension, each group's ``lam``,
-    ``A^T A`` and ``w`` stacked once, and each group's last log-response is
-    kept to warm-start the next Newton solve of a batch with as many rows.
+    Quadratic-entropy blocks are grouped by dimension (see
+    :class:`_NewtonGroup`); each group keeps its Newton argmax's frame and
+    last accepted iterate, evaluated, from one response to the next.
     """
 
     def __init__(self, game: NormalFormGame, cfg: SmoothedResponseConfig,
@@ -340,20 +432,12 @@ class FlatKernel:
         for n, r in enumerate(cfg.regularizers):
             if r.A is not None and r.dimension > 1:
                 by_dimension.setdefault(r.dimension, []).append(n)
-        # (players, their columns player by player, lam, A^T A, w)
         self._groups = tuple(
-            (tuple(players),
-             np.concatenate([np.arange(self.slices[n].start,
-                                       self.slices[n].stop)
-                             for n in players]),
-             np.array([cfg.regularizers[n].lam for n in players]),
-             np.stack([cfg.regularizers[n].curvature for n in players]),
-             np.stack([cfg.regularizers[n].w for n in players]))
+            _NewtonGroup(players, self.slices, cfg.regularizers)
             for players in by_dimension.values())
-        self._warm = [None] * len(self._groups)
         # whether some block (entropy, or of one action) is not in a group
-        self._needs_softmax = sum(len(columns) for _, columns, *_ in
-                                  self._groups) < sum(shape)
+        self._needs_softmax = (sum(map(len, by_dimension.values()))
+                               < len(shape))
         if game.num_players == 2:
             self._p0t = np.ascontiguousarray(game.payoffs[0].T)
         else:
@@ -410,18 +494,8 @@ class FlatKernel:
         else:
             Y = np.empty_like(G)
         # blocks of other regularizers replace their softmax columns
-        for g, (players, columns, lam, curvature, w) in enumerate(
-                self._groups):
-            k = curvature.shape[-1]
-            V = G[:, columns].reshape(len(X), len(players), k)
-            U = self._warm[g]
-            if U is None or U.shape != V.shape:
-                U = np.full(V.shape, -np.log(k))
-            self._warm[g] = None  # a failed solve leaves no warm start
-            U = _newton_log(V, lam, curvature, w, self.beta, cfg.inner_tol,
-                            cfg.inner_max_iter, U)
-            self._warm[g] = U
-            Y[:, columns] = np.exp(U).reshape(len(X), -1)
+        for group in self._groups:
+            Y[:, group.columns] = group.respond(G, self.beta, cfg)
         return Y
 
     def jacobian(self, X: np.ndarray) -> np.ndarray:
@@ -457,11 +531,12 @@ class FlatKernel:
         cross = jacobian_blocks(self.game, [X[:, s] for s in slices],
                                 [Y[:, s] > 0 for s in slices])
         pinvs = [entropy_pseudoinverse(Y[:, s]) for s in slices]
-        for players, columns, lam, curvature, _ in self._groups:
-            k = curvature.shape[-1]
-            y = Y[:, columns].reshape(len(X), len(players), k)
-            pinv = y[..., None] * face_solve(lam, curvature, y, np.eye(k))
-            for p, n in enumerate(players):
+        for group in self._groups:
+            k = group.curvature.shape[-1]
+            y = Y[:, group.columns].reshape(len(X), len(group.players), k)
+            pinv = y[..., None] * face_solve(group.lam, group.curvature, y,
+                                             np.eye(k))
+            for p, n in enumerate(group.players):
                 pinvs[n] = pinv[:, p]
         beta = np.asarray(self.beta)[..., None]
         J = np.zeros((len(X), X.shape[1], X.shape[1]))

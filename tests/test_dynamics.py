@@ -335,6 +335,28 @@ def test_fixed_batch_stops_stepping(monkeypatch):
     assert calls == [2] * 301
 
 
+def test_fixed_run_builds_its_strategies_once(monkeypatch):
+    # pennies from the uniform point is fixed from the first step, so a run
+    # recording every step builds as many strategies as it takes steps
+    # before the fixed test, not one per recorded step of its horizon
+    g, cfg = dyn(0.1, 0.005, 2000)
+    eq = sg.find_smoothed_equilibrium(g, cfg.response)
+    built = []
+    post_init = sg.JointStrategy.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(sg.JointStrategy, "__post_init__", counting)
+    traj = sg.run(g, cfg, sg.uniform_strategy(g.shape), reference=eq)
+    assert len(traj.points) == 2001 and len(traj.distances) == 2001
+    assert len(built) <= sg.dynamics.FIXED_CHECK_STRIDE + 1
+    assert traj.points[-1] is traj.final_point
+    assert set(traj.distances[sg.dynamics.FIXED_CHECK_STRIDE - 1:]) == {
+        traj.distances[-1]}
+
+
 def test_warm_start_bounds_newton_solves(monkeypatch):
     # a step moves x by O(eta), so the Newton argmax started from the last
     # log-response needs at most 3 stacked solves where a cold start needs 4+

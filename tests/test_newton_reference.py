@@ -200,3 +200,40 @@ def test_stalled_solve_fails_fast():
         sg.smoothed_argmax(1e6 * np.array([1.0, 0.3, -1.0]), r, 1e-2)
     assert err.value.iterations <= 3
     assert err.value.residual > 1e-12
+
+
+def test_alternating_solve_fails_fast():
+    # the iterates alternate between two log-responses from iteration 2 on,
+    # with the residual stuck above inner_tol, where the loop used to run
+    # all of inner_max_iter
+    r = sg.quadratic_entropy(0.5, 2.0 * np.eye(3), np.full(3, 1 / 3))
+    with pytest.raises(ConvergenceError, match="inner solver stalled") as err:
+        sg.smoothed_argmax(1e5 * np.array([1.0, 0.3, -1.0]), r, 1e-3)
+    assert "alternate" in str(err.value)
+    assert err.value.iterations <= 5
+    assert err.value.residual > 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 4, 5, 21, 42, 49])
+def test_alternating_solve_reports_the_capped_residual(seed):
+    # stacks at large payoffs and small beta whose iterates alternate, the
+    # two members at different residuals: the early error carries the
+    # residual and beta the capped loop ends on, at either parity of the cap
+    rng = np.random.default_rng(seed)
+    k, players, rows = (int(rng.integers(2, 5)), int(rng.integers(1, 3)),
+                        int(rng.integers(1, 3)))
+    lam = rng.uniform(0.05, 1.0, players)
+    A = rng.standard_normal((players, k, k)) + 2.0 * np.eye(k)
+    C = A.transpose(0, 2, 1) @ A
+    w = rng.dirichlet(np.ones(k), players)
+    V = rng.standard_normal((rows, players, k)) * 10.0 ** rng.uniform(3, 7)
+    beta = 10.0 ** rng.uniform(-4, -1)
+    residuals = set()
+    for cap in (200, 201):
+        args = (V, lam, C, w, beta, 1e-12, cap, np.full(V.shape, -np.log(k)))
+        want, got, _ = solve_both(args)
+        assert "hit" in str(want) and "alternate" in str(got)
+        assert got.iterations < 20
+        assert got.residual == want.residual and got.beta == want.beta
+        residuals.add(got.residual)
+    assert len(residuals) == 2

@@ -199,6 +199,36 @@ def test_pseudoinverse_identities(seed, k, quad, face):
     np.testing.assert_allclose(h @ p, (h @ p).T, atol=1e-8)
 
 
+def test_face_solve_is_numpy_solve_with_its_singular_error():
+    # the LAPACK routine is called without np.linalg.solve's wrapper: the
+    # same bits on random stacks, and the same error on a singular system,
+    # with and without a frame
+    rng = np.random.default_rng(5)
+    for lead, s, m in (((), 2, 1), ((3,), 3, 1), ((2, 3), 4, 4)):
+        lam = rng.uniform(0.1, 1.0, lead[-1:])
+        a = rng.standard_normal(lead + (s, s)) + 2.0 * np.eye(s)
+        curvature = a.swapaxes(-1, -2) @ a
+        y = rng.dirichlet(np.ones(s), lead)
+        rhs = rng.standard_normal(lead + (s, m))
+        kkt = np.zeros(lead + (s + 1, s + 1))
+        kkt[..., :s, :s] = curvature * y[..., None, :]
+        kkt[..., range(s), range(s)] += np.asarray(lam)[..., None]
+        kkt[..., :s, s] = 1.0
+        kkt[..., s, :s] = y
+        padded = np.concatenate([rhs, np.zeros(lead + (1, m))], axis=-2)
+        want = np.linalg.solve(kkt, padded)[..., :s, :]
+        frame = sg.regularizers.kkt_frame(lam, curvature, y, rhs)
+        for got in (sg.regularizers.face_solve(lam, curvature, y, rhs),
+                    sg.regularizers.face_solve(lam, curvature, y, rhs, frame)):
+            assert got.tobytes() == want.tobytes()
+    lam, curvature, y, rhs = (0.0, np.zeros((2, 2)), np.array([0.5, 0.5]),
+                              np.eye(2))
+    frame = sg.regularizers.kkt_frame(lam, curvature, y, rhs)
+    for args in ((), (frame,)):
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            sg.regularizers.face_solve(lam, curvature, y, rhs, *args)
+
+
 def test_entropy_pseudoinverse_agrees_with_eig_route():
     # the face solve (for entropy, diag(x) - x x^T) against the generic
     # eigendecomposition

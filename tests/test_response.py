@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import smoothgames as sg
 from smoothgames.errors import (ArgumentError, ConvergenceError, CyclingError,
                                 DimensionError)
-from smoothgames.response import FlatKernel, _newton_argmax
+from smoothgames.response import FlatKernel, _newton_argmax, _newton_log
 
 from conftest import (polymatrix_game, quadratic_regularizers, random_game,
                       random_interior)
@@ -292,6 +292,91 @@ def test_kernel_softmax_only_where_a_block_needs_it(monkeypatch, kinds,
             np.testing.assert_allclose(
                 Y[b, s], sg.smoothed_argmax(G[b, s], r, cfg.beta), rtol=0,
                 atol=1e-15)
+
+
+def reference_respond(kernel, X, warm):
+    """``FlatKernel.respond`` as it stood when each response built its
+    Newton argmax's frame and evaluated its start afresh: a group's columns
+    gathered by an index array, warm-started from its last log-responses
+    (``warm``, by group dimension) at the same row count, and none kept
+    after a failed solve."""
+    cfg = kernel.cfg
+    G = kernel.gradients(X)
+    Y = G / kernel.beta
+    Y -= kernel._block_totals(np.maximum, Y)
+    np.exp(Y, out=Y)
+    Y /= kernel._block_totals(np.add, Y)
+    by_dimension = {}
+    for n, r in enumerate(cfg.regularizers):
+        if r.A is not None and r.dimension > 1:
+            by_dimension.setdefault(r.dimension, []).append(n)
+    for k, players in by_dimension.items():
+        regs = [cfg.regularizers[n] for n in players]
+        columns = np.concatenate([np.arange(kernel.slices[n].start,
+                                            kernel.slices[n].stop)
+                                  for n in players])
+        V = G[:, columns].reshape(len(X), len(players), k)
+        U = warm.get(k)
+        if U is None or U.shape != V.shape:
+            U = np.full(V.shape, -np.log(k))
+        warm[k] = None
+        U = _newton_log(V, np.array([r.lam for r in regs]),
+                        np.stack([r.curvature for r in regs]),
+                        np.stack([r.w for r in regs]), kernel.beta,
+                        cfg.inner_tol, cfg.inner_max_iter, U)
+        warm[k] = U
+        Y[:, columns] = np.exp(U).reshape(len(X), -1)
+    return Y
+
+
+@pytest.mark.parametrize("kinds, shape", [
+    (("quadratic_entropy",) * 2, (3, 3)),   # one group over every column
+    (("quadratic_entropy",) * 2, (2, 3)),   # two groups, each a range
+    (("quadratic_entropy", "quadratic_entropy", "entropy"), (3, 3, 2)),
+    (("quadratic_entropy", "entropy", "quadratic_entropy"), (3, 2, 3)),
+])
+def test_kernel_newton_state_changes_no_bit(kinds, shape):
+    # the frame and the evaluated start a kernel keeps per group give what
+    # building both on every response gives, bit for bit: across changes
+    # of the row count, at a beta column, and after a failed solve
+    rng = np.random.default_rng(shape)
+    regs = tuple(quadratic_regularizers(rng, (k,))[0]
+                 if kind == "quadratic_entropy" else sg.entropy(k)
+                 for kind, k in zip(kinds, shape))
+    g = random_game(rng, shape)
+    cfg = sg.SmoothedResponseConfig(beta=0.05, regularizers=regs)
+
+    def batch(rows):
+        return np.stack([random_interior(rng, shape).concatenated()
+                         for _ in range(rows)])
+
+    def respond_both(kernel, warm, X):
+        want = reference_respond(kernel, X, warm)
+        got = kernel.respond(X)
+        assert got.tobytes() == want.tobytes()
+
+    kernel, warm = FlatKernel(g, cfg), {}
+    for rows in (1, 3, 3, 1, 1):
+        X = batch(rows)
+        respond_both(kernel, warm, X)
+        # a small move, which the warm start takes in a step or two
+        respond_both(kernel, warm, kernel.mix(X, batch(rows), 0.01))
+    beta = rng.uniform(0.01, 1.0, (3, 1))
+    kernel, warm = FlatKernel(g, cfg, beta=beta), {}
+    for _ in range(3):
+        respond_both(kernel, warm, batch(3))
+    # a solve that fails leaves no start behind, and the next one is cold
+    kernel, warm = FlatKernel(g, cfg), {}
+    respond_both(kernel, warm, batch(2))
+    kernel.cfg = dataclasses.replace(cfg, inner_max_iter=1)
+    X = batch(2)
+    with pytest.raises(ConvergenceError) as want:
+        reference_respond(kernel, X, warm)
+    with pytest.raises(ConvergenceError) as got:
+        kernel.respond(X)
+    assert str(got.value) == str(want.value)
+    kernel.cfg = cfg
+    respond_both(kernel, warm, batch(2))
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (2, 3, 4), (3, 1, 2),
