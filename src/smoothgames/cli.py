@@ -103,6 +103,14 @@ def _beta_schedule(target: float) -> list:
     return schedule
 
 
+def _solve_at(game, regs, beta):
+    """The smoothed equilibrium at ``beta``, traced along its
+    :func:`_beta_schedule`."""
+    schedule = _beta_schedule(beta)
+    cfg = SmoothedResponseConfig(beta=schedule[0], regularizers=regs)
+    return homotopy_trace(game, cfg, schedule)[-1]
+
+
 def _target(path):
     """stdout for a missing path or '-', else the path."""
     return sys.stdout if path in (None, "-") else path
@@ -124,11 +132,8 @@ def cmd_analyze(args) -> int:
     game = load_game(args.game)
     solve_info = None
     if args.solve:
-        regs = _parse_regularizers(args.reg, game.shape)
-        schedule = _beta_schedule(args.beta)
-        cfg = SmoothedResponseConfig(beta=schedule[0], regularizers=regs)
-        trace = homotopy_trace(game, cfg, schedule)
-        final = trace[-1]
+        final = _solve_at(game, _parse_regularizers(args.reg, game.shape),
+                          args.beta)
         point = final.point
         solve_info = {"beta": final.beta, "residual": final.residual,
                       "nash_gap": final.nash_gap}
@@ -205,9 +210,7 @@ def cmd_simulate(args) -> int:
     reference = None
     verdict = None
     try:
-        schedule = _beta_schedule(args.beta)
-        cfg0 = SmoothedResponseConfig(beta=schedule[0], regularizers=regs)
-        reference = homotopy_trace(game, cfg0, schedule)[-1]
+        reference = _solve_at(game, regs, args.beta)
     except ConvergenceError:
         if args.eta == "auto":
             raise

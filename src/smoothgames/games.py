@@ -1,7 +1,10 @@
 """N-player normal-form games as dense payoff tensors.
 
 Utilities are multilinear contractions of per-player payoff tensors against
-the joint mixed strategy.  All derivative objects (gradients, cross second
+the joint mixed strategy, made here alone: gradients (and utilities, their
+dot with the own block) by a :func:`gradient_plan`, at a point or a stack of
+points, and every other contraction by :func:`contract`, which keeps any set
+of players' axes.  All derivative objects (gradients, cross second
 derivatives, the game Jacobian) are kept in ambient coordinates; tangent-
 space versions are obtained by composing with the centering projection
 ``I - (1/k) 11^T``, so that one coordinate convention is shared across the
@@ -115,6 +118,64 @@ def block_diag(blocks) -> np.ndarray:
     for r, c, b in zip(rows, cols, blocks):
         out[..., r, c] = b
     return out
+
+
+# ---------------------------------------------------------------------------
+# payoff contractions against strategy blocks (no other module makes one)
+
+def gradient_plan(tensor, n) -> tuple:
+    """How :func:`planned_gradient` contracts player n's payoff tensor
+    against the other players' blocks.
+
+    Returns ``(first, matrix, back, front)``.  Block ``first`` times
+    ``matrix`` is one BLAS product: ``matrix`` is the tensor viewed as a
+    matrix (no copy for a C-contiguous tensor, but one of the transpose for
+    the first of two players) whose rows run over the last axis, or over
+    the first for the last player.  The other players' remaining axes
+    follow as row-wise products, the ``back`` ones from the last axis
+    inward and then the ``front`` ones from the first axis on, each a
+    ``(player, action count)`` pair.
+    """
+    shape = tensor.shape
+    last = len(shape) - 1
+    if n == last:
+        return (0, tensor.reshape(shape[0], -1), (),
+                tuple((m, shape[m]) for m in range(1, last)))
+    matrix = tensor.reshape(-1, shape[last]).T
+    if last == 1:
+        matrix = np.ascontiguousarray(matrix)
+    return (last, matrix,
+            tuple((m, shape[m]) for m in range(last - 1, n, -1)),
+            tuple((m, shape[m]) for m in range(n)))
+
+
+def planned_gradient(plan, blocks) -> np.ndarray:
+    """A player's ambient gradient at a stack of points, by its
+    :func:`gradient_plan`: ``blocks[m]`` is a ``(B, k_m)`` stack of player
+    m's strategies, and the result a ``(B, k_n)`` stack."""
+    first, matrix, back, front = plan
+    rows = len(blocks[0])
+    part = blocks[first] @ matrix
+    for m, k in back:
+        part = np.matmul(part.reshape(rows, -1, k), blocks[m][:, :, None])
+    for m, k in front:
+        part = np.matmul(blocks[m][:, None, :], part.reshape(rows, k, -1))
+    return part.reshape(rows, -1)
+
+
+def contract(tensor, blocks, keep) -> np.ndarray:
+    """Contract a payoff tensor against the blocks, which may carry leading
+    stack axes, of every player not in ``keep``: the stack axes, then one
+    axis per kept player in ``keep``'s order (with every player kept, the
+    tensor's axes in that order, which broadcast over any stack)."""
+    others = [p for p in range(tensor.ndim) if p not in keep]
+    if not others:
+        return np.transpose(tensor, keep)
+    axes = string.ascii_letters[:tensor.ndim]
+    spec = (axes + "," + ",".join("..." + axes[p] for p in others)
+            + "->..." + "".join(axes[p] for p in keep))
+    return np.einsum(spec, tensor, *(blocks[p] for p in others),
+                     optimize=False)
 
 
 # ---------------------------------------------------------------------------
@@ -282,31 +343,21 @@ def check_match(game: NormalFormGame, x: JointStrategy, *players, name="x"):
         check_index("player", n, game.num_players)
 
 
-def _contract_except(tensor: np.ndarray, blocks, keep) -> np.ndarray:
-    """Contract all axes except those in ``keep`` (given in ascending order)."""
-    out = tensor
-    # walk axes from the back so earlier axis numbers stay valid
-    for axis in reversed(range(len(blocks))):
-        if axis in keep:
-            continue
-        out = np.tensordot(out, blocks[axis], axes=([axis], [0]))
-    return out
-
-
 def utility(game: NormalFormGame, x: JointStrategy, n: int) -> float:
-    """Expected payoff of player n: the full multilinear contraction."""
-    check_match(game, x, n)
-    return float(_contract_except(game.payoffs[n], x.blocks, keep=()))
+    """Expected payoff of player n: its gradient dotted with its block."""
+    return float(gradient(game, x, n) @ x.blocks[n])
 
 
 def gradient(game: NormalFormGame, x: JointStrategy, n: int) -> np.ndarray:
     """Ambient gradient of f_n in block n.
 
     Entry i is the payoff of the pure action i against ``x_{-n}``; subtract
-    its mean for the tangent representation.
+    its mean for the tangent representation.  By the kernel's plan, so bit
+    for bit a ``FlatKernel`` gradient row.
     """
     check_match(game, x, n)
-    return np.asarray(_contract_except(game.payoffs[n], x.blocks, keep=(n,)))
+    return planned_gradient(gradient_plan(game.payoffs[n], n),
+                            [b[None] for b in x.blocks])[0]
 
 
 def cross_hessian(game: NormalFormGame, x: JointStrategy, n: int, m: int) -> np.ndarray:
@@ -319,24 +370,9 @@ def cross_hessian(game: NormalFormGame, x: JointStrategy, n: int, m: int) -> np.
     check_match(game, x, n, m)
     if n == m:
         raise ArgumentError("diagonal blocks are zero; use n != m")
-    k_n, k_m = game.shape[n], game.shape[m]
-    raw = _raw_cross(game, [b[None] for b in x.blocks], n, m)[0]
-    return centering_projection(k_n) @ raw @ centering_projection(k_m)
-
-
-def _raw_cross(game: NormalFormGame, blocks, n: int, m: int) -> np.ndarray:
-    """Stacked ``M[b, i, j] = f_n`` with ``x_n := e_i``, ``x_m := e_j`` and
-    the other players' blocks from row b of ``blocks``, a ``(B, k)`` stack
-    per player (n != m); with no other players, one ``(1, k_n, k_m)``
-    matrix for every row."""
-    others = [p for p in range(game.num_players) if p not in (n, m)]
-    if not others:  # constant in x: one matrix that broadcasts over rows
-        return (game.payoffs[n] if n < m else game.payoffs[n].T)[None]
-    axes = string.ascii_letters[:game.num_players]
-    spec = (axes + "," + ",".join("..." + axes[p] for p in others)
-            + "->..." + axes[n] + axes[m])
-    return np.einsum(spec, game.payoffs[n], *(blocks[p] for p in others),
-                     optimize=False)
+    raw = contract(game.payoffs[n], x.blocks, (n, m))
+    return (centering_projection(game.shape[n]) @ raw
+            @ centering_projection(game.shape[m]))
 
 
 def strategic_decompose(game: NormalFormGame, n: int) -> StrategicDecomposition:
@@ -370,8 +406,11 @@ class CanonicalForm:
 
     def utility(self, z: TangentVector, n: int) -> float:
         """Strategic utility at tangent coordinates z (x = base + z)."""
-        blocks = tuple(b + d for b, d in zip(self.base_point.blocks, z.blocks))
-        return float(_contract_except(self.game.payoffs[n], blocks, keep=()))
+        check_index("player", n, self.game.num_players)
+        blocks = [b + d for b, d in zip(self.base_point.blocks, z.blocks)]
+        plan = gradient_plan(self.game.payoffs[n], n)
+        return float(planned_gradient(plan, [b[None] for b in blocks])[0]
+                     @ blocks[n])
 
 
 def to_canonical(game: NormalFormGame, x_star: JointStrategy) -> CanonicalForm:
@@ -588,7 +627,7 @@ def jacobian_blocks(game: NormalFormGame, blocks, masks) -> tuple:
     for n, p_n in enumerate(projections):
         rows.append(tuple(
             np.zeros(p_n.shape) if n == m
-            else p_n @ _raw_cross(game, blocks, n, m) @ p_m
+            else p_n @ contract(game.payoffs[n], blocks, (n, m)) @ p_m
             for m, p_m in enumerate(projections)))
     return tuple(rows)
 

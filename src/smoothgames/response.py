@@ -38,8 +38,8 @@ from .errors import (ArgumentError, ConvergenceError, CyclingError,
                      DimensionError, check_array, check_count, check_index,
                      check_real, check_sequence, check_type)
 from .games import (JointStrategy, NormalFormGame, block_diag, block_slices,
-                    epsilon_nash_gap, jacobian_blocks, tangent_basis,
-                    uniform_strategy)
+                    epsilon_nash_gap, gradient_plan, jacobian_blocks,
+                    planned_gradient, tangent_basis, uniform_strategy)
 from .regularizers import (Regularizer, entropy, entropy_pseudoinverse,
                            face_solve, kkt_frame)
 
@@ -311,28 +311,6 @@ def linear_steepness_probe(r: Regularizer, i: int, eps: float, betas,
 # ---------------------------------------------------------------------------
 # flat batched kernel
 
-def _contraction_plan(tensor, n):
-    """How :meth:`FlatKernel.gradients` contracts player n's payoff tensor
-    against the other players' blocks, for three or more players.
-
-    Returns ``(first, matrix, back, front)``.  Block ``first`` times
-    ``matrix`` is one BLAS product: ``matrix`` is the tensor viewed as a
-    matrix (no copy for a C-contiguous tensor) whose rows run over the
-    last axis, or over the first for the last player.  The other players'
-    remaining axes follow as row-wise products, the ``back`` ones from the
-    last axis inward and then the ``front`` ones from the first axis on,
-    each a ``(player, action count)`` pair.
-    """
-    shape = tensor.shape
-    last = len(shape) - 1
-    if n == last:
-        return (0, tensor.reshape(shape[0], -1), (),
-                tuple((m, shape[m]) for m in range(1, last)))
-    return (last, tensor.reshape(-1, shape[last]).T,
-            tuple((m, shape[m]) for m in range(last - 1, n, -1)),
-            tuple((m, shape[m]) for m in range(n)))
-
-
 class _NewtonGroup:
     """The quadratic-entropy blocks of one dimension in a
     :class:`FlatKernel`, and what their Newton argmax keeps between
@@ -392,14 +370,11 @@ class FlatKernel:
     takes an eta column.  A batch of rows at different betas thus agrees
     with per-beta batches of as many rows.
 
-    Gradients of two players are two matrix products.  With more players,
-    each player's payoff tensor is contracted by one BLAS product against
-    the last player's block (the first player's, for the last player),
-    with the tensor viewed as a matrix rather than copied, and then by
-    row-wise products over the remaining axes; the order is fixed when
-    the kernel is built.  Block-wise totals (the softmax's maxima and
-    sums, the renormalisation in :meth:`mix`) are one ``reduceat`` and one
-    ``take`` back to the block's columns.
+    Gradients follow one :func:`games.gradient_plan` per player, made when
+    the kernel is built, so a row's are :func:`games.gradient`'s bit for
+    bit.  Block-wise totals (the softmax's maxima and sums, the
+    renormalisation in :meth:`mix`) are one ``reduceat`` and one ``take``
+    back to the block's columns.
 
     Quadratic-entropy blocks are grouped by dimension (see
     :class:`_NewtonGroup`); each group keeps its Newton argmax's frame and
@@ -438,11 +413,8 @@ class FlatKernel:
         # whether some block (entropy, or of one action) is not in a group
         self._needs_softmax = (sum(map(len, by_dimension.values()))
                                < len(shape))
-        if game.num_players == 2:
-            self._p0t = np.ascontiguousarray(game.payoffs[0].T)
-        else:
-            self._plans = tuple(_contraction_plan(tensor, n)
-                                for n, tensor in enumerate(game.payoffs))
+        self._plans = tuple(gradient_plan(tensor, n)
+                            for n, tensor in enumerate(game.payoffs))
 
     def flatten(self, x: JointStrategy, what="x") -> np.ndarray:
         """The concatenated vector of ``what``, a strategy of this game's
@@ -460,21 +432,8 @@ class FlatKernel:
     def gradients(self, X: np.ndarray) -> np.ndarray:
         """Payoff of each pure action against the other blocks of each row."""
         blocks = [X[:, s] for s in self.slices]
-        if len(blocks) == 2:
-            parts = [blocks[1] @ self._p0t, blocks[0] @ self.game.payoffs[1]]
-        else:
-            rows = len(X)
-            parts = []
-            for first, matrix, back, front in self._plans:
-                part = blocks[first] @ matrix
-                for m, k in back:
-                    part = np.matmul(part.reshape(rows, -1, k),
-                                     blocks[m][:, :, None])
-                for m, k in front:
-                    part = np.matmul(blocks[m][:, None, :],
-                                     part.reshape(rows, k, -1))
-                parts.append(part.reshape(rows, -1))
-        return np.concatenate(parts, axis=1)
+        return np.concatenate([planned_gradient(plan, blocks)
+                               for plan in self._plans], axis=1)
 
     def _block_totals(self, ufunc, X):
         return ufunc.reduceat(X, self._starts, axis=1).take(self._owner, 1)

@@ -25,7 +25,7 @@ from .errors import (ArgumentError, DimensionError, DomainError,
                      check_sequence, check_type)
 from .games import (GameJacobian, JointStrategy, NormalFormGame,
                     TangentVector, block_diag, block_slices, check_match,
-                    game_jacobian, perturb_strategy, utility)
+                    contract, game_jacobian, perturb_strategy, utility)
 
 EDGE_TOL = 1e-10          # Frobenius threshold for interaction-graph edges
 SKEW_RESIDUAL_TOL = 1e-8  # certificate feasibility threshold
@@ -312,14 +312,18 @@ def pareto_improvement_search(jac: GameJacobian, num_restarts=20, rng_seed=0,
     check_count("iters", iters)
     check_count("rng_seed", rng_seed)
     j_t, bases, dims = check_type("jac", jac, GameJacobian).tangent()
-    return _improvement_direction(j_t, bases, dims,
-                                  solve_skew_certificate(jac).lambdas,
-                                  num_restarts, rng_seed, iters)
+    z = _improvement_direction(j_t, dims, solve_skew_certificate(jac).lambdas,
+                               num_restarts, rng_seed, iters)
+    if z is None:
+        return None
+    return TangentVector(blocks=tuple(b @ z[sl] for b, sl in
+                                      zip(bases, block_slices(dims))))
 
 
-def _improvement_direction(j_t, bases, dims, lambdas, num_restarts=20,
-                           rng_seed=0, iters=400):
-    """Joint improvement direction of the tangent Jacobian ``j_t``, or None.
+def _improvement_direction(j_t, dims, lambdas, num_restarts=20, rng_seed=0,
+                           iters=400):
+    """Joint improvement direction of the tangent Jacobian ``j_t``, in its
+    tangent coordinates, or None.
 
     Runs the ascent only when ``_no_joint_improvement`` cannot rule a
     direction out with the weights ``lambdas``.
@@ -332,7 +336,7 @@ def _improvement_direction(j_t, bases, dims, lambdas, num_restarts=20,
             return None
     if _no_joint_improvement(j_t, dims, lambdas):
         return None
-    return _pareto_ascent(j_t, bases, dims, num_restarts, rng_seed, iters)
+    return _pareto_ascent(j_t, dims, num_restarts, rng_seed, iters)
 
 
 def _no_joint_improvement(j_t, dims, lambdas) -> bool:
@@ -363,9 +367,9 @@ def _weighted_symmetric_part(j_t, dims, lambdas):
     return weighted + weighted.T
 
 
-def _pareto_ascent(j_t, bases, dims, num_restarts, rng_seed, iters):
+def _pareto_ascent(j_t, dims, num_restarts, rng_seed, iters):
     """Softmin ascent on min_n z_n^T (J z)_n over unit tangent blocks; the
-    best direction in ambient coordinates if it beats IMPROVEMENT_TOL."""
+    best z if it beats IMPROVEMENT_TOL."""
     slices = block_slices(dims)
     rng = np.random.default_rng(rng_seed)
 
@@ -402,8 +406,7 @@ def _pareto_ascent(j_t, bases, dims, num_restarts, rng_seed, iters):
             best_val, best_z = scores.min(), z.copy()
     if best_val <= IMPROVEMENT_TOL or best_z is None:
         return None
-    return TangentVector(blocks=tuple(b @ best_z[sl]
-                                      for b, sl in zip(bases, slices)))
+    return best_z
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +501,12 @@ def _sampled_conditioners(dims, num_conditioners, j_t, rng):
             yield [s[i] for s in stacks], real
 
 
-def _stretch_conditioner(j_t, bases, dims, lambdas, rng_seed):
+def _stretch_conditioner(j_t, dims, lambdas, rng_seed):
     """Per-block pd_stretch conditioners mapping a joint improvement
     direction z to J z, or None when there is no such direction."""
-    direction = _improvement_direction(j_t, bases, dims, lambdas,
-                                       rng_seed=rng_seed)
-    if direction is None:
+    z = _improvement_direction(j_t, dims, lambdas, rng_seed=rng_seed)
+    if z is None:
         return None
-    z = np.concatenate([b.T @ d for b, d in zip(bases, direction.blocks)])
     jz = j_t @ z
     try:
         return [pd_stretch(jz[sl], z[sl]) for sl in block_slices(dims)]
@@ -552,8 +553,7 @@ def uniform_stability_check(jac: GameJacobian, num_conditioners=100,
                 found = h_blocks, real
                 break
     if found is None:
-        h_blocks = _stretch_conditioner(j_t, bases, dims, cert.lambdas,
-                                        rng_seed)
+        h_blocks = _stretch_conditioner(j_t, dims, cert.lambdas, rng_seed)
         if h_blocks is not None:
             real = _max_real_eig(h_blocks, j_t)
             if real > WITNESS_REAL_TOL:
@@ -693,12 +693,8 @@ def _improving_profile(game, x_star, base, members, lattices):
     """
     better = True
     for n in members:
-        t = game.payoffs[n]
-        # contract the players held at x_star first (from the back, axes
-        # stay valid)
-        for axis in reversed(range(game.num_players)):
-            if axis not in members:
-                t = np.tensordot(t, x_star.blocks[axis], axes=([axis], [0]))
+        # the players held at x_star first, leaving one axis per member
+        t = contract(game.payoffs[n], x_star.blocks, members)
         # each tensordot consumes the leading axis and appends a lattice
         # index at the end, so the result is indexed by members in order
         for m in members:

@@ -362,6 +362,128 @@ def test_oversized_game_exits_4(capsys, tmp_path):
     assert "exceeds" in err
 
 
+@pytest.mark.parametrize("betas, message", [
+    ("1,a", "bad numeric list '1,a'"),
+    (",", "empty numeric list ','"),
+], ids=["non_number", "empty"])
+def test_bad_beta_list_exits_2(capsys, betas, message):
+    code, out, err = run_cli(capsys, ["equilibrium", "matching_pennies",
+                                      "--betas", betas])
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("at, message", [
+    ("pure:a,b", "bad pure-strategy spec 'pure:a,b'"),
+    ("0.5,0.5", "point spec has 1 blocks for 2 players"),
+], ids=["bad_pure", "block_count"])
+def test_bad_point_spec_exits_2(capsys, at, message):
+    code, out, err = run_cli(capsys, ["analyze", "matching_pennies",
+                                      "--at", at])
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("reg, message", [
+    ("{bad", "regularizer spec is not JSON"),
+    ("3", "regularizer spec must be a JSON object or list"),
+], ids=["not_json", "neither_object_nor_list"])
+def test_bad_regularizer_spec_exits_2(capsys, reg, message):
+    code, out, err = run_cli(capsys, ["analyze", "matching_pennies",
+                                      "--solve", "--reg", reg])
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def _quadratic_spec(k):
+    return {"kind": "quadratic_entropy", "lambda": 0.5,
+            "A": (2.0 * np.eye(k)).tolist(), "w": np.eye(k)[0].tolist()}
+
+
+def test_per_player_regularizer_list_applies_in_order(capsys, tmp_path):
+    # a (2, 3) game: the quadratic spec fits player 0 only
+    rng = np.random.default_rng(3)
+    path = write_game(tmp_path, "g23", [rng.normal(size=(2, 3)),
+                                        rng.normal(size=(2, 3))])
+    argv = ["equilibrium", path, "--betas", "1"]
+    code, by_player, _ = run_cli(capsys, argv + [
+        "--reg", json.dumps([_quadratic_spec(2), {"kind": "entropy"}])])
+    assert code == 0
+    code, entropic, _ = run_cli(capsys, argv + ["--reg", "entropy"])
+    assert code == 0
+    # player 0's quadratic term moves the traced equilibrium
+    assert by_player != entropic
+    assert len(list(csv.reader(io.StringIO(by_player)))) == 2
+    code, _, err = run_cli(capsys, argv + [
+        "--reg", json.dumps([{"kind": "entropy"}, _quadratic_spec(2)])])
+    assert code == 2
+    assert "regularizer dimension 2 does not match expected 3" in err
+
+
+def test_per_player_regularizer_list_of_the_wrong_length_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["analyze", "matching_pennies", "--solve",
+                                      "--reg", json.dumps([_quadratic_spec(2)])])
+    assert code == 2
+    assert out == ""
+    assert "1 regularizer specs for 2 players" in err
+
+
+def test_analyze_solve_at_a_beta_above_one_solves_there_alone(capsys):
+    # the schedule of a target at or above 1 is the target alone
+    code, out, _ = run_cli(capsys, ["analyze", "coordination_2x2", "--solve",
+                                    "--beta", "2"])
+    assert code == 0
+    solved = json.loads(out)["solved"]
+    assert solved["beta"] == 2.0
+    assert solved["residual"] <= 1e-10
+
+
+def cycling_game(tmp_path):
+    """A 3x3 zero-sum game whose homotopy towards beta = 0.003 cycles."""
+    t1 = np.random.default_rng(0).normal(size=(3, 3))
+    return write_game(tmp_path, "zs", [t1, -t1])
+
+
+def test_simulate_auto_eta_exits_3_when_the_homotopy_fails(capsys, tmp_path):
+    code, out, err = run_cli(capsys, ["simulate", cycling_game(tmp_path),
+                                      "--beta", "0.003", "--horizon", "3"])
+    assert code == 3
+    assert out == ""
+    assert "homotopy failed" in err
+
+
+def test_simulate_explicit_eta_runs_without_an_equilibrium(capsys, tmp_path):
+    code, out, err = run_cli(capsys, ["simulate", cycling_game(tmp_path),
+                                      "--beta", "0.003", "--eta", "0.1",
+                                      "--horizon", "3"])
+    assert code == 0
+    assert "smoothed equilibrium not found; distance column will be empty" \
+        in err
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0][7:] == ["distance", "spectral_radius", "classification"]
+    assert len(rows) == 5  # t = 0..3
+    assert all(r[7:] == ["", "", ""] for r in rows[1:])
+
+
+@pytest.mark.parametrize("spec, envelope", [
+    ({"kind": "entropy"}, True),
+    (_quadratic_spec(3), False),
+], ids=["entropy", "quadratic_entropy"])
+def test_probe_accepts_a_json_spec(capsys, spec, envelope):
+    code, out, _ = run_cli(capsys, ["probe-steepness", "--spec",
+                                    json.dumps(spec), "--dim", "3",
+                                    "--betas", "0.2,0.1"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["beta", "ratio", "entropy_envelope"]
+    assert len(rows) == 3
+    assert all(float(r[1]) > 0 for r in rows[1:])
+    assert all((r[2] != "") == envelope for r in rows[1:])
+
+
 # ---------------------------------------------------------------------------
 # output and parsing plumbing
 

@@ -1,5 +1,6 @@
 import ast
 import json
+import string
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import smoothgames as sg
 from smoothgames.errors import (ArgumentError, DimensionError, DomainError,
                                 ParseError, ResourceError)
+from smoothgames.games import _face_projections, jacobian_blocks
 
 from conftest import nonstrategic_offsets, random_game, random_interior
 
@@ -254,6 +256,41 @@ def test_gradient_entries_are_pure_payoffs(seed, shape):
             assert abs(grad[i] - sg.utility(g, sg.replace_block(x, n, e), n)) <= 1e-12
 
 
+def reference_raw_cross(game, blocks, n, m):
+    """The cross-derivative einsum of ``jacobian_blocks`` as it stood
+    before ``games.contract`` took it over: ``M[b, i, j] = f_n`` with
+    ``x_n := e_i``, ``x_m := e_j`` and the other blocks from row b."""
+    others = [p for p in range(game.num_players) if p not in (n, m)]
+    if not others:
+        return (game.payoffs[n] if n < m else game.payoffs[n].T)[None]
+    axes = string.ascii_letters[:game.num_players]
+    spec = (axes + "," + ",".join("..." + axes[p] for p in others)
+            + "->..." + axes[n] + axes[m])
+    return np.einsum(spec, game.payoffs[n], *(blocks[p] for p in others),
+                     optimize=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, players=st.integers(2, 4), rows=st.integers(1, 6))
+def test_jacobian_blocks_match_the_frozen_einsum_bit_for_bit(seed, players,
+                                                             rows):
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(k) for k in rng.integers(1, 5, players))
+    g = random_game(rng, shape)
+    blocks = [rng.dirichlet(np.ones(k), rows) for k in shape]
+    masks = [rng.random((rows, k)) < 0.8 for k in shape]
+    got = jacobian_blocks(g, blocks, masks)
+    projections = [_face_projections(mask) for mask in masks]
+    for n, p_n in enumerate(projections):
+        for m, p_m in enumerate(projections):
+            if n == m:
+                assert not got[n][m].any()
+                continue
+            want = p_n @ reference_raw_cross(g, blocks, n, m) @ p_m
+            assert got[n][m].shape == (rows, shape[n], shape[m])
+            assert got[n][m].tobytes() == want.tobytes()
+
+
 def test_cross_hessian_rejects_diagonal():
     g = pennies()
     with pytest.raises(ArgumentError):
@@ -345,6 +382,13 @@ def test_canonical_utility_at_origin():
         grad = sg.gradient(g, base, n)
         strategic = sg.utility(g, base, n) - grad.mean()
         assert abs(canon.utility(zero, n) - strategic) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [-1, 2, 1.5, True])
+def test_canonical_utility_checks_the_player_index(n):
+    canon = sg.to_canonical(pennies(), sg.uniform_strategy((2, 2)))
+    with pytest.raises(ArgumentError, match="player"):
+        canon.utility(sg.TangentVector((np.zeros(2), np.zeros(2))), n)
 
 
 # ---------------------------------------------------------------------------

@@ -237,3 +237,26 @@ def test_alternating_solve_reports_the_capped_residual(seed):
         assert got.residual == want.residual and got.beta == want.beta
         residuals.add(got.residual)
     assert len(residuals) == 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_solve_fails_at_once():
+    # payoffs at the edge of the float range: the first step's objective
+    # overflows, so the solve stops at iteration 1 with the residual of
+    # iteration 0, as the frozen loop does
+    r = sg.quadratic_entropy(0.5, 2.0 * np.eye(3), np.full(3, 1 / 3))
+    v = np.array([1e308, -1e308, 0.0])
+    message = ("inner solver went non-finite at iteration 1; last finite "
+               "residual 1.000e+308")
+    with pytest.raises(ConvergenceError) as err:
+        sg.smoothed_argmax(v, r, 1e-3)
+    assert str(err.value) == message
+    assert err.value.iterations == 1 and err.value.beta == 1e-3
+    args = (v[None], np.array([r.lam]), r.curvature[None], r.w[None], 1e-3,
+            1e-12, 10_000, np.full((1, 3), -np.log(3)))
+    want, got, _ = solve_both(args)
+    for outcome in (want, got):
+        assert isinstance(outcome, ConvergenceError)
+        assert str(outcome) == message
+        assert outcome.residual == err.value.residual
+        assert outcome.iterations == 1

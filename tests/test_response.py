@@ -396,6 +396,23 @@ def test_kernel_gradients_match_per_player_gradient(shape, rows):
                                        atol=1e-12 * np.abs(expected).max())
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (3, 5), (5, 2), (2, 3, 4),
+                                   (4, 1, 3), (2, 3, 1, 2), (3, 2, 4, 2)])
+def test_point_gradient_and_utility_are_the_kernels_bit_for_bit(shape):
+    # the point-level gradient follows the kernel's plan, and the utility
+    # is that gradient dotted with the player's block
+    rng = np.random.default_rng(sum(shape) * 10 + len(shape))
+    g = random_game(rng, shape)
+    kernel = FlatKernel(g, sg.entropy_config(g, 0.5))
+    for _ in range(5):
+        x = random_interior(rng, shape)
+        G = kernel.gradients(kernel.flatten(x)[None, :])
+        for n, s in enumerate(kernel.slices):
+            grad = sg.gradient(g, x, n)
+            assert grad.tobytes() == G[0, s].tobytes()
+            assert sg.utility(g, x, n) == float(grad @ x.blocks[n])
+
+
 def test_kernel_beta_column_is_checked_entrywise():
     g = random_game(np.random.default_rng(0), (2, 2))
     cfg = sg.entropy_config(g, 0.5)

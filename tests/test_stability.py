@@ -319,8 +319,8 @@ def _per_conditioner_check(jac, num_conditioners, rng_seed):
                 found = h_blocks, real
                 break
     if found is None:
-        h_blocks = stability._stretch_conditioner(j_t, bases, dims,
-                                                  cert.lambdas, rng_seed)
+        h_blocks = stability._stretch_conditioner(j_t, dims, cert.lambdas,
+                                                  rng_seed)
         if h_blocks is not None:
             real = _one_max_real_eig(h_blocks, j_t)
             if real > stability.WITNESS_REAL_TOL:
@@ -475,9 +475,11 @@ def test_witness_values_are_pinned():
     shape = (3, 2, 4)
     g = random_game(rng, shape)
     jac = game_jacobian(g, random_interior(rng, shape))
+    # the stretched witness is built from the ascent's direction in tangent
+    # coordinates
     stretched = uniform_stability_check(jac, num_conditioners=0, rng_seed=3)
-    assert stretched.witness_real_part == 1.3935327130470092
-    assert verify_witness(jac, stretched.witness) == 1.393532713047009
+    assert stretched.witness_real_part == 1.393532713047009
+    assert verify_witness(jac, stretched.witness) == 1.3935327130470094
     sampled = uniform_stability_check(jac, rng_seed=3)
     assert sampled.witness_real_part == 7.644976136545052
     assert verify_witness(jac, sampled.witness) == 7.644976136545041
@@ -801,7 +803,7 @@ def test_dual_bound_never_skips_an_improvement(seed, n_players, noise):
             z[sl] /= np.linalg.norm(z[sl])
         jz = j_t @ z
         assert min(z[sl] @ jz[sl] for sl in slices) <= IMPROVEMENT_TOL
-    assert stability._pareto_ascent(j_t, bases, dims, num_restarts=3,
+    assert stability._pareto_ascent(j_t, dims, num_restarts=3,
                                     rng_seed=seed, iters=200) is None
 
 
