@@ -12,7 +12,6 @@ predictions at a quasi-strict equilibrium as beta shrinks, and sweeps
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -476,6 +475,9 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
     tasks = [(game, start, rows[i:i + SWEEP_CHUNK])
              for i in range(0, len(rows), SWEEP_CHUNK)]
     if jobs > 1 and len(tasks) > 1:
+        # imported here: it loads multiprocessing, logging, socket and
+        # subprocess, which a single-process sweep never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             computed = list(pool.map(_sweep_chunk, tasks))
     else:

@@ -51,7 +51,7 @@ class ConvergenceError(GameError, RuntimeError):
 class CyclingError(ConvergenceError):
     """The solver residual stagnated, suggesting a non-contractive regime:
     it failed to improve over a full stagnation window, or the step size
-    collapsed below the residual band first.  ``residual`` and
+    collapsed below the step floor first.  ``residual`` and
     ``last_point`` are the best residual and iterate seen, and
     ``iterations`` counts the damped steps taken."""
 

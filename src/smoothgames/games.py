@@ -405,9 +405,16 @@ class CanonicalForm:
     base_point: JointStrategy
 
     def utility(self, z: TangentVector, n: int) -> float:
-        """Strategic utility at tangent coordinates z (x = base + z)."""
+        """Strategic utility at tangent coordinates z (x = base + z): z
+        needs one finite block per player, of that player's length."""
         check_index("player", n, self.game.num_players)
-        blocks = [b + d for b, d in zip(self.base_point.blocks, z.blocks)]
+        shape = self.game.shape
+        if len(check_type("z", z, TangentVector).blocks) != len(shape):
+            raise DimensionError(f"z has {len(z.blocks)} blocks, expected "
+                                 f"one per player ({len(shape)})")
+        blocks = [b + check_array(f"z block {m}", d, (k,))
+                  for m, (b, d, k) in enumerate(
+                      zip(self.base_point.blocks, z.blocks, shape))]
         plan = gradient_plan(self.game.payoffs[n], n)
         return float(planned_gradient(plan, [b[None] for b in blocks])[0]
                      @ blocks[n])

@@ -45,9 +45,11 @@ from .regularizers import (Regularizer, entropy, entropy_pseudoinverse,
 
 STAGNATION_WINDOW = 500
 STAGNATION_FACTOR = 0.99
-# relative band within which the solver's residual counts as not grown; a
-# step of relative size below it changes the residual by less than that
+# relative band within which the solver's residual counts as not grown
 RESIDUAL_BAND = 1e-12
+# least damping factor of the solver: a walk that halves eta below it has
+# stalled, and stops there rather than idle out its stagnation window
+STEP_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -559,9 +561,9 @@ def find_smoothed_equilibrium(game: NormalFormGame, cfg: SmoothedResponseConfig,
     outer_tol.  A residual that fails to improve by the stagnation factor
     over a full window raises a cycling error — near instability the
     iteration orbits instead of converging, and smaller beta only sharpens
-    that.  So does a halving that takes eta below ``RESIDUAL_BAND``: such a
-    step moves the residual by less than the band resolves, so the walk
-    would only idle out its window.
+    that.  So does a halving that takes eta below ``STEP_FLOOR``: a walk
+    that shrinks its steps that far has stalled.  Either way the error
+    carries the best residual seen and the point it was seen at.
     """
     kernel = FlatKernel(game, cfg)
     check_real("outer_tol", outer_tol)
@@ -609,10 +611,10 @@ def find_smoothed_equilibrium(game: NormalFormGame, cfg: SmoothedResponseConfig,
             eta = min(1.0, eta * 1.2)
         else:
             eta = eta / 2
-            if eta < RESIDUAL_BAND:
+            if eta < STEP_FLOOR:
                 raise cycling(
                     f"step size collapsed to eta={eta:.3e}, below the "
-                    f"residual band {RESIDUAL_BAND:g}, after {iteration} "
+                    f"step floor {STEP_FLOOR:g}, after {iteration} "
                     f"steps at beta={cfg.beta:g}; residual stagnated near "
                     f"{best_residual:.3e}", iteration)
         prev_residual = residual

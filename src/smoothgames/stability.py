@@ -104,8 +104,13 @@ def _spanning_forest(jac: GameJacobian):
 
 
 def interaction_graph(jac: GameJacobian) -> InteractionGraph:
-    n_players = check_type("jac", jac, GameJacobian).num_players
-    norms, tree = _spanning_forest(jac)
+    check_type("jac", jac, GameJacobian)
+    return _interaction_graph(jac, *_spanning_forest(jac))
+
+
+def _interaction_graph(jac, norms, tree) -> InteractionGraph:
+    """The graph of jac, from its ``_spanning_forest``."""
+    n_players = jac.num_players
     edges = frozenset((n, m) for n in range(n_players)
                       for m in range(n_players)
                       if n != m and norms[n, m] > EDGE_TOL)
@@ -145,10 +150,14 @@ def solve_skew_certificate(jac: GameJacobian) -> SkewCertificate:
     The residual is evaluated over all ordered pairs, so non-tree (cycle)
     edges are checked for consistency as well.
     """
-    n_players = check_type("jac", jac, GameJacobian).num_players
-    blocks = jac.blocks
-    norms, tree = _spanning_forest(jac)
+    check_type("jac", jac, GameJacobian)
+    return _skew_certificate(jac, *_spanning_forest(jac))
 
+
+def _skew_certificate(jac, norms, tree) -> SkewCertificate:
+    """The certificate of jac, from its ``_spanning_forest``."""
+    n_players = jac.num_players
+    blocks = jac.blocks
     lambdas = np.ones(n_players)
     rejected = False
     for parent, child in tree:
@@ -534,8 +543,9 @@ def uniform_stability_check(jac: GameJacobian, num_conditioners=100,
     """
     check_count("num_conditioners", num_conditioners)
     check_count("rng_seed", rng_seed)
-    cert = solve_skew_certificate(jac)
-    graph = interaction_graph(jac)
+    forest = _spanning_forest(check_type("jac", jac, GameJacobian))
+    cert = _skew_certificate(jac, *forest)
+    graph = _interaction_graph(jac, *forest)
     if cert.feasible and graph.connected and graph.bidirectional:
         return UniformStabilityReport(pointwise="stable", certificate=cert,
                                       graph=graph)

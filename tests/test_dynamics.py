@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -580,6 +583,18 @@ def test_sweep_parallel_matches_serial():
         assert a.final_distance == b.final_distance
         assert a.verdict.jacobian_spectral_radius == \
             b.verdict.jacobian_spectral_radius
+
+
+def test_import_loads_no_process_pool():
+    # the pool is imported by a sweep with jobs > 1, not by the package
+    pool_modules = ("concurrent.futures.process", "multiprocessing",
+                    "logging", "socket", "subprocess")
+    code = ("import sys, smoothgames, smoothgames.cli; "
+            f"print([m for m in {pool_modules!r} if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_sweep_batches_do_not_depend_on_jobs():

@@ -391,6 +391,26 @@ def test_canonical_utility_checks_the_player_index(n):
         canon.utility(sg.TangentVector((np.zeros(2), np.zeros(2))), n)
 
 
+def _non_finite_direction():
+    # a TangentVector refuses non-finite blocks, but its arrays stay writable
+    z = sg.TangentVector((np.zeros(2), np.zeros(2)))
+    z.blocks[0][:] = np.nan
+    return z
+
+
+@pytest.mark.parametrize("z, error, match", [
+    (sg.TangentVector((np.zeros(3), np.zeros(2))), DimensionError, "block 0"),
+    (sg.TangentVector((np.zeros(2),)), DimensionError, "1 blocks"),
+    (None, ArgumentError, "TangentVector"),
+    (_non_finite_direction(), ArgumentError, "finite"),
+], ids=["wrong_length", "too_few_blocks", "none", "non_finite"])
+def test_canonical_utility_checks_the_direction(z, error, match):
+    # each of these leaked a numpy or Python error, or returned NaN
+    canon = sg.to_canonical(pennies(), sg.uniform_strategy((2, 2)))
+    with pytest.raises(error, match=match):
+        canon.utility(z, 0)
+
+
 # ---------------------------------------------------------------------------
 # best responses and Nash gap
 

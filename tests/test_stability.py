@@ -179,6 +179,27 @@ def test_certificate_recovers_known_weights(kind):
         assert np.abs(cert.lambdas - target).max() <= 1e-9 * target.max()
 
 
+@pytest.mark.parametrize("kind", ["path", "cycle", "complete"])
+def test_check_builds_one_spanning_forest(monkeypatch, kind):
+    # the certificate and the graph share one forest, and agree with the
+    # public functions that build their own
+    rng = np.random.default_rng(11)
+    dims = [2, 3, 2, 4]
+    jac = skew_jacobian(rng, dims, np.ones(4), graph_edges(kind, 4))
+    calls = []
+    forest = stability._spanning_forest
+    monkeypatch.setattr(stability, "_spanning_forest",
+                        lambda jac: calls.append(1) or forest(jac))
+    report = uniform_stability_check(jac)
+    assert len(calls) == 1
+    assert report.pointwise == "stable"
+    assert report.graph == interaction_graph(jac)
+    cert = solve_skew_certificate(jac)
+    assert (report.certificate.lambdas.tobytes(), report.certificate.residual,
+            report.certificate.feasible) == (cert.lambdas.tobytes(),
+                                             cert.residual, cert.feasible)
+
+
 def test_certificate_covariant_under_payoff_scaling():
     rng = np.random.default_rng(5)
     m = rng.normal(size=(3, 4))
