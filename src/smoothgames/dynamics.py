@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import (ArgumentError, DomainError, GameError, check_array,
                      check_type)
 from .games import (JointStrategy, NormalFormGame, perturb_strategy,
                     quasi_strict_check, uniform_strategy)
-from .response import (FlatKernel, SmoothedEquilibrium,
+from .response import (DampedWalk, FlatKernel, SmoothedEquilibrium,
                        SmoothedResponseConfig, find_smoothed_equilibrium,
                        homotopy_trace, response_jacobian)
 
@@ -206,23 +206,37 @@ def stability_verdict(game: NormalFormGame, cfg: DynamicsConfig,
     check_type("cfg", cfg, DynamicsConfig)
     check_type("eq", eq, SmoothedEquilibrium)
     grad_phi = response_jacobian(game, cfg.response, eq.point, as_tangent=True)
-    return _verdict(grad_phi, cfg.eta, eq)
+    return _verdicts(grad_phi, (cfg.eta,), eq)[0]
 
 
-def _verdict(grad_phi, eta, eq) -> StabilityVerdict:
-    """Classify from the tangent response Jacobian at the equilibrium."""
+def _verdicts(grad_phi, etas, eq) -> tuple:
+    """Classify at each learning rate from the tangent response Jacobian
+    dPhi at the equilibrium.  The update map (1 - eta) I + eta dPhi has
+    the eigenvalues 1 - eta + eta mu over the spectrum mu of dPhi, which
+    is taken once for every eta; the operator norm is taken per eta."""
+    spectrum = np.linalg.eigvals(grad_phi)
+    verdicts = []
+    for eta in etas:
+        radius = float(np.abs((1.0 - eta) + eta * spectrum).max(initial=0.0))
+        if radius < 1.0 - CLASSIFICATION_TOL:
+            label = "asymptotically_stable"
+        elif radius > 1.0 + CLASSIFICATION_TOL:
+            label = "unstable"
+        else:
+            label = "marginal"
+        verdicts.append(StabilityVerdict(
+            equilibrium=eq, jacobian_spectral_radius=radius,
+            jacobian_operator_norm=_update_norm(grad_phi, eta),
+            classification=label))
+    return tuple(verdicts)
+
+
+def _update_norm(grad_phi, eta) -> float:
+    """Operator norm of the update map (1 - eta) I + eta dPhi."""
+    if not grad_phi.size:
+        return 0.0
     m = (1.0 - eta) * np.eye(grad_phi.shape[0]) + eta * grad_phi
-    radius = float(np.abs(np.linalg.eigvals(m)).max(initial=0.0))
-    op_norm = float(np.linalg.norm(m, 2)) if m.size else 0.0
-    if radius < 1.0 - CLASSIFICATION_TOL:
-        label = "asymptotically_stable"
-    elif radius > 1.0 + CLASSIFICATION_TOL:
-        label = "unstable"
-    else:
-        label = "marginal"
-    return StabilityVerdict(equilibrium=eq, jacobian_spectral_radius=radius,
-                            jacobian_operator_norm=op_norm,
-                            classification=label)
+    return float(np.linalg.norm(m, 2))
 
 
 def measure_response_lipschitz(game: NormalFormGame,
@@ -332,7 +346,7 @@ def boundary_convergence_check(game: NormalFormGame, regs, x_star: JointStrategy
     rows = []
     for eq, grad_phi, y in zip(trace, jacobians, refined):
         eta = eq.beta ** 2 / (1.0 + 4.0 * _lipschitz(grad_phi, eq.beta) ** 2)
-        op_norm = _verdict(grad_phi, eta, eq).jacobian_operator_norm
+        op_norm = _update_norm(grad_phi, eta)
         bound = float(np.exp(-eta / 2.0))
         rows.append(BoundaryRow(
             beta=eq.beta, response_norm_bound=bound, operator_norm=op_norm,
@@ -376,45 +390,216 @@ def _error_text(err) -> str:
 
 
 def _sweep_chunk(task):
-    """The cells of a chunk of sweep rows (dynamics config, equilibrium,
-    tangent response Jacobian), run from one start as one batch at a beta
-    column.  Only the final state is kept, for each cell's distance to its
-    equilibrium.  Each batch has its own kernel, so no Newton warm start
-    crosses batches."""
+    """The final distances of a chunk of sweep rows (dynamics config,
+    flat equilibrium), run from one start as one batch at a beta column;
+    a row that fails alone gives its error text (see :func:`_by_rows`).
+    Only the final state is kept.  Each batch has its own kernel, so no
+    Newton warm start crosses batches."""
     game, start, rows = task
 
     def batch(part):
-        configs = [cfg for cfg, _, _ in part]
+        configs = [cfg for cfg, _ in part]
         kernel = FlatKernel(game, configs[0].response, beta=np.array(
             [[cfg.response.beta] for cfg in configs]))
-        refs = np.stack([eq.point.concatenated() for _, eq, _ in part])
         for X in _states(kernel, configs, np.tile(start, (len(part), 1))):
             pass
-        return np.linalg.norm(X - refs, axis=1).tolist()
-    cells = []
-    for (cfg, eq, grad_phi), out in zip(rows, _by_rows(batch, rows)):
-        ok = not isinstance(out, str)
-        cells.append(SweepCell(
-            beta=cfg.response.beta, eta=cfg.eta, equilibrium=eq,
-            verdict=_verdict(grad_phi, cfg.eta, eq) if ok else None,
-            final_distance=out if ok else None,
-            error=None if ok else out))
-    return cells
+        return np.linalg.norm(X - np.stack([ref for _, ref in part]),
+                              axis=1).tolist()
+    return _by_rows(batch, rows)
+
+
+class _Group:
+    """The runs of one solved beta's cells in a sweep's ladder batch.
+
+    ``rows`` holds (cell index, dynamics config) pairs and ``ref`` the
+    flat equilibrium.  ``span`` is the group's rows of the batch, and None
+    until it is in one; ``age`` counts the steps taken since they joined
+    it at the sweep's start.
+    """
+
+    def __init__(self, rows, ref):
+        self.rows = rows
+        self.ref = ref
+        self.span = None
+        self.age = 0
+
+
+class _Ladder:
+    """The equilibria of a sweep's betas, solved by the damped walk from
+    the largest beta down, each warm-started at the last one solved, and
+    the runs of the solved betas' cells, all stepped as one batch.
+
+    Row 0 of the batch is the current rung's walk (a
+    :class:`DampedWalk`), the others the cells of betas already solved.  Each step is one
+    :meth:`FlatKernel.respond` for every row; the walk reads its residual
+    and eta off its own row, and one :meth:`FlatKernel.mix` at an eta
+    column moves all rows.  A beta whose walk converges has its cells join
+    at the start, if the batch then holds at most ``SWEEP_CHUNK`` cell
+    rows (else they are deferred), and the next rung's walk starts from
+    its equilibrium; a beta whose walk fails runs no cells.  A beta's
+    cells leave together after ``horizon`` steps, or once a
+    FIXED_CHECK_STRIDE-th step of theirs returns them bit for bit (see
+    :func:`_states`).  The kernel is built afresh only when rows join or
+    leave.
+
+    A :class:`GameError` from the shared respond or mix falls back to
+    isolation: the current rung is solved alone by
+    :func:`find_smoothed_equilibrium` from its warm start, and the cells
+    in the batch are deferred.  Deferred cells are left for batches of
+    their own after the ladder, where a failing row is run alone.
+    ``rows_of(beta, cfg, eq)`` gives the runnable (cell index, dynamics
+    config) pairs of a solved beta.
+    """
+
+    def __init__(self, game, base, start, horizon, outer_tol, rows_of):
+        self.game = game
+        self.base = base  # a kernel of the game, for configs and strategies
+        self.start = start
+        self.horizon = horizon
+        self.outer_tol = outer_tol
+        self.rows_of = rows_of
+        self.solved = {}  # beta -> (response config, equilibrium)
+        self.errors = {}  # beta -> error text of its solve
+        self.distances = {}  # cell index -> final distance
+        self.deferred = []  # (cell index, dynamics config, flat equilibrium)
+        self.groups = []
+        self.warm = None  # the start of the next walk
+
+    def run(self, ladder, x0):
+        """Solve every beta of the decreasing ``ladder``, the first from
+        the strategy ``x0``, and run the cells that fit in the batch."""
+        rungs = iter(ladder)
+        self.warm = x0
+        x = self.start[None, :]  # the walk's row
+        rung = self._next_rung(rungs, x)  # (beta, response config, walk)
+        X = kernel = None
+        while rung is not None or self.groups:
+            if kernel is None:  # rows joined or left
+                kernel, X, eta = self._batch(rung, x, X)
+            out = None  # the walk's eta, equilibrium or error
+            try:
+                Y = kernel.respond(X)
+                if rung is not None:
+                    try:
+                        out = rung[2].step(X[:1], Y[:1])
+                    except GameError as err:
+                        out = err
+                    if type(out) is float:
+                        eta[0, 0] = out
+                new = kernel.mix(X, Y, eta)
+            except GameError:
+                # a shared call failed: nothing it returned is used
+                self.deferred.extend((c, dyn, g.ref) for g in self.groups
+                                     for c, dyn in g.rows)
+                self.groups = []
+                kernel = None
+                if rung is not None:
+                    try:
+                        out = find_smoothed_equilibrium(
+                            self.game, rung[1], self.warm,
+                            outer_tol=self.outer_tol)
+                    except GameError as err:
+                        out = err
+            else:
+                if self._age(X, new):
+                    kernel = None
+                X = new
+            if rung is None:
+                continue
+            if type(out) is float:
+                x = X[:1]
+            else:
+                self._finish(rung[0], rung[1], out)
+                x = self.warm.concatenated()[None, :]
+                rung = self._next_rung(rungs, x)
+                kernel = None
+
+    def _next_rung(self, rungs, x):
+        """(beta, response config, walk from the row x) of the next valid
+        beta, or None; an invalid beta's error is recorded."""
+        for beta in rungs:
+            try:
+                cfg = replace(self.base.cfg, beta=beta)
+            except GameError as err:
+                self.errors[beta] = _error_text(err)
+                continue
+            return beta, cfg, DampedWalk(self.base, beta, x, self.outer_tol)
+        return None
+
+    def _batch(self, rung, x, X):
+        """A kernel, the batch and its eta column: the walk's row x, if a
+        rung is being solved, then each group's rows, taken from X, the
+        last batch, or at the start for a group that joins now; each
+        group's span is set."""
+        states, betas, etas = [], [], []
+        if rung is not None:
+            states.append(x)
+            betas.append(rung[0])
+            etas.append(1.0)  # the walk sets its own
+        for g in self.groups:
+            states.append(np.tile(self.start, (len(g.rows), 1))
+                          if g.span is None else X[g.span])
+            g.span = slice(len(betas), len(betas) + len(g.rows))
+            betas += [dyn.response.beta for _, dyn in g.rows]
+            etas += [dyn.eta for _, dyn in g.rows]
+        kernel = FlatKernel(self.game, self.base.cfg,
+                            beta=np.array(betas)[:, None])
+        return kernel, np.concatenate(states), np.array(etas)[:, None]
+
+    def _finish(self, beta, cfg, out):
+        """Record a rung's equilibrium or error; a solved beta's cells
+        join the batch or are deferred."""
+        if not isinstance(out, SmoothedEquilibrium):
+            self.errors[beta] = _error_text(out)
+            return
+        self.solved[beta] = (cfg, out)
+        self.warm = out.point
+        rows = self.rows_of(beta, cfg, out)
+        ref = out.point.concatenated()
+        if sum(len(g.rows) for g in self.groups) + len(rows) > SWEEP_CHUNK:
+            self.deferred.extend((c, dyn, ref) for c, dyn in rows)
+        elif rows:
+            self.groups.append(_Group(rows, ref))
+
+    def _age(self, X, new) -> bool:
+        """Count the step X -> new for every group; returns whether one
+        left, recording its final distances."""
+        kept = []
+        for g in self.groups:
+            g.age += 1
+            if g.age == self.horizon or (
+                    g.age % FIXED_CHECK_STRIDE == 0
+                    and new[g.span].tobytes() == X[g.span].tobytes()):
+                self.distances.update(zip(
+                    (c for c, _ in g.rows),
+                    np.linalg.norm(new[g.span] - g.ref, axis=1).tolist()))
+            else:
+                kept.append(g)
+        left = len(kept) < len(self.groups)
+        self.groups = kept
+        return left
 
 
 def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
           horizon=2000, jobs=1, outer_tol=1e-10):
     """Equilibrium, verdict, and a finite run for every (beta, eta) cell.
 
-    Equilibria are located once per beta by warm-started continuation from
-    the largest beta downward, and one kernel call at a beta column takes
-    the tangent response Jacobians at all of them for the verdicts.  The
-    runs of all cells then go through the dynamics kernel in batches of
-    ``SWEEP_CHUNK`` cells, each row at its own beta and eta, and only each
-    batch's final state is kept: a cell's ``final_distance`` is its row's
-    distance to the cell's equilibrium.  With ``jobs`` > 1 and more than
-    one batch, the batches are spread over worker processes.  The batches
-    are the same for every ``jobs``, so results do not depend on it.
+    Equilibria are located once per beta by the damped walk of
+    :func:`find_smoothed_equilibrium`, warm-started from the largest beta
+    downward.  The walk runs as one row of the dynamics batch of the
+    cells whose betas it has already solved (see :class:`_Ladder`): a
+    beta's cells join the batch at ``x0`` once its walk converges, each
+    row at its own beta and eta, and leave after ``horizon`` steps or once
+    a step returns them bit for bit.  Cells that would take the batch past
+    ``SWEEP_CHUNK`` rows, and those of a batch whose shared kernel call
+    failed, run after the ladder in batches of ``SWEEP_CHUNK`` rows from
+    ``x0``, where a failing row is run alone; with ``jobs`` > 1 and more
+    than one such batch, they are spread over worker processes.  The
+    batches are the same for every ``jobs``, so results do not depend on
+    it.  Only each run's final state is kept: a cell's ``final_distance``
+    is its row's distance to the cell's equilibrium.  One kernel call at
+    a beta column then takes the tangent response Jacobians at all
+    equilibria, and one spectrum per beta gives its cells' verdicts.
     ``jobs``, ``horizon``, ``outer_tol``, the regularizers and ``x0`` are
     checked before any solve; a bad beta or eta, like any other cell
     error, is recorded in its cells, and the sweep continues.  The
@@ -434,46 +619,29 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
         x0 = uniform_strategy(game.shape)
     start = kernel.flatten(x0, "x0")
 
-    solved = {}
-    errors = {}
-    warm = x0
-    for beta in sorted(set(betas), reverse=True):
-        try:
-            cfg = SmoothedResponseConfig(beta=beta, regularizers=regularizers)
-            eq = find_smoothed_equilibrium(game, cfg, warm,
-                                           outer_tol=outer_tol)
-            solved[beta] = (cfg, eq)
-            warm = eq.point
-        except GameError as err:
-            errors[beta] = _error_text(err)
+    grid = [(beta, eta) for beta in betas for eta in etas]
+    cells_of = {}  # beta -> indices of its cells in the grid
+    for c, (beta, _) in enumerate(grid):
+        cells_of.setdefault(beta, []).append(c)
+    outcomes = {}  # cell index -> final distance or error text
 
-    def jacobians(ladder):
-        kernel = FlatKernel(game, solved[ladder[0]][0],
-                            beta=np.array(ladder)[:, None])
-        return kernel.tangent_jacobians(np.stack(
-            [solved[b][1].point.concatenated() for b in ladder]))
-    grad_phi = dict(zip(solved, _by_rows(jacobians, list(solved))
-                        if solved else ()))
-    errors.update((b, g) for b, g in grad_phi.items() if isinstance(g, str))
+    def rows_of(beta, cfg, eq):
+        rows = []
+        for c in cells_of[beta]:
+            try:
+                rows.append((c, DynamicsConfig(eta=grid[c][1], response=cfg,
+                                               horizon=horizon)))
+            except GameError as err:
+                outcomes[c] = _error_text(err)
+        return rows
 
-    cells = []
-    rows = []  # (dynamics config, equilibrium, grad_phi) of each cell to run
-    for beta in betas:
-        cfg, eq = solved.get(beta, (None, None))
-        for eta in etas:
-            error = errors.get(beta)
-            if error is None:
-                try:
-                    rows.append((DynamicsConfig(
-                        eta=eta, response=cfg, horizon=horizon), eq,
-                        grad_phi[beta]))
-                except GameError as err:
-                    error = _error_text(err)
-            cells.append(SweepCell(beta=beta, eta=eta, equilibrium=eq,
-                                   error=error) if error else None)
-
-    tasks = [(game, start, rows[i:i + SWEEP_CHUNK])
-             for i in range(0, len(rows), SWEEP_CHUNK)]
+    ladder = _Ladder(game, kernel, start, horizon, outer_tol, rows_of)
+    ladder.run(sorted(cells_of, reverse=True), x0)
+    outcomes.update(ladder.distances)
+    deferred = ladder.deferred
+    tasks = [(game, start, [(dyn, ref) for _, dyn, ref in
+                            deferred[i:i + SWEEP_CHUNK]])
+             for i in range(0, len(deferred), SWEEP_CHUNK)]
     if jobs > 1 and len(tasks) > 1:
         # imported here: it loads multiprocessing, logging, socket and
         # subprocess, which a single-process sweep never needs
@@ -482,8 +650,38 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
             computed = list(pool.map(_sweep_chunk, tasks))
     else:
         computed = map(_sweep_chunk, tasks)
-    ran = chain.from_iterable(computed)
-    return tuple(cell if cell is not None else next(ran) for cell in cells)
+    outcomes.update(zip((c for c, _, _ in deferred),
+                        chain.from_iterable(computed)))
+
+    solved, errors = ladder.solved, ladder.errors
+
+    def jacobians(rungs):
+        kernel = FlatKernel(game, solved[rungs[0]][0],
+                            beta=np.array(rungs)[:, None])
+        return kernel.tangent_jacobians(np.stack(
+            [solved[b][1].point.concatenated() for b in rungs]))
+    grad_phi = dict(zip(solved, _by_rows(jacobians, list(solved))
+                        if solved else ()))
+    errors.update((b, g) for b, g in grad_phi.items() if isinstance(g, str))
+
+    verdicts = {}  # cell index -> verdict of a cell that ran
+    for beta, (_, eq) in solved.items():
+        if beta not in errors:
+            ran = [c for c in cells_of[beta]
+                   if isinstance(outcomes[c], float)]
+            verdicts.update(zip(ran, _verdicts(
+                grad_phi[beta], [grid[c][1] for c in ran], eq)))
+    cells = []
+    for c, (beta, eta) in enumerate(grid):
+        eq = solved[beta][1] if beta in solved else None
+        error = errors.get(beta)
+        if error is None and isinstance(outcomes[c], str):
+            error = outcomes[c]
+        cells.append(SweepCell(
+            beta=beta, eta=eta, equilibrium=eq,
+            verdict=None if error else verdicts[c],
+            final_distance=None if error else outcomes[c], error=error))
+    return tuple(cells)
 
 
 # ---------------------------------------------------------------------------

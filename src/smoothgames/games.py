@@ -48,6 +48,14 @@ def simplex_point(x, name="x") -> np.ndarray:
     return x
 
 
+def _owned(block) -> np.ndarray:
+    """A read-only copy of a checked block, so that no later write to the
+    array it came from, or through the block itself, undoes the check."""
+    block = block.copy()
+    block.setflags(write=False)
+    return block
+
+
 def support_indices(k, support=None) -> np.ndarray:
     """The actions of a support of a k-action player as an index array
     (all k actions if None); each must lie in ``[0, k)``."""
@@ -233,7 +241,7 @@ class JointStrategy:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple(simplex_point(b, f"block {n}") for n, b in
+        blocks = tuple(_owned(simplex_point(b, f"block {n}")) for n, b in
                        enumerate(check_sequence("blocks", self.blocks)))
         if not blocks:
             raise DimensionError("a strategy needs at least one player")
@@ -299,7 +307,8 @@ class TangentVector:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple(check_array(f"block {n}", b, (None,), finite=False)
+        blocks = tuple(_owned(check_array(f"block {n}", b, (None,),
+                                          finite=False))
                        for n, b in enumerate(check_sequence("blocks",
                                                             self.blocks)))
         if not blocks:

@@ -550,6 +550,84 @@ def response_jacobian(game: NormalFormGame, cfg: SmoothedResponseConfig,
 # ---------------------------------------------------------------------------
 # equilibrium solver
 
+class DampedWalk:
+    """The damped walk of :func:`find_smoothed_equilibrium`, one step at a
+    time: its damping factor eta, best residual and point, stagnation
+    marker and the two stopping rules, for a walk whose row of a kernel
+    batch is moved by the caller, from the ``(1, K)`` row ``x``.
+
+    :meth:`step` takes the walk's row and its response, and returns the
+    eta to mix them with, or the :class:`SmoothedEquilibrium` at the row;
+    it raises the walk's :class:`CyclingError` or, at ``max_iter`` steps,
+    its :class:`ConvergenceError`.  ``kernel`` serves only to build
+    strategies of its game, so any kernel of the game will do.
+    """
+
+    def __init__(self, kernel, beta, x, outer_tol, max_iter=100_000):
+        self.kernel = kernel
+        self.beta = beta
+        self.outer_tol = outer_tol
+        self.max_iter = max_iter
+        self.iteration = 0
+        self.eta = 1.0
+        self.prev_residual = np.inf
+        self.best_residual = np.inf
+        self.best_point = x
+        self.marker = np.inf
+        self.stall = 0
+
+    def _error(self, cls, message, iterations):
+        return cls(message, residual=self.best_residual,
+                   iterations=iterations, beta=self.beta,
+                   last_point=self.kernel.strategy(self.best_point[0]))
+
+    def step(self, x, y):
+        residual = float(np.abs(y - x).max())
+        beta = self.beta
+        if residual <= self.outer_tol:
+            point = self.kernel.strategy(x[0])
+            return SmoothedEquilibrium(
+                point=point, beta=beta, residual=residual,
+                nash_gap=epsilon_nash_gap(self.kernel.game, point))
+        if residual < self.best_residual:
+            self.best_residual = residual
+            self.best_point = x
+        if residual < STAGNATION_FACTOR * self.marker:
+            self.marker = residual
+            self.stall = 0
+        else:
+            self.stall += 1
+            if self.stall >= STAGNATION_WINDOW:
+                raise self._error(
+                    CyclingError,
+                    f"residual stagnated near {self.best_residual:.3e} for "
+                    f"{STAGNATION_WINDOW} steps at beta={beta:g}; the "
+                    f"iteration appears to be orbiting rather than "
+                    f"converging", self.iteration)
+        # the relative band keeps ulp-level jitter at tiny eta from biasing
+        # the halve/grow walk into collapse
+        if residual <= self.prev_residual * (1.0 + RESIDUAL_BAND):
+            self.eta = min(1.0, self.eta * 1.2)
+        else:
+            self.eta = self.eta / 2
+            if self.eta < STEP_FLOOR:
+                raise self._error(
+                    CyclingError,
+                    f"step size collapsed to eta={self.eta:.3e}, below the "
+                    f"step floor {STEP_FLOOR:g}, after {self.iteration} "
+                    f"steps at beta={beta:g}; residual stagnated near "
+                    f"{self.best_residual:.3e}", self.iteration)
+        self.prev_residual = residual
+        self.iteration += 1
+        if self.iteration == self.max_iter:
+            # the mixed point would go unused: the walk ends here
+            raise self._error(
+                ConvergenceError,
+                f"no fixed point within {self.max_iter} iterations; best "
+                f"residual {self.best_residual:.3e}", self.max_iter)
+        return self.eta
+
+
 def find_smoothed_equilibrium(game: NormalFormGame, cfg: SmoothedResponseConfig,
                               x0: JointStrategy = None, outer_tol=1e-10,
                               max_iter=100_000) -> SmoothedEquilibrium:
@@ -570,59 +648,13 @@ def find_smoothed_equilibrium(game: NormalFormGame, cfg: SmoothedResponseConfig,
     check_count("max_iter", max_iter, positive=True)
     x = kernel.flatten(x0 if x0 is not None else uniform_strategy(game.shape),
                        "x0")[None, :]
-
-    eta = 1.0
-    prev_residual = np.inf
-    best_residual = np.inf
-    best_point = x
-    marker = np.inf
-    stall = 0
-
-    def cycling(message, iterations):
-        return CyclingError(message, residual=best_residual,
-                            iterations=iterations, beta=cfg.beta,
-                            last_point=kernel.strategy(best_point[0]))
-
-    for iteration in range(max_iter):
+    walk = DampedWalk(kernel, cfg.beta, x, outer_tol, max_iter)
+    while True:
         y = kernel.respond(x)
-        residual = float(np.abs(y - x).max())
-        if residual <= outer_tol:
-            point = kernel.strategy(x[0])
-            return SmoothedEquilibrium(
-                point=point, beta=cfg.beta, residual=residual,
-                nash_gap=epsilon_nash_gap(game, point))
-        if residual < best_residual:
-            best_residual = residual
-            best_point = x
-        if residual < STAGNATION_FACTOR * marker:
-            marker = residual
-            stall = 0
-        else:
-            stall += 1
-            if stall >= STAGNATION_WINDOW:
-                raise cycling(
-                    f"residual stagnated near {best_residual:.3e} for "
-                    f"{STAGNATION_WINDOW} steps at beta={cfg.beta:g}; the "
-                    f"iteration appears to be orbiting rather than "
-                    f"converging", iteration)
-        # the relative band keeps ulp-level jitter at tiny eta from biasing
-        # the halve/grow walk into collapse
-        if residual <= prev_residual * (1.0 + RESIDUAL_BAND):
-            eta = min(1.0, eta * 1.2)
-        else:
-            eta = eta / 2
-            if eta < STEP_FLOOR:
-                raise cycling(
-                    f"step size collapsed to eta={eta:.3e}, below the "
-                    f"step floor {STEP_FLOOR:g}, after {iteration} "
-                    f"steps at beta={cfg.beta:g}; residual stagnated near "
-                    f"{best_residual:.3e}", iteration)
-        prev_residual = residual
+        eta = walk.step(x, y)
+        if isinstance(eta, SmoothedEquilibrium):
+            return eta
         x = kernel.mix(x, y, eta)
-    raise ConvergenceError(
-        f"no fixed point within {max_iter} iterations; best residual "
-        f"{best_residual:.3e}", residual=best_residual, iterations=max_iter,
-        beta=cfg.beta, last_point=kernel.strategy(best_point[0]))
 
 
 def homotopy_trace(game: NormalFormGame, cfg: SmoothedResponseConfig,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -316,20 +317,24 @@ def test_run_many_matches_stepping_every_step(seed, case, horizon,
 
 def test_fixed_batch_stops_stepping(monkeypatch):
     # the uniform point is a fixed point of the pennies dynamics at every
-    # beta and eta, so the one batch of the grid stops at its first check
+    # beta and eta, so each beta's walk stops at its first step and each
+    # beta's two cells leave the sweep's batch at their first check
     calls = []  # the row count of every step
-    advance = sg.response.FlatKernel.advance
+    mix = sg.response.FlatKernel.mix
 
-    def counting(self, X, eta):
+    def counting(self, X, Y, eta):
         calls.append(len(X))
-        return advance(self, X, eta)
+        return mix(self, X, Y, eta)
 
-    monkeypatch.setattr(sg.response.FlatKernel, "advance", counting)
+    monkeypatch.setattr(sg.response.FlatKernel, "mix", counting)
     cells = sg.sweep(pennies(), betas=(0.3, 0.1), etas=(0.01, 0.1),
                      regularizers=(sg.entropy(2), sg.entropy(2)),
                      horizon=2000)
     assert [c.final_distance for c in cells] == [0.0] * 4
-    assert calls == [4] * sg.dynamics.FIXED_CHECK_STRIDE
+    # the walk at 0.3, then the walk at 0.1 beside 0.3's cells, then both
+    # betas' cells until 0.3's and then 0.1's reach their eighth step
+    stride = sg.dynamics.FIXED_CHECK_STRIDE
+    assert calls == [1, 3] + [4] * (stride - 1) + [2]
     # a batch that never arrives takes every step of its horizon
     calls.clear()
     g, cfg = dyn(0.1, 0.005, 301)
@@ -622,15 +627,16 @@ def test_sweep_batches_do_not_depend_on_jobs():
 
 def test_sweep_failing_run_fails_only_its_cell(monkeypatch):
     # a run that raises inside its beta's batch must not take the other
-    # cells of the batch down with it
-    advance = sg.response.FlatKernel.advance
+    # cells of the batch down with it; every batch of a sweep, the ladder's
+    # and the later chunks', moves its rows by one mix at an eta column
+    mix = sg.response.FlatKernel.mix
 
-    def failing_at_half(self, X, eta):
+    def failing_at_half(self, X, Y, eta):
         if np.any(eta == 0.5):
             raise sg.ConvergenceError("inner solver went non-finite")
-        return advance(self, X, eta)
+        return mix(self, X, Y, eta)
 
-    monkeypatch.setattr(sg.response.FlatKernel, "advance", failing_at_half)
+    monkeypatch.setattr(sg.response.FlatKernel, "mix", failing_at_half)
     cells = sg.sweep(pennies(), betas=(0.3,), etas=(0.01, 0.5, 0.1),
                      regularizers=(sg.entropy(2), sg.entropy(2)), horizon=10)
     assert [c.error is None for c in cells] == [True, False, True]
@@ -645,12 +651,17 @@ def test_sweep_rejects_empty_grid():
                  regularizers=(sg.entropy(2), sg.entropy(2)))
 
 
-@pytest.mark.parametrize("jobs", ["2", None, 0, -1, 1.5, True])
-def test_sweep_rejects_bad_jobs_before_any_solve(monkeypatch, jobs):
-    def solve(*args, **kwargs):
+def refuse_any_response(monkeypatch):
+    # every solve, the ladder's walk included, starts with a response
+    def respond(self, X):
         raise AssertionError("solve entered")
 
-    monkeypatch.setattr(sg.dynamics, "find_smoothed_equilibrium", solve)
+    monkeypatch.setattr(sg.response.FlatKernel, "respond", respond)
+
+
+@pytest.mark.parametrize("jobs", ["2", None, 0, -1, 1.5, True])
+def test_sweep_rejects_bad_jobs_before_any_solve(monkeypatch, jobs):
+    refuse_any_response(monkeypatch)
     with pytest.raises(ArgumentError, match="jobs"):
         sg.sweep(pennies(), betas=(0.3,), etas=(0.1,),
                  regularizers=(sg.entropy(2), sg.entropy(2)), jobs=jobs)
@@ -664,10 +675,7 @@ def test_sweep_rejects_bad_jobs_before_any_solve(monkeypatch, jobs):
     ({"x0": sg.uniform_strategy((2, 3))}, DimensionError)])
 def test_sweep_rejects_bad_grid_wide_arguments_before_any_solve(
         monkeypatch, kwargs, error):
-    def solve(*args, **kw):
-        raise AssertionError("solve entered")
-
-    monkeypatch.setattr(sg.dynamics, "find_smoothed_equilibrium", solve)
+    refuse_any_response(monkeypatch)
     arguments = {"regularizers": (sg.entropy(2), sg.entropy(2)), **kwargs}
     with pytest.raises(error):
         sg.sweep(pennies(), betas=(0.3,), etas=(0.1,), **arguments)
@@ -785,6 +793,145 @@ def test_sweep_grid_larger_than_a_batch_does_not_depend_on_jobs():
              b.verdict.jacobian_operator_norm, b.verdict.classification)
         np.testing.assert_array_equal(a.equilibrium.point.concatenated(),
                                       b.equilibrium.point.concatenated())
+
+
+def test_sweep_matches_per_beta_solves_and_single_runs():
+    # the ladder batch steps each beta's walk beside the cells of the betas
+    # solved before it, so its rows round like rows of a larger batch; it
+    # must agree with the walk run alone down the same ladder and with one
+    # run per cell
+    failed = set()
+    bounded = 0
+    for seed in range(8):
+        rng = np.random.default_rng([21, seed])
+        shape = ((3, 3), (4, 4), (3, 3, 3), (3, 3, 3))[seed % 4]
+        g = random_game(rng, shape)
+        kind = "quadratic" if seed % 2 else "entropy"
+        regs = (quadratic_regularizers(rng, shape) if kind == "quadratic"
+                else tuple(sg.entropy(k) for k in shape))
+        betas, etas, horizon = (0.3, 0.1, 0.03), (0.01, 0.1, 0.5), 200
+        x0 = sg.uniform_strategy(shape)
+        cells = sg.sweep(g, betas, etas, regs, horizon=horizon)
+
+        warm, solved, errors = x0, {}, {}
+        for beta in betas:
+            cfg = sg.SmoothedResponseConfig(beta=beta, regularizers=regs)
+            try:
+                solved[beta] = sg.find_smoothed_equilibrium(g, cfg, warm)
+                warm = solved[beta].point
+            except sg.GameError as err:
+                errors[beta] = f"{type(err).__name__}: {err}"
+                failed.add((kind, len(shape)))
+        assert [(c.beta, c.eta) for c in cells] == \
+            [(b, e) for b in betas for e in etas]
+        for cell in cells:
+            if cell.beta in errors:
+                assert cell.error == errors[cell.beta]
+                assert cell.equilibrium is None and cell.verdict is None
+                continue
+            eq = solved[cell.beta]
+            assert cell.error is None
+            assert np.abs(cell.equilibrium.point.concatenated()
+                          - eq.point.concatenated()).max() <= 1e-12
+            dyn_cfg = sg.DynamicsConfig(
+                eta=cell.eta, horizon=horizon, record_every=horizon,
+                response=sg.SmoothedResponseConfig(beta=cell.beta,
+                                                   regularizers=regs))
+            distances = sg.run_many(g, dyn_cfg, [x0],
+                                    reference=eq)[0].distances
+            verdict = sg.stability_verdict(g, dyn_cfg, eq)
+            assert cell.verdict.classification == verdict.classification
+            assert cell.verdict.jacobian_spectral_radius == pytest.approx(
+                verdict.jacobian_spectral_radius, rel=0, abs=1e-12)
+            # last-digit differences (matrix products of other row counts,
+            # Newton argmax solves to 1e-12 from other warm starts) stay
+            # last-digit on a run that approaches its equilibrium; a run
+            # that ends farther out than it started has left the
+            # neighbourhood the verdict describes, and may amplify them
+            # (at beta = 0.03 and eta = 0.5, the (3, 3, 3) quadratic-entropy
+            # game of seed 3 ends 1.18 away in a sweep and 1.76 away alone)
+            if distances[-1] <= distances[0]:
+                bounded += 1
+                assert abs(cell.final_distance - distances[-1]) <= \
+                    1e-6 * distances[-1] + 1e-11
+            else:
+                assert np.isfinite(cell.final_distance)
+    # failed betas on both regularizer kinds, two and three players
+    assert failed == {("entropy", 2), ("entropy", 3), ("quadratic", 2),
+                      ("quadratic", 3)}
+    # of the 48 cells that ran
+    assert bounded >= 40
+
+
+def test_sweep_grid_beyond_the_ladder_batch_is_the_same_for_any_jobs(
+        monkeypatch):
+    # the first beta's 40 cells fill the ladder batch while the next betas
+    # are solved, so the other 80 run after it as two chunks, spread over a
+    # pool with jobs = 2
+    import concurrent.futures
+
+    started = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    rng = np.random.default_rng(11)
+    g = random_game(rng, (3, 3), scale=0.5)
+    betas, etas = (1.0, 0.7, 0.5), tuple(np.linspace(0.02, 0.9, 40))
+    assert 2 * len(etas) > sg.dynamics.SWEEP_CHUNK >= len(etas)
+    kwargs = dict(regularizers=(sg.entropy(3), sg.entropy(3)), horizon=200)
+    serial = sg.sweep(g, betas, etas, jobs=1, **kwargs)
+    assert not started
+    parallel = sg.sweep(g, betas, etas, jobs=2, **kwargs)
+    assert started == [{"max_workers": 2}]
+    for a, b in zip(serial, parallel):
+        assert a.error is None and b.error is None
+        assert (a.beta, a.eta, a.final_distance) == \
+            (b.beta, b.eta, b.final_distance)
+        assert (a.verdict.jacobian_spectral_radius,
+                a.verdict.jacobian_operator_norm,
+                a.verdict.classification) == \
+            (b.verdict.jacobian_spectral_radius,
+             b.verdict.jacobian_operator_norm, b.verdict.classification)
+        np.testing.assert_array_equal(a.equilibrium.point.concatenated(),
+                                      b.equilibrium.point.concatenated())
+
+
+def test_sweep_failing_walk_fails_only_its_beta(monkeypatch):
+    # the walk at beta = 0.2 shares its Newton argmax with the cells of
+    # beta = 0.5; when the argmax fails, the rung is solved alone, with its
+    # own error, and the cells of the other betas still run
+    rng = np.random.default_rng(5)
+    g = random_game(rng, (3, 2), scale=0.5)
+    regs = quadratic_regularizers(rng, (3, 2))
+    respond = sg.response._NewtonGroup.respond
+
+    def failing_at(self, G, beta, cfg):
+        if np.any(np.asarray(beta) == 0.2):
+            raise sg.ConvergenceError("inner solver went non-finite at "
+                                      "beta 0.2")
+        return respond(self, G, beta, cfg)
+
+    monkeypatch.setattr(sg.response._NewtonGroup, "respond", failing_at)
+    betas, etas = (0.5, 0.2, 0.1), (0.05, 0.3)
+    cells = sg.sweep(g, betas, etas, regs, horizon=50)
+    assert [c.error is None for c in cells] == [True, True, False, False,
+                                                True, True]
+    for cell in cells[2:4]:
+        assert cell.error == ("ConvergenceError: inner solver went "
+                              "non-finite at beta 0.2")
+        assert cell.equilibrium is None and cell.verdict is None
+    # the next rung starts from the last equilibrium solved
+    cfg = sg.SmoothedResponseConfig(beta=0.1, regularizers=regs)
+    eq = sg.find_smoothed_equilibrium(
+        g, cfg, sg.find_smoothed_equilibrium(
+            g, dataclasses.replace(cfg, beta=0.5)).point)
+    assert np.abs(cells[4].equilibrium.point.concatenated()
+                  - eq.point.concatenated()).max() <= 1e-12
+    assert_cells_match_runs(g, cells, regs, sg.uniform_strategy(g.shape), 50)
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (3, 2, 3)])

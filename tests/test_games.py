@@ -391,11 +391,32 @@ def test_canonical_utility_checks_the_player_index(n):
         canon.utility(sg.TangentVector((np.zeros(2), np.zeros(2))), n)
 
 
+def test_validated_blocks_are_read_only_copies():
+    # a checked block can be changed neither through the array it was
+    # built from nor through the object itself
+    source = np.array([0.25, 0.75])
+    x = sg.JointStrategy((source, np.array([0.5, 0.5])))
+    source[:] = np.nan
+    assert x.blocks[0].tolist() == [0.25, 0.75]
+    direction = np.array([1.0, -1.0])
+    z = sg.TangentVector((direction,))
+    direction[:] = np.nan
+    assert z.blocks[0].tolist() == [1.0, -1.0]
+    for block in (x.blocks[0], z.blocks[0],
+                  sg.uniform_strategy((2, 2)).blocks[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            block[0] = np.nan
+
+
+class _UncheckedDirection(sg.TangentVector):
+    # a TangentVector refuses non-finite blocks and keeps read-only copies,
+    # so only a subclass that skips the checks can carry one
+    def __post_init__(self):
+        pass
+
+
 def _non_finite_direction():
-    # a TangentVector refuses non-finite blocks, but its arrays stay writable
-    z = sg.TangentVector((np.zeros(2), np.zeros(2)))
-    z.blocks[0][:] = np.nan
-    return z
+    return _UncheckedDirection((np.full(2, np.nan), np.zeros(2)))
 
 
 @pytest.mark.parametrize("z, error, match", [
