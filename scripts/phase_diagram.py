@@ -36,7 +36,6 @@ def parse_args(argv=None):
     parser.add_argument("--etas", default="0.001,0.005,0.02,0.1,0.5",
                         help="comma-separated learning rates")
     parser.add_argument("--horizon", type=int, default=2000)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default=None, help="CSV output path")
     return parser.parse_args(argv)
 
@@ -48,8 +47,7 @@ def main(argv=None) -> int:
     etas = [float(v) for v in args.etas.split(",")]
     regs = tuple(sg.entropy(k) for k in game.shape)
 
-    cells = sg.sweep(game, betas, etas, regs, horizon=args.horizon,
-                     jobs=args.jobs)
+    cells = sg.sweep(game, betas, etas, regs, horizon=args.horizon)
     if args.out:
         sg.sweep_to_csv(cells, args.out)
         print(f"wrote {len(cells)} cells to {args.out}", file=sys.stderr)

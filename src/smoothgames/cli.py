@@ -244,8 +244,7 @@ def cmd_sweep(args) -> int:
     etas = _parse_float_list(args.etas)
     x0 = (_parse_point(args.x0, game.shape) if args.x0
           else uniform_strategy(game.shape))
-    cells = sweep(game, betas, etas, regs, x0=x0, horizon=args.horizon,
-                  jobs=args.jobs)
+    cells = sweep(game, betas, etas, regs, x0=x0, horizon=args.horizon)
     sweep_to_csv(cells, _target(args.output))
     return 0
 
@@ -339,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--betas", default="0.3,0.1,0.03")
     p.add_argument("--etas", default="0.001,0.01,0.1")
     p.add_argument("--horizon", type=int, default=2000)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--x0", default=None)
     p.add_argument("--reg", default="entropy")
     common(p)

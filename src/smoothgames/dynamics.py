@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .response import (DampedWalk, FlatKernel, SmoothedEquilibrium,
 SAMPLE_BALL_RADIUS = 0.05  # inf-norm radius for Lipschitz sampling
 CLASSIFICATION_TOL = 1e-9
 DISTANCE_CHUNK = 64  # states held back before their distances are taken
-SWEEP_CHUNK = 64  # grid rows per dynamics batch of a sweep, for every jobs
+SWEEP_CHUNK = 64  # most cell rows in a sweep's dynamics batch
 FIXED_CHECK_STRIDE = 8  # steps between tests for an unchanged batch
 
 
@@ -389,27 +389,9 @@ def _error_text(err) -> str:
     return f"{type(err).__name__}: {err}"
 
 
-def _sweep_chunk(task):
-    """The final distances of a chunk of sweep rows (dynamics config,
-    flat equilibrium), run from one start as one batch at a beta column;
-    a row that fails alone gives its error text (see :func:`_by_rows`).
-    Only the final state is kept.  Each batch has its own kernel, so no
-    Newton warm start crosses batches."""
-    game, start, rows = task
-
-    def batch(part):
-        configs = [cfg for cfg, _ in part]
-        kernel = FlatKernel(game, configs[0].response, beta=np.array(
-            [[cfg.response.beta] for cfg in configs]))
-        for X in _states(kernel, configs, np.tile(start, (len(part), 1))):
-            pass
-        return np.linalg.norm(X - np.stack([ref for _, ref in part]),
-                              axis=1).tolist()
-    return _by_rows(batch, rows)
-
-
 class _Group:
-    """The runs of one solved beta's cells in a sweep's ladder batch.
+    """The runs of a solved beta's cells in a sweep's ladder batch, at most
+    ``SWEEP_CHUNK`` of them.
 
     ``rows`` holds (cell index, dynamics config) pairs and ``ref`` the
     flat equilibrium.  ``span`` is the group's rows of the batch, and None
@@ -429,51 +411,49 @@ class _Ladder:
     the largest beta down, each warm-started at the last one solved, and
     the runs of the solved betas' cells, all stepped as one batch.
 
-    Row 0 of the batch is the current rung's walk (a
-    :class:`DampedWalk`), the others the cells of betas already solved.  Each step is one
+    Row 0 of the batch is the current rung's walk (a :class:`DampedWalk`),
+    the others the cells of betas already solved.  Each step is one
     :meth:`FlatKernel.respond` for every row; the walk reads its residual
     and eta off its own row, and one :meth:`FlatKernel.mix` at an eta
-    column moves all rows.  A beta whose walk converges has its cells join
-    at the start, if the batch then holds at most ``SWEEP_CHUNK`` cell
-    rows (else they are deferred), and the next rung's walk starts from
-    its equilibrium; a beta whose walk fails runs no cells.  A beta's
-    cells leave together after ``horizon`` steps, or once a
-    FIXED_CHECK_STRIDE-th step of theirs returns them bit for bit (see
+    column moves all rows.  A beta whose walk converges has its cells
+    queued in groups of at most ``SWEEP_CHUNK`` rows, and the next rung's
+    walk starts from its equilibrium; a beta whose walk fails runs no
+    cells.  Whenever the batch is rebuilt, queued groups join it at the
+    start, in order, as long as it then holds at most ``SWEEP_CHUNK`` cell
+    rows.  A group leaves after ``horizon`` steps, or once a
+    FIXED_CHECK_STRIDE-th step of its own returns it bit for bit (see
     :func:`_states`).  The kernel is built afresh only when rows join or
     leave.
 
     A :class:`GameError` from the shared respond or mix falls back to
     isolation: the current rung is solved alone by
-    :func:`find_smoothed_equilibrium` from its warm start, and the cells
-    in the batch are deferred.  Deferred cells are left for batches of
-    their own after the ladder, where a failing row is run alone.
-    ``rows_of(beta, cfg, eq)`` gives the runnable (cell index, dynamics
-    config) pairs of a solved beta.
+    :func:`find_smoothed_equilibrium` from its warm start, and each cell
+    in the batch is rerun alone, a failing run giving its error text.
     """
 
-    def __init__(self, game, base, start, horizon, outer_tol, rows_of):
+    def __init__(self, game, base, start, horizon, outer_tol):
         self.game = game
         self.base = base  # a kernel of the game, for configs and strategies
         self.start = start
         self.horizon = horizon
         self.outer_tol = outer_tol
-        self.rows_of = rows_of
         self.solved = {}  # beta -> (response config, equilibrium)
         self.errors = {}  # beta -> error text of its solve
-        self.distances = {}  # cell index -> final distance
-        self.deferred = []  # (cell index, dynamics config, flat equilibrium)
+        self.outcomes = {}  # cell index -> final distance or error text
         self.groups = []
+        self.queue = []  # groups of solved betas waiting to join
         self.warm = None  # the start of the next walk
 
-    def run(self, ladder, x0):
-        """Solve every beta of the decreasing ``ladder``, the first from
-        the strategy ``x0``, and run the cells that fit in the batch."""
-        rungs = iter(ladder)
+    def run(self, rungs, x0):
+        """Solve every (beta, response config, cell rows) rung, in order of
+        decreasing beta, the first from the strategy ``x0``, and run the
+        cells of each beta solved."""
+        rungs = iter(rungs)
         self.warm = x0
         x = self.start[None, :]  # the walk's row
-        rung = self._next_rung(rungs, x)  # (beta, response config, walk)
+        rung = self._next_rung(rungs, x)  # (beta, config, rows, walk)
         X = kernel = None
-        while rung is not None or self.groups:
+        while rung is not None or self.groups or self.queue:
             if kernel is None:  # rows joined or left
                 kernel, X, eta = self._batch(rung, x, X)
             out = None  # the walk's eta, equilibrium or error
@@ -481,7 +461,7 @@ class _Ladder:
                 Y = kernel.respond(X)
                 if rung is not None:
                     try:
-                        out = rung[2].step(X[:1], Y[:1])
+                        out = rung[3].step(X[:1], Y[:1])
                     except GameError as err:
                         out = err
                     if type(out) is float:
@@ -489,8 +469,9 @@ class _Ladder:
                 new = kernel.mix(X, Y, eta)
             except GameError:
                 # a shared call failed: nothing it returned is used
-                self.deferred.extend((c, dyn, g.ref) for g in self.groups
-                                     for c, dyn in g.rows)
+                for g in self.groups:
+                    self.outcomes.update((c, self._alone(dyn, g.ref))
+                                         for c, dyn in g.rows)
                 self.groups = []
                 kernel = None
                 if rung is not None:
@@ -509,28 +490,26 @@ class _Ladder:
             if type(out) is float:
                 x = X[:1]
             else:
-                self._finish(rung[0], rung[1], out)
+                self._finish(*rung[:3], out)
                 x = self.warm.concatenated()[None, :]
                 rung = self._next_rung(rungs, x)
                 kernel = None
 
     def _next_rung(self, rungs, x):
-        """(beta, response config, walk from the row x) of the next valid
-        beta, or None; an invalid beta's error is recorded."""
-        for beta in rungs:
-            try:
-                cfg = replace(self.base.cfg, beta=beta)
-            except GameError as err:
-                self.errors[beta] = _error_text(err)
-                continue
-            return beta, cfg, DampedWalk(self.base, beta, x, self.outer_tol)
-        return None
+        """The next rung with a walk from the row x, or None."""
+        rung = next(rungs, None)
+        return None if rung is None else (
+            *rung, DampedWalk(self.base, rung[0], x, self.outer_tol))
 
     def _batch(self, rung, x, X):
         """A kernel, the batch and its eta column: the walk's row x, if a
         rung is being solved, then each group's rows, taken from X, the
         last batch, or at the start for a group that joins now; each
         group's span is set."""
+        cells = sum(len(g.rows) for g in self.groups)
+        while self.queue and cells + len(self.queue[0].rows) <= SWEEP_CHUNK:
+            self.groups.append(self.queue.pop(0))
+            cells += len(self.groups[-1].rows)
         states, betas, etas = [], [], []
         if rung is not None:
             states.append(x)
@@ -546,20 +525,17 @@ class _Ladder:
                             beta=np.array(betas)[:, None])
         return kernel, np.concatenate(states), np.array(etas)[:, None]
 
-    def _finish(self, beta, cfg, out):
-        """Record a rung's equilibrium or error; a solved beta's cells
-        join the batch or are deferred."""
+    def _finish(self, beta, cfg, rows, out):
+        """Record a rung's equilibrium or error; a solved beta's cells are
+        queued."""
         if not isinstance(out, SmoothedEquilibrium):
             self.errors[beta] = _error_text(out)
             return
         self.solved[beta] = (cfg, out)
         self.warm = out.point
-        rows = self.rows_of(beta, cfg, out)
         ref = out.point.concatenated()
-        if sum(len(g.rows) for g in self.groups) + len(rows) > SWEEP_CHUNK:
-            self.deferred.extend((c, dyn, ref) for c, dyn in rows)
-        elif rows:
-            self.groups.append(_Group(rows, ref))
+        self.queue += [_Group(rows[i:i + SWEEP_CHUNK], ref)
+                       for i in range(0, len(rows), SWEEP_CHUNK)]
 
     def _age(self, X, new) -> bool:
         """Count the step X -> new for every group; returns whether one
@@ -570,7 +546,7 @@ class _Ladder:
             if g.age == self.horizon or (
                     g.age % FIXED_CHECK_STRIDE == 0
                     and new[g.span].tobytes() == X[g.span].tobytes()):
-                self.distances.update(zip(
+                self.outcomes.update(zip(
                     (c for c, _ in g.rows),
                     np.linalg.norm(new[g.span] - g.ref, axis=1).tolist()))
             else:
@@ -579,32 +555,41 @@ class _Ladder:
         self.groups = kept
         return left
 
+    def _alone(self, dyn, ref):
+        """The final distance of one cell's run from the start in a batch
+        of its own, or its error text."""
+        try:
+            for X in _states(FlatKernel(self.game, dyn.response), [dyn],
+                             self.start[None, :]):
+                pass
+        except GameError as err:
+            return _error_text(err)
+        return np.linalg.norm(X - ref, axis=1).tolist()[0]
+
 
 def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
           horizon=2000, jobs=1, outer_tol=1e-10):
     """Equilibrium, verdict, and a finite run for every (beta, eta) cell.
 
-    Equilibria are located once per beta by the damped walk of
-    :func:`find_smoothed_equilibrium`, warm-started from the largest beta
-    downward.  The walk runs as one row of the dynamics batch of the
-    cells whose betas it has already solved (see :class:`_Ladder`): a
-    beta's cells join the batch at ``x0`` once its walk converges, each
-    row at its own beta and eta, and leave after ``horizon`` steps or once
-    a step returns them bit for bit.  Cells that would take the batch past
-    ``SWEEP_CHUNK`` rows, and those of a batch whose shared kernel call
-    failed, run after the ladder in batches of ``SWEEP_CHUNK`` rows from
-    ``x0``, where a failing row is run alone; with ``jobs`` > 1 and more
-    than one such batch, they are spread over worker processes.  The
-    batches are the same for every ``jobs``, so results do not depend on
-    it.  Only each run's final state is kept: a cell's ``final_distance``
-    is its row's distance to the cell's equilibrium.  One kernel call at
-    a beta column then takes the tangent response Jacobians at all
-    equilibria, and one spectrum per beta gives its cells' verdicts.
-    ``jobs``, ``horizon``, ``outer_tol``, the regularizers and ``x0`` are
-    checked before any solve; a bad beta or eta, like any other cell
-    error, is recorded in its cells, and the sweep continues.  The
-    returned grid is row-major in (betas, etas) as given, independent of
-    scheduling.
+    Every beta's response config and every cell's dynamics config are
+    built first; a bad beta or eta is recorded as its cells' error, and
+    the sweep continues with the others.  Equilibria are then located once
+    per valid beta by the damped walk of :func:`find_smoothed_equilibrium`,
+    warm-started from the largest beta downward.  The walk runs as one row
+    of the dynamics batch of the cells whose betas it has already solved
+    (see :class:`_Ladder`): a beta's cells are queued once its walk
+    converges and join the batch at ``x0`` while it holds at most
+    ``SWEEP_CHUNK`` cell rows, each row at its own beta and eta, and leave
+    after ``horizon`` steps or once a step returns them bit for bit.  If
+    the shared batch raises, each cell in it is rerun alone, so a failing
+    run fails only its own cell.  Only each run's final state is kept: a
+    cell's ``final_distance`` is its row's distance to the cell's
+    equilibrium.  One kernel call at a beta column then takes the tangent
+    response Jacobians at all equilibria, and one spectrum per beta gives
+    its cells' verdicts.  ``jobs``, ``horizon``, ``outer_tol``, the
+    regularizers and ``x0`` are checked before any solve; ``jobs`` has no
+    other effect.  The returned grid is row-major in (betas, etas) as
+    given.
     """
     check_count("jobs", jobs, positive=True)
     check_count("horizon", horizon, positive=True)
@@ -623,37 +608,25 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
     cells_of = {}  # beta -> indices of its cells in the grid
     for c, (beta, _) in enumerate(grid):
         cells_of.setdefault(beta, []).append(c)
-    outcomes = {}  # cell index -> final distance or error text
-
-    def rows_of(beta, cfg, eq):
+    ladder = _Ladder(game, kernel, start, horizon, outer_tol)
+    outcomes, errors = ladder.outcomes, ladder.errors
+    rungs = []  # (beta, response config, runnable cell rows)
+    for beta, cells in cells_of.items():
+        try:
+            cfg = replace(kernel.cfg, beta=beta)
+        except GameError as err:
+            errors[beta] = _error_text(err)
+            continue
         rows = []
-        for c in cells_of[beta]:
+        for c in cells:
             try:
                 rows.append((c, DynamicsConfig(eta=grid[c][1], response=cfg,
                                                horizon=horizon)))
             except GameError as err:
                 outcomes[c] = _error_text(err)
-        return rows
-
-    ladder = _Ladder(game, kernel, start, horizon, outer_tol, rows_of)
-    ladder.run(sorted(cells_of, reverse=True), x0)
-    outcomes.update(ladder.distances)
-    deferred = ladder.deferred
-    tasks = [(game, start, [(dyn, ref) for _, dyn, ref in
-                            deferred[i:i + SWEEP_CHUNK]])
-             for i in range(0, len(deferred), SWEEP_CHUNK)]
-    if jobs > 1 and len(tasks) > 1:
-        # imported here: it loads multiprocessing, logging, socket and
-        # subprocess, which a single-process sweep never needs
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            computed = list(pool.map(_sweep_chunk, tasks))
-    else:
-        computed = map(_sweep_chunk, tasks)
-    outcomes.update(zip((c for c, _, _ in deferred),
-                        chain.from_iterable(computed)))
-
-    solved, errors = ladder.solved, ladder.errors
+        rungs.append((beta, cfg, rows))
+    ladder.run(sorted(rungs, key=lambda rung: rung[0], reverse=True), x0)
+    solved = ladder.solved
 
     def jacobians(rungs):
         kernel = FlatKernel(game, solved[rungs[0]][0],

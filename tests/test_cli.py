@@ -193,18 +193,6 @@ def test_simulate_record_every_thins_rows(capsys):
 # ---------------------------------------------------------------------------
 # sweep
 
-def test_sweep_output_matches_across_jobs(capsys):
-    argv = ["sweep", "coordination_2x2", "--betas", "0.3,0.1",
-            "--etas", "0.01,0.1", "--horizon", "50"]
-    code1, out1, _ = run_cli(capsys, argv + ["--jobs", "1"])
-    code2, out2, _ = run_cli(capsys, argv + ["--jobs", "2"])
-    assert code1 == code2 == 0
-    assert out1 == out2
-    rows = list(csv.reader(io.StringIO(out1)))
-    assert rows[0][:2] == ["beta", "eta"]
-    assert len(rows) == 5
-
-
 def test_sweep_carries_solver_errors_per_cell(capsys, tmp_path):
     rng = np.random.default_rng(0)
     t1 = rng.normal(size=(3, 3))
@@ -283,12 +271,6 @@ def test_negative_seed_exits_2(capsys, argv):
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert "seed must be a non-negative integer" in err
-
-
-def test_zero_jobs_exits_2(capsys):
-    code, _, err = run_cli(capsys, ["sweep", "matching_pennies", "--jobs", "0"])
-    assert code == 2
-    assert "jobs must be a positive integer" in err
 
 
 class Hung(Exception):

@@ -576,59 +576,36 @@ def test_sweep_records_solver_errors_per_beta():
         assert "CyclingError" in cell.error
 
 
-def test_sweep_parallel_matches_serial():
-    g = sg.bundled_game("coordination_2x2")
-    kwargs = dict(betas=(0.3, 0.1), etas=(0.01, 0.1),
-                  regularizers=(sg.entropy(2), sg.entropy(2)), horizon=100)
-    serial = sg.sweep(g, jobs=1, **kwargs)
-    parallel = sg.sweep(g, jobs=2, **kwargs)
-    assert len(serial) == len(parallel)
-    for a, b in zip(serial, parallel):
-        assert (a.beta, a.eta) == (b.beta, b.eta)
-        assert a.final_distance == b.final_distance
-        assert a.verdict.jacobian_spectral_radius == \
-            b.verdict.jacobian_spectral_radius
-
-
 def test_import_loads_no_process_pool():
-    # the pool is imported by a sweep with jobs > 1, not by the package
+    # neither the package nor a sweep, whatever its jobs, starts worker
+    # processes; jobs changes no cell of a grid wider than a batch
     pool_modules = ("concurrent.futures.process", "multiprocessing",
                     "logging", "socket", "subprocess")
-    code = ("import sys, smoothgames, smoothgames.cli; "
-            f"print([m for m in {pool_modules!r} if m in sys.modules])")
+    code = f"""
+import sys
+import numpy as np
+import smoothgames as sg, smoothgames.cli
+t = np.random.default_rng(11).normal(size=(3, 3))
+g = sg.NormalFormGame((t, -t.T.copy() + 0.5 * t))
+args = (g, (1.0, 0.7), np.linspace(0.02, 0.9, 40), (sg.entropy(3),) * 2)
+assert 80 > sg.dynamics.SWEEP_CHUNK
+cells = [sg.sweep(*args, horizon=50, jobs=jobs) for jobs in (1, 2)]
+same = [repr(c) + c.equilibrium.point.concatenated().tobytes().hex()
+        for c in cells[0]] == [
+    repr(c) + c.equilibrium.point.concatenated().tobytes().hex()
+    for c in cells[1]]
+print(same, [m for m in {pool_modules!r} if m in sys.modules])
+"""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
-
-
-def test_sweep_batches_do_not_depend_on_jobs():
-    # each beta's eta cells run as one batch in both modes, so even the
-    # row-count-dependent rounding of matrix products is the same
-    rng = np.random.default_rng(4)
-    g = random_game(rng, (4, 3), scale=0.5)
-    kwargs = dict(betas=(1.0, 0.5, 0.3), etas=(0.05, 0.2, 0.5),
-                  regularizers=(sg.entropy(4), sg.entropy(3)), horizon=100)
-    serial = sg.sweep(g, jobs=1, **kwargs)
-    parallel = sg.sweep(g, jobs=2, **kwargs)
-    assert len(serial) == len(parallel) == 9
-    for a, b in zip(serial, parallel):
-        assert a.error is None and b.error is None
-        assert (a.beta, a.eta) == (b.beta, b.eta)
-        assert a.final_distance == b.final_distance
-        assert (a.verdict.jacobian_spectral_radius,
-                a.verdict.jacobian_operator_norm,
-                a.verdict.classification) == \
-            (b.verdict.jacobian_spectral_radius,
-             b.verdict.jacobian_operator_norm, b.verdict.classification)
-        np.testing.assert_array_equal(a.equilibrium.point.concatenated(),
-                                      b.equilibrium.point.concatenated())
+    assert out.strip() == "True []"
 
 
 def test_sweep_failing_run_fails_only_its_cell(monkeypatch):
     # a run that raises inside its beta's batch must not take the other
-    # cells of the batch down with it; every batch of a sweep, the ladder's
-    # and the later chunks', moves its rows by one mix at an eta column
+    # cells of the batch down with it; the ladder batch moves its rows by
+    # one mix at an eta column
     mix = sg.response.FlatKernel.mix
 
     def failing_at_half(self, X, Y, eta):
@@ -686,6 +663,16 @@ def test_sweep_keeps_a_bad_beta_or_eta_as_a_cell_error():
                      regularizers=(sg.entropy(2), sg.entropy(2)), horizon=5)
     errors = [(cell.beta, cell.eta) for cell in cells if cell.error]
     assert errors == [(0.3, 2.0), (-1.0, 0.1), (-1.0, 2.0)]
+
+
+def cell_bits(cell):
+    """Everything a sweep cell holds, its equilibrium to the last bit."""
+    verdict = cell.verdict and (cell.verdict.jacobian_spectral_radius,
+                                cell.verdict.jacobian_operator_norm,
+                                cell.verdict.classification)
+    point = cell.equilibrium and cell.equilibrium.point.concatenated()
+    return (cell.beta, cell.eta, cell.error, cell.final_distance, verdict,
+            None if point is None else point.tobytes())
 
 
 def assert_cells_match_runs(g, cells, regs, x0, horizon, exact=False):
@@ -771,30 +758,6 @@ def test_sweep_quadratic_entropy_rows_match_per_beta_runs():
     assert_cells_match_runs(g, cells, regs, x0, 100)
 
 
-def test_sweep_grid_larger_than_a_batch_does_not_depend_on_jobs():
-    # 5 x 4 payoffs: matrix products of one row round differently from
-    # those of several
-    rng = np.random.default_rng(8)
-    g = random_game(rng, (5, 4), scale=0.5)
-    betas = (1.0, 0.8, 0.6, 0.5, 0.4)
-    etas = tuple(np.linspace(0.02, 0.6, 14))
-    assert len(betas) * len(etas) > sg.dynamics.SWEEP_CHUNK
-    kwargs = dict(regularizers=(sg.entropy(5), sg.entropy(4)), horizon=30)
-    serial = sg.sweep(g, betas, etas, jobs=1, **kwargs)
-    parallel = sg.sweep(g, betas, etas, jobs=2, **kwargs)
-    for a, b in zip(serial, parallel):
-        assert a.error is None and b.error is None
-        assert (a.beta, a.eta, a.final_distance) == \
-            (b.beta, b.eta, b.final_distance)
-        assert (a.verdict.jacobian_spectral_radius,
-                a.verdict.jacobian_operator_norm,
-                a.verdict.classification) == \
-            (b.verdict.jacobian_spectral_radius,
-             b.verdict.jacobian_operator_norm, b.verdict.classification)
-        np.testing.assert_array_equal(a.equilibrium.point.concatenated(),
-                                      b.equilibrium.point.concatenated())
-
-
 def test_sweep_matches_per_beta_solves_and_single_runs():
     # the ladder batch steps each beta's walk beside the cells of the betas
     # solved before it, so its rows round like rows of a larger batch; it
@@ -863,41 +826,95 @@ def test_sweep_matches_per_beta_solves_and_single_runs():
     assert bounded >= 40
 
 
-def test_sweep_grid_beyond_the_ladder_batch_is_the_same_for_any_jobs(
-        monkeypatch):
-    # the first beta's 40 cells fill the ladder batch while the next betas
-    # are solved, so the other 80 run after it as two chunks, spread over a
-    # pool with jobs = 2
-    import concurrent.futures
+@pytest.mark.parametrize("seed, shape, betas, etas, horizon, exact", [
+    (11, (3, 3), (1.0, 0.7, 0.5), tuple(np.linspace(0.02, 0.9, 40)), 200,
+     True),
+    # 5 x 4 payoffs: matrix products of one row round differently from
+    # those of several
+    (8, (5, 4), (1.0, 0.8, 0.6, 0.5, 0.4), tuple(np.linspace(0.02, 0.6, 14)),
+     30, False)], ids=["3x40", "5x14"])
+def test_sweep_grid_wider_than_a_batch_matches_per_beta_runs(
+        monkeypatch, seed, shape, betas, etas, horizon, exact):
+    # the cells that do not fit in the ladder batch wait until rows leave
+    # it, so no response sees more than SWEEP_CHUNK cell rows and the walk;
+    # each cell agrees with the walk run alone down the same ladder and
+    # with a run of its own
+    rng = np.random.default_rng(seed)
+    g = random_game(rng, shape, scale=0.5)
+    regs = tuple(sg.entropy(k) for k in shape)
+    assert len(betas) * len(etas) > sg.dynamics.SWEEP_CHUNK
+    respond = sg.response.FlatKernel.respond
+    widest = [0]
 
-    started = []
+    def counting(self, X):
+        widest[0] = max(widest[0], len(X))
+        return respond(self, X)
 
-    class Pool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs)
-            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(sg.response.FlatKernel, "respond", counting)
+    cells = sg.sweep(g, betas, etas, regs, horizon=horizon)
+    monkeypatch.undo()
+    assert len(etas) < widest[0] <= sg.dynamics.SWEEP_CHUNK + 1
+    x0 = sg.uniform_strategy(shape)
+    warm = x0
+    for beta, row in zip(betas, np.reshape(cells, (len(betas), -1))):
+        cfg = sg.SmoothedResponseConfig(beta=beta, regularizers=regs)
+        eq = sg.find_smoothed_equilibrium(g, cfg, warm)
+        warm = eq.point
+        for cell in row:
+            assert (cell.beta, cell.error) == (beta, None)
+            assert np.abs(cell.equilibrium.point.concatenated()
+                          - eq.point.concatenated()).max() <= 1e-12
+    assert_cells_match_runs(g, cells, regs, x0, horizon, exact=exact)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+
+def test_sweep_failing_batch_leaves_the_waiting_cells_alone(monkeypatch):
+    # a beta's 70 cells make a group of SWEEP_CHUNK rows and one of 6 that
+    # waits; a mix that raises at one eta fails the batch, each of its
+    # cells is rerun alone, and only that eta's cells fail
     rng = np.random.default_rng(11)
     g = random_game(rng, (3, 3), scale=0.5)
-    betas, etas = (1.0, 0.7, 0.5), tuple(np.linspace(0.02, 0.9, 40))
-    assert 2 * len(etas) > sg.dynamics.SWEEP_CHUNK >= len(etas)
-    kwargs = dict(regularizers=(sg.entropy(3), sg.entropy(3)), horizon=200)
-    serial = sg.sweep(g, betas, etas, jobs=1, **kwargs)
-    assert not started
-    parallel = sg.sweep(g, betas, etas, jobs=2, **kwargs)
-    assert started == [{"max_workers": 2}]
-    for a, b in zip(serial, parallel):
-        assert a.error is None and b.error is None
-        assert (a.beta, a.eta, a.final_distance) == \
-            (b.beta, b.eta, b.final_distance)
-        assert (a.verdict.jacobian_spectral_radius,
-                a.verdict.jacobian_operator_norm,
-                a.verdict.classification) == \
-            (b.verdict.jacobian_spectral_radius,
-             b.verdict.jacobian_operator_norm, b.verdict.classification)
-        np.testing.assert_array_equal(a.equilibrium.point.concatenated(),
-                                      b.equilibrium.point.concatenated())
+    regs = (sg.entropy(3), sg.entropy(3))
+    betas, etas = (1.0, 0.7), tuple(np.linspace(0.01, 0.7, 70))
+    mix, alone = sg.response.FlatKernel.mix, sg.dynamics._Ladder._alone
+    waiting = []
+
+    def failing(self, X, Y, eta):
+        if np.any(eta == etas[40]):
+            raise sg.ConvergenceError("inner solver went non-finite")
+        return mix(self, X, Y, eta)
+
+    def recording(self, dyn, ref):
+        waiting.append(len(self.queue))
+        return alone(self, dyn, ref)
+
+    monkeypatch.setattr(sg.response.FlatKernel, "mix", failing)
+    monkeypatch.setattr(sg.dynamics._Ladder, "_alone", recording)
+    cells = sg.sweep(g, betas, etas, regs, horizon=30)
+    monkeypatch.undo()
+    assert max(waiting) > 0
+    assert [(c.beta, c.eta) for c in cells if c.error] == \
+        [(beta, etas[40]) for beta in betas]
+    for cell in cells:
+        if cell.error:
+            assert cell.error.startswith("ConvergenceError: inner solver")
+            assert cell.equilibrium is not None and cell.verdict is None
+    assert_cells_match_runs(g, cells, regs, sg.uniform_strategy(g.shape), 30)
+
+
+def test_sweep_bad_betas_leave_the_ladder_of_the_others_alone():
+    # bad betas are set aside before the ladder is ordered: a NaN has no
+    # place in a decreasing order, and sorting one with the others can
+    # put them out of order, changing their warm starts
+    g = sg.bundled_game("coordination_2x2")
+    x0 = sg.JointStrategy((np.array([0.7, 0.3]), np.array([0.35, 0.65])))
+    kwargs = dict(etas=(0.01, 0.1), regularizers=(sg.entropy(2),) * 2,
+                  x0=x0, horizon=50)
+    clean = sg.sweep(g, (0.1, 0.3, 0.03), **kwargs)
+    noisy = sg.sweep(g, (0.1, np.nan, 0.3, 0.03, -1.0), **kwargs)
+    assert all(c.error and c.equilibrium is None for c in noisy
+               if not c.beta > 0)
+    kept = [c for c in noisy if c.beta > 0]
+    assert [cell_bits(c) for c in kept] == [cell_bits(c) for c in clean]
 
 
 def test_sweep_failing_walk_fails_only_its_beta(monkeypatch):
