@@ -2,9 +2,10 @@
 """Map the (beta, eta) phase diagram of the averaging dynamics for one game.
 
 For every grid cell the smoothed equilibrium is located by warm-started
-continuation, classified through the dynamics Jacobian, and then hit with a
-finite run from a perturbed start to see whether the trajectory actually
-returns.  The full grid goes to CSV; a compact character map goes to stdout:
+continuation, classified through the dynamics Jacobian, and run for a
+finite horizon from the uniform point (``sweep``'s default ``x0``); the
+cell's distance is where that run ends from its equilibrium.  The full grid
+goes to CSV; a compact character map goes to stdout:
 
     $ python3 scripts/phase_diagram.py matching_pennies --out pennies.csv
 

@@ -30,7 +30,6 @@ from .response import (DampedWalk, FlatKernel, SmoothedEquilibrium,
 SAMPLE_BALL_RADIUS = 0.05  # inf-norm radius for Lipschitz sampling
 CLASSIFICATION_TOL = 1e-9
 DISTANCE_CHUNK = 64  # states held back before their distances are taken
-SWEEP_CHUNK = 64  # most cell rows in a sweep's dynamics batch
 FIXED_CHECK_STRIDE = 8  # steps between tests for an unchanged batch
 
 
@@ -81,7 +80,7 @@ def step(game: NormalFormGame, cfg: DynamicsConfig,
     """One averaging update, renormalized defensively against drift."""
     kernel = FlatKernel(game, check_type("cfg", cfg, DynamicsConfig).response)
     x_flat = kernel.flatten(x)[None, :]
-    return kernel.strategy(kernel.advance(x_flat, np.full((1, 1), cfg.eta))[0])
+    return kernel.strategy(kernel.advance(x_flat, cfg.eta)[0])
 
 
 def run(game: NormalFormGame, cfg: DynamicsConfig, x0: JointStrategy,
@@ -111,12 +110,12 @@ def run_many(game: NormalFormGame, cfg: DynamicsConfig, X0,
     ref = (kernel.flatten(check_type("reference", reference,
                                      SmoothedEquilibrium).point, "reference")
            if reference is not None else None)
-    return _orbits(kernel, [cfg] * len(starts), np.stack(starts), ref)
+    return _orbits(kernel, cfg, np.stack(starts), ref)
 
 
-def _states(kernel, configs, X):
-    """Yield the batch X after each of the horizon's steps, row i under
-    configs[i]; all share the horizon.
+def _states(kernel, cfg, X):
+    """Yield the batch X after each of the horizon's steps under the
+    dynamics config ``cfg``.
 
     Every FIXED_CHECK_STRIDE-th step compares its result with its input
     bit for bit.  Once they agree, the batch is a fixed point of
@@ -126,10 +125,9 @@ def _states(kernel, configs, X):
     steps without stepping.  Comparing bytes, not values, keeps -0.0
     against 0.0 from counting as fixed.
     """
-    horizon = configs[0].horizon
-    eta = np.array([[c.eta] for c in configs])
+    horizon = cfg.horizon
     for t in range(1, horizon + 1):
-        new = kernel.advance(X, eta)
+        new = kernel.advance(X, cfg.eta)
         if t % FIXED_CHECK_STRIDE == 0 and new.tobytes() == X.tobytes():
             yield from repeat(X, horizon - t + 1)
             return
@@ -137,16 +135,16 @@ def _states(kernel, configs, X):
         yield X
 
 
-def _orbits(kernel, configs, X, ref):
-    """Run row i of X under configs[i]; all share horizon and cadence.
+def _orbits(kernel, cfg, X, ref):
+    """Run every row of X under the dynamics config ``cfg``.
 
-    ``ref`` is None, a flat reference point or one per row.  Points become
+    ``ref`` is None or a flat reference point.  Points become
     JointStrategy objects only where they are recorded.  Distances are
     taken DISTANCE_CHUNK states at a time.  Once ``_states`` repeats a
     fixed batch, no more per-step work is done: its strategies and its
     distances are those of the step that reached it, repeated.
     """
-    horizon, every = configs[0].horizon, configs[0].record_every
+    horizon, every = cfg.horizon, cfg.record_every
     recorded = [X]
     pending = [X]
     distances = []
@@ -156,7 +154,7 @@ def _orbits(kernel, configs, X, ref):
         distances.append(np.linalg.norm(np.stack(pending) - ref, axis=2))
         pending.clear()
 
-    for t, state in enumerate(_states(kernel, configs, X), 1):
+    for t, state in enumerate(_states(kernel, cfg, X), 1):
         if state is X:
             fixed = horizon - t + 1
             break
@@ -181,7 +179,7 @@ def _orbits(kernel, configs, X, ref):
                                 for R in recorded) + (finals[i],) * tail,
                    final_point=finals[i],
                    distances=tuple(distances[i]) if ref is not None else None)
-        for i, cfg in enumerate(configs))
+        for i in range(len(X)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +274,11 @@ def eta_threshold(game: NormalFormGame, cfg: SmoothedResponseConfig,
     X = np.stack([kernel.flatten(p) for p in points])
     lipschitz = max(_lipschitz(grad_phi, cfg.beta)
                     for grad_phi in kernel.tangent_jacobians(X))
-    return float(cfg.beta ** 2 / (1.0 + lipschitz ** 2))
+    try:
+        return float(cfg.beta ** 2 / (1.0 + lipschitz ** 2))
+    except OverflowError as err:
+        raise DomainError(f"the eta threshold overflows at beta="
+                          f"{cfg.beta:g}, L={lipschitz:g}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +392,7 @@ def _error_text(err) -> str:
 
 
 class _Group:
-    """The runs of a solved beta's cells in a sweep's ladder batch, at most
-    ``SWEEP_CHUNK`` of them.
+    """The runs of a solved beta's cells in a sweep's ladder batch.
 
     ``rows`` holds (cell index, dynamics config) pairs and ``ref`` the
     flat equilibrium.  ``span`` is the group's rows of the batch, and None
@@ -415,15 +416,14 @@ class _Ladder:
     the others the cells of betas already solved.  Each step is one
     :meth:`FlatKernel.respond` for every row; the walk reads its residual
     and eta off its own row, and one :meth:`FlatKernel.mix` at an eta
-    column moves all rows.  A beta whose walk converges has its cells
-    queued in groups of at most ``SWEEP_CHUNK`` rows, and the next rung's
-    walk starts from its equilibrium; a beta whose walk fails runs no
-    cells.  Whenever the batch is rebuilt, queued groups join it at the
-    start, in order, as long as it then holds at most ``SWEEP_CHUNK`` cell
-    rows.  A group leaves after ``horizon`` steps, or once a
-    FIXED_CHECK_STRIDE-th step of its own returns it bit for bit (see
-    :func:`_states`).  The kernel is built afresh only when rows join or
-    leave.
+    column moves all rows.  A beta whose walk converges has all its cells
+    join the batch at the start, as one group, when the batch is rebuilt
+    for the next rung's walk, which starts from its equilibrium; a beta
+    whose walk fails runs no cells.  The batch has no row cap: it holds
+    the walk's row and every running cell.  A group leaves after
+    ``horizon`` steps, or once a FIXED_CHECK_STRIDE-th step of its own
+    returns it bit for bit (see :func:`_states`).  The kernel is built
+    afresh only when rows join or leave.
 
     A :class:`GameError` from the shared respond or mix falls back to
     isolation: the current rung is solved alone by
@@ -441,19 +441,17 @@ class _Ladder:
         self.errors = {}  # beta -> error text of its solve
         self.outcomes = {}  # cell index -> final distance or error text
         self.groups = []
-        self.queue = []  # groups of solved betas waiting to join
-        self.warm = None  # the start of the next walk
+        self.warm = start[None, :]  # the (1, K) start of the next walk
 
-    def run(self, rungs, x0):
+    def run(self, rungs):
         """Solve every (beta, response config, cell rows) rung, in order of
-        decreasing beta, the first from the strategy ``x0``, and run the
-        cells of each beta solved."""
+        decreasing beta, the first from the start, and run the cells of
+        each beta solved."""
         rungs = iter(rungs)
-        self.warm = x0
-        x = self.start[None, :]  # the walk's row
-        rung = self._next_rung(rungs, x)  # (beta, config, rows, walk)
+        rung = self._next_rung(rungs)  # (beta, config, rows, walk)
+        x = self.warm  # the walk's row
         X = kernel = None
-        while rung is not None or self.groups or self.queue:
+        while rung is not None or self.groups:
             if kernel is None:  # rows joined or left
                 kernel, X, eta = self._batch(rung, x, X)
             out = None  # the walk's eta, equilibrium or error
@@ -477,7 +475,8 @@ class _Ladder:
                 if rung is not None:
                     try:
                         out = find_smoothed_equilibrium(
-                            self.game, rung[1], self.warm,
+                            self.game, rung[1],
+                            self.base.strategy(self.warm[0]),
                             outer_tol=self.outer_tol)
                     except GameError as err:
                         out = err
@@ -491,25 +490,21 @@ class _Ladder:
                 x = X[:1]
             else:
                 self._finish(*rung[:3], out)
-                x = self.warm.concatenated()[None, :]
-                rung = self._next_rung(rungs, x)
+                rung = self._next_rung(rungs)
+                x = self.warm
                 kernel = None
 
-    def _next_rung(self, rungs, x):
-        """The next rung with a walk from the row x, or None."""
+    def _next_rung(self, rungs):
+        """The next rung with a walk from the warm start, or None."""
         rung = next(rungs, None)
         return None if rung is None else (
-            *rung, DampedWalk(self.base, rung[0], x, self.outer_tol))
+            *rung, DampedWalk(self.base, rung[0], self.warm, self.outer_tol))
 
     def _batch(self, rung, x, X):
         """A kernel, the batch and its eta column: the walk's row x, if a
         rung is being solved, then each group's rows, taken from X, the
         last batch, or at the start for a group that joins now; each
         group's span is set."""
-        cells = sum(len(g.rows) for g in self.groups)
-        while self.queue and cells + len(self.queue[0].rows) <= SWEEP_CHUNK:
-            self.groups.append(self.queue.pop(0))
-            cells += len(self.groups[-1].rows)
         states, betas, etas = [], [], []
         if rung is not None:
             states.append(x)
@@ -526,16 +521,15 @@ class _Ladder:
         return kernel, np.concatenate(states), np.array(etas)[:, None]
 
     def _finish(self, beta, cfg, rows, out):
-        """Record a rung's equilibrium or error; a solved beta's cells are
-        queued."""
+        """Record a rung's equilibrium or error; a solved beta's cells, if
+        it has any, become a group that joins at the next rebuild."""
         if not isinstance(out, SmoothedEquilibrium):
             self.errors[beta] = _error_text(out)
             return
         self.solved[beta] = (cfg, out)
-        self.warm = out.point
-        ref = out.point.concatenated()
-        self.queue += [_Group(rows[i:i + SWEEP_CHUNK], ref)
-                       for i in range(0, len(rows), SWEEP_CHUNK)]
+        self.warm = out.point.concatenated()[None, :]
+        if rows:
+            self.groups.append(_Group(rows, self.warm[0]))
 
     def _age(self, X, new) -> bool:
         """Count the step X -> new for every group; returns whether one
@@ -559,7 +553,7 @@ class _Ladder:
         """The final distance of one cell's run from the start in a batch
         of its own, or its error text."""
         try:
-            for X in _states(FlatKernel(self.game, dyn.response), [dyn],
+            for X in _states(FlatKernel(self.game, dyn.response), dyn,
                              self.start[None, :]):
                 pass
         except GameError as err:
@@ -577,9 +571,8 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
     per valid beta by the damped walk of :func:`find_smoothed_equilibrium`,
     warm-started from the largest beta downward.  The walk runs as one row
     of the dynamics batch of the cells whose betas it has already solved
-    (see :class:`_Ladder`): a beta's cells are queued once its walk
-    converges and join the batch at ``x0`` while it holds at most
-    ``SWEEP_CHUNK`` cell rows, each row at its own beta and eta, and leave
+    (see :class:`_Ladder`): once its walk converges, all of a beta's cells
+    join the batch at ``x0``, each row at its own beta and eta, and leave
     after ``horizon`` steps or once a step returns them bit for bit.  If
     the shared batch raises, each cell in it is rerun alone, so a failing
     run fails only its own cell.  Only each run's final state is kept: a
@@ -625,7 +618,7 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
             except GameError as err:
                 outcomes[c] = _error_text(err)
         rungs.append((beta, cfg, rows))
-    ladder.run(sorted(rungs, key=lambda rung: rung[0], reverse=True), x0)
+    ladder.run(sorted(rungs, key=lambda rung: rung[0], reverse=True))
     solved = ladder.solved
 
     def jacobians(rungs):

@@ -35,8 +35,8 @@ except ImportError:  # numpy 1.x: the public function, the same results
     _einsum = np.einsum
 
 from .errors import (ArgumentError, ConvergenceError, CyclingError,
-                     DimensionError, check_array, check_count, check_index,
-                     check_real, check_sequence, check_type)
+                     DimensionError, DomainError, check_array, check_count,
+                     check_index, check_real, check_sequence, check_type)
 from .games import (JointStrategy, NormalFormGame, block_diag, block_slices,
                     epsilon_nash_gap, gradient_plan, jacobian_blocks,
                     planned_gradient, tangent_basis, uniform_strategy)
@@ -99,7 +99,8 @@ def smoothed_argmax(values, reg: Regularizer, beta: float, inner_tol=1e-12,
     """Maximize values . y - beta * h(y) over the simplex.
 
     Without a quadratic term this is the closed-form softmax
-    (max-subtracted before exponentiation); otherwise a damped Newton
+    (max-subtracted before exponentiation; where v / beta overflows, v is
+    shifted by its maximum before the division); otherwise a damped Newton
     iteration in log coordinates runs until the projected-gradient residual
     drops to inner_tol.
     """
@@ -111,7 +112,10 @@ def smoothed_argmax(values, reg: Regularizer, beta: float, inner_tol=1e-12,
     if reg.dimension == 1:
         return np.ones(1)
     if reg.A is None:
-        z = v / beta
+        with np.errstate(over="ignore"):
+            z = v / beta
+            if not np.isfinite(z.max()):
+                z = (v - v.max()) / beta
         z = z - z.max()
         p = np.exp(z)
         return p / p.sum()
@@ -292,9 +296,13 @@ def linear_steepness_probe(r: Regularizer, i: int, eps: float, betas,
     Solves the smoothed argmax against a payoff vector v whose coordinate i
     trails the best coordinate by exactly eps (the boundary case of the
     suboptimality set), and reports ``x^beta_i / beta`` per beta.  For
-    entropy the ratio is bounded by ``exp(-eps/beta) / beta``.
+    entropy the ratio is bounded by ``exp(-eps/beta) / beta``.  The probe
+    needs a second action to trail, so ``r`` must have dimension 2 or more.
     """
     check_index("probe index", i, check_type("r", r, Regularizer).dimension)
+    if r.dimension < 2:
+        raise ArgumentError("the steepness probe needs a regularizer of "
+                            "dimension 2 or more")
     check_real("eps", eps, positive=False)
     k = r.dimension
     if rng is None:
@@ -486,7 +494,9 @@ class FlatKernel:
     def _linearize(self, X):
         """Responses and ambient Jacobians: one :meth:`respond` call, then
         stacked face pseudoinverses times the stacked game Jacobian
-        blocks projected on the response supports, over each row's beta."""
+        blocks projected on the response supports, over each row's beta.
+        A Jacobian that overflows (at a beta so small that 1/beta does) is
+        a DomainError naming the least beta."""
         Y = self.respond(X)
         slices = self.slices
         cross = jacobian_blocks(self.game, [X[:, s] for s in slices],
@@ -505,6 +515,9 @@ class FlatKernel:
             for m, s_m in enumerate(slices):
                 if n != m:
                     J[:, s_n, s_m] = pinvs[n] @ cross[n][m] / beta
+        if not np.isfinite(J).all():
+            raise DomainError(f"the response Jacobian is not finite at beta="
+                              f"{np.min(self.beta):g}")
         return Y, J
 
     def mix(self, X: np.ndarray, Y: np.ndarray, eta) -> np.ndarray:

@@ -344,6 +344,67 @@ def test_oversized_game_exits_4(capsys, tmp_path):
     assert "exceeds" in err
 
 
+def test_simulate_beta_too_small_to_divide_by_exits_2(capsys):
+    # 1/beta overflows, so the response Jacobian of the verdict is not
+    # finite
+    code, out, err = run_cli(capsys, ["simulate", "matching_pennies",
+                                      "--beta", "1e-320", "--eta", "0.1",
+                                      "--horizon", "5"])
+    assert code == 2
+    assert out == ""
+    assert "error: the response Jacobian is not finite at beta=" in err
+
+
+def test_sweep_beta_too_small_to_divide_by_fails_only_its_cells(capsys):
+    code, out, _ = run_cli(capsys, ["sweep", "matching_pennies", "--betas",
+                                    "0.3,1e-320", "--etas", "0.1",
+                                    "--horizon", "5"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows[0]["error"] == ""
+    assert rows[0]["classification"] == "asymptotically_stable"
+    assert rows[1]["error"].startswith(
+        "DomainError: the response Jacobian is not finite")
+
+
+def test_probe_of_one_action_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["probe-steepness", "--dim", "1"])
+    assert code == 2
+    assert out == ""
+    assert "needs a regularizer of dimension 2 or more" in err
+
+
+# each subcommand's numeric flags, over a command line that keeps a run short
+NUMERIC_FLAGS = [
+    (("analyze", "matching_pennies", "--solve", "--grid-resolution", "3",
+      "--conditioners", "2"),
+     ("--beta", "--grid-resolution", "--conditioners", "--seed")),
+    (("equilibrium", "matching_pennies"), ("--betas", "--tol", "--seed")),
+    (("simulate", "matching_pennies", "--beta", "0.3", "--horizon", "5"),
+     ("--beta", "--eta", "--horizon", "--record-every", "--seed")),
+    (("sweep", "matching_pennies", "--horizon", "5"),
+     ("--betas", "--etas", "--horizon", "--seed")),
+    (("probe-steepness",), ("--dim", "--index", "--eps", "--betas",
+                            "--seed")),
+]
+
+
+@pytest.mark.parametrize("value", ["0", "1", "-1", "nan", "inf", "1e308",
+                                   "1e-320"])
+@pytest.mark.parametrize("base, flag", [
+    (base, flag) for base, flags in NUMERIC_FLAGS for flag in flags],
+    ids=[f"{base[0]}{flag}" for base, flags in NUMERIC_FLAGS
+         for flag in flags])
+def test_numeric_flag_extremes_exit_with_a_documented_code(capsys, base,
+                                                           flag, value):
+    # a flag given twice takes its last value
+    try:
+        code, _, _ = run_cli_within(capsys, [*base, flag, value], 10.0)
+    except SystemExit as exit:  # argparse rejects what its type cannot read
+        code = exit.code
+    assert code in (0, 2, 3, 4)
+
+
 @pytest.mark.parametrize("betas, message", [
     ("1,a", "bad numeric list '1,a'"),
     (",", "empty numeric list ','"),

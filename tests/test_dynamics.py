@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import smoothgames as sg
 from smoothgames.dynamics import DISTANCE_CHUNK, Trajectory
-from smoothgames.errors import ArgumentError, DimensionError
+from smoothgames.errors import ArgumentError, DimensionError, DomainError
 
 from conftest import (nonstrategic_offsets, quadratic_regularizers,
                       random_game, random_interior)
@@ -522,6 +522,16 @@ def test_eta_threshold_rejects_bad_sampling(kwargs):
         sg.eta_threshold(g, cfg, eq, **kwargs)
 
 
+def test_eta_threshold_that_overflows_is_a_domain_error():
+    # beta^2 overflows a float, so the threshold has no finite value
+    g = pennies()
+    cfg = sg.entropy_config(g, 1e308)
+    eq = sg.SmoothedEquilibrium(point=sg.uniform_strategy(g.shape),
+                                beta=1e308, residual=0.0, nash_gap=0.0)
+    with pytest.raises(DomainError, match="eta threshold overflows"):
+        sg.eta_threshold(g, cfg, eq)
+
+
 def test_eta_threshold_requires_an_equilibrium():
     g = pennies()
     with pytest.raises(ArgumentError, match="SmoothedEquilibrium"):
@@ -578,7 +588,7 @@ def test_sweep_records_solver_errors_per_beta():
 
 def test_import_loads_no_process_pool():
     # neither the package nor a sweep, whatever its jobs, starts worker
-    # processes; jobs changes no cell of a grid wider than a batch
+    # processes; jobs changes no cell of an 80-cell grid
     pool_modules = ("concurrent.futures.process", "multiprocessing",
                     "logging", "socket", "subprocess")
     code = f"""
@@ -588,7 +598,6 @@ import smoothgames as sg, smoothgames.cli
 t = np.random.default_rng(11).normal(size=(3, 3))
 g = sg.NormalFormGame((t, -t.T.copy() + 0.5 * t))
 args = (g, (1.0, 0.7), np.linspace(0.02, 0.9, 40), (sg.entropy(3),) * 2)
-assert 80 > sg.dynamics.SWEEP_CHUNK
 cells = [sg.sweep(*args, horizon=50, jobs=jobs) for jobs in (1, 2)]
 same = [repr(c) + c.equilibrium.point.concatenated().tobytes().hex()
         for c in cells[0]] == [
@@ -746,6 +755,28 @@ def test_sweep_failing_jacobian_fails_only_its_beta(monkeypatch):
         assert cell.equilibrium is not None and cell.verdict is None
 
 
+def test_sweep_beta_too_small_to_divide_by_fails_only_its_cells():
+    # the uniform point solves pennies at beta = 1e-320, but 1/beta
+    # overflows in its response Jacobian: its cells get a DomainError, and
+    # the cells of beta = 0.3 their verdicts
+    g = pennies()
+    regs = (sg.entropy(2), sg.entropy(2))
+    cells = sg.sweep(g, (0.3, 1e-320), (0.1,), regs, horizon=10)
+    good, tiny = cells
+    assert good.error is None
+    assert good.verdict == sg.stability_verdict(
+        g, sg.DynamicsConfig(eta=0.1, response=sg.entropy_config(g, 0.3),
+                             horizon=10), good.equilibrium)
+    assert tiny.error.startswith(
+        "DomainError: the response Jacobian is not finite at beta=")
+    assert tiny.equilibrium is not None and tiny.verdict is None
+    assert tiny.final_distance is None
+    with pytest.raises(DomainError):
+        sg.stability_verdict(g, sg.DynamicsConfig(
+            eta=0.1, response=sg.entropy_config(g, 1e-320), horizon=10),
+            tiny.equilibrium)
+
+
 def test_sweep_quadratic_entropy_rows_match_per_beta_runs():
     # rows at two betas share one Newton argmax batch through the beta
     # column
@@ -835,14 +866,12 @@ def test_sweep_matches_per_beta_solves_and_single_runs():
      30, False)], ids=["3x40", "5x14"])
 def test_sweep_grid_wider_than_a_batch_matches_per_beta_runs(
         monkeypatch, seed, shape, betas, etas, horizon, exact):
-    # the cells that do not fit in the ladder batch wait until rows leave
-    # it, so no response sees more than SWEEP_CHUNK cell rows and the walk;
-    # each cell agrees with the walk run alone down the same ladder and
-    # with a run of its own
+    # every solved beta's cells join the ladder batch at once, however
+    # many rows it then holds; each cell agrees with the walk run alone
+    # down the same ladder and with a run of its own
     rng = np.random.default_rng(seed)
     g = random_game(rng, shape, scale=0.5)
     regs = tuple(sg.entropy(k) for k in shape)
-    assert len(betas) * len(etas) > sg.dynamics.SWEEP_CHUNK
     respond = sg.response.FlatKernel.respond
     widest = [0]
 
@@ -853,7 +882,10 @@ def test_sweep_grid_wider_than_a_batch_matches_per_beta_runs(
     monkeypatch.setattr(sg.response.FlatKernel, "respond", counting)
     cells = sg.sweep(g, betas, etas, regs, horizon=horizon)
     monkeypatch.undo()
-    assert len(etas) < widest[0] <= sg.dynamics.SWEEP_CHUNK + 1
+    assert widest[0] > len(etas)
+    if exact:
+        # the three betas' 120 cells run side by side, with no row cap
+        assert widest[0] > 64
     x0 = sg.uniform_strategy(shape)
     warm = x0
     for beta, row in zip(betas, np.reshape(cells, (len(betas), -1))):
@@ -867,16 +899,16 @@ def test_sweep_grid_wider_than_a_batch_matches_per_beta_runs(
     assert_cells_match_runs(g, cells, regs, x0, horizon, exact=exact)
 
 
-def test_sweep_failing_batch_leaves_the_waiting_cells_alone(monkeypatch):
-    # a beta's 70 cells make a group of SWEEP_CHUNK rows and one of 6 that
-    # waits; a mix that raises at one eta fails the batch, each of its
-    # cells is rerun alone, and only that eta's cells fail
+def test_sweep_failing_batch_reruns_each_cell_alone(monkeypatch):
+    # a mix that raises at one eta fails the shared batch: the walk is
+    # solved alone, each cell in the batch is rerun alone, and only that
+    # eta's cells fail
     rng = np.random.default_rng(11)
     g = random_game(rng, (3, 3), scale=0.5)
     regs = (sg.entropy(3), sg.entropy(3))
     betas, etas = (1.0, 0.7), tuple(np.linspace(0.01, 0.7, 70))
     mix, alone = sg.response.FlatKernel.mix, sg.dynamics._Ladder._alone
-    waiting = []
+    rerun = []
 
     def failing(self, X, Y, eta):
         if np.any(eta == etas[40]):
@@ -884,14 +916,15 @@ def test_sweep_failing_batch_leaves_the_waiting_cells_alone(monkeypatch):
         return mix(self, X, Y, eta)
 
     def recording(self, dyn, ref):
-        waiting.append(len(self.queue))
+        rerun.append((dyn.response.beta, dyn.eta))
         return alone(self, dyn, ref)
 
     monkeypatch.setattr(sg.response.FlatKernel, "mix", failing)
     monkeypatch.setattr(sg.dynamics._Ladder, "_alone", recording)
     cells = sg.sweep(g, betas, etas, regs, horizon=30)
     monkeypatch.undo()
-    assert max(waiting) > 0
+    assert sorted(rerun) == sorted((beta, eta) for beta in betas
+                                   for eta in etas)
     assert [(c.beta, c.eta) for c in cells if c.error] == \
         [(beta, etas[40]) for beta in betas]
     for cell in cells:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import smoothgames as sg
 from smoothgames.errors import (ArgumentError, ConvergenceError, CyclingError,
-                                DimensionError)
+                                DimensionError, DomainError)
 from smoothgames.response import FlatKernel, _newton_argmax, _newton_log
 
 from conftest import (polymatrix_game, quadratic_regularizers, random_game,
@@ -107,6 +107,28 @@ def test_argmax_input_validation():
         sg.smoothed_argmax(np.array([np.inf, 0.0]), sg.entropy(2), 0.1)
 
 
+@pytest.mark.parametrize("values, beta, want", [
+    ([1e308, 0.0], 0.5, [1.0, 0.0]),
+    ([0.0, 1e308], 0.5, [0.0, 1.0]),
+    ([-1e308, -1e308], 0.5, [0.5, 0.5]),
+    ([-1e308, -1.5e308], 0.5, [1.0, 0.0]),
+    ([1.0, 0.0], 1e-320, [1.0, 0.0])])
+def test_softmax_takes_its_limit_where_values_over_beta_overflow(values, beta,
+                                                                 want):
+    # v / beta overflows; shifting v by its maximum first gives the limit
+    got = sg.smoothed_argmax(np.array(values), sg.entropy(2), beta)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_softmax_without_overflow_keeps_its_bits():
+    v = np.array([0.3, -1.2, 0.7])
+    z = v / 0.1
+    z = z - z.max()
+    p = np.exp(z)
+    assert sg.smoothed_argmax(v, sg.entropy(3), 0.1).tobytes() == \
+        (p / p.sum()).tobytes()
+
+
 @pytest.mark.parametrize("beta", [0.0, -0.1, np.nan, np.inf])
 def test_argmax_rejects_bad_beta(beta):
     for reg in (sg.entropy(3),
@@ -121,6 +143,12 @@ def test_probe_rejects_non_integer_index():
     assert sg.linear_steepness_probe(sg.entropy(3), np.int64(1), 0.5,
                                      (0.1,)) \
         == sg.linear_steepness_probe(sg.entropy(3), 1, 0.5, (0.1,))
+
+
+def test_probe_rejects_a_regularizer_of_one_action():
+    # no second action for the probed one to trail
+    with pytest.raises(ArgumentError, match="dimension 2 or more"):
+        sg.linear_steepness_probe(sg.entropy(1), 0, 0.5, (0.1,))
 
 
 @settings(max_examples=30, deadline=None)
@@ -557,6 +585,19 @@ def test_response_jacobian_zero_for_constant_game():
     cfg = sg.entropy_config(g, 0.5)
     dense = sg.response_jacobian(g, cfg, sg.uniform_strategy((2, 2)))
     np.testing.assert_allclose(dense, 0.0, atol=1e-14)
+
+
+def test_response_jacobian_rejects_a_beta_too_small_to_divide_by():
+    # the response at the uniform point is the uniform point, but 1/beta
+    # overflows in the Jacobian
+    g = pennies()
+    cfg = sg.entropy_config(g, 1e-320)
+    x = sg.uniform_strategy(g.shape)
+    np.testing.assert_array_equal(
+        sg.smoothed_best_response(g, cfg, x).concatenated(), 0.5)
+    for as_tangent in (False, True):
+        with pytest.raises(DomainError, match="Jacobian is not finite"):
+            sg.response_jacobian(g, cfg, x, as_tangent=as_tangent)
 
 
 def test_response_jacobian_finite_where_coordinates_underflow():
