@@ -373,15 +373,14 @@ def cross_hessian(game: NormalFormGame, x: JointStrategy, n: int, m: int) -> np.
     """Tangent-projected second cross-derivative of f_n in blocks (n, m).
 
     Returns ``Pi_n M Pi_m`` where ``M[i, j] = f_n`` with ``x_n := e_i`` and
-    ``x_m := e_j``.  The (n, n) block of the game Jacobian is zero by
-    multilinearity, so ``n == m`` is rejected.
+    ``x_m := e_j``: block (n, m) of :func:`game_jacobian` on the full
+    faces.  The (n, n) block is zero by multilinearity, so ``n == m`` is
+    rejected.
     """
     check_match(game, x, n, m)
     if n == m:
         raise ArgumentError("diagonal blocks are zero; use n != m")
-    raw = contract(game.payoffs[n], x.blocks, (n, m))
-    return (centering_projection(game.shape[n]) @ raw
-            @ centering_projection(game.shape[m]))
+    return game_jacobian(game, x, (None,) * game.num_players).blocks[n][m]
 
 
 def strategic_decompose(game: NormalFormGame, n: int) -> StrategicDecomposition:

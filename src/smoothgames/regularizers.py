@@ -275,7 +275,7 @@ def make_regularizer_with_hessian(x, M) -> Regularizer:
         raise ArgumentError("M must be supported on the tangent space")
     q = tangent_basis(k)
     tangent_eigs = np.linalg.eigvalsh(q.T @ M @ q)
-    if tangent_eigs.min() <= 0:
+    if tangent_eigs.min(initial=np.inf) <= 0:  # none with one action
         raise ArgumentError("M must be positive definite on the tangent space")
 
     base = M + np.outer(ones, ones)

@@ -12,7 +12,8 @@ starts.
 Hot loops (the solver here, the dynamics in ``dynamics``) run on
 :class:`FlatKernel`, which evaluates the response map, its Jacobian and the
 averaging update for a batch of flat strategy vectors after validating
-once.  The kernel groups the quadratic-entropy blocks by dimension, so each
+once; :func:`smoothed_argmax` runs the kernel's softmax and Newton group on
+one block.  The kernel groups the quadratic-entropy blocks by dimension, so each
 Newton iteration makes one stacked face solve for every row and player of a
 group, and it starts each Newton solve from its previous log-response when
 the batch has the same number of rows (a dynamics or solver step moves the
@@ -98,54 +99,44 @@ def smoothed_argmax(values, reg: Regularizer, beta: float, inner_tol=1e-12,
                     inner_max_iter=10_000) -> np.ndarray:
     """Maximize values . y - beta * h(y) over the simplex.
 
-    Without a quadratic term this is the closed-form softmax
-    (max-subtracted before exponentiation; where v / beta overflows, v is
-    shifted by its maximum before the division); otherwise a damped Newton
-    iteration in log coordinates runs until the projected-gradient residual
-    drops to inner_tol.
+    The kernel's code on one block: without a quadratic term (or with one
+    action) the closed-form softmax of :func:`_softmax`, summed over the
+    whole row; otherwise the Newton argmax of a one-player
+    :class:`_NewtonGroup` from the uniform point, in log coordinates until
+    the projected-gradient residual drops to inner_tol.
     """
     v = check_array("values", values,
                     (check_type("reg", reg, Regularizer).dimension,))
-    check_real("beta", beta)
-    check_real("inner_tol", inner_tol)
-    check_count("inner_max_iter", inner_max_iter, positive=True)
-    if reg.dimension == 1:
-        return np.ones(1)
-    if reg.A is None:
+    cfg = SmoothedResponseConfig(beta, (reg,), inner_tol, inner_max_iter)
+    if not _takes_newton(reg):
+        return _softmax(v, beta, lambda f, X: f.reduce(X, -1, keepdims=True))
+    group = _NewtonGroup((0,), (slice(0, reg.dimension),), cfg.regularizers)
+    return group.respond(v[None], beta, cfg)[0]
+
+
+def _takes_newton(reg) -> bool:
+    """Whether a block's response is the Newton argmax, not the softmax."""
+    return reg.A is not None and reg.dimension > 1
+
+
+def _softmax(G, beta, totals, overflows=True):
+    """The block-wise softmax of ``G / beta``, ``totals(ufunc, X)``
+    reducing X over each block back onto the block's columns.  Unless the
+    caller knows G / beta is finite (``overflows=False``), a block whose
+    largest G / beta is not is shifted by its maximum G before the
+    division, without a warning."""
+    if overflows:
         with np.errstate(over="ignore"):
-            z = v / beta
-            if not np.isfinite(z.max()):
-                z = (v - v.max()) / beta
-        z = z - z.max()
-        p = np.exp(z)
-        return p / p.sum()
-    return _newton_argmax(v, reg, beta, inner_tol, inner_max_iter)
-
-
-def _newton_argmax(v, reg, beta, inner_tol, inner_max_iter):
-    """The Newton argmax of one block, from the uniform point."""
-    k = reg.dimension
-    w = np.zeros(k) if reg.w is None else reg.w
-    u = _newton_log(v[None], np.array([reg.lam]), reg.curvature[None],
-                    w[None], beta, inner_tol, inner_max_iter,
-                    np.full((1, k), -np.log(k)))
-    return np.exp(u[0])
-
-
-def _newton_log(V, lam, C, w, beta, inner_tol, inner_max_iter, U):
-    """Damped Newton on u = log y for a stack of argmax problems.
-
-    Row r (over any leading axes) maximizes ``V[r] . y - beta h_r(y)`` with
-    ``h_r(y) = lam[r] y . log y + 0.5 (y - w[r])^T C[r] (y - w[r])``; the
-    leading axes of beta and lam, C ``(..., k, k)`` and w ``(..., k)``
-    broadcast against those of V, and U holds the starting log-responses.
-    Returns the log-responses.  This is :func:`_newton_solve` from a
-    :func:`_newton_frame` and a :func:`_newton_start` built for this call;
-    a :class:`FlatKernel` keeps both from one call to the next.
-    """
-    return _newton_solve(V, lam, C, w, _newton_frame(V, lam, C, beta),
-                         _newton_start(U, lam, C, w), inner_tol,
-                         inner_max_iter)[0]
+            Y = G / beta
+            broken = ~np.isfinite(totals(np.maximum, Y))
+            if broken.any():
+                Y = np.where(broken, (G - totals(np.maximum, G)) / beta, Y)
+    else:
+        Y = G / beta
+    Y -= totals(np.maximum, Y)
+    np.exp(Y, out=Y)
+    Y /= totals(np.add, Y)
+    return Y
 
 
 def _newton_frame(V, lam, C, beta) -> tuple:
@@ -175,27 +166,30 @@ def _newton_start(U, lam, C, w) -> tuple:
 
 
 def _newton_solve(V, lam, C, w, frame, start, inner_tol, inner_max_iter):
-    """The damped Newton of :func:`_newton_log`, from an evaluated start.
+    """Damped Newton on u = log y for a stack of argmax problems.
 
+    Row r (over any leading axes) maximizes ``V[r] . y - beta h_r(y)`` with
+    ``h_r(y) = lam[r] y . log y + 0.5 (y - w[r])^T C[r] (y - w[r])``; beta,
+    lam, C ``(..., k, k)`` and w ``(..., k)`` broadcast against V.
     ``frame`` is a :func:`_newton_frame` of V's shape and ``start`` a
-    :func:`_newton_start`; neither depends on V, so a kernel keeps both
-    and only the objective ``V . y - beta h(y)`` is evaluated at the
-    start.  The step du is the :func:`face_solve` of the ambient gradient
-    over beta, one stacked solve for all rows per iteration, into the
-    frame's KKT buffers; the update is ``y <- normalise(y exp(t du))``,
-    and each row's t backtracks on its objective computed from u.  The
-    accepted candidate's force, regularizer value and objective carry
-    over to the next iteration, so every iterate is evaluated once; while
-    every row is still searching, the whole candidate is taken without
-    merging.  A row whose projected-gradient residual reaches inner_tol is
-    frozen.  An accepted step that leaves every log-response bit for bit
-    unchanged, or returns them and the frozen rows to where they stood two
-    iterations earlier, raises :class:`ConvergenceError` at once: every
-    later iteration would repeat that step or that pair of steps, so the
-    error carries the residual the iteration cap would have ended on.
-    Iterates stay on the simplex, and a coordinate whose mass underflows
-    keeps a finite log and an exact stationarity condition.  Returns the
-    accepted iterate as a start, ``(U, Y, force, h)``.
+    :func:`_newton_start`; neither depends on V, so a :class:`_NewtonGroup`
+    keeps both and only the objective is evaluated at the start.  The step
+    du is the :func:`face_solve` of the ambient gradient over beta, one
+    stacked solve for all rows per iteration, into the frame's KKT buffers;
+    the update is ``y <- normalise(y exp(t du))``, and each row's t
+    backtracks on its objective computed from u.  The accepted candidate's
+    force, regularizer value and objective carry over to the next iteration,
+    so every iterate is evaluated once; while every row is still searching,
+    the whole candidate is taken without merging.  A row whose
+    projected-gradient residual reaches inner_tol is frozen.  An accepted
+    step that leaves every log-response bit for bit unchanged, or returns
+    them and the frozen rows to where they stood two iterations earlier,
+    raises :class:`ConvergenceError` at once: every later iteration would
+    repeat that step or that pair of steps, so the error carries the
+    residual the iteration cap would have ended on.  Iterates stay on the
+    simplex, and a coordinate whose mass underflows keeps a finite log and
+    an exact stationarity condition.  Returns the accepted iterate as a
+    start, ``(U, Y, force, h)``.
     """
     beta, beta_column, beta_rhs, buffers = frame
     lam_column = buffers[3]
@@ -415,7 +409,7 @@ class FlatKernel:
         self._owner = np.repeat(np.arange(len(shape)), shape)
         by_dimension = {}
         for n, r in enumerate(cfg.regularizers):
-            if r.A is not None and r.dimension > 1:
+            if _takes_newton(r):
                 by_dimension.setdefault(r.dimension, []).append(n)
         self._groups = tuple(
             _NewtonGroup(players, self.slices, cfg.regularizers)
@@ -425,6 +419,10 @@ class FlatKernel:
                                < len(shape))
         self._plans = tuple(gradient_plan(tensor, n)
                             for n, tensor in enumerate(game.payoffs))
+        # a gradient entry is a mean of payoff entries, so G / beta stays
+        # finite unless this bound overflows; max and min copy no tensor
+        top = max(float(max(t.max(), -t.min())) for t in game.payoffs)
+        self._overflows = not math.isfinite(2 * top / float(np.min(self.beta)))
 
     def flatten(self, x: JointStrategy, what="x") -> np.ndarray:
         """The concatenated vector of ``what``, a strategy of this game's
@@ -456,10 +454,7 @@ class FlatKernel:
         cfg = self.cfg
         G = self.gradients(X)
         if self._needs_softmax:
-            Y = G / self.beta
-            Y -= self._block_totals(np.maximum, Y)
-            np.exp(Y, out=Y)
-            Y /= self._block_totals(np.add, Y)
+            Y = _softmax(G, self.beta, self._block_totals, self._overflows)
         else:
             Y = np.empty_like(G)
         # blocks of other regularizers replace their softmax columns

@@ -652,9 +652,14 @@ def simplex_lattice(k: int, resolution: int) -> np.ndarray:
     """All lattice points with coordinates at multiples of 1/(resolution-1).
 
     ``resolution`` counts the points along each edge, so resolution 21 steps
-    in increments of 0.05.  Vertices are always included.
+    in increments of 0.05.  Vertices are always included.  More than
+    ``GRID_CAP`` points is a ResourceError, before anything is allocated.
     """
-    points = np.empty((lattice_size(k, resolution), k))
+    size = lattice_size(k, resolution)
+    if size > GRID_CAP:
+        raise ResourceError(f"lattice of {size} points exceeds the "
+                            f"{GRID_CAP} cap")
+    points = np.empty((size, k))
     steps = resolution - 1
     combos = itertools.combinations(range(steps + k - 1), k - 1)
     for row, cut in enumerate(combos):

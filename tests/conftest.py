@@ -7,6 +7,15 @@ reproducible from a frozen seed.
 import numpy as np
 
 import smoothgames as sg
+from smoothgames.response import _newton_frame, _newton_solve, _newton_start
+
+
+def newton_log(V, lam, C, w, beta, inner_tol, inner_max_iter, U):
+    """The log-responses of the Newton argmax over stacks shaped like V,
+    from the log-responses U, with a frame and a start built for this call."""
+    return _newton_solve(V, lam, C, w, _newton_frame(V, lam, C, beta),
+                         _newton_start(U, lam, C, w), inner_tol,
+                         inner_max_iter)[0]
 
 
 def random_game(rng, shape, scale=1.0):

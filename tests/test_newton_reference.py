@@ -1,6 +1,6 @@
 """The Newton argmax against a frozen copy of its earlier loop.
 
-``reference_newton_log`` is the damped Newton of ``response._newton_log``
+``reference_newton_log`` is the damped Newton of ``response._newton_solve``
 as it stood before its KKT frame was built once per solve, with the KKT
 system assembled afresh at every iteration.  The current loop must return
 the same log-responses bit for bit, and fail with the same error.
@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import smoothgames as sg
 from smoothgames.errors import ConvergenceError
-from smoothgames.response import _newton_log
+
+from conftest import newton_log
 
 
 def reference_face_solve(lam, curvature, y, rhs):
@@ -143,7 +144,7 @@ def solve_both(args):
     outcome being the log-responses or the error raised."""
     seen = {"frozen": set(), "halvings": 0}
     outcomes = []
-    for solve, extra in ((reference_newton_log, (seen,)), (_newton_log, ())):
+    for solve, extra in ((reference_newton_log, (seen,)), (newton_log, ())):
         try:
             outcomes.append(solve(*args, *extra))
         except ConvergenceError as err:

@@ -352,6 +352,14 @@ def test_make_regularizer_with_hessian_entropy_curvature():
                                atol=1e-8)
 
 
+def test_make_regularizer_with_hessian_of_one_action():
+    # the one-action tangent space is empty: nothing to make definite
+    r = sg.make_regularizer_with_hessian([1.0], [[0.0]])
+    assert r.lam == 0.5
+    assert not np.any(sg.reg_tangent_gradient(r, np.ones(1)))
+    assert not np.any(sg.face_hessian(r, np.ones(1)).hessian)
+
+
 def test_make_regularizer_with_hessian_rejections():
     x = np.full(3, 1 / 3)
     pi = sg.centering_projection(3)

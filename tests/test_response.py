@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 import smoothgames as sg
 from smoothgames.errors import (ArgumentError, ConvergenceError, CyclingError,
                                 DimensionError, DomainError)
-from smoothgames.response import FlatKernel, _newton_argmax, _newton_log
+from smoothgames.response import FlatKernel
 
-from conftest import (polymatrix_game, quadratic_regularizers, random_game,
-                      random_interior)
+from conftest import (newton_log, polymatrix_game, quadratic_regularizers,
+                      random_game, random_interior)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -129,6 +130,39 @@ def test_softmax_without_overflow_keeps_its_bits():
         (p / p.sum()).tobytes()
 
 
+def test_response_takes_its_limit_where_gradients_over_beta_overflow():
+    # G / beta overflows in every block; the kernel's softmax shifts G by
+    # its block maximum first, as smoothed_argmax does, and warns of nothing
+    x = sg.JointStrategy((np.array([0.6, 0.4]), np.array([0.3, 0.7])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = sg.smoothed_best_response(pennies(),
+                                      sg.entropy_config((2, 2), 1e-320), x)
+    for block in y.blocks:
+        np.testing.assert_array_equal(block, [0.0, 1.0])
+
+
+def test_kernel_beta_column_shifts_only_the_rows_that_overflow():
+    rng = np.random.default_rng(4)
+    g = random_game(rng, (3, 2, 4))
+    cfg = sg.entropy_config(g, 0.3)
+    X = np.stack([random_interior(rng, g.shape).concatenated()] * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Y = FlatKernel(g, cfg, beta=np.array([[0.3], [1e-320]])).respond(X)
+    assert Y[0].tobytes() == FlatKernel(g, cfg).respond(X)[0].tobytes()
+    assert not np.isnan(Y[1]).any()
+
+
+@pytest.mark.parametrize("value", [3.0, 1e308])
+def test_one_action_quadratic_entropy_block_responds_one(value):
+    # the softmax of one entry, also where value / beta overflows
+    r = sg.quadratic_entropy(0.5, [[2.0]], [1.0])
+    for beta in (0.1, 1e-320):
+        y = sg.smoothed_argmax(np.array([value]), r, beta)
+        assert y.tolist() == [1.0]
+
+
 @pytest.mark.parametrize("beta", [0.0, -0.1, np.nan, np.inf])
 def test_argmax_rejects_bad_beta(beta):
     for reg in (sg.entropy(3),
@@ -160,7 +194,9 @@ def test_generic_solver_matches_softmax(seed):
     v = rng.standard_normal(k)
     beta = 10.0 ** rng.uniform(-1.5, 0.5)
     soft = sg.smoothed_argmax(v, sg.entropy(k), beta)
-    newt = _newton_argmax(v, sg.entropy(k), beta, 1e-12, 10_000)
+    newt = np.exp(newton_log(v[None], np.ones(1), np.zeros((1, k, k)),
+                             np.zeros((1, k)), beta, 1e-12, 10_000,
+                             np.full((1, k), -np.log(k)))[0])
     np.testing.assert_allclose(newt, soft, atol=1e-8)
 
 
@@ -348,10 +384,10 @@ def reference_respond(kernel, X, warm):
         if U is None or U.shape != V.shape:
             U = np.full(V.shape, -np.log(k))
         warm[k] = None
-        U = _newton_log(V, np.array([r.lam for r in regs]),
-                        np.stack([r.curvature for r in regs]),
-                        np.stack([r.w for r in regs]), kernel.beta,
-                        cfg.inner_tol, cfg.inner_max_iter, U)
+        U = newton_log(V, np.array([r.lam for r in regs]),
+                       np.stack([r.curvature for r in regs]),
+                       np.stack([r.w for r in regs]), kernel.beta,
+                       cfg.inner_tol, cfg.inner_max_iter, U)
         warm[k] = U
         Y[:, columns] = np.exp(U).reshape(len(X), -1)
     return Y

@@ -972,6 +972,9 @@ def test_simplex_lattice_invariants():
 def test_simplex_lattice_rejects_degenerate_resolution():
     with pytest.raises(ArgumentError):
         simplex_lattice(3, 1)
+    # far more points than GRID_CAP: rejected before any allocation
+    with pytest.raises(ResourceError, match="exceeds"):
+        simplex_lattice(10, 1000)
 
 
 @pytest.mark.parametrize("k", [0, -1, 2.5, True])
