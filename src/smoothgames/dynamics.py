@@ -22,7 +22,7 @@ from .errors import (ArgumentError, DomainError, GameError, check_array,
                      check_count, check_path, check_real, check_sequence,
                      check_type)
 from .games import (JointStrategy, NormalFormGame, perturb_strategy,
-                    quasi_strict_check, uniform_strategy)
+                    quasi_strict_check, strategy_rows, uniform_strategy)
 from .response import (DampedWalk, FlatKernel, SmoothedEquilibrium,
                        SmoothedResponseConfig, find_smoothed_equilibrium,
                        homotopy_trace, response_jacobian)
@@ -88,7 +88,7 @@ def run(game: NormalFormGame, cfg: DynamicsConfig, x0: JointStrategy,
     """Iterate the dynamics for the configured horizon.
 
     The game, config and start are validated once; the steps run on flat
-    vectors, and only recorded points become JointStrategy objects.
+    vectors, and the recorded points are checked once, as one stack.
     """
     return run_many(game, cfg, (x0,), reference)[0]
 
@@ -138,9 +138,11 @@ def _states(kernel, cfg, X):
 def _orbits(kernel, cfg, X, ref):
     """Run every row of X under the dynamics config ``cfg``.
 
-    ``ref`` is None or a flat reference point.  Points become
-    JointStrategy objects only where they are recorded.  Distances are
-    taken DISTANCE_CHUNK states at a time.  Once ``_states`` repeats a
+    ``ref`` is None or a flat reference point.  The recorded states and
+    the final one become JointStrategy objects in one
+    :func:`games.strategy_rows` call, which checks them as one stack and
+    keeps one read-only copy that every point's blocks view.  Distances
+    are taken DISTANCE_CHUNK states at a time.  Once ``_states`` repeats a
     fixed batch, no more per-step work is done: its strategies and its
     distances are those of the step that reached it, repeated.
     """
@@ -172,14 +174,20 @@ def _orbits(kernel, cfg, X, ref):
                      for row in np.concatenate(distances).T.tolist()]
     # recorded steps among the fixed ones
     tail = horizon // every - (horizon - fixed) // every
-    finals = [kernel.strategy(row) for row in X]
-    return tuple(
-        Trajectory(config=cfg,
-                   points=tuple(finals[i] if R is X else kernel.strategy(R[i])
-                                for R in recorded) + (finals[i],) * tail,
-                   final_point=finals[i],
-                   distances=tuple(distances[i]) if ref is not None else None)
-        for i in range(len(X)))
+    count = len(recorded)
+    if recorded[-1] is not X:
+        recorded.append(X)
+    # rows t * B + i of one checked (T, B, K) stack, the final state last
+    strategies = strategy_rows(recorded, kernel.game.shape)
+    runs = len(X)
+    trajectories = []
+    for i in range(runs):
+        orbit = strategies[i::runs]
+        trajectories.append(Trajectory(
+            config=cfg, points=orbit[:count] + orbit[-1:] * tail,
+            final_point=orbit[-1],
+            distances=tuple(distances[i]) if ref is not None else None))
+    return tuple(trajectories)
 
 
 # ---------------------------------------------------------------------------
@@ -690,12 +698,16 @@ def trajectory_to_csv(trajectory: Trajectory, target,
     dists = trajectory.distances
     radius = verdict.jacobian_spectral_radius if verdict else None
     label = verdict.classification if verdict else None
+    points = trajectory.points
+    # every point's entries as Python floats, from one (T, K) array
+    table = np.concatenate([b for x in points for b in x.blocks]).reshape(
+        len(points), -1).tolist()
     write_csv(target,
-              ["t"] + _block_headers(trajectory.points[0].shape)
+              ["t"] + _block_headers(points[0].shape)
               + ["distance", "spectral_radius", "classification"],
-              ([str(idx * rec), *point.concatenated(),
+              ([str(idx * rec), *row,
                 dists[idx * rec] if dists is not None else None, radius, label]
-               for idx, point in enumerate(trajectory.points)))
+               for idx, row in enumerate(table)))
 
 
 def sweep_to_csv(cells, target):

@@ -263,6 +263,42 @@ class JointStrategy:
         return np.concatenate(self.blocks)
 
 
+def strategy_rows(stack, shape) -> tuple:
+    """The rows of a ``(..., sum k)`` stack of concatenated joint strategies
+    of the given shape, in C order over the leading axes, as JointStrategy
+    objects checked in one pass.
+
+    A row fails where JointStrategy fails: a NaN or negative entry, or a
+    block summing to more than ``SIMPLEX_SUM_TOL`` from 1.  Each block's
+    sum is a row-wise reduce over its columns, the same sum as the block's
+    own ``sum()``, and the first row that fails is handed to JointStrategy,
+    which raises its DomainError.  The stack is copied once and made
+    read-only; the strategies' blocks are views of that copy, so no row is
+    checked or copied again.
+    """
+    slices = block_slices(shape)
+    width = slices[-1].stop
+    stack = np.array(stack, dtype=float)
+    if stack.shape[-1:] != (width,):
+        raise DimensionError(f"stack has shape {stack.shape}, expected rows "
+                             f"of {width} entries")
+    stack.setflags(write=False)
+    rows = stack.reshape(-1, width)
+    bad = np.zeros(len(rows), dtype=bool)
+    for s in slices:
+        block = rows[:, s]
+        bad |= ~(block.min(axis=1, initial=0.0) >= 0)  # NaN fails too
+        bad |= np.abs(block.sum(axis=1) - 1.0) > SIMPLEX_SUM_TOL
+    for i in np.flatnonzero(bad):  # raises at the first bad row
+        JointStrategy(tuple(rows[i, s] for s in slices))
+    out = []
+    for blocks in zip(*(list(rows[:, s]) for s in slices)):
+        x = object.__new__(JointStrategy)
+        object.__setattr__(x, "blocks", blocks)
+        out.append(x)
+    return tuple(out)
+
+
 def uniform_strategy(shape) -> JointStrategy:
     return JointStrategy(tuple(
         np.full(check_count("action count", k, positive=True), 1.0 / k)

@@ -506,10 +506,11 @@ class FlatKernel:
                 pinvs[n] = pinv[:, p]
         beta = np.asarray(self.beta)[..., None]
         J = np.zeros((len(X), X.shape[1], X.shape[1]))
-        for n, s_n in enumerate(slices):
-            for m, s_m in enumerate(slices):
-                if n != m:
-                    J[:, s_n, s_m] = pinvs[n] @ cross[n][m] / beta
+        with np.errstate(over="ignore"):  # the finite check below raises
+            for n, s_n in enumerate(slices):
+                for m, s_m in enumerate(slices):
+                    if n != m:
+                        J[:, s_n, s_m] = pinvs[n] @ cross[n][m] / beta
         if not np.isfinite(J).all():
             raise DomainError(f"the response Jacobian is not finite at beta="
                               f"{np.min(self.beta):g}")

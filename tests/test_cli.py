@@ -6,6 +6,7 @@ import json
 import math
 import signal
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -365,6 +366,24 @@ def test_sweep_beta_too_small_to_divide_by_fails_only_its_cells(capsys):
     assert rows[0]["classification"] == "asymptotically_stable"
     assert rows[1]["error"].startswith(
         "DomainError: the response Jacobian is not finite")
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["simulate", "matching_pennies", "--beta", "1e-320", "--eta", "0.1",
+      "--horizon", "5"], 2),
+    (["sweep", "matching_pennies", "--betas", "1e-320", "--etas", "0.1",
+      "--horizon", "5"], 0)])
+def test_beta_too_small_to_divide_by_warns_nothing(capsys, argv, exit_code):
+    # the overflowing response Jacobian is reported by its error alone: on
+    # stderr by simulate, in the cell's error column by sweep
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, argv)
+    assert code == exit_code
+    assert "the response Jacobian is not finite at beta=" in out + err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] \
+        == []
+    assert "Warning" not in err
 
 
 def test_probe_of_one_action_exits_2(capsys):

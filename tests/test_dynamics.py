@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import os
 import subprocess
 import sys
@@ -349,6 +350,7 @@ def test_fixed_run_builds_its_strategies_once(monkeypatch):
     # before the fixed test, not one per recorded step of its horizon
     g, cfg = dyn(0.1, 0.005, 2000)
     eq = sg.find_smoothed_equilibrium(g, cfg.response)
+    start = sg.uniform_strategy(g.shape)
     built = []
     post_init = sg.JointStrategy.__post_init__
 
@@ -357,9 +359,18 @@ def test_fixed_run_builds_its_strategies_once(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(sg.JointStrategy, "__post_init__", counting)
-    traj = sg.run(g, cfg, sg.uniform_strategy(g.shape), reference=eq)
+    stacked = []  # the rows of every stack of recorded states
+    strategy_rows = sg.games.strategy_rows
+
+    def counting_rows(stack, shape):
+        stacked.append(len(stack))
+        return strategy_rows(stack, shape)
+
+    monkeypatch.setattr(sg.dynamics, "strategy_rows", counting_rows)
+    traj = sg.run(g, cfg, start, reference=eq)
     assert len(traj.points) == 2001 and len(traj.distances) == 2001
-    assert len(built) <= sg.dynamics.FIXED_CHECK_STRIDE + 1
+    # one stack, and no point checked again on its own
+    assert stacked == [sg.dynamics.FIXED_CHECK_STRIDE] and built == []
     assert traj.points[-1] is traj.final_point
     assert set(traj.distances[sg.dynamics.FIXED_CHECK_STRIDE - 1:]) == {
         traj.distances[-1]}
@@ -1030,6 +1041,85 @@ def test_trajectory_csv_round_trip(tmp_path):
         assert [float(v) for v in row[1:5]] == list(point.concatenated())
         assert float(row[5]) == traj.distances[t]
     assert rows[1][7] == verdict.classification
+
+
+def per_point_csv(trajectory, verdict):
+    """The CSV text of a trajectory, one ``concatenated()`` point and one
+    cell formula call per entry at a time."""
+    def cell(value):
+        if value is None:
+            return ""
+        return value if isinstance(value, str) else format(float(value),
+                                                           ".17g")
+
+    rec, dists = trajectory.config.record_every, trajectory.distances
+    handle = io.StringIO()
+    writer = csv.writer(handle)
+    writer.writerow(["t"] + [f"p{n}_{i}" for n, k_n in enumerate(
+        trajectory.points[0].shape) for i in range(k_n)]
+        + ["distance", "spectral_radius", "classification"])
+    for idx, point in enumerate(trajectory.points):
+        writer.writerow([cell(v) for v in (
+            str(idx * rec), *point.concatenated(),
+            dists[idx * rec] if dists is not None else None,
+            verdict.jacobian_spectral_radius if verdict else None,
+            verdict.classification if verdict else None)])
+    return handle.getvalue()
+
+
+@pytest.mark.parametrize("case", ["entropy", "quadratic_entropy", "fixed",
+                                  "batch"])
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_trajectory_csv_bytes_match_the_per_point_formula(case,
+                                                          record_every):
+    rng = np.random.default_rng(17)
+    shape = (2, 2) if case == "fixed" else (3, 2, 2)
+    if case == "fixed":  # pennies from its equilibrium, fixed at once
+        g = pennies()
+        regs = (sg.entropy(2), sg.entropy(2))
+        starts = [sg.uniform_strategy(shape)]
+    else:
+        g = random_game(rng, shape, scale=0.3)
+        regs = (quadratic_regularizers(rng, shape)
+                if case == "quadratic_entropy"
+                else tuple(sg.entropy(k) for k in shape))
+        starts = [random_interior(rng, shape)
+                  for _ in range(4 if case == "batch" else 1)]
+    response = sg.SmoothedResponseConfig(beta=0.4, regularizers=regs)
+    cfg = sg.DynamicsConfig(eta=0.2, response=response, horizon=40,
+                            record_every=record_every)
+    eq = sg.find_smoothed_equilibrium(g, response)
+    verdict = sg.stability_verdict(g, cfg, eq)
+    for traj in sg.run_many(g, cfg, starts, reference=eq):
+        for shown in (None, verdict):
+            handle = io.StringIO()
+            sg.trajectory_to_csv(traj, handle, verdict=shown)
+            assert handle.getvalue() == per_point_csv(traj, shown)
+    if case == "fixed":
+        assert traj.points[-1] is traj.final_point
+    # a trajectory run without a reference leaves the distances empty
+    traj = sg.run(g, cfg, starts[0])
+    handle = io.StringIO()
+    sg.trajectory_to_csv(traj, handle)
+    assert handle.getvalue() == per_point_csv(traj, None)
+
+
+def test_recorded_points_are_read_only_views_of_one_stack():
+    # a run's points and finals are views of one read-only copy of its
+    # recorded states, shared by every run of the batch
+    g, cfg = dyn(0.2, 0.1, 10, record_every=3)
+    starts = [sg.JointStrategy((np.array([0.6, 0.4]), np.array([0.5, 0.5]))),
+              sg.JointStrategy((np.array([0.1, 0.9]), np.array([0.7, 0.3])))]
+    trajs = sg.run_many(g, cfg, starts)
+    base = trajs[0].points[0].blocks[0].base
+    for traj in trajs:
+        assert len(traj.points) == 4
+        for point in traj.points + (traj.final_point,):
+            for block in point.blocks:
+                assert block.base is base
+                with pytest.raises(ValueError, match="read-only"):
+                    block[0] = np.nan
+    assert trajs[1].points[0].concatenated().tolist() == [0.1, 0.9, 0.7, 0.3]
 
 
 def test_sweep_csv_includes_error_column(tmp_path):

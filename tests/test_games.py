@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 import string
 import tracemalloc
 from pathlib import Path
@@ -406,6 +407,84 @@ def test_validated_blocks_are_read_only_copies():
                   sg.uniform_strategy((2, 2)).blocks[1]):
         with pytest.raises(ValueError, match="read-only"):
             block[0] = np.nan
+
+
+def _strategy_error(blocks):
+    """JointStrategy's DomainError text for these blocks."""
+    with pytest.raises(DomainError) as err:
+        sg.JointStrategy(tuple(blocks))
+    return str(err.value)
+
+
+# the largest sum a block may be off by, 4503 ulps of 1 (1e-12 as a double
+# is 4504 ulps, more than SIMPLEX_SUM_TOL), and one twice the tolerance
+INSIDE_TOL = (1.0 + sg.games.SIMPLEX_SUM_TOL) - 1.0 - 2.0 ** -52
+OUTSIDE_TOL = 2e-12
+
+
+@pytest.mark.parametrize("bad, player", [
+    (np.array([np.nan, 0.5, 0.5]), 0),
+    (np.array([-0.25, 0.75, 0.5]), 0),
+    (np.array([0.5, 0.5 + OUTSIDE_TOL]), 1),
+    (np.array([0.5, 0.5 - OUTSIDE_TOL]), 1),
+    (np.array([np.inf, 0.0]), 1)])
+def test_strategy_rows_fail_with_the_strategy_error(bad, player):
+    # the first bad row of a (T, B, K) stack raises the DomainError that a
+    # JointStrategy of its blocks raises, whatever later rows hold
+    shape = (3, 2)
+    good = [np.full(3, 1 / 3), np.array([0.5, 0.5])]
+    blocks = list(good)
+    blocks[player] = bad
+    nan_row = np.concatenate([np.full(3, np.nan), good[1]])
+    stack = np.stack([np.concatenate(good)] * 3
+                     + [np.concatenate(blocks), nan_row]).reshape(5, 1, 5)
+    with pytest.raises(DomainError) as err:
+        sg.games.strategy_rows(stack, shape)
+    assert str(err.value) == _strategy_error(blocks)
+
+
+def test_strategy_rows_accept_what_a_strategy_accepts():
+    # at the edge of the sum tolerance, and at random blocks pushed there,
+    # the stacked check and JointStrategy's agree row by row
+    assert abs((0.5 + INSIDE_TOL) + 0.5 - 1.0) <= sg.games.SIMPLEX_SUM_TOL
+    rows = sg.games.strategy_rows([[0.5 + INSIDE_TOL, 0.5, 0.25, 0.75]],
+                                  (2, 2))
+    assert rows[0].blocks[0].tolist() == [0.5 + INSIDE_TOL, 0.5]
+    rng = np.random.default_rng(11)
+    for k in (1, 2, 3, 5, 8, 9, 17):
+        for _ in range(40):
+            block = rng.dirichlet(np.ones(k))
+            block[-1] += rng.choice([INSIDE_TOL, OUTSIDE_TOL / 2,
+                                     -INSIDE_TOL, 1.01e-12, -1.01e-12])
+            row = np.concatenate([block, [1.0]])
+            try:
+                sg.JointStrategy((block, np.array([1.0])))
+            except DomainError as err:
+                with pytest.raises(DomainError, match=re.escape(str(err))):
+                    sg.games.strategy_rows(row[None], (k, 1))
+            else:
+                sg.games.strategy_rows(row[None], (k, 1))
+
+
+def test_strategy_rows_are_read_only_views_of_one_copy():
+    shape = (2, 3)
+    source = np.stack([random_interior(np.random.default_rng(s),
+                                       shape).concatenated()
+                       for s in range(4)]).reshape(2, 2, 5)
+    want = source.copy()
+    rows = sg.games.strategy_rows(source, shape)
+    source[:] = np.nan
+    assert len(rows) == 4
+    base = rows[0].blocks[0].base
+    for x, expected in zip(rows, want.reshape(4, 5)):
+        assert type(x) is sg.JointStrategy and x.shape == shape
+        assert x.concatenated().tolist() == expected.tolist()
+        for block in x.blocks:
+            assert block.base is base
+            with pytest.raises(ValueError, match="read-only"):
+                block[0] = 0.0
+    with pytest.raises(DimensionError):
+        sg.games.strategy_rows(source[..., :4], shape)
 
 
 class _UncheckedDirection(sg.TangentVector):
