@@ -6,31 +6,30 @@ later step would return it too.  The module records trajectories and
 contraction ratios against a reference equilibrium, classifies fixed
 points by the linearized map (1 - eta) I + eta dPhi, checks the boundary
 predictions at a quasi-strict equilibrium as beta shrinks, and sweeps
-(beta, eta) grids the way the stability phase diagrams are produced.
+(beta, eta) grids the way the stability phase diagrams are produced, on
+the beta ladder of ``response`` (:class:`response.Ladder`).
 """
 
 from __future__ import annotations
 
 import csv
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
-from itertools import repeat
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ArgumentError, DomainError, GameError, check_array,
-                     check_count, check_path, check_real, check_sequence,
-                     check_type)
+from .errors import (ArgumentError, DimensionError, DomainError, GameError,
+                     check_array, check_count, check_path, check_real,
+                     check_sequence, check_type)
 from .games import (JointStrategy, NormalFormGame, perturb_strategy,
                     quasi_strict_check, strategy_rows, uniform_strategy)
-from .response import (DampedWalk, FlatKernel, SmoothedEquilibrium,
-                       SmoothedResponseConfig, find_smoothed_equilibrium,
+from .response import (FIXED_CHECK_STRIDE, FlatKernel, Ladder,
+                       SmoothedEquilibrium, SmoothedResponseConfig,
                        homotopy_trace, response_jacobian)
 
 SAMPLE_BALL_RADIUS = 0.05  # inf-norm radius for Lipschitz sampling
 CLASSIFICATION_TOL = 1e-9
 DISTANCE_CHUNK = 64  # states held back before their distances are taken
-FIXED_CHECK_STRIDE = 8  # steps between tests for an unchanged batch
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,9 @@ class Trajectory:
         """Per-step contraction factors; nan where the orbit has arrived."""
         if self.distances is None:
             raise ArgumentError("trajectory was run without a reference")
-        d = np.asarray(self.distances)
+        d = check_array("trajectory distances", self.distances, (None,))
+        if not d.size:
+            raise DimensionError("trajectory distances must not be empty")
         out = np.full(len(d) - 1, np.nan)
         nonzero = d[:-1] > 0
         out[nonzero] = d[1:][nonzero] / d[:-1][nonzero]
@@ -113,28 +114,6 @@ def run_many(game: NormalFormGame, cfg: DynamicsConfig, X0,
     return _orbits(kernel, cfg, np.stack(starts), ref)
 
 
-def _states(kernel, cfg, X):
-    """Yield the batch X after each of the horizon's steps under the
-    dynamics config ``cfg``.
-
-    Every FIXED_CHECK_STRIDE-th step compares its result with its input
-    bit for bit.  Once they agree, the batch is a fixed point of
-    ``kernel.advance``: the step is deterministic in X, and a Newton
-    argmax warm-started at its own solution returns it at its first
-    residual check.  The same array is then yielded for the remaining
-    steps without stepping.  Comparing bytes, not values, keeps -0.0
-    against 0.0 from counting as fixed.
-    """
-    horizon = cfg.horizon
-    for t in range(1, horizon + 1):
-        new = kernel.advance(X, cfg.eta)
-        if t % FIXED_CHECK_STRIDE == 0 and new.tobytes() == X.tobytes():
-            yield from repeat(X, horizon - t + 1)
-            return
-        X = new
-        yield X
-
-
 def _orbits(kernel, cfg, X, ref):
     """Run every row of X under the dynamics config ``cfg``.
 
@@ -142,9 +121,13 @@ def _orbits(kernel, cfg, X, ref):
     the final one become JointStrategy objects in one
     :func:`games.strategy_rows` call, which checks them as one stack and
     keeps one read-only copy that every point's blocks view.  Distances
-    are taken DISTANCE_CHUNK states at a time.  Once ``_states`` repeats a
-    fixed batch, no more per-step work is done: its strategies and its
-    distances are those of the step that reached it, repeated.
+    are taken DISTANCE_CHUNK states at a time.  Every FIXED_CHECK_STRIDE-th
+    step compares its result with its input bit for bit (bytes, not values,
+    so -0.0 against 0.0 does not count).  Once they agree, the batch is a
+    fixed point of ``kernel.advance``: the step is deterministic in X, and
+    a Newton argmax warm-started at its own solution returns it at its
+    first residual check.  No more steps are taken: the strategies and
+    distances of the rest of the horizon are those of the fixed batch.
     """
     horizon, every = cfg.horizon, cfg.record_every
     recorded = [X]
@@ -156,11 +139,12 @@ def _orbits(kernel, cfg, X, ref):
         distances.append(np.linalg.norm(np.stack(pending) - ref, axis=2))
         pending.clear()
 
-    for t, state in enumerate(_states(kernel, cfg, X), 1):
-        if state is X:
+    for t in range(1, horizon + 1):
+        new = kernel.advance(X, cfg.eta)
+        if t % FIXED_CHECK_STRIDE == 0 and new.tobytes() == X.tobytes():
             fixed = horizon - t + 1
             break
-        X = state
+        X = new
         if t % every == 0:
             recorded.append(X)
         if ref is not None:
@@ -385,206 +369,30 @@ class SweepCell:
 
 def _by_rows(batch, rows):
     """``batch(rows)`` or, if that raises, the outcomes of each row alone;
-    a row that fails alone gives its error text instead."""
+    a row that fails alone gives its error instead."""
     try:
         return list(batch(rows))
     except GameError as err:
         if len(rows) == 1:
-            return [_error_text(err)]
+            return [err]
         # one failing row must not fail the others
         return [out for row in rows for out in _by_rows(batch, [row])]
-
-
-def _error_text(err) -> str:
-    return f"{type(err).__name__}: {err}"
-
-
-class _Group:
-    """The runs of a solved beta's cells in a sweep's ladder batch.
-
-    ``rows`` holds (cell index, dynamics config) pairs and ``ref`` the
-    flat equilibrium.  ``span`` is the group's rows of the batch, and None
-    until it is in one; ``age`` counts the steps taken since they joined
-    it at the sweep's start.
-    """
-
-    def __init__(self, rows, ref):
-        self.rows = rows
-        self.ref = ref
-        self.span = None
-        self.age = 0
-
-
-class _Ladder:
-    """The equilibria of a sweep's betas, solved by the damped walk from
-    the largest beta down, each warm-started at the last one solved, and
-    the runs of the solved betas' cells, all stepped as one batch.
-
-    Row 0 of the batch is the current rung's walk (a :class:`DampedWalk`),
-    the others the cells of betas already solved.  Each step is one
-    :meth:`FlatKernel.respond` for every row; the walk reads its residual
-    and eta off its own row, and one :meth:`FlatKernel.mix` at an eta
-    column moves all rows.  A beta whose walk converges has all its cells
-    join the batch at the start, as one group, when the batch is rebuilt
-    for the next rung's walk, which starts from its equilibrium; a beta
-    whose walk fails runs no cells.  The batch has no row cap: it holds
-    the walk's row and every running cell.  A group leaves after
-    ``horizon`` steps, or once a FIXED_CHECK_STRIDE-th step of its own
-    returns it bit for bit (see :func:`_states`).  The kernel is built
-    afresh only when rows join or leave.
-
-    A :class:`GameError` from the shared respond or mix falls back to
-    isolation: the current rung is solved alone by
-    :func:`find_smoothed_equilibrium` from its warm start, and each cell
-    in the batch is rerun alone, a failing run giving its error text.
-    """
-
-    def __init__(self, game, base, start, horizon, outer_tol):
-        self.game = game
-        self.base = base  # a kernel of the game, for configs and strategies
-        self.start = start
-        self.horizon = horizon
-        self.outer_tol = outer_tol
-        self.solved = {}  # beta -> (response config, equilibrium)
-        self.errors = {}  # beta -> error text of its solve
-        self.outcomes = {}  # cell index -> final distance or error text
-        self.groups = []
-        self.warm = start[None, :]  # the (1, K) start of the next walk
-
-    def run(self, rungs):
-        """Solve every (beta, response config, cell rows) rung, in order of
-        decreasing beta, the first from the start, and run the cells of
-        each beta solved."""
-        rungs = iter(rungs)
-        rung = self._next_rung(rungs)  # (beta, config, rows, walk)
-        x = self.warm  # the walk's row
-        X = kernel = None
-        while rung is not None or self.groups:
-            if kernel is None:  # rows joined or left
-                kernel, X, eta = self._batch(rung, x, X)
-            out = None  # the walk's eta, equilibrium or error
-            try:
-                Y = kernel.respond(X)
-                if rung is not None:
-                    try:
-                        out = rung[3].step(X[:1], Y[:1])
-                    except GameError as err:
-                        out = err
-                    if type(out) is float:
-                        eta[0, 0] = out
-                new = kernel.mix(X, Y, eta)
-            except GameError:
-                # a shared call failed: nothing it returned is used
-                for g in self.groups:
-                    self.outcomes.update((c, self._alone(dyn, g.ref))
-                                         for c, dyn in g.rows)
-                self.groups = []
-                kernel = None
-                if rung is not None:
-                    try:
-                        out = find_smoothed_equilibrium(
-                            self.game, rung[1],
-                            self.base.strategy(self.warm[0]),
-                            outer_tol=self.outer_tol)
-                    except GameError as err:
-                        out = err
-            else:
-                if self._age(X, new):
-                    kernel = None
-                X = new
-            if rung is None:
-                continue
-            if type(out) is float:
-                x = X[:1]
-            else:
-                self._finish(*rung[:3], out)
-                rung = self._next_rung(rungs)
-                x = self.warm
-                kernel = None
-
-    def _next_rung(self, rungs):
-        """The next rung with a walk from the warm start, or None."""
-        rung = next(rungs, None)
-        return None if rung is None else (
-            *rung, DampedWalk(self.base, rung[0], self.warm, self.outer_tol))
-
-    def _batch(self, rung, x, X):
-        """A kernel, the batch and its eta column: the walk's row x, if a
-        rung is being solved, then each group's rows, taken from X, the
-        last batch, or at the start for a group that joins now; each
-        group's span is set."""
-        states, betas, etas = [], [], []
-        if rung is not None:
-            states.append(x)
-            betas.append(rung[0])
-            etas.append(1.0)  # the walk sets its own
-        for g in self.groups:
-            states.append(np.tile(self.start, (len(g.rows), 1))
-                          if g.span is None else X[g.span])
-            g.span = slice(len(betas), len(betas) + len(g.rows))
-            betas += [dyn.response.beta for _, dyn in g.rows]
-            etas += [dyn.eta for _, dyn in g.rows]
-        kernel = FlatKernel(self.game, self.base.cfg,
-                            beta=np.array(betas)[:, None])
-        return kernel, np.concatenate(states), np.array(etas)[:, None]
-
-    def _finish(self, beta, cfg, rows, out):
-        """Record a rung's equilibrium or error; a solved beta's cells, if
-        it has any, become a group that joins at the next rebuild."""
-        if not isinstance(out, SmoothedEquilibrium):
-            self.errors[beta] = _error_text(out)
-            return
-        self.solved[beta] = (cfg, out)
-        self.warm = out.point.concatenated()[None, :]
-        if rows:
-            self.groups.append(_Group(rows, self.warm[0]))
-
-    def _age(self, X, new) -> bool:
-        """Count the step X -> new for every group; returns whether one
-        left, recording its final distances."""
-        kept = []
-        for g in self.groups:
-            g.age += 1
-            if g.age == self.horizon or (
-                    g.age % FIXED_CHECK_STRIDE == 0
-                    and new[g.span].tobytes() == X[g.span].tobytes()):
-                self.outcomes.update(zip(
-                    (c for c, _ in g.rows),
-                    np.linalg.norm(new[g.span] - g.ref, axis=1).tolist()))
-            else:
-                kept.append(g)
-        left = len(kept) < len(self.groups)
-        self.groups = kept
-        return left
-
-    def _alone(self, dyn, ref):
-        """The final distance of one cell's run from the start in a batch
-        of its own, or its error text."""
-        try:
-            for X in _states(FlatKernel(self.game, dyn.response), dyn,
-                             self.start[None, :]):
-                pass
-        except GameError as err:
-            return _error_text(err)
-        return np.linalg.norm(X - ref, axis=1).tolist()[0]
 
 
 def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
           horizon=2000, jobs=1, outer_tol=1e-10):
     """Equilibrium, verdict, and a finite run for every (beta, eta) cell.
 
-    Every beta's response config and every cell's dynamics config are
-    built first; a bad beta or eta is recorded as its cells' error, and
-    the sweep continues with the others.  Equilibria are then located once
-    per valid beta by the damped walk of :func:`find_smoothed_equilibrium`,
-    warm-started from the largest beta downward.  The walk runs as one row
-    of the dynamics batch of the cells whose betas it has already solved
-    (see :class:`_Ladder`): once its walk converges, all of a beta's cells
-    join the batch at ``x0``, each row at its own beta and eta, and leave
-    after ``horizon`` steps or once a step returns them bit for bit.  If
-    the shared batch raises, each cell in it is rerun alone, so a failing
-    run fails only its own cell.  Only each run's final state is kept: a
-    cell's ``final_distance`` is its row's distance to the cell's
+    Every beta and every cell's dynamics config are checked first; a bad
+    beta or eta is recorded as its cells' error, and the sweep continues
+    with the others.  One :class:`Ladder` then solves the valid betas from
+    the largest down, each warm-started at the last one solved, and runs
+    every cell whose beta it has solved in the same batch as the next
+    rung's walk: a beta's cells join at ``x0``, each row at its own beta
+    and eta, and leave after ``horizon`` steps or once a step returns them
+    bit for bit.  If the shared batch raises, each of its rows runs again
+    in a ladder of its own, so a failing run fails only its own cell.  A
+    cell's ``final_distance`` is its run's distance to the cell's
     equilibrium.  One kernel call at a beta column then takes the tangent
     response Jacobians at all equilibria, and one spectrum per beta gives
     its cells' verdicts.  ``jobs``, ``horizon``, ``outer_tol``, the
@@ -606,55 +414,50 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
     start = kernel.flatten(x0, "x0")
 
     grid = [(beta, eta) for beta in betas for eta in etas]
-    cells_of = {}  # beta -> indices of its cells in the grid
-    for c, (beta, _) in enumerate(grid):
-        cells_of.setdefault(beta, []).append(c)
-    ladder = _Ladder(game, kernel, start, horizon, outer_tol)
-    outcomes, errors = ladder.outcomes, ladder.errors
-    rungs = []  # (beta, response config, runnable cell rows)
-    for beta, cells in cells_of.items():
+    ladder = Ladder(kernel, start, outer_tol, horizon=horizon)
+    # beta -> error of its check, solve or Jacobian, and cell index -> its
+    # run's final distance or error, filled in here and by the ladder
+    errors, outcomes = ladder.errors, ladder.outcomes
+    rungs = {}  # valid beta -> (cell index, eta) of each valid cell
+    for c, (beta, eta) in enumerate(grid):
         try:
-            cfg = replace(kernel.cfg, beta=beta)
+            cells = rungs.setdefault(check_real("beta", beta), [])
         except GameError as err:
-            errors[beta] = _error_text(err)
+            errors[beta] = err
             continue
-        rows = []
-        for c in cells:
-            try:
-                rows.append((c, DynamicsConfig(eta=grid[c][1], response=cfg,
-                                               horizon=horizon)))
-            except GameError as err:
-                outcomes[c] = _error_text(err)
-        rungs.append((beta, cfg, rows))
-    ladder.run(sorted(rungs, key=lambda rung: rung[0], reverse=True))
+        try:
+            cells.append((c, DynamicsConfig(eta, kernel.cfg, horizon).eta))
+        except GameError as err:
+            outcomes[c] = err
+    ladder.run(sorted(rungs.items(), reverse=True))  # by decreasing beta
     solved = ladder.solved
 
-    def jacobians(rungs):
-        kernel = FlatKernel(game, solved[rungs[0]][0],
-                            beta=np.array(rungs)[:, None])
-        return kernel.tangent_jacobians(np.stack(
-            [solved[b][1].point.concatenated() for b in rungs]))
+    def jacobians(rows):
+        return FlatKernel(game, kernel.cfg, beta=np.array(rows)[:, None]
+                          ).tangent_jacobians(np.stack(
+                              [solved[b].point.concatenated() for b in rows]))
     grad_phi = dict(zip(solved, _by_rows(jacobians, list(solved))
                         if solved else ()))
-    errors.update((b, g) for b, g in grad_phi.items() if isinstance(g, str))
+    errors.update((b, g) for b, g in grad_phi.items()
+                  if isinstance(g, GameError))
 
     verdicts = {}  # cell index -> verdict of a cell that ran
-    for beta, (_, eq) in solved.items():
+    for beta, eq in solved.items():
         if beta not in errors:
-            ran = [c for c in cells_of[beta]
+            ran = [c for c, _ in rungs[beta]
                    if isinstance(outcomes[c], float)]
             verdicts.update(zip(ran, _verdicts(
                 grad_phi[beta], [grid[c][1] for c in ran], eq)))
     cells = []
     for c, (beta, eta) in enumerate(grid):
-        eq = solved[beta][1] if beta in solved else None
         error = errors.get(beta)
-        if error is None and isinstance(outcomes[c], str):
+        if error is None and not isinstance(outcomes[c], float):
             error = outcomes[c]
         cells.append(SweepCell(
-            beta=beta, eta=eta, equilibrium=eq,
+            beta=beta, eta=eta, equilibrium=solved.get(beta),
             verdict=None if error else verdicts[c],
-            final_distance=None if error else outcomes[c], error=error))
+            final_distance=None if error else outcomes[c],
+            error=error and f"{type(error).__name__}: {error}"))
     return tuple(cells)
 
 
@@ -692,18 +495,32 @@ def trajectory_to_csv(trajectory: Trajectory, target,
 
     ``target`` is a path or an open text handle (left open).
     """
-    rec = check_type("trajectory", trajectory, Trajectory).config.record_every
+    rec = check_type("trajectory config", check_type(
+        "trajectory", trajectory, Trajectory).config,
+        DynamicsConfig).record_every
     if verdict is not None:
         check_type("verdict", verdict, StabilityVerdict)
-    dists = trajectory.distances
     radius = verdict.jacobian_spectral_radius if verdict else None
     label = verdict.classification if verdict else None
-    points = trajectory.points
+    points = check_sequence("trajectory points", trajectory.points)
+    shape = points[0].shape if points and isinstance(
+        points[0], JointStrategy) else ()
+    # one pass: the blocks of the points that are strategies of the first
+    # one's shape, so any other point, or none, leaves too few
+    blocks = [b for x in points
+              if isinstance(x, JointStrategy) and x.shape == shape
+              for b in x.blocks]
+    if not blocks or len(blocks) != len(points) * len(shape):
+        raise DimensionError("trajectory points must be strategies of one "
+                             "shape")
+    dists = trajectory.distances
+    if dists is not None and len(check_sequence(
+            "trajectory distances", dists)) <= (len(points) - 1) * rec:
+        raise DimensionError("trajectory distances end before its points")
     # every point's entries as Python floats, from one (T, K) array
-    table = np.concatenate([b for x in points for b in x.blocks]).reshape(
-        len(points), -1).tolist()
+    table = np.concatenate(blocks).reshape(len(points), -1).tolist()
     write_csv(target,
-              ["t"] + _block_headers(points[0].shape)
+              ["t"] + _block_headers(shape)
               + ["distance", "spectral_radius", "classification"],
               ([str(idx * rec), *row,
                 dists[idx * rec] if dists is not None else None, radius, label]

@@ -162,13 +162,12 @@ def planned_gradient(plan, blocks) -> np.ndarray:
     :func:`gradient_plan`: ``blocks[m]`` is a ``(B, k_m)`` stack of player
     m's strategies, and the result a ``(B, k_n)`` stack."""
     first, matrix, back, front = plan
-    rows = len(blocks[0])
-    part = blocks[first] @ matrix
+    part = blocks[first] @ matrix  # the gradient, for two players
     for m, k in back:
-        part = np.matmul(part.reshape(rows, -1, k), blocks[m][:, :, None])
+        part = np.matmul(part.reshape(len(part), -1, k), blocks[m][:, :, None])
     for m, k in front:
-        part = np.matmul(blocks[m][:, None, :], part.reshape(rows, k, -1))
-    return part.reshape(rows, -1)
+        part = np.matmul(blocks[m][:, None, :], part.reshape(len(part), k, -1))
+    return part.reshape(len(part), -1) if back or front else part
 
 
 def contract(tensor, blocks, keep) -> np.ndarray:

@@ -5,9 +5,11 @@ over the simplex.  For the entropic regularizer this is the softmax of the
 payoff gradient divided by beta; with a quadratic term the strictly concave
 program is solved by damped Newton in log coordinates on the regularizer's
 face system.  Smoothed equilibria (fixed points of the joint response map)
-are located by damped fixed-point iteration with an adaptive damping
-factor, optionally continued along a decreasing beta schedule with warm
-starts.
+are located by a damped fixed-point walk, which only :class:`Ladder` steps:
+down a decreasing beta schedule with warm starts, the dynamics of each
+solved beta's cells in the same batch.  :func:`find_smoothed_equilibrium`
+is a ladder of one rung, :func:`homotopy_trace` one of its schedule, and
+``dynamics.sweep`` one with cells.
 
 Hot loops (the solver here, the dynamics in ``dynamics``) run on
 :class:`FlatKernel`, which evaluates the response map, its Jacobian and the
@@ -24,9 +26,9 @@ only.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -36,8 +38,9 @@ except ImportError:  # numpy 1.x: the public function, the same results
     _einsum = np.einsum
 
 from .errors import (ArgumentError, ConvergenceError, CyclingError,
-                     DimensionError, DomainError, check_array, check_count,
-                     check_index, check_real, check_sequence, check_type)
+                     DimensionError, DomainError, GameError, check_array,
+                     check_count, check_index, check_real, check_sequence,
+                     check_type)
 from .games import (JointStrategy, NormalFormGame, block_diag, block_slices,
                     epsilon_nash_gap, gradient_plan, jacobian_blocks,
                     planned_gradient, tangent_basis, uniform_strategy)
@@ -51,6 +54,7 @@ RESIDUAL_BAND = 1e-12
 # least damping factor of the solver: a walk that halves eta below it has
 # stalled, and stops there rather than idle out its stagnation window
 STEP_FLOOR = 1e-9
+FIXED_CHECK_STRIDE = 8  # steps between tests for an unchanged batch
 
 
 @dataclass(frozen=True)
@@ -444,7 +448,7 @@ class FlatKernel:
                                for plan in self._plans], axis=1)
 
     def _block_totals(self, ufunc, X):
-        return ufunc.reduceat(X, self._starts, axis=1).take(self._owner, 1)
+        return ufunc.reduceat(X, self._starts, 1).take(self._owner, 1)
 
     def respond(self, X: np.ndarray) -> np.ndarray:
         """The smoothed best response of every row: a block-wise softmax
@@ -519,7 +523,8 @@ class FlatKernel:
     def mix(self, X: np.ndarray, Y: np.ndarray, eta) -> np.ndarray:
         """Averaging update (1 - eta) X + eta Y; eta is a scalar or a
         ``(B, 1)`` column.  Blocks are renormalized against drift."""
-        out = (1.0 - eta) * X + eta * Y
+        out = (1.0 - eta) * X
+        out += eta * Y
         out /= self._block_totals(np.add, out)
         return out
 
@@ -560,15 +565,15 @@ def response_jacobian(game: NormalFormGame, cfg: SmoothedResponseConfig,
 # equilibrium solver
 
 class DampedWalk:
-    """The damped walk of :func:`find_smoothed_equilibrium`, one step at a
-    time: its damping factor eta, best residual and point, stagnation
-    marker and the two stopping rules, for a walk whose row of a kernel
-    batch is moved by the caller, from the ``(1, K)`` row ``x``.
+    """The damped walk of a :class:`Ladder`'s rung, one step at a time:
+    its damping factor eta, best residual and point, stagnation marker and
+    the two stopping rules, for a walk whose row of a kernel batch is moved
+    by the ladder, from the ``(1, K)`` row ``x``.
 
     :meth:`step` takes the walk's row and its response, and returns the
-    eta to mix them with, or the :class:`SmoothedEquilibrium` at the row;
-    it raises the walk's :class:`CyclingError` or, at ``max_iter`` steps,
-    its :class:`ConvergenceError`.  ``kernel`` serves only to build
+    eta to mix them with, the :class:`SmoothedEquilibrium` at the row, or
+    the walk's error, unraised: a :class:`CyclingError` or, at ``max_iter``
+    steps, a :class:`ConvergenceError`.  ``kernel`` serves only to build
     strategies of its game, so any kernel of the game will do.
     """
 
@@ -577,13 +582,10 @@ class DampedWalk:
         self.beta = beta
         self.outer_tol = outer_tol
         self.max_iter = max_iter
-        self.iteration = 0
+        self.iteration = self.stall = 0
         self.eta = 1.0
-        self.prev_residual = np.inf
-        self.best_residual = np.inf
+        self.prev_residual = self.best_residual = self.marker = np.inf
         self.best_point = x
-        self.marker = np.inf
-        self.stall = 0
 
     def _error(self, cls, message, iterations):
         return cls(message, residual=self.best_residual,
@@ -591,12 +593,11 @@ class DampedWalk:
                    last_point=self.kernel.strategy(self.best_point[0]))
 
     def step(self, x, y):
-        residual = float(np.abs(y - x).max())
-        beta = self.beta
+        residual = float(np.maximum.reduce(np.abs(y - x), None))
         if residual <= self.outer_tol:
             point = self.kernel.strategy(x[0])
             return SmoothedEquilibrium(
-                point=point, beta=beta, residual=residual,
+                point=point, beta=self.beta, residual=residual,
                 nash_gap=epsilon_nash_gap(self.kernel.game, point))
         if residual < self.best_residual:
             self.best_residual = residual
@@ -607,10 +608,10 @@ class DampedWalk:
         else:
             self.stall += 1
             if self.stall >= STAGNATION_WINDOW:
-                raise self._error(
+                return self._error(
                     CyclingError,
                     f"residual stagnated near {self.best_residual:.3e} for "
-                    f"{STAGNATION_WINDOW} steps at beta={beta:g}; the "
+                    f"{STAGNATION_WINDOW} steps at beta={self.beta:g}; the "
                     f"iteration appears to be orbiting rather than "
                     f"converging", self.iteration)
         # the relative band keeps ulp-level jitter at tiny eta from biasing
@@ -620,21 +621,199 @@ class DampedWalk:
         else:
             self.eta = self.eta / 2
             if self.eta < STEP_FLOOR:
-                raise self._error(
+                return self._error(
                     CyclingError,
                     f"step size collapsed to eta={self.eta:.3e}, below the "
                     f"step floor {STEP_FLOOR:g}, after {self.iteration} "
-                    f"steps at beta={beta:g}; residual stagnated near "
+                    f"steps at beta={self.beta:g}; residual stagnated near "
                     f"{self.best_residual:.3e}", self.iteration)
         self.prev_residual = residual
         self.iteration += 1
         if self.iteration == self.max_iter:
             # the mixed point would go unused: the walk ends here
-            raise self._error(
+            return self._error(
                 ConvergenceError,
                 f"no fixed point within {self.max_iter} iterations; best "
                 f"residual {self.best_residual:.3e}", self.max_iter)
         return self.eta
+
+
+@dataclass(eq=False)  # no field-wise ==: ref is an array
+class _Group:
+    """A solved beta's cells in a :class:`Ladder`'s batch: ``(key, eta)``
+    pairs and their flat equilibrium ``ref``; ``span`` is their rows of the
+    batch, None until they join it, and ``age`` the steps taken since."""
+
+    beta: float
+    cells: list
+    ref: np.ndarray
+    span: slice = None
+    age: int = 0
+
+
+class Ladder:
+    """Smoothed equilibria down a ladder of betas by the damped walk, and
+    the dynamics runs of the solved betas' cells, stepped as one batch.
+
+    A rung is ``(beta, cells)`` and a cell ``(key, eta)``, a run of
+    ``horizon`` steps at that beta from ``start``, a flat strategy.
+    :meth:`run` solves the rungs in order, each by a :class:`DampedWalk` of
+    at most ``max_iter`` steps from the last equilibrium solved (the first
+    from ``start``), as row 0 of a batch whose other rows are the cells of
+    the betas already solved.  Each step is one :meth:`FlatKernel.respond`
+    for every row; the walk reads its residual and eta off its own row, and
+    one :meth:`FlatKernel.mix` at an eta column moves all rows (a batch of
+    one row takes its beta and eta as scalars).  A solved beta's cells join
+    at ``start``, as one group, when the batch is rebuilt for the next walk,
+    and leave after ``horizon`` steps or once a FIXED_CHECK_STRIDE-th step
+    of their own returns them bit for bit.  The kernel, of ``base``'s game
+    and config at each row's beta, is built afresh for each rung and
+    whenever rows join or leave.  A :class:`GameError` from the shared
+    respond or mix is the error of a batch of one row; from a batch of more,
+    each row runs again in a ladder of its own, the rung from its warm
+    start and each cell from ``start``.
+
+    ``solved`` maps each solved beta to its equilibrium, ``errors`` each
+    failed one to its error, and ``outcomes`` each cell's key to its run's
+    final distance to its equilibrium, or to its error.
+    """
+
+    def __init__(self, base, start, outer_tol, max_iter=100_000, horizon=0):
+        self.base = base
+        self.start = start
+        self.outer_tol = outer_tol
+        self.max_iter = max_iter
+        self.horizon = horizon
+        self.solved, self.errors, self.outcomes = {}, {}, {}
+        self.groups = []
+        self.warm = start[None, :]  # the (1, K) start of the next walk
+
+    def run(self, rungs):
+        """Solve the rungs in order; run the cells of each beta solved."""
+        rungs = iter(rungs)
+        rung = next(rungs, None)
+        x = self.warm  # the walk's row when the batch is rebuilt
+        walk = X = kernel = None
+        while rung is not None or self.groups:
+            if kernel is None:  # a new rung, or rows joined or left
+                if rung is not None and walk is None:
+                    walk = DampedWalk(self.base, rung[0], x, self.outer_tol,
+                                      self.max_iter)
+                kernel, X, eta = self._batch(rung, x, X)
+            try:
+                Y = kernel.respond(X)
+                if walk is not None:  # out: its eta, equilibrium or error
+                    single = len(X) == 1
+                    out = (walk.step(X, Y) if single
+                           else walk.step(X[:1], Y[:1]))
+                    if type(out) is float:
+                        if single:
+                            eta = out
+                        else:
+                            eta[0, 0] = out
+                new = kernel.mix(X, Y, eta)
+            except GameError as err:
+                # a shared call failed: nothing it returned is used.  Its
+                # error is kept without the traceback, whose frames would
+                # hold this ladder in a cycle that only the collector frees
+                out = self._isolate(err.with_traceback(None), len(X) == 1,
+                                    rung)
+                kernel = None
+            else:
+                if self.groups and self._age(X, new):
+                    kernel, x = None, new[:1]
+                X = new
+            if rung is not None and type(out) is not float:
+                self._finish(*rung, out)
+                rung, walk, kernel = next(rungs, None), None, None
+                x = self.warm
+
+    def _batch(self, rung, x, X):
+        """A kernel, the batch and its eta: the walk's row x, if a rung is
+        being solved, then each group's rows, taken from X, the last batch,
+        or at the start for a group that joins now; each group's span is
+        set."""
+        states, betas, etas = [], [], []
+        if rung is not None:
+            states, betas, etas = [x], [rung[0]], [1.0]  # the walk sets eta
+        for g in self.groups:
+            states.append(np.tile(self.start, (len(g.cells), 1))
+                          if g.span is None else X[g.span])
+            g.span = slice(len(betas), len(betas) + len(g.cells))
+            betas += [g.beta] * len(g.cells)
+            etas += [eta for _, eta in g.cells]
+        if len(betas) == 1:
+            return (FlatKernel(self.base.game, self.base.cfg, beta=betas[0]),
+                    states[0], etas[0])
+        return (FlatKernel(self.base.game, self.base.cfg,
+                           beta=np.array(betas)[:, None]),
+                np.concatenate(states), np.array(etas)[:, None])
+
+    def _isolate(self, err, single, rung):
+        """Settle the cells of a batch whose shared call raised err, and
+        return the rung's equilibrium or error, if a rung is given: err for
+        a batch of one row, else each row's in a ladder of its own."""
+        for g in self.groups:
+            for key, eta in g.cells:
+                self.outcomes[key] = err if single else self._alone(
+                    self.start, (), _Group(g.beta, [(key, eta)], g.ref)
+                ).outcomes[key]
+        self.groups = []
+        if rung is None or single:
+            return err
+        alone = self._alone(self.warm[0], [(rung[0], ())])
+        return {**alone.solved, **alone.errors}[rung[0]]
+
+    def _alone(self, start, rungs, group=None):
+        """A ladder like this one from ``start``, run on the rungs and on
+        the group, if given."""
+        ladder = Ladder(self.base, start, self.outer_tol, self.max_iter,
+                        self.horizon)
+        ladder.groups = [group] if group else []
+        ladder.run(rungs)
+        return ladder
+
+    def _finish(self, beta, cells, out):
+        """Record a rung's equilibrium or error; a solved beta's cells, if
+        it has any, become a group that joins at the next rebuild."""
+        if not isinstance(out, SmoothedEquilibrium):
+            self.errors[beta] = out
+            return
+        self.solved[beta] = out
+        self.warm = out.point.concatenated()[None, :]
+        if cells:
+            self.groups.append(_Group(beta, cells, self.warm[0]))
+
+    def _age(self, X, new) -> bool:
+        """Count the step X -> new for every group; returns whether one
+        left, recording its final distances."""
+        kept = []
+        for g in self.groups:
+            g.age += 1
+            if g.age == self.horizon or (
+                    g.age % FIXED_CHECK_STRIDE == 0
+                    and new[g.span].tobytes() == X[g.span].tobytes()):
+                self.outcomes.update(zip(
+                    (key for key, _ in g.cells),
+                    np.linalg.norm(new[g.span] - g.ref, axis=1).tolist()))
+            else:
+                kept.append(g)
+        left = len(kept) < len(self.groups)
+        self.groups = kept
+        return left
+
+
+def _climb(kernel, betas, x0, outer_tol, max_iter) -> Ladder:
+    """A :class:`Ladder` of the kernel's game without cells, run down
+    ``betas`` from x0 (the uniform point if None) until a beta fails."""
+    check_real("outer_tol", outer_tol)
+    check_count("max_iter", max_iter, positive=True)
+    x = kernel.flatten(x0 if x0 is not None
+                       else uniform_strategy(kernel.game.shape), "x0")
+    ladder = Ladder(kernel, x, outer_tol, max_iter)
+    ladder.run(takewhile(lambda _: not ladder.errors,
+                         ((beta, ()) for beta in betas)))
+    return ladder
 
 
 def find_smoothed_equilibrium(game: NormalFormGame, cfg: SmoothedResponseConfig,
@@ -650,20 +829,14 @@ def find_smoothed_equilibrium(game: NormalFormGame, cfg: SmoothedResponseConfig,
     iteration orbits instead of converging, and smaller beta only sharpens
     that.  So does a halving that takes eta below ``STEP_FLOOR``: a walk
     that shrinks its steps that far has stalled.  Either way the error
-    carries the best residual seen and the point it was seen at.
+    carries the best residual seen and the point it was seen at.  The walk
+    is a :class:`Ladder` of one rung.
     """
-    kernel = FlatKernel(game, cfg)
-    check_real("outer_tol", outer_tol)
-    check_count("max_iter", max_iter, positive=True)
-    x = kernel.flatten(x0 if x0 is not None else uniform_strategy(game.shape),
-                       "x0")[None, :]
-    walk = DampedWalk(kernel, cfg.beta, x, outer_tol, max_iter)
-    while True:
-        y = kernel.respond(x)
-        eta = walk.step(x, y)
-        if isinstance(eta, SmoothedEquilibrium):
-            return eta
-        x = kernel.mix(x, y, eta)
+    ladder = _climb(FlatKernel(game, cfg), (cfg.beta,), x0, outer_tol,
+                    max_iter)
+    if ladder.errors:
+        raise ladder.errors[cfg.beta]
+    return ladder.solved[cfg.beta]
 
 
 def homotopy_trace(game: NormalFormGame, cfg: SmoothedResponseConfig,
@@ -671,28 +844,24 @@ def homotopy_trace(game: NormalFormGame, cfg: SmoothedResponseConfig,
                    max_iter=100_000):
     """Warm-started equilibrium continuation along a decreasing schedule.
 
-    Returns one SmoothedEquilibrium per beta.  Which equilibrium the trace
-    approaches in multi-equilibrium games is recorded, never asserted.
+    Returns one SmoothedEquilibrium per beta, from a :class:`Ladder` of the
+    schedule's rungs; the first beta that fails ends it with its error.
+    Which equilibrium the trace approaches in multi-equilibrium games is
+    recorded, never asserted.
     """
     schedule = check_array("beta_schedule", beta_schedule, (None,))
     if not schedule.size or np.any(np.diff(schedule) >= 0):
         raise ArgumentError(
             "beta_schedule must be nonempty and strictly decreasing")
     check_real("last beta_schedule entry", float(schedule[-1]))
-    check_count("max_iter", max_iter, positive=True)
-    check_type("cfg", cfg, SmoothedResponseConfig)
-    trace = []
-    x = x0
-    for beta in schedule.tolist():
-        cfg_b = dataclasses.replace(cfg, beta=beta)
-        try:
-            eq = find_smoothed_equilibrium(game, cfg_b, x, outer_tol=outer_tol,
-                                           max_iter=max_iter)
-        except ConvergenceError as err:
+    ladder = _climb(FlatKernel(game, cfg), schedule.tolist(), x0, outer_tol,
+                    max_iter)
+    if ladder.errors:  # the one beta that failed, which ended the trace
+        (beta, err), = ladder.errors.items()
+        if isinstance(err, ConvergenceError):
             raise type(err)(
                 f"homotopy failed at beta={beta:g}: {err.args[0]}",
                 residual=err.residual, iterations=err.iterations, beta=beta,
                 last_point=err.last_point) from err
-        trace.append(eq)
-        x = eq.point
-    return trace
+        raise err
+    return list(ladder.solved.values())

@@ -75,6 +75,21 @@ def _max_principal_angle(b1: np.ndarray, b2: np.ndarray) -> float:
     return float(np.arcsin(min(1.0, max(s1, s2))))
 
 
+def _checked(jac) -> GameJacobian:
+    """jac, if it is a GameJacobian with one finite ``(k_n, k_m)`` block for
+    each ordered pair (n, m) of its point's players; else a GameError."""
+    point = check_type("jac", jac, GameJacobian).point
+    shape = check_type("jac.point", point, JointStrategy).shape
+    rows = check_sequence("jac.blocks", jac.blocks)
+    if [len(check_sequence("jac.blocks row", row)) for row in rows] != \
+            [len(shape)] * len(shape):
+        raise DimensionError(f"jac needs {len(shape)} x {len(shape)} blocks")
+    for n, row in enumerate(rows):
+        for m, block in enumerate(row):
+            check_array(f"jac block ({n}, {m})", block, (shape[n], shape[m]))
+    return jac
+
+
 def _spanning_forest(jac: GameJacobian):
     """Block Frobenius norms, and the (parent, child) edges of a spanning
     forest of the undirected interaction graph (players joined by a block
@@ -104,8 +119,7 @@ def _spanning_forest(jac: GameJacobian):
 
 
 def interaction_graph(jac: GameJacobian) -> InteractionGraph:
-    check_type("jac", jac, GameJacobian)
-    return _interaction_graph(jac, *_spanning_forest(jac))
+    return _interaction_graph(jac, *_spanning_forest(_checked(jac)))
 
 
 def _interaction_graph(jac, norms, tree) -> InteractionGraph:
@@ -150,8 +164,7 @@ def solve_skew_certificate(jac: GameJacobian) -> SkewCertificate:
     The residual is evaluated over all ordered pairs, so non-tree (cycle)
     edges are checked for consistency as well.
     """
-    check_type("jac", jac, GameJacobian)
-    return _skew_certificate(jac, *_spanning_forest(jac))
+    return _skew_certificate(jac, *_spanning_forest(_checked(jac)))
 
 
 def _skew_certificate(jac, norms, tree) -> SkewCertificate:
@@ -320,9 +333,10 @@ def pareto_improvement_search(jac: GameJacobian, num_restarts=20, rng_seed=0,
     check_count("num_restarts", num_restarts)
     check_count("iters", iters)
     check_count("rng_seed", rng_seed)
-    j_t, bases, dims = check_type("jac", jac, GameJacobian).tangent()
-    z = _improvement_direction(j_t, dims, solve_skew_certificate(jac).lambdas,
-                               num_restarts, rng_seed, iters)
+    j_t, bases, dims = _checked(jac).tangent()
+    lambdas = _skew_certificate(jac, *_spanning_forest(jac)).lambdas
+    z = _improvement_direction(j_t, dims, lambdas, num_restarts, rng_seed,
+                               iters)
     if z is None:
         return None
     return TangentVector(blocks=tuple(b @ z[sl] for b, sl in
@@ -543,7 +557,7 @@ def uniform_stability_check(jac: GameJacobian, num_conditioners=100,
     """
     check_count("num_conditioners", num_conditioners)
     check_count("rng_seed", rng_seed)
-    forest = _spanning_forest(check_type("jac", jac, GameJacobian))
+    forest = _spanning_forest(_checked(jac))
     cert = _skew_certificate(jac, *forest)
     graph = _interaction_graph(jac, *forest)
     if cert.feasible and graph.connected and graph.bidirectional:
@@ -590,7 +604,7 @@ def verify_witness(jac: GameJacobian, witness) -> float:
     PD on its tangent space.
     """
     witness = check_sequence("witness", witness)
-    shape = check_type("jac", jac, GameJacobian).point.shape
+    shape = _checked(jac).point.shape
     if len(witness) != len(shape):
         raise DimensionError(
             f"witness has {len(witness)} blocks for {len(shape)} players")

@@ -912,28 +912,33 @@ def test_sweep_grid_wider_than_a_batch_matches_per_beta_runs(
 
 def test_sweep_failing_batch_reruns_each_cell_alone(monkeypatch):
     # a mix that raises at one eta fails the shared batch: the walk is
-    # solved alone, each cell in the batch is rerun alone, and only that
-    # eta's cells fail
+    # solved in a ladder of its own, so is each cell in the batch, and
+    # only that eta's cells fail
     rng = np.random.default_rng(11)
     g = random_game(rng, (3, 3), scale=0.5)
     regs = (sg.entropy(3), sg.entropy(3))
     betas, etas = (1.0, 0.7), tuple(np.linspace(0.01, 0.7, 70))
-    mix, alone = sg.response.FlatKernel.mix, sg.dynamics._Ladder._alone
-    rerun = []
+    mix, alone = sg.response.FlatKernel.mix, sg.response.Ladder._alone
+    rerun, walks = [], []
 
     def failing(self, X, Y, eta):
         if np.any(eta == etas[40]):
             raise sg.ConvergenceError("inner solver went non-finite")
         return mix(self, X, Y, eta)
 
-    def recording(self, dyn, ref):
-        rerun.append((dyn.response.beta, dyn.eta))
-        return alone(self, dyn, ref)
+    def recording(self, start, rungs, group=None):
+        walks.extend(beta for beta, _ in rungs)
+        if group is not None:
+            rerun.extend((group.beta, eta) for _, eta in group.cells)
+        return alone(self, start, rungs, group)
 
     monkeypatch.setattr(sg.response.FlatKernel, "mix", failing)
-    monkeypatch.setattr(sg.dynamics._Ladder, "_alone", recording)
+    monkeypatch.setattr(sg.response.Ladder, "_alone", recording)
     cells = sg.sweep(g, betas, etas, regs, horizon=30)
     monkeypatch.undo()
+    # the first rung's walk is alone in its batch; the second shares it
+    # with the first rung's cells
+    assert walks == [0.7]
     assert sorted(rerun) == sorted((beta, eta) for beta in betas
                                    for eta in etas)
     assert [(c.beta, c.eta) for c in cells if c.error] == \
@@ -1041,6 +1046,36 @@ def test_trajectory_csv_round_trip(tmp_path):
         assert [float(v) for v in row[1:5]] == list(point.concatenated())
         assert float(row[5]) == traj.distances[t]
     assert rows[1][7] == verdict.classification
+
+
+@pytest.mark.parametrize("probe", ["no points", "not a strategy",
+                                   "two shapes"])
+def test_hand_built_trajectory_csv_fails_with_a_game_error(probe):
+    # an empty trajectory, a point that is no strategy and points of shapes
+    # (2, 2) and (3, 2) raised ValueError, AttributeError and ValueError
+    g, cfg = dyn(0.2, 0.1, 4)
+    x = sg.uniform_strategy((2, 2))
+    points = {"no points": (),
+              "not a strategy": (x, np.array([0.5, 0.5, 0.5, 0.5])),
+              "two shapes": (x, sg.uniform_strategy((3, 2)))}[probe]
+    traj = Trajectory(config=cfg, points=points, final_point=x)
+    with pytest.raises(DimensionError, match="trajectory"):
+        sg.trajectory_to_csv(traj, io.StringIO())
+
+
+def test_hand_built_trajectory_distances_fail_with_a_game_error():
+    g, cfg = dyn(0.2, 0.1, 4)
+    x = sg.uniform_strategy((2, 2))
+    short = Trajectory(config=cfg, points=(x, x), final_point=x,
+                       distances=(0.1,))
+    with pytest.raises(DimensionError, match="distances"):
+        sg.trajectory_to_csv(short, io.StringIO())
+    with pytest.raises(DimensionError, match="distances"):
+        dataclasses.replace(short, distances=()).ratios()
+    with pytest.raises(ArgumentError, match="distances"):
+        dataclasses.replace(short, distances=(0.1, np.nan)).ratios()
+    with pytest.raises(ArgumentError, match="distances"):
+        dataclasses.replace(short, distances=("near", "far")).ratios()
 
 
 def per_point_csv(trajectory, verdict):

@@ -677,3 +677,29 @@ def test_no_chained_comparison_against_inf_outside_the_validators():
                     for side in [node.left, *node.comparators]):
                 found.append(f"{path.stem}:{node.lineno}")
     assert found == []
+
+
+def test_one_function_builds_and_steps_the_damped_walk():
+    # the beta ladder is the one driver of the damped walk: the solver, the
+    # homotopy and the sweep all step it there
+    package = Path(sg.__file__).parent
+    builds, steps = set(), set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == \
+                        "DampedWalk":
+                    builds.add(scope)
+                if isinstance(func, ast.Attribute) and func.attr == "step":
+                    steps.add(scope)
+            visit(child, inner)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert len(builds) == 1 and steps == builds, (builds, steps)

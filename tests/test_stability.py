@@ -1,5 +1,6 @@
 """Certificates, witnesses, and brute-force oracles around game Jacobians."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -1210,3 +1211,34 @@ def test_certificate_agrees_with_pareto_oracle_on_weighted_zero_sum():
     cert = solve_skew_certificate(game_jacobian(g, xu))
     assert cert.feasible
     assert weak_pareto_oracle(g, xu, grid_resolution=11).optimal
+
+
+@pytest.mark.parametrize("probe", ["nan", "misshapen"])
+def test_jacobian_records_are_checked_once_by_every_reader(monkeypatch,
+                                                           probe):
+    # an all-NaN Jacobian read as a feasible certificate, and a (3, 2)
+    # block in a 2 x 2 game as a connected graph; now each reader raises a
+    # GameError naming jac, after one check of the whole record
+    rng = np.random.default_rng(3)
+    good = skew_jacobian(rng, (2, 2), np.ones(2), [(0, 1)])
+    block = (np.full((2, 2), np.nan) if probe == "nan"
+             else np.ones((3, 2)))
+    bad = dataclasses.replace(good, blocks=(good.blocks[0],
+                                            (block, good.blocks[1][1])))
+    readers = {
+        "solve_skew_certificate": solve_skew_certificate,
+        "interaction_graph": interaction_graph,
+        "uniform_stability_check": uniform_stability_check,
+        "pareto_improvement_search": pareto_improvement_search,
+        "verify_witness": lambda jac: verify_witness(jac, [np.eye(2)] * 2)}
+    checked = stability._checked
+    calls = []
+    monkeypatch.setattr(stability, "_checked",
+                        lambda jac: calls.append(1) or checked(jac))
+    for name, reader in readers.items():
+        calls.clear()
+        with pytest.raises(sg.GameError, match=r"jac block \(1, 0\)"):
+            reader(bad)
+        calls.clear()
+        reader(good)
+        assert calls == [1], name

@@ -132,6 +132,50 @@ def test_walk_matches_reference_on_warm_started_ladders(seed):
             warm = {"ref": ref_point, "new": new_point}
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_homotopy_matches_reference_on_the_same_ladders(monkeypatch, seed):
+    # the trace down LADDER is the reference walk warm-started rung by rung
+    # up to its first failure, which ends the trace with that rung's error
+    # and stops it: it takes no more responses than the reference
+    calls = []
+    respond = FlatKernel.respond
+    monkeypatch.setattr(FlatKernel, "respond",
+                        lambda self, X: calls.append(1) or respond(self, X))
+    game, regs = _ladder(seed)
+    cfg = sg.SmoothedResponseConfig(beta=LADDER[0], regularizers=regs)
+    solved, warm, failed = [], None, None
+    for beta in LADDER:
+        try:
+            eq = reference_find_smoothed_equilibrium(
+                game, sg.SmoothedResponseConfig(beta=beta, regularizers=regs),
+                warm)
+        except ConvergenceError as err:
+            failed = beta, err
+            break
+        solved.append(eq)
+        warm = eq.point
+    ref_calls = len(calls)
+    calls.clear()
+    if failed is None:
+        trace = sg.homotopy_trace(game, cfg, LADDER)
+        assert [(eq.beta, eq.residual.hex(), _bits(eq.point))
+                for eq in trace] == \
+            [(eq.beta, eq.residual.hex(), _bits(eq.point)) for eq in solved]
+        assert len(calls) == ref_calls
+        return
+    beta, ref = failed
+    with pytest.raises(ConvergenceError) as new:
+        sg.homotopy_trace(game, cfg, LADDER)
+    assert len(calls) <= ref_calls
+    err = new.value
+    assert type(err) is type(ref)
+    assert err.args[0].startswith(f"homotopy failed at beta={beta:g}: ")
+    assert (err.beta, err.residual.hex(), _bits(err.last_point)) == \
+        (beta, ref.residual.hex(), _bits(ref.last_point))
+    assert err.iterations <= ref.iterations
+    assert type(err.__cause__) is type(ref)
+
+
 def test_reference_ladders_cover_both_outcomes():
     # the ladders above must exercise converging and failing walks, with
     # both regularizer kinds, or the comparison proves little
