@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,9 +108,8 @@ def run_many(game: NormalFormGame, cfg: DynamicsConfig, X0,
     starts = [kernel.flatten(x, "x0") for x in check_sequence("X0", X0)]
     if not starts:
         raise ArgumentError("at least one start is required")
-    ref = (kernel.flatten(check_type("reference", reference,
-                                     SmoothedEquilibrium).point, "reference")
-           if reference is not None else None)
+    ref = (kernel.flatten(_checked_equilibrium("reference", reference).point,
+                          "reference") if reference is not None else None)
     return _orbits(kernel, cfg, np.stack(starts), ref)
 
 
@@ -194,9 +193,26 @@ def stability_verdict(game: NormalFormGame, cfg: DynamicsConfig,
     the simplex normals that would pollute both the radius and the norm.
     """
     check_type("cfg", cfg, DynamicsConfig)
-    check_type("eq", eq, SmoothedEquilibrium)
+    _checked_equilibrium("eq", eq, check_type("game", game,
+                                              NormalFormGame).shape)
     grad_phi = response_jacobian(game, cfg.response, eq.point, as_tangent=True)
     return _verdicts(grad_phi, (cfg.eta,), eq)[0]
+
+
+def _checked_equilibrium(name, eq, shape=None) -> SmoothedEquilibrium:
+    """eq, if it is a SmoothedEquilibrium whose point is a strategy (of
+    ``shape``, if given), whose beta is positive and finite, and whose
+    residual and Nash gap are finite and non-negative; else a GameError
+    naming ``name``."""
+    point = check_type(f"{name}.point", check_type(
+        name, eq, SmoothedEquilibrium).point, JointStrategy)
+    if shape is not None and point.shape != shape:
+        raise DimensionError(f"{name}.point has shape {point.shape}, "
+                             f"expected {shape}")
+    check_real(f"{name}.beta", eq.beta)
+    check_real(f"{name}.residual", eq.residual, positive=False)
+    check_real(f"{name}.nash_gap", eq.nash_gap, positive=False)
+    return eq
 
 
 def _verdicts(grad_phi, etas, eq) -> tuple:
@@ -255,12 +271,12 @@ def eta_threshold(game: NormalFormGame, cfg: SmoothedResponseConfig,
     The radius is an artifact of the measurement, not of the theory, so
     callers reporting the threshold should report the radius with it.
     """
-    check_type("eq", eq, SmoothedEquilibrium)
+    kernel = FlatKernel(game, cfg)
+    _checked_equilibrium("eq", eq, game.shape)
     check_count("num_samples", num_samples)
     check_count("rng_seed", rng_seed)
     check_real("radius", radius)
     rng = np.random.default_rng(rng_seed)
-    kernel = FlatKernel(game, cfg)
     points = [eq.point] + [perturb_strategy(eq.point, radius, rng)
                            for _ in range(num_samples)]
     X = np.stack([kernel.flatten(p) for p in points])
@@ -367,18 +383,6 @@ class SweepCell:
     error: str = None
 
 
-def _by_rows(batch, rows):
-    """``batch(rows)`` or, if that raises, the outcomes of each row alone;
-    a row that fails alone gives its error instead."""
-    try:
-        return list(batch(rows))
-    except GameError as err:
-        if len(rows) == 1:
-            return [err]
-        # one failing row must not fail the others
-        return [out for row in rows for out in _by_rows(batch, [row])]
-
-
 def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
           horizon=2000, jobs=1, outer_tol=1e-10):
     """Equilibrium, verdict, and a finite run for every (beta, eta) cell.
@@ -393,9 +397,10 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
     bit for bit.  If the shared batch raises, each of its rows runs again
     in a ladder of its own, so a failing run fails only its own cell.  A
     cell's ``final_distance`` is its run's distance to the cell's
-    equilibrium.  One kernel call at a beta column then takes the tangent
-    response Jacobians at all equilibria, and one spectrum per beta gives
-    its cells' verdicts.  ``jobs``, ``horizon``, ``outer_tol``, the
+    equilibrium.  The cells of a solved beta that ran then take their
+    verdicts off one spectrum of the Jacobian :func:`stability_verdict`
+    takes, so they equal its verdicts bit for bit; a GameError there is the
+    beta's error.  ``jobs``, ``horizon``, ``outer_tol``, the
     regularizers and ``x0`` are checked before any solve; ``jobs`` has no
     other effect.  The returned grid is row-major in (betas, etas) as
     given.
@@ -432,22 +437,17 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
     ladder.run(sorted(rungs.items(), reverse=True))  # by decreasing beta
     solved = ladder.solved
 
-    def jacobians(rows):
-        return FlatKernel(game, kernel.cfg, beta=np.array(rows)[:, None]
-                          ).tangent_jacobians(np.stack(
-                              [solved[b].point.concatenated() for b in rows]))
-    grad_phi = dict(zip(solved, _by_rows(jacobians, list(solved))
-                        if solved else ()))
-    errors.update((b, g) for b, g in grad_phi.items()
-                  if isinstance(g, GameError))
-
     verdicts = {}  # cell index -> verdict of a cell that ran
     for beta, eq in solved.items():
-        if beta not in errors:
-            ran = [c for c, _ in rungs[beta]
-                   if isinstance(outcomes[c], float)]
-            verdicts.update(zip(ran, _verdicts(
-                grad_phi[beta], [grid[c][1] for c in ran], eq)))
+        try:  # stability_verdict's Jacobian, taken once for the beta
+            grad_phi = response_jacobian(game, replace(kernel.cfg, beta=beta),
+                                         eq.point, as_tangent=True)
+        except GameError as err:
+            errors[beta] = err
+            continue
+        ran = [c for c, _ in rungs[beta] if isinstance(outcomes[c], float)]
+        verdicts.update(zip(ran, _verdicts(
+            grad_phi, [grid[c][1] for c in ran], eq)))
     cells = []
     for c, (beta, eta) in enumerate(grid):
         error = errors.get(beta)
@@ -532,10 +532,22 @@ def sweep_to_csv(cells, target):
 
     ``target`` is a path or an open text handle (left open).
     """
-    cells = [check_type("cells entry", cell, SweepCell)
-             for cell in check_sequence("cells", cells)]
-    headers = _block_headers(next((c.equilibrium.point.shape for c in cells
-                                   if c.equilibrium is not None), ()))
+    cells = check_sequence("cells", cells)
+    shape = None  # of the first equilibrium, which every other one shares
+    for i, cell in enumerate(cells):
+        name = f"cells[{i}]"
+        check_type(name, cell, SweepCell)
+        if cell.equilibrium is not None:
+            shape = _checked_equilibrium(f"{name}.equilibrium",
+                                         cell.equilibrium, shape).point.shape
+        if cell.verdict is not None:
+            check_real(f"{name}.verdict radius", check_type(
+                f"{name}.verdict", cell.verdict,
+                StabilityVerdict).jacobian_spectral_radius, positive=False)
+        if cell.final_distance is not None:
+            check_real(f"{name}.final_distance", cell.final_distance,
+                       positive=False)
+    headers = _block_headers(shape or ())
     write_csv(target,
               ["beta", "eta"] + headers
               + ["distance", "spectral_radius", "classification", "error"],
@@ -556,8 +568,14 @@ def trace_to_csv(trace, target):
 
     ``target`` is a path or an open text handle (left open).
     """
+    trace = check_sequence("trace", trace)
+    if not trace:
+        raise ArgumentError("trace must not be empty")
+    shape = None
+    for i, eq in enumerate(trace):
+        shape = _checked_equilibrium(f"trace[{i}]", eq, shape).point.shape
     write_csv(target,
-              ["beta"] + _block_headers(trace[0].point.shape)
+              ["beta"] + _block_headers(shape)
               + ["residual", "nash_gap"],
               ([eq.beta, *eq.point.concatenated(), eq.residual, eq.nash_gap]
                for eq in trace))

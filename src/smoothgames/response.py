@@ -668,7 +668,8 @@ class Ladder:
     and leave after ``horizon`` steps or once a FIXED_CHECK_STRIDE-th step
     of their own returns them bit for bit.  The kernel, of ``base``'s game
     and config at each row's beta, is built afresh for each rung and
-    whenever rows join or leave.  A :class:`GameError` from the shared
+    whenever rows join or leave, but a walk alone at ``base``'s beta steps
+    ``base`` itself.  A :class:`GameError` from the shared
     respond or mix is the error of a batch of one row; from a batch of more,
     each row runs again in a ladder of its own, the rung from its warm
     start and each cell from ``start``.
@@ -743,8 +744,12 @@ class Ladder:
             betas += [g.beta] * len(g.cells)
             etas += [eta for _, eta in g.cells]
         if len(betas) == 1:
-            return (FlatKernel(self.base.game, self.base.cfg, beta=betas[0]),
-                    states[0], etas[0])
+            # only the rung at base's beta steps base, and only once its
+            # walk runs alone, so base starts that walk fresh
+            kernel = (self.base if rung is not None
+                      and betas[0] == self.base.beta else
+                      FlatKernel(self.base.game, self.base.cfg, beta=betas[0]))
+            return kernel, states[0], etas[0]
         return (FlatKernel(self.base.game, self.base.cfg,
                            beta=np.array(betas)[:, None]),
                 np.concatenate(states), np.array(etas)[:, None])

@@ -21,8 +21,8 @@ from math import comb
 import numpy as np
 
 from .errors import (ArgumentError, DimensionError, DomainError,
-                     ResourceError, check_array, check_count, check_real,
-                     check_sequence, check_type)
+                     ResourceError, check_array, check_count, check_index,
+                     check_real, check_sequence, check_type)
 from .games import (GameJacobian, JointStrategy, NormalFormGame,
                     TangentVector, block_diag, block_slices, check_match,
                     contract, game_jacobian, perturb_strategy, utility)
@@ -77,7 +77,8 @@ def _max_principal_angle(b1: np.ndarray, b2: np.ndarray) -> float:
 
 def _checked(jac) -> GameJacobian:
     """jac, if it is a GameJacobian with one finite ``(k_n, k_m)`` block for
-    each ordered pair (n, m) of its point's players; else a GameError."""
+    each ordered pair (n, m) of its point's players, and one support per
+    player whose entries are actions in ``[0, k_n)``; else a GameError."""
     point = check_type("jac", jac, GameJacobian).point
     shape = check_type("jac.point", point, JointStrategy).shape
     rows = check_sequence("jac.blocks", jac.blocks)
@@ -87,6 +88,13 @@ def _checked(jac) -> GameJacobian:
     for n, row in enumerate(rows):
         for m, block in enumerate(row):
             check_array(f"jac block ({n}, {m})", block, (shape[n], shape[m]))
+    supports = check_sequence("jac.supports", jac.supports)
+    if len(supports) != len(shape):
+        raise DimensionError(f"jac needs {len(shape)} supports, one per "
+                             f"player")
+    for n, support in enumerate(supports):
+        for i in check_sequence(f"jac.supports[{n}]", support):
+            check_index(f"jac.supports[{n}] entry", i, shape[n])
     return jac
 
 

@@ -194,6 +194,14 @@ def own(other=None, accept=(), **options):
                  named=frozenset(wrong_type), **options)
 
 
+def equilibrium(accept=()):
+    """An equilibrium a function takes back: the wrong types of ``own``,
+    and the record with a NaN beta or without its point."""
+    return own(accept=accept, bad={
+        "nan beta": dataclasses.replace(EQ, beta=NAN),
+        "no point": dataclasses.replace(EQ, point=None)})
+
+
 def typed(wrong_shape, other=None, accept=(), **options):
     """A parameter typed by a package class: the wrong types of ``own``,
     and one of the wrong shape."""
@@ -404,19 +412,19 @@ ROWS = {
     "run": row(sg.run, game=(PENNIES, GAME),
                cfg=(DYN, DYNAMICS),
                x0=(X, typed(X_WIDE, label="x0")),
-               reference=(EQ, own(accept=("None",)))),
+               reference=(EQ, equilibrium(("None",)))),
     "run_many": row(sg.run_many, game=(PENNIES, GAME),
                     cfg=(DYN, DYNAMICS),
                     X0=((X, X), sequence((X, X), label="x0|start")),
-                    reference=(None, own(accept=("None",)))),
+                    reference=(None, equilibrium(("None",)))),
     "stability_verdict": row(sg.stability_verdict, game=(PENNIES, GAME),
                              cfg=(DYN, DYNAMICS),
-                             eq=(EQ, own())),
+                             eq=(EQ, equilibrium())),
     "measure_response_lipschitz": row(sg.measure_response_lipschitz,
                                       game=(PENNIES, GAME), cfg=(CFG, CONFIG),
                                       x=(X, STRATEGY)),
     "eta_threshold": row(sg.eta_threshold, game=(PENNIES, GAME),
-                         cfg=(CFG, CONFIG), eq=(EQ, own()),
+                         cfg=(CFG, CONFIG), eq=(EQ, equilibrium()),
                          num_samples=(2, count(2, positive=False)),
                          rng_seed=(0, SEED), radius=(0.05, positive(0.05))),
     "boundary_convergence_check": row(
@@ -433,7 +441,10 @@ ROWS = {
                  regularizers=((R2, R2), REGS), x0=(None, START),
                  horizon=(3, count(3)), jobs=(1, count(1)),
                  outer_tol=(1e-10, positive(1e-10))),
-    "sweep_to_csv": row(sg.sweep_to_csv, cells=(CELLS, own()),
+    "sweep_to_csv": row(sg.sweep_to_csv, cells=(CELLS, own(bad={
+        "string equilibrium": (dataclasses.replace(CELLS[0],
+                                                   equilibrium="a"),),
+        "verdict 3": (dataclasses.replace(CELLS[0], verdict=3),)})),
                         target=("out.csv", path("out.csv", label="target"))),
     "trajectory_to_csv": row(sg.trajectory_to_csv,
                              trajectory=(TRAJECTORY, own(EQ)),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import smoothgames as sg
-from smoothgames.dynamics import DISTANCE_CHUNK, Trajectory
+from smoothgames.dynamics import DISTANCE_CHUNK, Trajectory, trace_to_csv
 from smoothgames.errors import ArgumentError, DimensionError, DomainError
 
 from conftest import (nonstrategic_offsets, quadratic_regularizers,
@@ -696,8 +696,8 @@ def cell_bits(cell):
 
 
 def assert_cells_match_runs(g, cells, regs, x0, horizon, exact=False):
-    # every cell that ran agrees with its own run and verdict; exact asks
-    # for the run's last distance bit for bit
+    # every cell that ran agrees with its own run, and with its verdict bit
+    # for bit; exact asks for the run's last distance bit for bit
     for cell in cells:
         if cell.error is not None:
             continue
@@ -711,8 +711,10 @@ def assert_cells_match_runs(g, cells, regs, x0, horizon, exact=False):
             else pytest.approx(traj.distances[-1], rel=0, abs=1e-12))
         verdict = sg.stability_verdict(g, dyn_cfg, cell.equilibrium)
         assert cell.verdict.classification == verdict.classification
-        assert cell.verdict.jacobian_spectral_radius == pytest.approx(
-            verdict.jacobian_spectral_radius, rel=0, abs=1e-12)
+        assert cell.verdict.jacobian_spectral_radius == \
+            verdict.jacobian_spectral_radius
+        assert cell.verdict.jacobian_operator_norm == \
+            verdict.jacobian_operator_norm
 
 
 def test_sweep_grid_with_failed_beta_row_matches_per_beta_runs():
@@ -1076,6 +1078,53 @@ def test_hand_built_trajectory_distances_fail_with_a_game_error():
         dataclasses.replace(short, distances=(0.1, np.nan)).ratios()
     with pytest.raises(ArgumentError, match="distances"):
         dataclasses.replace(short, distances=("near", "far")).ratios()
+
+
+PROBES = ["verdict nan beta", "threshold no point", "reference nan residual",
+          "cell string equilibrium", "cell verdict 3", "cells of two shapes",
+          "empty trace", "trace of None"]
+
+
+@pytest.mark.parametrize("probe", PROBES)
+def test_hand_built_equilibrium_records_fail_with_a_game_error(probe):
+    # a NaN beta read as a stable verdict, a missing point and non-record
+    # cell fields raised AttributeError, a (3, 3) cell was written under
+    # the (2, 2) header, and an empty trace raised IndexError; now each
+    # reader raises a GameError naming the parameter it was given
+    g, cfg = dyn(0.2, 0.1, 4)
+    eq = sg.find_smoothed_equilibrium(g, cfg.response)
+    cell = sg.sweep(g, (0.2,), (0.1,), cfg.response.regularizers,
+                    horizon=4)[0]
+    wide = sg.bundled_game("example_A")
+    wide_eq = sg.find_smoothed_equilibrium(wide, sg.entropy_config(wide, 1.0))
+    calls = {
+        "verdict nan beta": (lambda: sg.stability_verdict(
+            g, cfg, dataclasses.replace(eq, beta=np.nan)), r"eq\.beta"),
+        "threshold no point": (lambda: sg.eta_threshold(
+            g, cfg.response, dataclasses.replace(eq, point=None)),
+            r"eq\.point"),
+        "reference nan residual": (lambda: sg.run(
+            g, cfg, eq.point, dataclasses.replace(eq, residual=np.nan)),
+            r"reference\.residual"),
+        "cell string equilibrium": (lambda: sg.sweep_to_csv(
+            [dataclasses.replace(cell, equilibrium="a")], io.StringIO()),
+            r"cells\[0\]\.equilibrium"),
+        "cell verdict 3": (lambda: sg.sweep_to_csv(
+            [dataclasses.replace(cell, verdict=3)], io.StringIO()),
+            r"cells\[0\]\.verdict"),
+        "cells of two shapes": (lambda: sg.sweep_to_csv(
+            [cell, dataclasses.replace(cell, equilibrium=wide_eq)],
+            io.StringIO()), r"cells\[1\]\.equilibrium\.point"),
+        "empty trace": (lambda: trace_to_csv([], io.StringIO()), "trace"),
+        "trace of None": (lambda: trace_to_csv([None], io.StringIO()),
+                          r"trace\[0\]")}
+    call, blamed = calls[probe]
+    with pytest.raises(sg.GameError, match=blamed):
+        call()
+    # the records as the package built them are read as before
+    sg.stability_verdict(g, cfg, eq)
+    sg.sweep_to_csv([cell], io.StringIO())
+    trace_to_csv([eq], io.StringIO())
 
 
 def per_point_csv(trajectory, verdict):

@@ -851,6 +851,27 @@ def test_homotopy_example_A_reaches_strict_equilibrium():
     assert np.abs(final.point.concatenated() - target).max() <= 1e-6
 
 
+def test_a_walk_alone_at_the_configs_beta_builds_no_second_kernel(
+        monkeypatch):
+    # the kernel a solve builds for its config steps the walk at that
+    # beta; each other rung of a trace builds one of its own
+    built = []
+    init = FlatKernel.__init__
+    monkeypatch.setattr(FlatKernel, "__init__", lambda self, *args, **kw:
+                        built.append(1) or init(self, *args, **kw))
+    g = sg.bundled_game("example_A")
+    x0 = sg.JointStrategy((np.array([0.5, 0.3, 0.2]),
+                           np.array([0.2, 0.5, 0.3])))
+    cfg = sg.entropy_config(g, 1.0)
+    eq = sg.find_smoothed_equilibrium(g, cfg, x0)
+    assert len(built) == 1 and eq.residual <= 1e-10
+    built.clear()
+    trace = sg.homotopy_trace(g, cfg, [1.0, 0.3, 0.1], x0)
+    assert len(built) == 3 and [e.beta for e in trace] == [1.0, 0.3, 0.1]
+    assert trace[0].point.concatenated().tobytes() == \
+        eq.point.concatenated().tobytes()
+
+
 def test_homotopy_annotates_failing_beta():
     g = pennies()
     x0 = sg.JointStrategy((np.array([0.9, 0.1]), np.array([0.8, 0.2])))

@@ -1213,18 +1213,25 @@ def test_certificate_agrees_with_pareto_oracle_on_weighted_zero_sum():
     assert weak_pareto_oracle(g, xu, grid_resolution=11).optimal
 
 
-@pytest.mark.parametrize("probe", ["nan", "misshapen"])
+@pytest.mark.parametrize("probe", ["nan", "misshapen", "support"])
 def test_jacobian_records_are_checked_once_by_every_reader(monkeypatch,
                                                            probe):
-    # an all-NaN Jacobian read as a feasible certificate, and a (3, 2)
-    # block in a 2 x 2 game as a connected graph; now each reader raises a
-    # GameError naming jac, after one check of the whole record
+    # an all-NaN Jacobian read as a feasible certificate, a (3, 2) block in
+    # a 2 x 2 game as a connected graph, and a support entry 5 of a
+    # 2-action player as a stable point; now each reader raises a GameError
+    # naming jac, after one check of the whole record
+    blamed = (r"jac\.supports\[0\]" if probe == "support"
+              else r"jac block \(1, 0\)")
     rng = np.random.default_rng(3)
     good = skew_jacobian(rng, (2, 2), np.ones(2), [(0, 1)])
-    block = (np.full((2, 2), np.nan) if probe == "nan"
-             else np.ones((3, 2)))
-    bad = dataclasses.replace(good, blocks=(good.blocks[0],
-                                            (block, good.blocks[1][1])))
+    if probe == "support":
+        bad = dataclasses.replace(good, supports=(np.array([5]),
+                                                  np.array([0, 1])))
+    else:
+        block = (np.full((2, 2), np.nan) if probe == "nan"
+                 else np.ones((3, 2)))
+        bad = dataclasses.replace(good, blocks=(good.blocks[0],
+                                                (block, good.blocks[1][1])))
     readers = {
         "solve_skew_certificate": solve_skew_certificate,
         "interaction_graph": interaction_graph,
@@ -1237,7 +1244,7 @@ def test_jacobian_records_are_checked_once_by_every_reader(monkeypatch,
                         lambda jac: calls.append(1) or checked(jac))
     for name, reader in readers.items():
         calls.clear()
-        with pytest.raises(sg.GameError, match=r"jac block \(1, 0\)"):
+        with pytest.raises(sg.GameError, match=blamed):
             reader(bad)
         calls.clear()
         reader(good)
