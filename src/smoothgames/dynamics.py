@@ -13,6 +13,7 @@ the beta ladder of ``response`` (:class:`response.Ladder`).
 from __future__ import annotations
 
 import csv
+import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -29,6 +30,7 @@ from .response import (FIXED_CHECK_STRIDE, FlatKernel, Ladder,
 
 SAMPLE_BALL_RADIUS = 0.05  # inf-norm radius for Lipschitz sampling
 CLASSIFICATION_TOL = 1e-9
+CLASSIFICATIONS = ("asymptotically_stable", "unstable", "marginal")
 DISTANCE_CHUNK = 64  # states held back before their distances are taken
 
 
@@ -213,6 +215,22 @@ def _checked_equilibrium(name, eq, shape=None) -> SmoothedEquilibrium:
     check_real(f"{name}.residual", eq.residual, positive=False)
     check_real(f"{name}.nash_gap", eq.nash_gap, positive=False)
     return eq
+
+
+def _checked_verdict(name, verdict) -> StabilityVerdict:
+    """verdict, if it is a StabilityVerdict whose spectral radius and
+    operator norm are finite and non-negative and whose classification is
+    one of CLASSIFICATIONS; else a GameError naming ``name``."""
+    check_type(name, verdict, StabilityVerdict)
+    check_real(f"{name}.jacobian_spectral_radius",
+               verdict.jacobian_spectral_radius, positive=False)
+    check_real(f"{name}.jacobian_operator_norm",
+               verdict.jacobian_operator_norm, positive=False)
+    label = verdict.classification
+    if not (isinstance(label, str) and label in CLASSIFICATIONS):
+        raise ArgumentError(f"{name}.classification must be one of "
+                            f"{CLASSIFICATIONS}, got {label!r}")
+    return verdict
 
 
 def _verdicts(grad_phi, etas, eq) -> tuple:
@@ -499,7 +517,7 @@ def trajectory_to_csv(trajectory: Trajectory, target,
         "trajectory", trajectory, Trajectory).config,
         DynamicsConfig).record_every
     if verdict is not None:
-        check_type("verdict", verdict, StabilityVerdict)
+        _checked_verdict("verdict", verdict)
     radius = verdict.jacobian_spectral_radius if verdict else None
     label = verdict.classification if verdict else None
     points = check_sequence("trajectory points", trajectory.points)
@@ -536,14 +554,12 @@ def sweep_to_csv(cells, target):
     shape = None  # of the first equilibrium, which every other one shares
     for i, cell in enumerate(cells):
         name = f"cells[{i}]"
-        check_type(name, cell, SweepCell)
+        _check_cell(name, cell)
         if cell.equilibrium is not None:
             shape = _checked_equilibrium(f"{name}.equilibrium",
                                          cell.equilibrium, shape).point.shape
         if cell.verdict is not None:
-            check_real(f"{name}.verdict radius", check_type(
-                f"{name}.verdict", cell.verdict,
-                StabilityVerdict).jacobian_spectral_radius, positive=False)
+            _checked_verdict(f"{name}.verdict", cell.verdict)
         if cell.final_distance is not None:
             check_real(f"{name}.final_distance", cell.final_distance,
                        positive=False)
@@ -560,6 +576,23 @@ def sweep_to_csv(cells, target):
                   cell.verdict.classification if cell.verdict else None,
                   cell.error]
                for cell in cells))
+
+
+def _check_cell(name, cell):
+    """A GameError naming ``name`` unless cell is a SweepCell with a real
+    beta and eta and an error that is None or text.  A cell without an
+    error needs both positive and finite; a failed cell may keep the bad
+    value its error text is about."""
+    check_type(name, cell, SweepCell)
+    if cell.error is None:
+        check_real(f"{name}.beta", cell.beta)
+        check_real(f"{name}.eta", cell.eta)
+        return
+    check_type(f"{name}.error", cell.error, str)
+    for field, value in (("beta", cell.beta), ("eta", cell.eta)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ArgumentError(f"{name}.{field} must be a real number, "
+                                f"got {value!r}")
 
 
 def trace_to_csv(trace, target):

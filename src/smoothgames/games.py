@@ -23,6 +23,11 @@ from importlib import resources
 
 import numpy as np
 
+try:  # what np.einsum calls without optimize, minus its dispatch layers
+    from numpy._core.multiarray import c_einsum as einsum
+except ImportError:  # numpy 1.x: the public function, the same results
+    einsum = np.einsum
+
 from .errors import (ArgumentError, DimensionError, DomainError, ParseError,
                      ResourceError, check_array, check_count, check_index,
                      check_path, check_real, check_sequence, check_type)
@@ -56,14 +61,18 @@ def _owned(block) -> np.ndarray:
     return block
 
 
-def support_indices(k, support=None) -> np.ndarray:
+def support_indices(k, support=None, name="support") -> np.ndarray:
     """The actions of a support of a k-action player as an index array
-    (all k actions if None); each must lie in ``[0, k)``."""
+    (all k actions if None): distinct actions, each in ``[0, k)``, else an
+    ArgumentError naming ``name``."""
     check_count("action count", k, positive=True)
     if support is None:
         return np.arange(k)
-    return np.array([check_index("support entry", i, k)
-                     for i in check_sequence("support", support)], dtype=int)
+    actions = [check_index(f"{name} entry", i, k)
+               for i in check_sequence(name, support)]
+    if len(set(actions)) < len(actions):
+        raise ArgumentError(f"{name} repeats an action: {actions}")
+    return np.array(actions, dtype=int)
 
 
 def centering_projection(k: int) -> np.ndarray:
@@ -181,8 +190,7 @@ def contract(tensor, blocks, keep) -> np.ndarray:
     axes = string.ascii_letters[:tensor.ndim]
     spec = (axes + "," + ",".join("..." + axes[p] for p in others)
             + "->..." + "".join(axes[p] for p in keep))
-    return np.einsum(spec, tensor, *(blocks[p] for p in others),
-                     optimize=False)
+    return einsum(spec, tensor, *(blocks[p] for p in others))
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +489,14 @@ def to_canonical(game: NormalFormGame, x_star: JointStrategy) -> CanonicalForm:
 
 def best_response_values(game: NormalFormGame, x: JointStrategy, n: int):
     """Best pure-response value and the tie set within 1e-9."""
-    values = gradient(game, x, n)
+    return _best_responses(gradient(game, x, n))
+
+
+def _best_responses(values):
+    """The best of a player's pure-action payoffs, and the actions within
+    TIE_TOL of it."""
     best = float(values.max())
-    ties = np.flatnonzero(values >= best - TIE_TOL)
-    return best, ties
+    return best, np.flatnonzero(values >= best - TIE_TOL)
 
 
 def epsilon_nash_gap(game: NormalFormGame, x: JointStrategy) -> float:
@@ -494,11 +506,21 @@ def epsilon_nash_gap(game: NormalFormGame, x: JointStrategy) -> float:
     multilinearity, so only pure deviations are scanned.
     """
     check_match(game, x)
+    return _nash_gap(x, _gradients(game, x))
+
+
+def _gradients(game, x) -> list:
+    """Every player's ambient gradient at x, a strategy that fits game."""
+    rows = [b[None] for b in x.blocks]
+    return [planned_gradient(gradient_plan(t, n), rows)[0]
+            for n, t in enumerate(game.payoffs)]
+
+
+def _nash_gap(x, values) -> float:
+    """The Nash gap at x from every player's gradient there."""
     gap = 0.0
-    for n in range(game.num_players):
-        values = gradient(game, x, n)
-        current = float(np.dot(values, x.blocks[n]))
-        gap = max(gap, float(values.max()) - current)
+    for v, b in zip(values, x.blocks):
+        gap = max(gap, float(v.max()) - float(np.dot(v, b)))
     return gap
 
 
@@ -518,11 +540,12 @@ def quasi_strict_check(game: NormalFormGame, x_star: JointStrategy,
     """Check that the support equals the best-response set for every player."""
     check_match(game, x_star, name="x_star")
     check_real("gap_tol", gap_tol, positive=False)
-    gap = epsilon_nash_gap(game, x_star)
+    values = _gradients(game, x_star)
+    gap = _nash_gap(x_star, values)
     if gap > gap_tol:
         return QuasiStrictResult(status="not_nash", gap=gap)
     for n in range(game.num_players):
-        best, ties = best_response_values(game, x_star, n)
+        _, ties = _best_responses(values[n])
         support = set(np.flatnonzero(x_star.blocks[n] > 0).tolist())
         tie_set = set(ties.tolist())
         missing = sorted(tie_set - support)
@@ -618,9 +641,18 @@ class GameJacobian:
                          for n in range(self.num_players)])
 
     def tangent_bases(self) -> list:
-        """Per player, an orthonormal basis of its face's tangent space."""
-        return [tangent_basis(k, s)
-                for k, s in zip(self.point.shape, self.supports)]
+        """Per player, an orthonormal basis of its face's tangent space.
+        Players with the same action count and support share one
+        read-only basis."""
+        shared, bases = {}, []
+        for k, s in zip(self.point.shape, self.supports):
+            s = support_indices(k, s)
+            key = (k, s.tobytes())
+            if key not in shared:
+                shared[key] = tangent_basis(k, s)
+                shared[key].setflags(write=False)
+            bases.append(shared[key])
+        return bases
 
     def tangent(self):
         """Reduce to face-tangent coordinates.

@@ -32,17 +32,12 @@ from itertools import takewhile
 
 import numpy as np
 
-try:  # what np.einsum calls without optimize, minus its dispatch layers
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:  # numpy 1.x: the public function, the same results
-    _einsum = np.einsum
-
 from .errors import (ArgumentError, ConvergenceError, CyclingError,
                      DimensionError, DomainError, GameError, check_array,
                      check_count, check_index, check_real, check_sequence,
                      check_type)
 from .games import (JointStrategy, NormalFormGame, block_diag, block_slices,
-                    epsilon_nash_gap, gradient_plan, jacobian_blocks,
+                    einsum, epsilon_nash_gap, gradient_plan, jacobian_blocks,
                     planned_gradient, tangent_basis, uniform_strategy)
 from .regularizers import (Regularizer, entropy, entropy_pseudoinverse,
                            face_solve, kkt_frame)
@@ -157,9 +152,9 @@ def _regularizer_terms(U, Y, lam, C, w):
     """The quadratic force ``C (y - w)`` and the regularizer value h(y) at
     the points ``Y = exp(U)``."""
     gap = Y - w
-    force = _einsum("...ij,...j->...i", C, gap)
-    quad_value = 0.5 * _einsum("...i,...i->...", gap, force)
-    return force, lam * _einsum("...i,...i->...", Y, U) + quad_value
+    force = einsum("...ij,...j->...i", C, gap)
+    quad_value = 0.5 * einsum("...i,...i->...", gap, force)
+    return force, lam * einsum("...i,...i->...", Y, U) + quad_value
 
 
 def _newton_start(U, lam, C, w) -> tuple:
@@ -198,7 +193,7 @@ def _newton_solve(V, lam, C, w, frame, start, inner_tol, inner_max_iter):
     beta, beta_column, beta_rhs, buffers = frame
     lam_column = buffers[3]
     U, Y, force, h = start
-    current = _einsum("...i,...i->...", V, Y) - beta * h
+    current = einsum("...i,...i->...", V, Y) - beta * h
     k = V.shape[-1]
     active = np.ones(V.shape[:-1], dtype=bool)
     residual = np.full(active.shape, np.inf)
@@ -239,7 +234,7 @@ def _newton_solve(V, lam, C, w, frame, start, inner_tol, inner_max_iter):
             cand -= np.log(np.add.reduce(np.exp(cand), -1, keepdims=True))
             cand_y = np.exp(cand)
             cand_force, cand_h = _regularizer_terms(cand, cand_y, lam, C, w)
-            cand_value = _einsum("...i,...i->...", V, cand_y) - beta * cand_h
+            cand_value = einsum("...i,...i->...", V, cand_y) - beta * cand_h
             if left == searching.size:
                 accepted = cand, cand_y, cand_force, cand_h, cand_value
             else:

@@ -15,17 +15,18 @@ are skipped where bounds from the certificate's weights prove them futile.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
 from .errors import (ArgumentError, DimensionError, DomainError,
-                     ResourceError, check_array, check_count, check_index,
+                     ResourceError, check_array, check_count,
                      check_real, check_sequence, check_type)
 from .games import (GameJacobian, JointStrategy, NormalFormGame,
                     TangentVector, block_diag, block_slices, check_match,
-                    contract, game_jacobian, perturb_strategy, utility)
+                    contract, game_jacobian, perturb_strategy,
+                    support_indices, utility)
 
 EDGE_TOL = 1e-10          # Frobenius threshold for interaction-graph edges
 SKEW_RESIDUAL_TOL = 1e-8  # certificate feasibility threshold
@@ -50,35 +51,33 @@ class InteractionGraph:
     bidirectional: bool
 
 
-def _kernel_basis(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker(mat), SVD cutoff 1e-10 relative."""
-    if mat.size == 0:
-        return np.eye(mat.shape[1])
-    u, s, vh = np.linalg.svd(mat)
-    cutoff = 1e-10 * (s.max() if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].T
+def _kernels_align(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the kernels of two matrices of one shape have the same
+    dimension and a largest principal angle of at most KERNEL_ANGLE_TOL.
 
-
-def _max_principal_angle(b1: np.ndarray, b2: np.ndarray) -> float:
-    """Largest principal angle between equal-dimension subspaces.
-
-    Computed through sines (projector differences), which stays accurate
-    for the tiny angles the bi-directionality test cares about.
+    One stacked SVD gives both kernel bases, each cut off at 1e-10 of its
+    matrix's largest singular value.  The angle comes from its sine, the
+    larger spectral norm of the two projector differences, which stays
+    accurate for the tiny angles the bi-directionality test cares about.
     """
-    if b1.shape[1] != b2.shape[1]:
-        return np.pi / 2
-    if b1.shape[1] == 0:
-        return 0.0
-    s1 = np.linalg.norm(b2 - b1 @ (b1.T @ b2), 2)
-    s2 = np.linalg.norm(b1 - b2 @ (b2.T @ b1), 2)
-    return float(np.arcsin(min(1.0, max(s1, s2))))
+    _, s, vh = np.linalg.svd(np.stack([a, b]))
+    rank_a, rank_b = np.sum(s > 1e-10 * s.max(axis=1, keepdims=True),
+                            axis=1).tolist()
+    if rank_a != rank_b:
+        return False  # the angle is pi / 2
+    if rank_a == vh.shape[-1]:
+        return True
+    b1, b2 = vh[0, rank_a:].T, vh[1, rank_a:].T
+    sines = np.linalg.svd(np.stack([b2 - b1 @ (b1.T @ b2),
+                                    b1 - b2 @ (b2.T @ b1)]), compute_uv=False)
+    return bool(np.arcsin(min(1.0, sines.max())) <= KERNEL_ANGLE_TOL)
 
 
 def _checked(jac) -> GameJacobian:
-    """jac, if it is a GameJacobian with one finite ``(k_n, k_m)`` block for
-    each ordered pair (n, m) of its point's players, and one support per
-    player whose entries are actions in ``[0, k_n)``; else a GameError."""
+    """jac, if it is a GameJacobian with one finite ``(k_n, k_m)`` array
+    block for each ordered pair (n, m) of its point's players, and one
+    support per player: a nonempty set of distinct actions in ``[0, k_n)``;
+    else a GameError."""
     point = check_type("jac", jac, GameJacobian).point
     shape = check_type("jac.point", point, JointStrategy).shape
     rows = check_sequence("jac.blocks", jac.blocks)
@@ -87,14 +86,17 @@ def _checked(jac) -> GameJacobian:
         raise DimensionError(f"jac needs {len(shape)} x {len(shape)} blocks")
     for n, row in enumerate(rows):
         for m, block in enumerate(row):
-            check_array(f"jac block ({n}, {m})", block, (shape[n], shape[m]))
+            name = f"jac block ({n}, {m})"
+            check_array(name, check_type(name, block, np.ndarray),
+                        (shape[n], shape[m]))
     supports = check_sequence("jac.supports", jac.supports)
     if len(supports) != len(shape):
         raise DimensionError(f"jac needs {len(shape)} supports, one per "
                              f"player")
     for n, support in enumerate(supports):
-        for i in check_sequence(f"jac.supports[{n}]", support):
-            check_index(f"jac.supports[{n}] entry", i, shape[n])
+        name = f"jac.supports[{n}]"
+        if not len(support_indices(shape[n], support, name)):
+            raise ArgumentError(f"{name} is empty; a face needs an action")
     return jac
 
 
@@ -105,7 +107,7 @@ def _spanning_forest(jac: GameJacobian):
     each unvisited player in turn.  The graph is connected exactly when the
     forest is one tree, with one edge fewer than there are players."""
     n_players = jac.num_players
-    norms = np.array([[np.linalg.norm(jac.blocks[n][m])
+    norms = np.array([[_frobenius(jac.blocks[n][m])
                        for m in range(n_players)] for n in range(n_players)])
     joined = (norms > EDGE_TOL) | (norms.T > EDGE_TOL)
     np.fill_diagonal(joined, False)
@@ -126,29 +128,30 @@ def _spanning_forest(jac: GameJacobian):
     return norms, tree
 
 
+def _frobenius(mat) -> float:
+    """The Frobenius norm of a real matrix, as ``np.linalg.norm`` computes
+    it (the square root of the dot of its entries with themselves),
+    without that function's dispatch."""
+    flat = mat.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
 def interaction_graph(jac: GameJacobian) -> InteractionGraph:
     return _interaction_graph(jac, *_spanning_forest(_checked(jac)))
 
 
 def _interaction_graph(jac, norms, tree) -> InteractionGraph:
     """The graph of jac, from its ``_spanning_forest``."""
-    n_players = jac.num_players
-    edges = frozenset((n, m) for n in range(n_players)
-                      for m in range(n_players)
-                      if n != m and norms[n, m] > EDGE_TOL)
-    connected = len(tree) == n_players - 1
-
-    bidirectional = True
-    for n in range(n_players):
-        for m in range(n, n_players):
-            if (n, m) not in edges and (m, n) not in edges:
-                continue
-            ker_nm = _kernel_basis(jac.blocks[n][m])
-            ker_mn_t = _kernel_basis(jac.blocks[m][n].T)
-            if _max_principal_angle(ker_nm, ker_mn_t) > KERNEL_ANGLE_TOL:
-                bidirectional = False
-    return InteractionGraph(edges=edges, connected=connected,
-                            bidirectional=bidirectional)
+    above = norms > EDGE_TOL
+    np.fill_diagonal(above, False)
+    # every joined pair n < m; ``all`` stops at the first that fails
+    pairs = np.argwhere(np.triu(above | above.T)).tolist()
+    bidirectional = all(_kernels_align(jac.blocks[n][m], jac.blocks[m][n].T)
+                        for n, m in pairs)
+    return InteractionGraph(
+        edges=frozenset(map(tuple, np.argwhere(above).tolist())),
+        connected=len(tree) == jac.num_players - 1,
+        bidirectional=bidirectional)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +207,7 @@ def _skew_certificate(jac, norms, tree) -> SkewCertificate:
         for m in range(n_players):
             if n == m:
                 continue
-            defect = np.linalg.norm(
+            defect = _frobenius(
                 lambdas[n] * blocks[n][m] + lambdas[m] * blocks[m][n].T)
             residual = max(residual, defect / (1.0 + norms[n, m]))
     feasible = bool(not rejected and residual <= SKEW_RESIDUAL_TOL)
@@ -681,14 +684,36 @@ def simplex_lattice(k: int, resolution: int) -> np.ndarray:
     if size > GRID_CAP:
         raise ResourceError(f"lattice of {size} points exceeds the "
                             f"{GRID_CAP} cap")
-    points = np.empty((size, k))
+    # The rows are the compositions of ``steps`` into k parts in
+    # lexicographic order, built one part at a time: each prefix of parts
+    # 0..j-1 branches, in order, into one child per value 0..``left`` of
+    # part j, where ``left`` is what the prefix leaves for the parts after.
     steps = resolution - 1
-    combos = itertools.combinations(range(steps + k - 1), k - 1)
-    for row, cut in enumerate(combos):
-        bounds = (-1,) + cut + (steps + k - 1,)
-        counts = [bounds[i + 1] - bounds[i] - 1 for i in range(k)]
-        points[row] = counts
-    return points / steps
+    points = np.empty((size, k))
+    left = np.array([steps])
+    for j in range(k - 1):
+        branches = left + 1
+        part = np.arange(branches.sum())
+        part -= np.repeat(np.cumsum(branches) - branches, branches)
+        left = np.repeat(left, branches)
+        left -= part
+        # each prefix heads as many rows as its ``left`` has compositions
+        # into the k - 1 - j parts still to come: one on the last level
+        points[:, j] = part if j == k - 2 else np.repeat(
+            part, _compositions(left, k - 1 - j))
+    points[:, k - 1] = left
+    points /= steps
+    return points
+
+
+def _compositions(total, parts):
+    """The number of compositions of each entry of ``total`` into ``parts``
+    non-negative parts, C(total + parts - 1, parts - 1), in exact integer
+    steps (each partial product is itself a binomial coefficient)."""
+    count = 1
+    for i in range(1, parts):
+        count = count * (total + i) // i
+    return count
 
 
 def lattice_size(k: int, resolution: int) -> int:
@@ -697,7 +722,7 @@ def lattice_size(k: int, resolution: int) -> int:
     check_count("resolution", resolution)
     if resolution < 2:
         raise ArgumentError(f"resolution must be at least 2, got {resolution}")
-    return comb(resolution - 1 + k - 1, k - 1)
+    return math.comb(resolution - 1 + k - 1, k - 1)
 
 
 @dataclass(frozen=True)
@@ -751,8 +776,8 @@ def weak_pareto_oracle(game: NormalFormGame, x_star: JointStrategy,
     """Exhaustively search pure profiles and a simplex grid for a joint
     strict improvement."""
     check_match(game, x_star, name="x_star")
-    base = [utility(game, x_star, n) for n in range(game.num_players)]
     lattices = _capped_lattices(game, grid_resolution)
+    base = [utility(game, x_star, n) for n in range(game.num_players)]
     players = range(game.num_players)
     # pure profiles first: when a dominating cell exists the reported witness
     # stays a vertex (exact, integer-friendly) instead of a lattice point
@@ -784,8 +809,8 @@ def strong_nash_oracle(game: NormalFormGame, x_star: JointStrategy,
     check_match(game, x_star, name="x_star")
     if game.num_players > 4:
         raise ArgumentError("strong Nash oracle supports at most 4 players")
-    base = [utility(game, x_star, n) for n in range(game.num_players)]
     lattices = _capped_lattices(game, grid_resolution)
+    base = [utility(game, x_star, n) for n in range(game.num_players)]
     verdicts = []
     for size in range(1, game.num_players + 1):
         for coalition in itertools.combinations(range(game.num_players), size):

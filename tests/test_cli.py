@@ -1,6 +1,7 @@
 """End-to-end coverage of the command-line surface, run in-process."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -85,6 +86,34 @@ def test_analyze_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, argv)
     _, second, _ = run_cli(capsys, argv)
     assert first == second
+
+
+# sha256 of the analyze JSON of each bundled game at the uniform point and
+# at one explicit interior point, recorded before the analyze path was
+# optimised (numpy 2.4, OpenBLAS 0.3, x86-64).  An optimisation of that path
+# must keep every byte; another BLAS may round some of them differently.
+ANALYZE_DIGESTS = {
+    ("matching_pennies", "uniform"):
+        "1b653db034e238a5816b5d0641dd6ed27fa825965a8d8329e9135553ac00c48f",
+    ("matching_pennies", "0.3,0.7;0.6,0.4"):
+        "d52bcd1f0da015cdfa133c4e782c68538ab76f5137cc83a5a575a632c0dfa12d",
+    ("coordination_2x2", "uniform"):
+        "891f608ecbcff4c78c638de1a3e83efc0396eb49a5e6d4d1cfdb4826754f0b2c",
+    ("coordination_2x2", "0.3,0.7;0.6,0.4"):
+        "2e4ae446815e63a1c42d73c60aa355c88bc1ca796f8b4fa11cad5a76b99aa418",
+    ("example_A", "uniform"):
+        "42ec8f1b033c5a08ec410bcc90910014d601a0fb2d190c475023ba1eae1e5233",
+    ("example_A", "0.2,0.3,0.5;0.5,0.25,0.25"):
+        "cd5767b50beec8c7d554bd5b414d41ee3c77e8ca94a1debdb6b13268061e6438",
+}
+
+
+@pytest.mark.parametrize("game,at", sorted(ANALYZE_DIGESTS))
+def test_analyze_json_matches_its_golden_digest(capsys, game, at):
+    code, out, _ = run_cli(capsys, ["analyze", game, "--at", at])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        ANALYZE_DIGESTS[game, at], out
 
 
 def test_analyze_writes_output_file(capsys, tmp_path):

@@ -130,7 +130,8 @@ def integers(valid, accept=(), bad=None, **options):
 def support(accept=(), **options):
     """A support of a 2-action player, valid as (0, 1)."""
     return integers((0, 1), ("0",) + tuple(accept),
-                    bad={"out of range": (9,)}, label="support", **options)
+                    bad={"out of range": (9,), "repeated": (1, 1)},
+                    label="support", **options)
 
 
 def supports(valid, accept=(), **options):
@@ -142,7 +143,8 @@ def supports(valid, accept=(), **options):
                   "-1": ((-1,) + head,) + rest, "0": ((0,) + head,) + rest,
                   "fraction": ((0.5,) + head,) + rest, "bool": True,
                   "None": None, "string": "a", "wrong shape": tuple(valid[:1]),
-                  "empty": ()}, accept, label="support|player", **options)
+                  "empty": (), "repeated": ((valid[0][-1],) + head,) + rest},
+                 accept, label="support|player", **options)
 
 
 def sequence(valid, accept=(), **options):
@@ -231,6 +233,7 @@ Q2 = sg.quadratic_entropy(0.5, 2.0 * np.eye(2), [0.5, 0.5])
 PI3 = sg.centering_projection(3)
 CELLS = sg.sweep(PENNIES, [0.5], [0.5], (R2, R2), horizon=3)
 TRAJECTORY = sg.run(PENNIES, DYN, X)
+VERDICT = CELLS[0].verdict
 
 GAME = typed(WIDE, X, label="shape|dimension")
 STRATEGY = typed(X_WIDE, label="shape")
@@ -444,13 +447,26 @@ ROWS = {
     "sweep_to_csv": row(sg.sweep_to_csv, cells=(CELLS, own(bad={
         "string equilibrium": (dataclasses.replace(CELLS[0],
                                                    equilibrium="a"),),
-        "verdict 3": (dataclasses.replace(CELLS[0], verdict=3),)})),
+        "verdict 3": (dataclasses.replace(CELLS[0], verdict=3),),
+        "string beta, NaN eta, integer error": (dataclasses.replace(
+            CELLS[0], beta="abc", eta=NAN, error=123),),
+        "NaN eta without an error": (dataclasses.replace(CELLS[0],
+                                                         eta=NAN),),
+        "integer error": (dataclasses.replace(CELLS[0], error=123),),
+        "bogus label": (dataclasses.replace(CELLS[0], verdict=dataclasses
+                        .replace(VERDICT, classification="bogus")),),
+        "NaN norm": (dataclasses.replace(CELLS[0], verdict=dataclasses
+                     .replace(VERDICT, jacobian_operator_norm=NAN)),)})),
                         target=("out.csv", path("out.csv", label="target"))),
     "trajectory_to_csv": row(sg.trajectory_to_csv,
                              trajectory=(TRAJECTORY, own(EQ)),
                              target=("out.csv", path("out.csv",
                                                      label="target")),
-                             verdict=(None, own(accept=("None",)))),
+                             verdict=(None, own(accept=("None",), bad={
+                                 "NaN radius": dataclasses.replace(
+                                     VERDICT, jacobian_spectral_radius=NAN),
+                                 "label 42": dataclasses.replace(
+                                     VERDICT, classification=42)}))),
     # stability
     "interaction_graph": row(sg.interaction_graph, jac=(JAC, own())),
     "solve_skew_certificate": row(sg.solve_skew_certificate, jac=(JAC, own())),

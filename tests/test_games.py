@@ -152,6 +152,30 @@ def test_quasi_strict_check_rejects_bad_gap_tolerance(gap_tol):
                               gap_tol=gap_tol)
 
 
+def test_quasi_strict_check_takes_each_players_gradient_once(monkeypatch):
+    # a 2 x 3 x 2 game at a boundary equilibrium of its own construction:
+    # each player's payoff is its action's index, so the top action is a
+    # strict best response and x_star is quasi-strict
+    shape = (2, 3, 2)
+    game = sg.NormalFormGame(tuple(
+        np.broadcast_to(np.arange(k, dtype=float).reshape(
+            [k if m == n else 1 for m in range(3)]), shape)
+        for n, k in enumerate(shape)))
+    x_star = sg.pure_strategy(shape, (1, 2, 1))
+    planned, calls = sg.games.planned_gradient, []
+    monkeypatch.setattr(sg.games, "planned_gradient",
+                        lambda *args: calls.append(1) or planned(*args))
+    result = sg.quasi_strict_check(game, x_star)
+    assert (result.status, len(calls)) == ("quasi_strict", 3)
+    assert result.gap == sg.epsilon_nash_gap(game, x_star) == 0.0
+    # off equilibrium the gap decides alone, from the same gradients
+    x = sg.uniform_strategy(shape)
+    calls.clear()
+    result = sg.quasi_strict_check(game, x)
+    assert (result.status, len(calls)) == ("not_nash", 3)
+    assert result.gap == sg.epsilon_nash_gap(game, x)
+
+
 def test_replace_block_validates():
     x = sg.uniform_strategy((2, 2))
     y = sg.replace_block(x, 1, np.array([0.9, 0.1]))

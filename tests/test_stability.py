@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +20,12 @@ from smoothgames.games import (JointStrategy, block_slices, cross_hessian,
                                quasi_strict_check, reduce_game,
                                restrict_strategy, utility)
 from smoothgames.stability import (
+    EDGE_TOL,
     GRID_CAP,
     IMPROVEMENT_TOL,
+    KERNEL_ANGLE_TOL,
     CoalitionVerdict,
+    InteractionGraph,
     ParetoOracleResult,
     StrongNashResult,
     bilinear_scale_recovery,
@@ -42,6 +46,7 @@ from smoothgames.stability import (
 
 from conftest import (
     block_diag,
+    doubly_centered,
     graph_edges,
     jacobian_from_blocks,
     polymatrix_game,
@@ -160,6 +165,97 @@ def test_bystander_disconnects_graph():
     graph = interaction_graph(game_jacobian(g, uniform_point((2, 2, 2))))
     assert graph.edges == frozenset({(0, 1), (1, 0)})
     assert not graph.connected
+
+
+def _frozen_interaction_graph(jac):
+    """The interaction graph as it was first computed, one matrix at a
+    time: for every joined pair two kernel SVDs and two spectral norms,
+    and no pair skipped.  The reference for ``interaction_graph``."""
+    def kernel(mat):
+        _, s, vh = np.linalg.svd(mat)
+        return vh[int(np.sum(s > 1e-10 * s.max())):].T
+
+    def angle(b1, b2):
+        if b1.shape[1] != b2.shape[1]:
+            return np.pi / 2
+        if b1.shape[1] == 0:
+            return 0.0
+        s1 = np.linalg.norm(b2 - b1 @ (b1.T @ b2), 2)
+        s2 = np.linalg.norm(b1 - b2 @ (b2.T @ b1), 2)
+        return float(np.arcsin(min(1.0, max(s1, s2))))
+
+    players = range(jac.num_players)
+    edges = frozenset((n, m) for n in players for m in players
+                      if n != m and np.linalg.norm(jac.blocks[n][m]) > EDGE_TOL)
+    reached, frontier = {0}, [0]
+    while frontier:
+        n = frontier.pop()
+        for m in players:
+            if m not in reached and ((n, m) in edges or (m, n) in edges):
+                reached.add(m)
+                frontier.append(m)
+    bidirectional = True
+    for n in players:
+        for m in range(n + 1, jac.num_players):
+            if ((n, m) in edges or (m, n) in edges) and angle(
+                    kernel(jac.blocks[n][m]),
+                    kernel(jac.blocks[m][n].T)) > KERNEL_ANGLE_TOL:
+                bidirectional = False
+    return InteractionGraph(edges=edges,
+                            connected=len(reached) == jac.num_players,
+                            bidirectional=bidirectional)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_players=st.integers(2, 5),
+       skew=st.booleans(), noise=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+@example(seed=0, n_players=2, skew=True, noise=0.0)
+@example(seed=1, n_players=5, skew=False, noise=0.0)
+def test_interaction_graph_matches_the_frozen_per_matrix_graph(
+        seed, n_players, skew, noise):
+    # each pair of players is absent, joined one way only, or joined both
+    # ways by full-rank or rank-one blocks; the way back is proportional to
+    # the transpose (skew) or drawn apart, then nudged by ``noise``
+    rng = np.random.default_rng(seed)
+    dims = [int(k) for k in rng.integers(2, 5, n_players)]
+    blocks = [[np.zeros((a, b)) for b in dims] for a in dims]
+    for n in range(n_players):
+        for m in range(n + 1, n_players):
+            style = rng.choice(["absent", "full", "rank one", "one way"])
+            if style == "absent":
+                continue
+            if style == "rank one":
+                j = np.outer(rng.standard_normal(dims[n]),
+                             rng.standard_normal(dims[m]))
+            else:
+                j = rng.standard_normal((dims[n], dims[m]))
+            blocks[n][m] = doubly_centered(j)
+            if style == "one way":
+                continue
+            back = (-(10.0 ** rng.uniform(-1.0, 1.0)) * blocks[n][m].T
+                    if skew else doubly_centered(
+                        rng.standard_normal((dims[m], dims[n]))))
+            blocks[m][n] = back + noise * doubly_centered(
+                rng.standard_normal(back.shape))
+    jac = jacobian_from_blocks(dims, tuple(tuple(row) for row in blocks))
+    assert interaction_graph(jac) == _frozen_interaction_graph(jac)
+
+
+def test_tangent_bases_share_one_read_only_basis_per_face():
+    rng = np.random.default_rng(8)
+    jac = skew_jacobian(rng, (2, 3, 2), np.ones(3), graph_edges("path", 3))
+    bases = jac.tangent_bases()
+    assert bases[0] is bases[2] and bases[0] is not bases[1]
+    assert not any(b.flags.writeable for b in bases)
+    for b, k in zip(bases, (2, 3, 2)):
+        assert b.tobytes() == sg.tangent_basis(k).tobytes()
+    # a face differs from the full one; the support is checked before use
+    face = dataclasses.replace(jac, supports=(np.arange(2), np.arange(3),
+                                              np.array([1])))
+    assert face.tangent_bases()[2].shape == (2, 0)
+    with pytest.raises(ArgumentError, match="support repeats"):
+        dataclasses.replace(jac, supports=(np.arange(2), [0, 0],
+                                           np.arange(2))).tangent_bases()
 
 
 # ---------------------------------------------------------------------------
@@ -970,6 +1066,43 @@ def test_simplex_lattice_invariants():
     np.testing.assert_allclose(steps, np.round(steps), atol=1e-9)
 
 
+def _frozen_simplex_lattice(k, resolution):
+    """simplex_lattice as it was first built: one row per combination of
+    k - 1 cut positions among ``resolution + k - 2``, in lexicographic
+    order, each part the gap between two cuts."""
+    points = np.empty((lattice_size(k, resolution), k))
+    steps = resolution - 1
+    for row, cut in enumerate(
+            itertools.combinations(range(steps + k - 1), k - 1)):
+        bounds = (-1,) + cut + (steps + k - 1,)
+        points[row] = [bounds[i + 1] - bounds[i] - 1 for i in range(k)]
+    return points / steps
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_simplex_lattice_matches_the_frozen_loop_bit_for_bit(k):
+    # every resolution up to the oracles' default of 21 (230,000 rows at
+    # k = 6); the loop is too slow for every resolution under GRID_CAP
+    for resolution in range(2, 22):
+        new = simplex_lattice(k, resolution)
+        frozen = _frozen_simplex_lattice(k, resolution)
+        assert new.shape == frozen.shape
+        assert new.tobytes() == frozen.tobytes(), resolution
+
+
+def test_a_large_simplex_lattice_needs_under_twice_its_own_memory():
+    # 501,501 rows: the lattice itself and less than as much again of
+    # scratch, where the loop's final division alone made a second copy
+    tracemalloc.start()
+    try:
+        points = simplex_lattice(3, 1001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * points.nbytes
+    assert points.tobytes() == _frozen_simplex_lattice(3, 1001).tobytes()
+
+
 def test_simplex_lattice_rejects_degenerate_resolution():
     with pytest.raises(ArgumentError):
         simplex_lattice(3, 1)
@@ -998,8 +1131,12 @@ def test_pareto_oracle_grid_cap():
 
 
 @pytest.mark.parametrize("oracle", [weak_pareto_oracle, strong_nash_oracle])
-def test_oracles_refuse_an_oversized_grid_before_building_it(oracle):
-    # one 30-action lattice at resolution 21 alone would need petabytes
+def test_oracles_refuse_an_oversized_grid_before_building_it(monkeypatch,
+                                                             oracle):
+    # one 30-action lattice at resolution 21 alone would need petabytes;
+    # the check comes before the utilities at x_star, too
+    monkeypatch.setattr(stability, "utility", lambda *args: pytest.fail(
+        "a utility was computed before the grid check"))
     g = sg.NormalFormGame((np.zeros((30, 30)), np.zeros((30, 30))))
     total = math.comb(49, 29) ** 2
     start = time.perf_counter()
@@ -1213,23 +1350,30 @@ def test_certificate_agrees_with_pareto_oracle_on_weighted_zero_sum():
     assert weak_pareto_oracle(g, xu, grid_resolution=11).optimal
 
 
-@pytest.mark.parametrize("probe", ["nan", "misshapen", "support"])
+BAD_SUPPORTS = {"support": (np.array([5]), np.array([0, 1])),
+                "empty support": ((), (0, 1)),
+                "repeated support": (np.array([0, 0]), np.array([0, 1]))}
+
+
+@pytest.mark.parametrize("probe", ["nan", "misshapen", "list",
+                                   *BAD_SUPPORTS])
 def test_jacobian_records_are_checked_once_by_every_reader(monkeypatch,
                                                            probe):
     # an all-NaN Jacobian read as a feasible certificate, a (3, 2) block in
-    # a 2 x 2 game as a connected graph, and a support entry 5 of a
-    # 2-action player as a stable point; now each reader raises a GameError
-    # naming jac, after one check of the whole record
-    blamed = (r"jac\.supports\[0\]" if probe == "support"
+    # a 2 x 2 game as a connected graph, a block given as nested lists as
+    # an AttributeError, and a support entry 5, an empty support or a
+    # repeated action of a 2-action player as a stable point; now each
+    # reader raises a GameError naming jac, after one check of the whole
+    # record
+    blamed = (r"jac\.supports\[0\]" if probe in BAD_SUPPORTS
               else r"jac block \(1, 0\)")
     rng = np.random.default_rng(3)
     good = skew_jacobian(rng, (2, 2), np.ones(2), [(0, 1)])
-    if probe == "support":
-        bad = dataclasses.replace(good, supports=(np.array([5]),
-                                                  np.array([0, 1])))
+    if probe in BAD_SUPPORTS:
+        bad = dataclasses.replace(good, supports=BAD_SUPPORTS[probe])
     else:
-        block = (np.full((2, 2), np.nan) if probe == "nan"
-                 else np.ones((3, 2)))
+        block = {"nan": np.full((2, 2), np.nan), "misshapen": np.ones((3, 2)),
+                 "list": good.blocks[1][0].tolist()}[probe]
         bad = dataclasses.replace(good, blocks=(good.blocks[0],
                                                 (block, good.blocks[1][1])))
     readers = {
