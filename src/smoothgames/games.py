@@ -102,7 +102,11 @@ def tangent_basis(k: int, support=None) -> np.ndarray:
     1^T Q = 0.  For a face it spans vectors supported on the face that sum
     to zero; a singleton face has an empty basis.
     """
-    support = support_indices(k, support)
+    return _tangent_basis(k, support_indices(k, support))
+
+
+def _tangent_basis(k, support) -> np.ndarray:
+    """:func:`tangent_basis` on a checked index array of a support."""
     s = len(support)
     if s <= 1:
         return np.zeros((k, 0))
@@ -649,7 +653,7 @@ class GameJacobian:
             s = support_indices(k, s)
             key = (k, s.tobytes())
             if key not in shared:
-                shared[key] = tangent_basis(k, s)
+                shared[key] = _tangent_basis(k, s)
                 shared[key].setflags(write=False)
             bases.append(shared[key])
         return bases

@@ -367,11 +367,11 @@ class FlatKernel:
     config are checked once, when the kernel is built, and starting points
     once, by :meth:`flatten`; the per-step methods check nothing.
 
-    ``beta`` is ``cfg.beta`` unless given: a scalar, or a ``(B, 1)``
-    column holding each row's smoothing level, which :meth:`respond`, the
-    Newton argmax and the Jacobians divide by row by row, as :meth:`mix`
-    takes an eta column.  A batch of rows at different betas thus agrees
-    with per-beta batches of as many rows.
+    ``beta`` is ``cfg.beta`` unless given as a ``(B, 1)`` column holding
+    each row's smoothing level, which :meth:`respond`, the Newton argmax
+    and the Jacobians divide by row by row, as :meth:`mix` takes an eta
+    column.  A batch of rows at different betas thus agrees with per-beta
+    batches of as many rows.
 
     Gradients follow one :func:`games.gradient_plan` per player, made when
     the kernel is built, so a row's are :func:`games.gradient`'s bit for
@@ -396,9 +396,9 @@ class FlatKernel:
         self.cfg = cfg
         if beta is None:
             beta = cfg.beta
-        else:  # a scalar or a column of smoothing levels, one per row
-            check_real("beta", float(np.min(check_array("beta", beta),
-                                            initial=np.inf)))
+        else:  # a column of smoothing levels, one per row
+            check_real("beta", float(np.min(
+                check_array("beta", beta, (None, 1)), initial=np.inf)))
         self.beta = beta
         shape = game.shape
         self.slices = block_slices(shape)
@@ -657,17 +657,17 @@ class Ladder:
     from ``start``), as row 0 of a batch whose other rows are the cells of
     the betas already solved.  Each step is one :meth:`FlatKernel.respond`
     for every row; the walk reads its residual and eta off its own row, and
-    one :meth:`FlatKernel.mix` at an eta column moves all rows (a batch of
-    one row takes its beta and eta as scalars).  A solved beta's cells join
-    at ``start``, as one group, when the batch is rebuilt for the next walk,
-    and leave after ``horizon`` steps or once a FIXED_CHECK_STRIDE-th step
-    of their own returns them bit for bit.  The kernel, of ``base``'s game
-    and config at each row's beta, is built afresh for each rung and
+    one :meth:`FlatKernel.mix` at an eta column moves all rows, one row or
+    many alike.  A solved beta's cells join at ``start``, as one group,
+    when the batch is rebuilt for the next walk, and leave after
+    ``horizon`` steps or once a FIXED_CHECK_STRIDE-th step of their own
+    returns them bit for bit.  The kernel, of ``base``'s game and config
+    at the column of the rows' betas, is built afresh for each rung and
     whenever rows join or leave, but a walk alone at ``base``'s beta steps
-    ``base`` itself.  A :class:`GameError` from the shared
-    respond or mix is the error of a batch of one row; from a batch of more,
-    each row runs again in a ladder of its own, the rung from its warm
-    start and each cell from ``start``.
+    ``base`` itself.  A :class:`GameError` from the shared respond or mix
+    is the error of a batch of one row; from a batch of more, each row
+    runs again in a ladder of its own, the rung from its warm start and
+    each cell from ``start``.
 
     ``solved`` maps each solved beta to its equilibrium, ``errors`` each
     failed one to its error, and ``outcomes`` each cell's key to its run's
@@ -699,14 +699,9 @@ class Ladder:
             try:
                 Y = kernel.respond(X)
                 if walk is not None:  # out: its eta, equilibrium or error
-                    single = len(X) == 1
-                    out = (walk.step(X, Y) if single
-                           else walk.step(X[:1], Y[:1]))
+                    out = walk.step(X[:1], Y[:1])
                     if type(out) is float:
-                        if single:
-                            eta = out
-                        else:
-                            eta[0, 0] = out
+                        eta[0, 0] = out
                 new = kernel.mix(X, Y, eta)
             except GameError as err:
                 # a shared call failed: nothing it returned is used.  Its
@@ -738,16 +733,12 @@ class Ladder:
             g.span = slice(len(betas), len(betas) + len(g.cells))
             betas += [g.beta] * len(g.cells)
             etas += [eta for _, eta in g.cells]
-        if len(betas) == 1:
-            # only the rung at base's beta steps base, and only once its
-            # walk runs alone, so base starts that walk fresh
-            kernel = (self.base if rung is not None
-                      and betas[0] == self.base.beta else
-                      FlatKernel(self.base.game, self.base.cfg, beta=betas[0]))
-            return kernel, states[0], etas[0]
-        return (FlatKernel(self.base.game, self.base.cfg,
-                           beta=np.array(betas)[:, None]),
-                np.concatenate(states), np.array(etas)[:, None])
+        # only the rung at base's beta steps base, and only once its walk
+        # runs alone, so base starts that walk fresh
+        kernel = (self.base if rung is not None and betas == [self.base.beta]
+                  else FlatKernel(self.base.game, self.base.cfg,
+                                  beta=np.array(betas)[:, None]))
+        return kernel, np.concatenate(states), np.array(etas)[:, None]
 
     def _isolate(self, err, single, rung):
         """Settle the cells of a batch whose shared call raised err, and

@@ -912,6 +912,43 @@ def test_sweep_grid_wider_than_a_batch_matches_per_beta_runs(
     assert_cells_match_runs(g, cells, regs, x0, horizon, exact=exact)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_lone_row_ladder_batches_match_walks_and_runs_alone(monkeypatch,
+                                                            seed):
+    # a lone walk at a beta other than the base kernel's, and a lone cell,
+    # step as one-row batches at a beta column; each cell's equilibrium is
+    # the walk's down the same ladder, and its final distance its run's
+    # alone, bit for bit
+    rng = np.random.default_rng(seed)
+    g = random_game(rng, (3, 3), scale=0.5)
+    regs = (sg.entropy(3), sg.entropy(3))
+    betas, horizon = (0.9, 0.7, 0.5), 60
+    batch = sg.response.Ladder._batch
+    lone = set()
+
+    def recording(self, rung, x, X):
+        kernel, X, eta = batch(self, rung, x, X)
+        if len(X) == 1:
+            assert np.shape(kernel.beta) == eta.shape == (1, 1)
+            lone.add("walk" if rung is not None else "cell")
+        return kernel, X, eta
+
+    monkeypatch.setattr(sg.response.Ladder, "_batch", recording)
+    cells = sg.sweep(g, betas, (0.2,), regs, horizon=horizon)
+    monkeypatch.undo()
+    assert lone == {"walk", "cell"}
+    x0 = sg.uniform_strategy(g.shape)
+    warm = x0
+    for beta, cell in zip(betas, cells):
+        cfg = sg.SmoothedResponseConfig(beta=beta, regularizers=regs)
+        eq = sg.find_smoothed_equilibrium(g, cfg, warm)
+        warm = eq.point
+        assert (cell.beta, cell.error) == (beta, None)
+        assert cell.equilibrium.point.concatenated().tobytes() == \
+            eq.point.concatenated().tobytes()
+    assert_cells_match_runs(g, cells, regs, x0, horizon, exact=True)
+
+
 def test_sweep_failing_batch_reruns_each_cell_alone(monkeypatch):
     # a mix that raises at one eta fails the shared batch: the walk is
     # solved in a ladder of its own, so is each cell in the batch, and
@@ -1018,9 +1055,20 @@ def test_kernel_beta_column_matches_scalar_beta(shape, kind):
     column = sg.response.FlatKernel(g, cfg, beta=betas)
     Y, J = column.respond(X), column.jacobian(X)
     for i, beta in enumerate(betas[:, 0]):
-        scalar = sg.response.FlatKernel(g, cfg, beta=beta)
+        scalar = sg.response.FlatKernel(
+            g, dataclasses.replace(cfg, beta=float(beta)))
         np.testing.assert_array_equal(Y[i], scalar.respond(X)[i])
         np.testing.assert_array_equal(J[i], scalar.jacobian(X)[i])
+        # one row at a (1, 1) beta and eta column is the row at the
+        # scalars, byte for byte
+        row = X[i:i + 1]
+        alone = sg.response.FlatKernel(g, cfg, beta=betas[i:i + 1])
+        y = alone.respond(row)
+        assert y.tobytes() == scalar.respond(row).tobytes()
+        assert alone.jacobian(row).tobytes() == \
+            scalar.jacobian(row).tobytes()
+        assert alone.mix(row, y, np.array([[0.3]])).tobytes() == \
+            scalar.mix(row, y, 0.3).tobytes()
     assert sg.response.FlatKernel(g, cfg).beta == 1.0
     with pytest.raises(ArgumentError):
         sg.response.FlatKernel(g, cfg, beta=np.array([[0.5], [0.0]]))

@@ -484,6 +484,10 @@ def test_kernel_beta_column_is_checked_entrywise():
     for bad in ([[0.5], [0.0]], [[0.5], [np.nan]], [[np.inf]], "a"):
         with pytest.raises(ArgumentError, match="beta"):
             FlatKernel(g, cfg, beta=np.array(bad))
+    # a lone row takes a (1, 1) column too, not a scalar
+    for bad in (0.5, [0.5, 0.7], [[0.5, 0.7]]):
+        with pytest.raises(DimensionError, match="beta"):
+            FlatKernel(g, cfg, beta=bad)
 
 
 def test_kernel_views_payoff_tensors_without_copying():

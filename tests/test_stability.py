@@ -258,6 +258,22 @@ def test_tangent_bases_share_one_read_only_basis_per_face():
                                            np.arange(2))).tangent_bases()
 
 
+def test_tangent_checks_each_support_once(monkeypatch):
+    rng = np.random.default_rng(8)
+    jac = skew_jacobian(rng, (2, 3, 2), np.ones(3), graph_edges("path", 3))
+    support_indices = sg.games.support_indices
+    calls = []
+
+    def counting(k, support=None, name="support"):
+        calls.append(k)
+        return support_indices(k, support, name)
+
+    monkeypatch.setattr(sg.games, "support_indices", counting)
+    for tangents in (1, 2):
+        jac.tangent()
+        assert calls == [2, 3, 2] * tangents
+
+
 # ---------------------------------------------------------------------------
 # skew certificates
 
