@@ -412,10 +412,10 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
     every cell whose beta it has solved in the same batch as the next
     rung's walk: a beta's cells join at ``x0``, each row at its own beta
     and eta, and leave after ``horizon`` steps or once a step returns them
-    bit for bit.  If the shared batch raises, each of its rows runs again
-    in a ladder of its own, so a failing run fails only its own cell.  A
-    cell's ``final_distance`` is its run's distance to the cell's
-    equilibrium.  The cells of a solved beta that ran then take their
+    bit for bit.  A row on which the batch's Newton argmax fails gets its
+    own error and leaves the batch, so a failing run fails only its own
+    cell, and the other rows step on.  A cell's ``final_distance`` is its
+    run's distance to the cell's equilibrium.  The cells of a solved beta that ran then take their
     verdicts off one spectrum of the Jacobian :func:`stability_verdict`
     takes, so they equal its verdicts bit for bit; a GameError there is the
     beta's error.  ``jobs``, ``horizon``, ``outer_tol``, the

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import string
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -64,10 +65,21 @@ def _owned(block) -> np.ndarray:
 def support_indices(k, support=None, name="support") -> np.ndarray:
     """The actions of a support of a k-action player as an index array
     (all k actions if None): distinct actions, each in ``[0, k)``, else an
-    ArgumentError naming ``name``."""
+    ArgumentError naming ``name``.  A one-dimensional integer array is
+    checked in one vectorized pass; anything else, or an array that fails
+    that pass, entry by entry, so that the error names the bad entry."""
     check_count("action count", k, positive=True)
     if support is None:
         return np.arange(k)
+    if (isinstance(support, np.ndarray) and support.ndim == 1
+            and issubclass(support.dtype.type, np.integer)):
+        actions = support.astype(int)
+        try:  # bincount refuses a negative entry, and grows past k
+            counts = np.bincount(actions, minlength=k)
+        except ValueError:
+            counts = ()
+        if len(counts) == k and not np.count_nonzero(counts > 1):
+            return actions
     actions = [check_index(f"{name} entry", i, k)
                for i in check_sequence(name, support)]
     if len(set(actions)) < len(actions):
@@ -103,6 +115,21 @@ def tangent_basis(k: int, support=None) -> np.ndarray:
     to zero; a singleton face has an empty basis.
     """
     return _tangent_basis(k, support_indices(k, support))
+
+
+def face_bases(shape, supports) -> list:
+    """Per player of ``shape``, the read-only :func:`tangent_basis` of its
+    face, from checked supports (index arrays, as :func:`support_indices`
+    returns them).  Players and calls with the same action count and
+    support share one basis."""
+    return [_face_basis(k, tuple(s.tolist())) for k, s in zip(shape, supports)]
+
+
+@lru_cache(maxsize=1024)
+def _face_basis(k, support) -> np.ndarray:
+    basis = _tangent_basis(k, np.array(support, dtype=int))
+    basis.setflags(write=False)
+    return basis
 
 
 def _tangent_basis(k, support) -> np.ndarray:
@@ -647,16 +674,10 @@ class GameJacobian:
     def tangent_bases(self) -> list:
         """Per player, an orthonormal basis of its face's tangent space.
         Players with the same action count and support share one
-        read-only basis."""
-        shared, bases = {}, []
-        for k, s in zip(self.point.shape, self.supports):
-            s = support_indices(k, s)
-            key = (k, s.tobytes())
-            if key not in shared:
-                shared[key] = _tangent_basis(k, s)
-                shared[key].setflags(write=False)
-            bases.append(shared[key])
-        return bases
+        read-only basis (see :func:`face_bases`)."""
+        shape = self.point.shape
+        return face_bases(shape, [support_indices(k, s)
+                                  for k, s in zip(shape, self.supports)])
 
     def tangent(self):
         """Reduce to face-tangent coordinates.

@@ -37,8 +37,8 @@ from .errors import (ArgumentError, ConvergenceError, CyclingError,
                      check_count, check_index, check_real, check_sequence,
                      check_type)
 from .games import (JointStrategy, NormalFormGame, block_diag, block_slices,
-                    einsum, epsilon_nash_gap, gradient_plan, jacobian_blocks,
-                    planned_gradient, tangent_basis, uniform_strategy)
+                    einsum, epsilon_nash_gap, face_bases, gradient_plan,
+                    jacobian_blocks, planned_gradient, uniform_strategy)
 from .regularizers import (Regularizer, entropy, entropy_pseudoinverse,
                            face_solve, kkt_frame)
 
@@ -164,7 +164,8 @@ def _newton_start(U, lam, C, w) -> tuple:
     return (U, Y) + _regularizer_terms(U, Y, lam, C, w)
 
 
-def _newton_solve(V, lam, C, w, frame, start, inner_tol, inner_max_iter):
+def _newton_solve(V, lam, C, w, frame, start, inner_tol, inner_max_iter,
+                  failed=None):
     """Damped Newton on u = log y for a stack of argmax problems.
 
     Row r (over any leading axes) maximizes ``V[r] . y - beta h_r(y)`` with
@@ -188,7 +189,9 @@ def _newton_solve(V, lam, C, w, frame, start, inner_tol, inner_max_iter):
     residual the iteration cap would have ended on.  Iterates stay on the
     simplex, and a coordinate whose mass underflows keeps a finite log and
     an exact stationarity condition.  Returns the accepted iterate as a
-    start, ``(U, Y, force, h)``.
+    start, ``(U, Y, force, h)``.  Before raising, it maps each row (over
+    V's first axis) with a problem still active, or broken, to the row's
+    own error in ``failed``, if given.
     """
     beta, beta_column, beta_rhs, buffers = frame
     lam_column = buffers[3]
@@ -213,13 +216,10 @@ def _newton_solve(V, lam, C, w, frame, start, inner_tol, inner_max_iter):
         # frozen rows keep their finite residuals, so one maximum tells
         if not math.isfinite(np.maximum.reduce(residual, None)):
             # no later iterate can recover from a non-finite one
-            broken = active & ~np.isfinite(residual)
-            last = float(last_finite[broken][0])
-            raise ConvergenceError(
-                f"inner solver went non-finite at iteration {iteration}; "
-                f"last finite residual {last:.3e}",
-                residual=last, iterations=iteration,
-                beta=float(np.broadcast_to(beta, broken.shape)[broken][0]))
+            raise _inner_error(
+                f"went non-finite at iteration {iteration}; last finite "
+                f"residual", iteration, last_finite,
+                active & ~np.isfinite(residual), beta, failed, first=True)
         du = face_solve(lam, C, Y, grad[..., None] / beta_rhs,
                         buffers)[..., 0]
         # float plateau near the optimum
@@ -256,30 +256,37 @@ def _newton_solve(V, lam, C, w, frame, start, inner_tol, inner_max_iter):
         if moved == one_back:
             raise _inner_error(
                 f"stalled after {iteration + 1} iterations (the last step "
-                f"left every log-response unchanged bit for bit)", residual,
-                active, beta, iteration + 1)
+                f"left every log-response unchanged bit for bit) at "
+                f"residual", iteration + 1, residual, active, beta, failed)
         if moved == two_back and live == was_live:
             # from here on each iteration repeats the one two back, so the
             # capped run would end on the residual of the cap's parity
             raise _inner_error(
                 f"stalled after {iteration + 1} iterations (the iterates "
-                f"alternate between two log-responses bit for bit)",
+                f"alternate between two log-responses bit for bit) at "
+                f"residual", iteration + 1,
                 residual if (inner_max_iter - iteration) % 2 else last_finite,
-                active, beta, iteration + 1)
+                active, beta, failed)
         two_back, one_back = one_back, moved
         U, Y, force, h, current = accepted
-    raise _inner_error(f"hit {inner_max_iter} iterations", residual, active,
-                       beta, inner_max_iter)
+    raise _inner_error(f"hit {inner_max_iter} iterations at residual",
+                       inner_max_iter, residual, active, beta, failed)
 
 
-def _inner_error(what, residual, active, beta, iterations):
-    """The Newton argmax's error at the worst active row's residual."""
-    worst = residual[active].argmax()
-    value = float(residual[active][worst])
-    return ConvergenceError(
-        f"inner solver {what} at residual {value:.3e}", residual=value,
-        iterations=iterations,
-        beta=float(np.broadcast_to(beta, active.shape)[active][worst]))
+def _inner_error(what, iterations, residual, mask, beta, failed, first=False):
+    """The Newton argmax's error at the worst residual where mask holds
+    (the first, with ``first``), after the same over each of its rows'
+    own problems, into ``failed``, if given."""
+    beta = np.broadcast_to(beta, mask.shape)
+    if failed is not None:
+        for r in np.flatnonzero(mask.any(axis=tuple(range(1, mask.ndim)))):
+            failed[int(r)] = _inner_error(what, iterations, residual[r],
+                                          mask[r], beta[r], None, first)
+    worst = 0 if first else residual[mask].argmax()
+    value = float(residual[mask][worst])
+    return ConvergenceError(f"inner solver {what} {value:.3e}",
+                            residual=value, iterations=iterations,
+                            beta=float(beta[mask][worst]))
 
 
 def linear_steepness_probe(r: Regularizer, i: int, eps: float, betas,
@@ -342,7 +349,7 @@ class _NewtonGroup:
         self.w = np.stack([regularizers[n].w for n in players])
         self.frame = self.start = None
 
-    def respond(self, G, beta, cfg) -> np.ndarray:
+    def respond(self, G, beta, cfg, failed=None) -> np.ndarray:
         """The Newton argmax of the group's blocks against the gradient
         rows G, as ``(B, columns)`` responses."""
         k = self.curvature.shape[-1]
@@ -354,7 +361,7 @@ class _NewtonGroup:
                                   self.curvature, self.w)
         self.start = _newton_solve(V, self.lam, self.curvature, self.w,
                                    self.frame, start, cfg.inner_tol,
-                                   cfg.inner_max_iter)
+                                   cfg.inner_max_iter, failed)
         return self.start[1].reshape(len(G), -1)
 
 
@@ -449,8 +456,9 @@ class FlatKernel:
         """The smoothed best response of every row: a block-wise softmax
         for blocks without a quadratic term, the Newton argmax, one stacked
         solve per group and iteration, for the others.  A kernel whose
-        groups cover every column computes no softmax."""
-        cfg = self.cfg
+        groups cover every column computes no softmax.  A failed Newton
+        argmax leaves its rows' own errors in ``failed``."""
+        self.failed = failed = {}
         G = self.gradients(X)
         if self._needs_softmax:
             Y = _softmax(G, self.beta, self._block_totals, self._overflows)
@@ -458,7 +466,8 @@ class FlatKernel:
             Y = np.empty_like(G)
         # blocks of other regularizers replace their softmax columns
         for group in self._groups:
-            Y[:, group.columns] = group.respond(G, self.beta, cfg)
+            Y[:, group.columns] = group.respond(G, self.beta, self.cfg,
+                                                failed)
         return Y
 
     def jacobian(self, X: np.ndarray) -> np.ndarray:
@@ -478,10 +487,9 @@ class FlatKernel:
             key = support.tobytes()
             q = bases.get(key)
             if q is None:
-                q = bases[key] = block_diag([
-                    tangent_basis(s.stop - s.start,
-                                  np.flatnonzero(support[s]))
-                    for s in self.slices])
+                q = bases[key] = block_diag(face_bases(
+                    self.game.shape,
+                    [np.flatnonzero(support[s]) for s in self.slices]))
             out.append(q.T @ j @ q)
         return tuple(out)
 
@@ -664,10 +672,10 @@ class Ladder:
     returns them bit for bit.  The kernel, of ``base``'s game and config
     at the column of the rows' betas, is built afresh for each rung and
     whenever rows join or leave, but a walk alone at ``base``'s beta steps
-    ``base`` itself.  A :class:`GameError` from the shared respond or mix
-    is the error of a batch of one row; from a batch of more, each row
-    runs again in a ladder of its own, the rung from its warm start and
-    each cell from ``start``.
+    ``base`` itself.  A :class:`GameError` from the shared respond fails
+    the rows its kernel names in ``failed``, each with its own error, or
+    every row if it names none; the rows left step the same point again in
+    a batch rebuilt without them.
 
     ``solved`` maps each solved beta to its equilibrium, ``errors`` each
     failed one to its error, and ``outcomes`` each cell's key to its run's
@@ -698,23 +706,24 @@ class Ladder:
                 kernel, X, eta = self._batch(rung, x, X)
             try:
                 Y = kernel.respond(X)
-                if walk is not None:  # out: its eta, equilibrium or error
-                    out = walk.step(X[:1], Y[:1])
-                    if type(out) is float:
-                        eta[0, 0] = out
-                new = kernel.mix(X, Y, eta)
             except GameError as err:
-                # a shared call failed: nothing it returned is used.  Its
-                # error is kept without the traceback, whose frames would
+                # an error is kept without its traceback, whose frames would
                 # hold this ladder in a cycle that only the collector frees
-                out = self._isolate(err.with_traceback(None), len(X) == 1,
-                                    rung)
-                kernel = None
+                failed = kernel.failed or dict.fromkeys(
+                    range(len(X)), err.with_traceback(None))
+                self._drop(failed)
+                out = failed.get(0) if walk is not None else None
+                kernel, x = None, X[:1]
             else:
+                # out: the walk's eta, equilibrium or error
+                out = walk.step(X[:1], Y[:1]) if walk is not None else None
+                if type(out) is float:
+                    eta[0, 0] = out
+                new = kernel.mix(X, Y, eta)
                 if self.groups and self._age(X, new):
                     kernel, x = None, new[:1]
                 X = new
-            if rung is not None and type(out) is not float:
+            if isinstance(out, (SmoothedEquilibrium, GameError)):
                 self._finish(*rung, out)
                 rung, walk, kernel = next(rungs, None), None, None
                 x = self.warm
@@ -740,29 +749,17 @@ class Ladder:
                                   beta=np.array(betas)[:, None]))
         return kernel, np.concatenate(states), np.array(etas)[:, None]
 
-    def _isolate(self, err, single, rung):
-        """Settle the cells of a batch whose shared call raised err, and
-        return the rung's equilibrium or error, if a rung is given: err for
-        a batch of one row, else each row's in a ladder of its own."""
+    def _drop(self, failed):
+        """Settle the batch rows in ``failed``, a map from row to error: a
+        cell's error becomes its outcome, and its group keeps its other
+        cells' rows, as an index array."""
         for g in self.groups:
-            for key, eta in g.cells:
-                self.outcomes[key] = err if single else self._alone(
-                    self.start, (), _Group(g.beta, [(key, eta)], g.ref)
-                ).outcomes[key]
-        self.groups = []
-        if rung is None or single:
-            return err
-        alone = self._alone(self.warm[0], [(rung[0], ())])
-        return {**alone.solved, **alone.errors}[rung[0]]
-
-    def _alone(self, start, rungs, group=None):
-        """A ladder like this one from ``start``, run on the rungs and on
-        the group, if given."""
-        ladder = Ladder(self.base, start, self.outer_tol, self.max_iter,
-                        self.horizon)
-        ladder.groups = [group] if group else []
-        ladder.run(rungs)
-        return ladder
+            rows = range(g.span.start, g.span.stop)
+            self.outcomes.update((key, failed[r]) for (key, _), r
+                                 in zip(g.cells, rows) if r in failed)
+            g.span = np.array([r for r in rows if r not in failed])
+            g.cells = [g.cells[r - rows.start] for r in g.span]
+        self.groups = [g for g in self.groups if g.cells]
 
     def _finish(self, beta, cells, out):
         """Record a rung's equilibrium or error; a solved beta's cells, if

@@ -37,6 +37,7 @@ IMPROVEMENT_TOL = 1e-8    # least min_n z_n^T (J z)_n that counts as improving
 GRID_CAP = 10 ** 6        # most lattice profiles an oracle will enumerate
 CONDITIONER_CHUNK_CAP = 64  # most sampled conditioners tested in one stack
 PD_EIG_FLOOR = 1e-2       # least eigenvalue of a sampled conditioner
+_POINTWISE = ("stable", "unstable_with_witness", "indeterminate")
 
 
 # ---------------------------------------------------------------------------
@@ -77,18 +78,26 @@ def _checked(jac) -> GameJacobian:
     """jac, if it is a GameJacobian with one finite ``(k_n, k_m)`` array
     block for each ordered pair (n, m) of its point's players, and one
     support per player: a nonempty set of distinct actions in ``[0, k_n)``;
-    else a GameError."""
+    else a GameError.  Float blocks of the right shapes are checked in one
+    pass; otherwise each block is, so that the error names the bad one."""
     point = check_type("jac", jac, GameJacobian).point
     shape = check_type("jac.point", point, JointStrategy).shape
     rows = check_sequence("jac.blocks", jac.blocks)
     if [len(check_sequence("jac.blocks row", row)) for row in rows] != \
             [len(shape)] * len(shape):
         raise DimensionError(f"jac needs {len(shape)} x {len(shape)} blocks")
-    for n, row in enumerate(rows):
-        for m, block in enumerate(row):
-            name = f"jac block ({n}, {m})"
-            check_array(name, check_type(name, block, np.ndarray),
-                        (shape[n], shape[m]))
+    blocks = [block for row in rows for block in row]
+    if not (all(isinstance(b, np.ndarray) and b.dtype.type is np.float64
+                for b in blocks)
+            and [b.shape for b in blocks] == [(k, j) for k in shape
+                                              for j in shape]
+            and np.isfinite(np.concatenate([b.ravel() for b in blocks])
+                            ).all()):
+        for n, row in enumerate(rows):
+            for m, block in enumerate(row):
+                name = f"jac block ({n}, {m})"
+                check_array(name, check_type(name, block, np.ndarray),
+                            (shape[n], shape[m]))
     supports = check_sequence("jac.supports", jac.supports)
     if len(supports) != len(shape):
         raise DimensionError(f"jac needs {len(shape)} supports, one per "
@@ -450,7 +459,7 @@ def _pareto_ascent(j_t, dims, num_restarts, rng_seed, iters):
 class UniformStabilityReport:
     """Decision-procedure output for uniform stability at one point."""
 
-    pointwise: str  # "stable" | "unstable_with_witness" | "indeterminate"
+    pointwise: str  # one of _POINTWISE
     certificate: SkewCertificate
     graph: InteractionGraph
     witness: tuple = None          # per-player ambient conditioner blocks
@@ -828,7 +837,20 @@ def strong_nash_oracle(game: NormalFormGame, x_star: JointStrategy,
 # serialization
 
 def report_to_dict(report: UniformStabilityReport) -> dict:
-    cert = check_type("report", report, UniformStabilityReport).certificate
+    """The JSON form of a report whose certificate and graph are records
+    of their types, whose largest sampled real part is finite and
+    non-negative and whose ``pointwise`` label is one of _POINTWISE; else
+    a GameError naming ``report``."""
+    cert = check_type("report.certificate", check_type(
+        "report", report, UniformStabilityReport).certificate,
+        SkewCertificate)
+    check_type("report.graph", report.graph, InteractionGraph)
+    check_real("report.max_sampled_real", report.max_sampled_real,
+               positive=False)
+    if not (isinstance(report.pointwise, str)
+            and report.pointwise in _POINTWISE):
+        raise ArgumentError(f"report.pointwise must be one of {_POINTWISE}, "
+                            f"got {report.pointwise!r}")
     data = {
         "pointwise": report.pointwise,
         "certificate": {

@@ -234,6 +234,7 @@ PI3 = sg.centering_projection(3)
 CELLS = sg.sweep(PENNIES, [0.5], [0.5], (R2, R2), horizon=3)
 TRAJECTORY = sg.run(PENNIES, DYN, X)
 VERDICT = CELLS[0].verdict
+REPORT = sg.uniform_stability_check(JAC)
 
 GAME = typed(WIDE, X, label="shape|dimension")
 STRATEGY = typed(X_WIDE, label="shape")
@@ -502,8 +503,12 @@ ROWS = {
     "strong_nash_oracle": row(sg.strong_nash_oracle, game=(PENNIES, GAME),
                               x_star=(X, STRATEGY),
                               grid_resolution=(3, RESOLUTION)),
-    "report_to_dict": row(sg.report_to_dict,
-                          report=(sg.uniform_stability_check(JAC), own(JAC))),
+    "report_to_dict": row(sg.report_to_dict, report=(REPORT, own(JAC, bad={
+        "no certificate": dataclasses.replace(REPORT, certificate=None),
+        "no graph": dataclasses.replace(REPORT, graph=None),
+        "NaN max_sampled_real": dataclasses.replace(REPORT,
+                                                    max_sampled_real=NAN),
+        "pointwise 42": dataclasses.replace(REPORT, pointwise=42)}))),
 }
 
 _RECORD = ("a result record the package builds from checked inputs; its "

@@ -622,20 +622,43 @@ print(same, [m for m in {pool_modules!r} if m in sys.modules])
     assert out.strip() == "True []"
 
 
+def fail_rows(monkeypatch, failing):
+    """Make each ladder batch's respond fail as a failed Newton argmax
+    does, naming its rows: the rows where ``failing(beta, eta)`` holds for
+    the row's beta and eta when the batch is built (a walk's row has eta
+    1.0 then), each with the error "inner solver went non-finite".
+    Returns the list of the row sets failed, one per failed respond."""
+    batch, respond = sg.response.Ladder._batch, sg.response.FlatKernel.respond
+    failures = []
+
+    def tagging(self, rung, x, X):
+        kernel, X, eta = batch(self, rung, x, X)
+        beta = np.broadcast_to(kernel.beta, eta.shape)
+        kernel.failing = [r for r in range(len(X))
+                          if failing(beta[r, 0], eta[r, 0])]
+        return kernel, X, eta
+
+    def failing_respond(self, X):
+        rows = getattr(self, "failing", ())
+        if not rows:
+            return respond(self, X)
+        failures.append(rows)
+        self.failed = {r: sg.ConvergenceError("inner solver went non-finite")
+                       for r in rows}
+        raise sg.ConvergenceError("inner solver went non-finite")
+
+    monkeypatch.setattr(sg.response.Ladder, "_batch", tagging)
+    monkeypatch.setattr(sg.response.FlatKernel, "respond", failing_respond)
+    return failures
+
+
 def test_sweep_failing_run_fails_only_its_cell(monkeypatch):
-    # a run that raises inside its beta's batch must not take the other
-    # cells of the batch down with it; the ladder batch moves its rows by
-    # one mix at an eta column
-    mix = sg.response.FlatKernel.mix
-
-    def failing_at_half(self, X, Y, eta):
-        if np.any(eta == 0.5):
-            raise sg.ConvergenceError("inner solver went non-finite")
-        return mix(self, X, Y, eta)
-
-    monkeypatch.setattr(sg.response.FlatKernel, "mix", failing_at_half)
+    # a run whose row fails inside its beta's batch must not take the other
+    # cells of the batch down with it
+    failures = fail_rows(monkeypatch, lambda beta, eta: eta == 0.5)
     cells = sg.sweep(pennies(), betas=(0.3,), etas=(0.01, 0.5, 0.1),
                      regularizers=(sg.entropy(2), sg.entropy(2)), horizon=10)
+    assert failures == [[1]]  # the three cells' batch, once
     assert [c.error is None for c in cells] == [True, False, True]
     assert cells[1].error.startswith("ConvergenceError: inner solver")
     assert cells[1].equilibrium is not None
@@ -949,44 +972,92 @@ def test_lone_row_ladder_batches_match_walks_and_runs_alone(monkeypatch,
     assert_cells_match_runs(g, cells, regs, x0, horizon, exact=True)
 
 
-def test_sweep_failing_batch_reruns_each_cell_alone(monkeypatch):
-    # a mix that raises at one eta fails the shared batch: the walk is
-    # solved in a ladder of its own, so is each cell in the batch, and
-    # only that eta's cells fail
+def test_sweep_failing_rows_leave_their_batch(monkeypatch):
+    # rows that fail in the shared batch get their own errors and leave it:
+    # the walk and the other cells step the same point again without them,
+    # and only that eta's cells fail
     rng = np.random.default_rng(11)
     g = random_game(rng, (3, 3), scale=0.5)
     regs = (sg.entropy(3), sg.entropy(3))
     betas, etas = (1.0, 0.7), tuple(np.linspace(0.01, 0.7, 70))
-    mix, alone = sg.response.FlatKernel.mix, sg.response.Ladder._alone
-    rerun, walks = [], []
-
-    def failing(self, X, Y, eta):
-        if np.any(eta == etas[40]):
-            raise sg.ConvergenceError("inner solver went non-finite")
-        return mix(self, X, Y, eta)
-
-    def recording(self, start, rungs, group=None):
-        walks.extend(beta for beta, _ in rungs)
-        if group is not None:
-            rerun.extend((group.beta, eta) for _, eta in group.cells)
-        return alone(self, start, rungs, group)
-
-    monkeypatch.setattr(sg.response.FlatKernel, "mix", failing)
-    monkeypatch.setattr(sg.response.Ladder, "_alone", recording)
+    failures = fail_rows(monkeypatch, lambda beta, eta: eta == etas[40])
     cells = sg.sweep(g, betas, etas, regs, horizon=30)
     monkeypatch.undo()
-    # the first rung's walk is alone in its batch; the second shares it
-    # with the first rung's cells
-    assert walks == [0.7]
-    assert sorted(rerun) == sorted((beta, eta) for beta in betas
-                                   for eta in etas)
+    # the first beta's cells join the second rung's walk, and their row of
+    # etas[40] fails there; the second beta's cells join the 69 left, and
+    # their row of etas[40] fails then
+    assert failures == [[41], [69 + 40]]
     assert [(c.beta, c.eta) for c in cells if c.error] == \
         [(beta, etas[40]) for beta in betas]
     for cell in cells:
         if cell.error:
             assert cell.error.startswith("ConvergenceError: inner solver")
             assert cell.equilibrium is not None and cell.verdict is None
+    # the walk stepped on in the rebuilt batch, down the same ladder
+    eq = sg.find_smoothed_equilibrium(
+        g, sg.SmoothedResponseConfig(beta=0.7, regularizers=regs),
+        cells[0].equilibrium.point)
+    assert np.abs(cells[-1].equilibrium.point.concatenated()
+                  - eq.point.concatenated()).max() <= 1e-12
     assert_cells_match_runs(g, cells, regs, sg.uniform_strategy(g.shape), 30)
+
+
+def test_real_failing_sweep_fails_each_row_in_its_own_batch(monkeypatch):
+    # at payoffs of 3000 the Newton argmax's absolute inner_tol lets it
+    # stall on rows of every beta once their cells run; each such cell
+    # fails with the error its kernel named for its row, the other rows
+    # step on in the same batch, and no ladder is built to run a row again
+    rng = np.random.default_rng(188)
+    g = random_game(rng, (3, 3), scale=3000)
+    regs = quadratic_regularizers(rng, (3, 3))
+    betas = tuple(3000 * b for b in (0.3, 0.1, 0.03, 0.01, 0.003))
+    init, respond = sg.response.Ladder.__init__, sg.response.FlatKernel.respond
+    ladders, named = [], []
+
+    def counting(self, *args, **kwargs):
+        ladders.append(self)
+        init(self, *args, **kwargs)
+
+    def recording(self, X):
+        try:
+            return respond(self, X)
+        except sg.ConvergenceError:
+            named.extend(f"ConvergenceError: {err}"
+                         for err in self.failed.values())
+            raise
+
+    monkeypatch.setattr(sg.response.Ladder, "__init__", counting)
+    monkeypatch.setattr(sg.response.FlatKernel, "respond", recording)
+    cells = sg.sweep(g, betas, (0.05, 0.5, 0.9), regs, horizon=100)
+    monkeypatch.undo()
+    assert len(ladders) == 1
+    assert all(c.equilibrium is not None for c in cells)  # every beta solved
+    failed = [c.error for c in cells if c.error]
+    assert len(failed) == 11 and sorted(failed) == sorted(named)
+    assert all(e.startswith("ConvergenceError: inner solver stalled after")
+               for e in failed)
+    x0 = sg.uniform_strategy(g.shape)
+    fails_alone = []
+    for cell in cells:
+        if cell.error:
+            continue
+        dyn_cfg = sg.DynamicsConfig(
+            eta=cell.eta, horizon=100, record_every=100,
+            response=sg.SmoothedResponseConfig(beta=cell.beta,
+                                               regularizers=regs))
+        assert cell.verdict == sg.stability_verdict(g, dyn_cfg,
+                                                    cell.equilibrium)
+        try:
+            traj = sg.run_many(g, dyn_cfg, [x0], reference=cell.equilibrium)[0]
+        except sg.ConvergenceError:
+            fails_alone.append((cell.beta, cell.eta))
+            continue
+        assert cell.final_distance == pytest.approx(traj.distances[-1],
+                                                    rel=0, abs=1e-12)
+    # a run alone warm-starts every Newton argmax from its last step, while
+    # the batch starts afresh whenever rows leave it, and the absolute
+    # inner_tol makes the stall depend on the start
+    assert fails_alone == [(900.0, 0.9)]
 
 
 def test_sweep_bad_betas_leave_the_ladder_of_the_others_alone():
@@ -1007,18 +1078,21 @@ def test_sweep_bad_betas_leave_the_ladder_of_the_others_alone():
 
 def test_sweep_failing_walk_fails_only_its_beta(monkeypatch):
     # the walk at beta = 0.2 shares its Newton argmax with the cells of
-    # beta = 0.5; when the argmax fails, the rung is solved alone, with its
-    # own error, and the cells of the other betas still run
+    # beta = 0.5; when the argmax fails on the walk's row, the rung gets
+    # that row's error, and the cells of the other betas still run
     rng = np.random.default_rng(5)
     g = random_game(rng, (3, 2), scale=0.5)
     regs = quadratic_regularizers(rng, (3, 2))
     respond = sg.response._NewtonGroup.respond
 
-    def failing_at(self, G, beta, cfg):
-        if np.any(np.asarray(beta) == 0.2):
-            raise sg.ConvergenceError("inner solver went non-finite at "
-                                      "beta 0.2")
-        return respond(self, G, beta, cfg)
+    def failing_at(self, G, beta, cfg, failed=None):
+        rows = np.flatnonzero(np.broadcast_to(beta, (len(G), 1))[:, 0] == 0.2)
+        if not len(rows):
+            return respond(self, G, beta, cfg, failed)
+        for r in rows:
+            failed[int(r)] = sg.ConvergenceError(
+                "inner solver went non-finite at beta 0.2")
+        raise sg.ConvergenceError("inner solver went non-finite in a batch")
 
     monkeypatch.setattr(sg.response._NewtonGroup, "respond", failing_at)
     betas, etas = (0.5, 0.2, 0.1), (0.05, 0.3)

@@ -222,6 +222,36 @@ def test_tangent_basis_orthonormal():
             assert np.all(b[off] == 0.0)
 
 
+@pytest.mark.parametrize("support", [
+    np.array([0, 2]), np.array([2, 0, 1], dtype=np.uint8), np.array([3]),
+    np.array([-1, 0]), np.array([1, 1]), np.array([2**64 - 1], np.uint64),
+    np.array([True, False]), np.array([0.0, 1.0]), np.array([[0, 1]]),
+    np.array([], dtype=int), [0, 2], (1, 1), [2.0]])
+def test_support_indices_checks_integer_arrays_at_once(monkeypatch, support):
+    # an integer index array takes one vectorized pass; what fails it, and
+    # every other support, takes the loop, whose error names the bad entry
+    # in the same text as before
+    def loop(k, support, name="support"):
+        actions = [sg.errors.check_index(f"{name} entry", i, k)
+                   for i in sg.errors.check_sequence(name, support)]
+        if len(set(actions)) < len(actions):
+            raise ArgumentError(f"{name} repeats an action: {actions}")
+        return np.array(actions, dtype=int)
+
+    try:
+        want = loop(3, support)
+    except ArgumentError as err:
+        with pytest.raises(ArgumentError) as got:
+            sg.games.support_indices(3, support)
+        assert str(got.value) == str(err)
+        return
+    got = sg.games.support_indices(3, support)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if isinstance(support, np.ndarray):  # one pass, and a copy of its own
+        monkeypatch.setattr(sg.games, "check_index", None)
+        assert sg.games.support_indices(3, support) is not support
+
+
 def test_block_diag_builds_one_matrix_per_stack_entry():
     rng = np.random.default_rng(3)
     blocks = [rng.standard_normal((5, 2, 3)), np.zeros((5, 0, 0)),
@@ -727,3 +757,26 @@ def test_one_function_builds_and_steps_the_damped_walk():
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     assert len(builds) == 1 and steps == builds, (builds, steps)
+
+
+def test_only_the_solvers_and_the_sweep_build_a_ladder():
+    # a failing row fails in its own batch, so no ladder builds another to
+    # run a row again alone
+    package = Path(sg.__file__).parent
+    builders = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call) and getattr(
+                    child.func, "id", getattr(child.func, "attr", None)) == \
+                    "Ladder":
+                builders.add(scope)
+            visit(child, inner)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert builders == {"response._climb", "dynamics.sweep"}

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import smoothgames as sg
 from smoothgames.errors import (ArgumentError, ConvergenceError, CyclingError,
                                 DimensionError, DomainError)
-from smoothgames.response import FlatKernel
+from smoothgames.response import (FlatKernel, _newton_frame, _newton_solve,
+                                  _newton_start)
 
 from conftest import (newton_log, polymatrix_game, quadratic_regularizers,
                       random_game, random_interior)
@@ -516,6 +517,71 @@ def test_newton_argmax_pinned_bits():
         "0x1.541759eefb17dp-1", "0x1.a7c15970b7fd7p-10"]
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_failed_newton_solve_names_the_rows_it_failed_on(seed):
+    # rows 0 and 2 are at payoffs so large that the absolute inner_tol
+    # cannot be met, row 1 converges: the solve raises its batch error (a
+    # stall, or at seed 1 the cap) and names rows 0 and 2, each with its
+    # own worst residual and beta and the batch's message kind and
+    # iteration count
+    rng = np.random.default_rng(seed)
+    k, players = 3, 2
+    lam = rng.uniform(0.05, 1.0, players)
+    A = rng.standard_normal((players, k, k)) + 2.0 * np.eye(k)
+    C = A.transpose(0, 2, 1) @ A
+    w = rng.dirichlet(np.ones(k), players)
+    V = rng.standard_normal((3, players, k)) * np.array([1e5, 1.0, 1e6])[
+        :, None, None]
+    beta = np.array([[1e-3], [0.5], [2e-3]])
+
+    def solve(V, beta, failed):
+        U = np.full(V.shape, -np.log(k))
+        with pytest.raises(ConvergenceError) as err:
+            _newton_solve(V, lam, C, w, _newton_frame(V, lam, C, beta),
+                          _newton_start(U, lam, C, w), 1e-12, 200, failed)
+        return err.value
+
+    failed = {}
+    batch = solve(V, beta, failed)
+    assert sorted(failed) == [0, 2]
+    kind = str(batch).split(" at residual")[0]
+    for r, err in failed.items():
+        assert type(err) is ConvergenceError
+        assert str(err).split(" at residual")[0] == kind
+        assert err.iterations == batch.iterations
+        assert err.beta == beta[r, 0]
+    worst = max(failed.values(), key=lambda err: err.residual)
+    assert (worst.residual, worst.beta) == (batch.residual, batch.beta)
+    # in a batch of one row, the row's error is the batch's
+    for r in (0, 2):
+        alone = {}
+        err = solve(V[r:r + 1], beta[r:r + 1], alone)
+        assert list(alone) == [0]
+        assert (str(alone[0]), alone[0].residual, alone[0].iterations,
+                alone[0].beta) == (str(err), err.residual, err.iterations,
+                                   err.beta)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_newton_solve_names_only_its_broken_row():
+    # row 1's first step overflows at the edge of the float range; row 0
+    # was still active then, but only the broken row is named
+    r = sg.quadratic_entropy(0.5, 2.0 * np.eye(3), np.full(3, 1 / 3))
+    V = np.array([[[1.0, 0.3, -1.0]], [[1e308, -1e308, 0.0]]])
+    lam, C, w = np.array([r.lam]), r.curvature[None], r.w[None]
+    U = np.full(V.shape, -np.log(3))
+    failed = {}
+    with pytest.raises(ConvergenceError) as err:
+        _newton_solve(V, lam, C, w, _newton_frame(V, lam, C, 1e-3),
+                      _newton_start(U, lam, C, w), 1e-12, 10_000, failed)
+    assert list(failed) == [1]
+    assert (str(failed[1]), failed[1].residual, failed[1].iterations,
+            failed[1].beta) == (str(err.value), err.value.residual,
+                                err.value.iterations, err.value.beta)
+    assert str(err.value).startswith("inner solver went non-finite at "
+                                     "iteration 1")
+
+
 def test_newton_dynamics_pinned_bits():
     rng = np.random.default_rng(13)
     g = random_game(rng, (3, 3))
@@ -579,6 +645,36 @@ def test_kernel_jacobian_matches_per_point_formula(seed, players, kind, beta):
         np.testing.assert_array_equal(
             sg.response_jacobian(g, cfg, x),
             FlatKernel(g, cfg).jacobian(X[b:b + 1])[0])
+
+
+def test_kernel_tangent_bases_are_the_shared_face_bases(monkeypatch):
+    # the kernel's response supports are index arrays it computed itself:
+    # it checks none of them again, and its tangent Jacobians are those in
+    # the public tangent_basis of each block, bit for bit
+    rng = np.random.default_rng(3)
+    shape = (3, 2, 3)
+    g = random_game(rng, shape)
+    cfg = sg.SmoothedResponseConfig(beta=0.2, regularizers=tuple(
+        sg.entropy(k) for k in shape))
+    X = np.stack([random_interior(rng, shape).concatenated()
+                  for _ in range(3)])
+    support_indices, calls = sg.games.support_indices, []
+
+    def counting(k, support=None, name="support"):
+        calls.append(k)
+        return support_indices(k, support, name)
+
+    monkeypatch.setattr(sg.games, "support_indices", counting)
+    tangent = FlatKernel(g, cfg).tangent_jacobians(X)
+    monkeypatch.undo()
+    assert calls == []
+    q = sg.games.block_diag([sg.tangent_basis(k) for k in shape])
+    for t, j in zip(tangent, FlatKernel(g, cfg).jacobian(X)):
+        assert t.tobytes() == (q.T @ j @ q).tobytes()
+    bases = sg.games.face_bases(shape, [np.arange(k) for k in shape])
+    assert bases[0] is bases[2] and not bases[0].flags.writeable
+    assert sg.game_jacobian(g, sg.uniform_strategy(shape)).tangent_bases()[
+        2] is bases[2]
 
 
 # ---------------------------------------------------------------------------
