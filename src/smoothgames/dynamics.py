@@ -415,13 +415,13 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
     bit for bit.  A row on which the batch's Newton argmax fails gets its
     own error and leaves the batch, so a failing run fails only its own
     cell, and the other rows step on.  A cell's ``final_distance`` is its
-    run's distance to the cell's equilibrium.  The cells of a solved beta that ran then take their
-    verdicts off one spectrum of the Jacobian :func:`stability_verdict`
-    takes, so they equal its verdicts bit for bit; a GameError there is the
-    beta's error.  ``jobs``, ``horizon``, ``outer_tol``, the
-    regularizers and ``x0`` are checked before any solve; ``jobs`` has no
-    other effect.  The returned grid is row-major in (betas, etas) as
-    given.
+    run's distance to the cell's equilibrium.  The cells of a solved beta
+    that ran then take their verdicts off one spectrum of the Jacobian
+    :func:`stability_verdict` takes, so they equal its verdicts bit for
+    bit; a GameError there is the beta's error.  ``jobs``, ``horizon``,
+    ``outer_tol``, the regularizers and ``x0`` are checked before any
+    solve; ``jobs`` has no other effect.  The returned grid is row-major
+    in (betas, etas) as given.
     """
     check_count("jobs", jobs, positive=True)
     check_count("horizon", horizon, positive=True)

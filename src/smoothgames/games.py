@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import string
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -118,18 +117,18 @@ def tangent_basis(k: int, support=None) -> np.ndarray:
 
 
 def face_bases(shape, supports) -> list:
-    """Per player of ``shape``, the read-only :func:`tangent_basis` of its
-    face, from checked supports (index arrays, as :func:`support_indices`
-    returns them).  Players and calls with the same action count and
-    support share one basis."""
-    return [_face_basis(k, tuple(s.tolist())) for k, s in zip(shape, supports)]
-
-
-@lru_cache(maxsize=1024)
-def _face_basis(k, support) -> np.ndarray:
-    basis = _tangent_basis(k, np.array(support, dtype=int))
-    basis.setflags(write=False)
-    return basis
+    """Per player of ``shape``, the :func:`tangent_basis` of its face,
+    from checked supports (index arrays, as :func:`support_indices`
+    returns them).  Players with the same action count and support share
+    one read-only basis."""
+    shared, bases = {}, []
+    for k, s in zip(shape, supports):
+        key = (k, s.tobytes())
+        if key not in shared:
+            shared[key] = _tangent_basis(k, s)
+            shared[key].setflags(write=False)
+        bases.append(shared[key])
+    return bases
 
 
 def _tangent_basis(k, support) -> np.ndarray:

@@ -78,26 +78,18 @@ def _checked(jac) -> GameJacobian:
     """jac, if it is a GameJacobian with one finite ``(k_n, k_m)`` array
     block for each ordered pair (n, m) of its point's players, and one
     support per player: a nonempty set of distinct actions in ``[0, k_n)``;
-    else a GameError.  Float blocks of the right shapes are checked in one
-    pass; otherwise each block is, so that the error names the bad one."""
+    else a GameError."""
     point = check_type("jac", jac, GameJacobian).point
     shape = check_type("jac.point", point, JointStrategy).shape
     rows = check_sequence("jac.blocks", jac.blocks)
     if [len(check_sequence("jac.blocks row", row)) for row in rows] != \
             [len(shape)] * len(shape):
         raise DimensionError(f"jac needs {len(shape)} x {len(shape)} blocks")
-    blocks = [block for row in rows for block in row]
-    if not (all(isinstance(b, np.ndarray) and b.dtype.type is np.float64
-                for b in blocks)
-            and [b.shape for b in blocks] == [(k, j) for k in shape
-                                              for j in shape]
-            and np.isfinite(np.concatenate([b.ravel() for b in blocks])
-                            ).all()):
-        for n, row in enumerate(rows):
-            for m, block in enumerate(row):
-                name = f"jac block ({n}, {m})"
-                check_array(name, check_type(name, block, np.ndarray),
-                            (shape[n], shape[m]))
+    for n, row in enumerate(rows):
+        for m, block in enumerate(row):
+            name = f"jac block ({n}, {m})"
+            check_array(name, check_type(name, block, np.ndarray),
+                        (shape[n], shape[m]))
     supports = check_sequence("jac.supports", jac.supports)
     if len(supports) != len(shape):
         raise DimensionError(f"jac needs {len(shape)} supports, one per "

@@ -673,8 +673,9 @@ def test_kernel_tangent_bases_are_the_shared_face_bases(monkeypatch):
         assert t.tobytes() == (q.T @ j @ q).tobytes()
     bases = sg.games.face_bases(shape, [np.arange(k) for k in shape])
     assert bases[0] is bases[2] and not bases[0].flags.writeable
-    assert sg.game_jacobian(g, sg.uniform_strategy(shape)).tangent_bases()[
-        2] is bases[2]
+    shared = sg.game_jacobian(g, sg.uniform_strategy(shape)).tangent_bases()
+    assert shared[0] is shared[2]
+    assert [b.tobytes() for b in shared] == [b.tobytes() for b in bases]
 
 
 # ---------------------------------------------------------------------------
