@@ -1,13 +1,14 @@
 """Averaging dynamics driven by the smoothed response map.
 
-One step moves x to (1 - eta) x + eta Phi(x); a batch of runs that a
-step leaves unchanged bit for bit takes no further steps, since every
-later step would return it too.  The module records trajectories and
-contraction ratios against a reference equilibrium, classifies fixed
-points by the linearized map (1 - eta) I + eta dPhi, checks the boundary
-predictions at a quasi-strict equilibrium as beta shrinks, and sweeps
-(beta, eta) grids the way the stability phase diagrams are produced, on
-the beta ladder of ``response`` (:class:`response.Ladder`).
+One step moves x to (1 - eta) x + eta Phi(x).  A batch of runs, of
+:func:`run_many` or of a sweep's cells, is one :class:`response.RunGroup`:
+it ends after its horizon, or once a step leaves it unchanged bit for bit,
+since every later step would return it too.  The module records
+trajectories and contraction ratios against a reference equilibrium,
+classifies fixed points by the linearized map (1 - eta) I + eta dPhi,
+checks the boundary predictions at a quasi-strict equilibrium as beta
+shrinks, and sweeps (beta, eta) grids the way the stability phase diagrams
+are produced, on the beta ladder of ``response`` (:class:`response.Ladder`).
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ from .errors import (ArgumentError, DimensionError, DomainError, GameError,
                      check_sequence, check_type)
 from .games import (JointStrategy, NormalFormGame, perturb_strategy,
                     quasi_strict_check, strategy_rows, uniform_strategy)
-from .response import (FIXED_CHECK_STRIDE, FlatKernel, Ladder,
-                       SmoothedEquilibrium, SmoothedResponseConfig,
-                       homotopy_trace, response_jacobian)
+from .response import (FlatKernel, Ladder, RunGroup, SmoothedEquilibrium,
+                       SmoothedResponseConfig, homotopy_trace,
+                       response_jacobian)
 
 SAMPLE_BALL_RADIUS = 0.05  # inf-norm radius for Lipschitz sampling
 CLASSIFICATION_TOL = 1e-9
 CLASSIFICATIONS = ("asymptotically_stable", "unstable", "marginal")
-DISTANCE_CHUNK = 64  # states held back before their distances are taken
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,12 @@ def run_many(game: NormalFormGame, cfg: DynamicsConfig, X0,
 
     Returns one Trajectory per start, in order.  Rows agree with separate
     :func:`run` calls up to rounding (matrix products round differently
-    for different row counts).  Once a step returns the whole batch bit
-    for bit, no further steps are taken; the fixed state is recorded for
-    the rest of the horizon, so the result is the same as stepping on.
+    for different row counts).  The batch is one :class:`RunGroup`, which
+    ends it as it ends a sweep's cells; a fixed batch is recorded as it
+    stands for the rest of the horizon, so the result is the same as
+    stepping on.  A failed response raises at its step.  The recorded
+    states become JointStrategy objects in one :func:`games.strategy_rows`
+    call, which checks them as one stack.
     """
     kernel = FlatKernel(game, check_type("cfg", cfg, DynamicsConfig).response)
     starts = [kernel.flatten(x, "x0") for x in check_sequence("X0", X0)]
@@ -112,67 +115,22 @@ def run_many(game: NormalFormGame, cfg: DynamicsConfig, X0,
         raise ArgumentError("at least one start is required")
     ref = (kernel.flatten(_checked_equilibrium("reference", reference).point,
                           "reference") if reference is not None else None)
-    return _orbits(kernel, cfg, np.stack(starts), ref)
-
-
-def _orbits(kernel, cfg, X, ref):
-    """Run every row of X under the dynamics config ``cfg``.
-
-    ``ref`` is None or a flat reference point.  The recorded states and
-    the final one become JointStrategy objects in one
-    :func:`games.strategy_rows` call, which checks them as one stack and
-    keeps one read-only copy that every point's blocks view.  Distances
-    are taken DISTANCE_CHUNK states at a time.  Every FIXED_CHECK_STRIDE-th
-    step compares its result with its input bit for bit (bytes, not values,
-    so -0.0 against 0.0 does not count).  Once they agree, the batch is a
-    fixed point of ``kernel.advance``: the step is deterministic in X, and
-    a Newton argmax warm-started at its own solution returns it at its
-    first residual check.  No more steps are taken: the strategies and
-    distances of the rest of the horizon are those of the fixed batch.
-    """
-    horizon, every = cfg.horizon, cfg.record_every
-    recorded = [X]
-    pending = [X]
-    distances = []
-    fixed = 0  # the last steps of the horizon, which repeat X
-
-    def take_distances():
-        distances.append(np.linalg.norm(np.stack(pending) - ref, axis=2))
-        pending.clear()
-
-    for t in range(1, horizon + 1):
-        new = kernel.advance(X, cfg.eta)
-        if t % FIXED_CHECK_STRIDE == 0 and new.tobytes() == X.tobytes():
-            fixed = horizon - t + 1
-            break
+    X = np.stack(starts)
+    runs = RunGroup(X, cfg.horizon, ref, cfg.record_every, span=slice(None))
+    while not runs.track(X, new := kernel.advance(X, cfg.eta)):
         X = new
-        if t % every == 0:
-            recorded.append(X)
-        if ref is not None:
-            pending.append(X)
-            if len(pending) == DISTANCE_CHUNK:
-                take_distances()
-    if ref is not None:
-        if pending:
-            take_distances()
-        distances = [row + row[-1:] * fixed
-                     for row in np.concatenate(distances).T.tolist()]
-    # recorded steps among the fixed ones
-    tail = horizon // every - (horizon - fixed) // every
-    count = len(recorded)
-    if recorded[-1] is not X:
-        recorded.append(X)
+    every, taken = cfg.record_every, cfg.horizon - runs.fixed
+    tail = cfg.horizon // every - taken // every  # recorded, not taken
+    count = len(runs.recorded)
     # rows t * B + i of one checked (T, B, K) stack, the final state last
-    strategies = strategy_rows(recorded, kernel.game.shape)
-    runs = len(X)
-    trajectories = []
-    for i in range(runs):
-        orbit = strategies[i::runs]
-        trajectories.append(Trajectory(
-            config=cfg, points=orbit[:count] + orbit[-1:] * tail,
-            final_point=orbit[-1],
-            distances=tuple(distances[i]) if ref is not None else None))
-    return tuple(trajectories)
+    strategies = strategy_rows(
+        runs.recorded + [runs.X] * (taken % every > 0), kernel.game.shape)
+    B = len(starts)
+    return tuple(Trajectory(
+        config=cfg, points=orbit[:count] + orbit[-1:] * tail,
+        final_point=orbit[-1],
+        distances=tuple(runs.distances[i]) if ref is not None else None)
+        for i, orbit in enumerate(strategies[j::B] for j in range(B)))
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +369,13 @@ def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
     the largest down, each warm-started at the last one solved, and runs
     every cell whose beta it has solved in the same batch as the next
     rung's walk: a beta's cells join at ``x0``, each row at its own beta
-    and eta, and leave after ``horizon`` steps or once a step returns them
-    bit for bit.  A row on which the batch's Newton argmax fails gets its
-    own error and leaves the batch, so a failing run fails only its own
-    cell, and the other rows step on.  A cell's ``final_distance`` is its
-    run's distance to the cell's equilibrium.  The cells of a solved beta
-    that ran then take their verdicts off one spectrum of the Jacobian
+    and eta, as one :class:`response.RunGroup`, and leave when it ends
+    their runs, by the rule that ends :func:`run_many`'s.  A row on which
+    the batch's Newton argmax fails gets its own error and leaves the
+    batch, so a failing run fails only its own cell, and the other rows
+    step on.  A cell's ``final_distance`` is its run's distance to the
+    cell's equilibrium.  The cells of a solved beta that ran then take
+    their verdicts off one spectrum of the Jacobian
     :func:`stability_verdict` takes, so they equal its verdicts bit for
     bit; a GameError there is the beta's error.  ``jobs``, ``horizon``,
     ``outer_tol``, the regularizers and ``x0`` are checked before any

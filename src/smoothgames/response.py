@@ -50,6 +50,7 @@ RESIDUAL_BAND = 1e-12
 # stalled, and stops there rather than idle out its stagnation window
 STEP_FLOOR = 1e-9
 FIXED_CHECK_STRIDE = 8  # steps between tests for an unchanged batch
+DISTANCE_CHUNK = 64  # states held back before their distances are taken
 
 
 @dataclass(frozen=True)
@@ -641,17 +642,63 @@ class DampedWalk:
         return self.eta
 
 
-@dataclass(eq=False)  # no field-wise ==: ref is an array
-class _Group:
-    """A solved beta's cells in a :class:`Ladder`'s batch: ``(key, eta)``
-    pairs and their flat equilibrium ``ref``; ``span`` is their rows of the
-    batch, None until they join it, and ``age`` the steps taken since."""
+class RunGroup:
+    """Runs of the averaging dynamics x <- (1 - eta) x + eta Phi(x) that
+    start and end together: the ``(B, K)`` ``starts``, a ``horizon``, an
+    optional flat reference ``ref`` and their rows ``span`` of the batch
+    that steps them; in a :class:`Ladder`, the ``(key, eta)`` ``cells`` of
+    one ``beta``, whose ``span`` is None until they join its batch.
 
-    beta: float
-    cells: list
-    ref: np.ndarray
-    span: slice = None
-    age: int = 0
+    :meth:`track` ends the runs after ``horizon`` steps, or at a
+    FIXED_CHECK_STRIDE-th step that returns their rows bit for bit (as
+    bytes, so -0.0 is not 0.0): the step is deterministic, and a Newton
+    argmax warm-started at its own solution returns it at once, so the last
+    ``fixed`` steps would repeat the rows and are not taken.  ``X`` ends as
+    the final states.  With ``record_every``, ``recorded`` keeps the states
+    every ``record_every`` steps and, given ``ref``, ``distances`` each
+    row's distance at every step, taken DISTANCE_CHUNK states at a time;
+    else ``distances`` holds the final distances only.
+    """
+
+    def __init__(self, starts, horizon, ref=None, record_every=None,
+                 span=None, beta=None, cells=()):
+        self.X, self.horizon, self.ref = starts, horizon, ref
+        self.every, self.beta, self.cells = record_every, beta, cells
+        self.span, self.age, self.fixed = span, 0, 0
+        self.recorded = [starts]
+        self.pending = [starts] if record_every and ref is not None else None
+        self.distances = []  # chunks of distances until the runs end
+
+    def track(self, X, new) -> bool:
+        """Count the step of the batch from X to ``new``; returns whether it
+        ended the runs."""
+        self.age += 1
+        rows = self.span
+        if (self.age % FIXED_CHECK_STRIDE == 0
+                and new[rows].tobytes() == X[rows].tobytes()):
+            self.fixed, new = self.horizon - self.age + 1, X  # ends at X
+        elif self.every:
+            if self.age % self.every == 0:
+                self.recorded.append(new[rows])
+            if self.pending is not None:
+                if len(self.pending) == DISTANCE_CHUNK:
+                    self._take_distances()
+                self.pending.append(new[rows])
+        if not self.fixed and self.age < self.horizon:
+            return False
+        self.X = new[rows]
+        if self.pending is not None:
+            self._take_distances()
+            self.distances = [row + row[-1:] * self.fixed for row
+                              in np.concatenate(self.distances).T.tolist()]
+        elif self.ref is not None:  # the final distances only
+            self.distances = np.linalg.norm(self.X - self.ref, axis=1).tolist()
+        return True
+
+    def _take_distances(self):
+        self.distances.append(np.linalg.norm(
+            np.stack(self.pending) - self.ref, axis=2))
+        self.pending.clear()
 
 
 class Ladder:
@@ -666,16 +713,15 @@ class Ladder:
     the betas already solved.  Each step is one :meth:`FlatKernel.respond`
     for every row; the walk reads its residual and eta off its own row, and
     one :meth:`FlatKernel.mix` at an eta column moves all rows, one row or
-    many alike.  A solved beta's cells join at ``start``, as one group,
-    when the batch is rebuilt for the next walk, and leave after
-    ``horizon`` steps or once a FIXED_CHECK_STRIDE-th step of their own
-    returns them bit for bit.  The kernel, of ``base``'s game and config
-    at the column of the rows' betas, is built afresh for each rung and
-    whenever rows join or leave, but a walk alone at ``base``'s beta steps
-    ``base`` itself.  A :class:`GameError` from the shared respond fails
-    the rows its kernel names in ``failed``, each with its own error, or
-    every row if it names none; the rows left step the same point again in
-    a batch rebuilt without them.
+    many alike.  A solved beta's cells join at ``start`` as one
+    :class:`RunGroup` when the batch is rebuilt for the next walk, and
+    leave when it ends their runs.  The kernel, of ``base``'s game and
+    config at the column of the rows' betas, is built afresh for each rung
+    and whenever rows join or leave, but a walk alone at ``base``'s beta
+    steps ``base`` itself.  A :class:`GameError` from the shared respond
+    fails the rows its kernel names in ``failed``, each with its own error,
+    or every row if it names none; the rows left step the same point again
+    in a batch rebuilt without them.
 
     ``solved`` maps each solved beta to its equilibrium, ``errors`` each
     failed one to its error, and ``outcomes`` each cell's key to its run's
@@ -731,14 +777,13 @@ class Ladder:
     def _batch(self, rung, x, X):
         """A kernel, the batch and its eta: the walk's row x, if a rung is
         being solved, then each group's rows, taken from X, the last batch,
-        or at the start for a group that joins now; each group's span is
+        or its starts for a group that joins now; each group's span is
         set."""
         states, betas, etas = [], [], []
         if rung is not None:
             states, betas, etas = [x], [rung[0]], [1.0]  # the walk sets eta
         for g in self.groups:
-            states.append(np.tile(self.start, (len(g.cells), 1))
-                          if g.span is None else X[g.span])
+            states.append(g.X if g.span is None else X[g.span])
             g.span = slice(len(betas), len(betas) + len(g.cells))
             betas += [g.beta] * len(g.cells)
             etas += [eta for _, eta in g.cells]
@@ -770,25 +815,18 @@ class Ladder:
         self.solved[beta] = out
         self.warm = out.point.concatenated()[None, :]
         if cells:
-            self.groups.append(_Group(beta, cells, self.warm[0]))
+            self.groups.append(RunGroup(
+                np.tile(self.start, (len(cells), 1)), self.horizon,
+                self.warm[0], beta=beta, cells=cells))
 
     def _age(self, X, new) -> bool:
-        """Count the step X -> new for every group; returns whether one
+        """Track the step X -> new for every group; returns whether one
         left, recording its final distances."""
-        kept = []
-        for g in self.groups:
-            g.age += 1
-            if g.age == self.horizon or (
-                    g.age % FIXED_CHECK_STRIDE == 0
-                    and new[g.span].tobytes() == X[g.span].tobytes()):
-                self.outcomes.update(zip(
-                    (key for key, _ in g.cells),
-                    np.linalg.norm(new[g.span] - g.ref, axis=1).tolist()))
-            else:
-                kept.append(g)
-        left = len(kept) < len(self.groups)
-        self.groups = kept
-        return left
+        left = [g for g in self.groups if g.track(X, new)]
+        for g in left:
+            self.outcomes.update(zip((k for k, _ in g.cells), g.distances))
+            self.groups.remove(g)
+        return bool(left)
 
 
 def _climb(kernel, betas, x0, outer_tol, max_iter) -> Ladder:

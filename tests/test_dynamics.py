@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import smoothgames as sg
-from smoothgames.dynamics import DISTANCE_CHUNK, Trajectory, trace_to_csv
+from smoothgames.dynamics import Trajectory, trace_to_csv
+from smoothgames.response import DISTANCE_CHUNK
 from smoothgames.errors import ArgumentError, DimensionError, DomainError
 
 from conftest import (nonstrategic_offsets, quadratic_regularizers,
@@ -223,30 +224,26 @@ def test_identical_runs_are_bitwise_equal():
 
 
 def reference_orbits(kernel, configs, X, ref):
-    """The orbits of ``dynamics._orbits``, with ``kernel.advance`` called at
-    every step of the horizon and no stop at a fixed batch."""
+    """The orbits of ``run_many``, with ``kernel.advance`` called at every
+    step of the horizon, no stop at a fixed batch, and each step's
+    distances taken at that step."""
     horizon, every = configs[0].horizon, configs[0].record_every
     eta = np.array([[c.eta] for c in configs])
     recorded = [X]
-    pending = [X]
     distances = []
 
     def take_distances():
-        distances.append(np.linalg.norm(np.stack(pending) - ref, axis=2))
-        pending.clear()
+        if ref is not None:
+            distances.append(np.linalg.norm(X - ref, axis=1))
 
+    take_distances()
     for t in range(1, horizon + 1):
         X = kernel.advance(X, eta)
         if t % every == 0:
             recorded.append(X)
-        if ref is not None:
-            pending.append(X)
-            if len(pending) == DISTANCE_CHUNK:
-                take_distances()
+        take_distances()
     if ref is not None:
-        if pending:
-            take_distances()
-        distances = np.concatenate(distances).T.tolist()
+        distances = np.array(distances).T.tolist()
     return tuple(
         Trajectory(config=cfg,
                    points=tuple(kernel.strategy(R[i]) for R in recorded),
@@ -334,7 +331,7 @@ def test_fixed_batch_stops_stepping(monkeypatch):
     assert [c.final_distance for c in cells] == [0.0] * 4
     # the walk at 0.3, then the walk at 0.1 beside 0.3's cells, then both
     # betas' cells until 0.3's and then 0.1's reach their eighth step
-    stride = sg.dynamics.FIXED_CHECK_STRIDE
+    stride = sg.response.FIXED_CHECK_STRIDE
     assert calls == [1, 3] + [4] * (stride - 1) + [2]
     # a batch that never arrives takes every step of its horizon
     calls.clear()
@@ -370,10 +367,49 @@ def test_fixed_run_builds_its_strategies_once(monkeypatch):
     traj = sg.run(g, cfg, start, reference=eq)
     assert len(traj.points) == 2001 and len(traj.distances) == 2001
     # one stack, and no point checked again on its own
-    assert stacked == [sg.dynamics.FIXED_CHECK_STRIDE] and built == []
+    assert stacked == [sg.response.FIXED_CHECK_STRIDE] and built == []
     assert traj.points[-1] is traj.final_point
-    assert set(traj.distances[sg.dynamics.FIXED_CHECK_STRIDE - 1:]) == {
+    assert set(traj.distances[sg.response.FIXED_CHECK_STRIDE - 1:]) == {
         traj.distances[-1]}
+
+
+def test_thinned_run_holds_only_its_recorded_and_pending_states(
+        monkeypatch):
+    # a run recording every third state holds those, its start and final
+    # state, and at most DISTANCE_CHUNK states whose distances are not yet
+    # taken, never every state of its horizon
+    rng = np.random.default_rng(4)
+    shape = (3, 3, 3)
+    g = random_game(rng, shape)
+    response = sg.entropy_config(g, 0.5)
+    every, horizon = 3, 3 * DISTANCE_CHUNK + 5
+    cfg = sg.DynamicsConfig(eta=0.01, response=response, horizon=horizon,
+                            record_every=every)
+    reference = sg.SmoothedEquilibrium(point=random_interior(rng, shape),
+                                       beta=0.5, residual=0.0, nash_gap=0.0)
+    starts = [random_interior(rng, shape) for _ in range(2)]
+    rows = (len(starts), sum(shape))
+    track = sg.response.RunGroup.track
+    groups, most = [], []
+
+    def holding(self, X, new):
+        over = track(self, X, new)
+        held = {}  # every state array the group refers to, by identity
+        for value in vars(self).values():
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, np.ndarray) and item.shape == rows:
+                    held[id(item)] = item
+        assert len(held) <= self.age // every + 2 + DISTANCE_CHUNK
+        groups.append(self)
+        most.append(len(held) - self.age // every)
+        return over
+
+    monkeypatch.setattr(sg.response.RunGroup, "track", holding)
+    traj = sg.run_many(g, cfg, starts, reference=reference)
+    assert len(groups) == horizon and groups[-1].fixed == 0  # never fixed
+    assert max(most) > DISTANCE_CHUNK // 2  # the pending states were held
+    assert all(len(t.points) == horizon // every + 1 for t in traj)
+    assert all(len(t.distances) == horizon + 1 for t in traj)
 
 
 def test_warm_start_bounds_newton_solves(monkeypatch):

@@ -780,3 +780,25 @@ def test_only_the_solvers_and_the_sweep_build_a_ladder():
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     assert builders == {"response._climb", "dynamics.sweep"}
+
+
+def test_one_function_ends_and_measures_the_averaging_runs():
+    # run_many and a sweep's cells step through one run group, so the
+    # fixed-batch test and the distance chunking are each read in one place
+    package = Path(sg.__file__).parent
+    readers = {"FIXED_CHECK_STRIDE": set(), "DISTANCE_CHUNK": set()}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif (isinstance(child, ast.Name) and child.id in readers
+                  and isinstance(child.ctx, ast.Load)):
+                readers[child.id].add(scope)
+            visit(child, inner)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert all(len(scopes) == 1 for scopes in readers.values()), readers
