@@ -55,7 +55,11 @@ DISTANCE_CHUNK = 64  # states held back before their distances are taken
 
 @dataclass(frozen=True)
 class SmoothedResponseConfig:
-    """Smoothing level and per-player regularizers for the response map."""
+    """Smoothing level and per-player regularizers for the response map.
+
+    A quadratic-entropy block's Newton argmax stops once its projected
+    gradient is at most ``inner_tol * max(1, max_i |v_i|)``, v the block's
+    payoff gradient, and fails after ``inner_max_iter`` iterations."""
 
     beta: float
     regularizers: tuple
@@ -103,7 +107,8 @@ def smoothed_argmax(values, reg: Regularizer, beta: float, inner_tol=1e-12,
     action) the closed-form softmax of :func:`_softmax`, summed over the
     whole row; otherwise the Newton argmax of a one-player
     :class:`_NewtonGroup` from the uniform point, in log coordinates until
-    the projected-gradient residual drops to inner_tol.
+    the projected-gradient residual drops to ``inner_tol * max(1,
+    max_i |values_i|)``.
     """
     v = check_array("values", values,
                     (check_type("reg", reg, Regularizer).dimension,))
@@ -181,18 +186,19 @@ def _newton_solve(V, lam, C, w, frame, start, inner_tol, inner_max_iter,
     backtracks on its objective computed from u.  The accepted candidate's
     force, regularizer value and objective carry over to the next iteration,
     so every iterate is evaluated once; while every row is still searching,
-    the whole candidate is taken without merging.  A row whose
-    projected-gradient residual reaches inner_tol is frozen.  An accepted
-    step that leaves every log-response bit for bit unchanged, or returns
-    them and the frozen rows to where they stood two iterations earlier,
-    raises :class:`ConvergenceError` at once: every later iteration would
-    repeat that step or that pair of steps, so the error carries the
-    residual the iteration cap would have ended on.  Iterates stay on the
-    simplex, and a coordinate whose mass underflows keeps a finite log and
-    an exact stationarity condition.  Returns the accepted iterate as a
-    start, ``(U, Y, force, h)``.  Before raising, it maps each row (over
-    V's first axis) with a problem still active, or broken, to the row's
-    own error in ``failed``, if given.
+    the whole candidate is taken without merging.  A problem is frozen once
+    its projected-gradient residual is at most ``inner_tol * max(1,
+    max_i |V_i|)``, so inner_tol is relative to its own payoff scale and
+    scaling V and beta by s > 0 stops it alike (exactly at inner_tol where
+    every ``|V_i| <= 1``).  The loop ends when every problem is frozen, at
+    a non-finite residual or after inner_max_iter iterations; no exit
+    looks at more than each problem's own residual, so a problem's path
+    does not depend on its stack-mates.  Iterates stay on the simplex, and
+    a coordinate whose mass underflows keeps a finite log and an exact
+    stationarity condition.  Returns the accepted iterate as a start,
+    ``(U, Y, force, h)``.  Before raising, it maps each row (over V's
+    first axis) with a problem still active, or broken, to the row's own
+    error in ``failed``, if given.
     """
     beta, beta_column, beta_rhs, buffers = frame
     lam_column = buffers[3]
@@ -201,17 +207,15 @@ def _newton_solve(V, lam, C, w, frame, start, inner_tol, inner_max_iter,
     k = V.shape[-1]
     active = np.ones(V.shape[:-1], dtype=bool)
     residual = np.full(active.shape, np.inf)
-    # the bytes of the log-responses two and one iterations back
-    two_back, one_back = None, U.tobytes()
-    live = None
+    tol = inner_tol * np.maximum.reduce(np.abs(V), -1, initial=1.0)
     for iteration in range(inner_max_iter):
         grad = V - beta_column * (lam_column * U + force)
         last_finite = residual
         residual = grad - np.add.reduce(grad, -1, keepdims=True) / k
         residual = np.maximum.reduce(np.abs(residual, out=residual), -1)
-        active &= ~(residual <= inner_tol)
+        active &= ~(residual <= tol)
         # count_nonzero is the cheapest any() or all() of a small mask
-        was_live, live = live, np.count_nonzero(active)
+        live = np.count_nonzero(active)
         if not live:
             return U, Y, force, h
         # frozen rows keep their finite residuals, so one maximum tells
@@ -253,22 +257,6 @@ def _newton_solve(V, lam, C, w, frame, start, inner_tol, inner_max_iter,
                 t = np.ones(active.shape)
             t[searching] /= 2
             cand = U + t[..., None] * du
-        moved = accepted[0].tobytes()
-        if moved == one_back:
-            raise _inner_error(
-                f"stalled after {iteration + 1} iterations (the last step "
-                f"left every log-response unchanged bit for bit) at "
-                f"residual", iteration + 1, residual, active, beta, failed)
-        if moved == two_back and live == was_live:
-            # from here on each iteration repeats the one two back, so the
-            # capped run would end on the residual of the cap's parity
-            raise _inner_error(
-                f"stalled after {iteration + 1} iterations (the iterates "
-                f"alternate between two log-responses bit for bit) at "
-                f"residual", iteration + 1,
-                residual if (inner_max_iter - iteration) % 2 else last_finite,
-                active, beta, failed)
-        two_back, one_back = one_back, moved
         U, Y, force, h, current = accepted
     raise _inner_error(f"hit {inner_max_iter} iterations at residual",
                        inner_max_iter, residual, active, beta, failed)

@@ -294,10 +294,10 @@ def dominated_game(rng, shape):
 def test_kernel_respond_matches_cold_per_block_solve(seed, players, kind, rows,
                                                      beta):
     # the second batch starts from the first batch's log-responses.  Both
-    # solves stop at a projected gradient of at most inner_tol, and the
-    # objective is beta lam strongly concave on the face, so two stopped
-    # iterates lie within 2 sqrt(k) inner_tol / (beta lam) of each other:
-    # below 1e-10 at beta >= 0.1, about 1e-8 at beta = 1e-3
+    # solves stop at a projected gradient of at most inner_tol max(1,
+    # max|G|), G the block's payoff gradient, and the objective is beta lam
+    # strongly concave on the face, so two stopped iterates lie within
+    # 2 sqrt(k) inner_tol max(1, max|G|) / (beta lam) of each other
     rng = np.random.default_rng(seed)
     shape = tuple(int(k) for k in rng.integers(2, 5, players))
     g = dominated_game(rng, shape)
@@ -313,7 +313,7 @@ def test_kernel_respond_matches_cold_per_block_solve(seed, players, kind, rows,
             for b in range(rows):
                 cold = sg.smoothed_argmax(G[b, s], r, beta)
                 bound = (2 * np.sqrt(r.dimension) * cfg.inner_tol
-                         / (beta * r.lam))
+                         * max(1.0, np.abs(G[b, s]).max()) / (beta * r.lam))
                 np.testing.assert_allclose(Y[b, s], cold, rtol=0,
                                            atol=1e-12 + bound)
         if beta == 1e-3:
@@ -519,11 +519,10 @@ def test_newton_argmax_pinned_bits():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_failed_newton_solve_names_the_rows_it_failed_on(seed):
-    # rows 0 and 2 are at payoffs so large that the absolute inner_tol
-    # cannot be met, row 1 converges: the solve raises its batch error (a
-    # stall, or at seed 1 the cap) and names rows 0 and 2, each with its
-    # own worst residual and beta and the batch's message kind and
-    # iteration count
+    # rows 0 and 2 start cold and need 3 or more iterations, row 1 starts
+    # at its own solution and freezes at once: capped at 2 iterations, the
+    # solve raises its batch error and names rows 0 and 2, each with its
+    # own worst residual and beta and the batch's iteration count
     rng = np.random.default_rng(seed)
     k, players = 3, 2
     lam = rng.uniform(0.05, 1.0, players)
@@ -533,33 +532,40 @@ def test_failed_newton_solve_names_the_rows_it_failed_on(seed):
     V = rng.standard_normal((3, players, k)) * np.array([1e5, 1.0, 1e6])[
         :, None, None]
     beta = np.array([[1e-3], [0.5], [2e-3]])
+    U = np.full(V.shape, -np.log(k))
+    U[1] = newton_log(V[1:2], lam, C, w, beta[1:2], 1e-12, 10_000,
+                      U[1:2])[0]
 
-    def solve(V, beta, failed):
-        U = np.full(V.shape, -np.log(k))
+    def solve(rows, failed):
         with pytest.raises(ConvergenceError) as err:
-            _newton_solve(V, lam, C, w, _newton_frame(V, lam, C, beta),
-                          _newton_start(U, lam, C, w), 1e-12, 200, failed)
+            _newton_solve(V[rows], lam, C, w,
+                          _newton_frame(V[rows], lam, C, beta[rows]),
+                          _newton_start(U[rows], lam, C, w), 1e-12, 2,
+                          failed)
         return err.value
 
     failed = {}
-    batch = solve(V, beta, failed)
+    batch = solve(slice(None), failed)
     assert sorted(failed) == [0, 2]
-    kind = str(batch).split(" at residual")[0]
+    assert str(batch).startswith("inner solver hit 2 iterations")
     for r, err in failed.items():
         assert type(err) is ConvergenceError
-        assert str(err).split(" at residual")[0] == kind
-        assert err.iterations == batch.iterations
+        assert str(err).startswith("inner solver hit 2 iterations")
+        assert err.iterations == batch.iterations == 2
         assert err.beta == beta[r, 0]
     worst = max(failed.values(), key=lambda err: err.residual)
     assert (worst.residual, worst.beta) == (batch.residual, batch.beta)
-    # in a batch of one row, the row's error is the batch's
+    # in a batch of one row, the row's error is the batch's, and the
+    # same as the row's error in the batch of three
     for r in (0, 2):
         alone = {}
-        err = solve(V[r:r + 1], beta[r:r + 1], alone)
+        err = solve(slice(r, r + 1), alone)
         assert list(alone) == [0]
         assert (str(alone[0]), alone[0].residual, alone[0].iterations,
                 alone[0].beta) == (str(err), err.residual, err.iterations,
                                    err.beta)
+        assert (str(err), err.residual) == (str(failed[r]),
+                                            failed[r].residual)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
