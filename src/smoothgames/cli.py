@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -91,7 +92,9 @@ def _parse_regularizers(spec: str, shape):
 
 def _beta_schedule(target: float) -> list:
     """Geometric continuation schedule from 1 down to a positive, finite
-    ``target`` (checked first), shrinking by a factor 0.3 per step."""
+    ``target`` (checked first), shrinking by a factor 0.3 per step.  Only
+    its last entry is a result; the rungs before it are warm starts (see
+    :func:`_solve_at`)."""
     if check_real("--beta", target) >= 1.0:
         return [target]
     schedule = []
@@ -105,10 +108,24 @@ def _beta_schedule(target: float) -> list:
 
 def _solve_at(game, regs, beta):
     """The smoothed equilibrium at ``beta``, traced along its
-    :func:`_beta_schedule`."""
+    :func:`_beta_schedule`.
+
+    The rungs before the target are traced to the square root of the
+    target's tolerance, then the target alone from the last of them to the
+    full tolerance, which certifies the result.  A rung's point only starts
+    the next rung's walk, which corrects it to its own tolerance, so
+    polishing it further buys nothing.  A failure on either trace is
+    :func:`homotopy_trace`'s error, naming the beta it failed at.
+    """
     schedule = _beta_schedule(beta)
-    cfg = SmoothedResponseConfig(beta=schedule[0], regularizers=regs)
-    return homotopy_trace(game, cfg, schedule)[-1]
+    tol = 1e-10
+    x0 = None
+    if len(schedule) > 1:
+        head = SmoothedResponseConfig(beta=schedule[0], regularizers=regs)
+        x0 = homotopy_trace(game, head, schedule[:-1],
+                            outer_tol=math.sqrt(tol))[-1].point
+    cfg = SmoothedResponseConfig(beta=schedule[-1], regularizers=regs)
+    return homotopy_trace(game, cfg, schedule[-1:], x0, outer_tol=tol)[-1]
 
 
 def _target(path):

@@ -12,9 +12,12 @@ import warnings
 import numpy as np
 import pytest
 
-from smoothgames.cli import main
+import smoothgames as sg
+from smoothgames.cli import _beta_schedule, _solve_at, main
+from smoothgames.errors import ConvergenceError, GameError
+from smoothgames.response import FlatKernel
 
-from conftest import polymatrix_game
+from conftest import polymatrix_game, quadratic_regularizers, random_game
 
 
 def run_cli(capsys, argv):
@@ -530,6 +533,68 @@ def test_analyze_solve_at_a_beta_above_one_solves_there_alone(capsys):
     solved = json.loads(out)["solved"]
     assert solved["beta"] == 2.0
     assert solved["residual"] <= 1e-10
+
+
+def _full_trace(game, regs, beta):
+    """The last point of the trace down ``beta``'s whole schedule, every
+    rung solved to the default tolerance."""
+    schedule = _beta_schedule(beta)
+    cfg = sg.SmoothedResponseConfig(beta=schedule[0], regularizers=regs)
+    return sg.homotopy_trace(game, cfg, schedule)[-1]
+
+
+def test_solve_at_polishes_only_the_target(monkeypatch):
+    # the rungs before the target are warm starts, traced to sqrt(1e-10);
+    # the target is still solved to 1e-10, on the full trace's branch
+    calls = []
+    respond = FlatKernel.respond
+    monkeypatch.setattr(FlatKernel, "respond",
+                        lambda self, X: calls.append(1) or respond(self, X))
+    rng = np.random.default_rng([34, 5])
+    game = random_game(rng, (3, 3))
+    regs = quadratic_regularizers(rng, (3, 3))
+    got = _solve_at(game, regs, 0.1)
+    solve_calls = len(calls)
+    calls.clear()
+    full = _full_trace(game, regs, 0.1)
+    assert solve_calls < len(calls)  # 20 against 38
+    assert got.beta == 0.1
+    assert got.residual <= 1e-10
+    assert np.max(np.abs(got.point.concatenated()
+                         - full.point.concatenated())) <= 1e-9
+
+
+def test_solve_at_agrees_with_the_full_trace():
+    # 24 draws, each regularizer kind at every target twice: _solve_at
+    # solves where the full trace solves, at its point, and fails where it
+    # fails, with the same error class and the homotopy's message
+    shapes = ((2, 2), (3, 3), (2, 3), (4, 4), (2, 2, 2))
+    targets = (0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
+    seen = set()
+    for seed in range(24):
+        rng = np.random.default_rng([34, seed])
+        shape = shapes[seed % len(shapes)]
+        game = random_game(rng, shape)
+        quadratic = (seed // len(targets)) % 2
+        regs = (quadratic_regularizers(rng, shape) if quadratic
+                else tuple(sg.entropy(k) for k in shape))
+        beta = targets[seed % len(targets)]
+        try:
+            full = _full_trace(game, regs, beta)
+        except GameError as err:
+            with pytest.raises(type(err)) as got:
+                _solve_at(game, regs, beta)
+            if isinstance(err, ConvergenceError):
+                assert got.value.args[0].startswith("homotopy failed at beta=")
+            seen.add((quadratic, False))
+            continue
+        got = _solve_at(game, regs, beta)
+        assert (got.beta, seed) == (beta, seed)
+        assert got.residual <= 1e-10, seed
+        assert np.max(np.abs(got.point.concatenated()
+                             - full.point.concatenated())) <= 1e-9, seed
+        seen.add((quadratic, True))
+    assert seen == {(0, True), (0, False), (1, True), (1, False)}
 
 
 def cycling_game(tmp_path):
