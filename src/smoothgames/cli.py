@@ -16,9 +16,9 @@ import sys
 
 import numpy as np
 
-from .dynamics import (DynamicsConfig, eta_threshold, run, stability_verdict,
-                       sweep, sweep_to_csv, trace_to_csv, trajectory_to_csv,
-                       write_csv)
+from .dynamics import (SAMPLE_BALL_RADIUS, DynamicsConfig, eta_threshold, run,
+                       stability_verdict, sweep, sweep_to_csv, trace_to_csv,
+                       trajectory_to_csv, write_csv)
 from .errors import (ConvergenceError, GameError, ParseError, ResourceError,
                      check_count, check_real)
 from .games import (JointStrategy, game_jacobian, load_game, pure_strategy,
@@ -235,9 +235,10 @@ def cmd_simulate(args) -> int:
               "will be empty", file=sys.stderr)
 
     if args.eta == "auto":
-        eta = eta_threshold(game, response_cfg, reference, rng_seed=args.seed)
-        print(f"note: eta=auto resolved to {eta:.17g} "
-              f"(L sampled on an inf-norm ball of radius 0.05)",
+        eta = eta_threshold(game, response_cfg, reference, rng_seed=args.seed,
+                            radius=SAMPLE_BALL_RADIUS)
+        print(f"note: eta=auto resolved to {eta:.17g} (L sampled on an "
+              f"inf-norm ball of radius {SAMPLE_BALL_RADIUS:g})",
               file=sys.stderr)
     else:
         try:

@@ -36,16 +36,19 @@ class ConvergenceError(GameError, RuntimeError):
 
     Carries the best residual seen, the iteration count, and optionally
     the smoothing level and last iterate so callers can inspect or
-    restart the failed solve.
+    restart the failed solve.  ``rows`` maps each batch row a stacked
+    Newton argmax failed on to that row's own error; it is empty for
+    every other error.
     """
 
     def __init__(self, message, residual=None, iterations=None, beta=None,
-                 last_point=None):
+                 last_point=None, rows=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
         self.beta = beta
         self.last_point = last_point
+        self.rows = {} if rows is None else rows
 
 
 class CyclingError(ConvergenceError):

@@ -170,8 +170,7 @@ def _newton_start(U, lam, C, w) -> tuple:
     return (U, Y) + _regularizer_terms(U, Y, lam, C, w)
 
 
-def _newton_solve(V, lam, C, w, frame, start, inner_tol, inner_max_iter,
-                  failed=None):
+def _newton_solve(V, lam, C, w, frame, start, inner_tol, inner_max_iter):
     """Damped Newton on u = log y for a stack of argmax problems.
 
     Row r (over any leading axes) maximizes ``V[r] . y - beta h_r(y)`` with
@@ -196,9 +195,9 @@ def _newton_solve(V, lam, C, w, frame, start, inner_tol, inner_max_iter,
     does not depend on its stack-mates.  Iterates stay on the simplex, and
     a coordinate whose mass underflows keeps a finite log and an exact
     stationarity condition.  Returns the accepted iterate as a start,
-    ``(U, Y, force, h)``.  Before raising, it maps each row (over V's
+    ``(U, Y, force, h)``.  Its error's ``rows`` map each row (over V's
     first axis) with a problem still active, or broken, to the row's own
-    error in ``failed``, if given.
+    error.
     """
     beta, beta_column, beta_rhs, buffers = frame
     lam_column = buffers[3]
@@ -224,7 +223,7 @@ def _newton_solve(V, lam, C, w, frame, start, inner_tol, inner_max_iter,
             raise _inner_error(
                 f"went non-finite at iteration {iteration}; last finite "
                 f"residual", iteration, last_finite,
-                active & ~np.isfinite(residual), beta, failed, first=True)
+                active & ~np.isfinite(residual), beta, first=True)
         du = face_solve(lam, C, Y, grad[..., None] / beta_rhs,
                         buffers)[..., 0]
         # float plateau near the optimum
@@ -259,23 +258,25 @@ def _newton_solve(V, lam, C, w, frame, start, inner_tol, inner_max_iter,
             cand = U + t[..., None] * du
         U, Y, force, h, current = accepted
     raise _inner_error(f"hit {inner_max_iter} iterations at residual",
-                       inner_max_iter, residual, active, beta, failed)
+                       inner_max_iter, residual, active, beta)
 
 
-def _inner_error(what, iterations, residual, mask, beta, failed, first=False):
+def _inner_error(what, iterations, residual, mask, beta, first=False):
     """The Newton argmax's error at the worst residual where mask holds
-    (the first, with ``first``), after the same over each of its rows'
-    own problems, into ``failed``, if given."""
+    (the first, with ``first``); its ``rows`` map each row (over mask's
+    first axis) where mask holds to the same error over the row's own
+    problems."""
+    def error(residual, mask, beta, rows=None):
+        worst = 0 if first else residual[mask].argmax()
+        value = float(residual[mask][worst])
+        return ConvergenceError(f"inner solver {what} {value:.3e}",
+                                residual=value, iterations=iterations,
+                                beta=float(beta[mask][worst]), rows=rows)
+
     beta = np.broadcast_to(beta, mask.shape)
-    if failed is not None:
-        for r in np.flatnonzero(mask.any(axis=tuple(range(1, mask.ndim)))):
-            failed[int(r)] = _inner_error(what, iterations, residual[r],
-                                          mask[r], beta[r], None, first)
-    worst = 0 if first else residual[mask].argmax()
-    value = float(residual[mask][worst])
-    return ConvergenceError(f"inner solver {what} {value:.3e}",
-                            residual=value, iterations=iterations,
-                            beta=float(beta[mask][worst]))
+    hit = np.flatnonzero(mask.any(axis=tuple(range(1, mask.ndim))))
+    return error(residual, mask, beta, {
+        int(r): error(residual[r], mask[r], beta[r]) for r in hit})
 
 
 def linear_steepness_probe(r: Regularizer, i: int, eps: float, betas,
@@ -338,7 +339,7 @@ class _NewtonGroup:
         self.w = np.stack([regularizers[n].w for n in players])
         self.frame = self.start = None
 
-    def respond(self, G, beta, cfg, failed=None) -> np.ndarray:
+    def respond(self, G, beta, cfg) -> np.ndarray:
         """The Newton argmax of the group's blocks against the gradient
         rows G, as ``(B, columns)`` responses."""
         k = self.curvature.shape[-1]
@@ -350,7 +351,7 @@ class _NewtonGroup:
                                   self.curvature, self.w)
         self.start = _newton_solve(V, self.lam, self.curvature, self.w,
                                    self.frame, start, cfg.inner_tol,
-                                   cfg.inner_max_iter, failed)
+                                   cfg.inner_max_iter)
         return self.start[1].reshape(len(G), -1)
 
 
@@ -446,8 +447,8 @@ class FlatKernel:
         for blocks without a quadratic term, the Newton argmax, one stacked
         solve per group and iteration, for the others.  A kernel whose
         groups cover every column computes no softmax.  A failed Newton
-        argmax leaves its rows' own errors in ``failed``."""
-        self.failed = failed = {}
+        argmax raises its error, whose ``rows`` name the rows it failed
+        on."""
         G = self.gradients(X)
         if self._needs_softmax:
             Y = _softmax(G, self.beta, self._block_totals, self._overflows)
@@ -455,8 +456,7 @@ class FlatKernel:
             Y = np.empty_like(G)
         # blocks of other regularizers replace their softmax columns
         for group in self._groups:
-            Y[:, group.columns] = group.respond(G, self.beta, self.cfg,
-                                                failed)
+            Y[:, group.columns] = group.respond(G, self.beta, self.cfg)
         return Y
 
     def jacobian(self, X: np.ndarray) -> np.ndarray:
@@ -706,10 +706,10 @@ class Ladder:
     leave when it ends their runs.  The kernel, of ``base``'s game and
     config at the column of the rows' betas, is built afresh for each rung
     and whenever rows join or leave, but a walk alone at ``base``'s beta
-    steps ``base`` itself.  A :class:`GameError` from the shared respond
-    fails the rows its kernel names in ``failed``, each with its own error,
-    or every row if it names none; the rows left step the same point again
-    in a batch rebuilt without them.
+    steps ``base`` itself.  A :class:`ConvergenceError` from the shared
+    respond fails the rows it names in ``rows``, each with its own error;
+    the rows left step the same point again in a batch rebuilt without
+    them.
 
     ``solved`` maps each solved beta to its equilibrium, ``errors`` each
     failed one to its error, and ``outcomes`` each cell's key to its run's
@@ -740,13 +740,9 @@ class Ladder:
                 kernel, X, eta = self._batch(rung, x, X)
             try:
                 Y = kernel.respond(X)
-            except GameError as err:
-                # an error is kept without its traceback, whose frames would
-                # hold this ladder in a cycle that only the collector frees
-                failed = kernel.failed or dict.fromkeys(
-                    range(len(X)), err.with_traceback(None))
-                self._drop(failed)
-                out = failed.get(0) if walk is not None else None
+            except ConvergenceError as err:
+                self._drop(err.rows)
+                out = err.rows.get(0) if walk is not None else None
                 kernel, x = None, X[:1]
             else:
                 # out: the walk's eta, equilibrium or error
@@ -782,15 +778,15 @@ class Ladder:
                                   beta=np.array(betas)[:, None]))
         return kernel, np.concatenate(states), np.array(etas)[:, None]
 
-    def _drop(self, failed):
-        """Settle the batch rows in ``failed``, a map from row to error: a
+    def _drop(self, errors):
+        """Settle the batch rows in ``errors``, a map from row to error: a
         cell's error becomes its outcome, and its group keeps its other
         cells' rows, as an index array."""
         for g in self.groups:
             rows = range(g.span.start, g.span.stop)
-            self.outcomes.update((key, failed[r]) for (key, _), r
-                                 in zip(g.cells, rows) if r in failed)
-            g.span = np.array([r for r in rows if r not in failed])
+            self.outcomes.update((key, errors[r]) for (key, _), r
+                                 in zip(g.cells, rows) if r in errors)
+            g.span = np.array([r for r in rows if r not in errors])
             g.cells = [g.cells[r - rows.start] for r in g.span]
         self.groups = [g for g in self.groups if g.cells]
 
@@ -872,10 +868,8 @@ def homotopy_trace(game: NormalFormGame, cfg: SmoothedResponseConfig,
                     max_iter)
     if ladder.errors:  # the one beta that failed, which ended the trace
         (beta, err), = ladder.errors.items()
-        if isinstance(err, ConvergenceError):
-            raise type(err)(
-                f"homotopy failed at beta={beta:g}: {err.args[0]}",
-                residual=err.residual, iterations=err.iterations, beta=beta,
-                last_point=err.last_point) from err
-        raise err
+        raise type(err)(
+            f"homotopy failed at beta={beta:g}: {err.args[0]}",
+            residual=err.residual, iterations=err.iterations, beta=beta,
+            last_point=err.last_point) from err
     return list(ladder.solved.values())

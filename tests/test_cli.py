@@ -207,6 +207,24 @@ def test_simulate_auto_eta_reports_threshold(capsys):
     assert rows[1][7] == "asymptotically_stable"
 
 
+def test_simulate_auto_eta_reports_the_radius_it_sampled(capsys,
+                                                         monkeypatch):
+    # the note names the ball eta_threshold sampled, not a copy of its
+    # size; on example_A the threshold depends on that ball
+    monkeypatch.setattr(sg.cli, "SAMPLE_BALL_RADIUS", 0.02)
+    code, _, err = run_cli(capsys, ["simulate", "example_A", "--beta", "0.1",
+                                    "--horizon", "1"])
+    assert code == 0
+    assert "(L sampled on an inf-norm ball of radius 0.02)" in err
+    g = sg.bundled_game("example_A")
+    regs = tuple(sg.entropy(k) for k in g.shape)
+    cfg = sg.SmoothedResponseConfig(beta=0.1, regularizers=regs)
+    eq = _solve_at(g, regs, 0.1)
+    eta = sg.eta_threshold(g, cfg, eq, radius=0.02)
+    assert eta != sg.eta_threshold(g, cfg, eq)
+    assert f"eta=auto resolved to {eta:.17g} " in err
+
+
 def test_simulate_rejects_non_numeric_eta(capsys):
     code, _, err = run_cli(capsys, ["simulate", "matching_pennies",
                                     "--beta", "0.1", "--eta", "fast"])

@@ -679,9 +679,10 @@ def fail_rows(monkeypatch, failing):
         if not rows:
             return respond(self, X)
         failures.append(rows)
-        self.failed = {r: sg.ConvergenceError("inner solver went non-finite")
-                       for r in rows}
-        raise sg.ConvergenceError("inner solver went non-finite")
+        raise sg.ConvergenceError(
+            "inner solver went non-finite",
+            rows={r: sg.ConvergenceError("inner solver went non-finite")
+                  for r in rows})
 
     monkeypatch.setattr(sg.response.Ladder, "_batch", tagging)
     monkeypatch.setattr(sg.response.FlatKernel, "respond", failing_respond)
@@ -1062,9 +1063,9 @@ def test_real_failing_sweep_fails_each_row_in_its_own_batch(monkeypatch):
     def recording(self, X):
         try:
             return respond(self, X)
-        except sg.ConvergenceError:
+        except sg.ConvergenceError as batch:
             named.extend(f"ConvergenceError: {err}"
-                         for err in self.failed.values())
+                         for err in batch.rows.values())
             raise
 
     monkeypatch.setattr(sg.dynamics, "SmoothedResponseConfig", Capped)
@@ -1142,14 +1143,14 @@ def test_sweep_failing_walk_fails_only_its_beta(monkeypatch):
     regs = quadratic_regularizers(rng, (3, 2))
     respond = sg.response._NewtonGroup.respond
 
-    def failing_at(self, G, beta, cfg, failed=None):
+    def failing_at(self, G, beta, cfg):
         rows = np.flatnonzero(np.broadcast_to(beta, (len(G), 1))[:, 0] == 0.2)
         if not len(rows):
-            return respond(self, G, beta, cfg, failed)
-        for r in rows:
-            failed[int(r)] = sg.ConvergenceError(
-                "inner solver went non-finite at beta 0.2")
-        raise sg.ConvergenceError("inner solver went non-finite in a batch")
+            return respond(self, G, beta, cfg)
+        raise sg.ConvergenceError(
+            "inner solver went non-finite in a batch",
+            rows={int(r): sg.ConvergenceError(
+                "inner solver went non-finite at beta 0.2") for r in rows})
 
     monkeypatch.setattr(sg.response._NewtonGroup, "respond", failing_at)
     betas, etas = (0.5, 0.2, 0.1), (0.05, 0.3)

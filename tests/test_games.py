@@ -759,6 +759,20 @@ def test_one_function_builds_and_steps_the_damped_walk():
     assert len(builds) == 1 and steps == builds, (builds, steps)
 
 
+def test_the_flat_kernel_sets_its_attributes_only_when_built():
+    # between responses a kernel keeps only its Newton groups' warm starts:
+    # a failed Newton argmax names its rows on the error it raises
+    path = Path(sg.__file__).parent / "response.py"
+    kernel, = (node for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.ClassDef) and node.name == "FlatKernel")
+    setters = {method.name for method in kernel.body
+               for node in ast.walk(method)
+               if isinstance(node, ast.Attribute)
+               and isinstance(node.ctx, ast.Store)
+               and getattr(node.value, "id", None) == "self"}
+    assert setters == {"__init__"}
+
+
 def test_only_the_solvers_and_the_sweep_build_a_ladder():
     # a failing row fails in its own batch, so no ladder builds another to
     # run a row again alone

@@ -6,7 +6,8 @@ system assembled afresh at every iteration, and with today's stop in each
 problem's own payoff units.  The current loop must return the same
 log-responses bit for bit, and fail with the same error.  It must also
 solve a large-payoff problem as it solves the problem scaled to unit
-payoffs, and a row of a stack as it solves that row alone.
+payoffs, and a row of a stack as it solves that row alone; a failed stack
+names exactly the rows that fail alone, each with its one-row error.
 """
 
 import numpy as np
@@ -226,12 +227,9 @@ def test_large_payoff_solve_is_its_unit_scale_solve(case):
     np.testing.assert_allclose(big, unit, rtol=0, atol=1e-12)
 
 
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_stacked_rows_equal_their_one_row_solves(seed):
-    # each problem stops on its own residual, so a row's log-responses do
-    # not depend on the rows stacked with it, at any payoff scale
-    rng = np.random.default_rng(seed)
+def stacked_problem(rng):
+    """A stack of 1 to 5 rows of argmax problems at payoff scales 1e-2 to
+    1e7 and a beta column from 1e-4 to 1, as ``(V, lam, C, w, beta)``."""
     rows, players, k = (int(rng.integers(1, 6)), int(rng.integers(1, 4)),
                         int(rng.integers(2, 6)))
     lam = rng.uniform(0.05, 1.0, players)
@@ -241,12 +239,86 @@ def test_stacked_rows_equal_their_one_row_solves(seed):
     V = (rng.standard_normal((rows, players, k))
          * 10.0 ** rng.uniform(-2, 7, (rows, 1, 1)))
     beta = 10.0 ** rng.uniform(-4, 0, (rows, 1))
+    return V, lam, C, w, beta
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_stacked_rows_equal_their_one_row_solves(seed):
+    # each problem stops on its own residual, so a row's log-responses do
+    # not depend on the rows stacked with it, at any payoff scale
+    V, lam, C, w, beta = stacked_problem(np.random.default_rng(seed))
+    rows, k = len(V), V.shape[-1]
     U = np.full(V.shape, -np.log(k))
     stacked = newton_log(V, lam, C, w, beta, 1e-12, 10_000, U)
     for r in range(rows):
         alone = newton_log(V[r:r + 1], lam, C, w, beta[r:r + 1], 1e-12,
                            10_000, U[r:r + 1])
         assert alone.tobytes() == stacked[r:r + 1].tobytes()
+
+
+def assert_stack_fails_on_the_rows_that_fail_alone(V, lam, C, w, beta,
+                                                   inner_max_iter, U):
+    """The stack raises exactly when a row's one-row solve from the same
+    start does; its error's ``rows`` are those rows, each with the error
+    its one-row solve raises.  Returns the rows named."""
+    def solve(rows):
+        try:
+            return newton_log(V[rows], lam, C, w, beta[rows], 1e-12,
+                              inner_max_iter, U[rows])
+        except ConvergenceError as err:
+            return err
+
+    alone = {r: solve(slice(r, r + 1)) for r in range(len(V))}
+    want = {r: err for r, err in alone.items()
+            if isinstance(err, ConvergenceError)}
+    stacked = solve(slice(None))
+    if not want:
+        assert isinstance(stacked, np.ndarray)
+        return []
+    assert isinstance(stacked, ConvergenceError)
+    assert list(stacked.rows) == list(want)
+    for r, err in want.items():
+        got = stacked.rows[r]
+        assert type(got) is ConvergenceError and got.rows == {}
+        assert (str(got), got.residual, got.iterations, got.beta) == \
+            (str(err), err.residual, err.iterations, err.beta)
+    return list(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_failed_stack_names_the_rows_that_fail_alone(seed):
+    # capped at 1 to 4 iterations from random starts, a stack fails on the
+    # rows whose own problems have not all stopped, and names each with
+    # the error of its one-row solve
+    rng = np.random.default_rng(seed)
+    V, lam, C, w, beta = stacked_problem(rng)
+    U = np.log(rng.dirichlet(np.ones(V.shape[-1]), V.shape[:-1]))
+    assert_stack_fails_on_the_rows_that_fail_alone(
+        V, lam, C, w, beta, int(rng.integers(1, 5)), U)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("seed", range(4))
+def test_non_finite_row_is_named_alone_among_random_rows(seed):
+    # the edge-of-float-range row breaks at iteration 1 wherever it is
+    # stacked; the random rows solve, alone and in the stack, so the
+    # stack's error names only the broken row
+    rng = np.random.default_rng(seed)
+    r = sg.quadratic_entropy(0.5, 2.0 * np.eye(3), np.full(3, 1 / 3))
+    lam, C, w = np.array([r.lam]), r.curvature[None], r.w[None]
+    rows = int(rng.integers(1, 5))
+    V = (rng.standard_normal((rows, 1, 3))
+         * 10.0 ** rng.uniform(-2, 7, (rows, 1, 1)))
+    beta = 10.0 ** rng.uniform(-4, 0, (rows, 1))
+    at = int(rng.integers(0, rows + 1))
+    V = np.insert(V, at, [[1e308, -1e308, 0.0]], axis=0)
+    beta = np.insert(beta, at, 1e-3, axis=0)
+    U = np.log(rng.dirichlet(np.ones(3), (rows + 1, 1)))
+    U[at] = -np.log(3)
+    assert assert_stack_fails_on_the_rows_that_fail_alone(
+        V, lam, C, w, beta, 10_000, U) == [at]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

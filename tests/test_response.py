@@ -536,16 +536,15 @@ def test_failed_newton_solve_names_the_rows_it_failed_on(seed):
     U[1] = newton_log(V[1:2], lam, C, w, beta[1:2], 1e-12, 10_000,
                       U[1:2])[0]
 
-    def solve(rows, failed):
+    def solve(rows):
         with pytest.raises(ConvergenceError) as err:
             _newton_solve(V[rows], lam, C, w,
                           _newton_frame(V[rows], lam, C, beta[rows]),
-                          _newton_start(U[rows], lam, C, w), 1e-12, 2,
-                          failed)
+                          _newton_start(U[rows], lam, C, w), 1e-12, 2)
         return err.value
 
-    failed = {}
-    batch = solve(slice(None), failed)
+    batch = solve(slice(None))
+    failed = batch.rows
     assert sorted(failed) == [0, 2]
     assert str(batch).startswith("inner solver hit 2 iterations")
     for r, err in failed.items():
@@ -558,8 +557,8 @@ def test_failed_newton_solve_names_the_rows_it_failed_on(seed):
     # in a batch of one row, the row's error is the batch's, and the
     # same as the row's error in the batch of three
     for r in (0, 2):
-        alone = {}
-        err = solve(slice(r, r + 1), alone)
+        err = solve(slice(r, r + 1))
+        alone = err.rows
         assert list(alone) == [0]
         assert (str(alone[0]), alone[0].residual, alone[0].iterations,
                 alone[0].beta) == (str(err), err.residual, err.iterations,
@@ -576,10 +575,10 @@ def test_non_finite_newton_solve_names_only_its_broken_row():
     V = np.array([[[1.0, 0.3, -1.0]], [[1e308, -1e308, 0.0]]])
     lam, C, w = np.array([r.lam]), r.curvature[None], r.w[None]
     U = np.full(V.shape, -np.log(3))
-    failed = {}
     with pytest.raises(ConvergenceError) as err:
         _newton_solve(V, lam, C, w, _newton_frame(V, lam, C, 1e-3),
-                      _newton_start(U, lam, C, w), 1e-12, 10_000, failed)
+                      _newton_start(U, lam, C, w), 1e-12, 10_000)
+    failed = err.value.rows
     assert list(failed) == [1]
     assert (str(failed[1]), failed[1].residual, failed[1].iterations,
             failed[1].beta) == (str(err.value), err.value.residual,
