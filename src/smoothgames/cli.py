@@ -24,10 +24,11 @@ from .errors import (ConvergenceError, GameError, ParseError, ResourceError,
 from .games import (JointStrategy, game_jacobian, load_game, pure_strategy,
                     quasi_strict_check, uniform_strategy, utility)
 from .regularizers import entropy, regularizer_from_dict
-from .response import (SmoothedResponseConfig, homotopy_trace,
+from .response import (OUTER_TOL, SmoothedResponseConfig, homotopy_trace,
                        linear_steepness_probe)
-from .stability import (report_to_dict, strong_nash_oracle,
-                        uniform_stability_check, weak_pareto_oracle)
+from .stability import (STRONG_NASH_MAX_PLAYERS, report_to_dict,
+                        strong_nash_oracle, uniform_stability_check,
+                        weak_pareto_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +119,13 @@ def _solve_at(game, regs, beta):
     :func:`homotopy_trace`'s error, naming the beta it failed at.
     """
     schedule = _beta_schedule(beta)
-    tol = 1e-10
     x0 = None
     if len(schedule) > 1:
         head = SmoothedResponseConfig(beta=schedule[0], regularizers=regs)
         x0 = homotopy_trace(game, head, schedule[:-1],
-                            outer_tol=math.sqrt(tol))[-1].point
+                            outer_tol=math.sqrt(OUTER_TOL))[-1].point
     cfg = SmoothedResponseConfig(beta=schedule[-1], regularizers=regs)
-    return homotopy_trace(game, cfg, schedule[-1:], x0, outer_tol=tol)[-1]
+    return homotopy_trace(game, cfg, schedule[-1:], x0)[-1]
 
 
 def _target(path):
@@ -193,7 +193,7 @@ def cmd_analyze(args) -> int:
                  for n in range(game.num_players)]
                 if pareto.witness is not None else None),
         }
-        if game.num_players <= 4:
+        if game.num_players <= STRONG_NASH_MAX_PLAYERS:
             strong = strong_nash_oracle(game, point, args.grid_resolution)
             payload["strong_nash"] = {
                 "strong_nash": strong.strong_nash,
@@ -332,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "1,0.3,0.1,0.03,0.01)")
     p.add_argument("--reg", default="entropy")
     p.add_argument("--x0", default=None, help="starting point spec")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="fixed-point residual target (default 1e-10)")
+    p.add_argument("--tol", type=float, default=OUTER_TOL,
+                   help=f"fixed-point residual target (default {OUTER_TOL:g})")
     common(p)
     p.set_defaults(func=cmd_equilibrium)
 

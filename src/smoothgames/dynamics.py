@@ -25,9 +25,9 @@ from .errors import (ArgumentError, DimensionError, DomainError, GameError,
                      check_sequence, check_type)
 from .games import (JointStrategy, NormalFormGame, perturb_strategy,
                     quasi_strict_check, strategy_rows, uniform_strategy)
-from .response import (FlatKernel, Ladder, RunGroup, SmoothedEquilibrium,
-                       SmoothedResponseConfig, homotopy_trace,
-                       response_jacobian)
+from .response import (OUTER_TOL, FlatKernel, Ladder, RunGroup,
+                       SmoothedEquilibrium, SmoothedResponseConfig,
+                       homotopy_trace, response_jacobian)
 
 SAMPLE_BALL_RADIUS = 0.05  # inf-norm radius for Lipschitz sampling
 CLASSIFICATION_TOL = 1e-9
@@ -100,9 +100,8 @@ def run_many(game: NormalFormGame, cfg: DynamicsConfig, X0,
              reference: SmoothedEquilibrium = None) -> tuple:
     """Iterate the dynamics from each JointStrategy in ``X0`` as one batch.
 
-    Returns one Trajectory per start, in order.  Rows agree with separate
-    :func:`run` calls up to rounding (matrix products round differently
-    for different row counts).  The batch is one :class:`RunGroup`, which
+    Returns one Trajectory per start, in order, each the :func:`run` of
+    its start bit for bit.  The batch is one :class:`RunGroup`, which
     ends it as it ends a sweep's cells; a fixed batch is recorded as it
     stands for the rest of the horizon, so the result is the same as
     stepping on.  A failed response raises at its step.  The recorded
@@ -360,7 +359,7 @@ class SweepCell:
 
 
 def sweep(game: NormalFormGame, betas, etas, regularizers, x0=None,
-          horizon=2000, jobs=1, outer_tol=1e-10):
+          horizon=2000, jobs=1, outer_tol=OUTER_TOL):
     """Equilibrium, verdict, and a finite run for every (beta, eta) cell.
 
     Every beta and every cell's dynamics config are checked first; a bad

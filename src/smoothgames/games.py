@@ -174,39 +174,29 @@ def gradient_plan(tensor, n) -> tuple:
     """How :func:`planned_gradient` contracts player n's payoff tensor
     against the other players' blocks.
 
-    Returns ``(first, matrix, back, front)``.  Block ``first`` times
-    ``matrix`` is one BLAS product: ``matrix`` is the tensor viewed as a
-    matrix (no copy for a C-contiguous tensor, but one of the transpose for
-    the first of two players) whose rows run over the last axis, or over
-    the first for the last player.  The other players' remaining axes
-    follow as row-wise products, the ``back`` ones from the last axis
-    inward and then the ``front`` ones from the first axis on, each a
-    ``(player, action count)`` pair.
+    Returns ``(tensor, back, front)``: the tensor, C-contiguous and with a
+    leading unit axis, then the other players' axes as ``(player, action
+    count)`` pairs, the ``back`` ones from the last axis inward and then
+    the ``front`` ones from the first axis on.
     """
     shape = tensor.shape
-    last = len(shape) - 1
-    if n == last:
-        return (0, tensor.reshape(shape[0], -1), (),
-                tuple((m, shape[m]) for m in range(1, last)))
-    matrix = tensor.reshape(-1, shape[last]).T
-    if last == 1:
-        matrix = np.ascontiguousarray(matrix)
-    return (last, matrix,
-            tuple((m, shape[m]) for m in range(last - 1, n, -1)),
+    return (np.ascontiguousarray(tensor)[None],
+            tuple((m, shape[m]) for m in range(len(shape) - 1, n, -1)),
             tuple((m, shape[m]) for m in range(n)))
 
 
 def planned_gradient(plan, blocks) -> np.ndarray:
     """A player's ambient gradient at a stack of points, by its
     :func:`gradient_plan`: ``blocks[m]`` is a ``(B, k_m)`` stack of player
-    m's strategies, and the result a ``(B, k_n)`` stack."""
-    first, matrix, back, front = plan
-    part = blocks[first] @ matrix  # the gradient, for two players
+    m's strategies, and the result a ``(B, k_n)`` stack.  Every product is
+    a stacked one, one per row, so a row's bits never depend on the stack.
+    """
+    part, back, front = plan
     for m, k in back:
         part = np.matmul(part.reshape(len(part), -1, k), blocks[m][:, :, None])
     for m, k in front:
         part = np.matmul(blocks[m][:, None, :], part.reshape(len(part), k, -1))
-    return part.reshape(len(part), -1) if back or front else part
+    return part.reshape(len(part), -1)
 
 
 def contract(tensor, blocks, keep) -> np.ndarray:
@@ -435,7 +425,7 @@ def gradient(game: NormalFormGame, x: JointStrategy, n: int) -> np.ndarray:
 
     Entry i is the payoff of the pure action i against ``x_{-n}``; subtract
     its mean for the tangent representation.  By the kernel's plan, so bit
-    for bit a ``FlatKernel`` gradient row.
+    for bit a ``FlatKernel`` gradient row, in a batch of any size.
     """
     check_match(game, x, n)
     return planned_gradient(gradient_plan(game.payoffs[n], n),

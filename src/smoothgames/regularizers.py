@@ -225,12 +225,14 @@ def entropy_pseudoinverse(y) -> np.ndarray:
     face pseudoinverse of negative entropy at each.
 
     The diagonal ``y_i sum_{j != i} y_j`` is summed directly, since
-    ``y_i - y_i^2`` cancels near a pure point; coordinates with ``y = 0``
-    get zero rows and columns.
+    ``y_i - y_i^2`` cancels near a pure point, by one product per point,
+    so a point's bits do not depend on its stack; coordinates with
+    ``y = 0`` get zero rows and columns.
     """
     k = y.shape[-1]
     pinv = -y[..., :, None] * y[..., None, :]
-    pinv[..., range(k), range(k)] = y * (y @ (1.0 - np.eye(k)))
+    pinv[..., range(k), range(k)] = y * np.matmul(
+        y[..., None, :], 1.0 - np.eye(k))[..., 0, :]
     return pinv
 
 

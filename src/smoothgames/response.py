@@ -51,6 +51,8 @@ RESIDUAL_BAND = 1e-12
 STEP_FLOOR = 1e-9
 FIXED_CHECK_STRIDE = 8  # steps between tests for an unchanged batch
 DISTANCE_CHUNK = 64  # states held back before their distances are taken
+OUTER_TOL = 1e-10  # default fixed-point residual target of a solve
+MAX_ITER = 100_000  # default most damped-walk steps of a solve
 
 
 @dataclass(frozen=True)
@@ -374,7 +376,9 @@ class FlatKernel:
     the kernel is built, so a row's are :func:`games.gradient`'s bit for
     bit.  Block-wise totals (the softmax's maxima and sums, the
     renormalisation in :meth:`mix`) are one ``reduceat`` and one ``take``
-    back to the block's columns.
+    back to the block's columns.  No product spans the batch, so every
+    row's gradients, response, Jacobians and averaging step are those of
+    the row alone, bit for bit, from the same Newton warm starts.
 
     Quadratic-entropy blocks are grouped by dimension (see
     :class:`_NewtonGroup`); each group keeps its Newton argmax's frame and
@@ -569,7 +573,7 @@ class DampedWalk:
     strategies of its game, so any kernel of the game will do.
     """
 
-    def __init__(self, kernel, beta, x, outer_tol, max_iter=100_000):
+    def __init__(self, kernel, beta, x, outer_tol, max_iter):
         self.kernel = kernel
         self.beta = beta
         self.outer_tol = outer_tol
@@ -716,7 +720,7 @@ class Ladder:
     final distance to its equilibrium, or to its error.
     """
 
-    def __init__(self, base, start, outer_tol, max_iter=100_000, horizon=0):
+    def __init__(self, base, start, outer_tol, max_iter=MAX_ITER, horizon=0):
         self.base = base
         self.start = start
         self.outer_tol = outer_tol
@@ -827,8 +831,8 @@ def _climb(kernel, betas, x0, outer_tol, max_iter) -> Ladder:
 
 
 def find_smoothed_equilibrium(game: NormalFormGame, cfg: SmoothedResponseConfig,
-                              x0: JointStrategy = None, outer_tol=1e-10,
-                              max_iter=100_000) -> SmoothedEquilibrium:
+                              x0: JointStrategy = None, outer_tol=OUTER_TOL,
+                              max_iter=MAX_ITER) -> SmoothedEquilibrium:
     """Locate a fixed point of the smoothed response map.
 
     Runs x <- (1 - eta) x + eta Phi(x) with adaptive damping: eta halves
@@ -850,8 +854,8 @@ def find_smoothed_equilibrium(game: NormalFormGame, cfg: SmoothedResponseConfig,
 
 
 def homotopy_trace(game: NormalFormGame, cfg: SmoothedResponseConfig,
-                   beta_schedule, x0: JointStrategy = None, outer_tol=1e-10,
-                   max_iter=100_000):
+                   beta_schedule, x0: JointStrategy = None,
+                   outer_tol=OUTER_TOL, max_iter=MAX_ITER):
     """Warm-started equilibrium continuation along a decreasing schedule.
 
     Returns one SmoothedEquilibrium per beta, from a :class:`Ladder` of the

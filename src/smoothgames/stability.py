@@ -36,6 +36,7 @@ PD_STRETCH_GUARD = 1e-12
 IMPROVEMENT_TOL = 1e-8    # least min_n z_n^T (J z)_n that counts as improving
 GRID_CAP = 10 ** 6        # most lattice profiles an oracle will enumerate
 CONDITIONER_CHUNK_CAP = 64  # most sampled conditioners tested in one stack
+STRONG_NASH_MAX_PLAYERS = 4  # most players strong_nash_oracle takes
 PD_EIG_FLOOR = 1e-2       # least eigenvalue of a sampled conditioner
 _POINTWISE = ("stable", "unstable_with_witness", "indeterminate")
 
@@ -808,8 +809,9 @@ def strong_nash_oracle(game: NormalFormGame, x_star: JointStrategy,
                        grid_resolution=21) -> StrongNashResult:
     """Grid search for coalition deviations that improve every member."""
     check_match(game, x_star, name="x_star")
-    if game.num_players > 4:
-        raise ArgumentError("strong Nash oracle supports at most 4 players")
+    if game.num_players > STRONG_NASH_MAX_PLAYERS:
+        raise ArgumentError(f"strong Nash oracle supports at most "
+                            f"{STRONG_NASH_MAX_PLAYERS} players")
     lattices = _capped_lattices(game, grid_resolution)
     base = [utility(game, x_star, n) for n in range(game.num_players)]
     verdicts = []

@@ -105,7 +105,7 @@ ANALYZE_DIGESTS = {
     ("coordination_2x2", "0.3,0.7;0.6,0.4"):
         "2e4ae446815e63a1c42d73c60aa355c88bc1ca796f8b4fa11cad5a76b99aa418",
     ("example_A", "uniform"):
-        "42ec8f1b033c5a08ec410bcc90910014d601a0fb2d190c475023ba1eae1e5233",
+        "a9f8de021dc0ff436a3691ce92c48de8a399a68c0a17dd4a3c17f2efdc1ae002",
     ("example_A", "0.2,0.3,0.5;0.5,0.25,0.25"):
         "cd5767b50beec8c7d554bd5b414d41ee3c77e8ca94a1debdb6b13268061e6438",
 }
@@ -138,6 +138,23 @@ def test_analyze_large_grid_skips_oracles(capsys):
     assert data["weak_pareto"] == {
         "skipped": "grid of 1002001 points exceeds the 1000000 cap"}
     assert "strong_nash" not in data
+
+
+def test_strong_nash_player_cap_is_one_constant(capsys, monkeypatch):
+    # analyze and the oracle read one cap: above it analyze omits the
+    # field and the oracle raises, naming the cap
+    game, point = sg.bundled_game("matching_pennies"), sg.uniform_strategy((2, 2))
+    with pytest.raises(GameError, match="at most 4 players"):
+        sg.strong_nash_oracle(random_game(np.random.default_rng(0), (2,) * 5),
+                              sg.uniform_strategy((2,) * 5))
+    assert "strong_nash" in json.loads(
+        run_cli(capsys, ["analyze", "matching_pennies"])[1])
+    for module in (sg.cli, sg.stability):
+        monkeypatch.setattr(module, "STRONG_NASH_MAX_PLAYERS", 1)
+    assert "strong_nash" not in json.loads(
+        run_cli(capsys, ["analyze", "matching_pennies"])[1])
+    with pytest.raises(GameError, match="at most 1 players"):
+        sg.strong_nash_oracle(game, point)
 
 
 def test_analyze_certificate_json_on_skew_polymatrix(capsys, tmp_path):

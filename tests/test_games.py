@@ -816,3 +816,41 @@ def test_one_function_ends_and_measures_the_averaging_runs():
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     assert all(len(scopes) == 1 for scopes in readers.values()), readers
+
+
+def test_solver_defaults_are_named_once():
+    # every default residual target and step cap of a solve is
+    # response.OUTER_TOL or response.MAX_ITER; only the boundary check
+    # keeps its own documented, tighter target
+    package = Path(sg.__file__).parent
+    names, defaults = ("outer_tol", "max_iter"), {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            if isinstance(child, ast.FunctionDef):
+                args = child.args.args + child.args.kwonlyargs
+                values = ([None] * (len(child.args.args)
+                                    - len(child.args.defaults))
+                          + child.args.defaults + child.args.kw_defaults)
+                for arg, value in zip(args, values):
+                    if arg.arg in names and value is not None:
+                        defaults[f"{inner}:{arg.arg}"] = (
+                            value.id if isinstance(value, ast.Name)
+                            else ast.literal_eval(value))
+            visit(child, inner)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert defaults.pop("dynamics.boundary_convergence_check:outer_tol") \
+        == 1e-12
+    assert defaults == {
+        "response.Ladder.__init__:max_iter": "MAX_ITER",
+        "response.find_smoothed_equilibrium:outer_tol": "OUTER_TOL",
+        "response.find_smoothed_equilibrium:max_iter": "MAX_ITER",
+        "response.homotopy_trace:outer_tol": "OUTER_TOL",
+        "response.homotopy_trace:max_iter": "MAX_ITER",
+        "dynamics.sweep:outer_tol": "OUTER_TOL"}
+    assert (sg.response.OUTER_TOL, sg.response.MAX_ITER) == (1e-10, 100_000)

@@ -652,6 +652,38 @@ def test_kernel_jacobian_matches_per_point_formula(seed, players, kind, beta):
             FlatKernel(g, cfg).jacobian(X[b:b + 1])[0])
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds,
+       shape=st.sampled_from([(2, 2), (3, 3), (21, 24), (2, 3, 4), (3, 3, 3),
+                              (8, 8, 8)]),
+       kind=st.sampled_from(["entropy", "quadratic_entropy"]),
+       rows=st.integers(1, 40))
+def test_kernel_rows_are_their_one_row_calls(seed, shape, kind, rows):
+    # every product on the kernel's path is taken row by row, so no row's
+    # bits depend on the batch it is in; respond keeps Newton warm starts,
+    # so each batch and each row gets a fresh kernel
+    rng = np.random.default_rng(seed)
+    g = random_game(rng, shape)
+    cfg = sg.SmoothedResponseConfig(
+        beta=0.3, regularizers=random_regularizers(rng, shape, kind))
+    X = np.concatenate([rng.dirichlet(np.full(k, 0.5), rows) for k in shape],
+                       axis=1)
+    Y = FlatKernel(g, cfg).respond(X)
+    eta = rng.uniform(0.0, 1.0, (rows, 1))
+    batch = (FlatKernel(g, cfg).gradients(X), Y,
+             FlatKernel(g, cfg).jacobian(X),
+             FlatKernel(g, cfg).tangent_jacobians(X),
+             FlatKernel(g, cfg).mix(X, Y, eta))
+    for b in range(rows):
+        x, y = X[b:b + 1], Y[b:b + 1]
+        alone = (FlatKernel(g, cfg).gradients(x), FlatKernel(g, cfg).respond(x),
+                 FlatKernel(g, cfg).jacobian(x),
+                 FlatKernel(g, cfg).tangent_jacobians(x),
+                 FlatKernel(g, cfg).mix(x, y, eta[b:b + 1]))
+        for stack, one in zip(batch, alone):
+            assert stack[b].tobytes() == one[0].tobytes()
+
+
 def test_kernel_tangent_bases_are_the_shared_face_bases(monkeypatch):
     # the kernel's response supports are index arrays it computed itself:
     # it checks none of them again, and its tangent Jacobians are those in
@@ -888,16 +920,16 @@ def test_solver_cycling_detection():
 # best residual and best point of each solve, as recorded when the walk
 # still ran out its stagnation window (573 and 520 responses)
 COLLAPSED = {
-    0.1: (110, "0x1.a27847b5c5898p-3",
-          (("0x1.75eb048e04287p-4", "0x1.d1eb7d735ffd6p-3",
-            "0x1.5cc7c011677bbp-1"),
-           ("0x1.708c4a5a37cd6p-11", "0x1.d369974751410p-3",
+    0.1: (110, "0x1.a27847b5c58a4p-3",
+          (("0x1.75eb048e04290p-4", "0x1.d1eb7d735ffd9p-3",
+            "0x1.5cc7c011677b8p-1"),
+           ("0x1.708c4a5a37cd4p-11", "0x1.d369974751411p-3",
             "0x1.8ac9771b9521dp-1"))),
-    0.03: (89, "0x1.eb62f1b2a46e4p-3",
-           (("0x1.b8e39241a757ap-3", "0x1.8cc804128979cp-1",
+    0.03: (89, "0x1.eb62f1b2a46e8p-3",
+           (("0x1.b8e39241a757fp-3", "0x1.8cc804128979cp-1",
              "0x1.3fc5d7432c135p-7"),
-            ("0x1.4a6916d553636p-3", "0x1.41f3b5baa2162p-4",
-             "0x1.8527439356e47p-1"))),
+            ("0x1.4a6916d553636p-3", "0x1.41f3b5baa2165p-4",
+             "0x1.8527439356e46p-1"))),
 }
 
 
