@@ -16,9 +16,10 @@ import sys
 
 import numpy as np
 
-from .dynamics import (SAMPLE_BALL_RADIUS, DynamicsConfig, eta_threshold, run,
-                       stability_verdict, sweep, sweep_to_csv, trace_to_csv,
-                       trajectory_to_csv, write_csv)
+from .dynamics import (SAMPLE_BALL_RADIUS, DynamicsConfig, run,
+                       stability_verdict, sweep, sweep_to_csv,
+                       threshold_and_verdict, trace_to_csv, trajectory_to_csv,
+                       write_csv)
 from .errors import (ConvergenceError, GameError, ParseError, ResourceError,
                      check_count, check_real)
 from .games import (JointStrategy, game_jacobian, load_game, pure_strategy,
@@ -224,8 +225,7 @@ def cmd_simulate(args) -> int:
     x0 = (_parse_point(args.x0, game.shape) if args.x0
           else uniform_strategy(game.shape))
 
-    reference = None
-    verdict = None
+    reference = verdict = None
     try:
         reference = _solve_at(game, regs, args.beta)
     except ConvergenceError:
@@ -234,9 +234,10 @@ def cmd_simulate(args) -> int:
         print("note: smoothed equilibrium not found; distance column "
               "will be empty", file=sys.stderr)
 
-    if args.eta == "auto":
-        eta = eta_threshold(game, response_cfg, reference, rng_seed=args.seed,
-                            radius=SAMPLE_BALL_RADIUS)
+    if args.eta == "auto":  # one linearization at the reference serves both
+        eta, verdict = threshold_and_verdict(game, response_cfg, reference,
+                                             rng_seed=args.seed,
+                                             radius=SAMPLE_BALL_RADIUS)
         print(f"note: eta=auto resolved to {eta:.17g} (L sampled on an "
               f"inf-norm ball of radius {SAMPLE_BALL_RADIUS:g})",
               file=sys.stderr)
@@ -248,7 +249,7 @@ def cmd_simulate(args) -> int:
 
     cfg = DynamicsConfig(eta=eta, response=response_cfg, horizon=args.horizon,
                          record_every=args.record_every)
-    if reference is not None:
+    if verdict is None and reference is not None:
         verdict = stability_verdict(game, cfg, reference)
     trajectory = run(game, cfg, x0, reference=reference)
     trajectory_to_csv(trajectory, _target(args.output), verdict)

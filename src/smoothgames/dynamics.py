@@ -246,6 +246,17 @@ def eta_threshold(game: NormalFormGame, cfg: SmoothedResponseConfig,
     The radius is an artifact of the measurement, not of the theory, so
     callers reporting the threshold should report the radius with it.
     """
+    return threshold_and_verdict(game, cfg, eq, num_samples, rng_seed,
+                                 radius)[0]
+
+
+def threshold_and_verdict(game: NormalFormGame, cfg: SmoothedResponseConfig,
+                          eq: SmoothedEquilibrium, num_samples=8, rng_seed=0,
+                          radius=SAMPLE_BALL_RADIUS) -> tuple:
+    """:func:`eta_threshold`, and eq's :func:`stability_verdict` at that
+    learning rate, from one linearization: the verdict is taken from the
+    batch's row 0, the tangent response Jacobian at ``eq.point``, which
+    equals the one-row :func:`response_jacobian` bit for bit."""
     kernel = FlatKernel(game, cfg)
     _checked_equilibrium("eq", eq, game.shape)
     check_count("num_samples", num_samples)
@@ -255,13 +266,14 @@ def eta_threshold(game: NormalFormGame, cfg: SmoothedResponseConfig,
     points = [eq.point] + [perturb_strategy(eq.point, radius, rng)
                            for _ in range(num_samples)]
     X = np.stack([kernel.flatten(p) for p in points])
-    lipschitz = max(_lipschitz(grad_phi, cfg.beta)
-                    for grad_phi in kernel.tangent_jacobians(X))
+    jacobians = kernel.tangent_jacobians(X)
+    lipschitz = max(_lipschitz(grad_phi, cfg.beta) for grad_phi in jacobians)
     try:
-        return float(cfg.beta ** 2 / (1.0 + lipschitz ** 2))
+        eta = float(cfg.beta ** 2 / (1.0 + lipschitz ** 2))
     except OverflowError as err:
         raise DomainError(f"the eta threshold overflows at beta="
                           f"{cfg.beta:g}, L={lipschitz:g}") from err
+    return eta, _verdicts(jacobians[0], (eta,), eq)[0]
 
 
 # ---------------------------------------------------------------------------

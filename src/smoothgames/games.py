@@ -3,8 +3,10 @@
 Utilities are multilinear contractions of per-player payoff tensors against
 the joint mixed strategy, made here alone: gradients (and utilities, their
 dot with the own block) by a :func:`gradient_plan`, at a point or a stack of
-points, and every other contraction by :func:`contract`, which keeps any set
-of players' axes.  All derivative objects (gradients, cross second
+points, the cross-derivative blocks of the game Jacobian by one chain of
+stacked products per player in :func:`jacobian_blocks`, and the coalition
+payoffs of the grid oracles by :func:`contract`, which keeps any set of
+players' axes.  All derivative objects (gradients, cross second
 derivatives, the game Jacobian) are kept in ambient coordinates; tangent-
 space versions are obtained by composing with the centering projection
 ``I - (1/k) 11^T``, so that one coordinate convention is shared across the
@@ -203,7 +205,9 @@ def contract(tensor, blocks, keep) -> np.ndarray:
     """Contract a payoff tensor against the blocks, which may carry leading
     stack axes, of every player not in ``keep``: the stack axes, then one
     axis per kept player in ``keep``'s order (with every player kept, the
-    tensor's axes in that order, which broadcast over any stack)."""
+    tensor's axes in that order, which broadcast over any stack).  One
+    einsum, for the grid oracles' coalitions; gradients and Jacobian blocks
+    take their own row-wise products."""
     others = [p for p in range(tensor.ndim) if p not in keep]
     if not others:
         return np.transpose(tensor, keep)
@@ -717,14 +721,40 @@ def jacobian_blocks(game: NormalFormGame, blocks, masks) -> tuple:
     ``masks[n]`` a boolean ``(B, k_n)`` stack of the faces to project onto.
     Returns rows of ``(B, k_n, k_m)`` stacks ``Pi_n D^2_{nm} f_n Pi_m``,
     zero for n == m.
+
+    All of player n's blocks come from one chain of stacked products over
+    its payoff tensor, with axis n moved in front: the other axes are
+    contracted from the last inward, and block (n, m) branches off when
+    m is the last axis left, its axes between n and m then contracted
+    from the front.  Every product is a stacked one, one per row, so a
+    row's bits never depend on the stack; with two players no block
+    contracts anything.
     """
     projections = [_face_projections(mask) for mask in masks]
+    shape = game.shape
     rows = []
     for n, p_n in enumerate(projections):
-        rows.append(tuple(
-            np.zeros(p_n.shape) if n == m
-            else p_n @ contract(game.payoffs[n], blocks, (n, m)) @ p_m
-            for m, p_m in enumerate(projections)))
+        others = [m for m in range(len(shape)) if m != n]
+        part = game.payoffs[n].transpose([n] + others)[None]
+        # a two-player block is this view itself (a copy would change the
+        # bits of the BLAS products that project it); contractions reshape
+        # one C-contiguous copy
+        if len(others) > 1:
+            part = np.ascontiguousarray(part)
+        row = [None] * len(shape)
+        row[n] = np.zeros(p_n.shape)
+        while others:  # part has the axes n, *others
+            m = others.pop()
+            branch = part
+            for p in others:
+                branch = np.matmul(blocks[p][:, None, None, :], branch.reshape(
+                    len(branch), shape[n], shape[p], -1))
+            row[m] = (p_n @ branch.reshape(len(branch), shape[n], shape[m])
+                      @ projections[m])
+            if others:
+                part = np.matmul(part.reshape(len(part), -1, shape[m]),
+                                 blocks[m][:, :, None])
+        rows.append(tuple(row))
     return tuple(rows)
 
 

@@ -79,15 +79,22 @@ def _checked(jac) -> GameJacobian:
     """jac, if it is a GameJacobian with one finite ``(k_n, k_m)`` array
     block for each ordered pair (n, m) of its point's players, and one
     support per player: a nonempty set of distinct actions in ``[0, k_n)``;
-    else a GameError."""
+    else a GameError.  Float blocks of the right shapes are tested for
+    finiteness in one pass; only when that fails are the blocks checked one
+    by one, to raise at the first bad one."""
     point = check_type("jac", jac, GameJacobian).point
     shape = check_type("jac.point", point, JointStrategy).shape
     rows = check_sequence("jac.blocks", jac.blocks)
     if [len(check_sequence("jac.blocks row", row)) for row in rows] != \
             [len(shape)] * len(shape):
         raise DimensionError(f"jac needs {len(shape)} x {len(shape)} blocks")
-    for n, row in enumerate(rows):
-        for m, block in enumerate(row):
+    blocks = [(n, m, block) for n, row in enumerate(rows)
+              for m, block in enumerate(row)]
+    if not (all(isinstance(b, np.ndarray) and b.dtype == float
+                and b.shape == (shape[n], shape[m]) for n, m, b in blocks)
+            and np.isfinite(np.concatenate(
+                [b.ravel() for _, _, b in blocks])).all()):
+        for n, m, block in blocks:
             name = f"jac block ({n}, {m})"
             check_array(name, check_type(name, block, np.ndarray),
                         (shape[n], shape[m]))

@@ -578,6 +578,22 @@ def test_eta_threshold_deterministic_in_seed():
     assert a == b
 
 
+@pytest.mark.parametrize("seed, shape", [(1, (3, 3, 3)), (2, (2, 3, 2)),
+                                         (3, (4, 4))])
+def test_threshold_and_verdict_share_one_linearization(seed, shape):
+    # the verdict comes from the threshold batch's row 0, which is the
+    # one-row response Jacobian stability_verdict takes, bit for bit
+    rng = np.random.default_rng(seed)
+    g = random_game(rng, shape)
+    cfg = sg.SmoothedResponseConfig(
+        beta=0.5, regularizers=quadratic_regularizers(rng, shape))
+    eq = sg.find_smoothed_equilibrium(g, cfg)
+    eta, verdict = sg.dynamics.threshold_and_verdict(g, cfg, eq, rng_seed=4)
+    assert eta == sg.eta_threshold(g, cfg, eq, rng_seed=4)
+    assert verdict == sg.stability_verdict(
+        g, sg.DynamicsConfig(eta=eta, response=cfg, horizon=1), eq)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"num_samples": 2.5}, {"num_samples": -1}, {"num_samples": True},
     {"radius": np.nan}, {"radius": np.inf}, {"radius": -0.1},

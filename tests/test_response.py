@@ -655,7 +655,7 @@ def test_kernel_jacobian_matches_per_point_formula(seed, players, kind, beta):
 @settings(max_examples=40, deadline=None)
 @given(seed=seeds,
        shape=st.sampled_from([(2, 2), (3, 3), (21, 24), (2, 3, 4), (3, 3, 3),
-                              (8, 8, 8)]),
+                              (8, 8, 8), (2, 3, 2, 3), (2, 2, 2, 2, 2)]),
        kind=st.sampled_from(["entropy", "quadratic_entropy"]),
        rows=st.integers(1, 40))
 def test_kernel_rows_are_their_one_row_calls(seed, shape, kind, rows):

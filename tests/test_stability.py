@@ -610,13 +610,14 @@ def test_witness_values_are_pinned():
     g = random_game(rng, shape)
     jac = game_jacobian(g, random_interior(rng, shape))
     # the stretched witness is built from the ascent's direction in tangent
-    # coordinates
+    # coordinates; the ascent's end point moves by about 3e-7 when the
+    # Jacobian's last bits do
     stretched = uniform_stability_check(jac, num_conditioners=0, rng_seed=3)
-    assert stretched.witness_real_part == 1.393532713047009
-    assert verify_witness(jac, stretched.witness) == 1.3935327130470094
+    assert stretched.witness_real_part == 1.393532406693925
+    assert verify_witness(jac, stretched.witness) == 1.3935324066939234
     sampled = uniform_stability_check(jac, rng_seed=3)
-    assert sampled.witness_real_part == 7.644976136545052
-    assert verify_witness(jac, sampled.witness) == 7.644976136545041
+    assert sampled.witness_real_part == 7.644976136545044
+    assert verify_witness(jac, sampled.witness) == 7.6449761365450595
 
 
 def _seeded_calls():
