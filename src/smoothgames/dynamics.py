@@ -1,6 +1,7 @@
-"""Averaging dynamics driven by the smoothed response map.
+"""Incremental dynamics driven by the smoothed response map.
 
-One step moves x to (1 - eta) x + eta Phi(x).  A batch of runs, of
+One step moves x to x + eta (Phi(x) - x), the paper's incremental smoothed
+best-response update, renormalized per block.  A batch of runs, of
 :func:`run_many` or of a sweep's cells, is one :class:`response.RunGroup`:
 it ends after its horizon, or once a step leaves it unchanged bit for bit,
 since every later step would return it too.  The module records
@@ -80,7 +81,8 @@ class Trajectory:
 
 def step(game: NormalFormGame, cfg: DynamicsConfig,
          x: JointStrategy) -> JointStrategy:
-    """One averaging update, renormalized defensively against drift."""
+    """One incremental update x + eta (Phi(x) - x), renormalized
+    defensively against drift."""
     kernel = FlatKernel(game, check_type("cfg", cfg, DynamicsConfig).response)
     x_flat = kernel.flatten(x)[None, :]
     return kernel.strategy(kernel.advance(x_flat, cfg.eta)[0])

@@ -13,13 +13,14 @@ is a ladder of one rung, :func:`homotopy_trace` one of its schedule, and
 
 Hot loops (the solver here, the dynamics in ``dynamics``) run on
 :class:`FlatKernel`, which evaluates the response map, its Jacobian and the
-averaging update for a batch of flat strategy vectors after validating
-once; :func:`smoothed_argmax` runs the kernel's softmax and Newton group on
-one block.  The kernel groups the quadratic-entropy blocks by dimension, so each
-Newton iteration makes one stacked face solve for every row and player of a
-group, and it starts each Newton solve from its previous log-response when
-the batch has the same number of rows (a dynamics or solver step moves the
-point by O(eta), so one or two iterations then suffice).  Every public
+incremental update x + eta (Phi(x) - x) for a batch of flat strategy
+vectors after validating once; :func:`smoothed_argmax` runs the kernel's
+softmax and Newton group on one block.  The kernel groups the
+quadratic-entropy blocks by dimension, so each Newton iteration makes one
+stacked face solve for every row and player of a group, and it starts each
+Newton solve from its previous log-response when the batch has the same
+number of rows (a dynamics or solver step moves the point by O(eta), so one
+or two iterations then suffice).  Every public
 function builds its own kernel, so its results depend on its arguments
 only.
 """
@@ -126,24 +127,38 @@ def _takes_newton(reg) -> bool:
     return reg.A is not None and reg.dimension > 1
 
 
-def _softmax(G, beta, totals, overflows=True):
+def _softmax(G, beta, totals, shift=True):
     """The block-wise softmax of ``G / beta``, ``totals(ufunc, X)``
-    reducing X over each block back onto the block's columns.  Unless the
-    caller knows G / beta is finite (``overflows=False``), a block whose
-    largest G / beta is not is shifted by its maximum G before the
-    division, without a warning."""
-    if overflows:
+    reducing X over each block back onto the block's columns.
+
+    ``shift`` marks the rows whose exponentials could leave the normal
+    range: True or False for every row, or a column like beta's of row
+    flags, some but not all of them set.  A marked row's blocks are shifted
+    by their largest ``G / beta`` before ``exp``, and a block whose largest
+    ``G / beta`` overflows by its maximum G before the division, without a
+    warning, so it takes its limit, not NaN.  The other rows subtract
+    exactly 0.0, so a row's bits depend on its own flag alone."""
+    if shift is False:
+        Y = G / beta
+    else:
         with np.errstate(over="ignore"):
             Y = G / beta
             broken = ~np.isfinite(totals(np.maximum, Y))
             if broken.any():
                 Y = np.where(broken, (G - totals(np.maximum, G)) / beta, Y)
-    else:
-        Y = G / beta
-    Y -= totals(np.maximum, Y)
+        top = totals(np.maximum, Y)
+        Y -= top if shift is True else np.where(shift, top, 0.0)
     np.exp(Y, out=Y)
     Y /= totals(np.add, Y)
     return Y
+
+
+def _exp_bound(k) -> float:
+    """The largest ``|G / beta|`` at which no ``exp`` leaves the normal
+    range and no sum of k of them overflows, with a factor of two to spare
+    for the rounding of G: about 709 - ln k."""
+    info = np.finfo(float)
+    return min(-math.log(info.tiny), math.log(info.max / (2 * k)))
 
 
 def _newton_frame(V, lam, C, beta) -> tuple:
@@ -161,8 +176,8 @@ def _regularizer_terms(U, Y, lam, C, w):
     the points ``Y = exp(U)``."""
     gap = Y - w
     force = einsum("...ij,...j->...i", C, gap)
-    quad_value = 0.5 * einsum("...i,...i->...", gap, force)
-    return force, lam * einsum("...i,...i->...", Y, U) + quad_value
+    quad_value = 0.5 * np.vecdot(gap, force)
+    return force, lam * np.vecdot(Y, U) + quad_value
 
 
 def _newton_start(U, lam, C, w) -> tuple:
@@ -204,7 +219,7 @@ def _newton_solve(V, lam, C, w, frame, start, inner_tol, inner_max_iter):
     beta, beta_column, beta_rhs, buffers = frame
     lam_column = buffers[3]
     U, Y, force, h = start
-    current = einsum("...i,...i->...", V, Y) - beta * h
+    current = np.vecdot(V, Y) - beta * h
     k = V.shape[-1]
     active = np.ones(V.shape[:-1], dtype=bool)
     residual = np.full(active.shape, np.inf)
@@ -240,7 +255,7 @@ def _newton_solve(V, lam, C, w, frame, start, inner_tol, inner_max_iter):
             cand -= np.log(np.add.reduce(np.exp(cand), -1, keepdims=True))
             cand_y = np.exp(cand)
             cand_force, cand_h = _regularizer_terms(cand, cand_y, lam, C, w)
-            cand_value = einsum("...i,...i->...", V, cand_y) - beta * cand_h
+            cand_value = np.vecdot(V, cand_y) - beta * cand_h
             if left == searching.size:
                 accepted = cand, cand_y, cand_force, cand_h, cand_value
             else:
@@ -358,8 +373,8 @@ class _NewtonGroup:
 
 
 class FlatKernel:
-    """Response map, its Jacobian and the averaging update on stacked flat
-    joint strategies.
+    """Response map, its Jacobian and the incremental update on stacked
+    flat joint strategies.
 
     A batch is a ``(B, sum k)`` array whose rows are concatenated joint
     strategies, player n's block in columns ``slices[n]``.  The game and
@@ -374,11 +389,14 @@ class FlatKernel:
 
     Gradients follow one :func:`games.gradient_plan` per player, made when
     the kernel is built, so a row's are :func:`games.gradient`'s bit for
-    bit.  Block-wise totals (the softmax's maxima and sums, the
-    renormalisation in :meth:`mix`) are one ``reduceat`` and one ``take``
-    back to the block's columns.  No product spans the batch, so every
-    row's gradients, response, Jacobians and averaging step are those of
-    the row alone, bit for bit, from the same Newton warm starts.
+    bit.  A gradient entry is a mean of payoff entries, so ``|G / beta|``
+    is at most the largest ``|payoff|`` over the row's beta; the kernel
+    flags, once, the rows where that exceeds :func:`_exp_bound`, and only
+    those shift their softmax (see :func:`_softmax`).  Block-wise totals
+    (the softmax's maxima and sums, the renormalisation in :meth:`mix`) are
+    one ``reduceat`` and one ``take`` back to the block's columns.  No product spans the batch, so every
+    row's gradients, response, Jacobians and update are those of the row
+    alone, bit for bit, from the same Newton warm starts.
 
     Quadratic-entropy blocks are grouped by dimension (see
     :class:`_NewtonGroup`); each group keeps its Newton argmax's frame and
@@ -419,10 +437,14 @@ class FlatKernel:
                                < len(shape))
         self._plans = tuple(gradient_plan(tensor, n)
                             for n, tensor in enumerate(game.payoffs))
-        # a gradient entry is a mean of payoff entries, so G / beta stays
-        # finite unless this bound overflows; max and min copy no tensor
+        # a gradient entry is a mean of payoff entries, so |G / beta| is at
+        # most top / beta: the softmax shifts only the rows where that can
+        # exceed the exp bound; max and min copy no tensor
         top = max(float(max(t.max(), -t.min())) for t in game.payoffs)
-        self._overflows = not math.isfinite(2 * top / float(np.min(self.beta)))
+        with np.errstate(over="ignore"):
+            shift = np.divide(top, beta) > _exp_bound(max(shape))
+        self._shift = (shift if 0 < np.count_nonzero(shift) < np.size(shift)
+                       else bool(shift.any()))
 
     def flatten(self, x: JointStrategy, what="x") -> np.ndarray:
         """The concatenated vector of ``what``, a strategy of this game's
@@ -455,7 +477,7 @@ class FlatKernel:
         on."""
         G = self.gradients(X)
         if self._needs_softmax:
-            Y = _softmax(G, self.beta, self._block_totals, self._overflows)
+            Y = _softmax(G, self.beta, self._block_totals, self._shift)
         else:
             Y = np.empty_like(G)
         # blocks of other regularizers replace their softmax columns
@@ -517,15 +539,16 @@ class FlatKernel:
         return Y, J
 
     def mix(self, X: np.ndarray, Y: np.ndarray, eta) -> np.ndarray:
-        """Averaging update (1 - eta) X + eta Y; eta is a scalar or a
+        """Incremental update X + eta (Y - X); eta is a scalar or a
         ``(B, 1)`` column.  Blocks are renormalized against drift."""
-        out = (1.0 - eta) * X
-        out += eta * Y
+        out = Y - X
+        out *= eta
+        out += X
         out /= self._block_totals(np.add, out)
         return out
 
     def advance(self, X: np.ndarray, eta) -> np.ndarray:
-        """One step of the averaging dynamics for every row."""
+        """One step of the incremental dynamics for every row."""
         return self.mix(X, self.respond(X), eta)
 
 
@@ -635,7 +658,7 @@ class DampedWalk:
 
 
 class RunGroup:
-    """Runs of the averaging dynamics x <- (1 - eta) x + eta Phi(x) that
+    """Runs of the incremental dynamics x <- x + eta (Phi(x) - x) that
     start and end together: the ``(B, K)`` ``starts``, a ``horizon``, an
     optional flat reference ``ref`` and their rows ``span`` of the batch
     that steps them; in a :class:`Ladder`, the ``(key, eta)`` ``cells`` of
@@ -835,7 +858,7 @@ def find_smoothed_equilibrium(game: NormalFormGame, cfg: SmoothedResponseConfig,
                               max_iter=MAX_ITER) -> SmoothedEquilibrium:
     """Locate a fixed point of the smoothed response map.
 
-    Runs x <- (1 - eta) x + eta Phi(x) with adaptive damping: eta halves
+    Runs x <- x + eta (Phi(x) - x) with adaptive damping: eta halves
     when the residual grows by more than ``RESIDUAL_BAND``, grows by 1.2x
     (capped at 1) otherwise.  Stops when the sup-norm residual reaches
     outer_tol.  A residual that fails to improve by the stagnation factor

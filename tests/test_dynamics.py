@@ -833,13 +833,15 @@ def test_sweep_grid_with_failed_beta_row_matches_per_beta_runs():
             assert cell.error is None
     assert_cells_match_runs(g, cells, regs, sg.uniform_strategy(g.shape),
                             200, exact=True)
-    # from the uniform point, six of example_A's rows are fixed from the
-    # first step and three move away, so their shared batch never stops
+    # from the uniform point, seven of example_A's rows are fixed from the
+    # first step (x + eta (Phi(x) - x) rounds back to x where the response
+    # is within a few ulps of x) and two move away, so their shared batch
+    # never stops
     g = sg.bundled_game("example_A")
     cells = sg.sweep(g, (0.3, 0.1, 0.03), (0.001, 0.01, 0.1), regs,
                      horizon=500)
     distances = [cell.final_distance for cell in cells]
-    assert distances.count(0.0) == 6 and all(d > 0.5 for d in distances
+    assert distances.count(0.0) == 7 and all(d > 0.5 for d in distances
                                              if d != 0.0)
     assert_cells_match_runs(g, cells, regs, sg.uniform_strategy(g.shape),
                             500, exact=True)
@@ -969,18 +971,16 @@ def test_sweep_matches_per_beta_solves_and_single_runs():
     assert bounded >= 40
 
 
-@pytest.mark.parametrize("seed, shape, betas, etas, horizon, exact", [
+@pytest.mark.parametrize("seed, shape, betas, etas, horizon, wide", [
     (11, (3, 3), (1.0, 0.7, 0.5), tuple(np.linspace(0.02, 0.9, 40)), 200,
      True),
-    # 5 x 4 payoffs: matrix products of one row round differently from
-    # those of several
     (8, (5, 4), (1.0, 0.8, 0.6, 0.5, 0.4), tuple(np.linspace(0.02, 0.6, 14)),
      30, False)], ids=["3x40", "5x14"])
 def test_sweep_grid_wider_than_a_batch_matches_per_beta_runs(
-        monkeypatch, seed, shape, betas, etas, horizon, exact):
+        monkeypatch, seed, shape, betas, etas, horizon, wide):
     # every solved beta's cells join the ladder batch at once, however
     # many rows it then holds; each cell agrees with the walk run alone
-    # down the same ladder and with a run of its own
+    # down the same ladder and with a run of its own, bit for bit
     rng = np.random.default_rng(seed)
     g = random_game(rng, shape, scale=0.5)
     regs = tuple(sg.entropy(k) for k in shape)
@@ -995,7 +995,7 @@ def test_sweep_grid_wider_than_a_batch_matches_per_beta_runs(
     cells = sg.sweep(g, betas, etas, regs, horizon=horizon)
     monkeypatch.undo()
     assert widest[0] > len(etas)
-    if exact:
+    if wide:
         # the three betas' 120 cells run side by side, with no row cap
         assert widest[0] > 64
     x0 = sg.uniform_strategy(shape)
@@ -1008,7 +1008,7 @@ def test_sweep_grid_wider_than_a_batch_matches_per_beta_runs(
             assert (cell.beta, cell.error) == (beta, None)
             assert np.abs(cell.equilibrium.point.concatenated()
                           - eq.point.concatenated()).max() <= 1e-12
-    assert_cells_match_runs(g, cells, regs, x0, horizon, exact=exact)
+    assert_cells_match_runs(g, cells, regs, x0, horizon, exact=True)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import tracemalloc
 import warnings
 
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 import smoothgames as sg
 from smoothgames.errors import (ArgumentError, ConvergenceError, CyclingError,
                                 DimensionError, DomainError)
-from smoothgames.response import (FlatKernel, _newton_frame, _newton_solve,
-                                  _newton_start)
+from smoothgames.response import (FlatKernel, _exp_bound, _newton_frame,
+                                  _newton_solve, _newton_start)
 
 from conftest import (newton_log, polymatrix_game, quadratic_regularizers,
                       random_game, random_interior)
@@ -153,6 +154,95 @@ def test_kernel_beta_column_shifts_only_the_rows_that_overflow():
         Y = FlatKernel(g, cfg, beta=np.array([[0.3], [1e-320]])).respond(X)
     assert Y[0].tobytes() == FlatKernel(g, cfg).respond(X)[0].tobytes()
     assert not np.isnan(Y[1]).any()
+
+
+def exp_bound_column(g, factors):
+    """Betas at which the largest |payoff| over beta is the kernel's exp
+    bound over each factor: a factor below 1 puts the row over the bound."""
+    top = max(np.abs(t).max() for t in g.payoffs)
+    return top / _exp_bound(max(g.shape)) * np.array(factors)[:, None]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, shape=st.sampled_from([(2, 2), (3, 5), (2, 3, 4), (4, 4)]))
+def test_kernel_rows_straddling_the_exp_bound_are_their_one_row_calls(
+        seed, shape):
+    # rows over the bound shift their softmax and rows under it subtract
+    # 0.0, so a row's bits depend on its own beta alone, also in a batch
+    # that mixes both; a Jacobian at beta = 1e-320 overflows, so that row
+    # is left out of the Jacobian batch
+    rng = np.random.default_rng(seed)
+    g = random_game(rng, shape, scale=rng.choice([1e-3, 1.0, 1e4]))
+    cfg = sg.entropy_config(g, 0.3)
+    beta = np.vstack([exp_bound_column(g, (0.5, 0.999, 1.001, 2.0, 10.0)),
+                      [[0.3], [1e-320]]])
+    rows = len(beta)
+    X = np.concatenate([rng.dirichlet(np.full(k, 0.5), rows) for k in shape],
+                       axis=1)
+    eta = rng.uniform(0.0, 1.0, (rows, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Y = FlatKernel(g, cfg, beta=beta).respond(X)
+        J = FlatKernel(g, cfg, beta=beta[:-1]).jacobian(X[:-1])
+        mixed = FlatKernel(g, cfg, beta=beta).mix(X, Y, eta)
+        for b in range(rows):
+            one = slice(b, b + 1)
+            assert Y[b].tobytes() == FlatKernel(
+                g, cfg, beta=beta[one]).respond(X[one])[0].tobytes()
+            assert mixed[b].tobytes() == FlatKernel(
+                g, cfg, beta=beta[one]).mix(X[one], Y[one], eta[one])[0] \
+                .tobytes()
+            if b < rows - 1:
+                assert J[b].tobytes() == FlatKernel(
+                    g, cfg, beta=beta[one]).jacobian(X[one])[0].tobytes()
+    assert not np.isnan(Y).any()
+
+
+def exact_softmax(a, starts):
+    """The block-wise softmax of the floats ``a`` to 40 digits, rounded to
+    float once per entry."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        out = []
+        for block in np.split(a, starts[1:]):
+            e = [decimal.Decimal(float(v)).exp() for v in block]
+            total = sum(e)
+            out += [float(v / total) for v in e]
+    return np.array(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, players=st.sampled_from([2, 3]),
+       scale=st.sampled_from([1e-3, 1.0, 1e3, 1e6]))
+def test_unshifted_softmax_rows_are_within_four_ulps_of_the_exact_one(
+        seed, players, scale):
+    # a row under the exp bound takes exp(G / beta) over its block sums
+    # unshifted: each entry lies within 4 ulps of the exact softmax of the
+    # same G / beta.  A row over the bound keeps the max-shifted softmax bit
+    # for bit, which rounds G / beta - max: off today's by up to that
+    # rounding, |G / beta - max| * eps relative, plus 4 ulps
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(k) for k in rng.integers(2, 5, players))
+    g = random_game(rng, shape, scale=scale)
+    factors = (0.2, 0.7, 1.5, 4.0, 50.0)
+    beta = exp_bound_column(g, factors)
+    kernel = FlatKernel(g, sg.entropy_config(g, 0.3), beta=beta)
+    X = np.concatenate([rng.dirichlet(np.full(k, 0.5), len(beta))
+                        for k in shape], axis=1)
+    G = kernel.gradients(X)
+    Y = kernel.respond(X)
+    A = G / beta
+    spread = A - kernel._block_totals(np.maximum, A)
+    shifted = np.exp(spread)
+    shifted /= kernel._block_totals(np.add, shifted)
+    for b, factor in enumerate(factors):
+        if factor < 1:  # over the bound
+            assert Y[b].tobytes() == shifted[b].tobytes()
+        else:
+            exact = exact_softmax(A[b], kernel._starts)
+            assert np.all(np.abs(Y[b] - exact) <= 4 * np.spacing(exact))
+            assert np.all(np.abs(Y[b] - shifted[b]) <= (
+                4 + np.abs(spread[b])) * np.spacing(shifted[b]))
 
 
 @pytest.mark.parametrize("value", [3.0, 1e308])
@@ -367,8 +457,12 @@ def reference_respond(kernel, X, warm):
     after a failed solve."""
     cfg = kernel.cfg
     G = kernel.gradients(X)
+    # the softmax shifts a row only where |G / beta| may exceed the exp
+    # bound, and subtracts 0.0 elsewhere
+    top = max(np.abs(t).max() for t in kernel.game.payoffs)
+    shift = top / np.asarray(kernel.beta) > _exp_bound(max(kernel.game.shape))
     Y = G / kernel.beta
-    Y -= kernel._block_totals(np.maximum, Y)
+    Y -= np.where(shift, kernel._block_totals(np.maximum, Y), 0.0)
     np.exp(Y, out=Y)
     Y /= kernel._block_totals(np.add, Y)
     by_dimension = {}
@@ -596,10 +690,10 @@ def test_newton_dynamics_pinned_bits():
                   sg.uniform_strategy((3, 3)))
     assert [[v.hex() for v in b.tolist()]
             for b in traj.final_point.blocks] == [
-        ["0x1.cbb3d5848adadp-3", "0x1.0b2d506d2e051p-1",
+        ["0x1.cbb3d5848adacp-3", "0x1.0b2d506d2e050p-1",
          "0x1.03cb74635e88ap-2"],
         ["0x1.230796bf66876p-2", "0x1.da628a67ab066p-2",
-         "0x1.0295ded8ee726p-2"]]
+         "0x1.0295ded8ee725p-2"]]
 
 
 def reference_jacobian(game, cfg, x):
@@ -921,13 +1015,13 @@ def test_solver_cycling_detection():
 # still ran out its stagnation window (573 and 520 responses)
 COLLAPSED = {
     0.1: (110, "0x1.a27847b5c58a4p-3",
-          (("0x1.75eb048e04290p-4", "0x1.d1eb7d735ffd9p-3",
-            "0x1.5cc7c011677b8p-1"),
-           ("0x1.708c4a5a37cd4p-11", "0x1.d369974751411p-3",
+          (("0x1.75eb048e04294p-4", "0x1.d1eb7d735ffdbp-3",
+            "0x1.5cc7c011677b7p-1"),
+           ("0x1.708c4a5a37cd6p-11", "0x1.d369974751410p-3",
             "0x1.8ac9771b9521dp-1"))),
     0.03: (89, "0x1.eb62f1b2a46e8p-3",
-           (("0x1.b8e39241a757fp-3", "0x1.8cc804128979cp-1",
-             "0x1.3fc5d7432c135p-7"),
+           (("0x1.b8e39241a757ep-3", "0x1.8cc804128979cp-1",
+             "0x1.3fc5d7432c134p-7"),
             ("0x1.4a6916d553636p-3", "0x1.41f3b5baa2165p-4",
              "0x1.8527439356e46p-1"))),
 }
