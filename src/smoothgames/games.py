@@ -27,7 +27,7 @@ import numpy as np
 
 try:  # what np.einsum calls without optimize, minus its dispatch layers
     from numpy._core.multiarray import c_einsum as einsum
-except ImportError:  # numpy 1.x: the public function, the same results
+except ImportError:  # a numpy that moved it: np.einsum, same results
     einsum = np.einsum
 
 from .errors import (ArgumentError, DimensionError, DomainError, ParseError,

@@ -15,14 +15,13 @@ Hot loops (the solver here, the dynamics in ``dynamics``) run on
 :class:`FlatKernel`, which evaluates the response map, its Jacobian and the
 incremental update x + eta (Phi(x) - x) for a batch of flat strategy
 vectors after validating once; :func:`smoothed_argmax` runs the kernel's
-softmax and Newton group on one block.  The kernel groups the
+softmax and Newton group on one block, bit for bit.  The kernel groups the
 quadratic-entropy blocks by dimension, so each Newton iteration makes one
 stacked face solve for every row and player of a group, and it starts each
 Newton solve from its previous log-response when the batch has the same
 number of rows (a dynamics or solver step moves the point by O(eta), so one
-or two iterations then suffice).  Every public
-function builds its own kernel, so its results depend on its arguments
-only.
+or two iterations then suffice).  Every public function builds its own
+kernel, so its results depend on its arguments only.
 """
 
 from __future__ import annotations
@@ -106,20 +105,22 @@ def smoothed_argmax(values, reg: Regularizer, beta: float, inner_tol=1e-12,
                     inner_max_iter=10_000) -> np.ndarray:
     """Maximize values . y - beta * h(y) over the simplex.
 
-    The kernel's code on one block: without a quadratic term (or with one
-    action) the closed-form softmax of :func:`_softmax`, summed over the
-    whole row; otherwise the Newton argmax of a one-player
+    The kernel's code on one block, bit for bit: without a quadratic term
+    (or with one action) the closed-form :func:`_softmax`, summed by
+    ``reduceat`` and flagged by :func:`_beyond_exp_bound` from the largest
+    ``|values_i|``; otherwise the Newton argmax of a one-player
     :class:`_NewtonGroup` from the uniform point, in log coordinates until
     the projected-gradient residual drops to ``inner_tol * max(1,
     max_i |values_i|)``.
     """
     v = check_array("values", values,
-                    (check_type("reg", reg, Regularizer).dimension,))
+                    (check_type("reg", reg, Regularizer).dimension,))[None]
     cfg = SmoothedResponseConfig(beta, (reg,), inner_tol, inner_max_iter)
     if not _takes_newton(reg):
-        return _softmax(v, beta, lambda f, X: f.reduce(X, -1, keepdims=True))
+        shift = _beyond_exp_bound(np.abs(v).max(), beta, reg.dimension)
+        return _softmax(v, beta, lambda f, X: f.reduceat(X, [0], 1), shift)[0]
     group = _NewtonGroup((0,), (slice(0, reg.dimension),), cfg.regularizers)
-    return group.respond(v[None], beta, cfg)[0]
+    return group.respond(v, beta, cfg)[0]
 
 
 def _takes_newton(reg) -> bool:
@@ -127,38 +128,39 @@ def _takes_newton(reg) -> bool:
     return reg.A is not None and reg.dimension > 1
 
 
-def _softmax(G, beta, totals, shift=True):
+def _softmax(G, beta, totals, shift):
     """The block-wise softmax of ``G / beta``, ``totals(ufunc, X)``
     reducing X over each block back onto the block's columns.
 
-    ``shift`` marks the rows whose exponentials could leave the normal
-    range: True or False for every row, or a column like beta's of row
-    flags, some but not all of them set.  A marked row's blocks are shifted
-    by their largest ``G / beta`` before ``exp``, and a block whose largest
-    ``G / beta`` overflows by its maximum G before the division, without a
-    warning, so it takes its limit, not NaN.  The other rows subtract
-    exactly 0.0, so a row's bits depend on its own flag alone."""
+    ``shift`` is a :func:`_beyond_exp_bound` flag: True or False for every
+    row, or a column like beta's, some but not all rows set.  A flagged
+    row's blocks subtract their largest G before the division, so every
+    quotient is at most 0 and one that overflows goes to -inf without a
+    warning: a block takes its limit, not NaN.  The other rows divide G as
+    it is, so a row's bits depend on its own flag alone."""
     if shift is False:
         Y = G / beta
     else:
         with np.errstate(over="ignore"):
-            Y = G / beta
-            broken = ~np.isfinite(totals(np.maximum, Y))
-            if broken.any():
-                Y = np.where(broken, (G - totals(np.maximum, G)) / beta, Y)
-        top = totals(np.maximum, Y)
-        Y -= top if shift is True else np.where(shift, top, 0.0)
+            Y = np.where(shift, G - totals(np.maximum, G), G)
+            Y /= beta
     np.exp(Y, out=Y)
     Y /= totals(np.add, Y)
     return Y
 
 
-def _exp_bound(k) -> float:
-    """The largest ``|G / beta|`` at which no ``exp`` leaves the normal
-    range and no sum of k of them overflows, with a factor of two to spare
-    for the rounding of G: about 709 - ln k."""
+def _beyond_exp_bound(top, beta, k):
+    """The rows of a softmax of ``G / beta`` over blocks of at most k
+    entries, ``|G| <= top``, that must shift (see :func:`_softmax`): where
+    an ``exp`` could leave the normal range or a block sum overflow, with
+    a factor of two to spare for the rounding of G, ``top / beta`` over
+    about 709 - ln k.  False, True, or beta's column of flags."""
     info = np.finfo(float)
-    return min(-math.log(info.tiny), math.log(info.max / (2 * k)))
+    bound = min(-math.log(info.tiny), math.log(info.max / (2 * k)))
+    with np.errstate(over="ignore"):
+        flags = np.divide(top, beta) > bound
+    return (flags if 0 < np.count_nonzero(flags) < flags.size
+            else bool(flags.any()))
 
 
 def _newton_frame(V, lam, C, beta) -> tuple:
@@ -389,14 +391,14 @@ class FlatKernel:
 
     Gradients follow one :func:`games.gradient_plan` per player, made when
     the kernel is built, so a row's are :func:`games.gradient`'s bit for
-    bit.  A gradient entry is a mean of payoff entries, so ``|G / beta|``
-    is at most the largest ``|payoff|`` over the row's beta; the kernel
-    flags, once, the rows where that exceeds :func:`_exp_bound`, and only
-    those shift their softmax (see :func:`_softmax`).  Block-wise totals
-    (the softmax's maxima and sums, the renormalisation in :meth:`mix`) are
-    one ``reduceat`` and one ``take`` back to the block's columns.  No product spans the batch, so every
-    row's gradients, response, Jacobians and update are those of the row
-    alone, bit for bit, from the same Newton warm starts.
+    bit.  A gradient entry is a mean of payoff entries, so ``|G|`` is at
+    most the largest ``|payoff|``, from which :func:`_beyond_exp_bound`
+    flags, once, the rows that shift their softmax (see :func:`_softmax`).
+    Block-wise totals (the softmax's maxima and sums, the renormalisation
+    in :meth:`mix`) are one ``reduceat`` and one ``take`` back to the
+    block's columns.  No product spans the batch, so every row's
+    gradients, response, Jacobians and update are those of the row alone,
+    bit for bit, from the same Newton warm starts.
 
     Quadratic-entropy blocks are grouped by dimension (see
     :class:`_NewtonGroup`); each group keeps its Newton argmax's frame and
@@ -437,14 +439,11 @@ class FlatKernel:
                                < len(shape))
         self._plans = tuple(gradient_plan(tensor, n)
                             for n, tensor in enumerate(game.payoffs))
-        # a gradient entry is a mean of payoff entries, so |G / beta| is at
-        # most top / beta: the softmax shifts only the rows where that can
-        # exceed the exp bound; max and min copy no tensor
-        top = max(float(max(t.max(), -t.min())) for t in game.payoffs)
-        with np.errstate(over="ignore"):
-            shift = np.divide(top, beta) > _exp_bound(max(shape))
-        self._shift = (shift if 0 < np.count_nonzero(shift) < np.size(shift)
-                       else bool(shift.any()))
+        # a gradient entry is a mean of payoff entries, so |G| is at most
+        # the largest |payoff|; max and min copy no tensor
+        self._shift = _beyond_exp_bound(
+            max(float(max(t.max(), -t.min())) for t in game.payoffs), beta,
+            max(shape))
 
     def flatten(self, x: JointStrategy, what="x") -> np.ndarray:
         """The concatenated vector of ``what``, a strategy of this game's
@@ -518,7 +517,8 @@ class FlatKernel:
         slices = self.slices
         cross = jacobian_blocks(self.game, [X[:, s] for s in slices],
                                 [Y[:, s] > 0 for s in slices])
-        pinvs = [entropy_pseudoinverse(Y[:, s]) for s in slices]
+        pinvs = [None if _takes_newton(r) else entropy_pseudoinverse(Y[:, s])
+                 for r, s in zip(self.cfg.regularizers, slices)]
         for group in self._groups:
             k = group.curvature.shape[-1]
             y = Y[:, group.columns].reshape(len(X), len(group.players), k)

@@ -709,6 +709,13 @@ def test_intra_package_imports_follow_module_order():
     assert violations == []
 
 
+def test_declared_numpy_floor_has_what_the_code_calls():
+    # np.vecdot (the Newton argmax) and numpy._core exist from numpy 2.0 on
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    floor, = re.findall(r'"numpy>=([0-9.]+)"', pyproject.read_text())
+    assert tuple(int(part) for part in floor.split(".")) >= (2, 0)
+
+
 def test_stability_imports_only_the_game_and_no_module_imports_private_names():
     # uniform stability is a property of the game Jacobian alone
     package = Path(sg.__file__).parent

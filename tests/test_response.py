@@ -1,5 +1,6 @@
 import dataclasses
 import decimal
+import math
 import tracemalloc
 import warnings
 
@@ -10,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 import smoothgames as sg
 from smoothgames.errors import (ArgumentError, ConvergenceError, CyclingError,
                                 DimensionError, DomainError)
-from smoothgames.response import (FlatKernel, _exp_bound, _newton_frame,
-                                  _newton_solve, _newton_start)
+from smoothgames.response import (FlatKernel, _beyond_exp_bound,
+                                  _newton_frame, _newton_solve, _newton_start)
 
 from conftest import (newton_log, polymatrix_game, quadratic_regularizers,
                       random_game, random_interior)
@@ -123,11 +124,11 @@ def test_softmax_takes_its_limit_where_values_over_beta_overflow(values, beta,
     np.testing.assert_array_equal(got, want)
 
 
-def test_softmax_without_overflow_keeps_its_bits():
+def test_softmax_below_the_exp_bound_is_unshifted():
+    # |v / beta| = 12 is far inside the exp range: no block maximum is
+    # subtracted
     v = np.array([0.3, -1.2, 0.7])
-    z = v / 0.1
-    z = z - z.max()
-    p = np.exp(z)
+    p = np.exp(v / 0.1)
     assert sg.smoothed_argmax(v, sg.entropy(3), 0.1).tobytes() == \
         (p / p.sum()).tobytes()
 
@@ -156,11 +157,22 @@ def test_kernel_beta_column_shifts_only_the_rows_that_overflow():
     assert not np.isnan(Y[1]).any()
 
 
+def exp_bound(k):
+    """The largest |G / beta| at which no exp leaves the normal range and no
+    sum of k of them overflows, with a factor of two to spare."""
+    info = np.finfo(float)
+    return min(-math.log(info.tiny), math.log(info.max / (2 * k)))
+
+
 def exp_bound_column(g, factors):
     """Betas at which the largest |payoff| over beta is the kernel's exp
-    bound over each factor: a factor below 1 puts the row over the bound."""
+    bound over each factor: a factor below 1 puts the row over the bound,
+    where the kernel flags it."""
     top = max(np.abs(t).max() for t in g.payoffs)
-    return top / _exp_bound(max(g.shape)) * np.array(factors)[:, None]
+    factors = np.array(factors)[:, None]
+    beta = top / exp_bound(max(g.shape)) * factors
+    assert np.all(_beyond_exp_bound(top, beta, max(g.shape)) == (factors < 1))
+    return beta
 
 
 @settings(max_examples=30, deadline=None)
@@ -218,9 +230,11 @@ def test_unshifted_softmax_rows_are_within_four_ulps_of_the_exact_one(
         seed, players, scale):
     # a row under the exp bound takes exp(G / beta) over its block sums
     # unshifted: each entry lies within 4 ulps of the exact softmax of the
-    # same G / beta.  A row over the bound keeps the max-shifted softmax bit
-    # for bit, which rounds G / beta - max: off today's by up to that
-    # rounding, |G / beta - max| * eps relative, plus 4 ulps
+    # same G / beta, and so does smoothed_argmax of each block, and off a
+    # softmax shifted by the largest G / beta by up to the rounding of
+    # G / beta - max, |G / beta - max| * eps relative, plus 4 ulps.  A row
+    # over the bound subtracts its blocks' largest G before the division,
+    # bit for bit
     rng = np.random.default_rng(seed)
     shape = tuple(int(k) for k in rng.integers(2, 5, players))
     g = random_game(rng, shape, scale=scale)
@@ -235,12 +249,19 @@ def test_unshifted_softmax_rows_are_within_four_ulps_of_the_exact_one(
     spread = A - kernel._block_totals(np.maximum, A)
     shifted = np.exp(spread)
     shifted /= kernel._block_totals(np.add, shifted)
+    over = np.exp((G - kernel._block_totals(np.maximum, G)) / beta)
+    over /= kernel._block_totals(np.add, over)
     for b, factor in enumerate(factors):
         if factor < 1:  # over the bound
-            assert Y[b].tobytes() == shifted[b].tobytes()
+            assert Y[b].tobytes() == over[b].tobytes()
         else:
             exact = exact_softmax(A[b], kernel._starts)
             assert np.all(np.abs(Y[b] - exact) <= 4 * np.spacing(exact))
+            for n, s in enumerate(kernel.slices):
+                one = sg.smoothed_argmax(G[b, s], sg.entropy(shape[n]),
+                                         beta[b, 0])
+                assert np.all(np.abs(one - exact[s])
+                              <= 4 * np.spacing(exact[s]))
             assert np.all(np.abs(Y[b] - shifted[b]) <= (
                 4 + np.abs(spread[b])) * np.spacing(shifted[b]))
 
@@ -420,8 +441,7 @@ def test_kernel_softmax_only_where_a_block_needs_it(monkeypatch, kinds,
                                                     softmax, rows):
     # the block softmax runs only for blocks outside the Newton groups (an
     # entropy block, or one of one action), and every block gets what
-    # smoothed_argmax gives for it (a softmax summed by reduceat may
-    # differ from it in the last bit)
+    # smoothed_argmax gives for it, bit for bit
     rng = np.random.default_rng(rows)
     shape = (3, 2, 1, 2)[:len(kinds)] if softmax else (3, 2)
     regs = tuple(quadratic_regularizers(rng, (k,))[0]
@@ -444,9 +464,38 @@ def test_kernel_softmax_only_where_a_block_needs_it(monkeypatch, kinds,
     G = kernel.gradients(X)
     for r, s in zip(regs, kernel.slices):
         for b in range(rows):
-            np.testing.assert_allclose(
-                Y[b, s], sg.smoothed_argmax(G[b, s], r, cfg.beta), rtol=0,
-                atol=1e-15)
+            assert Y[b, s].tobytes() == \
+                sg.smoothed_argmax(G[b, s], r, cfg.beta).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, shape=st.sampled_from([(2, 2), (3, 1, 4), (4, 3),
+                                          (2, 3, 2)]),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_fresh_kernel_rows_under_the_exp_bound_are_smoothed_argmax(
+        seed, shape, scale):
+    # a kernel row that no block shifts gives every block what
+    # smoothed_argmax gives for the block's gradient, bit for bit, for
+    # entropy and quadratic-entropy blocks alike (one-action ones included)
+    rng = np.random.default_rng(seed)
+    regs = tuple(quadratic_regularizers(rng, (k,))[0]
+                 if n % 2 == seed % 2 else sg.entropy(k)
+                 for n, k in enumerate(shape))
+    g = random_game(rng, shape, scale=scale)
+    top = max(np.abs(t).max() for t in g.payoffs)
+    beta = top / exp_bound(max(shape)) * 10 ** rng.uniform(0.1, 2.5)
+    cfg = sg.SmoothedResponseConfig(beta=beta, regularizers=regs)
+    kernel = FlatKernel(g, cfg)
+    assert kernel._shift is False
+    rows = int(rng.integers(1, 5))
+    X = np.concatenate([rng.dirichlet(np.full(k, 0.5), rows) for k in shape],
+                       axis=1)
+    Y = kernel.respond(X)
+    G = kernel.gradients(X)
+    for r, s in zip(regs, kernel.slices):
+        for b in range(rows):
+            assert Y[b, s].tobytes() == \
+                sg.smoothed_argmax(G[b, s], r, beta).tobytes()
 
 
 def reference_respond(kernel, X, warm):
@@ -457,12 +506,12 @@ def reference_respond(kernel, X, warm):
     after a failed solve."""
     cfg = kernel.cfg
     G = kernel.gradients(X)
-    # the softmax shifts a row only where |G / beta| may exceed the exp
-    # bound, and subtracts 0.0 elsewhere
+    # the softmax subtracts each block's largest G before the division
+    # only in rows where |G / beta| may exceed the exp bound
     top = max(np.abs(t).max() for t in kernel.game.payoffs)
-    shift = top / np.asarray(kernel.beta) > _exp_bound(max(kernel.game.shape))
-    Y = G / kernel.beta
-    Y -= np.where(shift, kernel._block_totals(np.maximum, Y), 0.0)
+    shift = top / np.asarray(kernel.beta) > exp_bound(max(kernel.game.shape))
+    Y = np.where(shift, G - kernel._block_totals(np.maximum, G), G)
+    Y /= kernel.beta
     np.exp(Y, out=Y)
     Y /= kernel._block_totals(np.add, Y)
     by_dimension = {}
