@@ -27,9 +27,9 @@ from .games import (JointStrategy, game_jacobian, load_game, pure_strategy,
 from .regularizers import entropy, regularizer_from_dict
 from .response import (OUTER_TOL, SmoothedResponseConfig, homotopy_trace,
                        linear_steepness_probe)
-from .stability import (STRONG_NASH_MAX_PLAYERS, report_to_dict,
-                        strong_nash_oracle, uniform_stability_check,
-                        weak_pareto_oracle)
+from .stability import (STRONG_NASH_MAX_PLAYERS, lattice_size,
+                        report_to_dict, strong_nash_oracle,
+                        uniform_stability_check, weak_pareto_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +148,9 @@ def _emit_json(payload: dict, path):
 
 def cmd_analyze(args) -> int:
     game = load_game(args.game)
+    # the budgets are checked before the solve, which is most of the run
+    check_count("num_conditioners", args.conditioners)
+    lattice_size(game.shape[0], args.grid_resolution)
     solve_info = None
     if args.solve:
         final = _solve_at(game, _parse_regularizers(args.reg, game.shape),
@@ -225,6 +228,22 @@ def cmd_simulate(args) -> int:
     x0 = (_parse_point(args.x0, game.shape) if args.x0
           else uniform_strategy(game.shape))
 
+    def dynamics(eta):
+        return DynamicsConfig(eta=eta, response=response_cfg,
+                              horizon=args.horizon,
+                              record_every=args.record_every)
+
+    # the flags are checked before the solve, which is most of the run
+    if args.eta == "auto":  # the eta itself needs the solve
+        check_count("horizon", args.horizon, positive=True)
+        check_count("record_every", args.record_every, positive=True)
+    else:
+        try:
+            eta = float(args.eta)
+        except ValueError as err:
+            raise ParseError(f"bad eta {args.eta!r}") from err
+        cfg = dynamics(eta)
+
     reference = verdict = None
     try:
         reference = _solve_at(game, regs, args.beta)
@@ -241,14 +260,7 @@ def cmd_simulate(args) -> int:
         print(f"note: eta=auto resolved to {eta:.17g} (L sampled on an "
               f"inf-norm ball of radius {SAMPLE_BALL_RADIUS:g})",
               file=sys.stderr)
-    else:
-        try:
-            eta = float(args.eta)
-        except ValueError as err:
-            raise ParseError(f"bad eta {args.eta!r}") from err
-
-    cfg = DynamicsConfig(eta=eta, response=response_cfg, horizon=args.horizon,
-                         record_every=args.record_every)
+        cfg = dynamics(eta)
     if verdict is None and reference is not None:
         verdict = stability_verdict(game, cfg, reference)
     trajectory = run(game, cfg, x0, reference=reference)

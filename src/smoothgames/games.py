@@ -661,8 +661,8 @@ class GameJacobian:
         return tuple(b.shape[0] for b in (row[0] for row in self.blocks))
 
     def dense(self) -> np.ndarray:
-        return np.block([[self.blocks[n][m] for m in range(self.num_players)]
-                         for n in range(self.num_players)])
+        return np.concatenate([np.concatenate(row, axis=1)
+                               for row in self.blocks])
 
     def tangent_bases(self) -> list:
         """Per player, an orthonormal basis of its face's tangent space.
@@ -673,22 +673,16 @@ class GameJacobian:
                                   for k, s in zip(shape, self.supports)])
 
     def tangent(self):
-        """Reduce to face-tangent coordinates.
+        """Reduce to face-tangent coordinates, Q^T J Q with Q the block
+        diagonal of :meth:`tangent_bases` (as response Jacobians reduce).
 
         Returns (J_t, bases, dims): J_t acts on the concatenation of
         per-player tangent coordinate blocks of sizes dims, and bases[n]
         maps block n's tangent coordinates back to ambient coordinates.
         """
         bases = self.tangent_bases()
-        dims = [b.shape[1] for b in bases]
-        slices = block_slices(dims)
-        j_t = np.zeros((sum(dims), sum(dims)))
-        for n in range(self.num_players):
-            for m in range(self.num_players):
-                if n != m:
-                    j_t[slices[n], slices[m]] = (
-                        bases[n].T @ self.blocks[n][m] @ bases[m])
-        return j_t, bases, dims
+        q = block_diag(bases)
+        return q.T @ self.dense() @ q, bases, [b.shape[1] for b in bases]
 
 
 def game_jacobian(game: NormalFormGame, x: JointStrategy,

@@ -730,13 +730,12 @@ class Ladder:
     one :meth:`FlatKernel.mix` at an eta column moves all rows, one row or
     many alike.  A solved beta's cells join at ``start`` as one
     :class:`RunGroup` when the batch is rebuilt for the next walk, and
-    leave when it ends their runs.  The kernel, of ``base``'s game and
-    config at the column of the rows' betas, is built afresh for each rung
-    and whenever rows join or leave, but a walk alone at ``base``'s beta
-    steps ``base`` itself.  A :class:`ConvergenceError` from the shared
-    respond fails the rows it names in ``rows``, each with its own error;
-    the rows left step the same point again in a batch rebuilt without
-    them.
+    leave when it ends their runs.  Each rung, and each join or leave,
+    builds a kernel of ``base``'s game and config at the column of the
+    rows' betas; ``base`` only validates and flattens.  A
+    :class:`ConvergenceError` from the shared respond fails the rows it
+    names in ``rows``, each with its own error; the rows left step the
+    same point again in a batch rebuilt without them.
 
     ``solved`` maps each solved beta to its equilibrium, ``errors`` each
     failed one to its error, and ``outcomes`` each cell's key to its run's
@@ -786,10 +785,10 @@ class Ladder:
                 x = self.warm
 
     def _batch(self, rung, x, X):
-        """A kernel, the batch and its eta: the walk's row x, if a rung is
-        being solved, then each group's rows, taken from X, the last batch,
-        or its starts for a group that joins now; each group's span is
-        set."""
+        """A new kernel, the batch and its eta: the walk's row x, if a rung
+        is being solved, then each group's rows, taken from X, the last
+        batch, or its starts for a group that joins now; each group's span
+        is set."""
         states, betas, etas = [], [], []
         if rung is not None:
             states, betas, etas = [x], [rung[0]], [1.0]  # the walk sets eta
@@ -798,11 +797,8 @@ class Ladder:
             g.span = slice(len(betas), len(betas) + len(g.cells))
             betas += [g.beta] * len(g.cells)
             etas += [eta for _, eta in g.cells]
-        # only the rung at base's beta steps base, and only once its walk
-        # runs alone, so base starts that walk fresh
-        kernel = (self.base if rung is not None and betas == [self.base.beta]
-                  else FlatKernel(self.base.game, self.base.cfg,
-                                  beta=np.array(betas)[:, None]))
+        kernel = FlatKernel(self.base.game, self.base.cfg,
+                            beta=np.array(betas)[:, None])
         return kernel, np.concatenate(states), np.array(etas)[:, None]
 
     def _drop(self, errors):

@@ -114,10 +114,16 @@ def _spanning_forest(jac: GameJacobian):
     forest of the undirected interaction graph (players joined by a block
     above EDGE_TOL in either direction), in depth-first visit order from
     each unvisited player in turn.  The graph is connected exactly when the
-    forest is one tree, with one edge fewer than there are players."""
+    forest is one tree, with one edge fewer than there are players.  A
+    block norm beyond the float range is a DomainError naming the block."""
     n_players = jac.num_players
-    norms = np.array([[_frobenius(jac.blocks[n][m])
-                       for m in range(n_players)] for n in range(n_players)])
+    with np.errstate(over="ignore"):
+        norms = np.array([[_frobenius(jac.blocks[n][m]) for m in
+                           range(n_players)] for n in range(n_players)])
+    if not np.isfinite(norms).all():
+        n, m = np.argwhere(~np.isfinite(norms))[0].tolist()
+        raise DomainError(f"jac block ({n}, {m}) has a Frobenius norm "
+                          f"beyond the float range")
     joined = (norms > EDGE_TOL) | (norms.T > EDGE_TOL)
     np.fill_diagonal(joined, False)
     visited = [False] * n_players
@@ -146,6 +152,8 @@ def _frobenius(mat) -> float:
 
 
 def interaction_graph(jac: GameJacobian) -> InteractionGraph:
+    """The interaction graph of jac; a block norm beyond the float range
+    is a DomainError naming jac."""
     return _interaction_graph(jac, *_spanning_forest(_checked(jac)))
 
 
@@ -182,13 +190,16 @@ def solve_skew_certificate(jac: GameJacobian) -> SkewCertificate:
     squares fit; skew-feasibility demands a > 0 (a = lambda_m / lambda_n
     with child n, parent m gives lambda_n = a * lambda_m along tree edges).
     The residual is evaluated over all ordered pairs, so non-tree (cycle)
-    edges are checked for consistency as well.
+    edges are checked for consistency as well.  A block norm, weight or
+    residual beyond the float range is a DomainError naming jac.
     """
     return _skew_certificate(jac, *_spanning_forest(_checked(jac)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _skew_certificate(jac, norms, tree) -> SkewCertificate:
-    """The certificate of jac, from its ``_spanning_forest``."""
+    """The certificate of jac, from its ``_spanning_forest``.  A weight or
+    a residual beyond the float range is a DomainError naming jac."""
     n_players = jac.num_players
     blocks = jac.blocks
     lambdas = np.ones(n_players)
@@ -209,18 +220,22 @@ def _skew_certificate(jac, norms, tree) -> SkewCertificate:
                 lambdas[child] = lambdas[parent] * max(abs(a), 1e-12)
             else:
                 lambdas[child] = lambdas[parent] * a
+    if not np.isfinite(lambdas).all():
+        raise DomainError("jac's skew-certificate weights lie beyond the "
+                          "float range")
 
     lambdas = lambdas / lambdas[0]
-    residual = 0.0
-    for n in range(n_players):
-        for m in range(n_players):
-            if n == m:
-                continue
-            defect = _frobenius(
-                lambdas[n] * blocks[n][m] + lambdas[m] * blocks[m][n].T)
-            residual = max(residual, defect / (1.0 + norms[n, m]))
+    # np.max, unlike max, keeps a NaN
+    residual = float(np.max([
+        _frobenius(lambdas[n] * blocks[n][m] + lambdas[m] * blocks[m][n].T)
+        / (1.0 + norms[n, m])
+        for n in range(n_players) for m in range(n_players) if n != m],
+        initial=0.0))
+    if not math.isfinite(residual):
+        raise DomainError("jac's skew-certificate residual lies beyond the "
+                          "float range")
     feasible = bool(not rejected and residual <= SKEW_RESIDUAL_TOL)
-    return SkewCertificate(lambdas=lambdas, residual=float(residual),
+    return SkewCertificate(lambdas=lambdas, residual=residual,
                            feasible=feasible)
 
 
@@ -348,7 +363,9 @@ def pareto_improvement_search(jac: GameJacobian, num_restarts=20, rng_seed=0,
     already prove, by the dual bound of ``_no_joint_improvement``, that no
     witness exists; there ``None`` is a proof.  Otherwise ``None`` means
     only that the ascent found nothing.  ``num_restarts``, ``iters`` and
-    ``rng_seed`` must be non-negative integers.
+    ``rng_seed`` must be non-negative integers.  A certificate beyond the
+    float range is a DomainError naming jac (see
+    :func:`solve_skew_certificate`).
     """
     check_count("num_restarts", num_restarts)
     check_count("iters", iters)
@@ -573,7 +590,9 @@ def uniform_stability_check(jac: GameJacobian, num_conditioners=100,
     results as testing them one at a time: the witness is the first sampled
     conditioner that refutes, and ``max_sampled_real`` covers the samples up
     to it.
-    ``num_conditioners`` and ``rng_seed`` must be non-negative integers.
+    ``num_conditioners`` and ``rng_seed`` must be non-negative integers.  A
+    certificate beyond the float range is a DomainError naming jac (see
+    :func:`solve_skew_certificate`).
     """
     check_count("num_conditioners", num_conditioners)
     check_count("rng_seed", rng_seed)

@@ -371,6 +371,42 @@ def test_analyze_solve_rejects_a_bad_beta_at_once(capsys, beta):
     assert "--beta must be positive and finite" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--eta", "abc"], "bad eta 'abc'"),
+    (["simulate", "--eta", "1.5"], "eta must lie in (0, 1), got 1.5"),
+    (["simulate", "--horizon", "0"], "horizon must be a positive integer"),
+    (["simulate", "--record-every", "0"],
+     "record_every must be a positive integer"),
+    (["analyze", "--solve", "--conditioners", "-1"],
+     "num_conditioners must be a non-negative integer"),
+    (["analyze", "--solve", "--grid-resolution", "1"],
+     "resolution must be at least 2, got 1"),
+], ids=["eta_not_a_number", "eta_too_large", "horizon", "record_every",
+        "conditioners", "grid_resolution"])
+def test_a_bad_flag_exits_2_before_the_solve(capsys, monkeypatch, argv,
+                                             message):
+    def solve(*_):
+        raise AssertionError("solved before the flags were checked")
+
+    monkeypatch.setattr(sg.cli, "_solve_at", solve)
+    code, out, err = run_cli(capsys, [argv[0], "matching_pennies", "--beta",
+                                      "0.1", *argv[1:]])
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_analyze_on_a_game_beyond_the_float_range_exits_2(capsys, tmp_path):
+    # its report held Infinity, which strict JSON parsers reject
+    rng = np.random.default_rng(0)
+    path = write_game(tmp_path, "lopsided", [1e300 * rng.normal(size=(2, 2)),
+                                             1e-9 * rng.normal(size=(2, 2))])
+    code, out, err = run_cli(capsys, ["analyze", path, "--at", "uniform"])
+    assert code == 2
+    assert out == ""
+    assert "beyond the float range" in err
+
+
 def test_sweep_zero_horizon_exits_2(capsys):
     code, out, err = run_cli(capsys, ["sweep", "matching_pennies",
                                       "--horizon", "0"])

@@ -1301,7 +1301,7 @@ def test_hand_built_trajectory_distances_fail_with_a_game_error():
 
 PROBES = ["verdict nan beta", "threshold no point", "reference nan residual",
           "cell string equilibrium", "cell verdict 3", "cells of two shapes",
-          "empty trace", "trace of None"]
+          "failed cell string beta", "empty trace", "trace of None"]
 
 
 @pytest.mark.parametrize("probe", PROBES)
@@ -1334,6 +1334,10 @@ def test_hand_built_equilibrium_records_fail_with_a_game_error(probe):
         "cells of two shapes": (lambda: sg.sweep_to_csv(
             [cell, dataclasses.replace(cell, equilibrium=wide_eq)],
             io.StringIO()), r"cells\[1\]\.equilibrium\.point"),
+        "failed cell string beta": (lambda: sg.sweep_to_csv(
+            [dataclasses.replace(cell, beta="x", error="failed")],
+            io.StringIO()),
+            r"cells\[0\]\.beta must be a real number, got 'x'"),
         "empty trace": (lambda: trace_to_csv([], io.StringIO()), "trace"),
         "trace of None": (lambda: trace_to_csv([None], io.StringIO()),
                           r"trace\[0\]")}

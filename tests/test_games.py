@@ -33,6 +33,12 @@ def test_game_requires_two_players():
         sg.NormalFormGame((np.zeros(3),))
 
 
+def test_game_rejects_an_empty_action_set():
+    with pytest.raises(DimensionError,
+                       match="every player needs at least one action"):
+        sg.NormalFormGame((np.zeros((0, 2)), np.zeros((0, 2))))
+
+
 def test_game_rejects_mismatched_tensor_shapes():
     with pytest.raises(DimensionError):
         sg.NormalFormGame((np.zeros((2, 2)), np.zeros((2, 3))))
@@ -645,6 +651,13 @@ def test_load_game_falls_back_to_bundled_names(tmp_path):
     assert g.shape == (2, 2)
     with pytest.raises(FileNotFoundError):
         sg.load_game(tmp_path / "missing.json")
+
+
+def test_load_game_names_the_path_of_malformed_json(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"players": 2,')
+    with pytest.raises(ParseError, match="broken.json: "):
+        sg.load_game(path)
 
 
 def test_game_from_dict_errors():

@@ -613,11 +613,11 @@ def test_witness_values_are_pinned():
     # coordinates; the ascent's end point moves by about 3e-7 when the
     # Jacobian's last bits do
     stretched = uniform_stability_check(jac, num_conditioners=0, rng_seed=3)
-    assert stretched.witness_real_part == 1.393532406693925
-    assert verify_witness(jac, stretched.witness) == 1.3935324066939234
+    assert stretched.witness_real_part == 1.3935327669204967
+    assert verify_witness(jac, stretched.witness) == 1.393532766920495
     sampled = uniform_stability_check(jac, rng_seed=3)
-    assert sampled.witness_real_part == 7.644976136545044
-    assert verify_witness(jac, sampled.witness) == 7.6449761365450595
+    assert sampled.witness_real_part == 7.644976136545038
+    assert verify_witness(jac, sampled.witness) == 7.644976136545047
 
 
 def _seeded_calls():
@@ -1005,6 +1005,15 @@ def test_reduce_game_rejects_non_quasi_strict():
         reduce_game(ga, pure_point((3, 3), (0, 0)))
 
 
+def test_reduce_game_names_the_tied_action():
+    # a Nash point where player 1's action 1 ties its support's payoff
+    t1 = np.array([[1.0, 0.0], [0.0, 0.0]])
+    t2 = np.array([[1.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(DomainError, match=r"not_quasi_strict \(player 1, "
+                                          r"action 1\)"):
+        reduce_game(sg.NormalFormGame((t1, t2)), pure_point((2, 2), (0, 0)))
+
+
 # ---------------------------------------------------------------------------
 # boundary behaviour of smoothed equilibria
 
@@ -1376,7 +1385,8 @@ BAD_SUPPORTS = {"support": (np.array([5]), np.array([0, 1])),
 
 
 @pytest.mark.parametrize("probe", ["nan", "misshapen", "list",
-                                   *BAD_SUPPORTS])
+                                   *BAD_SUPPORTS, "one block row",
+                                   "one support"])
 def test_jacobian_records_are_checked_once_by_every_reader(monkeypatch,
                                                            probe):
     # an all-NaN Jacobian read as a feasible certificate, a (3, 2) block in
@@ -1385,11 +1395,17 @@ def test_jacobian_records_are_checked_once_by_every_reader(monkeypatch,
     # repeated action of a 2-action player as a stable point; now each
     # reader raises a GameError naming jac, after one check of the whole
     # record
-    blamed = (r"jac\.supports\[0\]" if probe in BAD_SUPPORTS
-              else r"jac block \(1, 0\)")
+    blamed = {"one block row": r"jac needs 2 x 2 blocks",
+              "one support": r"jac needs 2 supports, one per player"}.get(
+        probe, r"jac\.supports\[0\]" if probe in BAD_SUPPORTS
+        else r"jac block \(1, 0\)")
     rng = np.random.default_rng(3)
     good = skew_jacobian(rng, (2, 2), np.ones(2), [(0, 1)])
-    if probe in BAD_SUPPORTS:
+    if probe == "one block row":
+        bad = dataclasses.replace(good, blocks=good.blocks[:1])
+    elif probe == "one support":
+        bad = dataclasses.replace(good, supports=good.supports[:1])
+    elif probe in BAD_SUPPORTS:
         bad = dataclasses.replace(good, supports=BAD_SUPPORTS[probe])
     else:
         block = {"nan": np.full((2, 2), np.nan), "misshapen": np.ones((3, 2)),
@@ -1413,3 +1429,44 @@ def test_jacobian_records_are_checked_once_by_every_reader(monkeypatch,
         calls.clear()
         reader(good)
         assert calls == [1], name
+
+
+def lopsided_game():
+    """A (2, 2) game whose payoff tensors lie 309 decades apart."""
+    rng = np.random.default_rng(0)
+    return sg.NormalFormGame((1e300 * rng.normal(size=(2, 2)),
+                              1e-9 * rng.normal(size=(2, 2))))
+
+
+@pytest.mark.parametrize("reader", [interaction_graph, solve_skew_certificate,
+                                    uniform_stability_check,
+                                    pareto_improvement_search],
+                         ids=lambda f: f.__name__)
+def test_a_block_norm_beyond_the_float_range_is_a_domain_error(reader):
+    # the squared norm of block (0, 1) overflows: the report read inf
+    # weights and residual, and a NaN that ``max`` dropped
+    jac = game_jacobian(lopsided_game(), uniform_point((2, 2)))
+    with pytest.raises(DomainError, match=r"jac block \(0, 1\) has a "
+                                          r"Frobenius norm beyond"):
+        reader(jac)
+
+
+@pytest.mark.parametrize("which", ["weights", "residual"])
+@pytest.mark.parametrize("reader", [solve_skew_certificate,
+                                    uniform_stability_check,
+                                    pareto_improvement_search],
+                         ids=lambda f: f.__name__)
+def test_a_certificate_beyond_the_float_range_is_a_domain_error(reader,
+                                                                which):
+    # finite block norms, but each edge 0-1 and 1-2 fits a weight ratio of
+    # about 1e159: along the path 0-1-2 the weights overflow; with 2 a
+    # child of 0, the residual of the pair (1, 2) does
+    m, z = np.array([[1.0, -2.0], [0.5, 3.0]]), np.zeros((2, 2))
+    j02, j20 = (z, z) if which == "weights" else (m, -m.T)
+    blocks = ((z, 1e150 * m, j02),
+              (-1e-9 * m.T, z, 1e150 * m),
+              (j20, -1e-9 * m.T, z))
+    jac = jacobian_from_blocks((2, 2, 2), blocks)
+    with pytest.raises(DomainError,
+                       match=f"jac's skew-certificate {which} "):
+        reader(jac)
