@@ -18,6 +18,7 @@ are operations on the Nash gap and best responses, so they live here too.
 
 from __future__ import annotations
 
+import functools
 import json
 import string
 from dataclasses import dataclass
@@ -115,33 +116,31 @@ def tangent_basis(k: int, support=None) -> np.ndarray:
     1^T Q = 0.  For a face it spans vectors supported on the face that sum
     to zero; a singleton face has an empty basis.
     """
-    return _tangent_basis(k, support_indices(k, support))
+    return face_bases((k,), [support_indices(k, support)])[0].copy()
 
 
 def face_bases(shape, supports) -> list:
     """Per player of ``shape``, the :func:`tangent_basis` of its face,
     from checked supports (index arrays, as :func:`support_indices`
-    returns them).  Players with the same action count and support share
-    one read-only basis."""
-    shared, bases = {}, []
-    for k, s in zip(shape, supports):
-        key = (k, s.tobytes())
-        if key not in shared:
-            shared[key] = _tangent_basis(k, s)
-            shared[key].setflags(write=False)
-        bases.append(shared[key])
-    return bases
+    returns them).  Faces with the same action count and support share one
+    read-only basis, within a call and across calls (the most recently
+    used 256 are kept)."""
+    return [_face_basis(int(k), np.asarray(s, dtype=np.intp).tobytes())
+            for k, s in zip(shape, supports)]
 
 
-def _tangent_basis(k, support) -> np.ndarray:
-    """:func:`tangent_basis` on a checked index array of a support."""
+@functools.lru_cache(maxsize=256)
+def _face_basis(k, support) -> np.ndarray:
+    """:func:`face_bases` for one face, its actions the ``np.intp`` bytes
+    ``support``."""
+    support = np.frombuffer(support, dtype=np.intp)
     s = len(support)
-    if s <= 1:
-        return np.zeros((k, 0))
-    ones = np.ones((s, 1)) / np.sqrt(s)
-    q, _ = np.linalg.qr(np.hstack([ones, np.eye(s)[:, : s - 1]]))
-    basis = np.zeros((k, s - 1))
-    basis[support, :] = q[:, 1:]
+    basis = np.zeros((k, max(s - 1, 0)))
+    if s > 1:
+        ones = np.ones((s, 1)) / np.sqrt(s)
+        q, _ = np.linalg.qr(np.hstack([ones, np.eye(s)[:, : s - 1]]))
+        basis[support, :] = q[:, 1:]
+    basis.setflags(write=False)
     return basis
 
 

@@ -6,10 +6,12 @@ The module depends on it and on the game alone (``errors`` and ``games``
 are its only imports).  An equilibrium is uniformly stable when H^{-1} J
 has purely imaginary spectrum for every positive-definite block-diagonal
 conditioner H.  That quantifier is not directly decidable, so the verdict
-rests on a lambda-skew certificate (sufficient under connectivity and
-bi-directionality), with sampled and constructed counterexample witnesses
-on the refutation side.  The sampling, and the constructed witness's ascent,
-are skipped where bounds from the certificate's weights prove them futile.
+rests on a lambda-skew certificate, one symmetric least-squares fit that
+permutes with the players (sufficient on a connected interaction graph,
+which a feasible certificate makes bi-directional), with sampled and
+constructed counterexample witnesses on the refutation side.  The sampling,
+and the constructed witness's ascent, are skipped where bounds from the
+certificate's weights prove them futile.
 """
 
 from __future__ import annotations
@@ -46,7 +48,10 @@ _POINTWISE = ("stable", "unstable_with_witness", "indeterminate")
 
 @dataclass(frozen=True)
 class InteractionGraph:
-    """Edges mark nonzero Jacobian blocks between players."""
+    """Edges mark nonzero Jacobian blocks between players.  Every joined
+    pair n, m is ``bidirectional`` when the skew certificate is feasible
+    (which makes J_nm and J_mn^T proportional), or when J_nm and J_mn^T
+    have the same left and right kernels (see ``_kernels_align``)."""
 
     edges: frozenset
     connected: bool
@@ -54,25 +59,28 @@ class InteractionGraph:
 
 
 def _kernels_align(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether the kernels of two matrices of one shape have the same
-    dimension and a largest principal angle of at most KERNEL_ANGLE_TOL.
+    """Whether two matrices of one shape have right kernels, and left
+    kernels, of the same dimension and a largest principal angle of at
+    most KERNEL_ANGLE_TOL.
 
-    One stacked SVD gives both kernel bases, each cut off at 1e-10 of its
-    matrix's largest singular value.  The angle comes from its sine, the
+    One stacked SVD gives all four kernel bases, each cut off at 1e-10 of
+    its matrix's largest singular value.  An angle comes from its sine, the
     larger spectral norm of the two projector differences, which stays
     accurate for the tiny angles the bi-directionality test cares about.
     """
-    _, s, vh = np.linalg.svd(np.stack([a, b]))
+    u, s, vh = np.linalg.svd(np.stack([a, b]))
     rank_a, rank_b = np.sum(s > 1e-10 * s.max(axis=1, keepdims=True),
                             axis=1).tolist()
     if rank_a != rank_b:
         return False  # the angle is pi / 2
-    if rank_a == vh.shape[-1]:
-        return True
-    b1, b2 = vh[0, rank_a:].T, vh[1, rank_a:].T
-    sines = np.linalg.svd(np.stack([b2 - b1 @ (b1.T @ b2),
-                                    b1 - b2 @ (b2.T @ b1)]), compute_uv=False)
-    return bool(np.arcsin(min(1.0, sines.max())) <= KERNEL_ANGLE_TOL)
+    for b1, b2 in ((vh[0, rank_a:].T, vh[1, rank_a:].T),
+                   (u[0][:, rank_a:], u[1][:, rank_a:])):
+        sines = np.linalg.svd(np.stack([b2 - b1 @ (b1.T @ b2),
+                                        b1 - b2 @ (b2.T @ b1)]),
+                              compute_uv=False)
+        if np.arcsin(min(1.0, sines.max(initial=0.0))) > KERNEL_ANGLE_TOL:
+            return False
+    return True
 
 
 def _checked(jac) -> GameJacobian:
@@ -109,13 +117,11 @@ def _checked(jac) -> GameJacobian:
     return jac
 
 
-def _spanning_forest(jac: GameJacobian):
-    """Block Frobenius norms, and the (parent, child) edges of a spanning
-    forest of the undirected interaction graph (players joined by a block
-    above EDGE_TOL in either direction), in depth-first visit order from
-    each unvisited player in turn.  The graph is connected exactly when the
-    forest is one tree, with one edge fewer than there are players.  A
-    block norm beyond the float range is a DomainError naming the block."""
+def _block_norms(jac: GameJacobian):
+    """Block Frobenius norms, and whether the undirected interaction graph
+    (players joined by a block above EDGE_TOL in either direction) is
+    connected.  A block norm beyond the float range is a DomainError naming
+    the block."""
     n_players = jac.num_players
     with np.errstate(over="ignore"):
         norms = np.array([[_frobenius(jac.blocks[n][m]) for m in
@@ -124,23 +130,10 @@ def _spanning_forest(jac: GameJacobian):
         n, m = np.argwhere(~np.isfinite(norms))[0].tolist()
         raise DomainError(f"jac block ({n}, {m}) has a Frobenius norm "
                           f"beyond the float range")
-    joined = (norms > EDGE_TOL) | (norms.T > EDGE_TOL)
-    np.fill_diagonal(joined, False)
-    visited = [False] * n_players
-    tree = []
-    for root in range(n_players):
-        if visited[root]:
-            continue
-        visited[root] = True
-        frontier = [root]
-        while frontier:
-            parent = frontier.pop()
-            for child in np.flatnonzero(joined[parent]).tolist():
-                if not visited[child]:
-                    visited[child] = True
-                    tree.append((parent, child))
-                    frontier.append(child)
-    return norms, tree
+    joined = (norms > EDGE_TOL) | (norms.T > EDGE_TOL) | np.eye(n_players,
+                                                                dtype=bool)
+    # every pair is joined by a path of at most n_players - 1 edges
+    return norms, bool(np.linalg.matrix_power(joined, n_players - 1).all())
 
 
 def _frobenius(mat) -> float:
@@ -152,23 +145,27 @@ def _frobenius(mat) -> float:
 
 
 def interaction_graph(jac: GameJacobian) -> InteractionGraph:
-    """The interaction graph of jac; a block norm beyond the float range
-    is a DomainError naming jac."""
-    return _interaction_graph(jac, *_spanning_forest(_checked(jac)))
+    """The interaction graph of jac.  Its flag reads jac's skew
+    certificate, so a block norm, or a certificate weight or residual,
+    beyond the float range is a DomainError naming jac."""
+    norms, connected = _block_norms(_checked(jac))
+    return _interaction_graph(jac, norms, connected,
+                              _skew_certificate(jac, norms).feasible)
 
 
-def _interaction_graph(jac, norms, tree) -> InteractionGraph:
-    """The graph of jac, from its ``_spanning_forest``."""
+def _interaction_graph(jac, norms, connected, feasible) -> InteractionGraph:
+    """The graph of jac, from its ``_block_norms`` and whether its skew
+    certificate is feasible."""
     above = norms > EDGE_TOL
     np.fill_diagonal(above, False)
     # every joined pair n < m; ``all`` stops at the first that fails
     pairs = np.argwhere(np.triu(above | above.T)).tolist()
-    bidirectional = all(_kernels_align(jac.blocks[n][m], jac.blocks[m][n].T)
-                        for n, m in pairs)
+    bidirectional = feasible or all(
+        _kernels_align(jac.blocks[n][m], jac.blocks[m][n].T)
+        for n, m in pairs)
     return InteractionGraph(
         edges=frozenset(map(tuple, np.argwhere(above).tolist())),
-        connected=len(tree) == jac.num_players - 1,
-        bidirectional=bidirectional)
+        connected=connected, bidirectional=bidirectional)
 
 
 # ---------------------------------------------------------------------------
@@ -184,57 +181,57 @@ class SkewCertificate:
 
 
 def solve_skew_certificate(jac: GameJacobian) -> SkewCertificate:
-    """Estimate lambda by least squares on edges and tree propagation.
+    """Estimate lambda by one symmetric least-squares fit over the edges.
 
-    On each edge the scalar a with J_mn ~ -a J_nm^T is the Frobenius least-
-    squares fit; skew-feasibility demands a > 0 (a = lambda_m / lambda_n
-    with child n, parent m gives lambda_n = a * lambda_m along tree edges).
-    The residual is evaluated over all ordered pairs, so non-tree (cycle)
-    edges are checked for consistency as well.  A block norm, weight or
-    residual beyond the float range is a DomainError naming jac.
+    An exact certificate has lambda_n ||J_nm|| = lambda_m ||J_mn||, so each
+    edge with both blocks above EDGE_TOL asks log lambda_m - log lambda_n =
+    log ||J_nm|| - log ||J_mn||, at weight min(||J_nm||, ||J_mn||)^2.  The
+    fit, which permutes with the players, is the minimum-norm solution of
+    that weighted graph-Laplacian system, solved from the weighted edge rows
+    (so the Laplacian's squared condition number does not enter).  It is
+    feasible when no edge is one-sided, every edge has <J_nm, J_mn^T> < 0
+    and the residual, the largest ||lambda_n J_nm + lambda_m J_mn^T|| /
+    (1 + ||J_nm||) over ordered pairs at max lambda = 1, is at most
+    SKEW_RESIDUAL_TOL.  The lambdas are reported with lambda_0 = 1.  A block
+    norm, weight or residual beyond the float range is a DomainError naming
+    jac.
     """
-    return _skew_certificate(jac, *_spanning_forest(_checked(jac)))
+    return _skew_certificate(jac, _block_norms(_checked(jac))[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _skew_certificate(jac, norms, tree) -> SkewCertificate:
-    """The certificate of jac, from its ``_spanning_forest``.  A weight or
-    a residual beyond the float range is a DomainError naming jac."""
+def _skew_certificate(jac, norms) -> SkewCertificate:
+    """The certificate of jac, from its ``_block_norms``.  A weight or a
+    residual beyond the float range is a DomainError naming jac."""
     n_players = jac.num_players
     blocks = jac.blocks
-    lambdas = np.ones(n_players)
-    rejected = False
-    for parent, child in tree:
-        # least-squares a with J_{parent,child} ~ -a J_{child,parent}^T
-        num = -np.tensordot(blocks[parent][child], blocks[child][parent].T,
-                            axes=2)
-        den = norms[child, parent] ** 2
-        if den <= EDGE_TOL ** 2 or norms[parent, child] <= EDGE_TOL:
-            # one-sided edge: no finite ratio exists
-            rejected = True
-            lambdas[child] = lambdas[parent]
-        else:
-            a = num / den
-            if a <= 0:
-                rejected = True
-                lambdas[child] = lambdas[parent] * max(abs(a), 1e-12)
-            else:
-                lambdas[child] = lambdas[parent] * a
-    if not np.isfinite(lambdas).all():
+    above = norms > EDGE_TOL
+    np.fill_diagonal(above, False)
+    n, m = np.nonzero(np.triu(above & above.T))
+    # one row e_m - e_n per two-sided edge, times the root of its weight
+    root = np.minimum(norms[n, m], norms[m, n])
+    rows = root[:, None] * (np.eye(n_players)[m] - np.eye(n_players)[n])
+    gaps = np.log(norms[n, m]) - np.log(norms[m, n])
+    log_lambdas = np.linalg.lstsq(rows, root * gaps)[0]
+    lambdas = np.exp(log_lambdas - log_lambdas[0])
+    if not (np.isfinite(lambdas).all() and (lambdas > 0).all()):
         raise DomainError("jac's skew-certificate weights lie beyond the "
                           "float range")
 
-    lambdas = lambdas / lambdas[0]
+    unit = np.exp(log_lambdas - log_lambdas.max())
     # np.max, unlike max, keeps a NaN
     residual = float(np.max([
-        _frobenius(lambdas[n] * blocks[n][m] + lambdas[m] * blocks[m][n].T)
-        / (1.0 + norms[n, m])
-        for n in range(n_players) for m in range(n_players) if n != m],
+        _frobenius(unit[a] * blocks[a][b] + unit[b] * blocks[b][a].T)
+        / (1.0 + norms[a, b])
+        for a in range(n_players) for b in range(n_players) if a != b],
         initial=0.0))
     if not math.isfinite(residual):
         raise DomainError("jac's skew-certificate residual lies beyond the "
                           "float range")
-    feasible = bool(not rejected and residual <= SKEW_RESIDUAL_TOL)
+    feasible = bool(residual <= SKEW_RESIDUAL_TOL
+                    and np.array_equal(above, above.T)
+                    and all(np.vdot(blocks[a][b], blocks[b][a].T) < 0
+                            for a, b in zip(n.tolist(), m.tolist())))
     return SkewCertificate(lambdas=lambdas, residual=residual,
                            feasible=feasible)
 
@@ -371,7 +368,7 @@ def pareto_improvement_search(jac: GameJacobian, num_restarts=20, rng_seed=0,
     check_count("iters", iters)
     check_count("rng_seed", rng_seed)
     j_t, bases, dims = _checked(jac).tangent()
-    lambdas = _skew_certificate(jac, *_spanning_forest(jac)).lambdas
+    lambdas = _skew_certificate(jac, _block_norms(jac)[0]).lambdas
     z = _improvement_direction(j_t, dims, lambdas, num_restarts, rng_seed,
                                iters)
     if z is None:
@@ -578,8 +575,9 @@ def uniform_stability_check(jac: GameJacobian, num_conditioners=100,
                             rng_seed=0) -> UniformStabilityReport:
     """Certificate-first decision procedure for pointwise uniform stability.
 
-    A feasible lambda-skew certificate on a connected, bi-directional
-    interaction graph proves stability.  Otherwise random block-diagonal
+    A feasible lambda-skew certificate on a connected interaction graph
+    proves stability; no kernel is computed there, since the certificate
+    makes the graph bi-directional.  Otherwise random block-diagonal
     conditioners and a constructed improvement witness look for an
     eigenvalue with nonzero real part; failing both, the status is
     indeterminate (sampling cannot prove a universally quantified spectrum
@@ -596,10 +594,10 @@ def uniform_stability_check(jac: GameJacobian, num_conditioners=100,
     """
     check_count("num_conditioners", num_conditioners)
     check_count("rng_seed", rng_seed)
-    forest = _spanning_forest(_checked(jac))
-    cert = _skew_certificate(jac, *forest)
-    graph = _interaction_graph(jac, *forest)
-    if cert.feasible and graph.connected and graph.bidirectional:
+    norms, connected = _block_norms(_checked(jac))
+    cert = _skew_certificate(jac, norms)
+    graph = _interaction_graph(jac, norms, connected, cert.feasible)
+    if cert.feasible and connected:
         return UniformStabilityReport(pointwise="stable", certificate=cert,
                                       graph=graph)
 

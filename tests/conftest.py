@@ -88,8 +88,9 @@ def skew_jacobian(rng, dims, lam, edges):
     return jacobian_from_blocks(dims, skew_blocks(rng, dims, lam, edges))
 
 
-def polymatrix_game(rng, shape, lam=None, edges=None):
-    """Pairwise-interaction game; lam-skew couplings when lam is given.
+def polymatrix_game(rng, shape, lam=None, edges=None, noise=0.0):
+    """Pairwise-interaction game; lam-skew couplings when lam is given,
+    each way back nudged by ``noise`` times a doubly centered draw.
 
     f_p(x) = sum_b x_p^T M_pb x_b, so the Jacobian blocks are exactly the
     (centered) pair matrices at every point.
@@ -105,6 +106,9 @@ def polymatrix_game(rng, shape, lam=None, edges=None):
             pair[(b, a)] = doubly_centered(rng.standard_normal((shape[b], shape[a])))
         else:
             pair[(b, a)] = -(lam[a] / lam[b]) * m.T
+        if noise:
+            pair[(b, a)] = pair[(b, a)] + noise * doubly_centered(
+                rng.standard_normal((shape[b], shape[a])))
     tensors = []
     for p in range(n):
         t = np.zeros(shape)

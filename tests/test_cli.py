@@ -95,6 +95,8 @@ def test_analyze_output_is_deterministic(capsys):
 # at one explicit interior point, recorded before the analyze path was
 # optimised (numpy 2.4, OpenBLAS 0.3, x86-64).  An optimisation of that path
 # must keep every byte; another BLAS may round some of them differently.
+# example_A's two were re-recorded when the skew certificate became one
+# symmetric least-squares fit, which moved its weights.
 ANALYZE_DIGESTS = {
     ("matching_pennies", "uniform"):
         "1b653db034e238a5816b5d0641dd6ed27fa825965a8d8329e9135553ac00c48f",
@@ -105,9 +107,9 @@ ANALYZE_DIGESTS = {
     ("coordination_2x2", "0.3,0.7;0.6,0.4"):
         "2e4ae446815e63a1c42d73c60aa355c88bc1ca796f8b4fa11cad5a76b99aa418",
     ("example_A", "uniform"):
-        "a9f8de021dc0ff436a3691ce92c48de8a399a68c0a17dd4a3c17f2efdc1ae002",
+        "20e4bb1bda151522361d8d401028d3e01e57d3dfb76a54671bfb345024c3db47",
     ("example_A", "0.2,0.3,0.5;0.5,0.25,0.25"):
-        "cd5767b50beec8c7d554bd5b414d41ee3c77e8ca94a1debdb6b13268061e6438",
+        "3f1f114b268408cf2ff50e9600396a48b5e9c39a77f12e1f119922010815aa9d",
 }
 
 

@@ -49,6 +49,7 @@ from conftest import (
     doubly_centered,
     graph_edges,
     jacobian_from_blocks,
+    nonstrategic_offsets,
     polymatrix_game,
     random_game,
     random_interior,
@@ -169,8 +170,9 @@ def test_bystander_disconnects_graph():
 
 def _frozen_interaction_graph(jac):
     """The interaction graph as it was first computed, one matrix at a
-    time: for every joined pair two kernel SVDs and two spectral norms,
-    and no pair skipped.  The reference for ``interaction_graph``."""
+    time: for every joined pair four kernel SVDs (right and left kernels)
+    and four spectral norms, and no pair skipped; a feasible skew
+    certificate sets the flag.  The reference for ``interaction_graph``."""
     def kernel(mat):
         _, s, vh = np.linalg.svd(mat)
         return vh[int(np.sum(s > 1e-10 * s.max())):].T
@@ -194,16 +196,18 @@ def _frozen_interaction_graph(jac):
             if m not in reached and ((n, m) in edges or (m, n) in edges):
                 reached.add(m)
                 frontier.append(m)
-    bidirectional = True
+    kernels_agree = True
     for n in players:
         for m in range(n + 1, jac.num_players):
-            if ((n, m) in edges or (m, n) in edges) and angle(
-                    kernel(jac.blocks[n][m]),
-                    kernel(jac.blocks[m][n].T)) > KERNEL_ANGLE_TOL:
-                bidirectional = False
-    return InteractionGraph(edges=edges,
-                            connected=len(reached) == jac.num_players,
-                            bidirectional=bidirectional)
+            if ((n, m) in edges or (m, n) in edges) and max(
+                    angle(kernel(jac.blocks[n][m]),
+                          kernel(jac.blocks[m][n].T)),
+                    angle(kernel(jac.blocks[n][m].T),
+                          kernel(jac.blocks[m][n]))) > KERNEL_ANGLE_TOL:
+                kernels_agree = False
+    return InteractionGraph(
+        edges=edges, connected=len(reached) == jac.num_players,
+        bidirectional=solve_skew_certificate(jac).feasible or kernels_agree)
 
 
 @settings(max_examples=80, deadline=None)
@@ -293,16 +297,21 @@ def test_certificate_recovers_known_weights(kind):
 
 
 @pytest.mark.parametrize("kind", ["path", "cycle", "complete"])
-def test_check_builds_one_spanning_forest(monkeypatch, kind):
-    # the certificate and the graph share one forest, and agree with the
-    # public functions that build their own
+def test_check_takes_one_block_norms_pass(monkeypatch, kind):
+    # the certificate and the graph share one norms pass, and agree with
+    # the public functions that take their own; a feasible certificate
+    # makes every joined pair's blocks proportional, so no kernel SVD is
+    # taken on the way to ``stable``
     rng = np.random.default_rng(11)
     dims = [2, 3, 2, 4]
-    jac = skew_jacobian(rng, dims, np.ones(4), graph_edges(kind, 4))
+    jac = skew_jacobian(rng, dims, 10.0 ** rng.uniform(-1, 1, 4),
+                        graph_edges(kind, 4))
     calls = []
-    forest = stability._spanning_forest
-    monkeypatch.setattr(stability, "_spanning_forest",
-                        lambda jac: calls.append(1) or forest(jac))
+    block_norms = stability._block_norms
+    monkeypatch.setattr(stability, "_block_norms",
+                        lambda jac: calls.append(1) or block_norms(jac))
+    monkeypatch.setattr(stability, "_kernels_align", lambda *blocks:
+                        pytest.fail("kernel SVD taken"))
     report = uniform_stability_check(jac)
     assert len(calls) == 1
     assert report.pointwise == "stable"
@@ -359,6 +368,81 @@ def test_skew_conditioned_spectra_stay_imaginary():
             h = block_diag([random_pd(rng, d) for d in tdims])
             eigs = np.linalg.eigvals(np.linalg.solve(h, j_t))
             assert np.abs(eigs.real).max() <= 1e-8 * max(radius, 1e-300)
+
+
+def _relabelled(game, x, rng, scaled):
+    """game and x under a random player order, random action orders and
+    random per-player offsets, with each player's payoffs times a positive
+    scale if ``scaled``; and the order and the scales (by old player)."""
+    order = rng.permutation(game.num_players)
+    actions = [rng.permutation(k) for k in game.shape]
+    scales = (10.0 ** rng.uniform(-0.5, 0.5, game.num_players) if scaled
+              else np.ones(game.num_players))
+    index = np.ix_(*(actions[p] for p in order))
+    shape = tuple(game.shape[p] for p in order)
+    tensors = [scales[p] * np.transpose(game.payoffs[p], order)[index] + offset
+               for p, offset in zip(order, nonstrategic_offsets(rng, shape))]
+    point = sg.JointStrategy(tuple(x.blocks[p][actions[p]] for p in order))
+    return sg.NormalFormGame(tuple(tensors)), point, order, scales
+
+
+def test_verdicts_do_not_depend_on_labels(monkeypatch):
+    # lambda-skew polymatrix games on paths and cycles, each way back
+    # nudged by ``noise``, against a relabelling (players, actions and
+    # offsets) and a rescaled relabelling.  The certificate, the graph and
+    # a certified ``stable`` verdict are the same under a relabelling, and
+    # lambda maps onto itself (divided by the scales) within 1e-12 + 10
+    # noise of the largest weight.  The residual's tolerance is not scale
+    # invariant, and the sampled search depends on the draw, so their
+    # flips are counted and printed, not asserted.
+    ascent = stability._pareto_ascent
+    monkeypatch.setattr(  # full-length ascents take about 0.6 s a case
+        stability, "_pareto_ascent",
+        lambda j_t, dims, num_restarts, rng_seed, iters: ascent(
+            j_t, dims, 2, rng_seed, 40))
+    flips = {"rescaled certificate": 0, "sampled search": 0}
+
+    def summary(report):
+        return (report.certificate.feasible, report.graph.connected,
+                report.graph.bidirectional, report.pointwise == "stable")
+
+    @settings(max_examples=30, derandomize=True, database=None,
+              deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           noise=st.sampled_from([0.0, 1e-10, 1e-8]),
+           kind=st.sampled_from(["path", "cycle"]))
+    def check(seed, noise, kind):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 6))
+        shape = tuple(int(k) for k in rng.integers(2, 4, n))
+        game, _ = polymatrix_game(rng, shape, 10.0 ** rng.uniform(-1, 1, n),
+                                  graph_edges(kind, n), noise)
+        x = random_interior(rng, shape)
+        jac = game_jacobian(game, x)
+        report = uniform_stability_check(jac, num_conditioners=20)
+        assert report.graph == interaction_graph(jac)
+        lambdas = solve_skew_certificate(jac).lambdas
+        for scaled in (False, True):
+            g, point, order, scales = _relabelled(game, x, rng, scaled)
+            other = game_jacobian(g, point)
+            cert = solve_skew_certificate(other)
+            back = np.empty(n)
+            back[order] = cert.lambdas * scales[order]
+            assert np.abs(back / back.max() - lambdas / lambdas.max()).max() \
+                <= 1e-12 + 10 * noise
+            relabelled = uniform_stability_check(other, num_conditioners=20)
+            assert relabelled.graph == interaction_graph(other)
+            assert relabelled.graph.connected == report.graph.connected
+            if not scaled:
+                assert summary(relabelled) == summary(report)
+            elif summary(relabelled) != summary(report):
+                flips["rescaled certificate"] += 1
+            verdicts = {relabelled.pointwise, report.pointwise}
+            flips["sampled search"] += (len(verdicts) == 2
+                                        and "stable" not in verdicts)
+
+    check()
+    print(f"label-dependent flips over 30 games x 2 relabellings: {flips}")
 
 
 # ---------------------------------------------------------------------------
@@ -1458,14 +1542,17 @@ def test_a_block_norm_beyond_the_float_range_is_a_domain_error(reader):
                          ids=lambda f: f.__name__)
 def test_a_certificate_beyond_the_float_range_is_a_domain_error(reader,
                                                                 which):
-    # finite block norms, but each edge 0-1 and 1-2 fits a weight ratio of
-    # about 1e159: along the path 0-1-2 the weights overflow; with 2 a
-    # child of 0, the residual of the pair (1, 2) does
+    # finite block norms.  Weights: each edge 0-1 and 1-2 fits a weight
+    # ratio of about 1e159, so along the path 0-1-2 the weights overflow.
+    # Residual: the blocks of edge 0-1 have the wrong sign and squared
+    # norms just inside the float range, and their sum's overflows
     m, z = np.array([[1.0, -2.0], [0.5, 3.0]]), np.zeros((2, 2))
-    j02, j20 = (z, z) if which == "weights" else (m, -m.T)
-    blocks = ((z, 1e150 * m, j02),
-              (-1e-9 * m.T, z, 1e150 * m),
-              (j20, -1e-9 * m.T, z))
+    if which == "weights":
+        blocks = ((z, 1e150 * m, z),
+                  (-1e-9 * m.T, z, 1e150 * m),
+                  (z, -1e-9 * m.T, z))
+    else:
+        blocks = ((z, 3e153 * m, z), (3e153 * m.T, z, z), (z, z, z))
     jac = jacobian_from_blocks((2, 2, 2), blocks)
     with pytest.raises(DomainError,
                        match=f"jac's skew-certificate {which} "):
