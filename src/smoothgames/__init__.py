@@ -9,16 +9,15 @@ from .dynamics import (BoundaryReport, DynamicsConfig, StabilityVerdict,
 from .errors import (ArgumentError, ConvergenceError, CyclingError,
                      DimensionError, DomainError, GameError, ParseError,
                      ResourceError)
-from .games import (CanonicalForm, GameJacobian, JointStrategy, NormalFormGame,
-                    QuasiStrictResult, StrategicDecomposition, TangentVector,
-                    best_response_values, bundled_game, bundled_game_names,
+from .games import (GameJacobian, JointStrategy, NormalFormGame,
+                    QuasiStrictResult, TangentVector, best_response_values,
+                    bundled_game, bundled_game_names, centered_game,
                     centering_projection, cross_hessian, embed_strategy,
                     epsilon_nash_gap, face_projection, game_from_dict,
                     game_jacobian, game_to_dict, gradient, load_game,
                     pure_strategy, quasi_strict_check, reduce_game,
                     replace_block, restrict_strategy, save_game,
-                    strategic_decompose, tangent_basis, to_canonical,
-                    uniform_strategy, utility)
+                    tangent_basis, uniform_strategy, utility)
 from .regularizers import (FaceHessian, Regularizer, entropy, face_hessian,
                            make_regularizer_with_hessian, quadratic_entropy,
                            reg_tangent_gradient, reg_value,

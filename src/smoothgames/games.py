@@ -5,8 +5,9 @@ the joint mixed strategy, made here alone: gradients (and utilities, their
 dot with the own block) by a :func:`gradient_plan`, at a point or a stack of
 points, the cross-derivative blocks of the game Jacobian by one chain of
 stacked products per player in :func:`jacobian_blocks`, and the coalition
-payoffs of the grid oracles by :func:`contract`, which keeps any set of
-players' axes.  All derivative objects (gradients, cross second
+payoffs of the grid oracles and the own-axis averages of
+:func:`centered_game` by :func:`contract`, which keeps any set of players'
+axes.  All derivative objects (gradients, cross second
 derivatives, the game Jacobian) are kept in ambient coordinates; tangent-
 space versions are obtained by composing with the centering projection
 ``I - (1/k) 11^T``, so that one coordinate convention is shared across the
@@ -205,8 +206,8 @@ def contract(tensor, blocks, keep) -> np.ndarray:
     stack axes, of every player not in ``keep``: the stack axes, then one
     axis per kept player in ``keep``'s order (with every player kept, the
     tensor's axes in that order, which broadcast over any stack).  One
-    einsum, for the grid oracles' coalitions; gradients and Jacobian blocks
-    take their own row-wise products."""
+    einsum, for the grid oracles' coalitions and :func:`centered_game`;
+    gradients and Jacobian blocks take their own row-wise products."""
     others = [p for p in range(tensor.ndim) if p not in keep]
     if not others:
         return np.transpose(tensor, keep)
@@ -390,20 +391,6 @@ class TangentVector:
         return np.concatenate(self.blocks)
 
 
-@dataclass(frozen=True)
-class StrategicDecomposition:
-    """Split f_n(x) = A_n(x_{-n}) . x_n + b_n(x_{-n}).
-
-    ``linear_part`` and ``offset_part`` accept a full JointStrategy and use
-    only the opponent blocks.  The offset is the mean pure-strategy payoff,
-    which makes the split unique among strategically equivalent ones.
-    """
-
-    player: int
-    linear_part: object
-    offset_part: object
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -449,65 +436,23 @@ def cross_hessian(game: NormalFormGame, x: JointStrategy, n: int, m: int) -> np.
     return game_jacobian(game, x, (None,) * game.num_players).blocks[n][m]
 
 
-def strategic_decompose(game: NormalFormGame, n: int) -> StrategicDecomposition:
-    """Decompose f_n into centered linear part and scalar offset."""
-    check_index("player", n, check_type("game", game,
-                                        NormalFormGame).num_players)
-
-    def linear_part(x: JointStrategy) -> np.ndarray:
-        g = gradient(game, x, n)
-        return g - g.mean()
-
-    def offset_part(x: JointStrategy) -> float:
-        return float(gradient(game, x, n).mean())
-
-    return StrategicDecomposition(player=n, linear_part=linear_part,
-                                  offset_part=offset_part)
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """A game recentred at a base point with non-strategic parts dropped.
-
-    ``game`` holds payoff tensors centered along each owner's own axis, so
-    every utility is purely strategic; ``base_point`` is the origin of the
-    tangent coordinates.  Utilities of the canonical form agree with the
-    strategic components of the source game up to strategic equivalence.
-    """
-
-    game: NormalFormGame
-    base_point: JointStrategy
-
-    def utility(self, z: TangentVector, n: int) -> float:
-        """Strategic utility at tangent coordinates z (x = base + z): z
-        needs one finite block per player, of that player's length."""
-        check_index("player", n, self.game.num_players)
-        shape = self.game.shape
-        if len(check_type("z", z, TangentVector).blocks) != len(shape):
-            raise DimensionError(f"z has {len(z.blocks)} blocks, expected "
-                                 f"one per player ({len(shape)})")
-        blocks = [b + check_array(f"z block {m}", d, (k,))
-                  for m, (b, d, k) in enumerate(
-                      zip(self.base_point.blocks, z.blocks, shape))]
-        plan = gradient_plan(self.game.payoffs[n], n)
-        return float(planned_gradient(plan, [b[None] for b in blocks])[0]
-                     @ blocks[n])
-
-
-def to_canonical(game: NormalFormGame, x_star: JointStrategy) -> CanonicalForm:
-    """Recenter the game at an interior point and drop non-strategic parts.
-
-    Centering tensor n along its own axis removes exactly the offset
-    b_n(x_{-n}); cross derivatives and projected gradients are unchanged.
-    """
+def centered_game(game: NormalFormGame, x_star: JointStrategy) -> NormalFormGame:
+    """The package's one strategic-equivalence transform: tensor n less its
+    x*_n-average along axis n, so f_n(x) becomes f_n(x) - f_n(x*_n, x_{-n}),
+    which is 0 at x_star.  It drops only a function of x_{-n} (the
+    non-strategic part of Candogan, Menache, Ozdaglar and Parrilo, Math.
+    Oper. Res. 2011), so tangent gradients, cross derivatives, equilibria
+    and certificates are unchanged.  x_star may lie on the boundary.  The
+    paper's weak Pareto optimality at an equilibrium x* is
+    ``weak_pareto_oracle(centered_game(game, x*), x*)``."""
     check_match(game, x_star, name="x_star")
-    if not x_star.is_interior:
-        raise DomainError("canonical form needs an interior base point")
-    centered = tuple(t - t.mean(axis=n, keepdims=True)
-                     for n, t in enumerate(game.payoffs))
-    name = f"{game.name}:canonical" if game.name else "canonical"
-    return CanonicalForm(game=NormalFormGame(centered, name=name),
-                         base_point=x_star)
+    centered = []
+    for n, t in enumerate(game.payoffs):
+        others = [p for p in range(t.ndim) if p != n]
+        average = contract(t, x_star.blocks, others)
+        centered.append(t - np.expand_dims(average, n))
+    name = f"{game.name}:centered" if game.name else "centered"
+    return NormalFormGame(tuple(centered), name=name)
 
 
 def best_response_values(game: NormalFormGame, x: JointStrategy, n: int):

@@ -137,11 +137,17 @@ def _block_norms(jac: GameJacobian):
 
 
 def _frobenius(mat) -> float:
-    """The Frobenius norm of a real matrix, as ``np.linalg.norm`` computes
-    it (the square root of the dot of its entries with themselves),
-    without that function's dispatch."""
+    """The Frobenius norm of a real matrix: the root of the dot of its
+    entries with themselves, as ``np.linalg.norm`` takes it (without its
+    dispatch); where that dot overflows, the largest |entry| times the norm
+    of the entries divided by it, so only a norm beyond floats is inf."""
     flat = mat.ravel(order="K")
-    return math.sqrt(flat.dot(flat))
+    square = flat.dot(flat)
+    if math.isinf(square):
+        top = np.abs(flat).max()
+        scaled = flat / top
+        return float(top * math.sqrt(scaled.dot(scaled)))
+    return math.sqrt(square)
 
 
 def interaction_graph(jac: GameJacobian) -> InteractionGraph:
@@ -367,8 +373,8 @@ def pareto_improvement_search(jac: GameJacobian, num_restarts=20, rng_seed=0,
     check_count("num_restarts", num_restarts)
     check_count("iters", iters)
     check_count("rng_seed", rng_seed)
-    j_t, bases, dims = _checked(jac).tangent()
-    lambdas = _skew_certificate(jac, _block_norms(jac)[0]).lambdas
+    lambdas = _skew_certificate(jac, _block_norms(_checked(jac))[0]).lambdas
+    j_t, bases, dims = jac.tangent()
     z = _improvement_direction(j_t, dims, lambdas, num_restarts, rng_seed,
                                iters)
     if z is None:

@@ -297,8 +297,6 @@ ROWS = {
     "cross_hessian": row(sg.cross_hessian, game=(PENNIES, GAME),
                          x=(X, STRATEGY), n=(0, index(2, label="player")),
                          m=(1, index(2, label="player"))),
-    "strategic_decompose": row(sg.strategic_decompose, game=(PENNIES, own(X)),
-                               n=(0, index(2, label="player"))),
     "epsilon_nash_gap": row(sg.epsilon_nash_gap, game=(PENNIES, GAME),
                             x=(X, STRATEGY)),
     "quasi_strict_check": row(sg.quasi_strict_check, game=(PENNIES, GAME),
@@ -306,8 +304,8 @@ ROWS = {
                               gap_tol=(1e-9, non_negative(1e-9))),
     "reduce_game": row(sg.reduce_game, game=(PENNIES, GAME),
                        x_star=(X, STRATEGY)),
-    "to_canonical": row(sg.to_canonical, game=(PENNIES, GAME),
-                        x_star=(X, STRATEGY)),
+    "centered_game": row(sg.centered_game, game=(PENNIES, GAME),
+                         x_star=(X, STRATEGY)),
     "restrict_strategy": row(sg.restrict_strategy, x=(X, own()),
                              supports=(((0, 1), (0, 1)),
                                        supports(((0, 1), (0, 1)), ("0",)))),
@@ -518,11 +516,11 @@ EXEMPT = {
         "GameError", "ArgumentError", "DimensionError", "DomainError",
         "ParseError", "ResourceError", "ConvergenceError", "CyclingError")},
     **{name: _RECORD for name in (
-        "BilinearScaleResult", "BoundaryReport", "CanonicalForm",
+        "BilinearScaleResult", "BoundaryReport",
         "FaceHessian", "GameJacobian", "InteractionGraph",
         "LocalStabilityVerdict", "ParetoOracleResult", "QuasiStrictResult",
         "SkewCertificate", "SmoothedEquilibrium", "StabilityVerdict",
-        "StrategicDecomposition", "StrongNashResult", "SweepCell",
+        "StrongNashResult", "SweepCell",
         "Trajectory", "UniformStabilityReport")},
 }
 

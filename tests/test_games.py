@@ -405,72 +405,71 @@ def test_cross_hessian_is_mixed_second_difference(seed, shape):
             assert abs(dn @ jnm @ dm - fd) <= 1e-6
 
 
-def test_strategic_decomposition_reconstructs_utility():
+def centres(rng, shape):
+    """An interior, a boundary and a pure strategy of a game of this shape:
+    the transform takes any of them."""
+    boundary = tuple(np.append(rng.dirichlet(np.ones(k - 1)), 0.0)
+                     for k in shape)
+    return (random_interior(rng, shape), sg.JointStrategy(boundary),
+            sg.pure_strategy(shape, (0,) * len(shape)))
+
+
+def test_centered_game_keeps_the_strategic_part():
+    # f_n(x) - f_n(x*_n, x_{-n}) at any x: tangent gradients and cross
+    # derivatives are those of the game itself
     rng = np.random.default_rng(7)
     for shape in SHAPES:
         g = random_game(rng, shape)
-        for n in range(len(shape)):
-            dec = sg.strategic_decompose(g, n)
-            for _ in range(5):
-                x = random_interior(rng, shape)
-                rebuilt = dec.linear_part(x) @ x.blocks[n] + dec.offset_part(x)
-                assert abs(rebuilt - sg.utility(g, x, n)) <= 1e-10
-                assert abs(dec.linear_part(x).sum()) <= 1e-10
+        for x_star in centres(rng, shape):
+            centered = sg.centered_game(g, x_star)
+            x = random_interior(rng, shape)
+            for n in range(len(shape)):
+                own = sg.replace_block(x, n, x_star.blocks[n])
+                assert abs(sg.utility(centered, x, n) - sg.utility(g, x, n)
+                           + sg.utility(g, own, n)) <= 1e-12
+                a, b = sg.gradient(centered, x, n), sg.gradient(g, x, n)
+                np.testing.assert_allclose(a - a.mean(), b - b.mean(),
+                                           rtol=0, atol=1e-12)
+                for m in set(range(len(shape))) - {n}:
+                    np.testing.assert_allclose(
+                        sg.cross_hessian(centered, x, n, m),
+                        sg.cross_hessian(g, x, n, m), rtol=0, atol=1e-12)
 
 
-def test_strategic_part_ignores_offsets():
-    rng = np.random.default_rng(11)
-    shape = (2, 3, 2)
-    g = random_game(rng, shape)
-    shifted = sg.NormalFormGame(tuple(
-        t + o for t, o in zip(g.payoffs, nonstrategic_offsets(rng, shape))))
-    x = random_interior(rng, shape)
-    for n in range(len(shape)):
-        a = sg.strategic_decompose(g, n).linear_part(x)
-        b = sg.strategic_decompose(shifted, n).linear_part(x)
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
-
-def test_canonical_form_centers_gradients():
+def test_centered_game_pays_nothing_at_x_star():
     rng = np.random.default_rng(3)
-    shape = (3, 2, 2)
-    g = random_game(rng, shape)
-    base = random_interior(rng, shape)
-    canon = sg.to_canonical(g, base)
-    x = random_interior(rng, shape)
-    for n in range(len(shape)):
-        grad = sg.gradient(g, x, n)
-        np.testing.assert_allclose(sg.gradient(canon.game, x, n),
-                                   grad - grad.mean(), atol=1e-12)
-        for m in range(len(shape)):
-            if m == n:
-                continue
-            np.testing.assert_allclose(sg.cross_hessian(canon.game, x, n, m),
-                                       sg.cross_hessian(g, x, n, m), atol=1e-12)
+    for shape in SHAPES:
+        g = random_game(rng, shape)
+        for x_star in centres(rng, shape):
+            centered = sg.centered_game(g, x_star)
+            for n in range(len(shape)):
+                assert abs(sg.utility(centered, x_star, n)) <= 1e-14
 
 
-def test_canonical_form_requires_interior_base():
-    g = pennies()
-    with pytest.raises(DomainError):
-        sg.to_canonical(g, sg.pure_strategy((2, 2), (0, 0)))
+def test_centered_game_ignores_nonstrategic_offsets():
+    rng = np.random.default_rng(11)
+    for shape in SHAPES:
+        g = random_game(rng, shape)
+        shifted = sg.NormalFormGame(tuple(
+            t + o for t, o in zip(g.payoffs,
+                                  nonstrategic_offsets(rng, shape))))
+        for x_star in centres(rng, shape):
+            for a, b in zip(sg.centered_game(shifted, x_star).payoffs,
+                            sg.centered_game(g, x_star).payoffs):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
-def test_canonical_utility_at_origin():
-    g = pennies()
-    base = sg.uniform_strategy((2, 2))
-    canon = sg.to_canonical(g, base)
-    zero = sg.TangentVector((np.zeros(2), np.zeros(2)))
-    for n in range(2):
-        grad = sg.gradient(g, base, n)
-        strategic = sg.utility(g, base, n) - grad.mean()
-        assert abs(canon.utility(zero, n) - strategic) <= 1e-12
-
-
-@pytest.mark.parametrize("n", [-1, 2, 1.5, True])
-def test_canonical_utility_checks_the_player_index(n):
-    canon = sg.to_canonical(pennies(), sg.uniform_strategy((2, 2)))
-    with pytest.raises(ArgumentError, match="player"):
-        canon.utility(sg.TangentVector((np.zeros(2), np.zeros(2))), n)
+def test_centered_game_at_the_uniform_point_subtracts_own_axis_means():
+    rng = np.random.default_rng(5)
+    for shape in SHAPES:
+        g = random_game(rng, shape)
+        centered = sg.centered_game(g, sg.uniform_strategy(shape))
+        assert centered.name == "centered"
+        for n, (a, t) in enumerate(zip(centered.payoffs, g.payoffs)):
+            np.testing.assert_allclose(a, t - t.mean(axis=n, keepdims=True),
+                                       rtol=0, atol=1e-15)
+    named = sg.centered_game(pennies(), sg.uniform_strategy((2, 2)))
+    assert named.name == pennies().name + ":centered"
 
 
 def test_validated_blocks_are_read_only_copies():
@@ -566,30 +565,6 @@ def test_strategy_rows_are_read_only_views_of_one_copy():
                 block[0] = 0.0
     with pytest.raises(DimensionError):
         sg.games.strategy_rows(source[..., :4], shape)
-
-
-class _UncheckedDirection(sg.TangentVector):
-    # a TangentVector refuses non-finite blocks and keeps read-only copies,
-    # so only a subclass that skips the checks can carry one
-    def __post_init__(self):
-        pass
-
-
-def _non_finite_direction():
-    return _UncheckedDirection((np.full(2, np.nan), np.zeros(2)))
-
-
-@pytest.mark.parametrize("z, error, match", [
-    (sg.TangentVector((np.zeros(3), np.zeros(2))), DimensionError, "block 0"),
-    (sg.TangentVector((np.zeros(2),)), DimensionError, "1 blocks"),
-    (None, ArgumentError, "TangentVector"),
-    (_non_finite_direction(), ArgumentError, "finite"),
-], ids=["wrong_length", "too_few_blocks", "none", "non_finite"])
-def test_canonical_utility_checks_the_direction(z, error, match):
-    # each of these leaked a numpy or Python error, or returned NaN
-    canon = sg.to_canonical(pennies(), sg.uniform_strategy((2, 2)))
-    with pytest.raises(error, match=match):
-        canon.utility(z, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1463,6 +1463,85 @@ def test_certificate_agrees_with_pareto_oracle_on_weighted_zero_sum():
     assert weak_pareto_oracle(g, xu, grid_resolution=11).optimal
 
 
+def _indifferent_mix(payoff):
+    """The opponent mix y (one sum) at which the row player's payoffs,
+    ``payoff @ y``, are all equal."""
+    k = len(payoff)
+    lhs = np.block([[payoff, -np.ones((k, 1))],
+                    [np.ones((1, k)), np.zeros((1, 1))]])
+    return np.linalg.solve(lhs, np.eye(k + 1)[-1])[:k]
+
+
+def test_stable_exactly_where_the_centered_game_is_weakly_pareto_optimal():
+    # the paper's claim up to strategic equivalence, at the first 200
+    # interior equilibria (every entry at least 0.05) of 2x2 and 3x3 games
+    # drawn in turn: a certified stable point admits no joint improvement
+    # of the game centred at it, and a refuted one does
+    rng = np.random.default_rng(3)
+    verdicts, disagreements = [], []
+    for k in itertools.cycle((2, 3)):
+        if len(verdicts) == 200:
+            break
+        a, b = rng.standard_normal((2, k, k))
+        try:
+            x_star = (_indifferent_mix(b.T), _indifferent_mix(a))
+        except np.linalg.LinAlgError:
+            continue
+        if min(block.min() for block in x_star) < 0.05:
+            continue
+        game, x_star = sg.NormalFormGame((a, b)), JointStrategy(x_star)
+        verdict = uniform_stability_check(game_jacobian(game, x_star))
+        optimal = weak_pareto_oracle(sg.centered_game(game, x_star),
+                                     x_star).optimal
+        verdicts.append(verdict.pointwise)
+        if (verdict.pointwise == "stable") != optimal:
+            disagreements.append((len(verdicts) - 1, verdict.pointwise))
+    counts = {v: verdicts.count(v) for v in set(verdicts)}
+    print(f"2 players: verdicts {counts}, disagreements {disagreements}")
+    assert {"stable", "unstable_with_witness"} <= set(counts)
+    assert disagreements == []
+
+
+def test_three_player_centered_pareto_disagreements_are_counted():
+    # 120 games of shapes 2x2x2 and 2x3x2, each shifted by a function of
+    # the owner's action alone so that a Dirichlet point x* is an
+    # equilibrium.  A coarse lattice can miss the joint improvement that a
+    # refuted point has, so the disagreements are counted at resolutions
+    # 11 and 21 and printed, not asserted away.  The lattice at 21 holds
+    # the one at 11, so every improvement found at 11 is found at 21
+    rng = np.random.default_rng(4)
+    points = []
+    for i in range(120):
+        shape = ((2, 2, 2), (2, 3, 2))[i % 2]
+        x_star = JointStrategy(tuple(rng.dirichlet(np.ones(k))
+                                     for k in shape))
+        game = random_game(rng, shape)
+        tensors = []
+        for n, t in enumerate(game.payoffs):
+            g = sg.gradient(game, x_star, n)
+            tensors.append(t + np.expand_dims(
+                g.mean() - g, [p for p in range(3) if p != n]))
+        game = sg.NormalFormGame(tuple(tensors))
+        assert sg.epsilon_nash_gap(game, x_star) <= 1e-12
+        verdict = uniform_stability_check(game_jacobian(game, x_star))
+        points.append((verdict.pointwise, sg.centered_game(game, x_star),
+                       x_star))
+    optimal = {resolution: {i for i, (_, centered, x_star) in enumerate(points)
+                            if weak_pareto_oracle(centered, x_star,
+                                                  resolution).optimal}
+               for resolution in (11, 21)}
+    verdicts = [verdict for verdict, _, _ in points]
+    disagreements = {
+        resolution: [i for i, verdict in enumerate(verdicts)
+                     if (verdict == "stable") != (i in optimal[resolution])]
+        for resolution in optimal}
+    print(f"3 players: verdicts "
+          f"{ {v: verdicts.count(v) for v in set(verdicts)} }, "
+          f"disagreements at resolution 11: {disagreements[11]}, "
+          f"at 21: {disagreements[21]}")
+    assert optimal[21] <= optimal[11]
+
+
 BAD_SUPPORTS = {"support": (np.array([5]), np.array([0, 1])),
                 "empty support": ((), (0, 1)),
                 "repeated support": (np.array([0, 0]), np.array([0, 1]))}
@@ -1516,10 +1595,10 @@ def test_jacobian_records_are_checked_once_by_every_reader(monkeypatch,
 
 
 def lopsided_game():
-    """A (2, 2) game whose payoff tensors lie 309 decades apart."""
-    rng = np.random.default_rng(0)
-    return sg.NormalFormGame((1e300 * rng.normal(size=(2, 2)),
-                              1e-9 * rng.normal(size=(2, 2))))
+    """A (2, 2) game whose Jacobian block (0, 1) is 1e308 [[1, -1], [-1,
+    1]]: finite entries, but a Frobenius norm of 2e308."""
+    pattern = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return sg.NormalFormGame((1e308 * pattern, 1e-9 * pattern))
 
 
 @pytest.mark.parametrize("reader", [interaction_graph, solve_skew_certificate,
@@ -1527,12 +1606,32 @@ def lopsided_game():
                                     pareto_improvement_search],
                          ids=lambda f: f.__name__)
 def test_a_block_norm_beyond_the_float_range_is_a_domain_error(reader):
-    # the squared norm of block (0, 1) overflows: the report read inf
-    # weights and residual, and a NaN that ``max`` dropped
+    # the norm of block (0, 1) overflows: the report read inf weights and
+    # residual, and a NaN that ``max`` dropped
     jac = game_jacobian(lopsided_game(), uniform_point((2, 2)))
     with pytest.raises(DomainError, match=r"jac block \(0, 1\) has a "
                                           r"Frobenius norm beyond"):
         reader(jac)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3, 2)])
+def test_a_skew_game_at_1e200_is_certified_stable(shape):
+    # block norms near 1e200 are finite although their squares are not, so
+    # the certificate is the unscaled game's
+    if len(shape) == 2:
+        a = np.array([[1.0, 2.0], [-3.0, 1.0]])
+        game = sg.NormalFormGame((a, -a.T))
+    else:
+        game = polymatrix_game(np.random.default_rng(8), shape,
+                               lam=(1.0, 1.0, 1.0))[0]
+    huge = sg.NormalFormGame(tuple(1e200 * t for t in game.payoffs))
+    x = uniform_point(shape)
+    report = uniform_stability_check(game_jacobian(huge, x))
+    assert report.pointwise == "stable"
+    want = solve_skew_certificate(game_jacobian(game, x))
+    np.testing.assert_allclose(report.certificate.lambdas, want.lambdas,
+                               rtol=1e-12)
+    assert report.certificate.residual <= 1e-14
 
 
 @pytest.mark.parametrize("which", ["weights", "residual"])
@@ -1544,15 +1643,15 @@ def test_a_certificate_beyond_the_float_range_is_a_domain_error(reader,
                                                                 which):
     # finite block norms.  Weights: each edge 0-1 and 1-2 fits a weight
     # ratio of about 1e159, so along the path 0-1-2 the weights overflow.
-    # Residual: the blocks of edge 0-1 have the wrong sign and squared
-    # norms just inside the float range, and their sum's overflows
+    # Residual: the blocks of edge 0-1 have the wrong sign and norms just
+    # inside the float range, and their sum's overflows
     m, z = np.array([[1.0, -2.0], [0.5, 3.0]]), np.zeros((2, 2))
     if which == "weights":
         blocks = ((z, 1e150 * m, z),
                   (-1e-9 * m.T, z, 1e150 * m),
                   (z, -1e-9 * m.T, z))
     else:
-        blocks = ((z, 3e153 * m, z), (3e153 * m.T, z, z), (z, z, z))
+        blocks = ((z, 2.5e307 * m, z), (2.5e307 * m.T, z, z), (z, z, z))
     jac = jacobian_from_blocks((2, 2, 2), blocks)
     with pytest.raises(DomainError,
                        match=f"jac's skew-certificate {which} "):
