@@ -10,8 +10,8 @@ rests on a lambda-skew certificate, one symmetric least-squares fit that
 permutes with the players (sufficient on a connected interaction graph,
 which a feasible certificate makes bi-directional), with sampled and
 constructed counterexample witnesses on the refutation side.  The sampling,
-and the constructed witness's ascent, are skipped where bounds from the
-certificate's weights prove them futile.
+and the constructed witness's ascent, are skipped where bounds on one
+S = Lambda J + J^T Lambda, from the certificate's weights, prove them futile.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ GRID_CAP = 10 ** 6        # most lattice profiles an oracle will enumerate
 CONDITIONER_CHUNK_CAP = 64  # most sampled conditioners tested in one stack
 STRONG_NASH_MAX_PLAYERS = 4  # most players strong_nash_oracle takes
 PD_EIG_FLOOR = 1e-2       # least eigenvalue of a sampled conditioner
+ASCENT_RESTARTS = 20      # random starts of the Pareto ascent
+ASCENT_ITERS = 400        # steps of the Pareto ascent from each start
 _POINTWISE = ("stable", "unstable_with_witness", "indeterminate")
 
 
@@ -123,9 +125,8 @@ def _block_norms(jac: GameJacobian):
     connected.  A block norm beyond the float range is a DomainError naming
     the block."""
     n_players = jac.num_players
-    with np.errstate(over="ignore"):
-        norms = np.array([[_frobenius(jac.blocks[n][m]) for m in
-                           range(n_players)] for n in range(n_players)])
+    norms = np.array([[_norm(jac.blocks[n][m]) for m in range(n_players)]
+                      for n in range(n_players)])
     if not np.isfinite(norms).all():
         n, m = np.argwhere(~np.isfinite(norms))[0].tolist()
         raise DomainError(f"jac block ({n}, {m}) has a Frobenius norm "
@@ -136,17 +137,21 @@ def _block_norms(jac: GameJacobian):
     return norms, bool(np.linalg.matrix_power(joined, n_players - 1).all())
 
 
-def _frobenius(mat) -> float:
-    """The Frobenius norm of a real matrix: the root of the dot of its
-    entries with themselves, as ``np.linalg.norm`` takes it (without its
-    dispatch); where that dot overflows, the largest |entry| times the norm
-    of the entries divided by it, so only a norm beyond floats is inf."""
+def _norm(mat, spectral=False) -> float:
+    """The Frobenius norm of a real array, or with ``spectral`` the largest
+    singular value of a matrix, bit for bit as ``np.linalg.norm`` takes
+    them; the SVD scales its matrix itself, and where the Frobenius dot
+    overflows, the norm is the largest |entry| times the norm of the
+    entries divided by it, so only a norm beyond floats is inf."""
+    if spectral:
+        return float(np.linalg.norm(mat, 2))
     flat = mat.ravel(order="K")
-    square = flat.dot(flat)
-    if math.isinf(square):
-        top = np.abs(flat).max()
-        scaled = flat / top
-        return float(top * math.sqrt(scaled.dot(scaled)))
+    with np.errstate(over="ignore"):
+        square = flat.dot(flat)
+        if math.isinf(square):
+            top = np.abs(flat).max()
+            scaled = flat / top
+            return float(top * math.sqrt(scaled.dot(scaled)))
     return math.sqrt(square)
 
 
@@ -227,7 +232,7 @@ def _skew_certificate(jac, norms) -> SkewCertificate:
     unit = np.exp(log_lambdas - log_lambdas.max())
     # np.max, unlike max, keeps a NaN
     residual = float(np.max([
-        _frobenius(unit[a] * blocks[a][b] + unit[b] * blocks[b][a].T)
+        _norm(unit[a] * blocks[a][b] + unit[b] * blocks[b][a].T)
         / (1.0 + norms[a, b])
         for a in range(n_players) for b in range(n_players) if a != b],
         initial=0.0))
@@ -257,13 +262,13 @@ def pd_stretch(u, v) -> np.ndarray:
     v = check_array("v", v, u.shape)
     if float(u @ v) <= PD_STRETCH_GUARD:
         raise DomainError("pd-stretch requires u^T v > 0")
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    nu, nv = _norm(u), _norm(v)
     scaled = (nu / nv) * v
-    if np.linalg.norm(u - scaled) <= 1e-12 * nu:
+    if _norm(u - scaled) <= 1e-12 * nu:
         return (nu / nv) * np.eye(len(u))
     q1 = u / nu
     rest = v - (q1 @ v) * q1
-    q2 = rest / np.linalg.norm(rest)
+    q2 = rest / _norm(rest)
     theta = np.arctan2(v @ q2, v @ q1)  # in (0, pi/2) since u^T v > 0
     phi = (np.pi / 2 - theta) / 2
     b1 = np.cos(phi) * q1 - np.sin(phi) * q2
@@ -299,7 +304,7 @@ def bilinear_scale_recovery(A, B, tol=1e-9, rng_seed=0) -> BilinearScaleResult:
     check_real("tol", tol)
     A = check_array("A", A, (None, None))
     B = check_array("B", B, A.shape)
-    norm_a, norm_b = np.linalg.norm(A), np.linalg.norm(B)
+    norm_a, norm_b = _norm(A), _norm(B)
     if norm_b == 0.0:
         if norm_a == 0.0:
             raise ArgumentError("B must be nonzero")
@@ -315,7 +320,7 @@ def bilinear_scale_recovery(A, B, tol=1e-9, rng_seed=0) -> BilinearScaleResult:
     top = (u[:, 0], vh[0], float(s[0]), float(u[:, 0] @ B @ vh[0]))
     if top[3] > 0:
         lam = top[2] / top[3]
-        if np.linalg.norm(A - lam * B) <= tol * norm_a and lam > 0:
+        if _norm(A - lam * B) <= tol * norm_a and lam > 0:
             return BilinearScaleResult(lam=lam)
     return BilinearScaleResult(refuted=True,
                                witness=_sign_witness(A, B, top, rng_seed))
@@ -354,94 +359,79 @@ def _sign_witness(A, B, top, rng_seed):
 # ---------------------------------------------------------------------------
 # improvement search
 
-def pareto_improvement_search(jac: GameJacobian, num_restarts=20, rng_seed=0,
-                              iters=400):
+def pareto_improvement_search(jac: GameJacobian, rng_seed=0):
     """Search for a joint tangent direction improving every player at once.
 
     Maximizes min_n x_n^T (J x)_n over unit-norm tangent blocks by ascent
-    on a softmin surrogate with annealed temperature and random restarts.
-    A witness (objective > IMPROVEMENT_TOL) combined with pd_stretch per
-    block yields a conditioner under which H^{-1} J has the real eigenvalue
-    1.  The ascent runs only when the skew certificate's weights do not
-    already prove, by the dual bound of ``_no_joint_improvement``, that no
-    witness exists; there ``None`` is a proof.  Otherwise ``None`` means
-    only that the ascent found nothing.  ``num_restarts``, ``iters`` and
-    ``rng_seed`` must be non-negative integers.  A certificate beyond the
-    float range is a DomainError naming jac (see
-    :func:`solve_skew_certificate`).
+    on a softmin surrogate with annealed temperature, from ASCENT_RESTARTS
+    random starts of ASCENT_ITERS steps each.  A witness (objective >
+    IMPROVEMENT_TOL) combined with pd_stretch per block yields a conditioner
+    under which H^{-1} J has the real eigenvalue 1.  The ascent runs only
+    when the skew certificate's weights do not already prove, by the dual
+    bound of ``_improvement_direction``, that no witness exists; there
+    ``None`` is a proof.  Otherwise ``None`` means only that the ascent
+    found nothing.  ``rng_seed`` must be a non-negative integer.  A
+    certificate (see :func:`solve_skew_certificate`) or an entry of Lambda J
+    + J^T Lambda beyond the float range is a DomainError naming jac.
     """
-    check_count("num_restarts", num_restarts)
-    check_count("iters", iters)
     check_count("rng_seed", rng_seed)
     lambdas = _skew_certificate(jac, _block_norms(_checked(jac))[0]).lambdas
-    j_t, bases, dims = jac.tangent()
-    z = _improvement_direction(j_t, dims, lambdas, num_restarts, rng_seed,
-                               iters)
+    j_t, bases, dims, sym = _tangent_problem(jac, lambdas)
+    z = _improvement_direction(j_t, dims, sym, lambdas, rng_seed)
     if z is None:
         return None
     return TangentVector(blocks=tuple(b @ z[sl] for b, sl in
                                       zip(bases, block_slices(dims))))
 
 
-def _improvement_direction(j_t, dims, lambdas, num_restarts=20, rng_seed=0,
-                           iters=400):
-    """Joint improvement direction of the tangent Jacobian ``j_t``, in its
-    tangent coordinates, or None.
+@np.errstate(over="ignore")
+def _tangent_problem(jac, lambdas):
+    """``jac.tangent()`` and S = Lambda J + J^T Lambda, Lambda = diag(lambda_n
+    I), for the certificate's positive finite weights: the one S that
+    ``_real_part_bound`` and ``_improvement_direction`` read.  An entry of
+    S beyond the float range is a DomainError naming jac."""
+    j_t, bases, dims = jac.tangent()
+    weighted = np.repeat(lambdas, dims)[:, None] * j_t
+    sym = weighted + weighted.T
+    if not np.isfinite(sym).all():
+        raise DomainError("jac's weighted symmetric part lies beyond the "
+                          "float range")
+    return j_t, bases, dims, sym
 
-    Runs the ascent only when ``_no_joint_improvement`` cannot rule a
-    direction out with the weights ``lambdas``.
+
+def _improvement_direction(j_t, dims, sym, lambdas, rng_seed):
+    """Joint improvement direction of the tangent Jacobian ``j_t``, in its
+    tangent coordinates, or None, which is a proof unless the ascent ran.
+
+    The ascent is skipped where a player's row block vanishes (that player
+    cannot strictly improve) or where the dual bound fires: for S = ``sym``
+    a z with unit blocks has sum_n lambda_n z_n^T (J z)_n = z^T S z / 2 <=
+    N ||S||_2 / 2, so none improves every player by more than
+    IMPROVEMENT_TOL once that is at most IMPROVEMENT_TOL * sum_n lambda_n.
     """
     if j_t.size == 0 or min(dims) == 0:
         return None
-    # a player whose row block vanishes can never strictly improve
-    for sl in block_slices(dims):
-        if np.linalg.norm(j_t[sl, :]) <= EDGE_TOL:
-            return None
-    if _no_joint_improvement(j_t, dims, lambdas):
+    if any(_norm(j_t[sl, :]) <= EDGE_TOL for sl in block_slices(dims)):
         return None
-    return _pareto_ascent(j_t, dims, num_restarts, rng_seed, iters)
-
-
-def _no_joint_improvement(j_t, dims, lambdas) -> bool:
-    """Dual bound: True proves no z with unit blocks has every
-    z_n^T (J z)_n > IMPROVEMENT_TOL.
-
-    With positive weights lambda and S from ``_weighted_symmetric_part``,
-    such a z has
-    sum_n lambda_n z_n^T (J z)_n = z^T S z / 2 <= N ||S||_2 / 2, so no z
-    improves every player by more than IMPROVEMENT_TOL once that bound is
-    at most IMPROVEMENT_TOL * sum_n lambda_n.  A lambda-skew certificate
-    makes S vanish.
-    """
-    sym = _weighted_symmetric_part(j_t, dims, lambdas)
-    if sym is None:
-        return False
-    bound = 0.5 * len(dims) * np.linalg.norm(sym, 2)
-    return bool(bound <= IMPROVEMENT_TOL * np.sum(lambdas))
-
-
-def _weighted_symmetric_part(j_t, dims, lambdas):
-    """S = Lambda J + J^T Lambda, Lambda = diag(lambda_n I); None unless
-    every weight is positive and finite, as the bounds on S need."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    if not (np.all(lambdas > 0) and np.all(np.isfinite(lambdas))):
+    if (0.5 * len(dims) * _norm(sym, spectral=True)
+            <= IMPROVEMENT_TOL * np.sum(lambdas)):
         return None
-    weighted = np.repeat(lambdas, dims)[:, None] * j_t
-    return weighted + weighted.T
+    return _pareto_ascent(j_t, dims, rng_seed)
 
 
-def _pareto_ascent(j_t, dims, num_restarts, rng_seed, iters):
-    """Softmin ascent on min_n z_n^T (J z)_n over unit tangent blocks; the
-    best z if it beats IMPROVEMENT_TOL."""
+def _pareto_ascent(j_t, dims, rng_seed):
+    """Softmin ascent on min_n z_n^T (J z)_n over unit tangent blocks, from
+    ASCENT_RESTARTS random starts of ASCENT_ITERS steps; the best z if it
+    beats IMPROVEMENT_TOL."""
     slices = block_slices(dims)
     rng = np.random.default_rng(rng_seed)
 
     def normalize(z):
         for sl in slices:
-            norm = np.linalg.norm(z[sl])
+            norm = _norm(z[sl])
             if norm == 0:
                 z[sl] = rng.standard_normal(sl.stop - sl.start)
-                norm = np.linalg.norm(z[sl])
+                norm = _norm(z[sl])
             z[sl] /= norm
         return z
 
@@ -450,14 +440,14 @@ def _pareto_ascent(j_t, dims, num_restarts, rng_seed, iters):
         return np.array([z[sl] @ jz[sl] for sl in slices])
 
     best_val, best_z = -np.inf, None
-    for _ in range(num_restarts):
+    for _ in range(ASCENT_RESTARTS):
         z = normalize(rng.standard_normal(j_t.shape[0]))
-        for it in range(iters):
+        for it in range(ASCENT_ITERS):
             scores = objective(z)
             val = scores.min()
             if val > best_val:
                 best_val, best_z = val, z.copy()
-            tau = max(0.01, 1.0 * (0.01 ** (it / max(iters - 1, 1))))
+            tau = max(0.01, 1.0 * (0.01 ** (it / max(ASCENT_ITERS - 1, 1))))
             weights = np.exp(-(scores - scores.min()) / tau)
             weights /= weights.sum()
             w_diag = np.repeat(weights, dims)
@@ -534,20 +524,21 @@ def _max_real_eigs(h_stacks, j_t):
     return np.abs(eigs.real).max(axis=-1, initial=0.0)
 
 
-def _real_part_bound(j_t, dims, lambdas) -> float:
+@np.errstate(over="ignore")
+def _real_part_bound(j_t, sym, lambdas) -> float:
     """Bound on |Re mu| for the eigenvalues mu of H^{-1} J over every
     block-diagonal PD H with eigenvalues >= h = PD_EIG_FLOOR.  With M =
-    Lambda H and S from ``_weighted_symmetric_part``, H^{-1} J is similar to
-    M^{-1/2} (Lambda J) M^{-1/2}, so |Re mu| <= ||S||_2 / (2 h min lambda)
-    <= ||S||_F / (2 h min lambda).  The added n eps ||J||_F / h, for J of
-    order n, covers the rounding of a draw's test; inf unless the weights
-    are positive and finite."""
-    sym = _weighted_symmetric_part(j_t, dims, lambdas)
-    if sym is None:
-        return np.inf
-    exact = np.linalg.norm(sym) / (2.0 * np.min(lambdas))
-    rounding = len(j_t) * np.finfo(float).eps * np.linalg.norm(j_t)
-    return float((exact + rounding) / PD_EIG_FLOOR)
+    Lambda H and S = ``sym`` (see ``_tangent_problem``), H^{-1} J is similar
+    to M^{-1/2} (Lambda J) M^{-1/2}, so |Re mu| <= ||S||_2 / (2 h min
+    lambda) <= ||S||_F / (2 h min lambda).  The added n eps ||J||_F / h,
+    for J of order n, covers the rounding of a draw's test.  A bound beyond
+    the float range is a DomainError naming jac."""
+    exact = _norm(sym) / (2.0 * np.min(lambdas))
+    rounding = len(j_t) * np.finfo(float).eps * _norm(j_t)
+    bound = float((exact + rounding) / PD_EIG_FLOOR)
+    if not math.isfinite(bound):
+        raise DomainError("jac's real-part bound lies beyond the float range")
+    return bound
 
 
 def _max_real_eig(h_blocks, j_t):
@@ -564,10 +555,10 @@ def _sampled_conditioners(dims, num_conditioners, j_t, rng):
             yield [s[i] for s in stacks], real
 
 
-def _stretch_conditioner(j_t, dims, lambdas, rng_seed):
+def _stretch_conditioner(j_t, dims, sym, lambdas, rng_seed):
     """Per-block pd_stretch conditioners mapping a joint improvement
     direction z to J z, or None when there is no such direction."""
-    z = _improvement_direction(j_t, dims, lambdas, rng_seed=rng_seed)
+    z = _improvement_direction(j_t, dims, sym, lambdas, rng_seed)
     if z is None:
         return None
     jz = j_t @ z
@@ -595,8 +586,9 @@ def uniform_stability_check(jac: GameJacobian, num_conditioners=100,
     conditioner that refutes, and ``max_sampled_real`` covers the samples up
     to it.
     ``num_conditioners`` and ``rng_seed`` must be non-negative integers.  A
-    certificate beyond the float range is a DomainError naming jac (see
-    :func:`solve_skew_certificate`).
+    certificate (see :func:`solve_skew_certificate`), an entry of Lambda J +
+    J^T Lambda or a real-part bound beyond the float range is a DomainError
+    naming jac.
     """
     check_count("num_conditioners", num_conditioners)
     check_count("rng_seed", rng_seed)
@@ -607,8 +599,8 @@ def uniform_stability_check(jac: GameJacobian, num_conditioners=100,
         return UniformStabilityReport(pointwise="stable", certificate=cert,
                                       graph=graph)
 
-    j_t, bases, dims = jac.tangent()
-    bound = _real_part_bound(j_t, dims, cert.lambdas)
+    j_t, bases, dims, sym = _tangent_problem(jac, cert.lambdas)
+    bound = _real_part_bound(j_t, sym, cert.lambdas)
     rng = np.random.default_rng(rng_seed)
     max_real = 0.0
     found = None
@@ -620,7 +612,8 @@ def uniform_stability_check(jac: GameJacobian, num_conditioners=100,
                 found = h_blocks, real
                 break
     if found is None:
-        h_blocks = _stretch_conditioner(j_t, dims, cert.lambdas, rng_seed)
+        h_blocks = _stretch_conditioner(j_t, dims, sym, cert.lambdas,
+                                        rng_seed)
         if h_blocks is not None:
             real = _max_real_eig(h_blocks, j_t)
             if real > WITNESS_REAL_TOL:

@@ -409,6 +409,20 @@ def test_analyze_on_a_game_beyond_the_float_range_exits_2(capsys, tmp_path):
     assert "beyond the float range" in err
 
 
+def test_analyze_on_a_refuted_game_at_1e200_prints_no_infinity(capsys,
+                                                               tmp_path):
+    # its real-part bound read Infinity, with two overflow warnings
+    rng = np.random.default_rng(0)
+    path = write_game(tmp_path, "huge", [1e200 * rng.standard_normal((3, 3))
+                                         for _ in range(2)])
+    code, out, _ = run_cli(capsys, ["analyze", path, "--at", "uniform"])
+    assert code == 0
+    assert "Infinity" not in out
+    report = json.loads(out)["stability"]
+    assert report["pointwise"] == "unstable_with_witness"
+    assert math.isfinite(report["real_part_bound"])
+
+
 def test_sweep_zero_horizon_exits_2(capsys):
     code, out, err = run_cli(capsys, ["sweep", "matching_pennies",
                                       "--horizon", "0"])

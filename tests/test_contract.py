@@ -479,9 +479,7 @@ ROWS = {
         B=(np.eye(2), array(np.eye(2))),
         tol=(1e-9, positive(1e-9)), rng_seed=(0, SEED)),
     "pareto_improvement_search": row(
-        sg.pareto_improvement_search, jac=(JAC, own()),
-        num_restarts=(2, count(2, positive=False)), rng_seed=(0, SEED),
-        iters=(10, count(10, positive=False))),
+        sg.pareto_improvement_search, jac=(JAC, own()), rng_seed=(0, SEED)),
     "uniform_stability_check": row(
         sg.uniform_stability_check, jac=(JAC, own()),
         num_conditioners=(4, count(4, positive=False)), rng_seed=(0, SEED)),

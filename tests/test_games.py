@@ -749,6 +749,27 @@ def test_no_chained_comparison_against_inf_outside_the_validators():
     assert found == []
 
 
+def test_stability_takes_every_norm_through_its_one_helper():
+    # np.linalg.norm squares the entries, so it overflows where the norm
+    # does not; stability._norm calls it only where it is exact and safe
+    path = Path(sg.__file__).parent / "stability.py"
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif (isinstance(child, ast.Attribute) and child.attr == "norm"
+                  and getattr(child.value, "attr", None) == "linalg"):
+                callers.append(scope)
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), "stability")
+    assert callers and set(callers) == {"stability._norm"}, callers
+
+
 def test_one_function_builds_and_steps_the_damped_walk():
     # the beta ladder is the one driver of the damped walk: the solver, the
     # homotopy and the sweep all step it there

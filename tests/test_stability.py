@@ -395,11 +395,9 @@ def test_verdicts_do_not_depend_on_labels(monkeypatch):
     # noise of the largest weight.  The residual's tolerance is not scale
     # invariant, and the sampled search depends on the draw, so their
     # flips are counted and printed, not asserted.
-    ascent = stability._pareto_ascent
-    monkeypatch.setattr(  # full-length ascents take about 0.6 s a case
-        stability, "_pareto_ascent",
-        lambda j_t, dims, num_restarts, rng_seed, iters: ascent(
-            j_t, dims, 2, rng_seed, 40))
+    # full-length ascents take about 0.6 s a case
+    monkeypatch.setattr(stability, "ASCENT_RESTARTS", 2)
+    monkeypatch.setattr(stability, "ASCENT_ITERS", 40)
     flips = {"rescaled certificate": 0, "sampled search": 0}
 
     def summary(report):
@@ -471,6 +469,14 @@ def test_coordination_mixed_center_unstable_with_witness():
     assert replay == pytest.approx(report.witness_real_part, rel=1e-9)
 
 
+def skew_disconnected_jacobian():
+    rng = np.random.default_rng(13)
+    shape = (3, 2, 3, 2)
+    g, _ = polymatrix_game(rng, shape, lam=np.array([1.0, 0.5, 1.0, 2.0]),
+                           edges=[(0, 1), (2, 3)])
+    return game_jacobian(g, random_interior(rng, shape))
+
+
 def test_disconnected_skew_game_indeterminate_without_ascent(monkeypatch):
     # the certificate's weights prove that no joint improvement exists and
     # that no sampled conditioner can refute, so the check neither enters
@@ -480,17 +486,38 @@ def test_disconnected_skew_game_indeterminate_without_ascent(monkeypatch):
 
     monkeypatch.setattr(stability, "_pareto_ascent", fail)
     monkeypatch.setattr(stability, "_random_pd_stacks", fail)
-    rng = np.random.default_rng(13)
-    shape = (3, 2, 3, 2)
-    g, _ = polymatrix_game(rng, shape, lam=np.array([1.0, 0.5, 1.0, 2.0]),
-                           edges=[(0, 1), (2, 3)])
-    report = uniform_stability_check(game_jacobian(g, random_interior(rng, shape)))
+    report = uniform_stability_check(skew_disconnected_jacobian())
     assert report.certificate.feasible and not report.graph.connected
     assert report.pointwise == "indeterminate"
     assert report.max_sampled_real == 0.0
     assert report.real_part_bound <= stability.WITNESS_REAL_TOL
     # the largest real part the 100 draws gave when they were still made
     assert 3.533323531151876e-15 < report.real_part_bound
+
+
+@pytest.mark.parametrize("case", ["skew_disconnected", "no_draws"])
+def test_check_builds_s_once_for_both_bounds(monkeypatch, case):
+    # where the certificate does not decide, the real-part bound reads
+    # ||S||_F and the dual bound ||S||_2 of one S; on the disconnected skew
+    # game both bounds fire, and with no conditioner drawn at coordination's
+    # center neither does and the ascent runs
+    if case == "skew_disconnected":
+        jac, budget, pointwise = (skew_disconnected_jacobian(), 100,
+                                  "indeterminate")
+    else:
+        jac, budget, pointwise = (
+            game_jacobian(sg.bundled_game("coordination_2x2"),
+                          uniform_point((2, 2))), 0, "unstable_with_witness")
+    built, kinds = [], []
+    problem, norm = stability._tangent_problem, stability._norm
+    monkeypatch.setattr(stability, "_tangent_problem", lambda *args: (
+        built.append(1) or problem(*args)))
+    monkeypatch.setattr(stability, "_norm", lambda mat, spectral=False: (
+        kinds.append(spectral) or norm(mat, spectral)))
+    report = uniform_stability_check(jac, num_conditioners=budget)
+    assert report.pointwise == pointwise
+    assert built == [1]
+    assert kinds.count(True) == 1
 
 
 @pytest.mark.parametrize("kwargs", [{"num_conditioners": -5},
@@ -525,7 +552,7 @@ def _per_conditioner_check(jac, num_conditioners, rng_seed):
     graph = interaction_graph(jac)
     if cert.feasible and graph.connected and graph.bidirectional:
         return "stable", None, None, 0.0
-    j_t, bases, dims = jac.tangent()
+    j_t, bases, dims, sym = stability._tangent_problem(jac, cert.lambdas)
     rng = np.random.default_rng(rng_seed)
     max_real, found = 0.0, None
     if j_t.size > 0 and np.linalg.norm(j_t) > 0:
@@ -537,8 +564,8 @@ def _per_conditioner_check(jac, num_conditioners, rng_seed):
                 found = h_blocks, real
                 break
     if found is None:
-        h_blocks = stability._stretch_conditioner(j_t, dims, cert.lambdas,
-                                                  rng_seed)
+        h_blocks = stability._stretch_conditioner(j_t, dims, sym,
+                                                  cert.lambdas, rng_seed)
         if h_blocks is not None:
             real = _one_max_real_eig(h_blocks, j_t)
             if real > stability.WITNESS_REAL_TOL:
@@ -669,6 +696,24 @@ def test_witness_at_first_draw_evaluates_one_conditioner(monkeypatch):
     report = uniform_stability_check(jac)
     assert report.pointwise == "unstable_with_witness"
     assert counts == [1]
+
+
+def test_a_sampled_witness_takes_no_spectral_norm(monkeypatch):
+    # the first sampled conditioner refutes at coordination's center, so
+    # the constructed witness's entry, and its ||S||_2, are never reached
+    def fail(*args):
+        raise AssertionError("improvement search entered")
+
+    monkeypatch.setattr(stability, "_improvement_direction", fail)
+    norm = stability._norm
+    monkeypatch.setattr(stability, "_norm", lambda mat, spectral=False: (
+        fail() if spectral else norm(mat)))
+    jac = game_jacobian(sg.bundled_game("coordination_2x2"),
+                        uniform_point((2, 2)))
+    report = uniform_stability_check(jac)
+    assert report.pointwise == "unstable_with_witness"
+    assert verify_witness(jac, report.witness) == pytest.approx(
+        report.witness_real_part, rel=1e-12)
 
 
 def test_chunks_cover_the_budget_in_growing_stacks():
@@ -981,14 +1026,17 @@ def test_pareto_search_empty_handed_on_pennies():
         game_jacobian(g, uniform_point((2, 2)))) is None
 
 
-def test_pareto_search_finds_joint_direction_on_coordination():
+def test_pareto_search_finds_joint_direction_on_coordination(monkeypatch):
     g = sg.bundled_game("coordination_2x2")
     jac = game_jacobian(g, uniform_point((2, 2)))
-    j_t, _, dims = jac.tangent()
     # no positive weights make this Jacobian skew, so the bound cannot fire
-    assert not stability._no_joint_improvement(
-        j_t, dims, solve_skew_certificate(jac).lambdas)
+    # and the ascent runs
+    ascents = []
+    ascent = stability._pareto_ascent
+    monkeypatch.setattr(stability, "_pareto_ascent", lambda *args: (
+        ascents.append(1) or ascent(*args)))
     direction = pareto_improvement_search(jac)
+    assert ascents == [1]
     assert direction is not None
     for blk in direction.blocks:
         assert abs(blk.sum()) < 1e-9  # tangent to the simplex
@@ -1011,9 +1059,14 @@ def test_dual_bound_never_skips_an_improvement(seed, n_players, noise):
     g = sg.NormalFormGame(tuple(t + noise * rng.standard_normal(shape)
                                 for t in g.payoffs))
     jac = game_jacobian(g, random_interior(rng, shape))
-    j_t, bases, dims = jac.tangent()
-    if not stability._no_joint_improvement(
-            j_t, dims, solve_skew_certificate(jac).lambdas):
+    lambdas = solve_skew_certificate(jac).lambdas
+    j_t, bases, dims, sym = stability._tangent_problem(jac, lambdas)
+    ascents = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stability, "_pareto_ascent",
+                      lambda *args: ascents.append(1))
+        stability._improvement_direction(j_t, dims, sym, lambdas, seed)
+    if ascents:
         return
     slices = block_slices(dims)
     for _ in range(200):
@@ -1022,19 +1075,10 @@ def test_dual_bound_never_skips_an_improvement(seed, n_players, noise):
             z[sl] /= np.linalg.norm(z[sl])
         jz = j_t @ z
         assert min(z[sl] @ jz[sl] for sl in slices) <= IMPROVEMENT_TOL
-    assert stability._pareto_ascent(j_t, dims, num_restarts=3,
-                                    rng_seed=seed, iters=200) is None
-
-
-@pytest.mark.parametrize("kwargs", [{"num_restarts": -1},
-                                    {"num_restarts": 1.5},
-                                    {"iters": -3},
-                                    {"iters": "400"}])
-def test_pareto_search_rejects_bad_budgets(kwargs):
-    jac = game_jacobian(sg.bundled_game("coordination_2x2"),
-                        uniform_point((2, 2)))
-    with pytest.raises(ArgumentError, match=next(iter(kwargs))):
-        pareto_improvement_search(jac, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stability, "ASCENT_RESTARTS", 3)
+        patch.setattr(stability, "ASCENT_ITERS", 200)
+        assert stability._pareto_ascent(j_t, dims, seed) is None
 
 
 # ---------------------------------------------------------------------------
@@ -1656,3 +1700,92 @@ def test_a_certificate_beyond_the_float_range_is_a_domain_error(reader,
     with pytest.raises(DomainError,
                        match=f"jac's skew-certificate {which} "):
         reader(jac)
+
+
+def standard_normal_game(scale):
+    rng = np.random.default_rng(0)
+    return sg.NormalFormGame(tuple(scale * rng.standard_normal((3, 3))
+                                   for _ in range(2)))
+
+
+def test_a_refuted_game_at_1e200_has_a_finite_real_part_bound():
+    # ||S||_F and ||J||_F square entries near 1e200: the bound read inf
+    # with two overflow warnings.  Scaled, it is the unit game's bound
+    # times 1e200, and the witness replays
+    x = uniform_point((3, 3))
+    unit = uniform_stability_check(game_jacobian(standard_normal_game(1.0),
+                                                 x))
+    jac = game_jacobian(standard_normal_game(1e200), x)
+    report = uniform_stability_check(jac)
+    assert unit.pointwise == report.pointwise == "unstable_with_witness"
+    assert math.isfinite(report.real_part_bound)
+    assert report.real_part_bound == pytest.approx(
+        1e200 * unit.real_part_bound, rel=1e-12)
+    assert verify_witness(jac, report.witness) > stability.WITNESS_REAL_TOL
+
+
+@pytest.mark.parametrize("reader", [uniform_stability_check,
+                                    pareto_improvement_search],
+                         ids=lambda f: f.__name__)
+def test_s_beyond_the_float_range_is_a_domain_error(reader):
+    # finite block norms and a finite certificate, but the weight 1e150 of
+    # player 1 times its one-sided block of norm about 4e200 lies beyond
+    # the float range
+    m, z = np.array([[1.0, -2.0], [0.5, 3.0]]), np.zeros((2, 2))
+    jac = jacobian_from_blocks((2, 2, 2), ((z, 1e150 * m, z),
+                                           (-m.T, z, 1e200 * m),
+                                           (z, z, z)))
+    with pytest.raises(DomainError, match="jac's weighted symmetric part "
+                                          "lies beyond the float range"):
+        reader(jac)
+
+
+def test_a_real_part_bound_beyond_the_float_range_is_a_domain_error():
+    # finite block norms of 2e306, a finite certificate and a finite S, but
+    # ||S||_F / (2 h min lambda) lies beyond the float range
+    big = 1e306 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    jac = jacobian_from_blocks((2, 2), ((np.zeros((2, 2)), big),
+                                        (big, np.zeros((2, 2)))))
+    with pytest.raises(DomainError, match="jac's real-part bound lies "
+                                          "beyond the float range"):
+        uniform_stability_check(jac)
+
+
+def test_the_one_norm_is_numpys_and_rescales_only_past_overflow():
+    rng = np.random.default_rng(3)
+    for shape in [(3,), (4, 4), (3, 5), (2, 3, 2)]:
+        a = rng.standard_normal(shape)
+        assert stability._norm(a) == np.linalg.norm(a)
+        assert stability._norm(1e150 * a) == np.linalg.norm(1e150 * a)
+        assert stability._norm(1e200 * a) == pytest.approx(
+            1e200 * np.linalg.norm(a), rel=1e-15)
+        if a.ndim == 2:
+            for scale in (1.0, 1e200):
+                assert stability._norm(scale * a, spectral=True) == \
+                    np.linalg.norm(scale * a, 2)
+
+
+def test_pd_stretch_at_1e160_is_finite():
+    # ||u|| squares entries near 1e160: H read NaN
+    u, v = np.array([1.0, 2.0, -0.5]), np.array([0.5, 1.0, 1.0])
+    h = pd_stretch(1e160 * u, v)
+    assert np.isfinite(h).all()
+    np.testing.assert_allclose((h @ v) / 1e160, u, rtol=1e-12, atol=0)
+
+
+def test_pareto_search_at_1e200_improves_both_players():
+    g = sg.bundled_game("coordination_2x2")
+    huge = sg.NormalFormGame(tuple(1e200 * t for t in g.payoffs))
+    jac = game_jacobian(huge, uniform_point((2, 2)))
+    direction = pareto_improvement_search(jac)
+    assert direction is not None
+    z = direction.blocks
+    for n in range(2):
+        assert z[n] @ (jac.blocks[n][1 - n] @ z[1 - n]) > 0
+
+
+def test_bilinear_recovery_at_1e200():
+    b = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.25]])
+    result = bilinear_scale_recovery(1e200 * b, b)
+    assert not result.refuted
+    assert result.lam == pytest.approx(1e200, rel=1e-12)
